@@ -35,7 +35,6 @@ pub use sgx_epid::SgxEpidBackend;
 pub use vnfguard_ias::Availability;
 pub use vnfguard_sgx::measurement::Measurement;
 
-use vnfguard_telemetry::TraceContext;
 
 /// Which TEE technology produced a piece of evidence. Stable `u8` codes
 /// are part of the WAL record format — never renumber.
@@ -192,9 +191,6 @@ pub trait AttestationBackend {
     fn availability(&self) -> Availability {
         Availability::Available
     }
-
-    /// Scope subsequent appraisals to a distributed-trace context.
-    fn set_trace_context(&mut self, _ctx: Option<TraceContext>) {}
 }
 
 impl<B: AttestationBackend + ?Sized> AttestationBackend for &mut B {
@@ -212,10 +208,6 @@ impl<B: AttestationBackend + ?Sized> AttestationBackend for &mut B {
 
     fn availability(&self) -> Availability {
         (**self).availability()
-    }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        (**self).set_trace_context(ctx)
     }
 }
 

@@ -11,7 +11,6 @@
 
 use crate::{AttestError, AttestationBackend, BackendKind, EvidenceAppraisal, TcbStatus};
 use vnfguard_ias::{Availability, QuoteStatus, QuoteVerifier};
-use vnfguard_telemetry::TraceContext;
 
 /// [`AttestationBackend`] over any [`QuoteVerifier`]. Generic so it wraps
 /// an owned `AttestationService`, a `RemoteIas` client, or a borrowed
@@ -96,10 +95,6 @@ impl<V: QuoteVerifier> AttestationBackend for SgxEpidBackend<V> {
 
     fn availability(&self) -> Availability {
         self.inner.availability()
-    }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.inner.set_trace_context(ctx);
     }
 }
 

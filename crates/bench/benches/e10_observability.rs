@@ -135,7 +135,7 @@ fn bench_e10(c: &mut Criterion) {
         let histogram = telemetry.histogram("vnfguard_bench_span_micros");
         b.iter(|| {
             let _span = telemetry
-                .span("bench_span", 0)
+                .span("bench", "bench_span", 0)
                 .with_histogram(histogram.clone());
         });
     });

@@ -5,9 +5,10 @@
 //!
 //! This is a custom harness, not a criterion bench: it *enforces* the
 //! acceptance bar. Enabled and disabled batches run as adjacent pairs
-//! (order alternating pair to pair) so scheduler and thermal drift hit
-//! both sides of a pair equally; the reported overhead is the median of
-//! the per-pair ratios, which cancels drift a global mean would absorb.
+//! ([`vnfguard_bench::paired_overhead`]: order alternating pair to pair)
+//! so scheduler and thermal drift hit both sides of a pair equally; the
+//! reported overhead is the median of the per-pair ratios, which cancels
+//! drift a global mean would absorb.
 //! Tracing-enabled enrollment must stay within [`MAX_OVERHEAD`] of
 //! disabled or the process exits non-zero, failing CI.
 
@@ -15,11 +16,11 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
+use vnfguard_bench::paired_overhead;
 use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf, remote_enroll_vnf_traced, serve_ias, HostAgent,
-    HostAgentState, RemoteIas,
+    remote_attest_host, remote_enroll_vnf, serve_ias, HostAgent, HostAgentState, RemoteIas,
 };
 use vnfguard_telemetry::Telemetry;
 
@@ -99,47 +100,28 @@ fn deploy_guard(world: &mut RemoteWorld) -> String {
     name
 }
 
-/// Time one batch of enrollments. Traced batches open an operator root
-/// span per enrollment, exactly like the `/vm/...` REST handlers do.
-fn batch(world: &mut RemoteWorld, traced: bool) -> Duration {
+/// Time one batch of enrollments, in µs per enrollment. Traced batches
+/// open an operator root span per enrollment, exactly like the `/vm/...`
+/// REST handlers do; the enrollment runs under it.
+fn batch(world: &mut RemoteWorld, traced: bool) -> f64 {
     let names: Vec<String> = (0..BATCH_SIZE).map(|_| deploy_guard(world)).collect();
     let start = Instant::now();
     for name in &names {
-        if traced {
-            let now = world.testbed.clock.now();
-            let (ctx, _span) = world.telemetry.trace_root("operator", "enrollment", now);
-            black_box(
-                remote_enroll_vnf_traced(
-                    &world.testbed.vm,
-                    &mut world.remote_ias,
-                    &world.testbed.network,
-                    "host-0",
-                    name,
-                    "controller",
-                    Some(&ctx),
-                )
-                .unwrap(),
-            );
-        } else {
-            black_box(
-                remote_enroll_vnf(
-                    &world.testbed.vm,
-                    &mut world.remote_ias,
-                    &world.testbed.network,
-                    "host-0",
-                    name,
-                    "controller",
-                )
-                .unwrap(),
-            );
-        }
+        let now = world.testbed.clock.now();
+        let _root = traced.then(|| world.telemetry.trace_root("operator", "enrollment", now));
+        black_box(
+            remote_enroll_vnf(
+                &world.testbed.vm,
+                &mut world.remote_ias,
+                &world.testbed.network,
+                "host-0",
+                name,
+                "controller",
+            )
+            .unwrap(),
+        );
     }
-    start.elapsed()
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
+    start.elapsed().as_micros() as f64 / BATCH_SIZE as f64
 }
 
 /// One full measurement: fresh worlds, paired batches, median per-pair
@@ -158,20 +140,7 @@ fn measure(attempt: usize) -> (f64, f64, f64) {
         batch(&mut on, true);
         batch(&mut off, false);
     }
-    let mut on_us = Vec::with_capacity(BATCHES);
-    let mut off_us = Vec::with_capacity(BATCHES);
-    for pair in 0..BATCHES {
-        // Alternate which side goes first so ordering bias cancels too.
-        if pair % 2 == 0 {
-            on_us.push(batch(&mut on, true).as_micros() as f64 / BATCH_SIZE as f64);
-            off_us.push(batch(&mut off, false).as_micros() as f64 / BATCH_SIZE as f64);
-        } else {
-            off_us.push(batch(&mut off, false).as_micros() as f64 / BATCH_SIZE as f64);
-            on_us.push(batch(&mut on, true).as_micros() as f64 / BATCH_SIZE as f64);
-        }
-    }
-    let ratios: Vec<f64> = on_us.iter().zip(&off_us).map(|(a, b)| a / b).collect();
-    (median(on_us), median(off_us), median(ratios) - 1.0)
+    paired_overhead(BATCHES, || batch(&mut on, true), || batch(&mut off, false))
 }
 
 fn main() {

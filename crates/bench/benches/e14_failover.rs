@@ -6,7 +6,7 @@
 //!   (two standbys, synchronous stream-on-append) versus the same durable
 //!   deployment without standbys. Batches run as adjacent pairs with
 //!   alternating order and the reported overhead is the median per-pair
-//!   ratio (the e12 drift-cancelling harness). Replication must stay
+//!   ratio ([`vnfguard_bench::paired_overhead`]). Replication must stay
 //!   within [`MAX_OVERHEAD`] of unreplicated or the process exits
 //!   non-zero, failing CI.
 //! - **Failover time**: wall-clock for [`Testbed::promote`] — standby
@@ -17,6 +17,7 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+use vnfguard_bench::{median, paired_overhead};
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
 
 /// Replicated enrollment must finish within 10% of unreplicated.
@@ -73,11 +74,6 @@ fn batch(world: &mut World) -> Duration {
     start.elapsed()
 }
 
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
-}
-
 /// One full measurement: fresh worlds, paired batches, median per-pair
 /// ratio. Returns `(replicated_us, unreplicated_us, overhead)`.
 fn measure(attempt: usize) -> (f64, f64, f64) {
@@ -90,20 +86,8 @@ fn measure(attempt: usize) -> (f64, f64, f64) {
         batch(&mut on);
         batch(&mut off);
     }
-    let mut on_us = Vec::with_capacity(BATCHES);
-    let mut off_us = Vec::with_capacity(BATCHES);
-    for pair in 0..BATCHES {
-        // Alternate which side goes first so ordering bias cancels too.
-        if pair % 2 == 0 {
-            on_us.push(batch(&mut on).as_micros() as f64 / BATCH_SIZE as f64);
-            off_us.push(batch(&mut off).as_micros() as f64 / BATCH_SIZE as f64);
-        } else {
-            off_us.push(batch(&mut off).as_micros() as f64 / BATCH_SIZE as f64);
-            on_us.push(batch(&mut on).as_micros() as f64 / BATCH_SIZE as f64);
-        }
-    }
-    let ratios: Vec<f64> = on_us.iter().zip(&off_us).map(|(a, b)| a / b).collect();
-    (median(on_us), median(off_us), median(ratios) - 1.0)
+    let per_iter = |d: Duration| d.as_micros() as f64 / BATCH_SIZE as f64;
+    paired_overhead(BATCHES, || per_iter(batch(&mut on)), || per_iter(batch(&mut off)))
 }
 
 /// Median promotion time over fresh deployments with a populated WAL.

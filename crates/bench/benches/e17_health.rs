@@ -5,9 +5,9 @@
 //!
 //! - **overhead** — chained in-process renewals with the health monitor
 //!   attached must stay within [`MAX_OVERHEAD`] of the identical world
-//!   without it. Measured with e12's drift-cancelling harness: adjacent
-//!   enabled/disabled batch pairs with alternating order, median per-pair
-//!   ratio.
+//!   without it. Measured with the shared drift-cancelling harness
+//!   ([`vnfguard_bench::paired_overhead`]): adjacent enabled/disabled
+//!   batch pairs with alternating order, median per-pair ratio.
 //! - **burn drill** — isolating the remote IAS turns every enrollment
 //!   bad. The `enrollment-availability` alert must walk
 //!   pending→firing within the fast window, the firing snapshot must
@@ -26,10 +26,11 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vnfguard_bench::paired_overhead;
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
 use vnfguard_core::fleet::serve_fleet_api;
 use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf_traced, serve_ias, serve_vm_api, HostAgent,
+    remote_attest_host, remote_enroll_vnf, serve_ias, serve_vm_api, HostAgent,
     HostAgentState, RemoteIas,
 };
 use vnfguard_core::resilience::{CircuitBreaker, RetryPolicy};
@@ -99,11 +100,6 @@ fn renew_batch(world: &mut RenewWorld) -> Duration {
     start.elapsed()
 }
 
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
-}
-
 /// One full overhead measurement: fresh worlds, paired batches, median
 /// per-pair ratio. Returns `(enabled_us, disabled_us, overhead)` per
 /// renewal.
@@ -117,20 +113,12 @@ fn measure_overhead(attempt: usize) -> (f64, f64, f64) {
         renew_batch(&mut on);
         renew_batch(&mut off);
     }
-    let mut on_us = Vec::with_capacity(BATCHES);
-    let mut off_us = Vec::with_capacity(BATCHES);
-    for pair in 0..BATCHES {
-        // Alternate which side goes first so ordering bias cancels too.
-        if pair % 2 == 0 {
-            on_us.push(renew_batch(&mut on).as_micros() as f64 / BATCH_SIZE as f64);
-            off_us.push(renew_batch(&mut off).as_micros() as f64 / BATCH_SIZE as f64);
-        } else {
-            off_us.push(renew_batch(&mut off).as_micros() as f64 / BATCH_SIZE as f64);
-            on_us.push(renew_batch(&mut on).as_micros() as f64 / BATCH_SIZE as f64);
-        }
-    }
-    let ratios: Vec<f64> = on_us.iter().zip(&off_us).map(|(a, b)| a / b).collect();
-    (median(on_us), median(off_us), median(ratios) - 1.0)
+    let per_iter = |d: Duration| d.as_micros() as f64 / BATCH_SIZE as f64;
+    paired_overhead(
+        BATCHES,
+        || per_iter(renew_batch(&mut on)),
+        || per_iter(renew_batch(&mut off)),
+    )
 }
 
 fn overhead_bar() -> bool {
@@ -255,15 +243,14 @@ fn enroll(world: &mut DrillWorld) -> Result<(), CoreError> {
     let name = deploy(world);
     let host_id = world.agent.state.host_id.clone();
     let now = world.tb.clock.now();
-    let (ctx, _span) = world.telemetry.trace_root("operator", "enrollment", now);
-    remote_enroll_vnf_traced(
+    let _root = world.telemetry.trace_root("operator", "enrollment", now);
+    remote_enroll_vnf(
         &world.tb.vm,
         &mut world.remote_ias,
         &world.tb.network,
         &host_id,
         &name,
         "controller",
-        Some(&ctx),
     )
     .map(|_| ())
 }

@@ -25,6 +25,7 @@ use vnfguard_attest::snp::{
 use vnfguard_attest::{
     AppraisalPolicy, AttestationBackend, SgxEpidBackend,
 };
+use vnfguard_bench::median;
 use vnfguard_controller::SimClock;
 use vnfguard_core::remote::{serve_ias, RemoteIas};
 use vnfguard_ias::AttestationService;
@@ -113,11 +114,6 @@ fn timed_batch(backend: &mut dyn AttestationBackend, evidence: &[u8], nonce: &[u
         black_box(backend.appraise(black_box(evidence), nonce).unwrap());
     }
     start.elapsed()
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
 }
 
 /// One full latency measurement. Returns

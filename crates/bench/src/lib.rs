@@ -1,7 +1,8 @@
-//! Shared helpers for the experiment benchmarks (E1–E8).
+//! Shared helpers for the experiment benchmarks.
 //!
 //! Each bench target regenerates one experiment of EXPERIMENTS.md; the
-//! helpers here build the standard deployment the paper's demo describes.
+//! helpers here build the standard deployment the paper's demo describes
+//! (E1–E8) and hold the paired-batch harness the overhead bars share.
 
 use vnfguard_controller::SecurityMode;
 use vnfguard_core::deployment::{Testbed, TestbedBuilder, ValidationModel};
@@ -35,4 +36,37 @@ pub fn enrolled_guard(testbed: &mut Testbed, name: &str) -> VnfGuard {
     let guard = testbed.deploy_guard(0, name, 1).expect("deploy");
     testbed.enroll(0, &guard).expect("enroll");
     guard
+}
+
+/// Median of `values` (the upper median for an even count).
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
+    values[values.len() / 2]
+}
+
+/// The drift-cancelling paired-batch harness behind the overhead bars
+/// (E12, E14, E17). Runs `pairs` adjacent (`on`, `off`) batch pairs,
+/// alternating which side goes first so scheduler and thermal drift and
+/// ordering bias hit both sides equally. Each closure runs one batch and
+/// returns its per-iteration cost. Returns `(on_median, off_median,
+/// overhead)`, where the overhead is the median per-pair `on / off` ratio
+/// minus one — a median that cancels drift a global mean would absorb.
+pub fn paired_overhead(
+    pairs: usize,
+    mut on: impl FnMut() -> f64,
+    mut off: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
+    let mut on_us = Vec::with_capacity(pairs);
+    let mut off_us = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        if pair % 2 == 0 {
+            on_us.push(on());
+            off_us.push(off());
+        } else {
+            off_us.push(off());
+            on_us.push(on());
+        }
+    }
+    let ratios: Vec<f64> = on_us.iter().zip(&off_us).map(|(a, b)| a / b).collect();
+    (median(on_us), median(off_us), median(ratios) - 1.0)
 }

@@ -17,15 +17,11 @@ fn peer_of(request: &Request) -> String {
         .to_string()
 }
 
-/// Build the REST router over shared controller state.
-pub fn build_router(state: Arc<RwLock<ControllerState>>, clock: SimClock) -> Router {
-    build_router_traced(state, clock, None)
-}
-
-/// [`build_router`] with optional distributed tracing: requests carrying a
-/// `traceparent` header are recorded as server spans attributed to the
-/// `controller` service, timestamped from the controller's clock.
-pub fn build_router_traced(
+/// Build the REST router over shared controller state. With `telemetry`,
+/// requests carrying a `traceparent` header are recorded as server spans
+/// attributed to the `controller` service, timestamped from the
+/// controller's clock.
+pub fn build_router(
     state: Arc<RwLock<ControllerState>>,
     clock: SimClock,
     telemetry: Option<&Telemetry>,
@@ -261,7 +257,7 @@ mod tests {
 
     fn setup() -> (Arc<RwLock<ControllerState>>, Router) {
         let state = Arc::new(RwLock::new(ControllerState::new()));
-        let router = build_router(state.clone(), SimClock::at(1000));
+        let router = build_router(state.clone(), SimClock::at(1000), None);
         (state, router)
     }
 

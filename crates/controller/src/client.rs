@@ -16,7 +16,6 @@ use vnfguard_net::http::{roundtrip, Request, Response, Status};
 use vnfguard_net::stream::Duplex;
 use vnfguard_pki::TrustStore;
 use vnfguard_tls::handshake::{client_handshake, ClientConfig};
-use vnfguard_telemetry::TraceContext;
 use vnfguard_tls::signer::IdentitySigner;
 use vnfguard_tls::stream::TlsStream;
 
@@ -30,8 +29,6 @@ enum Transport {
 /// A connected north-bound API client (persistent connection).
 pub struct NorthboundClient {
     transport: Transport,
-    /// Trace context injected into every request as a `traceparent` header.
-    trace: Option<TraceContext>,
 }
 
 impl NorthboundClient {
@@ -40,7 +37,6 @@ impl NorthboundClient {
         let stream = network.connect(address)?;
         Ok(NorthboundClient {
             transport: Transport::Plain(stream),
-            trace: None,
         })
     }
 
@@ -68,26 +64,12 @@ impl NorthboundClient {
         let (stream, _info) = client_handshake(raw, &config, &mut rng)?;
         Ok(NorthboundClient {
             transport: Transport::Tls(Box::new(stream)),
-            trace: None,
         })
     }
 
-    /// Propagate `ctx` as the `traceparent` header on subsequent requests
-    /// (pass `None` to stop propagating).
-    pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.trace = ctx;
-    }
-
-    /// Raw request/response exchange.
+    /// Raw request/response exchange. The request carries the calling
+    /// thread's current trace context unless it sets its own.
     pub fn request(&mut self, request: &Request) -> Result<Response, ControllerError> {
-        let traced;
-        let request = match &self.trace {
-            Some(ctx) if ctx.is_valid() && !request.headers.contains_key("traceparent") => {
-                traced = request.clone().with_trace(ctx);
-                &traced
-            }
-            _ => request,
-        };
         match &mut self.transport {
             Transport::Plain(stream) => Ok(roundtrip(stream, request)?),
             Transport::Tls(stream) => Ok(roundtrip(stream.as_mut(), request)?),
@@ -352,6 +334,46 @@ mod tests {
                 && e.get("action").and_then(Json::as_str) == Some("push_flow")));
         assert!(s.controller.handshake_failures() >= 1);
         s.controller.stop();
+    }
+
+    #[test]
+    fn spoofed_peer_header_is_audited_as_anonymous() {
+        for mode in [SecurityMode::Http, SecurityMode::Https] {
+            let s = setup(mode);
+            let mut client = match mode {
+                SecurityMode::Http => {
+                    NorthboundClient::connect_plain(&s.network, "controller:8080").unwrap()
+                }
+                _ => NorthboundClient::connect_tls(
+                    &s.network,
+                    "controller:8080",
+                    s.trust.clone(),
+                    None,
+                    Some("controller"),
+                    1000,
+                )
+                .unwrap(),
+            };
+            client.register_switch(3, &[1]).unwrap();
+            let spoofed = Request::post("/wm/staticflowpusher/json")
+                .with_header("X-Peer-CN", "vnf-7")
+                .with_json(&flow("f3", 3).to_json());
+            assert!(client.request(&spoofed).unwrap().status.is_success());
+            let audit = client.audit().unwrap();
+            let push = audit
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|e| e.get("action").and_then(Json::as_str) == Some("push_flow"))
+                .expect("push audited");
+            assert_eq!(
+                push.get("peer").and_then(Json::as_str),
+                Some("anonymous"),
+                "{} mode trusted a client-sent identity header",
+                mode.as_str()
+            );
+            s.controller.stop();
+        }
     }
 
     #[test]

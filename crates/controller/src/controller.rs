@@ -1,7 +1,7 @@
 //! The controller process: binds the REST API on the fabric under one of
 //! the three security modes.
 
-use crate::api::build_router_traced;
+use crate::api::build_router;
 use crate::clock::SimClock;
 use crate::security::{SecurityMode, TlsUpgrade};
 use crate::state::ControllerState;
@@ -9,7 +9,7 @@ use crate::ControllerError;
 use parking_lot::RwLock;
 use std::sync::Arc;
 use vnfguard_net::fabric::Network;
-use vnfguard_net::server::{serve_with_identity, PlainUpgrade, ServerHandle};
+use vnfguard_net::server::{serve, PlainUpgrade, ServerHandle};
 use vnfguard_tls::signer::IdentitySigner;
 use vnfguard_tls::validate::ClientValidator;
 
@@ -93,17 +93,16 @@ impl Controller {
     /// Start serving the REST API on `network`.
     pub fn start(network: &Network, config: ControllerConfig) -> Result<Controller, ControllerError> {
         let state = Arc::new(RwLock::new(ControllerState::new()));
-        let router =
-            build_router_traced(state.clone(), config.clock.clone(), config.telemetry.as_ref());
+        let router = build_router(state.clone(), config.clock.clone(), config.telemetry.as_ref());
         let listener = network.listen(&config.address)?;
 
         let handle = match config.mode {
-            SecurityMode::Http => serve_with_identity(listener, PlainUpgrade, router),
+            SecurityMode::Http => serve(listener, PlainUpgrade, router),
             SecurityMode::Https => {
                 let identity = config.identity.clone().ok_or_else(|| {
                     ControllerError::Misconfigured("HTTPS mode requires a server identity".into())
                 })?;
-                serve_with_identity(
+                serve(
                     listener,
                     TlsUpgrade {
                         identity,
@@ -124,7 +123,7 @@ impl Controller {
                         "trusted HTTPS mode requires a client validator".into(),
                     )
                 })?;
-                serve_with_identity(
+                serve(
                     listener,
                     TlsUpgrade {
                         identity,

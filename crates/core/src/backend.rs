@@ -42,7 +42,6 @@ use vnfguard_ias::QuoteVerifier;
 use vnfguard_ima::appraisal::Verdict;
 use vnfguard_net::Network;
 use vnfguard_pki::cert::Certificate;
-use vnfguard_telemetry::TraceContext;
 
 /// The deployment convention for a VNF workload's SEV-SNP launch
 /// measurement: each VNF is modeled as its own CVM whose launch
@@ -130,10 +129,6 @@ impl AttestationBackend for MultiBackend {
     fn availability(&self) -> Availability {
         self.ias.lock().availability()
     }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.ias.lock().set_trace_context(ctx);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,19 +203,8 @@ pub fn remote_attest_host(
     network: &Network,
     host_id: &str,
 ) -> Result<Verdict, CoreError> {
-    remote_attest_host_traced(vm, ias, network, host_id, None)
-}
-
-/// [`remote_attest_host`] scoped to a distributed-trace context.
-pub fn remote_attest_host_traced(
-    vm: &VmService,
-    ias: &mut dyn QuoteVerifier,
-    network: &Network,
-    host_id: &str,
-    trace: Option<&TraceContext>,
-) -> Result<Verdict, CoreError> {
     let mut backend = SgxEpidBackend::new(ias);
-    crate::remote::remote_attest_host_backend(vm, &mut backend, network, host_id, trace)
+    crate::remote::remote_attest_host_backend(vm, &mut backend, network, host_id)
 }
 
 /// Drive VNF enrollment (steps 3–5) against a remote agent with an
@@ -235,20 +219,6 @@ pub fn remote_enroll_vnf(
     vnf_name: &str,
     controller_cn: &str,
 ) -> Result<Certificate, CoreError> {
-    remote_enroll_vnf_traced(vm, ias, network, host_id, vnf_name, controller_cn, None)
-}
-
-/// [`remote_enroll_vnf`] scoped to a distributed-trace context.
-#[allow(clippy::too_many_arguments)]
-pub fn remote_enroll_vnf_traced(
-    vm: &VmService,
-    ias: &mut dyn QuoteVerifier,
-    network: &Network,
-    host_id: &str,
-    vnf_name: &str,
-    controller_cn: &str,
-    trace: Option<&TraceContext>,
-) -> Result<Certificate, CoreError> {
     let mut backend = SgxEpidBackend::new(ias);
     crate::remote::remote_enroll_vnf_backend(
         vm,
@@ -257,7 +227,6 @@ pub fn remote_enroll_vnf_traced(
         host_id,
         vnf_name,
         controller_cn,
-        trace,
     )
 }
 

@@ -33,9 +33,7 @@ use vnfguard_net::fabric::Network;
 use vnfguard_net::http::{Request, Response, Status};
 use vnfguard_net::rest::Router;
 use vnfguard_net::server::{serve, HttpClient, PlainUpgrade, ServerHandle};
-use vnfguard_telemetry::{
-    AlertState, Counter, Gauge, HistogramSnapshot, Telemetry, TraceContext,
-};
+use vnfguard_telemetry::{AlertState, Counter, Gauge, HistogramSnapshot, Telemetry};
 
 /// What kind of node a fleet entry is — determines the path scraped and
 /// how its summary line reads.
@@ -159,7 +157,6 @@ pub struct FleetMonitor {
     clock: SimClock,
     origin: String,
     nodes: Vec<NodeRecord>,
-    trace: Option<TraceContext>,
     scrapes: Counter,
     scrape_failures: Counter,
     stale_gauge: Gauge,
@@ -179,7 +176,6 @@ impl FleetMonitor {
             clock,
             origin: origin.to_string(),
             nodes: Vec::new(),
-            trace: None,
             scrapes: telemetry.counter("vnfguard_core_fleet_scrapes_total"),
             scrape_failures: telemetry.counter("vnfguard_core_fleet_scrape_failures_total"),
             stale_gauge: telemetry.gauge("vnfguard_core_fleet_stale_nodes"),
@@ -213,24 +209,14 @@ impl FleetMonitor {
         });
     }
 
-    /// Scope subsequent scrapes to a distributed-trace context (each
-    /// request then carries a `traceparent`); `None` clears.
-    pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.trace = ctx;
-    }
-
     fn fetch(&self, addr: &str, path: &str) -> Result<Json, CoreError> {
         let stream = self
             .network
             .connect_from(&self.origin, addr)
             .map_err(|e| CoreError::ServiceUnavailable(format!("{addr}: {e}")))?;
         let mut client = HttpClient::new(stream);
-        let mut request = Request::get(path);
-        if let Some(ctx) = &self.trace {
-            request = request.with_trace(ctx);
-        }
         let response = client
-            .request(&request)
+            .request(&Request::get(path))
             .map_err(|e| CoreError::ServiceUnavailable(format!("{addr}{path}: {e}")))?;
         if !response.status.is_success() {
             return Err(CoreError::ServiceUnavailable(format!(
@@ -739,9 +725,6 @@ pub fn serve_fleet_api(
     {
         let monitor = monitor.clone();
         router.get_api("/fleet/status", move |request, _| {
-            // deadline-opt-out: the cockpit is what operators read *during*
-            // an overload incident — an exhausted caller budget must not
-            // blind them.
             let status = monitor.lock().scrape();
             match request.query_param("format") {
                 Some("ascii") => Ok(Response::text(Status::Ok, &render_cockpit(&status))),

@@ -52,9 +52,7 @@ pub use crash::{CrashEvent, CrashPlan};
 pub use lifecycle::{
     verify_handover, CaRotation, LifecycleMonitor, LifecycleStatus, LifecycleTick, RenewalDue,
 };
-pub use overload::{
-    current_deadline, AdmissionConfig, AdmissionController, Deadline, DeadlineScope, Workclass,
-};
+pub use overload::{current_deadline, AdmissionConfig, AdmissionController, Deadline, Workclass};
 pub use fleet::{
     serve_fleet_api, serve_standby_health, FleetMonitor, FleetStatus, NodeKind,
 };

@@ -22,9 +22,9 @@
 //!   live [`TrustStore`], and retires drained anchors.
 //!
 //! The monitor issues HTTP requests over the fabric and joins the
-//! deployment's distributed traces: callers scope polls to a trace via
-//! [`LifecycleMonitor::set_trace_context`], and each request carries the
-//! context with `Request::with_trace`.
+//! deployment's distributed traces: each poll carries the calling thread's
+//! current trace context (an open span or request scope), like every other
+//! client request.
 
 use crate::CoreError;
 use vnfguard_controller::clock::SimClock;
@@ -37,7 +37,7 @@ use vnfguard_net::server::HttpClient;
 use vnfguard_pki::cert::Certificate;
 use vnfguard_pki::crl::Crl;
 use vnfguard_pki::{PkiError, TrustStore};
-use vnfguard_telemetry::{Counter, Gauge, Telemetry, TraceContext};
+use vnfguard_telemetry::{Counter, Gauge, Telemetry};
 
 /// A credential inside its renewal window (or already past `not_after`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +181,6 @@ pub struct LifecycleMonitor {
     retiring: Vec<RetiringAnchor>,
     /// Issuance instant of the newest installed CRL.
     last_crl_issued_at: Option<u64>,
-    trace: Option<TraceContext>,
     ca_polls: Counter,
     crl_polls: Counter,
     rotations_adopted: Counter,
@@ -217,18 +216,11 @@ impl LifecycleMonitor {
             known_epoch: 0,
             retiring: Vec::new(),
             last_crl_issued_at: None,
-            trace: None,
             ca_polls,
             crl_polls,
             rotations_adopted,
             crl_age,
         }
-    }
-
-    /// Scope subsequent polls to a distributed-trace context (each request
-    /// then carries a `traceparent`); `None` clears.
-    pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.trace = ctx;
     }
 
     /// The shared trust store this monitor maintains.
@@ -253,12 +245,8 @@ impl LifecycleMonitor {
             .connect_from(&self.origin, &self.vm_addr)
             .map_err(|e| CoreError::ServiceUnavailable(format!("{}: {e}", self.vm_addr)))?;
         let mut client = HttpClient::new(stream);
-        let mut request = Request::get(path);
-        if let Some(ctx) = &self.trace {
-            request = request.with_trace(ctx);
-        }
         let response = client
-            .request(&request)
+            .request(&Request::get(path))
             .map_err(|e| CoreError::ServiceUnavailable(format!("{path}: {e}")))?;
         if !response.status.is_success() {
             return Err(CoreError::ServiceUnavailable(format!(

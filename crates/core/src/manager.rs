@@ -21,7 +21,7 @@ use vnfguard_ima::list::IMA_PCR;
 use vnfguard_pki::ca::{CertificateAuthority, IssueProfile};
 use vnfguard_pki::cert::{Certificate, DistinguishedName, Validity};
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
-use vnfguard_telemetry::{Counter, Gauge, Histogram, SpanGuard, Telemetry, TraceContext};
+use vnfguard_telemetry::{current_trace, Counter, Gauge, Histogram, SpanGuard, Telemetry};
 use vnfguard_vnf::credential_enclave::{provisioning_report_data, ProvisionBundle};
 use vnfguard_vnf::wrap_credentials;
 
@@ -587,9 +587,6 @@ pub struct VerificationManager {
     crashed: Option<String>,
     /// Outcome of the recovery pass that produced this incarnation.
     last_recovery: Option<RecoveryReport>,
-    /// Distributed-trace context scoping the current workflow call; set by
-    /// the remote orchestration layer, never persisted.
-    active_trace: Option<TraceContext>,
     /// Primary-side replication handle (also installed as the store's
     /// append observer); `None` runs unreplicated.
     replication: Option<ReplicaSet>,
@@ -683,7 +680,6 @@ impl VerificationManager {
             crash_plan: None,
             crashed: None,
             last_recovery: None,
-            active_trace: None,
             replication: None,
             shard: 0,
             shard_count: 1,
@@ -755,45 +751,13 @@ impl VerificationManager {
         &self.telemetry
     }
 
-    /// Scope subsequent workflow calls to a distributed-trace context: the
-    /// workflow spans (host attestation, enrollment) and their inner steps
-    /// become children of `ctx`, and crash points annotate it. Pass `None`
-    /// to clear. The remote orchestration layer sets this around each call.
-    pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.active_trace = ctx;
-    }
-
-    /// The distributed-trace context currently scoping workflow calls.
-    pub fn trace_context(&self) -> Option<&TraceContext> {
-        self.active_trace.as_ref()
-    }
-
-    /// Open a top-level workflow span. Under an active trace context the
-    /// span joins the trace and `active_trace` is swapped to its context so
-    /// inner steps chain under it — the caller must restore the saved
-    /// context when the workflow returns.
-    fn workflow_span(&mut self, name: &str, now: u64) -> SpanGuard {
-        match self.active_trace.clone() {
-            Some(parent) => {
-                let (ctx, guard) = self.telemetry.trace_child(&parent, "vm", name, now);
-                self.active_trace = Some(ctx);
-                guard
-            }
-            None => self.telemetry.span(name, now),
-        }
-    }
-
-    /// Open an inner workflow step span, chained under the active trace
-    /// context when one is set. Returns the step's own context (for
-    /// propagation to a remote backend) alongside the guard.
-    fn step_span(&self, name: &str, now: u64) -> (Option<TraceContext>, SpanGuard) {
-        match &self.active_trace {
-            Some(parent) => {
-                let (ctx, guard) = self.telemetry.trace_child(parent, "vm", name, now);
-                (Some(ctx), guard)
-            }
-            None => (None, self.telemetry.span(name, now)),
-        }
+    /// Open a workflow or step span attributed to the `vm` service. It
+    /// joins the calling thread's current trace (the request scope the
+    /// router installed, or an enclosing span) and is the current context
+    /// until it drops, so inner steps and backend round-trips chain under
+    /// it.
+    fn span(&self, name: &str, now: u64) -> SpanGuard {
+        self.telemetry.span("vm", name, now)
     }
 
     /// The active configuration.
@@ -945,15 +909,14 @@ impl VerificationManager {
         if fired {
             self.crashed = Some(site.to_string());
             self.event(self.clock.now(), "vm_crashed", site);
-            if let Some(ctx) = &self.active_trace {
-                // Stitch the crash onto the active trace and remember the
-                // context so the recovery pass (a new manager incarnation
-                // sharing this telemetry bundle) can annotate the same
-                // trace with the generation it restores into.
-                self.telemetry
-                    .trace_annotate(ctx, self.clock.now(), "crash", site);
-                self.telemetry.traces().set_crash_scope(ctx.clone());
-            }
+            // Stitch the crash onto the current trace and remember the
+            // context so the recovery pass (a new manager incarnation
+            // sharing this telemetry bundle) can annotate the same trace
+            // with the generation it restores into.
+            let ctx = current_trace();
+            self.telemetry
+                .trace_annotate(&ctx, self.clock.now(), "crash", site);
+            self.telemetry.traces().set_crash_scope(ctx);
             return Err(CoreError::VmCrashed(site.to_string()));
         }
         Ok(())
@@ -1111,14 +1074,12 @@ impl VerificationManager {
         evidence: &HostEvidence,
     ) -> Result<Verdict, CoreError> {
         let now = self.clock.now();
-        let saved_trace = self.active_trace.clone();
         let result = {
             let _span = self
-                .workflow_span("host_attestation", now)
+                .span("host_attestation", now)
                 .with_histogram(self.metrics.host_attestation_micros.clone());
             self.host_attestation_inner(backend, challenge_id, evidence, now)
         };
-        self.active_trace = saved_trace;
         match &result {
             Ok(_) => self.metrics.host_attestations.inc(),
             Err(_) => self.metrics.host_attestation_failures.inc(),
@@ -1144,12 +1105,9 @@ impl VerificationManager {
         // revocation collateral, TCB status. (The span keeps the name
         // "ias_verify" from the single-TEE days — renaming would orphan
         // every stored trace comparison.)
-        let (verify_ctx, verify_span) = self.step_span("ias_verify", now);
-        if let Some(ctx) = verify_ctx {
-            // A remote backend propagates this step's context on the wire,
-            // so its server spans and retry attempts chain under it.
-            backend.set_trace_context(Some(ctx));
-        }
+        // A remote backend's round-trips run under this step's span, so
+        // its retry attempts and server spans chain under it.
+        let verify_span = self.span("ias_verify", now);
         let appraised = backend
             .appraise(&evidence.quote, &challenge.nonce)
             .map_err(|e| CoreError::AttestationFailed(e.to_string()));
@@ -1186,14 +1144,14 @@ impl VerificationManager {
         }
 
         // Appraise the list.
-        let (_, appraise_span) = self.step_span("appraise", now);
+        let appraise_span = self.span("appraise", now);
         let list = evidence.measurement_list()?;
         let result = self.reference_db.appraise(&list, &self.config.appraisal);
         drop(appraise_span);
 
         // §4 extension: check the TPM anchor if required/available.
         if self.config.require_tpm || evidence.tpm_quote.is_some() {
-            let (_, _tpm_span) = self.step_span("tpm_check", now);
+            let _tpm_span = self.span("tpm_check", now);
             let aik = self
                 .hosts
                 .get(&host_id)
@@ -1375,10 +1333,9 @@ impl VerificationManager {
         controller_cn: &str,
     ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
         let now = self.clock.now();
-        let saved_trace = self.active_trace.clone();
         let result = {
             let _span = self
-                .workflow_span("vnf_enrollment", now)
+                .span("vnf_enrollment", now)
                 .with_histogram(self.metrics.enrollment_micros.clone());
             self.prepare_enrollment_inner(
                 backend,
@@ -1389,7 +1346,6 @@ impl VerificationManager {
                 now,
             )
         };
-        self.active_trace = saved_trace;
         if result.is_err() {
             self.metrics.enrollment_failures.inc();
         }
@@ -1419,10 +1375,7 @@ impl VerificationManager {
             )));
         }
 
-        let (verify_ctx, verify_span) = self.step_span("ias_verify", now);
-        if let Some(ctx) = verify_ctx {
-            backend.set_trace_context(Some(ctx));
-        }
+        let verify_span = self.span("ias_verify", now);
         let appraised = backend
             .appraise(quote_bytes, &challenge.nonce)
             .map_err(|e| CoreError::AttestationFailed(e.to_string()));
@@ -1467,7 +1420,7 @@ impl VerificationManager {
         }
 
         // Step 5: generate key material, certify, wrap.
-        let (_, issue_span) = self.step_span("issue_certificate", now);
+        let issue_span = self.span("issue_certificate", now);
         let key_seed = self.rng.gen_array::<32>();
         let client_key = SigningKey::from_seed(&key_seed);
         let certificate = self.ca.issue(
@@ -1481,7 +1434,7 @@ impl VerificationManager {
         );
         self.metrics.certificates_issued.inc();
         drop(issue_span);
-        let (_, wrap_span) = self.step_span("wrap_credentials", now);
+        let wrap_span = self.span("wrap_credentials", now);
         let bundle = ProvisionBundle {
             key_seed,
             certificate: certificate.clone(),
@@ -2070,13 +2023,8 @@ impl VerificationManager {
     /// the epoch key) or rolls back an uncommitted one.
     pub fn rotate_ca(&mut self) -> Result<CaRotation, CoreError> {
         let now = self.clock.now();
-        let saved_trace = self.active_trace.clone();
-        let result = {
-            let _span = self.workflow_span("ca_rotation", now);
-            self.rotate_ca_inner(now)
-        };
-        self.active_trace = saved_trace;
-        result
+        let _span = self.span("ca_rotation", now);
+        self.rotate_ca_inner(now)
     }
 
     fn rotate_ca_inner(&mut self, now: u64) -> Result<CaRotation, CoreError> {
@@ -2111,7 +2059,7 @@ impl VerificationManager {
         ])?;
         self.crash_point("rotation.commit")?;
 
-        let (_, rotate_span) = self.step_span("rotate_keys", now);
+        let rotate_span = self.span("rotate_keys", now);
         let previous_root = self.ca.certificate().clone();
         let new_key = self.epoch_key(epoch);
         let (new_root, cross_signed) = self.ca.rotate_to(new_key, self.config.ca_validity);
@@ -2157,14 +2105,12 @@ impl VerificationManager {
         controller_cn: &str,
     ) -> Result<(Vec<u8>, Certificate), CoreError> {
         let now = self.clock.now();
-        let saved_trace = self.active_trace.clone();
         let result = {
             let _span = self
-                .workflow_span("credential_renewal", now)
+                .span("credential_renewal", now)
                 .with_histogram(self.metrics.renewal_micros.clone());
             self.renew_inner(serial, provisioning_key, controller_cn, now)
         };
-        self.active_trace = saved_trace;
         match &result {
             Ok(_) => self.metrics.renewals.inc(),
             Err(_) => self.metrics.renewal_failures.inc(),
@@ -2248,7 +2194,7 @@ impl VerificationManager {
             )));
         }
 
-        let (_, issue_span) = self.step_span("issue_certificate", now);
+        let issue_span = self.span("issue_certificate", now);
         let key_seed = self.rng.gen_array::<32>();
         let client_key = SigningKey::from_seed(&key_seed);
         let certificate = self.ca.issue(
@@ -2262,7 +2208,7 @@ impl VerificationManager {
         );
         self.metrics.certificates_issued.inc();
         drop(issue_span);
-        let (_, wrap_span) = self.step_span("wrap_credentials", now);
+        let wrap_span = self.span("wrap_credentials", now);
         // The bundle carries the *current* root, so a renewal during a
         // dual-trust window migrates the guard onto the new epoch — plus
         // the draining roots, so it still validates a controller whose

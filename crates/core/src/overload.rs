@@ -7,14 +7,14 @@
 //! serving stack two defenses:
 //!
 //! - **[`Deadline`] propagation** — requests carry a remaining-budget
-//!   header (`x-vnfguard-deadline`, milliseconds); every layer that might
-//!   wait (shard queues, IAS retry loops, replication acks) checks the
-//!   budget first and fails fast with [`CoreError::DeadlineExceeded`]
-//!   instead of doing work nobody will wait for. A deadline has **two
-//!   components** because the testbed runs on a [`SimClock`] that stands
-//!   still during real waits (queueing, WAL flush latency): a simulated
-//!   expiry for backoff loops that advance the clock, and a wall-clock
-//!   expiry for real stalls.
+//!   header (`x-vnfguard-deadline`, milliseconds) that the router installs
+//!   in the request scope at dispatch; every layer that might wait (shard
+//!   queues, IAS retry loops, replication acks) checks the budget first and
+//!   fails fast with [`CoreError::DeadlineExceeded`] instead of doing work
+//!   nobody will wait for. A deadline has **two components** because the
+//!   testbed runs on a [`SimClock`] that stands still during real waits
+//!   (queueing, WAL flush latency): a simulated expiry for backoff loops
+//!   that advance the clock, and a wall-clock expiry for real stalls.
 //! - **[`AdmissionController`]** — bounded per-class FIFO accounting in
 //!   front of the shard mutexes, with a CoDel-style sojourn test at
 //!   dequeue. Once a class's queue is full, or queueing delay has stayed
@@ -30,98 +30,30 @@
 //! enrollment queue saturates and sheds while revocations still find room.
 
 use crate::CoreError;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vnfguard_controller::clock::SimClock;
-use vnfguard_telemetry::{Counter, Gauge, Telemetry, TraceContext};
+pub use vnfguard_telemetry::{current_deadline, Deadline};
+use vnfguard_telemetry::{Counter, Gauge, Telemetry};
 
-/// A request's remaining time budget, in both simulated and wall-clock
-/// time. Expired when **either** component is exhausted: the simulated
-/// component catches budget burned by backoff loops (which advance the
-/// [`SimClock`]), the wall-clock component catches real stalls (queueing,
-/// WAL group-commit flushes) during which the simulated clock stands
-/// still.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    sim_expires_at: u64,
-    real_expires: Instant,
+/// Whether the current request's deadline (installed by the router's
+/// [`RequestScope`](vnfguard_telemetry::RequestScope)) has run out on
+/// `clock`. Requests without a deadline never expire.
+pub fn deadline_expired(clock: &SimClock) -> bool {
+    current_deadline().is_some_and(|deadline| deadline.expired(clock.now()))
 }
 
-impl Deadline {
-    /// Start a deadline `budget_millis` from now. The simulated component
-    /// rounds the budget up to whole seconds ([`SimClock`] ticks in
-    /// seconds); a zero budget is already expired.
-    pub fn start(clock: &SimClock, budget_millis: u64) -> Deadline {
-        Deadline {
-            sim_expires_at: clock.now().saturating_add(budget_millis.div_ceil(1000)),
-            real_expires: Instant::now() + Duration::from_millis(budget_millis),
-        }
-    }
-
-    pub fn expired(&self, clock: &SimClock) -> bool {
-        clock.now() >= self.sim_expires_at || Instant::now() >= self.real_expires
-    }
-
-    /// Remaining budget in milliseconds — the tighter of the two
-    /// components. This is what gets re-propagated downstream, so a hop
-    /// that burned half the budget hands the remainder on.
-    pub fn remaining_millis(&self, clock: &SimClock) -> u64 {
-        let sim = self.sim_expires_at.saturating_sub(clock.now()).saturating_mul(1000);
-        let real = self
-            .real_expires
-            .saturating_duration_since(Instant::now())
-            .as_millis() as u64;
-        sim.min(real)
-    }
-}
-
-thread_local! {
-    static AMBIENT_DEADLINE: Cell<Option<Deadline>> = const { Cell::new(None) };
-}
-
-/// RAII scope installing a [`Deadline`] as the thread's ambient deadline,
-/// visible to everything downstream via [`current_deadline`] without
-/// threading a parameter through every signature. Scopes nest; dropping
-/// restores the previous deadline.
-///
-/// The ambient deadline is thread-local, which matches the serving model:
-/// a request is handled start-to-finish on one fabric thread.
-#[derive(Debug)]
-pub struct DeadlineScope {
-    previous: Option<Deadline>,
-}
-
-impl DeadlineScope {
-    pub fn enter(deadline: Deadline) -> DeadlineScope {
-        let previous = AMBIENT_DEADLINE.with(|cell| cell.replace(Some(deadline)));
-        DeadlineScope { previous }
-    }
-}
-
-impl Drop for DeadlineScope {
-    fn drop(&mut self) {
-        AMBIENT_DEADLINE.with(|cell| cell.set(self.previous));
-    }
-}
-
-/// The ambient deadline installed by the innermost live [`DeadlineScope`]
-/// on this thread, if any.
-pub fn current_deadline() -> Option<Deadline> {
-    AMBIENT_DEADLINE.with(Cell::get)
-}
-
-/// Fail fast if the ambient deadline has expired. `what` names the work
-/// being abandoned (it lands in the error detail and, via the remote
-/// layer, in the 504 body).
+/// Fail fast if the current request's deadline has expired. `what` names
+/// the work being abandoned (it lands in the error detail and, via the
+/// remote layer, in the 504 body).
 pub fn check_deadline(clock: &SimClock, what: &str) -> Result<(), CoreError> {
-    match current_deadline() {
-        Some(deadline) if deadline.expired(clock) => Err(CoreError::DeadlineExceeded(format!(
+    if deadline_expired(clock) {
+        return Err(CoreError::DeadlineExceeded(format!(
             "{what}: request budget exhausted"
-        ))),
-        _ => Ok(()),
+        )));
     }
+    Ok(())
 }
 
 /// Priority class of a request, highest first. Priority is enforced by
@@ -366,23 +298,23 @@ impl AdmissionController {
             .saturating_mul(1 + congestion as u64)
     }
 
-    fn note_shed(&self, class: Workclass, trace: Option<&TraceContext>, detail: &str) {
+    fn note_shed(&self, class: Workclass, detail: &str) {
         self.classes[class.index()].shed.inc();
         self.shed_total.inc();
-        self.annotate(trace, "shed", detail);
+        self.annotate("shed", detail);
     }
 
-    fn note_deadline(&self, class: Workclass, trace: Option<&TraceContext>, detail: &str) {
+    fn note_deadline(&self, class: Workclass, detail: &str) {
         self.classes[class.index()].deadline_exceeded.inc();
         self.deadline_total.inc();
-        self.annotate(trace, "deadline", detail);
+        self.annotate("deadline", detail);
     }
 
-    /// Record why a request died into its active trace span, so waterfall
+    /// Record why a request died into its current trace span, so waterfall
     /// views show shed/deadline events inline.
-    pub fn annotate(&self, trace: Option<&TraceContext>, kind: &str, detail: &str) {
-        if let (Some(telemetry), Some(ctx)) = (&self.telemetry, trace) {
-            telemetry.trace_annotate(ctx, self.clock.now(), kind, detail);
+    pub fn annotate(&self, kind: &str, detail: &str) {
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.annotate(self.clock.now(), kind, detail);
         }
     }
 
@@ -390,17 +322,11 @@ impl AdmissionController {
     /// Call **before** waiting on a shard lock; hold the returned
     /// [`Permit`] until the request is finished (its `Drop` releases the
     /// queue slot).
-    pub fn admit(
-        &self,
-        class: Workclass,
-        trace: Option<&TraceContext>,
-    ) -> Result<Permit<'_>, CoreError> {
-        if let Some(deadline) = current_deadline() {
-            if deadline.expired(&self.clock) {
-                let detail = format!("{} request arrived with exhausted budget", class.label());
-                self.note_deadline(class, trace, &detail);
-                return Err(CoreError::DeadlineExceeded(detail));
-            }
+    pub fn admit(&self, class: Workclass) -> Result<Permit<'_>, CoreError> {
+        if deadline_expired(&self.clock) {
+            let detail = format!("{} request arrived with exhausted budget", class.label());
+            self.note_deadline(class, &detail);
+            return Err(CoreError::DeadlineExceeded(detail));
         }
         let state = &self.classes[class.index()];
         // Optimistically reserve, then back out if over bound: racing
@@ -416,7 +342,7 @@ impl AdmissionController {
                 depth - 1,
                 state.bound
             );
-            self.note_shed(class, trace, &detail);
+            self.note_shed(class, &detail);
             return Err(CoreError::Overloaded {
                 detail,
                 retry_after_secs,
@@ -435,20 +361,18 @@ impl AdmissionController {
     /// for a full interval) or if the request's deadline died while it
     /// waited. On `Err` the caller must release the lock without touching
     /// state; the permit's `Drop` still releases the queue slot.
-    pub fn dequeued(&self, permit: &Permit<'_>, trace: Option<&TraceContext>) -> Result<(), CoreError> {
+    pub fn dequeued(&self, permit: &Permit<'_>) -> Result<(), CoreError> {
         let class = permit.class;
         let state = &self.classes[class.index()];
         let sojourn_micros = permit.enqueued.elapsed().as_micros() as u64;
         state.sojourn_gauge.set(sojourn_micros as i64);
-        if let Some(deadline) = current_deadline() {
-            if deadline.expired(&self.clock) {
-                let detail = format!(
-                    "{} request budget died in queue ({sojourn_micros}us sojourn)",
-                    class.label()
-                );
-                self.note_deadline(class, trace, &detail);
-                return Err(CoreError::DeadlineExceeded(detail));
-            }
+        if deadline_expired(&self.clock) {
+            let detail = format!(
+                "{} request budget died in queue ({sojourn_micros}us sojourn)",
+                class.label()
+            );
+            self.note_deadline(class, &detail);
+            return Err(CoreError::DeadlineExceeded(detail));
         }
         let shed = {
             let mut codel = state.codel.lock().expect("codel state poisoned");
@@ -483,7 +407,7 @@ impl AdmissionController {
                 sojourn_micros,
                 self.config.sojourn_target_micros
             );
-            self.note_shed(class, trace, &detail);
+            self.note_shed(class, &detail);
             return Err(CoreError::Overloaded {
                 detail,
                 retry_after_secs,
@@ -523,6 +447,8 @@ impl Drop for Permit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use vnfguard_telemetry::{RequestScope, TraceContext};
 
     fn config(bound: usize) -> AdmissionConfig {
         AdmissionConfig {
@@ -535,43 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_deadline_is_born_expired() {
-        let clock = SimClock::at(100);
-        let deadline = Deadline::start(&clock, 0);
-        assert!(deadline.expired(&clock));
-        assert_eq!(deadline.remaining_millis(&clock), 0);
-    }
-
-    #[test]
-    fn sim_clock_advance_expires_deadline() {
-        let clock = SimClock::at(100);
-        let deadline = Deadline::start(&clock, 2_000);
-        assert!(!deadline.expired(&clock));
-        clock.advance(1);
-        assert!(!deadline.expired(&clock));
-        clock.advance(1);
-        assert!(deadline.expired(&clock));
-        assert_eq!(deadline.remaining_millis(&clock), 0);
-    }
-
-    #[test]
-    fn wall_clock_expires_deadline_while_sim_time_stands_still() {
-        let clock = SimClock::at(100);
-        let deadline = Deadline::start(&clock, 5);
-        std::thread::sleep(Duration::from_millis(10));
-        // The sim clock never moved, but the real budget is gone.
-        assert_eq!(clock.now(), 100);
-        assert!(deadline.expired(&clock));
-    }
-
-    #[test]
-    fn deadline_scopes_nest_and_restore() {
+    fn check_deadline_reads_the_request_scope() {
         let clock = SimClock::at(0);
-        assert!(current_deadline().is_none());
-        let outer = DeadlineScope::enter(Deadline::start(&clock, 60_000));
+        assert!(check_deadline(&clock, "unscoped").is_ok());
+        let start = |budget| Some(Deadline::start(Some(clock.now()), budget));
+        let outer = RequestScope::enter(TraceContext::disabled(), start(60_000));
         assert!(check_deadline(&clock, "outer").is_ok());
         {
-            let _inner = DeadlineScope::enter(Deadline::start(&clock, 0));
+            let _inner = RequestScope::enter(TraceContext::disabled(), start(0));
             assert!(matches!(
                 check_deadline(&clock, "inner"),
                 Err(CoreError::DeadlineExceeded(_))
@@ -579,6 +476,9 @@ mod tests {
         }
         // Inner scope dropped: the outer (live) deadline is back.
         assert!(check_deadline(&clock, "outer again").is_ok());
+        // Backoff loops burn the simulated half of the budget.
+        clock.advance(60);
+        assert!(check_deadline(&clock, "outer after backoff").is_err());
         drop(outer);
         assert!(current_deadline().is_none());
     }
@@ -587,10 +487,10 @@ mod tests {
     fn depth_gate_sheds_at_bound_and_permits_release() {
         let controller = AdmissionController::new(config(4), SimClock::at(0));
         let permits: Vec<_> = (0..4)
-            .map(|_| controller.admit(Workclass::Revocation, None).expect("room"))
+            .map(|_| controller.admit(Workclass::Revocation).expect("room"))
             .collect();
         assert_eq!(controller.waiting(Workclass::Revocation), 4);
-        let shed = controller.admit(Workclass::Revocation, None);
+        let shed = controller.admit(Workclass::Revocation);
         match shed {
             Err(CoreError::Overloaded {
                 retry_after_secs, ..
@@ -599,8 +499,8 @@ mod tests {
         }
         drop(permits);
         assert_eq!(controller.waiting(Workclass::Revocation), 0);
-        let permit = controller.admit(Workclass::Revocation, None).expect("drained");
-        assert!(controller.dequeued(&permit, None).is_ok());
+        let permit = controller.admit(Workclass::Revocation).expect("drained");
+        assert!(controller.dequeued(&permit).is_ok());
     }
 
     #[test]
@@ -608,16 +508,16 @@ mod tests {
         let controller = AdmissionController::new(config(8), SimClock::at(0));
         // Enrollment gets half the bound; fill it.
         let _enrollments: Vec<_> = (0..4)
-            .map(|_| controller.admit(Workclass::Enrollment, None).expect("room"))
+            .map(|_| controller.admit(Workclass::Enrollment).expect("room"))
             .collect();
-        assert!(controller.admit(Workclass::Enrollment, None).is_err());
+        assert!(controller.admit(Workclass::Enrollment).is_err());
         // Revocations still admit: priority by bound asymmetry.
-        assert!(controller.admit(Workclass::Revocation, None).is_ok());
+        assert!(controller.admit(Workclass::Revocation).is_ok());
         // Introspection has the smallest queue of all.
         let _reads: Vec<_> = (0..2)
-            .map(|_| controller.admit(Workclass::Introspection, None).expect("room"))
+            .map(|_| controller.admit(Workclass::Introspection).expect("room"))
             .collect();
-        assert!(controller.admit(Workclass::Introspection, None).is_err());
+        assert!(controller.admit(Workclass::Introspection).is_err());
     }
 
     #[test]
@@ -633,9 +533,9 @@ mod tests {
             clock,
         );
         let slow_dequeue = || {
-            let permit = controller.admit(Workclass::Renewal, None).expect("room");
+            let permit = controller.admit(Workclass::Renewal).expect("room");
             std::thread::sleep(Duration::from_millis(2));
-            controller.dequeued(&permit, None)
+            controller.dequeued(&permit)
         };
         // First above-target sojourn starts the interval, no shed yet.
         assert!(slow_dequeue().is_ok());
@@ -646,8 +546,8 @@ mod tests {
             Err(CoreError::Overloaded { .. })
         ));
         // A prompt dequeue resets the interval.
-        let quick = controller.admit(Workclass::Renewal, None).expect("room");
-        assert!(controller.dequeued(&quick, None).is_ok());
+        let quick = controller.admit(Workclass::Renewal).expect("room");
+        assert!(controller.dequeued(&quick).is_ok());
         drop(quick);
         assert!(slow_dequeue().is_ok(), "interval restarted after drain");
     }
@@ -656,16 +556,19 @@ mod tests {
     fn expired_ambient_deadline_is_refused_at_both_gates() {
         let clock = SimClock::at(0);
         let controller = AdmissionController::new(config(8), clock.clone());
-        let _scope = DeadlineScope::enter(Deadline::start(&clock, 2_000));
-        let permit = controller.admit(Workclass::Renewal, None).expect("live budget");
+        let _scope = RequestScope::enter(
+            TraceContext::disabled(),
+            Some(Deadline::start(Some(clock.now()), 2_000)),
+        );
+        let permit = controller.admit(Workclass::Renewal).expect("live budget");
         clock.advance(5);
         assert!(matches!(
-            controller.dequeued(&permit, None),
+            controller.dequeued(&permit),
             Err(CoreError::DeadlineExceeded(_))
         ));
         drop(permit);
         assert!(matches!(
-            controller.admit(Workclass::Renewal, None),
+            controller.admit(Workclass::Renewal),
             Err(CoreError::DeadlineExceeded(_))
         ));
     }
@@ -677,9 +580,9 @@ mod tests {
         // queue_bound 4 → enrollment (half) gets 2 slots.
         let controller = AdmissionController::instrumented(config(4), clock, &telemetry);
         let _held: Vec<_> = (0..2)
-            .map(|_| controller.admit(Workclass::Enrollment, None).expect("room"))
+            .map(|_| controller.admit(Workclass::Enrollment).expect("room"))
             .collect();
-        let _ = controller.admit(Workclass::Enrollment, None);
+        let _ = controller.admit(Workclass::Enrollment);
         let rendered = telemetry.render_prometheus();
         assert!(rendered.contains("vnfguard_net_queue_depth_enrollment 2"));
         assert!(rendered.contains("vnfguard_net_shed_total_enrollment 1"));

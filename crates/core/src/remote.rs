@@ -26,7 +26,7 @@
 
 use crate::attestation::{host_evidence, HostEvidence};
 use crate::backend::MultiBackend;
-use crate::overload::{check_deadline, Deadline, DeadlineScope};
+use crate::overload::check_deadline;
 use crate::resilience::{AttemptRecord, BreakerState, CircuitBreaker, RetryBudget, RetryPolicy};
 use crate::service::{HealthSnapshot, VmService};
 use crate::CoreError;
@@ -53,15 +53,13 @@ use vnfguard_net::server::{serve, PlainUpgrade, ServerHandle};
 // paper's Figure 1), not verifier-side appraisal.
 use vnfguard_sgx::enclave::Enclave;
 use vnfguard_sgx::platform::SgxPlatform;
-use vnfguard_telemetry::{Counter, Histogram, Telemetry, TraceContext, TraceSpan};
+use vnfguard_telemetry::{Counter, Histogram, Telemetry, TraceSpan};
 use vnfguard_vnf::VnfGuard;
 
 // The SGX-era IAS-handle entry points now live in the backend adapter
 // module; re-exported here so `vnfguard_core::remote::remote_attest_host`
 // and friends keep resolving for existing harnesses.
-pub use crate::backend::{
-    remote_attest_host, remote_attest_host_traced, remote_enroll_vnf, remote_enroll_vnf_traced,
-};
+pub use crate::backend::{remote_attest_host, remote_enroll_vnf};
 
 fn b64_field(doc: &Json, field: &str) -> Result<Vec<u8>, String> {
     let text = doc
@@ -349,7 +347,6 @@ pub struct RemoteIas {
     breaker: CircuitBreaker,
     last_attempts: Vec<AttemptRecord>,
     telemetry: Telemetry,
-    trace: Option<TraceContext>,
     retries: Counter,
     failures: Counter,
     breaker_transitions: Counter,
@@ -377,7 +374,6 @@ impl RemoteIas {
             breaker: CircuitBreaker::new(3, 60),
             last_attempts: Vec::new(),
             telemetry: Telemetry::disabled(),
-            trace: None,
             retries: Counter::detached(),
             failures: Counter::detached(),
             breaker_transitions: Counter::detached(),
@@ -434,20 +430,17 @@ impl RemoteIas {
         address: &str,
         quote_bytes: &[u8],
         nonce: &[u8],
-        trace: &TraceContext,
     ) -> Result<AttestationReport, String> {
         let mut stream = network
             .connect_from("vm", address)
             .map_err(|e| e.to_string())?;
         stream.set_read_timeout(Some(IAS_READ_TIMEOUT));
         let mut client = vnfguard_net::server::HttpClient::new(stream);
-        let request = Request::post("/attestation/v4/report")
-            .with_trace(trace)
-            .with_json(
-                &Json::object()
-                    .with("isvEnclaveQuote", base64::encode(quote_bytes))
-                    .with("nonce", base64::encode(nonce)),
-            );
+        let request = Request::post("/attestation/v4/report").with_json(
+            &Json::object()
+                .with("isvEnclaveQuote", base64::encode(quote_bytes))
+                .with("nonce", base64::encode(nonce)),
+        );
         let response = client.request(&request).map_err(|e| e.to_string())?;
         let doc = response.parse_json().map_err(|e| e.to_string())?;
         let bytes = b64_field(&doc, "report")?;
@@ -484,13 +477,11 @@ impl RemoteIas {
 
 impl QuoteVerifier for RemoteIas {
     fn verify_quote(&mut self, quote_bytes: &[u8], nonce: &[u8]) -> AttestationReport {
-        let trace = self.trace.clone().unwrap_or_default();
         if check_deadline(&self.clock, "ias verify_quote").is_err() {
             // The request's budget is already gone: don't spend a network
             // round-trip (or a breaker sample) on an answer nobody will
             // read. The unverifiable report fails closed like the rest.
-            self.telemetry.trace_annotate(
-                &trace,
+            self.telemetry.annotate(
                 self.clock.now(),
                 "deadline",
                 &format!("{}: budget exhausted before IAS round-trip", self.address),
@@ -501,42 +492,34 @@ impl QuoteVerifier for RemoteIas {
             // Open circuit: fail fast without touching the network. The
             // report is unverifiable, so callers that ignore availability
             // still fail closed.
-            self.telemetry.trace_annotate(
-                &trace,
+            self.telemetry.annotate(
                 self.clock.now(),
                 "breaker",
                 &format!("{}: circuit open, failing fast", self.address),
             );
             return Self::unverifiable_report(nonce, "IAS_CIRCUIT_OPEN");
         }
-        let network = self.network.clone();
-        let address = self.address.clone();
-        let telemetry = self.telemetry.clone();
-        let clock = self.clock.clone();
         let (roundtrip_ctx, outcome) = {
             // The whole retried operation is one `ias_roundtrip` span; each
             // attempt gets its own child span so retries show up as
-            // distinct bars in the waterfall.
-            let (roundtrip_ctx, span) = telemetry.trace_child(
-                &trace,
-                "vm",
-                "ias_roundtrip",
-                clock.now(),
-            );
-            let _span = span.with_histogram(self.roundtrip_micros.clone());
-            // The retry loop itself re-checks the ambient deadline and the
+            // distinct bars in the waterfall, and each attempt's request
+            // carries its span's context.
+            let span = self
+                .telemetry
+                .span("vm", "ias_roundtrip", self.clock.now())
+                .with_histogram(self.roundtrip_micros.clone());
+            // The retry loop itself re-checks the request deadline and the
             // shared retry budget before every backoff.
             let budget = self.retry_budget.as_deref();
             let outcome = self.retry.run_with_budget(&self.clock, budget, |attempt| {
-                let (attempt_ctx, _attempt_span) = telemetry.trace_child(
-                    &roundtrip_ctx,
+                let _attempt_span = self.telemetry.span(
                     "vm",
                     &format!("ias_attempt_{attempt}"),
-                    clock.now(),
+                    self.clock.now(),
                 );
-                Self::post_report(&network, &address, quote_bytes, nonce, &attempt_ctx)
+                Self::post_report(&self.network, &self.address, quote_bytes, nonce)
             });
-            (roundtrip_ctx, outcome)
+            (span.context().clone(), outcome)
         };
         // Failed attempts become `fault`/`retry` annotations naming the
         // fault site, attached to the round-trip span.
@@ -581,10 +564,6 @@ impl QuoteVerifier for RemoteIas {
         } else {
             Availability::Unavailable
         }
-    }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.trace = ctx;
     }
 }
 
@@ -864,38 +843,20 @@ pub fn remote_attest_host_backend(
     backend: &mut dyn AttestationBackend,
     network: &Network,
     host_id: &str,
-    trace: Option<&TraceContext>,
-) -> Result<vnfguard_ima::appraisal::Verdict, CoreError> {
-    let base = trace.cloned().unwrap_or_default();
-    let telemetry = vm.telemetry();
-    backend.set_trace_context(Some(base.clone()));
-    let result = remote_attest_host_inner(vm, backend, network, host_id, &base, &telemetry);
-    backend.set_trace_context(None);
-    result
-}
-
-fn remote_attest_host_inner(
-    vm: &VmService,
-    backend: &mut dyn AttestationBackend,
-    network: &Network,
-    host_id: &str,
-    base: &TraceContext,
-    telemetry: &Telemetry,
 ) -> Result<vnfguard_ima::appraisal::Verdict, CoreError> {
     if backend.availability() == Availability::Unavailable {
-        return vm.degraded_host_verdict_traced(host_id, Some(base));
+        return vm.degraded_host_verdict(host_id);
     }
+    let telemetry = vm.telemetry();
     // Each `vm.*` call locks its shard only for the duration of the
     // manager work; the agent hop below runs with no shard lock held.
     let challenge = vm.begin_host_attestation(host_id);
     let mut client = connect_agent(network, host_id)?;
     let response = {
-        let (agent_ctx, _span) =
-            telemetry.trace_child(base, "vm", "agent_attest", vm.clock().now());
+        let _span = telemetry.span("vm", "agent_attest", vm.clock().now());
         client
             .request(
                 &Request::post("/agent/attest")
-                    .with_trace(&agent_ctx)
                     .with_json(&Json::object().with("nonce", base64::encode(&challenge.nonce))),
             )
             .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
@@ -911,7 +872,7 @@ fn remote_attest_host_inner(
         .map_err(|e| CoreError::Encoding(e.to_string()))?;
     let evidence_bytes = b64_field(&body, "evidence").map_err(CoreError::Encoding)?;
     let evidence = HostEvidence::decode(&evidence_bytes)?;
-    vm.complete_host_attestation_traced(backend, challenge.id, &evidence, Some(base))
+    vm.complete_host_attestation_backend(backend, challenge.id, &evidence)
 }
 
 /// Drive VNF enrollment (steps 3–5) against a remote agent through any
@@ -923,7 +884,6 @@ fn remote_attest_host_inner(
 /// prepare → commit protocol: if the wrapped bundle cannot be confirmed
 /// delivered, the issued certificate is revoked and the enrollment rolled
 /// back, so no half-provisioned state survives a mid-transfer fault.
-#[allow(clippy::too_many_arguments)]
 pub fn remote_enroll_vnf_backend(
     vm: &VmService,
     backend: &mut dyn AttestationBackend,
@@ -931,41 +891,13 @@ pub fn remote_enroll_vnf_backend(
     host_id: &str,
     vnf_name: &str,
     controller_cn: &str,
-    trace: Option<&TraceContext>,
-) -> Result<vnfguard_pki::Certificate, CoreError> {
-    let base = trace.cloned().unwrap_or_default();
-    let telemetry = vm.telemetry();
-    backend.set_trace_context(Some(base.clone()));
-    let result = remote_enroll_vnf_inner(
-        vm,
-        backend,
-        network,
-        host_id,
-        vnf_name,
-        controller_cn,
-        &base,
-        &telemetry,
-    );
-    backend.set_trace_context(None);
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn remote_enroll_vnf_inner(
-    vm: &VmService,
-    backend: &mut dyn AttestationBackend,
-    network: &Network,
-    host_id: &str,
-    vnf_name: &str,
-    controller_cn: &str,
-    base: &TraceContext,
-    telemetry: &Telemetry,
 ) -> Result<vnfguard_pki::Certificate, CoreError> {
     if backend.availability() == Availability::Unavailable {
         return Err(CoreError::ServiceUnavailable(format!(
             "attestation service unavailable; refusing to enroll {vnf_name}"
         )));
     }
+    let telemetry = vm.telemetry();
     // Shard locks are scoped inside each `vm.*` call: both agent hops in
     // this flow run with no shard lock held.
     let challenge = vm.begin_vnf_attestation(host_id, vnf_name)?;
@@ -973,12 +905,10 @@ fn remote_enroll_vnf_inner(
 
     // Step 3: challenge the enclave through the agent.
     let response = {
-        let (agent_ctx, _span) =
-            telemetry.trace_child(base, "vm", "agent_vnf_attest", vm.clock().now());
+        let _span = telemetry.span("vm", "agent_vnf_attest", vm.clock().now());
         client
             .request(
                 &Request::post(&format!("/agent/vnf/{vnf_name}/attest"))
-                    .with_trace(&agent_ctx)
                     .with_json(
                         &Json::object()
                             .with("nonce", base64::encode(&challenge.nonce))
@@ -1001,21 +931,18 @@ fn remote_enroll_vnf_inner(
 
     // Steps 4-5: verify + generate + wrap (prepare), deliver through the
     // agent, and only then commit the enrollment.
-    let (serial, wrapped, certificate) = vm.prepare_vnf_enrollment_traced(
+    let (serial, wrapped, certificate) = vm.prepare_vnf_enrollment_backend(
         backend,
         challenge.id,
         &quote,
         &provisioning_key,
         controller_cn,
-        Some(base),
     )?;
     let delivery = {
-        let (agent_ctx, _span) =
-            telemetry.trace_child(base, "vm", "agent_provision", vm.clock().now());
+        let _span = telemetry.span("vm", "agent_provision", vm.clock().now());
         client
             .request(
                 &Request::post(&format!("/agent/vnf/{vnf_name}/provision"))
-                    .with_trace(&agent_ctx)
                     .with_json(&Json::object().with("wrapped", base64::encode(&wrapped))),
             )
             .map_err(|e| e.to_string())
@@ -1029,11 +956,11 @@ fn remote_enroll_vnf_inner(
     };
     match delivery {
         Ok(()) => {
-            vm.commit_vnf_enrollment_traced(serial, Some(base))?;
+            vm.commit_vnf_enrollment(serial)?;
             Ok(certificate)
         }
         Err(reason) => {
-            vm.abort_vnf_enrollment_traced(serial, &reason, Some(base))?;
+            vm.abort_vnf_enrollment(serial, &reason)?;
             Err(CoreError::ProvisioningRolledBack(format!(
                 "{vnf_name} serial {serial}: {reason}"
             )))
@@ -1067,17 +994,6 @@ fn fenced_or(error: CoreError, fallback: impl FnOnce(CoreError) -> ApiError) -> 
         CoreError::DeadlineExceeded(_) => ApiError::deadline(error.to_string()),
         _ => fallback(error),
     }
-}
-
-/// Install the request's propagated `x-vnfguard-deadline` budget (if any)
-/// as the thread's ambient deadline for the rest of the handler: shard
-/// admission gates, IAS retry loops and replication ack retries all check
-/// it and fail fast once it dies. Requests without the header run
-/// unbounded, as before.
-fn enter_deadline(clock: &SimClock, request: &Request) -> Option<DeadlineScope> {
-    request
-        .deadline_millis()
-        .map(|budget| DeadlineScope::enter(Deadline::start(clock, budget)))
 }
 
 /// Issue a VM API request, honoring overload backpressure: a 503
@@ -1159,7 +1075,11 @@ pub fn vm_request_with_backpressure(
 /// The router itself is instrumented: every dispatch bumps
 /// `vnfguard_core_api_requests_total`, every non-2xx response
 /// `vnfguard_core_api_request_errors_total`. Workflow timestamps come from
-/// the manager's injected clock.
+/// the manager's injected clock, which also anchors each request's
+/// `x-vnfguard-deadline` budget in the request scope. Admission gates, IAS
+/// retries and replication waits check that budget; the diagnostic routes
+/// (health, metrics, traces, events) reach none of them, so they answer
+/// under any budget.
 pub fn serve_vm_api(
     network: &Network,
     address: &str,
@@ -1175,12 +1095,9 @@ pub fn serve_vm_api(
         telemetry.counter("vnfguard_core_api_request_errors_total"),
     );
     // One clock clone for the whole router: `vm.clock()` locks the
-    // authority shard, so handlers must not call it per-request.
+    // authority shard, so the router must not call it per-request.
     let clock = vm.clock();
-    {
-        let clock = clock.clone();
-        router.instrument_traces(&telemetry, "vm_api", move || clock.now());
-    }
+    router.instrument_traces(&telemetry, "vm_api", move || clock.now());
 
     // Both evidence-carrying routes dispatch through a MultiBackend built
     // per request (two Arc clones): SNP evidence self-describes and goes
@@ -1192,15 +1109,11 @@ pub fn serve_vm_api(
         let ias = ias.clone();
         let snp = snp.clone();
         let network = network.clone();
-        let clock = clock.clone();
-        router.post_api("/vm/hosts/:id/attest", move |request, params| {
-            let _deadline = enter_deadline(&clock, request);
+        router.post_api("/vm/hosts/:id/attest", move |_, params| {
             let host_id = params.get("id").unwrap_or("");
-            let trace = request.trace_context();
             let mut backend = MultiBackend::from_parts(ias.clone(), snp.clone());
-            let verdict =
-                remote_attest_host_backend(&vm, &mut backend, &network, host_id, trace.as_ref())
-                    .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
+            let verdict = remote_attest_host_backend(&vm, &mut backend, &network, host_id)
+                .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
             Ok(Response::json(
                 Status::Ok,
                 &Json::object().with("verdict", format!("{verdict:?}")),
@@ -1213,12 +1126,9 @@ pub fn serve_vm_api(
         let snp = snp.clone();
         let network = network.clone();
         let controller_cn = controller_cn.clone();
-        let clock = clock.clone();
-        router.post_api("/vm/hosts/:id/vnfs/:name/enroll", move |request, params| {
-            let _deadline = enter_deadline(&clock, request);
+        router.post_api("/vm/hosts/:id/vnfs/:name/enroll", move |_, params| {
             let host_id = params.get("id").unwrap_or("");
             let vnf_name = params.get("name").unwrap_or("");
-            let trace = request.trace_context();
             let mut backend = MultiBackend::from_parts(ias.clone(), snp.clone());
             let cert = remote_enroll_vnf_backend(
                 &vm,
@@ -1227,7 +1137,6 @@ pub fn serve_vm_api(
                 host_id,
                 vnf_name,
                 &controller_cn,
-                trace.as_ref(),
             )
             .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
             Ok(Response::json(
@@ -1240,9 +1149,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
         router.post_api("/vm/revoke", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
             let body = api_json(request)?;
             let serial = body
                 .get("serial")
@@ -1262,9 +1169,7 @@ pub fn serve_vm_api(
     {
         let vm = vm.clone();
         let controller_cn = controller_cn.clone();
-        let clock = clock.clone();
         router.post_api("/vm/renew", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
             let body = api_json(request)?;
             let serial = body
                 .get("serial")
@@ -1272,14 +1177,8 @@ pub fn serve_vm_api(
                 .ok_or_else(|| ApiError::bad_request("missing 'serial'"))?;
             let provisioning_key =
                 b64_array32(&body, "provisioning_key").map_err(ApiError::bad_request)?;
-            let trace = request.trace_context();
             let (wrapped, cert) = vm
-                .renew_vnf_credential_traced(
-                    serial as u64,
-                    &provisioning_key,
-                    &controller_cn,
-                    trace.as_ref(),
-                )
+                .renew_vnf_credential(serial as u64, &provisioning_key, &controller_cn)
                 .map_err(|e| {
                     // A shed or expired renewal must not wait for the cert's
                     // renewal window to come around again: park this serial on
@@ -1310,12 +1209,9 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.post_api("/vm/rotate", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
-            let trace = request.trace_context();
+        router.post_api("/vm/rotate", move |_, _| {
             let rotation = vm
-                .rotate_ca_traced(trace.as_ref())
+                .rotate_ca()
                 .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
             Ok(Response::json(
                 Status::Ok,
@@ -1327,9 +1223,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/ca", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
+        router.get_api("/vm/ca", move |_, _| {
             let mut body = Json::object()
                 .with("certificate", base64::encode(&vm.ca_certificate().encode()))
                 .with("epoch", vm.ca_epoch() as i64);
@@ -1361,9 +1255,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/crl", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
+        router.get_api("/vm/crl", move |_, _| {
             let crl = vm
                 .latest_crl()
                 .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
@@ -1377,12 +1269,9 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/lifecycle", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
-            let trace = request.trace_context();
+        router.get_api("/vm/lifecycle", move |_, _| {
             let status = vm
-                .lifecycle_status_admitted(trace.as_ref())
+                .lifecycle_status_admitted()
                 .map_err(|e| fenced_or(e, |e| ApiError::unavailable(e.to_string())))?;
             let mut body = Json::object()
                 .with("at", status.at as i64)
@@ -1401,9 +1290,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/status", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
+        router.get_api("/vm/status", move |_, _| {
             Ok(Response::json(
                 Status::Ok,
                 &Json::object()
@@ -1415,9 +1302,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/recovery", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
+        router.get_api("/vm/recovery", move |_, _| {
             let report = vm.recovery_report();
             let mut body = Json::object().with("recovered", report.is_some());
             if let Some(report) = report {
@@ -1450,9 +1335,7 @@ pub fn serve_vm_api(
     }
     {
         let vm = vm.clone();
-        let clock = clock.clone();
-        router.get_api("/vm/replication", move |request, _| {
-            let _deadline = enter_deadline(&clock, request);
+        router.get_api("/vm/replication", move |_, _| {
             // Reading the status refreshes the replication gauges, so a
             // metrics scrape right after this sees current lag numbers.
             let body = match vm.replication_status() {
@@ -1465,24 +1348,18 @@ pub fn serve_vm_api(
     {
         let vm = vm.clone();
         router.get_api("/vm/health", move |_, _| {
-            // deadline-opt-out: health is the mid-incident diagnosis
-            // surface — it must answer while the admission queues are
-            // full and every budgeted request is being shed.
             Ok(Response::json(Status::Ok, &health_json(&vm.health_snapshot())))
         });
     }
     {
         let telemetry = telemetry.clone();
         router.get_api("/vm/metrics", move |_, _| {
-            // deadline-opt-out: metrics scrapes must stay readable while
-            // the service is overloaded — exactly when operators need them.
             Ok(Response::text(Status::Ok, &telemetry.render_prometheus()))
         });
     }
     {
         let telemetry = telemetry.clone();
         router.get_api("/vm/traces", move |_, _| {
-            // deadline-opt-out: trace reads are the overload debugging tool.
             let traces: Json = telemetry
                 .traces()
                 .summaries()
@@ -1508,7 +1385,6 @@ pub fn serve_vm_api(
     {
         let telemetry = telemetry.clone();
         router.get_api("/vm/traces/:id", move |request, params| {
-            // deadline-opt-out: trace reads are the overload debugging tool.
             let raw = params.get("id").unwrap_or("");
             let trace_id = u128::from_str_radix(raw, 16)
                 .map_err(|_| ApiError::bad_request("trace id must be hex"))?;
@@ -1546,7 +1422,6 @@ pub fn serve_vm_api(
     {
         let telemetry = telemetry.clone();
         router.get_api("/vm/events", move |request, _| {
-            // deadline-opt-out: the audit journal feed stays readable under load.
             let since = match request.query_param("since") {
                 Some(raw) => raw.parse::<u64>().map_err(|_| {
                     ApiError::bad_request("'since' must be an integer sequence number")

@@ -16,11 +16,11 @@
 //!   that when the backend browns out, retry traffic cannot multiply the
 //!   offered load (the classic retry-storm amplifier).
 //!
-//! Retries are deadline-aware: when the calling thread carries an ambient
-//! [`crate::overload::Deadline`] and it expires, the loop stops rather
-//! than burning attempts nobody will wait for.
+//! Retries are deadline-aware: when the calling thread's request scope
+//! carries a [`crate::overload::Deadline`] and it expires, the loop stops
+//! rather than burning attempts nobody will wait for.
 
-use crate::overload::current_deadline;
+use crate::overload::deadline_expired;
 use std::sync::Mutex;
 use vnfguard_controller::SimClock;
 use vnfguard_telemetry::{Counter, Telemetry};
@@ -154,9 +154,7 @@ impl RetryPolicy {
                     });
                     last_error = Some(error);
                     if attempt + 1 < attempts_allowed {
-                        let deadline_dead = current_deadline()
-                            .is_some_and(|deadline| deadline.expired(clock));
-                        if deadline_dead {
+                        if deadline_expired(clock) {
                             break;
                         }
                         if let Some(budget) = budget {
@@ -437,9 +435,12 @@ mod tests {
 
     #[test]
     fn expired_ambient_deadline_stops_retrying() {
-        use crate::overload::{Deadline, DeadlineScope};
+        use vnfguard_telemetry::{Deadline, RequestScope, TraceContext};
         let clock = SimClock::at(0);
-        let _scope = DeadlineScope::enter(Deadline::start(&clock, 3_000));
+        let _scope = RequestScope::enter(
+            TraceContext::disabled(),
+            Some(Deadline::start(Some(clock.now()), 3_000)),
+        );
         // Each failure advances the clock by exactly 2s; the 3s budget
         // dies after the first backoff, so only two attempts run even
         // though the policy allows ten.

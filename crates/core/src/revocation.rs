@@ -93,9 +93,6 @@ impl RevocationNotifier {
         }
     }
 
-    // trace-opt-out: notices are store-and-forward — a queued delivery can
-    // fire from `drain` long after the request that revoked the credential
-    // finished, so there is no live trace context to propagate.
     fn deliver_once(&self, host_id: &str, serial: u64, tag: &[u8; 32]) -> Result<(), String> {
         let mut stream = self
             .network

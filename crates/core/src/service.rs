@@ -52,7 +52,7 @@ use vnfguard_pki::cert::Certificate;
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
 use vnfguard_store::StoreStats;
 use vnfguard_telemetry::{
-    labeled, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry, TraceContext,
+    current_trace, labeled, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry,
 };
 
 /// Deterministic shard index for a VNF name: the first eight bytes of a
@@ -65,6 +65,13 @@ pub fn shard_of_vnf(vnf_name: &str, shard_count: usize) -> usize {
     let digest = sha256(&[b"vnfguard-shard-route-v1\0", vnf_name.as_bytes()].concat());
     let word = u64::from_be_bytes(digest[..8].try_into().expect("sha256 is 32 bytes"));
     (word % shard_count as u64) as usize
+}
+
+/// The current request's trace id, when its trace is sampled: health
+/// outcomes and latency samples carry it as an exemplar.
+fn recording_trace_id() -> Option<u128> {
+    let ctx = current_trace();
+    ctx.is_recording().then_some(ctx.trace_id)
 }
 
 /// Cloneable handle over the sharded Verification Manager fleet. See the
@@ -186,18 +193,10 @@ impl VmService {
     /// Report one workflow outcome to the SLO trackers (no-op without a
     /// monitor). Latency is wall-clock from before the admission gate, so
     /// queueing time the caller experienced is charged to the SLO.
-    fn note_health(
-        &self,
-        class: Workclass,
-        begun: std::time::Instant,
-        ok: bool,
-        trace: Option<&TraceContext>,
-    ) {
+    fn note_health(&self, class: Workclass, begun: std::time::Instant, ok: bool) {
         if let Some(health) = &self.health {
             let micros = begun.elapsed().as_micros() as u64;
-            let trace_id = trace
-                .filter(|ctx| ctx.is_recording())
-                .map(|ctx| ctx.trace_id);
+            let trace_id = recording_trace_id();
             health
                 .monitor
                 .record(class.label(), health.clock.now(), ok, micros, trace_id);
@@ -219,13 +218,10 @@ impl VmService {
         backend: BackendKind,
         begun: std::time::Instant,
         ok: bool,
-        trace: Option<&TraceContext>,
     ) {
         if let Some(health) = &self.health {
             let micros = begun.elapsed().as_micros() as u64;
-            let trace_id = trace
-                .filter(|ctx| ctx.is_recording())
-                .map(|ctx| ctx.trace_id);
+            let trace_id = recording_trace_id();
             health.monitor.record(
                 &format!("{}.{}", class.label(), backend.label()),
                 health.clock.now(),
@@ -242,26 +238,18 @@ impl VmService {
     }
 
     /// The depth gate, a no-op when admission control is off.
-    fn gate(
-        &self,
-        class: Workclass,
-        trace: Option<&TraceContext>,
-    ) -> Result<Option<Permit<'_>>, CoreError> {
+    fn gate(&self, class: Workclass) -> Result<Option<Permit<'_>>, CoreError> {
         match &self.admission {
-            Some(admission) => admission.admit(class, trace).map(Some),
+            Some(admission) => admission.admit(class).map(Some),
             None => Ok(None),
         }
     }
 
     /// The sojourn/deadline gate; call with the shard lock held, before
     /// touching any state, so a shed leaves nothing behind.
-    fn pass_dequeue(
-        &self,
-        permit: &Option<Permit<'_>>,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), CoreError> {
+    fn pass_dequeue(&self, permit: &Option<Permit<'_>>) -> Result<(), CoreError> {
         if let (Some(admission), Some(permit)) = (self.admission.as_deref(), permit.as_ref()) {
-            admission.dequeued(permit, trace)?;
+            admission.dequeued(permit)?;
         }
         Ok(())
     }
@@ -296,53 +284,25 @@ impl VmService {
         (shard_of_challenge(challenge_id) as usize).min(self.shards.len() - 1)
     }
 
-    /// Run `f` on shard `index` with the manager's trace context scoped to
-    /// `trace` for exactly the duration of the call (all under one lock
-    /// hold, so concurrent requests cannot cross-contaminate contexts).
-    fn with_shard_traced<R>(
-        &self,
-        index: usize,
-        trace: Option<&TraceContext>,
-        f: impl FnOnce(&mut VerificationManager) -> R,
-    ) -> R {
-        let mut vm = self.shards[index].lock();
-        if let Some(ctx) = trace {
-            vm.set_trace_context(Some(ctx.clone()));
-        }
-        let result = f(&mut vm);
-        if trace.is_some() {
-            vm.set_trace_context(None);
-        }
-        result
-    }
-
-    /// [`with_shard_traced`](Self::with_shard_traced) behind both
-    /// admission gates: shed before queueing when the class is full, shed
-    /// after acquiring the lock when sojourn shows a standing queue or the
-    /// request's deadline died while it waited. Either shed happens before
-    /// `f` runs, so refused requests touch no manager state.
+    /// Run `f` on shard `index` behind both admission gates: shed before
+    /// queueing when the class is full, shed after acquiring the lock when
+    /// sojourn shows a standing queue or the request's deadline died while
+    /// it waited. Either shed happens before `f` runs, so refused requests
+    /// touch no manager state.
     fn with_shard_gated<R>(
         &self,
         index: usize,
         class: Workclass,
-        trace: Option<&TraceContext>,
         f: impl FnOnce(&mut VerificationManager) -> Result<R, CoreError>,
     ) -> Result<R, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
-            let permit = self.gate(class, trace)?;
+            let permit = self.gate(class)?;
             let mut vm = self.shards[index].lock();
-            self.pass_dequeue(&permit, trace)?;
-            if let Some(ctx) = trace {
-                vm.set_trace_context(Some(ctx.clone()));
-            }
-            let result = f(&mut vm);
-            if trace.is_some() {
-                vm.set_trace_context(None);
-            }
-            result
+            self.pass_dequeue(&permit)?;
+            f(&mut vm)
         })();
-        self.note_health(class, begun, result.is_ok(), trace);
+        self.note_health(class, begun, result.is_ok());
         result
     }
 
@@ -411,19 +371,9 @@ impl VmService {
         challenge_id: u64,
         evidence: &crate::attestation::HostEvidence,
     ) -> Result<Verdict, CoreError> {
-        self.complete_host_attestation_traced(backend, challenge_id, evidence, None)
-    }
-
-    pub(crate) fn complete_host_attestation_traced(
-        &self,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        evidence: &crate::attestation::HostEvidence,
-        trace: Option<&TraceContext>,
-    ) -> Result<Verdict, CoreError> {
-        let verdict = self.with_shard_traced(0, trace, |vm| {
-            vm.complete_host_attestation(backend, challenge_id, evidence)
-        })?;
+        let verdict = self
+            .authority()
+            .complete_host_attestation(backend, challenge_id, evidence)?;
         self.sync_host_records();
         Ok(verdict)
     }
@@ -431,15 +381,7 @@ impl VmService {
     /// Policy-gated reuse of a cached host verdict when the attestation
     /// service is unreachable.
     pub fn degraded_host_verdict(&self, host_id: &str) -> Result<Verdict, CoreError> {
-        self.degraded_host_verdict_traced(host_id, None)
-    }
-
-    pub(crate) fn degraded_host_verdict_traced(
-        &self,
-        host_id: &str,
-        trace: Option<&TraceContext>,
-    ) -> Result<Verdict, CoreError> {
-        self.with_shard_traced(0, trace, |vm| vm.degraded_host_verdict(host_id))
+        self.authority().degraded_host_verdict(host_id)
     }
 
     /// Platform-compromise response: every shard revokes its own
@@ -466,7 +408,7 @@ impl VmService {
         vnf_name: &str,
     ) -> Result<Challenge, CoreError> {
         let shard = self.shard_for_vnf(vnf_name);
-        self.with_shard_gated(shard, Workclass::Enrollment, None, |vm| {
+        self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
             vm.begin_vnf_attestation(host_id, vnf_name)
         })
     }
@@ -486,7 +428,7 @@ impl VmService {
     ) -> Result<(Vec<u8>, Certificate), CoreError> {
         let begun = std::time::Instant::now();
         let shard = self.shard_for_challenge(challenge_id);
-        let result = self.with_shard_gated(shard, Workclass::Enrollment, None, |vm| {
+        let result = self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
             vm.complete_vnf_enrollment(
                 &mut *backend,
                 challenge_id,
@@ -495,13 +437,7 @@ impl VmService {
                 controller_cn,
             )
         });
-        self.note_backend_health(
-            Workclass::Enrollment,
-            backend.kind(),
-            begun,
-            result.is_ok(),
-            None,
-        );
+        self.note_backend_health(Workclass::Enrollment, backend.kind(), begun, result.is_ok());
         result
     }
 
@@ -519,28 +455,9 @@ impl VmService {
         provisioning_key: &[u8; 32],
         controller_cn: &str,
     ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
-        self.prepare_vnf_enrollment_traced(
-            backend,
-            challenge_id,
-            quote_bytes,
-            provisioning_key,
-            controller_cn,
-            None,
-        )
-    }
-
-    pub(crate) fn prepare_vnf_enrollment_traced(
-        &self,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        quote_bytes: &[u8],
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-        trace: Option<&TraceContext>,
-    ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
         let begun = std::time::Instant::now();
         let shard = self.shard_for_challenge(challenge_id);
-        let result = self.with_shard_gated(shard, Workclass::Enrollment, trace, |vm| {
+        let result = self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
             vm.prepare_vnf_enrollment(
                 &mut *backend,
                 challenge_id,
@@ -549,41 +466,18 @@ impl VmService {
                 controller_cn,
             )
         });
-        self.note_backend_health(
-            Workclass::Enrollment,
-            backend.kind(),
-            begun,
-            result.is_ok(),
-            trace,
-        );
+        self.note_backend_health(Workclass::Enrollment, backend.kind(), begun, result.is_ok());
         result
     }
 
     pub fn commit_vnf_enrollment(&self, serial: u64) -> Result<(), CoreError> {
-        self.commit_vnf_enrollment_traced(serial, None)
-    }
-
-    pub(crate) fn commit_vnf_enrollment_traced(
-        &self,
-        serial: u64,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_traced(shard, trace, |vm| vm.commit_vnf_enrollment(serial))
+        self.shards[shard].lock().commit_vnf_enrollment(serial)
     }
 
     pub fn abort_vnf_enrollment(&self, serial: u64, reason: &str) -> Result<(), CoreError> {
-        self.abort_vnf_enrollment_traced(serial, reason, None)
-    }
-
-    pub(crate) fn abort_vnf_enrollment_traced(
-        &self,
-        serial: u64,
-        reason: &str,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_traced(shard, trace, |vm| vm.abort_vnf_enrollment(serial, reason))
+        self.shards[shard].lock().abort_vnf_enrollment(serial, reason)
     }
 
     /// Enrollments issued but not yet committed, across all shards.
@@ -624,20 +518,8 @@ impl VmService {
         provisioning_key: &[u8; 32],
         controller_cn: &str,
     ) -> Result<(Vec<u8>, Certificate), CoreError> {
-        self.renew_vnf_credential_traced(serial, provisioning_key, controller_cn, None)
-    }
-
-    /// [`renew_vnf_credential`](Self::renew_vnf_credential) with the
-    /// manager's workflow span parented under `trace`.
-    pub fn renew_vnf_credential_traced(
-        &self,
-        serial: u64,
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-        trace: Option<&TraceContext>,
-    ) -> Result<(Vec<u8>, Certificate), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_gated(shard, Workclass::Renewal, trace, |vm| {
+        self.with_shard_gated(shard, Workclass::Renewal, |vm| {
             vm.renew_vnf_credential(serial, provisioning_key, controller_cn)
         })
     }
@@ -648,7 +530,7 @@ impl VmService {
         reason: RevocationReason,
     ) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_gated(shard, Workclass::Revocation, None, |vm| {
+        self.with_shard_gated(shard, Workclass::Revocation, |vm| {
             vm.revoke_credential(serial, reason)
         })
     }
@@ -713,19 +595,11 @@ impl VmService {
     /// committed epoch so its future issuance is signed by the new key. A
     /// crashed shard skips adoption here and re-adopts during recovery.
     pub fn rotate_ca(&self) -> Result<CaRotation, CoreError> {
-        self.rotate_ca_traced(None)
-    }
-
-    /// [`rotate_ca`](Self::rotate_ca) with the rotation span parented
-    /// under `trace`.
-    pub fn rotate_ca_traced(
-        &self,
-        trace: Option<&TraceContext>,
-    ) -> Result<CaRotation, CoreError> {
-        let (rotation, rotated_at) = self.with_shard_traced(0, trace, |vm| {
+        let (rotation, rotated_at) = {
+            let mut vm = self.authority();
             let rotated_at = vm.clock().now();
-            vm.rotate_ca().map(|rotation| (rotation, rotated_at))
-        })?;
+            (vm.rotate_ca()?, rotated_at)
+        };
         for shard in &self.shards[1..] {
             let _ = shard.lock().adopt_rotation(
                 rotation.epoch,
@@ -744,17 +618,17 @@ impl VmService {
     pub fn issue_crl(&self) -> Result<Crl, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
-            let permit = self.gate(Workclass::Revocation, None)?;
+            let permit = self.gate(Workclass::Revocation)?;
             let (extras, _) = self.gather_remote_revocations();
             let crl = {
                 let mut authority = self.authority();
-                self.pass_dequeue(&permit, None)?;
+                self.pass_dequeue(&permit)?;
                 authority.issue_crl_merged(&extras)
             }?;
             self.clear_remote_dirty();
             Ok(crl)
         })();
-        self.note_health(Workclass::Revocation, begun, result.is_ok(), None);
+        self.note_health(Workclass::Revocation, begun, result.is_ok());
         result
     }
 
@@ -763,11 +637,11 @@ impl VmService {
     pub fn latest_crl(&self) -> Result<Crl, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
-            let permit = self.gate(Workclass::Revocation, None)?;
+            let permit = self.gate(Workclass::Revocation)?;
             let (extras, any_dirty) = self.gather_remote_revocations();
             let crl = {
                 let mut authority = self.authority();
-                self.pass_dequeue(&permit, None)?;
+                self.pass_dequeue(&permit)?;
                 if any_dirty {
                     authority.issue_crl_merged(&extras)
                 } else {
@@ -777,7 +651,7 @@ impl VmService {
             self.clear_remote_dirty();
             Ok(crl)
         })();
-        self.note_health(Workclass::Revocation, begun, result.is_ok(), None);
+        self.note_health(Workclass::Revocation, begun, result.is_ok());
         result
     }
 
@@ -899,16 +773,13 @@ impl VmService {
     /// polling is the first traffic shed when the fleet is busy saving
     /// credentials. Serving-path callers use this; harness code that must
     /// never be refused keeps the ungated form.
-    pub fn lifecycle_status_admitted(
-        &self,
-        trace: Option<&TraceContext>,
-    ) -> Result<LifecycleStatus, CoreError> {
+    pub fn lifecycle_status_admitted(&self) -> Result<LifecycleStatus, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
-            let permit = self.gate(Workclass::Introspection, trace)?;
+            let permit = self.gate(Workclass::Introspection)?;
             let mut status = {
                 let authority = self.authority();
-                self.pass_dequeue(&permit, trace)?;
+                self.pass_dequeue(&permit)?;
                 authority.lifecycle_status()
             };
             for shard in &self.shards[1..] {
@@ -918,7 +789,7 @@ impl VmService {
             }
             Ok(status)
         })();
-        self.note_health(Workclass::Introspection, begun, result.is_ok(), trace);
+        self.note_health(Workclass::Introspection, begun, result.is_ok());
         result
     }
 
@@ -942,15 +813,6 @@ impl VmService {
 
     pub fn telemetry(&self) -> Telemetry {
         self.authority().telemetry().clone()
-    }
-
-    /// Scope subsequent manager work on every shard to a trace context.
-    /// Prefer the `*_traced` call forms for request-scoped tracing; this
-    /// exists for single-threaded harnesses.
-    pub fn set_trace_context(&self, ctx: Option<TraceContext>) {
-        for shard in self.shards.iter() {
-            shard.lock().set_trace_context(ctx.clone());
-        }
     }
 
     /// The authority's last recovery report, if it was recovered.

@@ -47,7 +47,7 @@ fn enrollment_flood_sheds_while_revocation_completes() {
 
     // Occupy every enrollment slot, as a stalled flood would.
     let flood: Vec<_> = (0..4)
-        .map(|_| admission.admit(Workclass::Enrollment, None).expect("slot"))
+        .map(|_| admission.admit(Workclass::Enrollment).expect("slot"))
         .collect();
 
     // The next enrollment is refused before it can queue, with a hint.
@@ -102,7 +102,7 @@ fn shed_enrollments_leave_no_partial_wal_state() {
 
     let admission = tb.vm.admission().unwrap();
     let flood: Vec<_> = (0..4)
-        .map(|_| admission.admit(Workclass::Enrollment, None).expect("slot"))
+        .map(|_| admission.admit(Workclass::Enrollment).expect("slot"))
         .collect();
 
     // Both the challenge phase and the prepare phase are refused at the
@@ -174,7 +174,7 @@ fn vm_api_honors_deadlines_and_advertises_retry_hints() {
     // the next sweep retries it off-peak instead of stampeding.
     let admission = tb.vm.admission().unwrap();
     let flood: Vec<_> = (0..6)
-        .map(|_| admission.admit(Workclass::Renewal, None).expect("slot"))
+        .map(|_| admission.admit(Workclass::Renewal).expect("slot"))
         .collect();
     let renew = Request::post("/vm/renew").with_json(
         &Json::object()

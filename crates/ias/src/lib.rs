@@ -49,12 +49,6 @@ pub trait QuoteVerifier {
     fn availability(&self) -> Availability {
         Availability::Available
     }
-
-    /// Scope subsequent [`QuoteVerifier::verify_quote`] calls to a
-    /// distributed-trace context (propagated on the wire by remote
-    /// backends). The default implementation ignores it; in-process
-    /// verifiers have no wire hop to annotate.
-    fn set_trace_context(&mut self, _ctx: Option<vnfguard_telemetry::TraceContext>) {}
 }
 
 impl<T: QuoteVerifier + ?Sized> QuoteVerifier for &mut T {
@@ -68,10 +62,6 @@ impl<T: QuoteVerifier + ?Sized> QuoteVerifier for &mut T {
 
     fn availability(&self) -> Availability {
         (**self).availability()
-    }
-
-    fn set_trace_context(&mut self, ctx: Option<vnfguard_telemetry::TraceContext>) {
-        (**self).set_trace_context(ctx)
     }
 }
 

@@ -21,9 +21,13 @@ struct FabricCounters {
     bytes: Counter,
 }
 
+/// What a listener's queue carries: an inbound connection, or `None` from
+/// a [`ListenerWaker`].
+type Inbound = Option<Duplex>;
+
 #[derive(Default)]
 struct NetworkInner {
-    listeners: HashMap<String, Sender<Duplex>>,
+    listeners: HashMap<String, Sender<Inbound>>,
     taps: HashMap<String, TapHandle>,
     latency: Duration,
     connections: u64,
@@ -65,10 +69,11 @@ impl Network {
             return Err(NetError::AddressInUse(addr.to_string()));
         }
         let (tx, rx) = unbounded();
-        inner.listeners.insert(addr.to_string(), tx);
+        inner.listeners.insert(addr.to_string(), tx.clone());
         Ok(Listener {
             addr: addr.to_string(),
             rx,
+            waker: tx,
             network: self.clone(),
         })
     }
@@ -142,7 +147,7 @@ impl Network {
             plan.register_link(origin, addr, &control);
         }
         listener_tx
-            .send(server)
+            .send(Some(server))
             .map_err(|_| NetError::ConnectionRefused(addr.to_string()))?;
         Ok(client)
     }
@@ -198,7 +203,8 @@ impl std::fmt::Debug for Network {
 /// A bound listener; unbinds its address when dropped.
 pub struct Listener {
     addr: String,
-    rx: Receiver<Duplex>,
+    rx: Receiver<Inbound>,
+    waker: Sender<Inbound>,
     network: Network,
 }
 
@@ -207,15 +213,34 @@ impl Listener {
         &self.addr
     }
 
-    /// Block until the next inbound connection (EOF error when the fabric
-    /// drops the listener registration).
+    /// Block until the next inbound connection. Returns
+    /// `Err(ConnectionClosed)` instead when a [`ListenerWaker`] fires.
     pub fn accept(&self) -> Result<Duplex, NetError> {
-        self.rx.recv().map_err(|_| NetError::ConnectionClosed)
+        self.rx
+            .recv()
+            .ok()
+            .flatten()
+            .ok_or(NetError::ConnectionClosed)
     }
 
     /// Non-blocking accept.
     pub fn try_accept(&self) -> Option<Duplex> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().flatten()
+    }
+
+    /// A handle that wakes one blocked (or the next) [`accept`](Self::accept)
+    /// from any thread, without unbinding the address.
+    pub fn waker(&self) -> ListenerWaker {
+        ListenerWaker(self.waker.clone())
+    }
+}
+
+/// Wakes a thread blocked in [`Listener::accept`]; see [`Listener::waker`].
+pub struct ListenerWaker(Sender<Inbound>);
+
+impl ListenerWaker {
+    pub fn wake(&self) {
+        let _ = self.0.send(None);
     }
 }
 
@@ -402,6 +427,20 @@ mod tests {
             telemetry.metrics().counter_value("vnfguard_net_bytes_total"),
             Some(9)
         );
+    }
+
+    #[test]
+    fn waker_interrupts_a_blocked_accept() {
+        let net = Network::new();
+        let listener = net.listen("svc:1").unwrap();
+        let waker = listener.waker();
+        // Whether the accept is already blocked or not yet called when the
+        // wake lands, it returns an error instead of a connection.
+        let blocked = std::thread::spawn(move || listener.accept().is_err());
+        waker.wake();
+        assert!(blocked.join().unwrap(), "woken accept returns an error");
+        // The listener dropped with the thread: the address is free again.
+        assert!(net.listen("svc:1").is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::NetError;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use vnfguard_encoding::Json;
-use vnfguard_telemetry::TraceContext;
+use vnfguard_telemetry::{current_trace, TraceContext};
 
 /// Upper bound on header section and body sizes (defense against
 /// adversarial peers on the REST surface).
@@ -154,9 +154,10 @@ impl Request {
         self
     }
 
-    /// Inject a distributed-trace context as a `traceparent` header.
-    /// Invalid (all-zero) contexts — the disabled-telemetry case — add
-    /// nothing, so callers can thread contexts unconditionally.
+    /// Inject a distributed-trace context as a `traceparent` header,
+    /// overriding the thread's current context that
+    /// [`write_request`] would otherwise stamp. Invalid (all-zero)
+    /// contexts — the disabled-telemetry case — add nothing.
     pub fn with_trace(self, ctx: &TraceContext) -> Request {
         if ctx.is_valid() {
             self.with_header("traceparent", &ctx.traceparent())
@@ -371,12 +372,21 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, NetError> {
     })
 }
 
-/// Write one request.
+/// Write one request. A request that sets no `traceparent` of its own
+/// carries the thread's current trace context (see
+/// [`vnfguard_telemetry::scope`]), so every client call made while serving
+/// a traced request, or under an open span, joins that trace.
 pub fn write_request(stream: &mut impl Write, request: &Request) -> Result<(), NetError> {
     let mut head = format!("{} {} HTTP/1.1\r\n", request.method.as_str(), request.path);
     for (name, value) in &request.headers {
         if name != "content-length" {
             head.push_str(&format!("{name}: {value}\r\n"));
+        }
+    }
+    if !request.headers.contains_key("traceparent") {
+        let ctx = current_trace();
+        if ctx.is_valid() {
+            head.push_str(&format!("traceparent: {}\r\n", ctx.traceparent()));
         }
     }
     head.push_str(&format!("content-length: {}\r\n\r\n", request.body.len()));

@@ -3,7 +3,7 @@
 use crate::http::{Method, Request, Response, Status};
 use std::collections::HashMap;
 use std::sync::Arc;
-use vnfguard_telemetry::{Counter, Telemetry};
+use vnfguard_telemetry::{Counter, Deadline, RequestScope, Telemetry};
 
 /// Captured `:name` path parameters.
 #[derive(Debug, Default, Clone)]
@@ -199,11 +199,13 @@ impl Router {
 
     /// Attach distributed tracing: requests that carry a `traceparent`
     /// header are dispatched under a server span (named `METHOD pattern`,
-    /// attributed to `service`), the handler sees the server span's context
-    /// so downstream calls chain onto it, and every response — including
-    /// [`ApiError`] mappings and 404s — echoes the request's trace id in an
-    /// `x-vnfguard-trace` header. `now_fn` supplies simulated unix seconds
-    /// for span timestamps.
+    /// attributed to `service`) that is the handler's current trace
+    /// context, so downstream calls chain onto it, and every response —
+    /// including [`ApiError`] mappings and 404s — echoes the request's
+    /// trace id in an `x-vnfguard-trace` header. `now_fn` is the router's
+    /// simulated clock (unix seconds): it stamps server spans and anchors
+    /// the simulated half of each request's deadline; an uninstrumented
+    /// router's deadlines run on wall-clock time only.
     pub fn instrument_traces(
         &mut self,
         telemetry: &Telemetry,
@@ -343,37 +345,39 @@ impl Router {
     }
 
     /// Dispatch a request, returning 404 for unmatched paths.
+    ///
+    /// The request runs inside its own [`RequestScope`]: the incoming
+    /// `traceparent` becomes the thread's current trace context and the
+    /// `x-vnfguard-deadline` budget its current deadline, so every layer
+    /// underneath (admission gates, retry loops, outgoing client calls)
+    /// sees both without being handed them.
     pub fn dispatch(&self, request: &Request) -> Response {
         if let Some(counter) = &self.requests_total {
             counter.inc();
         }
-        let incoming = self
-            .tracing
-            .as_ref()
-            .and_then(|tracing| request.trace_context().map(|ctx| (tracing, ctx)));
+        let incoming = request.trace_context();
+        let deadline = request.deadline_millis().map(|budget| {
+            let sim_now = self.tracing.as_ref().map(|tracing| (tracing.now_fn)());
+            Deadline::start(sim_now, budget)
+        });
+        let _scope = RequestScope::enter(incoming.clone().unwrap_or_default(), deadline);
+        let traced = self.tracing.as_ref().filter(|_| incoming.is_some());
         let mut response = match self.match_route(request.method, &request.path) {
-            Some((route, params)) => match &incoming {
-                Some((tracing, ctx)) => {
+            Some((route, params)) => {
+                let _span = traced.map(|tracing| {
                     let name = format!("{} {}", request.method.as_str(), route.pattern);
-                    let (server_ctx, _span) = tracing.telemetry.trace_child(
-                        ctx,
-                        &tracing.service,
-                        &name,
-                        (tracing.now_fn)(),
-                    );
-                    // Hand the handler the server span's context so its
-                    // downstream clients chain onto this hop.
-                    let traced = request.clone().with_trace(&server_ctx);
-                    (route.handler)(&traced, &params)
-                }
-                None => (route.handler)(request, &params),
-            },
+                    tracing
+                        .telemetry
+                        .span(&tracing.service, &name, (tracing.now_fn)())
+                });
+                (route.handler)(request, &params)
+            }
             None => Response::error(
                 Status::NotFound,
                 &format!("no route for {} {}", request.method.as_str(), request.path),
             ),
         };
-        if let Some((_, ctx)) = &incoming {
+        if let (Some(_), Some(ctx)) = (traced, &incoming) {
             response
                 .headers
                 .insert("x-vnfguard-trace".into(), format!("{:032x}", ctx.trace_id));
@@ -399,6 +403,7 @@ impl std::fmt::Debug for Router {
 mod tests {
     use super::*;
     use vnfguard_encoding::Json;
+    use vnfguard_telemetry::{current_deadline, current_trace};
 
     fn router() -> Router {
         let mut router = Router::new();
@@ -599,15 +604,19 @@ mod tests {
         let telemetry = Telemetry::new();
         let mut r = Router::new();
         r.instrument_traces(&telemetry, "vm_api", || 1_600_000_000);
-        r.get("/chained", |request, _| {
-            // The handler must see the server span's context, not the
-            // caller's, so downstream hops parent correctly.
-            let ctx = request.trace_context().expect("handler sees trace");
-            assert!(ctx.parent_id.is_none(), "parent id is not wire-carried");
+        let (root, root_guard) = telemetry.trace_root("client", "drill", 0);
+        let root_span = root.span_id;
+        r.get("/chained", move |_, _| {
+            // The handler runs under the server span, not the caller's
+            // span, so downstream hops parent correctly.
+            let ctx = current_trace();
+            assert!(ctx.is_recording(), "handler runs inside the trace");
+            assert_eq!(ctx.parent_id, Some(root_span));
             Response::new(Status::Ok)
         });
-        let (root, root_guard) = telemetry.trace_root("client", "drill", 0);
         let response = r.dispatch(&Request::get("/chained").with_trace(&root));
+        // Dispatch restored the caller's own scope.
+        assert_eq!(current_trace(), root);
         drop(root_guard);
         assert_eq!(response.status, Status::Ok);
         assert_eq!(
@@ -618,6 +627,33 @@ mod tests {
         let server = spans.iter().find(|s| s.name == "GET /chained").unwrap();
         assert_eq!(server.service, "vm_api");
         assert_eq!(server.parent_id, Some(root.span_id));
+    }
+
+    #[test]
+    fn every_handler_sees_an_exhausted_deadline() {
+        let telemetry = Telemetry::new();
+        let mut plain = Router::new();
+        let mut instrumented = Router::new();
+        instrumented.instrument_traces(&telemetry, "vm_api", || 1_600_000_000);
+        for r in [&mut plain, &mut instrumented] {
+            for path in ["/a", "/b/:id"] {
+                r.get(path, |_, _| {
+                    let expired = current_deadline().is_some_and(|d| d.expired(1_600_000_000));
+                    Response::new(if expired { Status::GatewayTimeout } else { Status::Ok })
+                });
+            }
+        }
+        for r in [&plain, &instrumented] {
+            for path in ["/a", "/b/7"] {
+                let dead = Request::get(path).with_header(crate::http::DEADLINE_HEADER, "0");
+                assert_eq!(r.dispatch(&dead).status, Status::GatewayTimeout, "{path}");
+                let live = Request::get(path).with_deadline_millis(60_000);
+                assert_eq!(r.dispatch(&live).status, Status::Ok, "{path}");
+                assert_eq!(r.dispatch(&Request::get(path)).status, Status::Ok, "{path}");
+            }
+        }
+        // The scope ends with the request.
+        assert!(current_deadline().is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! stream before HTTP begins, which is how the controller's three security
 //! modes are composed (plain HTTP uses the identity wrapper).
 
-use crate::fabric::Listener;
+use crate::fabric::{Listener, ListenerWaker};
 use crate::fault::LinkControl;
 use crate::http::{read_request, write_response, Response, Status};
 use crate::rest::Router;
@@ -82,6 +82,7 @@ impl Drop for HandlerGuard {
 /// Handle to a running server; stops and joins on drop.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
+    waker: ListenerWaker,
     stats: Arc<ServerStats>,
     workers: WorkerSet,
     thread: Option<JoinHandle<()>>,
@@ -113,6 +114,9 @@ impl ServerHandle {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
+        // The accept thread owns the listener, so joining it also unbinds
+        // the address before `stop` returns.
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -145,12 +149,22 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
+/// Headers carrying the upgrade's peer identity to the router.
+const PEER_HEADERS: [&str; 2] = ["x-peer-cn", "x-peer-serial"];
+
 /// Serve `router` on `listener`, upgrading each accepted stream through
 /// `upgrade`. Each connection is handled on its own thread with keep-alive.
+///
+/// The identity the upgrade established (the client certificate's subject
+/// and serial) reaches the router as the pseudo-headers `x-peer-cn` /
+/// `x-peer-serial`, so ordinary routes can authorize on it. Whatever the
+/// client sent under those names is dropped first: identity comes only
+/// from the handshake.
 pub fn serve<U: StreamUpgrade>(listener: Listener, upgrade: U, router: Router) -> ServerHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::default());
     let workers: WorkerSet = Arc::new(Mutex::new(Vec::new()));
+    let waker = listener.waker();
     let router = Arc::new(router);
     let upgrade = Arc::new(upgrade);
 
@@ -158,18 +172,11 @@ pub fn serve<U: StreamUpgrade>(listener: Listener, upgrade: U, router: Router) -
     let accept_stats = stats.clone();
     let accept_workers = workers.clone();
     let thread = std::thread::spawn(move || {
-        loop {
+        // `accept` blocks until a connection arrives or `shutdown` wakes it.
+        while let Ok(raw) = listener.accept() {
             if accept_stop.load(Ordering::SeqCst) {
                 break;
             }
-            // Poll-accept so the stop flag is honored promptly.
-            let raw = match listener.try_accept() {
-                Some(stream) => stream,
-                None => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-            };
             accept_stats.connections.fetch_add(1, Ordering::Relaxed);
             accept_stats.active_handlers.fetch_add(1, Ordering::SeqCst);
             let control = raw.control();
@@ -179,7 +186,7 @@ pub fn serve<U: StreamUpgrade>(listener: Listener, upgrade: U, router: Router) -
             let stop = accept_stop.clone();
             let handler = std::thread::spawn(move || {
                 let _guard = HandlerGuard(stats.clone());
-                let (mut stream, _identity) = match upgrade.upgrade(raw) {
+                let (mut stream, identity) = match upgrade.upgrade(raw) {
                     Ok(upgraded) => upgraded,
                     Err(_) => {
                         stats.upgrade_failures.fetch_add(1, Ordering::Relaxed);
@@ -187,10 +194,21 @@ pub fn serve<U: StreamUpgrade>(listener: Listener, upgrade: U, router: Router) -
                     }
                 };
                 while !stop.load(Ordering::SeqCst) {
-                    let request = match read_request(&mut stream) {
+                    let mut request = match read_request(&mut stream) {
                         Ok(request) => request,
                         Err(_) => break, // peer closed or protocol error
                     };
+                    for name in PEER_HEADERS {
+                        request.headers.remove(name);
+                    }
+                    if let Some(cn) = &identity.common_name {
+                        request.headers.insert(PEER_HEADERS[0].into(), cn.clone());
+                    }
+                    if let Some(serial) = identity.cert_serial {
+                        request
+                            .headers
+                            .insert(PEER_HEADERS[1].into(), serial.to_string());
+                    }
                     stats.requests.fetch_add(1, Ordering::Relaxed);
                     let response = router.dispatch(&request);
                     if write_response(&mut stream, &response).is_err() {
@@ -211,89 +229,7 @@ pub fn serve<U: StreamUpgrade>(listener: Listener, upgrade: U, router: Router) -
 
     ServerHandle {
         stop,
-        stats,
-        workers,
-        thread: Some(thread),
-    }
-}
-
-/// Serve with a router that also sees the authenticated peer identity.
-/// Handlers needing the identity are registered through a closure capturing
-/// it per connection; this variant passes the identity as a pseudo-header
-/// `x-peer-cn` / `x-peer-serial` so ordinary routes can authorize on it.
-pub fn serve_with_identity<U: StreamUpgrade>(
-    listener: Listener,
-    upgrade: U,
-    router: Router,
-) -> ServerHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServerStats::default());
-    let workers: WorkerSet = Arc::new(Mutex::new(Vec::new()));
-    let router = Arc::new(router);
-    let upgrade = Arc::new(upgrade);
-
-    let accept_stop = stop.clone();
-    let accept_stats = stats.clone();
-    let accept_workers = workers.clone();
-    let thread = std::thread::spawn(move || {
-        loop {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let raw = match listener.try_accept() {
-                Some(stream) => stream,
-                None => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-            };
-            accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-            accept_stats.active_handlers.fetch_add(1, Ordering::SeqCst);
-            let control = raw.control();
-            let router = router.clone();
-            let upgrade = upgrade.clone();
-            let stats = accept_stats.clone();
-            let stop = accept_stop.clone();
-            let handler = std::thread::spawn(move || {
-                let _guard = HandlerGuard(stats.clone());
-                let (mut stream, identity) = match upgrade.upgrade(raw) {
-                    Ok(upgraded) => upgraded,
-                    Err(_) => {
-                        stats.upgrade_failures.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                while !stop.load(Ordering::SeqCst) {
-                    let mut request = match read_request(&mut stream) {
-                        Ok(request) => request,
-                        Err(_) => break,
-                    };
-                    if let Some(cn) = &identity.common_name {
-                        request.headers.insert("x-peer-cn".into(), cn.clone());
-                    }
-                    if let Some(serial) = identity.cert_serial {
-                        request
-                            .headers
-                            .insert("x-peer-serial".into(), serial.to_string());
-                    }
-                    stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let response = router.dispatch(&request);
-                    if write_response(&mut stream, &response).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut workers = accept_workers.lock();
-            workers.retain(|w| !w.thread.is_finished());
-            workers.push(Worker {
-                control,
-                thread: handler,
-            });
-        }
-    });
-
-    ServerHandle {
-        stop,
+        waker,
         stats,
         workers,
         thread: Some(thread),
@@ -301,9 +237,8 @@ pub fn serve_with_identity<U: StreamUpgrade>(
 }
 
 /// A simple client: one request per call over a fresh or kept-alive stream.
-///
-/// trace-opt-out: transport-level client with no telemetry handle; callers
-/// inject trace context per request via `Request::with_trace`.
+/// Requests carry the calling thread's current trace context (see
+/// [`write_request`](crate::http::write_request)).
 pub struct HttpClient<S: Read + Write> {
     stream: S,
 }
@@ -431,12 +366,101 @@ mod tests {
         }
         let net = Network::new();
         let listener = net.listen("svc:443").unwrap();
-        let _handle = serve_with_identity(listener, FixedIdentity, test_router());
+        let _handle = serve(listener, FixedIdentity, test_router());
         let mut client = HttpClient::new(net.connect("svc:443").unwrap());
         let response = client.request(&Request::get("/whoami")).unwrap();
         assert_eq!(
             response.parse_json().unwrap().get("cn").and_then(Json::as_str),
             Some("vnf-42")
+        );
+    }
+
+    #[test]
+    fn spoofed_peer_headers_are_dropped() {
+        struct SerialOnly;
+        impl StreamUpgrade for SerialOnly {
+            type Upgraded = Duplex;
+            fn upgrade(&self, raw: Duplex) -> Result<(Duplex, PeerIdentity), NetError> {
+                Ok((
+                    raw,
+                    PeerIdentity {
+                        common_name: None,
+                        cert_serial: Some(9),
+                    },
+                ))
+            }
+        }
+        let net = Network::new();
+        let _plain = serve(net.listen("svc:80").unwrap(), PlainUpgrade, test_router());
+        let mut router = test_router();
+        router.get("/serial", |request, _| {
+            Response::json(
+                Status::Ok,
+                &Json::object().with("serial", request.header("x-peer-serial").unwrap_or("")),
+            )
+        });
+        let _partial = serve(net.listen("svc:443").unwrap(), SerialOnly, router);
+        for addr in ["svc:80", "svc:443"] {
+            let mut client = HttpClient::new(net.connect(addr).unwrap());
+            let spoofed = Request::get("/whoami")
+                .with_header("X-Peer-CN", "vnf-7")
+                .with_header("x-peer-serial", "1");
+            let response = client.request(&spoofed).unwrap();
+            assert_eq!(
+                response.parse_json().unwrap().get("cn").and_then(Json::as_str),
+                Some("anonymous"),
+                "{addr}"
+            );
+        }
+        let mut client = HttpClient::new(net.connect("svc:443").unwrap());
+        let response = client
+            .request(&Request::get("/serial").with_header("x-peer-serial", "1"))
+            .unwrap();
+        assert_eq!(
+            response.parse_json().unwrap().get("serial").and_then(Json::as_str),
+            Some("9"),
+            "the handshake's serial replaces the client's"
+        );
+    }
+
+    #[test]
+    fn incoming_trace_reaches_downstream_calls_of_an_uninstrumented_router() {
+        let net = Network::new();
+        let mut downstream = Router::new();
+        downstream.get("/seen", |request, _| {
+            Response::json(
+                Status::Ok,
+                &Json::object().with("traceparent", request.header("traceparent").unwrap_or("")),
+            )
+        });
+        let _downstream = serve(net.listen("down:80").unwrap(), PlainUpgrade, downstream);
+        let mut upstream = Router::new();
+        {
+            let net = net.clone();
+            upstream.get("/relay", move |_, _| {
+                let mut client = HttpClient::new(net.connect("down:80").unwrap());
+                client.request(&Request::get("/seen")).unwrap()
+            });
+        }
+        let _upstream = serve(net.listen("up:80").unwrap(), PlainUpgrade, upstream);
+
+        let ctx = vnfguard_telemetry::TraceContext {
+            trace_id: 0xabc,
+            span_id: 0xdef,
+            parent_id: None,
+            sampled: true,
+        };
+        let mut client = HttpClient::new(net.connect("up:80").unwrap());
+        let response = client.request(&Request::get("/relay").with_trace(&ctx)).unwrap();
+        assert_eq!(
+            response.parse_json().unwrap().get("traceparent").and_then(Json::as_str),
+            Some(ctx.traceparent().as_str())
+        );
+        // An untraced request stays untraced downstream.
+        let response = client.request(&Request::get("/relay")).unwrap();
+        assert_eq!(
+            response.parse_json().unwrap().get("traceparent").and_then(Json::as_str),
+            Some("")
         );
     }
 

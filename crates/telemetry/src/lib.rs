@@ -2,10 +2,11 @@
 //!
 //! Zero-dependency observability substrate for the deployment: counters,
 //! gauges and log-bucketed latency histograms in a [`MetricsRegistry`],
-//! hierarchical spans in a [`Tracer`], and a ring-buffered structured
-//! [`Journal`] of audit events — bundled behind one clonable [`Telemetry`]
-//! handle that every crate in the workspace can thread through its hot
-//! paths.
+//! spans assembled into distributed traces by a [`TraceCollector`], and a
+//! ring-buffered structured [`Journal`] of audit events — bundled behind
+//! one clonable [`Telemetry`] handle that every crate in the workspace can
+//! thread through its hot paths. The per-request [`RequestScope`] carries
+//! the current trace context and deadline on the handling thread.
 //!
 //! Design rules:
 //!
@@ -29,6 +30,7 @@
 pub mod health;
 pub mod journal;
 pub mod metrics;
+pub mod scope;
 pub mod spans;
 pub mod trace;
 
@@ -38,7 +40,8 @@ pub use metrics::{
     labeled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     EXEMPLAR_CAP,
 };
-pub use spans::{SpanGuard, SpanRecord, Tracer};
+pub use scope::{current_deadline, current_trace, Deadline, RequestScope};
+pub use spans::SpanGuard;
 pub use trace::{Annotation, TraceCollector, TraceContext, TraceIds, TraceSpan, TraceSummary};
 
 /// One observability handle bundling metrics, spans and the event journal.
@@ -50,7 +53,6 @@ pub use trace::{Annotation, TraceCollector, TraceContext, TraceIds, TraceSpan, T
 pub struct Telemetry {
     enabled: bool,
     metrics: MetricsRegistry,
-    tracer: Tracer,
     journal: Journal,
     traces: TraceCollector,
     trace_ids: TraceIds,
@@ -62,7 +64,6 @@ impl Telemetry {
         Telemetry {
             enabled: true,
             metrics: MetricsRegistry::default(),
-            tracer: Tracer::default(),
             journal: Journal::default(),
             traces: TraceCollector::default(),
             trace_ids: TraceIds::default(),
@@ -86,11 +87,6 @@ impl Telemetry {
     /// The metrics registry backing this handle.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The span tracer backing this handle.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The structured event journal backing this handle.
@@ -147,17 +143,6 @@ impl Telemetry {
         }
     }
 
-    /// Open a span; it closes (and records its duration) when the returned
-    /// guard drops. `unix_now` stamps the span's position on the simulated
-    /// timeline; the duration itself is wall-clock microseconds.
-    pub fn span(&self, name: &str, unix_now: u64) -> SpanGuard {
-        if self.enabled {
-            self.tracer.start(name, unix_now)
-        } else {
-            SpanGuard::noop()
-        }
-    }
-
     /// Append a structured event to the journal; returns its sequence
     /// number (0 when disabled).
     pub fn event(&self, time: u64, kind: &str, detail: &str) -> u64 {
@@ -168,41 +153,18 @@ impl Telemetry {
         }
     }
 
-    /// Start a new distributed trace: draws a fresh trace id, makes the
-    /// head-based sampling decision, and opens the root span (named `name`,
-    /// attributed to `service`). Returns the context to propagate plus the
-    /// root's guard. Disabled handles return an invalid context and a noop
-    /// guard.
-    pub fn trace_root(&self, service: &str, name: &str, unix_now: u64) -> (TraceContext, SpanGuard) {
-        if !self.enabled {
-            return (TraceContext::disabled(), SpanGuard::noop());
-        }
-        let ctx = TraceContext {
-            trace_id: self.trace_ids.next_trace_id(),
-            span_id: self.trace_ids.next_span_id(),
-            parent_id: None,
-            sampled: self.trace_ids.decide_sampled(),
-        };
-        let guard = self.open_trace_span(&ctx, service, name, unix_now);
-        (ctx, guard)
-    }
-
-    /// Open a span as a child of `parent` within the same trace. When the
-    /// parent is not recording (invalid, unsampled, or disabled telemetry)
-    /// the span still lands in the local [`Tracer`] but not in the trace
-    /// collector, and the parent context is propagated unchanged.
-    pub fn trace_child(
-        &self,
-        parent: &TraceContext,
-        service: &str,
-        name: &str,
-        unix_now: u64,
-    ) -> (TraceContext, SpanGuard) {
-        if !self.enabled {
-            return (parent.clone(), SpanGuard::noop());
-        }
-        if !parent.is_recording() {
-            return (parent.clone(), self.tracer.start(name, unix_now));
+    /// Open a span named `name`, attributed to `service`, as a child of
+    /// the thread's current trace context (see [`scope`]). While the
+    /// returned guard lives the span is the current context, so spans and
+    /// outgoing requests opened meanwhile chain under it. When the current
+    /// context is not recording (no request scope, unsampled, or disabled
+    /// telemetry) the guard only times an attached histogram. `unix_now`
+    /// stamps the span's position on the simulated timeline; the duration
+    /// itself is wall-clock microseconds.
+    pub fn span(&self, service: &str, name: &str, unix_now: u64) -> SpanGuard {
+        let parent = scope::current_trace();
+        if !self.enabled || !parent.is_recording() {
+            return SpanGuard::timer(parent);
         }
         let ctx = TraceContext {
             trace_id: parent.trace_id,
@@ -210,31 +172,36 @@ impl Telemetry {
             parent_id: Some(parent.span_id),
             sampled: true,
         };
-        let guard = self.open_trace_span(&ctx, service, name, unix_now);
-        (ctx, guard)
+        self.open(ctx, service, name, unix_now)
     }
 
-    fn open_trace_span(
-        &self,
-        ctx: &TraceContext,
-        service: &str,
-        name: &str,
-        unix_now: u64,
-    ) -> SpanGuard {
-        let guard = self.tracer.start(name, unix_now);
-        if !ctx.is_recording() {
-            return guard;
+    /// Start a new distributed trace: draws a fresh trace id, makes the
+    /// head-based sampling decision, and opens the root span (named `name`,
+    /// attributed to `service`) as the thread's current context. Returns
+    /// the root's context plus its guard. Disabled handles return an
+    /// invalid context and a guard that leaves the scope alone.
+    pub fn trace_root(&self, service: &str, name: &str, unix_now: u64) -> (TraceContext, SpanGuard) {
+        if !self.enabled {
+            return (TraceContext::disabled(), SpanGuard::timer(scope::current_trace()));
         }
-        guard.with_trace(spans::OpenTraceSpan {
+        let ctx = TraceContext {
+            trace_id: self.trace_ids.next_trace_id(),
+            span_id: self.trace_ids.next_span_id(),
+            parent_id: None,
+            sampled: self.trace_ids.decide_sampled(),
+        };
+        (ctx.clone(), self.open(ctx, service, name, unix_now))
+    }
+
+    fn open(&self, ctx: TraceContext, service: &str, name: &str, unix_now: u64) -> SpanGuard {
+        let record = ctx.is_recording().then(|| spans::OpenTraceSpan {
             collector: self.traces.clone(),
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_id: ctx.parent_id,
             service: service.to_string(),
             name: name.to_string(),
             started_at: unix_now,
             offset_micros: self.traces.offset_micros(),
-        })
+        });
+        SpanGuard::install(ctx, record)
     }
 
     /// Attach an annotation (fault, retry, breaker transition, crash,
@@ -246,9 +213,14 @@ impl Telemetry {
         }
     }
 
+    /// [`trace_annotate`](Self::trace_annotate) the thread's current span.
+    pub fn annotate(&self, time: u64, kind: &str, detail: &str) {
+        self.trace_annotate(&scope::current_trace(), time, kind, detail);
+    }
+
     /// Render every registered metric in Prometheus text exposition format,
     /// plus the telemetry subsystem's own data-loss counters (journal and
-    /// span ring-buffer evictions) so scrape-side can detect observability
+    /// trace-collector evictions) so scrape-side can detect observability
     /// data loss.
     pub fn render_prometheus(&self) -> String {
         let mut out = self.metrics.render_prometheus();
@@ -257,7 +229,6 @@ impl Telemetry {
         }
         for (name, value) in [
             ("vnfguard_telemetry_journal_dropped_total", self.journal.dropped()),
-            ("vnfguard_telemetry_spans_dropped_total", self.tracer.dropped()),
             (
                 "vnfguard_telemetry_trace_spans_dropped_total",
                 self.traces.dropped(),
@@ -304,52 +275,114 @@ mod tests {
     fn disabled_bundle_is_inert() {
         let tele = Telemetry::disabled();
         tele.counter("vnfguard_test_ops_total").add(3);
+        let (root, _root) = tele.trace_root("operator", "invisible", 0);
+        assert!(!root.is_valid());
         {
-            let _span = tele.span("invisible", 0);
+            let _span = tele.span("vm", "invisible", 0);
+            assert!(!current_trace().is_valid(), "disabled spans leave the scope alone");
         }
         tele.event(0, "invisible", "");
         assert_eq!(tele.render_prometheus(), "");
         assert_eq!(tele.journal().len(), 0);
-        assert!(tele.tracer().finished().is_empty());
+        assert_eq!(tele.traces().span_count(), 0);
     }
 
     #[test]
-    fn trace_root_and_children_assemble_one_tree() {
+    fn spans_nest_under_the_scope_and_restore_it() {
         let tele = Telemetry::new();
         let (root, root_guard) = tele.trace_root("operator", "drill", 100);
         assert!(root.is_recording());
-        {
-            let (child, _guard) = tele.trace_child(&root, "vm", "attest", 101);
-            assert_eq!(child.trace_id, root.trace_id);
-            assert_eq!(child.parent_id, Some(root.span_id));
-            tele.trace_annotate(&child, 101, "fault", "ias:443 refused");
-        }
+        assert_eq!(current_trace(), root);
+        let (outer_ctx, inner_ctx) = {
+            let outer = tele.span("vm", "enrollment", 101);
+            let inner_ctx = {
+                let inner = tele.span("vm", "ias_verify", 101);
+                tele.annotate(101, "fault", "ias:443 refused");
+                inner.context().clone()
+            };
+            // The inner guard restored its parent as the current context.
+            assert_eq!(current_trace(), *outer.context());
+            let _sibling = tele.span("vm", "wrap_credentials", 102);
+            (outer.context().clone(), inner_ctx)
+        };
+        assert_eq!(current_trace(), root);
         drop(root_guard);
+        assert!(!current_trace().is_valid());
+
         let spans = tele.traces().trace(root.trace_id);
-        assert_eq!(spans.len(), 2);
-        let child = spans.iter().find(|s| s.name == "attest").unwrap();
-        assert_eq!(child.annotations.len(), 1);
-        assert_eq!(child.annotations[0].detail, "ias:443 refused");
-        // the local tracer sees the same spans (dual recording)
-        assert_eq!(tele.tracer().finished().len(), 2);
+        assert_eq!(spans.len(), 4);
+        let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
+        assert_eq!(by_name("drill").parent_id, None);
+        assert_eq!(by_name("enrollment").parent_id, Some(root.span_id));
+        assert_eq!(by_name("ias_verify").parent_id, Some(outer_ctx.span_id));
+        assert_eq!(by_name("ias_verify").span_id, inner_ctx.span_id);
+        assert_eq!(by_name("wrap_credentials").parent_id, Some(outer_ctx.span_id));
+        assert_eq!(by_name("enrollment").service, "vm");
+        let verify = by_name("ias_verify");
+        assert_eq!(verify.annotations.len(), 1);
+        assert_eq!(verify.annotations[0].detail, "ias:443 refused");
     }
 
     #[test]
-    fn unsampled_and_disabled_traces_record_nothing() {
+    fn span_histograms_carry_exemplars_only_when_sampled() {
+        let tele = Telemetry::new();
+        let histogram = tele.histogram("vnfguard_test_span_micros");
+        {
+            // No request scope: a plain timing.
+            let _span = tele.span("vm", "untraced", 0).with_histogram(histogram.clone());
+        }
+        let (root, _root) = tele.trace_root("operator", "traced", 0);
+        {
+            let _span = tele.span("vm", "traced", 0).with_histogram(histogram.clone());
+        }
+        assert_eq!(histogram.count(), 2);
+        let exemplars = histogram.exemplars();
+        assert_eq!(exemplars.len(), 1);
+        assert_eq!(exemplars[0].trace_id, root.trace_id);
+    }
+
+    #[test]
+    fn unsampled_roots_propagate_but_record_nothing() {
         let tele = Telemetry::new();
         tele.set_trace_sampling(0.0);
         let (root, guard) = tele.trace_root("operator", "quiet", 0);
         assert!(root.is_valid() && !root.sampled);
+        {
+            // The unsampled decision stays current for downstream hops.
+            let _child = tele.span("vm", "quiet_child", 0);
+            assert_eq!(current_trace(), root);
+        }
         drop(guard);
         assert_eq!(tele.traces().span_count(), 0);
-        // the plain tracer still recorded the span locally
-        assert_eq!(tele.tracer().finished().len(), 1);
+    }
 
-        let off = Telemetry::disabled();
-        let (ctx, guard) = off.trace_root("operator", "void", 0);
-        assert!(!ctx.is_valid());
-        drop(guard);
-        assert_eq!(off.traces().span_count(), 0);
+    #[test]
+    fn concurrent_spans_parent_under_their_own_threads_scope() {
+        let tele = Telemetry::new();
+        let barrier = std::sync::Barrier::new(2);
+        let roots: Vec<(TraceContext, TraceContext)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (tele, barrier) = (&tele, &barrier);
+                    s.spawn(move || {
+                        let (root, _guard) = tele.trace_root("operator", "request", 0);
+                        barrier.wait();
+                        let span = tele.span("vm", "work", 0);
+                        // Both threads hold a span open at the same time.
+                        barrier.wait();
+                        (root, span.context().clone())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_ne!(roots[0].0.trace_id, roots[1].0.trace_id);
+        for (root, child) in &roots {
+            assert_eq!(child.trace_id, root.trace_id);
+            assert_eq!(child.parent_id, Some(root.span_id));
+            let spans = tele.traces().trace(root.trace_id);
+            assert_eq!(spans.len(), 2, "each trace holds its own root and child");
+        }
     }
 
     #[test]
@@ -357,7 +390,6 @@ mod tests {
         let tele = Telemetry::new();
         let text = tele.render_prometheus();
         assert!(text.contains("vnfguard_telemetry_journal_dropped_total 0"));
-        assert!(text.contains("vnfguard_telemetry_spans_dropped_total 0"));
         assert!(text.contains("vnfguard_telemetry_trace_spans_dropped_total 0"));
         assert_eq!(Telemetry::disabled().render_prometheus(), "");
     }

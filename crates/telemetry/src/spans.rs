@@ -1,182 +1,67 @@
-//! Hierarchical spans: RAII-timed regions with parent/child structure.
+//! Spans: RAII-timed regions that become the request scope's current
+//! context while they are open.
+//!
+//! A span is one thing: on close it records its duration into an optional
+//! histogram and, when its trace is sampled, one [`TraceSpan`] into the
+//! [`TraceCollector`]. Spans are opened through
+//! [`Telemetry::span`](crate::Telemetry::span) and
+//! [`Telemetry::trace_root`](crate::Telemetry::trace_root).
 
 use crate::metrics::Histogram;
-use crate::trace::{TraceCollector, TraceSpan};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use crate::scope;
+use crate::trace::{TraceCollector, TraceContext, TraceSpan};
+use std::marker::PhantomData;
 use std::time::Instant;
 
-/// A completed span.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    pub id: u64,
-    /// The span that was open when this one started, if any.
-    pub parent: Option<u64>,
-    pub name: String,
-    /// Position on the simulated timeline (unix seconds), supplied by the
-    /// caller at open time.
-    pub started_at: u64,
-    /// Wall-clock duration in microseconds.
-    pub duration_micros: u64,
-    /// Nesting depth at open time (0 = root).
-    pub depth: usize,
-}
-
-struct OpenSpan {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    started_at: u64,
-    depth: usize,
-}
-
-struct TracerInner {
-    next_id: u64,
-    stack: Vec<u64>,
-    open: Vec<OpenSpan>,
-    finished: VecDeque<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for TracerInner {
-    fn default() -> TracerInner {
-        TracerInner {
-            next_id: 1,
-            stack: Vec::new(),
-            open: Vec::new(),
-            finished: VecDeque::new(),
-            capacity: 4096,
-            dropped: 0,
-        }
-    }
-}
-
-/// Span collector. Spans nest along the caller's control flow: the span
-/// open at `start` time becomes the parent of the new one. Finished spans
-/// land in a bounded ring buffer (oldest evicted first).
-///
-/// Nesting tracks one logical flow — the common case in this workspace,
-/// where the manager's workflow runs a step at a time. Guards dropped out
-/// of LIFO order simply truncate the deeper part of the stack.
-#[derive(Clone, Default)]
-pub struct Tracer {
-    inner: Arc<Mutex<TracerInner>>,
-}
-
-impl Tracer {
-    /// Open a span named `name` at simulated time `unix_now`.
-    pub fn start(&self, name: &str, unix_now: u64) -> SpanGuard {
-        let mut inner = self.inner.lock().expect("tracer poisoned");
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let parent = inner.stack.last().copied();
-        let depth = inner.stack.len();
-        inner.stack.push(id);
-        inner.open.push(OpenSpan {
-            id,
-            parent,
-            name: name.to_string(),
-            started_at: unix_now,
-            depth,
-        });
-        SpanGuard {
-            tracer: Some(self.clone()),
-            id,
-            begun: Instant::now(),
-            histogram: None,
-            trace: None,
-        }
-    }
-
-    fn finish(&self, id: u64, duration_micros: u64) {
-        let mut inner = self.inner.lock().expect("tracer poisoned");
-        if let Some(pos) = inner.stack.iter().rposition(|&open| open == id) {
-            inner.stack.truncate(pos);
-        }
-        if let Some(pos) = inner.open.iter().position(|open| open.id == id) {
-            let open = inner.open.remove(pos);
-            if inner.finished.len() >= inner.capacity {
-                inner.finished.pop_front();
-                inner.dropped += 1;
-            }
-            inner.finished.push_back(SpanRecord {
-                id: open.id,
-                parent: open.parent,
-                name: open.name,
-                started_at: open.started_at,
-                duration_micros,
-                depth: open.depth,
-            });
-        }
-    }
-
-    /// Completed spans, in completion order (children before parents).
-    pub fn finished(&self) -> Vec<SpanRecord> {
-        self.inner
-            .lock()
-            .expect("tracer poisoned")
-            .finished
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Number of spans currently open.
-    pub fn open_count(&self) -> usize {
-        self.inner.lock().expect("tracer poisoned").open.len()
-    }
-
-    /// Number of finished spans evicted from the ring buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("tracer poisoned").dropped
-    }
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("tracer poisoned");
-        f.debug_struct("Tracer")
-            .field("open", &inner.open.len())
-            .field("finished", &inner.finished.len())
-            .finish()
-    }
-}
-
-/// The trace-side half of an open span: where and as-what to record it in
-/// the [`TraceCollector`] when the guard drops.
+/// The collector-side half of a sampled span: where and as-what to record
+/// it when the guard drops.
 pub(crate) struct OpenTraceSpan {
     pub collector: TraceCollector,
-    pub trace_id: u128,
-    pub span_id: u64,
-    pub parent_id: Option<u64>,
     pub service: String,
     pub name: String,
     pub started_at: u64,
     pub offset_micros: u64,
 }
 
-/// RAII guard for an open span; records the span (and optionally a
-/// histogram sample of its duration, and optionally a distributed-trace
-/// span) on drop.
+/// RAII guard for an open span. While it lives, its context is the
+/// thread's current trace context (when it has one of its own); on drop it
+/// restores the context it replaced, records its duration into the
+/// attached histogram (with its trace id as exemplar when sampled) and, when
+/// sampled, records the span into the collector.
+///
+/// The guard is bound to the thread that opened it.
 pub struct SpanGuard {
-    tracer: Option<Tracer>,
-    id: u64,
     begun: Instant,
     histogram: Option<Histogram>,
-    trace: Option<OpenTraceSpan>,
+    ctx: TraceContext,
+    /// The context this span replaced in the request scope, restored on
+    /// drop; `None` when the span did not change the scope.
+    restore: Option<TraceContext>,
+    record: Option<OpenTraceSpan>,
+    _thread: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
-    /// A guard that records nothing (disabled telemetry).
-    pub fn noop() -> SpanGuard {
+    /// A guard that only measures time: it leaves the scope alone and
+    /// records nothing but an attached histogram sample.
+    pub(crate) fn timer(ctx: TraceContext) -> SpanGuard {
         SpanGuard {
-            tracer: None,
-            id: 0,
             begun: Instant::now(),
             histogram: None,
-            trace: None,
+            ctx,
+            restore: None,
+            record: None,
+            _thread: PhantomData,
         }
+    }
+
+    /// Install `ctx` as the scope's current context until the guard drops,
+    /// recording into the collector when `record` is given.
+    pub(crate) fn install(ctx: TraceContext, record: Option<OpenTraceSpan>) -> SpanGuard {
+        let mut guard = SpanGuard::timer(ctx.clone());
+        guard.restore = Some(scope::replace_trace(ctx));
+        guard.record = record;
+        guard
     }
 
     /// Also record the span's duration into `histogram` on drop.
@@ -185,117 +70,39 @@ impl SpanGuard {
         self
     }
 
-    /// Also record the span into a trace collector on drop.
-    pub(crate) fn with_trace(mut self, trace: OpenTraceSpan) -> SpanGuard {
-        self.trace = Some(trace);
-        self
+    /// This span's trace context (the enclosing one when the span is not
+    /// part of a sampled trace).
+    pub fn context(&self) -> &TraceContext {
+        &self.ctx
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let micros = self.begun.elapsed().as_micros() as u64;
+        if let Some(previous) = self.restore.take() {
+            scope::replace_trace(previous);
+        }
         if let Some(histogram) = &self.histogram {
-            // A traced span leaves its trace id behind as an exemplar, so a
-            // breached latency series links back to a concrete waterfall.
-            match &self.trace {
-                Some(trace) => histogram.record_with_exemplar(micros, trace.trace_id),
+            // A sampled span leaves its trace id behind as an exemplar, so
+            // a breached latency series links back to a concrete waterfall.
+            match &self.record {
+                Some(_) => histogram.record_with_exemplar(micros, self.ctx.trace_id),
                 None => histogram.record(micros),
             }
         }
-        if let Some(tracer) = &self.tracer {
-            tracer.finish(self.id, micros);
-        }
-        if let Some(trace) = self.trace.take() {
-            trace.collector.record(TraceSpan {
-                trace_id: trace.trace_id,
-                span_id: trace.span_id,
-                parent_id: trace.parent_id,
-                service: trace.service,
-                name: trace.name,
-                started_at: trace.started_at,
-                offset_micros: trace.offset_micros,
+        if let Some(open) = self.record.take() {
+            open.collector.record(TraceSpan {
+                trace_id: self.ctx.trace_id,
+                span_id: self.ctx.span_id,
+                parent_id: self.ctx.parent_id,
+                service: open.service,
+                name: open.name,
+                started_at: open.started_at,
+                offset_micros: open.offset_micros,
                 duration_micros: micros,
                 annotations: Vec::new(),
             });
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nesting_assigns_parents_and_depths() {
-        let tracer = Tracer::default();
-        {
-            let _outer = tracer.start("enrollment", 100);
-            {
-                let _mid = tracer.start("ias_verify", 101);
-                let _inner = tracer.start("signature_check", 101);
-            }
-            let _sibling = tracer.start("wrap_credentials", 102);
-        }
-        let spans = tracer.finished();
-        assert_eq!(spans.len(), 4);
-        let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
-        let outer = by_name("enrollment");
-        let mid = by_name("ias_verify");
-        let inner = by_name("signature_check");
-        let sibling = by_name("wrap_credentials");
-        assert_eq!(outer.parent, None);
-        assert_eq!(outer.depth, 0);
-        assert_eq!(mid.parent, Some(outer.id));
-        assert_eq!(mid.depth, 1);
-        assert_eq!(inner.parent, Some(mid.id));
-        assert_eq!(inner.depth, 2);
-        // The sibling opened after the first child closed: same parent.
-        assert_eq!(sibling.parent, Some(outer.id));
-        assert_eq!(sibling.depth, 1);
-        assert_eq!(tracer.open_count(), 0);
-    }
-
-    #[test]
-    fn completion_order_is_children_first() {
-        let tracer = Tracer::default();
-        {
-            let _outer = tracer.start("outer", 0);
-            let _inner = tracer.start("inner", 0);
-        }
-        let names: Vec<String> = tracer.finished().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["inner", "outer"]);
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let tracer = Tracer::default();
-        let histogram = Histogram::default();
-        {
-            let _span = tracer.start("timed", 0).with_histogram(histogram.clone());
-        }
-        assert_eq!(histogram.count(), 1);
-    }
-
-    #[test]
-    fn noop_guard_records_nothing() {
-        let tracer = Tracer::default();
-        {
-            let _span = SpanGuard::noop();
-        }
-        assert!(tracer.finished().is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let tracer = Tracer::default();
-        for i in 0..5000u64 {
-            let _span = tracer.start(&format!("s{i}"), i);
-        }
-        let spans = tracer.finished();
-        assert_eq!(spans.len(), 4096);
-        assert_eq!(spans.first().unwrap().name, "s904");
-        assert_eq!(spans.last().unwrap().name, "s4999");
-        assert_eq!(tracer.dropped(), 904);
     }
 }

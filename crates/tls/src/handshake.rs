@@ -140,12 +140,11 @@ pub fn client_handshake<S: Read + Write>(
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
     let telemetry = &config.telemetry;
-    let result = {
-        let _span = telemetry
-            .span("tls_client_handshake", config.now)
-            .with_histogram(telemetry.histogram("vnfguard_tls_client_handshake_micros"));
-        client_handshake_inner(stream, config, rng)
-    };
+    let begun = std::time::Instant::now();
+    let result = client_handshake_inner(stream, config, rng);
+    telemetry
+        .histogram("vnfguard_tls_client_handshake_micros")
+        .record(begun.elapsed().as_micros() as u64);
     telemetry.counter("vnfguard_tls_handshakes_total").inc();
     if result.is_err() {
         telemetry.counter("vnfguard_tls_handshake_failures_total").inc();
@@ -159,7 +158,6 @@ fn client_handshake_inner<S: Read + Write>(
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
     let mut transcript = Transcript::new();
-    let hello_phase = config.telemetry.span("tls_client_hello", config.now);
 
     // ClientHello.
     let mut random = [0u8; 32];
@@ -201,10 +199,8 @@ fn client_handshake_inner<S: Read + Write>(
     let schedule = KeySchedule::after_hellos(&shared, &transcript.current());
     let mut write_seal = SealState::new(suite, &traffic_keys(&schedule.handshake.client, suite));
     let mut read_seal = SealState::new(suite, &traffic_keys(&schedule.handshake.server, suite));
-    drop(hello_phase);
 
     // Server's encrypted flight.
-    let auth_phase = config.telemetry.span("tls_client_auth", config.now);
     let mut cert_requested = false;
     let mut server_cert: Option<Certificate> = None;
     let app_secrets;
@@ -304,7 +300,6 @@ fn client_handshake_inner<S: Read + Write>(
         Err(e) => return Err(e),
     }
 
-    drop(auth_phase);
     let info = SessionInfo {
         suite,
         peer_certificate: server_cert,
@@ -328,12 +323,11 @@ pub fn server_handshake<S: Read + Write>(
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
     let telemetry = &config.telemetry;
-    let result = {
-        let _span = telemetry
-            .span("tls_server_handshake", config.now)
-            .with_histogram(telemetry.histogram("vnfguard_tls_server_handshake_micros"));
-        server_handshake_inner(stream, config, rng)
-    };
+    let begun = std::time::Instant::now();
+    let result = server_handshake_inner(stream, config, rng);
+    telemetry
+        .histogram("vnfguard_tls_server_handshake_micros")
+        .record(begun.elapsed().as_micros() as u64);
     telemetry.counter("vnfguard_tls_handshakes_total").inc();
     if result.is_err() {
         telemetry.counter("vnfguard_tls_handshake_failures_total").inc();
@@ -347,7 +341,6 @@ fn server_handshake_inner<S: Read + Write>(
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
     let mut transcript = Transcript::new();
-    let hello_phase = config.telemetry.span("tls_server_hello", config.now);
 
     // ClientHello.
     let ch_bytes = read_plaintext(&mut stream)?;
@@ -391,10 +384,8 @@ fn server_handshake_inner<S: Read + Write>(
     let schedule = KeySchedule::after_hellos(&shared, &transcript.current());
     let mut write_seal = SealState::new(suite, &traffic_keys(&schedule.handshake.server, suite));
     let mut read_seal = SealState::new(suite, &traffic_keys(&schedule.handshake.client, suite));
-    drop(hello_phase);
 
     // Server flight.
-    let auth_phase = config.telemetry.span("tls_server_auth", config.now);
     if config.client_auth.is_some() {
         send_hs(
             &mut stream,
@@ -470,7 +461,6 @@ fn server_handshake_inner<S: Read + Write>(
         &Handshake::SessionConfirm,
     )?;
 
-    drop(auth_phase);
     let info = SessionInfo {
         suite,
         peer_certificate: client_cert,

@@ -255,11 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn handshake_telemetry_records_spans_and_counters() {
+    fn handshake_telemetry_records_timings_and_counters() {
         use vnfguard_telemetry::Telemetry;
         let pki = pki();
-        // Separate bundles per side: the handshakes run on two threads, and
-        // a shared tracer would interleave their nesting stacks.
+        // Separate bundles per side, so each side's series are its own.
         let client_tele = Telemetry::new();
         let server_tele = Telemetry::new();
         let (client, server, _tap) = run_handshake(
@@ -280,27 +279,16 @@ mod tests {
                 .counter_value("vnfguard_tls_handshake_failures_total"),
             None
         );
-        let names: Vec<String> = client_tele
-            .tracer()
-            .finished()
-            .into_iter()
-            .map(|s| s.name)
-            .collect();
-        assert!(names.contains(&"tls_client_handshake".to_string()));
-        assert!(names.contains(&"tls_client_hello".to_string()));
-        assert!(names.contains(&"tls_client_auth".to_string()));
         let snapshot = client_tele
             .metrics()
             .histogram_snapshot("vnfguard_tls_client_handshake_micros")
             .unwrap();
         assert_eq!(snapshot.count(), 1);
-        let server_names: Vec<String> = server_tele
-            .tracer()
-            .finished()
-            .into_iter()
-            .map(|s| s.name)
-            .collect();
-        assert!(server_names.contains(&"tls_server_handshake".to_string()));
+        let snapshot = server_tele
+            .metrics()
+            .histogram_snapshot("vnfguard_tls_server_handshake_micros")
+            .unwrap();
+        assert_eq!(snapshot.count(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::fleet::serve_fleet_api;
 use vnfguard::core::remote::{
-    remote_attest_host, remote_enroll_vnf_traced, serve_ias, serve_vm_api, HostAgent,
+    remote_attest_host, remote_enroll_vnf, serve_ias, serve_vm_api, HostAgent,
     HostAgentState, RemoteIas,
 };
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
@@ -125,15 +125,14 @@ fn enroll(world: &mut World) -> Result<(), CoreError> {
         .insert(name.clone(), Arc::new(guard));
     let host_id = world.agent.state.host_id.clone();
     let now = world.testbed.clock.now();
-    let (ctx, _span) = world.telemetry.trace_root("operator", "enrollment", now);
-    remote_enroll_vnf_traced(
+    let _root = world.telemetry.trace_root("operator", "enrollment", now);
+    remote_enroll_vnf(
         &world.testbed.vm,
         &mut world.remote_ias,
         &world.testbed.network,
         &host_id,
         &name,
         "controller",
-        Some(&ctx),
     )
     .map(|_| ())
 }

@@ -95,7 +95,6 @@ fn main() {
 
     // One controller hop inside the same trace.
     let mut northbound = NorthboundClient::connect_plain(&network, &tb.controller_addr).unwrap();
-    northbound.set_trace_context(Some(root.clone()));
     northbound.summary().unwrap();
     println!("GET /wm/core/controller/summary/json -> 200 (controller hop)\n");
 

@@ -164,7 +164,6 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
 
     // One controller hop in the same trace, via the north-bound client.
     let mut northbound = NorthboundClient::connect_plain(&network, &tb.controller_addr).unwrap();
-    northbound.set_trace_context(Some(root.clone()));
     northbound.summary().unwrap();
 
     // Close the root span, then read the assembled trace back over HTTP.
@@ -308,4 +307,80 @@ fn untraced_requests_stay_untraced_and_the_surface_validates_input() {
         )))
         .unwrap();
     assert!(unknown_format.status.code() == 400 || unknown_format.status.code() == 404);
+}
+
+/// Concurrent traced enrollments share one `RemoteIas` behind the VM API,
+/// yet each keeps its IAS spans in its own trace: every enrollment's trace
+/// holds exactly one `ias_verify` and one `ias_roundtrip`.
+#[test]
+fn concurrent_enrollments_keep_ias_spans_in_their_own_traces() {
+    const PER_CONNECTION: usize = 150;
+    let telemetry = Telemetry::new();
+    let mut tb = TestbedBuilder::new(b"trace isolation")
+        .telemetry(telemetry.clone())
+        .tracing(1.0)
+        .build();
+    let network = tb.network.clone();
+    let clock = tb.clock.clone();
+    let ias_service = std::mem::replace(
+        &mut tb.ias,
+        vnfguard::ias::AttestationService::new(b"placeholder"),
+    );
+    let report_key = ias_service.report_signing_key();
+    let (_ias_handle, _ias_shared) = serve_ias(&network, "ias:443", ias_service).unwrap();
+    let remote_ias = RemoteIas::new(&network, "ias:443", report_key).with_telemetry(&telemetry);
+
+    let mut guards = HashMap::new();
+    for vnf in 0..2 * PER_CONNECTION {
+        let name = format!("vnf-{vnf}");
+        let guard = tb.deploy_guard(0, &name, 1).unwrap();
+        guards.insert(name, Arc::new(guard));
+    }
+    let host = tb.hosts.remove(0);
+    let state = Arc::new(HostAgentState {
+        host_id: host.id.clone(),
+        platform: host.platform,
+        snp: host.snp,
+        container_host: RwLock::new(host.container_host),
+        integrity_enclave: host.integrity_enclave,
+        tpm: None,
+        guards: RwLock::new(guards),
+        revoked_serials: RwLock::new(Default::default()),
+        vm_hmac_key: Some(tb.vm.share_hmac_key()),
+    });
+    let agent_clock = clock.clone();
+    let _agent =
+        HostAgent::serve_traced(&network, state, &telemetry, move || agent_clock.now()).unwrap();
+    let ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(remote_ias));
+    let _api = serve_vm_api(&network, "vm:8443", tb.vm_service(), ias, "controller").unwrap();
+    let mut client = HttpClient::new(network.connect("vm:8443").unwrap());
+    let response = client.request(&Request::post("/vm/hosts/host-0/attest")).unwrap();
+    assert!(response.status.is_success(), "{:?}", response.status);
+
+    std::thread::scope(|s| {
+        for connection in 0..2 {
+            let (network, telemetry, clock) = (&network, &telemetry, &clock);
+            s.spawn(move || {
+                let mut client = HttpClient::new(network.connect("vm:8443").unwrap());
+                for i in 0..PER_CONNECTION {
+                    let vnf = connection * PER_CONNECTION + i;
+                    let (root, _root_span) =
+                        telemetry.trace_root("operator", "enrollment", clock.now());
+                    let path = format!("/vm/hosts/host-0/vnfs/vnf-{vnf}/enroll");
+                    let response = client.request(&Request::post(&path)).unwrap();
+                    assert!(response.status.is_success(), "{path}: {:?}", response.status);
+                    // Every span of the enrollment closed before its response
+                    // was written; only the operator root is still open.
+                    let spans = telemetry.traces().trace(root.trace_id);
+                    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+                    assert_eq!(
+                        (count("ias_verify"), count("ias_roundtrip")),
+                        (1, 1),
+                        "vnf-{vnf}: {:?}",
+                        spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
+                    );
+                }
+            });
+        }
+    });
 }
