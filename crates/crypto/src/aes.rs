@@ -6,6 +6,13 @@
 //! by the affine transform) rather than transcribed, and pinned by the FIPS
 //! 197 known-answer vectors in the tests.
 //!
+//! The state is four big-endian column words. Each full round is 16 lookups
+//! in one 32-bit T-table, derived from the S-box at first use, that fuses
+//! SubBytes and MixColumns (rotations of the entry serve the other three
+//! rows); ShiftRows is the choice of source column. The test module keeps
+//! a byte-oriented key schedule and round (SubBytes, ShiftRows,
+//! MixColumns as separate steps) as a differential oracle.
+//!
 //! This is a table-based implementation; it is not hardened against cache
 //! timing side channels (out of scope for the simulation — see crate docs).
 
@@ -65,6 +72,20 @@ fn sbox() -> &'static [u8; 256] {
     })
 }
 
+/// T[x] = the MixColumns column (2·s, s, s, 3·s) of s = S[x] as a
+/// big-endian word: what a row-0 input byte x contributes to its output
+/// column. Rotating right by 8, 16 and 24 bits gives rows 1, 2 and 3.
+fn t_table() -> &'static [u32; 256] {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let s = sbox();
+        std::array::from_fn(|x| {
+            let v = s[x];
+            u32::from_be_bytes([gf_mul(v, 2), v, v, gf_mul(v, 3)])
+        })
+    })
+}
+
 /// Key size variants supported by [`Aes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AesKeySize {
@@ -75,7 +96,9 @@ pub enum AesKeySize {
 /// An expanded AES encryption key.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; BLOCK]>,
+    /// Big-endian key-schedule words; the first 4·(rounds + 1) are used.
+    round_keys: [u32; 60],
+    rounds: usize,
 }
 
 impl Aes {
@@ -101,56 +124,52 @@ impl Aes {
 
     fn expand(key: &[u8], nk: usize, nr: usize) -> Aes {
         let s = sbox();
-        let total_words = 4 * (nr + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push(key[i * 4..i * 4 + 4].try_into().expect("word"));
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| s[b as usize]));
+        let mut w = [0u32; 60];
+        for (i, word) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("word"));
         }
         let mut rcon = 1u8;
-        for i in nk..total_words {
+        for i in nk..4 * (nr + 1) {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp = [s[temp[1] as usize], s[temp[2] as usize], s[temp[3] as usize], s[temp[0] as usize]];
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ ((rcon as u32) << 24);
                 rcon = gf_mul(rcon, 2);
             } else if nk > 6 && i % nk == 4 {
-                temp = [s[temp[0] as usize], s[temp[1] as usize], s[temp[2] as usize], s[temp[3] as usize]];
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|chunk| {
-                let mut rk = [0u8; BLOCK];
-                for (i, word) in chunk.iter().enumerate() {
-                    rk[i * 4..i * 4 + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys }
+        Aes {
+            round_keys: w,
+            rounds: nr,
+        }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK]) {
-        let s = sbox();
-        let rounds = self.round_keys.len() - 1;
-        xor_block(block, &self.round_keys[0]);
-        for round in 1..rounds {
-            sub_bytes(block, s);
-            shift_rows(block);
-            mix_columns(block);
-            xor_block(block, &self.round_keys[round]);
+        let (t, s) = (t_table(), sbox());
+        let rk = &self.round_keys;
+        let byte = |word: u32, row: usize| ((word >> (24 - 8 * row)) & 0xff) as usize;
+        let mut st: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("word")) ^ rk[c]
+        });
+        for round in 1..self.rounds {
+            // Output column c, row r reads input column c + r (ShiftRows).
+            st = std::array::from_fn(|c| {
+                t[byte(st[c], 0)]
+                    ^ t[byte(st[(c + 1) % 4], 1)].rotate_right(8)
+                    ^ t[byte(st[(c + 2) % 4], 2)].rotate_right(16)
+                    ^ t[byte(st[(c + 3) % 4], 3)].rotate_right(24)
+                    ^ rk[4 * round + c]
+            });
         }
-        sub_bytes(block, s);
-        shift_rows(block);
-        xor_block(block, &self.round_keys[rounds]);
+        // The last round has no MixColumns.
+        for c in 0..4 {
+            let word = u32::from_be_bytes(std::array::from_fn(|r| s[byte(st[(c + r) % 4], r)]))
+                ^ rk[4 * self.rounds + c];
+            block[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
+        }
     }
 
     /// Encrypt and return a copy of the block.
@@ -158,39 +177,6 @@ impl Aes {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out
-    }
-}
-
-fn xor_block(block: &mut [u8; BLOCK], key: &[u8; BLOCK]) {
-    for i in 0..BLOCK {
-        block[i] ^= key[i];
-    }
-}
-
-fn sub_bytes(block: &mut [u8; BLOCK], s: &[u8; 256]) {
-    for b in block.iter_mut() {
-        *b = s[*b as usize];
-    }
-}
-
-// State is column-major: byte index = 4*col + row.
-fn shift_rows(block: &mut [u8; BLOCK]) {
-    let orig = *block;
-    for row in 1..4 {
-        for col in 0..4 {
-            block[4 * col + row] = orig[4 * ((col + row) % 4) + row];
-        }
-    }
-}
-
-fn mix_columns(block: &mut [u8; BLOCK]) {
-    for col in 0..4 {
-        let c = &mut block[4 * col..4 * col + 4];
-        let [a0, a1, a2, a3] = [c[0], c[1], c[2], c[3]];
-        c[0] = gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3;
-        c[1] = a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3;
-        c[2] = a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3);
-        c[3] = gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2);
     }
 }
 
@@ -212,12 +198,150 @@ pub fn ctr_apply(aes: &Aes, nonce: &[u8; 12], initial_counter: u32, data: &mut [
     }
 }
 
+/// The byte-oriented key schedule and round, the differential oracle of the
+/// T-table path.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    fn expand(key: &[u8], nk: usize, nr: usize) -> Vec<[u8; BLOCK]> {
+        let s = sbox();
+        let total_words = 4 * (nr + 1);
+        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
+        for i in 0..nk {
+            w.push(key[i * 4..i * 4 + 4].try_into().expect("word"));
+        }
+        let mut rcon = 1u8;
+        for i in nk..total_words {
+            let mut temp = w[i - 1];
+            if i % nk == 0 {
+                temp = [
+                    s[temp[1] as usize],
+                    s[temp[2] as usize],
+                    s[temp[3] as usize],
+                    s[temp[0] as usize],
+                ];
+                temp[0] ^= rcon;
+                rcon = gf_mul(rcon, 2);
+            } else if nk > 6 && i % nk == 4 {
+                temp = [
+                    s[temp[0] as usize],
+                    s[temp[1] as usize],
+                    s[temp[2] as usize],
+                    s[temp[3] as usize],
+                ];
+            }
+            let prev = w[i - nk];
+            w.push([
+                prev[0] ^ temp[0],
+                prev[1] ^ temp[1],
+                prev[2] ^ temp[2],
+                prev[3] ^ temp[3],
+            ]);
+        }
+        w.chunks_exact(4)
+            .map(|chunk| {
+                let mut rk = [0u8; BLOCK];
+                for (i, word) in chunk.iter().enumerate() {
+                    rk[i * 4..i * 4 + 4].copy_from_slice(word);
+                }
+                rk
+            })
+            .collect()
+    }
+
+    /// Encrypt one block under `key` (16 or 32 bytes).
+    pub fn encrypt(key: &[u8], block: &[u8; BLOCK]) -> [u8; BLOCK] {
+        let round_keys = match key.len() {
+            16 => expand(key, 4, 10),
+            _ => expand(key, 8, 14),
+        };
+        let s = sbox();
+        let mut block = *block;
+        let rounds = round_keys.len() - 1;
+        xor_block(&mut block, &round_keys[0]);
+        for round_key in &round_keys[1..rounds] {
+            sub_bytes(&mut block, s);
+            shift_rows(&mut block);
+            mix_columns(&mut block);
+            xor_block(&mut block, round_key);
+        }
+        sub_bytes(&mut block, s);
+        shift_rows(&mut block);
+        xor_block(&mut block, &round_keys[rounds]);
+        block
+    }
+
+    fn xor_block(block: &mut [u8; BLOCK], key: &[u8; BLOCK]) {
+        for i in 0..BLOCK {
+            block[i] ^= key[i];
+        }
+    }
+
+    fn sub_bytes(block: &mut [u8; BLOCK], s: &[u8; 256]) {
+        for b in block.iter_mut() {
+            *b = s[*b as usize];
+        }
+    }
+
+    // State is column-major: byte index = 4*col + row.
+    fn shift_rows(block: &mut [u8; BLOCK]) {
+        let orig = *block;
+        for row in 1..4 {
+            for col in 0..4 {
+                block[4 * col + row] = orig[4 * ((col + row) % 4) + row];
+            }
+        }
+    }
+
+    fn mix_columns(block: &mut [u8; BLOCK]) {
+        for col in 0..4 {
+            let c = &mut block[4 * col..4 * col + 4];
+            let [a0, a1, a2, a3] = [c[0], c[1], c[2], c[3]];
+            c[0] = gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3;
+            c[1] = a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3;
+            c[2] = a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3);
+            c[3] = gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_aes128_matches_bytewise_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
+            prop_assert_eq!(Aes::new_128(&key).encrypt(&block), oracle::encrypt(&key, &block));
+        }
+
+        #[test]
+        fn prop_aes256_matches_bytewise_oracle(key in any::<[u8; 32]>(), block in any::<[u8; 16]>()) {
+            prop_assert_eq!(Aes::new_256(&key).encrypt(&block), oracle::encrypt(&key, &block));
+        }
+    }
+
+    #[test]
+    fn t_table_matches_bytewise_round_on_every_byte() {
+        // Each byte value in each position, through both key sizes.
+        for key in [&[0x5au8; 16][..], &[0xa5u8; 32][..]] {
+            let aes = Aes::new(key);
+            for v in 0..=255u8 {
+                for pos in 0..BLOCK {
+                    let mut block = [0u8; BLOCK];
+                    block[pos] = v;
+                    assert_eq!(aes.encrypt(&block), oracle::encrypt(key, &block));
+                }
+            }
+        }
     }
 
     #[test]

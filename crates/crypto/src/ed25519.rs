@@ -4,14 +4,26 @@
 //! Verification Manager's CA, SGX quote signatures from the quoting enclave,
 //! IAS report signatures, TLS CertificateVerify — is Ed25519.
 //!
-//! Point arithmetic uses extended twisted-Edwards coordinates with the
-//! unified addition law (complete for a = −1), so a single formula covers
-//! addition and doubling with no exceptional cases. Scalar arithmetic modulo
-//! the group order runs on the [`crate::mpint`] reference integers: correct
-//! and simple; signing performance is dominated by the curve ops anyway.
+//! Points use extended twisted-Edwards coordinates. Addition is the unified
+//! law (complete for a = −1), taken against a cached form of its second
+//! operand; doubling has its own formula (4 squarings, 4 multiplications).
+//! Multiples of the base point B — key generation, signing and the `[S]B`
+//! half of verification — read a signed radix-16 table of j·16²ⁱ·B
+//! (j = 1..8, i = 0..31) derived at first use, so each costs 64 additions
+//! and 4 doublings. Any other point is multiplied with a width-5 sliding
+//! window over its odd multiples P, 3P, …, 15P. Scalars modulo the group
+//! order L are four 64-bit limbs with Barrett reduction.
+//!
+//! Verification rejects S ≥ L, encodings with y ≥ p, and an A or R of small
+//! order (`[8]P` = identity): under the identity key, R = `[r]B` with S = r
+//! would verify over every message without any secret.
+//!
+//! The test module keeps bit-serial double-and-add over the unified law and
+//! bignum scalars as a differential oracle: keys and signatures must match
+//! it bit for bit.
 
 use crate::field25519::Fe;
-use crate::mpint::MpInt;
+use crate::scalar25519;
 use crate::sha2::{sha512, Sha512};
 use std::sync::OnceLock;
 
@@ -42,11 +54,32 @@ pub struct Point {
     t: Fe,
 }
 
+/// A point prepared as the second operand of an addition:
+/// (Y + X, Y − X, 2Z, 2d·T).
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z2: Fe,
+    t2d: Fe,
+}
+
+impl Cached {
+    /// −P = (−X : Y : Z : −T): swap Y ± X and negate T.
+    fn neg(&self) -> Cached {
+        Cached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z2: self.z2,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
 struct Curve {
     d: Fe,
     d2: Fe,
     base: Point,
-    order: MpInt,
 }
 
 fn curve() -> &'static Curve {
@@ -57,23 +90,93 @@ fn curve() -> &'static Curve {
             .neg()
             .mul(&Fe::from_u64(121_666).invert());
         let d2 = d.add(&d);
-        // Group order L = 2^252 + 27742317777372353535851937790883648493.
-        let order = MpInt::from_u64(1).shl(252).add(&MpInt::from_be_bytes(&[
-            0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5,
-            0xd3, 0xed,
-        ]));
         // Base point: y = 4/5, x chosen non-negative (sign bit 0).
         let y = Fe::from_u64(4).mul(&Fe::from_u64(5).invert());
         let mut enc = y.to_bytes();
         enc[31] &= 0x7f; // sign bit 0
         let base = decompress_with_d(&enc, &d).expect("base point decompression");
-        Curve {
-            d,
-            d2,
-            base,
-            order,
-        }
+        Curve { d, d2, base }
     })
+}
+
+/// Row i holds `[j·16²ⁱ]B` for j = 1..8, derived on first use.
+fn base_table() -> &'static [[Cached; 8]] {
+    static TABLE: OnceLock<Vec<[Cached; 8]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut row_base = Point::base();
+        (0..32)
+            .map(|_| {
+                let row_cached = row_base.cached();
+                let mut multiple = row_base;
+                let row = std::array::from_fn(|_| {
+                    let entry = multiple.cached();
+                    multiple = multiple.add_cached(&row_cached);
+                    entry
+                });
+                for _ in 0..8 {
+                    row_base = row_base.double();
+                }
+                row
+            })
+            .collect()
+    })
+}
+
+/// Signed radix-16 digits of a scalar below 2²⁵⁵: a = Σ eᵢ·16ⁱ with
+/// eᵢ ∈ [−8, 8) and the top digit in [0, 8].
+fn radix16(a: &[u8; 32]) -> [i8; 64] {
+    debug_assert!(a[31] <= 127, "radix16 needs a scalar below 2^255");
+    let mut e = [0i8; 64];
+    for (i, &byte) in a.iter().enumerate() {
+        e[2 * i] = (byte & 15) as i8;
+        e[2 * i + 1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0i8;
+    for digit in e.iter_mut().take(63) {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    e[63] += carry;
+    e
+}
+
+/// Width-5 sliding-window digits of a 256-bit scalar: a = Σ rᵢ·2ⁱ with
+/// every nonzero rᵢ odd in [−15, 15] (one extra position takes the carry
+/// out of bit 255).
+fn slide(a: &[u8; 32]) -> [i8; 257] {
+    let mut r = [0i8; 257];
+    for (i, bit) in r.iter_mut().take(256).enumerate() {
+        *bit = ((a[i / 8] >> (i % 8)) & 1) as i8;
+    }
+    for i in 0..257 {
+        if r[i] == 0 {
+            continue;
+        }
+        for b in 1..=6.min(256 - i) {
+            if r[i + b] == 0 {
+                continue;
+            }
+            let step = r[i + b] << b;
+            if r[i] + step <= 15 {
+                r[i] += step;
+                r[i + b] = 0;
+            } else if r[i] - step >= -15 {
+                r[i] -= step;
+                // Carry 2^(i+b) into the next zero position.
+                for carry in r[i + b..].iter_mut() {
+                    if *carry == 0 {
+                        *carry = 1;
+                        break;
+                    }
+                    *carry = 0;
+                }
+            } else {
+                break;
+            }
+        }
+    }
+    r
 }
 
 impl Point {
@@ -92,14 +195,22 @@ impl Point {
         curve().base
     }
 
-    /// Unified point addition (complete for a = −1 twisted Edwards curves,
-    /// so it also serves as doubling).
-    pub fn add(&self, other: &Point) -> Point {
-        let c2d = curve().d2;
-        let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(&c2d).mul(&other.t);
-        let d = self.z.add(&self.z).mul(&other.z);
+    fn cached(&self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z2: self.z.add(&self.z),
+            t2d: self.t.mul(&curve().d2),
+        }
+    }
+
+    /// The unified addition law (complete for a = −1 twisted Edwards
+    /// curves) against a cached second operand.
+    fn add_cached(&self, other: &Cached) -> Point {
+        let a = self.y.sub(&self.x).mul(&other.y_minus_x);
+        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let c = self.t.mul(&other.t2d);
+        let d = self.z.mul(&other.z2);
         let e = b.sub(&a);
         let f = d.sub(&c);
         let g = d.add(&c);
@@ -112,17 +223,84 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication by a 32-byte little-endian scalar
-    /// (double-and-add over the unified law; not constant-time, see crate docs).
+    /// `self + [digit]·P`, where `multiples` caches P, (1 + step)·P,
+    /// (1 + 2·step)·P, … (step 1 for the fixed-base rows, 2 for the odd
+    /// multiples of the sliding window).
+    fn add_digit(&self, multiples: &[Cached; 8], digit: i8, step: usize) -> Point {
+        if digit == 0 {
+            return *self;
+        }
+        let entry = &multiples[(digit.unsigned_abs() as usize - 1) / step];
+        if digit > 0 {
+            self.add_cached(entry)
+        } else {
+            self.add_cached(&entry.neg())
+        }
+    }
+
+    /// Unified point addition (complete for a = −1 twisted Edwards curves,
+    /// so it also serves as doubling).
+    pub fn add(&self, other: &Point) -> Point {
+        self.add_cached(&other.cached())
+    }
+
+    /// Point doubling (a = −1 extended coordinates: 4 squarings, 4
+    /// multiplications), complete for every point on the curve.
+    fn double(&self) -> Point {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let e = self.x.add(&self.y).square().sub(&xx).sub(&yy); // 2XY
+        let g = yy.sub(&xx); // Y² − X²
+        let h = yy.add(&xx); // Y² + X²
+        let f = zz.add(&zz).sub(&g); // 2Z² − Y² + X²
+        Point {
+            x: e.mul(&f),
+            y: g.mul(&h),
+            t: e.mul(&h),
+            z: f.mul(&g),
+        }
+    }
+
+    /// Scalar multiplication by a 32-byte little-endian scalar (width-5
+    /// sliding window; not constant-time, see crate docs).
     pub fn scalar_mul(&self, scalar_le: &[u8; 32]) -> Point {
+        let p2 = self.double().cached();
+        let mut odd = *self;
+        let odd_multiples: [Cached; 8] = std::array::from_fn(|_| {
+            let entry = odd.cached();
+            odd = odd.add_cached(&p2);
+            entry
+        });
+        let digits = slide(scalar_le);
         let mut acc = Point::identity();
-        for bit in (0..256).rev() {
-            acc = acc.add(&acc);
-            if (scalar_le[bit / 8] >> (bit % 8)) & 1 == 1 {
-                acc = acc.add(self);
-            }
+        for &digit in digits.iter().rev().skip_while(|&&d| d == 0) {
+            acc = acc.double();
+            acc = acc.add_digit(&odd_multiples, digit, 2);
         }
         acc
+    }
+
+    /// `[a]B` for a scalar below 2²⁵⁵, from the fixed-base table: with
+    /// a = Σ eᵢ·16ⁱ, the odd-indexed digits are summed, multiplied by 16,
+    /// and the even-indexed ones added.
+    fn mul_base(scalar_le: &[u8; 32]) -> Point {
+        let digits = radix16(scalar_le);
+        let table = base_table();
+        let mut acc = Point::identity();
+        for i in (1..64).step_by(2) {
+            acc = acc.add_digit(&table[i / 2], digits[i], 1);
+        }
+        acc = acc.double().double().double().double();
+        for i in (0..64).step_by(2) {
+            acc = acc.add_digit(&table[i / 2], digits[i], 1);
+        }
+        acc
+    }
+
+    /// Whether `[8]P` is the identity, i.e. P lies in the 8-torsion subgroup.
+    fn is_small_order(&self) -> bool {
+        self.double().double().double().equals(&Point::identity())
     }
 
     /// Compress to the 32-byte encoding: y with the sign of x in bit 255.
@@ -180,27 +358,6 @@ fn decompress_with_d(bytes: &[u8; 32], d: &Fe) -> Option<Point> {
     })
 }
 
-/// Reduce a 64-byte hash output modulo the group order L.
-fn reduce_wide(bytes: &[u8; 64]) -> [u8; 32] {
-    MpInt::from_le_bytes(bytes)
-        .rem(&curve().order)
-        .to_le_bytes(32)
-        .try_into()
-        .expect("32 bytes")
-}
-
-/// (a*b + c) mod L over little-endian 32-byte scalars.
-fn mul_add(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) -> [u8; 32] {
-    let order = &curve().order;
-    MpInt::from_le_bytes(a)
-        .mul(&MpInt::from_le_bytes(b))
-        .add(&MpInt::from_le_bytes(c))
-        .rem(order)
-        .to_le_bytes(32)
-        .try_into()
-        .expect("32 bytes")
-}
-
 fn clamp_scalar(mut a: [u8; 32]) -> [u8; 32] {
     a[0] &= 248;
     a[31] &= 127;
@@ -223,7 +380,7 @@ impl SigningKey {
         let h = sha512(seed);
         let scalar = clamp_scalar(h[..32].try_into().expect("32"));
         let prefix: [u8; 32] = h[32..].try_into().expect("32");
-        let public = Point::base().scalar_mul(&scalar).compress();
+        let public = Point::mul_base(&scalar).compress();
         SigningKey {
             seed: *seed,
             scalar,
@@ -244,13 +401,13 @@ impl SigningKey {
     pub fn sign(&self, message: &[u8]) -> [u8; SIG_LEN] {
         let mut h = Sha512::new();
         h.update(&self.prefix).update(message);
-        let r_scalar = reduce_wide(&h.finalize());
-        let r_point = Point::base().scalar_mul(&r_scalar).compress();
+        let r_scalar = scalar25519::reduce_wide(&h.finalize());
+        let r_point = Point::mul_base(&r_scalar).compress();
 
         let mut h = Sha512::new();
         h.update(&r_point).update(&self.public).update(message);
-        let k = reduce_wide(&h.finalize());
-        let s = mul_add(&k, &self.scalar, &r_scalar);
+        let k = scalar25519::reduce_wide(&h.finalize());
+        let s = scalar25519::mul_add(&k, &self.scalar, &r_scalar);
 
         let mut sig = [0u8; SIG_LEN];
         sig[..32].copy_from_slice(&r_point);
@@ -291,18 +448,23 @@ impl VerifyingKey {
         let r_bytes: [u8; 32] = signature[..32].try_into().expect("32");
         let s_bytes: [u8; 32] = signature[32..].try_into().expect("32");
         // Reject S >= L (signature malleability).
-        if MpInt::from_le_bytes(&s_bytes).cmp_to(&curve().order) != std::cmp::Ordering::Less {
+        if !scalar25519::is_canonical(&s_bytes) {
             return Err(SignatureError);
         }
         let a = Point::decompress(&self.bytes).ok_or(SignatureError)?;
         let r = Point::decompress(&r_bytes).ok_or(SignatureError)?;
+        // Reject small-order A and R: under the identity key, R = [r]B with
+        // S = r satisfies the equation below for every message.
+        if a.is_small_order() || r.is_small_order() {
+            return Err(SignatureError);
+        }
 
         let mut h = Sha512::new();
         h.update(&r_bytes).update(&self.bytes).update(message);
-        let k = reduce_wide(&h.finalize());
+        let k = scalar25519::reduce_wide(&h.finalize());
 
         // Check [S]B == R + [k]A.
-        let lhs = Point::base().scalar_mul(&s_bytes);
+        let lhs = Point::mul_base(&s_bytes);
         let rhs = r.add(&a.scalar_mul(&k));
         if lhs.equals(&rhs) {
             Ok(())
@@ -312,9 +474,74 @@ impl VerifyingKey {
     }
 }
 
+/// Bit-serial double-and-add over the unified law and `MpInt` scalars: the
+/// differential oracle of the table and window paths. Its `verify` has no
+/// small-order check, so it shows which forgeries that check stops.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::mpint::MpInt;
+    use crate::scalar25519::oracle::{mul_add, order, reduce_wide};
+
+    pub fn scalar_mul(p: &Point, scalar_le: &[u8; 32]) -> Point {
+        let mut acc = Point::identity();
+        for bit in (0..256).rev() {
+            acc = acc.add(&acc);
+            if (scalar_le[bit / 8] >> (bit % 8)) & 1 == 1 {
+                acc = acc.add(p);
+            }
+        }
+        acc
+    }
+
+    fn expand(seed: &[u8; 32]) -> ([u8; 32], [u8; 32], [u8; 32]) {
+        let h = sha512(seed);
+        let scalar = clamp_scalar(h[..32].try_into().unwrap());
+        let public = scalar_mul(&Point::base(), &scalar).compress();
+        (scalar, h[32..].try_into().unwrap(), public)
+    }
+
+    pub fn public_key(seed: &[u8; 32]) -> [u8; 32] {
+        expand(seed).2
+    }
+
+    pub fn sign(seed: &[u8; 32], message: &[u8]) -> [u8; 64] {
+        let (scalar, prefix, public) = expand(seed);
+        let mut h = Sha512::new();
+        h.update(&prefix).update(message);
+        let r_scalar = reduce_wide(&h.finalize());
+        let r_point = scalar_mul(&Point::base(), &r_scalar).compress();
+        let mut h = Sha512::new();
+        h.update(&r_point).update(&public).update(message);
+        let k = reduce_wide(&h.finalize());
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_point);
+        sig[32..].copy_from_slice(&mul_add(&k, &scalar, &r_scalar));
+        sig
+    }
+
+    pub fn verify(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
+        let r_bytes: [u8; 32] = signature[..32].try_into().unwrap();
+        let s_bytes: [u8; 32] = signature[32..].try_into().unwrap();
+        if MpInt::from_le_bytes(&s_bytes).cmp_to(&order()) != std::cmp::Ordering::Less {
+            return false;
+        }
+        let (Some(a), Some(r)) = (Point::decompress(public), Point::decompress(&r_bytes)) else {
+            return false;
+        };
+        let mut h = Sha512::new();
+        h.update(&r_bytes).update(public).update(message);
+        let k = reduce_wide(&h.finalize());
+        scalar_mul(&Point::base(), &s_bytes).equals(&r.add(&scalar_mul(&a, &k)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mpint::MpInt;
+    use crate::scalar25519::oracle::order;
+    use proptest::prelude::*;
 
     fn hex32(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -395,13 +622,149 @@ mod tests {
     fn rejects_high_s_malleability() {
         let key = SigningKey::from_seed(&[9u8; 32]);
         let mut sig = key.sign(b"msg");
-        // Add L to S: produces an equivalent-but-non-canonical signature.
-        let order = curve().order.clone();
-        let s = MpInt::from_le_bytes(&sig[32..]);
-        let high_s = s.add(&order);
-        if high_s.bit_length() <= 256 {
-            sig[32..].copy_from_slice(&high_s.to_le_bytes(32));
-            assert!(key.public_key().verify(b"msg", &sig).is_err());
+        // Add L to S: an equivalent but non-canonical signature. S < L, so
+        // S + L < 2^254 always fits the 32-byte field.
+        let high_s = MpInt::from_le_bytes(&sig[32..]).add(&order());
+        sig[32..].copy_from_slice(&high_s.to_le_bytes(32));
+        assert!(key.public_key().verify(b"msg", &sig).is_err());
+    }
+
+    #[test]
+    fn rejects_s_equal_to_order() {
+        let key = SigningKey::from_seed(&[9u8; 32]);
+        let mut sig = key.sign(b"msg");
+        sig[32..].copy_from_slice(&order().to_le_bytes(32));
+        assert!(key.public_key().verify(b"msg", &sig).is_err());
+    }
+
+    /// A curve point with y < 19 that is not of small order, and the
+    /// non-canonical encoding of its y + p (which still fits in 255 bits).
+    fn point_with_non_canonical_twin() -> ([u8; 32], [u8; 32]) {
+        for y in 2u8..19 {
+            let mut canonical = [0u8; 32];
+            canonical[0] = y;
+            let Some(p) = Point::decompress(&canonical) else {
+                continue;
+            };
+            if p.is_small_order() {
+                continue;
+            }
+            let twin: [u8; 32] = MpInt::from_u64(y as u64)
+                .add(&crate::field25519::prime())
+                .to_le_bytes(32)
+                .try_into()
+                .unwrap();
+            return (canonical, twin);
+        }
+        panic!("no curve point with a small y");
+    }
+
+    #[test]
+    fn rejects_non_canonical_a_and_r() {
+        let (canonical, twin) = point_with_non_canonical_twin();
+        assert!(Point::decompress(&canonical).is_some());
+        assert!(Point::decompress(&twin).is_none());
+        let key = SigningKey::from_seed(&[4u8; 32]);
+        let sig = key.sign(b"msg");
+        // As A.
+        assert!(VerifyingKey::from_bytes(&twin)
+            .verify(b"msg", &sig)
+            .is_err());
+        // As R.
+        let mut bad = sig;
+        bad[..32].copy_from_slice(&twin);
+        assert!(key.public_key().verify(b"msg", &bad).is_err());
+    }
+
+    /// The eight encodings of the points of order dividing 8, derived as the
+    /// multiples of `[L]P` for a point P with an order-8 component.
+    fn small_order_encodings() -> Vec<[u8; 32]> {
+        let l: [u8; 32] = order().to_le_bytes(32).try_into().unwrap();
+        for y in 2u8..=255 {
+            let mut enc = [0u8; 32];
+            enc[0] = y;
+            let Some(p) = Point::decompress(&enc) else {
+                continue;
+            };
+            let t = p.scalar_mul(&l);
+            if t.double().double().equals(&Point::identity()) {
+                continue; // order divides 4
+            }
+            let mut out = Vec::new();
+            let mut multiple = Point::identity();
+            for _ in 0..8 {
+                out.push(multiple.compress());
+                multiple = multiple.add(&t);
+            }
+            out.sort();
+            out.dedup();
+            assert_eq!(out.len(), 8);
+            return out;
+        }
+        panic!("no point with an order-8 component");
+    }
+
+    #[test]
+    fn small_order_points_are_detected() {
+        let encodings = small_order_encodings();
+        assert!(encodings.contains(&{
+            let mut identity = [0u8; 32];
+            identity[0] = 1;
+            identity
+        }));
+        for enc in &encodings {
+            assert!(Point::decompress(enc).unwrap().is_small_order());
+        }
+        assert!(!Point::base().is_small_order());
+    }
+
+    #[test]
+    fn rejects_small_order_public_keys() {
+        // Under a small-order A, pick r until [k]A is the identity (one try
+        // in at most eight); then R = [r]B, S = r satisfies [S]B = R + [k]A
+        // with no secret at all. The previous verifier accepted these.
+        for a_bytes in small_order_encodings() {
+            let a = Point::decompress(&a_bytes).unwrap();
+            let forged = (1u8..=255)
+                .find_map(|r| {
+                    let mut r_scalar = [0u8; 32];
+                    r_scalar[0] = r;
+                    let r_point = Point::mul_base(&r_scalar).compress();
+                    let mut h = Sha512::new();
+                    h.update(&r_point).update(&a_bytes).update(b"any message");
+                    let k = scalar25519::reduce_wide(&h.finalize());
+                    a.scalar_mul(&k).equals(&Point::identity()).then(|| {
+                        let mut sig = [0u8; 64];
+                        sig[..32].copy_from_slice(&r_point);
+                        sig[32..].copy_from_slice(&r_scalar);
+                        sig
+                    })
+                })
+                .expect("a forgeable r");
+            assert!(oracle::verify(&a_bytes, b"any message", &forged));
+            let key = VerifyingKey::from_bytes(&a_bytes);
+            assert!(key.verify(b"any message", &forged).is_err());
+        }
+    }
+
+    #[test]
+    fn rejects_small_order_r() {
+        // With R of small order the signer can still solve for S when
+        // R is the identity: S = k·a. Every small-order R is refused.
+        let key = SigningKey::from_seed(&[6u8; 32]);
+        for r_bytes in small_order_encodings() {
+            let mut h = Sha512::new();
+            h.update(&r_bytes)
+                .update(key.public_key().as_bytes())
+                .update(b"m");
+            let k = scalar25519::reduce_wide(&h.finalize());
+            let mut sig = [0u8; 64];
+            sig[..32].copy_from_slice(&r_bytes);
+            sig[32..].copy_from_slice(&scalar25519::mul_add(&k, &key.scalar, &[0; 32]));
+            if r_bytes[0] == 1 && r_bytes[1..] == [0; 31] {
+                assert!(oracle::verify(key.public_key().as_bytes(), b"m", &sig));
+            }
+            assert!(key.public_key().verify(b"m", &sig).is_err());
         }
     }
 
@@ -424,9 +787,115 @@ mod tests {
 
     #[test]
     fn order_times_base_is_identity() {
-        let l: [u8; 32] = curve().order.to_le_bytes(32).try_into().unwrap();
+        let l: [u8; 32] = order().to_le_bytes(32).try_into().unwrap();
         let lb = Point::base().scalar_mul(&l);
         assert!(lb.equals(&Point::identity()));
+    }
+
+    #[test]
+    fn doubling_matches_unified_addition() {
+        let mut p = Point::base();
+        for _ in 0..16 {
+            assert!(p.double().equals(&p.add(&p)));
+            p = p.add(&Point::base());
+        }
+        assert!(Point::identity().double().equals(&Point::identity()));
+    }
+
+    #[test]
+    fn fixed_base_edges_match_oracle() {
+        // Digits at the limits of the signed radix-16 recoding: all 8s, all
+        // 7s, all 15s (every digit carries), the largest scalar below 2^255,
+        // L − 1 and a lone top digit.
+        let one = MpInt::from_u64(1);
+        let mut cases = vec![[0u8; 32], [0x88; 32], [0x77; 32], [0xff; 32], [0x80; 32]];
+        for case in cases.iter_mut() {
+            case[31] &= 0x7f;
+        }
+        cases.push(order().sub(&one).to_le_bytes(32).try_into().unwrap());
+        let mut top = [0u8; 32];
+        top[31] = 0x70;
+        cases.push(top);
+        for scalar in &cases {
+            let expected = oracle::scalar_mul(&Point::base(), scalar).compress();
+            assert_eq!(
+                Point::mul_base(scalar).compress(),
+                expected,
+                "{scalar:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn variable_base_edges_match_oracle() {
+        // The sliding window's carry reaches the 257th digit for scalars
+        // with bit 255 set.
+        let p = Point::base().double().add(&Point::base());
+        for scalar in [[0u8; 32], [0xff; 32], [0x80; 32], [0x55; 32], [0xaa; 32]] {
+            let expected = oracle::scalar_mul(&p, &scalar).compress();
+            assert_eq!(p.scalar_mul(&scalar).compress(), expected, "{scalar:02x?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_keygen_matches_oracle(seed in any::<[u8; 32]>()) {
+            let key = SigningKey::from_seed(&seed);
+            prop_assert_eq!(*key.public_key().as_bytes(), oracle::public_key(&seed));
+        }
+
+        #[test]
+        fn prop_sign_matches_oracle(
+            seed in any::<[u8; 32]>(),
+            message in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            let sig = SigningKey::from_seed(&seed).sign(&message);
+            prop_assert_eq!(sig.to_vec(), oracle::sign(&seed, &message).to_vec());
+        }
+
+        #[test]
+        fn prop_verify_matches_oracle_under_bit_flips(
+            seed in any::<[u8; 32]>(),
+            message in proptest::collection::vec(any::<u8>(), 0..1024),
+            flip in 0usize..(8 * (SIG_LEN + KEY_LEN) + 1),
+        ) {
+            // Flip one bit of the signature, of the public key, or (the last
+            // position) nothing; both verifiers must agree.
+            let key = SigningKey::from_seed(&seed);
+            let mut sig = key.sign(&message);
+            let mut public = *key.public_key().as_bytes();
+            if flip < 8 * SIG_LEN {
+                sig[flip / 8] ^= 1 << (flip % 8);
+            } else if flip < 8 * (SIG_LEN + KEY_LEN) {
+                let bit = flip - 8 * SIG_LEN;
+                public[bit / 8] ^= 1 << (bit % 8);
+            }
+            let fast = VerifyingKey::from_bytes(&public).verify(&message, &sig).is_ok();
+            prop_assert_eq!(fast, oracle::verify(&public, &message, &sig));
+            prop_assert_eq!(fast, flip == 8 * (SIG_LEN + KEY_LEN));
+        }
+
+        #[test]
+        fn prop_scalar_mul_matches_oracle(
+            base_scalar in any::<[u8; 32]>(),
+            scalar in any::<[u8; 32]>(),
+            torsion in 0usize..8,
+        ) {
+            // Points inside and outside the prime-order subgroup, full
+            // 256-bit scalars.
+            let mut base_scalar = base_scalar;
+            base_scalar[31] &= 0x7f;
+            let mut p = Point::mul_base(&base_scalar);
+            let t = small_order_encodings()[torsion];
+            p = p.add(&Point::decompress(&t).unwrap());
+            prop_assert_eq!(p.scalar_mul(&scalar).compress(), oracle::scalar_mul(&p, &scalar).compress());
+            prop_assert_eq!(
+                Point::mul_base(&base_scalar).compress(),
+                oracle::scalar_mul(&Point::base(), &base_scalar).compress()
+            );
+        }
     }
 
     #[test]

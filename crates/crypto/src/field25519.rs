@@ -2,11 +2,16 @@
 //!
 //! Elements are held in radix-2⁵¹ with five `u64` limbs (the classic
 //! "donna" representation): products fit in `u128` and carries are cheap.
-//! The test module cross-checks every operation against the slow-but-obvious
-//! [`crate::mpint`] reference with property tests, so the limb tricks cannot
-//! silently diverge from the mathematics.
+//! Squaring has its own formula (15 limb products instead of 25), inversion
+//! and the square-root exponent use the standard 254-squaring addition
+//! chain, and √−1 is computed once. The test module cross-checks every
+//! operation against the slow-but-obvious [`crate::mpint`] reference, and
+//! `square`/`invert`/`pow_p58` against `mul` and the generic [`Fe::pow`],
+//! with property tests, so the limb tricks cannot silently diverge from the
+//! mathematics.
 
 use crate::mpint::MpInt;
+use std::sync::OnceLock;
 
 const MASK: u64 = (1 << 51) - 1;
 /// 2p in radix-2⁵¹, used as a bias so subtraction never underflows.
@@ -163,8 +168,11 @@ impl Fe {
         let r3 =
             m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
         let r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
+        Fe::carry_wide([r0, r1, r2, r3, r4])
+    }
 
-        // Carry the 128-bit accumulators down to 51-bit limbs.
+    /// Carry 128-bit limb accumulators down to 51-bit limbs.
+    fn carry_wide([r0, r1, r2, r3, r4]: [u128; 5]) -> Fe {
         let mut out = [0u64; 5];
         let mut c: u128;
         c = r0 >> 51;
@@ -189,7 +197,26 @@ impl Fe {
     }
 
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        let a = &self.0;
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let (a0_2, a1_2) = (2 * a[0], 2 * a[1]);
+        let (a1_38, a2_38, a3_38) = (38 * a[1], 38 * a[2], 38 * a[3]);
+        let (a3_19, a4_19) = (19 * a[3], 19 * a[4]);
+        let r0 = m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]);
+        let r1 = m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]);
+        let r2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]);
+        let r3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]);
+        let r4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::carry_wide([r0, r1, r2, r3, r4])
+    }
+
+    /// k repeated squarings, a^(2^k).
+    fn pow2k(&self, k: u32) -> Fe {
+        let mut r = *self;
+        for _ in 0..k {
+            r = r.square();
+        }
+        r
     }
 
     /// Exponentiation by a little-endian byte exponent (not constant-time;
@@ -205,22 +232,36 @@ impl Fe {
         result
     }
 
-    /// Multiplicative inverse via Fermat: a^(p−2). Inverse of zero is zero.
-    pub fn invert(&self) -> Fe {
-        // p - 2 = 2^255 - 21, little-endian bytes: eb ff .. ff 7f
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow(&exp)
+    /// a^(2^250 − 1) and a^11, the shared prefix of the `invert` and
+    /// `pow_p58` addition chains (254 squarings and 11 multiplications in
+    /// total for either).
+    fn pow22501(&self) -> (Fe, Fe) {
+        let t2 = self.square(); // 2
+        let t9 = t2.pow2k(2).mul(self); // 9
+        let t11 = t9.mul(&t2); // 11
+        let t_5_0 = t11.square().mul(&t9); // 2^5 − 1
+        let t_10_0 = t_5_0.pow2k(5).mul(&t_5_0); // 2^10 − 1
+        let t_20_0 = t_10_0.pow2k(10).mul(&t_10_0); // 2^20 − 1
+        let t_40_0 = t_20_0.pow2k(20).mul(&t_20_0); // 2^40 − 1
+        let t_50_0 = t_40_0.pow2k(10).mul(&t_10_0); // 2^50 − 1
+        let t_100_0 = t_50_0.pow2k(50).mul(&t_50_0); // 2^100 − 1
+        let t_200_0 = t_100_0.pow2k(100).mul(&t_100_0); // 2^200 − 1
+        let t_250_0 = t_200_0.pow2k(50).mul(&t_50_0); // 2^250 − 1
+        (t_250_0, t11)
     }
 
-    /// a^((p−5)/8), the core of the square-root-of-ratio computation.
+    /// Multiplicative inverse via Fermat: a^(p−2) = a^(2^255 − 21). Inverse
+    /// of zero is zero.
+    pub fn invert(&self) -> Fe {
+        let (t_250_0, t11) = self.pow22501();
+        t_250_0.pow2k(5).mul(&t11)
+    }
+
+    /// a^((p−5)/8) = a^(2^252 − 3), the core of the square-root-of-ratio
+    /// computation.
     pub fn pow_p58(&self) -> Fe {
-        // (p - 5) / 8 = 2^252 - 3, little-endian bytes: fd ff .. ff 0f
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow(&exp)
+        let (t_250_0, _) = self.pow22501();
+        t_250_0.pow2k(2).mul(self)
     }
 
     pub fn is_zero(&self) -> bool {
@@ -233,14 +274,17 @@ impl Fe {
         self.to_bytes()[0] & 1 == 1
     }
 
-    /// √−1 mod p (one of the two roots).
+    /// √−1 mod p (one of the two roots), computed on first use.
     pub fn sqrt_m1() -> Fe {
-        // 2^((p-1)/4): (p-1)/4 = (2^255 - 20)/4 = 2^253 - 5,
-        // little-endian bytes: fb ff .. ff 1f
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        Fe::from_u64(2).pow(&exp)
+        static SQRT_M1: OnceLock<Fe> = OnceLock::new();
+        *SQRT_M1.get_or_init(|| {
+            // 2^((p-1)/4): (p-1)/4 = (2^255 - 20)/4 = 2^253 - 5,
+            // little-endian bytes: fb ff .. ff 1f
+            let mut exp = [0xffu8; 32];
+            exp[0] = 0xfb;
+            exp[31] = 0x1f;
+            Fe::from_u64(2).pow(&exp)
+        })
     }
 
     /// Compute √(u/v) if it exists.
@@ -291,6 +335,43 @@ mod tests {
 
     fn random_fe_strategy() -> impl Strategy<Value = [u8; 32]> {
         proptest::array::uniform32(any::<u8>())
+    }
+
+    // Generic-`pow` exponentiations: the differential oracle of the
+    // addition chains.
+    fn invert_by_pow(a: &Fe) -> Fe {
+        // p - 2 = 2^255 - 21, little-endian bytes: eb ff .. ff 7f
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xeb;
+        exp[31] = 0x7f;
+        a.pow(&exp)
+    }
+
+    fn pow_p58_by_pow(a: &Fe) -> Fe {
+        // (p - 5) / 8 = 2^252 - 3, little-endian bytes: fd ff .. ff 0f
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfd;
+        exp[31] = 0x0f;
+        a.pow(&exp)
+    }
+
+    /// Field elements at the edges of the limb representation: 0, 1, p − 1,
+    /// the non-canonical p and 2^255 − 1, and all-ones limbs.
+    fn edge_elements() -> Vec<Fe> {
+        let mut out = vec![Fe::ZERO, Fe::ONE, Fe::ONE.neg(), Fe([MASK; 5])];
+        let p: [u8; 32] = prime().to_le_bytes(32).try_into().unwrap();
+        out.push(Fe::from_bytes(&p));
+        out.push(Fe::from_bytes(&[0xff; 32]));
+        out
+    }
+
+    #[test]
+    fn fast_paths_match_oracle_on_edges() {
+        for a in edge_elements() {
+            assert_eq!(a.square().to_bytes(), a.mul(&a).to_bytes());
+            assert_eq!(a.invert().to_bytes(), invert_by_pow(&a).to_bytes());
+            assert_eq!(a.pow_p58().to_bytes(), pow_p58_by_pow(&a).to_bytes());
+        }
     }
 
     #[test]
@@ -397,6 +478,21 @@ mod tests {
             let (fa, fb) = (Fe::from_bytes(&a), Fe::from_bytes(&b));
             let expected = fa.to_mpint().mul(&fb.to_mpint()).rem(&prime());
             prop_assert_eq!(fa.mul(&fb).to_mpint(), expected);
+        }
+
+        #[test]
+        fn prop_square_matches_mul(a in random_fe_strategy(), b in random_fe_strategy()) {
+            // Also square a product, whose limbs are looser than a load's.
+            for x in [Fe::from_bytes(&a), Fe::from_bytes(&a).mul(&Fe::from_bytes(&b))] {
+                prop_assert_eq!(x.square().to_bytes(), x.mul(&x).to_bytes());
+            }
+        }
+
+        #[test]
+        fn prop_invert_and_pow_p58_match_pow(a in random_fe_strategy()) {
+            let fa = Fe::from_bytes(&a);
+            prop_assert_eq!(fa.invert().to_bytes(), invert_by_pow(&fa).to_bytes());
+            prop_assert_eq!(fa.pow_p58().to_bytes(), pow_p58_by_pow(&fa).to_bytes());
         }
 
         #[test]

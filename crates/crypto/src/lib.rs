@@ -8,15 +8,20 @@
 //! - [`aes`] / [`gcm`] — AES-128/256 in CTR and GCM modes
 //! - [`chacha`] — ChaCha20-Poly1305
 //! - [`x25519`] — Diffie–Hellman key agreement
-//! - [`ed25519`] — signatures
+//! - [`ed25519`] — signatures (fixed-base table for B, sliding window for
+//!   other points, fixed-width scalars mod L)
 //! - [`drbg`] — HMAC-DRBG and OS entropy
 //! - [`ct`] — constant-time comparison and wiping
-//! - [`mpint`] — the bignum helper backing scalar arithmetic and constant
-//!   derivation
+//! - [`mpint`] — the bignum helper that derives the SHA-2 constants and
+//!   serves the tests as the reference for field and scalar arithmetic
 //!
 //! Every primitive is pinned by the published test vectors of its RFC/NIST
-//! specification, and the Curve25519 field arithmetic is additionally
-//! cross-checked against the bignum reference by property tests.
+//! specification. The fast paths — T-table AES, 4-bit GHASH, the Ed25519
+//! tables and windows, Barrett scalars, the field's squaring and addition
+//! chains — are additionally property-tested against straightforward
+//! implementations that the test modules keep as oracles (bit-serial
+//! double-and-add, bignum scalars, the byte-oriented AES round, bit-serial
+//! GHASH, generic-exponent inversion).
 //!
 //! ## Threat model of the simulation
 //!
@@ -40,6 +45,7 @@ pub mod gcm;
 pub mod hkdf;
 pub mod hmac;
 pub mod mpint;
+mod scalar25519;
 pub mod sha2;
 pub mod util;
 pub mod x25519;

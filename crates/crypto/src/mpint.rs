@@ -4,12 +4,13 @@
 //!
 //! 1. deriving the SHA-2 round constants (cube/square roots of primes at
 //!    192-bit precision), so that no constant table is transcribed by hand;
-//! 2. Ed25519 scalar arithmetic modulo the group order `L` (reduction of
-//!    512-bit hash outputs, and `S = r + k*a mod L`).
+//! 2. the tests of the Curve25519 field and of the Ed25519 scalars modulo
+//!    the group order `L`, which check the fixed-width limb code against
+//!    this obvious reference.
 //!
 //! The representation is a little-endian `Vec<u64>` with no trailing zero
 //! limbs. Operations are schoolbook (O(n²)); all operands in this crate are
-//! at most 8 limbs, so this is never a bottleneck. None of these operations
+//! at most 16 limbs, and none sits on a hot path. None of these operations
 //! are constant-time; see the crate docs for the threat model of the
 //! simulation.
 

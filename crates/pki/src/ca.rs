@@ -366,6 +366,7 @@ impl std::fmt::Debug for CertificateAuthority {
 mod tests {
     use super::*;
     use vnfguard_crypto::drbg::HmacDrbg;
+    use vnfguard_crypto::ed25519::Point;
 
     fn test_ca() -> CertificateAuthority {
         let mut rng = HmacDrbg::new(b"ca test seed");
@@ -429,6 +430,37 @@ mod tests {
         bad.subject.common_name = "other".into();
         assert!(ca
             .sign_request(&bad, &IssueProfile::vnf_client([2; 32]), 0)
+            .is_err());
+    }
+
+    #[test]
+    fn sign_request_refuses_identity_key_without_secret() {
+        // Under the identity point as public key, R = [r]B with S = r
+        // satisfies the verification equation over any body, so a CSR for
+        // that key can "prove" possession with no secret at all.
+        let mut ca = test_ca();
+        let mut r = [0u8; 32];
+        r[0] = 5;
+        let mut pop = Point::base().scalar_mul(&r).compress().to_vec();
+        pop.extend_from_slice(&r);
+        let mut identity = [0u8; 32];
+        identity[0] = 1;
+
+        // The proof of possession is the last 64 bytes of the encoding.
+        let mut csr = CertificateRequest::new(
+            DistinguishedName::new("vnf"),
+            &SigningKey::from_seed(&[1; 32]),
+            b"ctx",
+        );
+        csr.public_key = VerifyingKey::from_bytes(&identity);
+        let mut encoded = csr.encode();
+        let len = encoded.len();
+        encoded[len - 64..].copy_from_slice(&pop);
+        let forged = CertificateRequest::decode(&encoded).unwrap();
+
+        assert!(forged.verify().is_err());
+        assert!(ca
+            .sign_request(&forged, &IssueProfile::vnf_client([2; 32]), 0)
             .is_err());
     }
 

@@ -23,17 +23,19 @@ pub const MAX_FRAGMENT: usize = 16 * 1024;
 /// Maximum record payload on the wire (fragment + tag).
 pub const MAX_RECORD: usize = MAX_FRAGMENT + 64;
 
-/// AEAD abstraction over the two negotiated suites.
+/// AEAD abstraction over the two negotiated suites. The AES-GCM state
+/// (T-table round keys and the GHASH table, ~0.5 KiB) is boxed so the enum
+/// stays the size of the ChaCha variant.
 #[derive(Clone)]
 pub enum RecordCipher {
-    Aes(AesGcm),
+    Aes(Box<AesGcm>),
     ChaCha(ChaCha20Poly1305),
 }
 
 impl RecordCipher {
     pub fn new(suite: CipherSuite, keys: &TrafficKeys) -> RecordCipher {
         match suite {
-            CipherSuite::Aes128Gcm => RecordCipher::Aes(AesGcm::new(&keys.key)),
+            CipherSuite::Aes128Gcm => RecordCipher::Aes(Box::new(AesGcm::new(&keys.key))),
             CipherSuite::ChaCha20Poly1305 => {
                 let key: [u8; 32] = keys.key.as_slice().try_into().expect("32-byte key");
                 RecordCipher::ChaCha(ChaCha20Poly1305::new(&key))
