@@ -9,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vnfguard_controller::SimClock;
-use vnfguard_core::manager::{ManagerConfig, VerificationManager};
+use vnfguard_core::manager::ManagerConfig;
+use vnfguard_core::service::VmService;
 use vnfguard_sgx::platform::SgxPlatform;
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_store::{Media, StateStore, StateVault, WalRecord};
@@ -103,7 +104,7 @@ fn bench_e11(c: &mut Criterion) {
                     b.iter_batched(
                         || reopen(&fixture),
                         |store| {
-                            let (vm, report) = VerificationManager::recover(
+                            let (vm, report) = VmService::recover(
                                 config.clone(),
                                 b"e11 recovery bench",
                                 SimClock::at(1_600_000_000),

@@ -1,21 +1,26 @@
-//! E15 — shard saturation: concurrent renewal throughput vs shard count,
-//! and a crash-under-load matrix.
+//! E15 — shard saturation: concurrent renewal throughput vs client and
+//! shard count, and a crash-under-load matrix.
 //!
 //! The testbed models cloud block storage by charging a fixed sleep per
-//! WAL flush ([`WRITE_LATENCY`]). On an unsharded manager every client
-//! serializes behind one WAL, so throughput is pinned near
-//! `1 / flush_latency` regardless of client count. Sharding gives each
-//! partition its own sealed WAL: flush sleeps on different shards overlap
-//! across client threads, and group commit coalesces each workflow's
-//! records into a single flush. The scan enrolls [`CLIENTS`] credentials
-//! (one per client thread, pinned to `thread % shards` by VNF-name
-//! routing) and measures aggregate renewals/sec at 1, 2, 4 and 8 shards.
-//! CI gates on 4-shard throughput ≥ [`MIN_SCALING`]× 1-shard.
+//! WAL flush ([`WRITE_LATENCY`]). Each shard's store commits across
+//! requests: a renewal journals under the shard lock, releases it, and
+//! waits while one leader flushes every queued record in one group frame.
+//! So one shard is no longer pinned near `1 / flush_latency`: concurrent
+//! clients share flushes, and the scan prints 1-shard renewals/sec at 1,
+//! 2, 4 and [`CLIENTS`] clients with the flushes each acknowledged renewal
+//! cost (ROADMAP item 5's measure). The shard scan then enrolls
+//! [`CLIENTS`] credentials (one per client thread, pinned to
+//! `thread % shards` by VNF-name routing) and measures aggregate
+//! renewals/sec at 1, 2, 4 and 8 shards. CI gates on 4-shard throughput ≥
+//! [`MIN_SCALING`]× 1-shard; with cross-request group commit one shard
+//! already approaches the CPU ceiling, so that bar now measures how little
+//! sharding adds rather than how much it is needed.
 //!
-//! The crash matrix then re-runs concurrent renewals with a seeded
-//! [`CrashPlan`] firing at the renewal and enrollment-commit WAL sites,
-//! recovers every shard from its sealed log, and checks the sharded
-//! crash-consistency contract for each seed:
+//! The crash matrix runs first, so a missed scaling bar still reports it.
+//! It re-runs concurrent renewals with a seeded [`CrashPlan`] firing at
+//! the renewal and enrollment-commit WAL sites, recovers every shard from
+//! its sealed log, and checks the sharded crash-consistency contract for
+//! each seed:
 //!
 //! - **no acknowledged renewal is lost** — a certificate handed to a
 //!   client thread survives recovery of its shard;
@@ -38,7 +43,9 @@ use vnfguard_core::CoreError;
 const WRITE_LATENCY: Duration = Duration::from_micros(1500);
 /// Shard counts scanned for the throughput curve.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Concurrent client threads (each owns one credential).
+/// Client counts scanned on one shard.
+const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Concurrent client threads (each owns one credential) in the shard scan.
 const CLIENTS: usize = 8;
 /// Chained renewals per client in a timed run.
 const RENEWALS_PER_CLIENT: usize = 15;
@@ -72,7 +79,12 @@ fn name_on_shard(t: usize, target: usize, shards: usize) -> String {
 /// A saturated world: sharded, durable, slow-flush testbed with one
 /// enrolled credential per client, client `t` pinned to shard
 /// `t % shards`.
-fn saturated_world(seed: &[u8], shards: usize, group_commit: bool) -> (Testbed, Vec<Client>) {
+fn saturated_world(
+    seed: &[u8],
+    shards: usize,
+    clients: usize,
+    group_commit: bool,
+) -> (Testbed, Vec<Client>) {
     let mut tb = TestbedBuilder::new(seed)
         .durable()
         .shards(shards)
@@ -80,26 +92,34 @@ fn saturated_world(seed: &[u8], shards: usize, group_commit: bool) -> (Testbed, 
         .wal_write_latency(WRITE_LATENCY)
         .build();
     tb.attest_host(0).unwrap();
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for t in 0..CLIENTS {
-        let name = name_on_shard(t, t % shards, shards);
-        let guard = tb.deploy_guard(0, &name, 1).unwrap();
-        let key = guard.provisioning_key().unwrap();
-        let certificate = tb.enroll(0, &guard).unwrap();
-        clients.push(Client {
-            serial: certificate.serial(),
-            key,
-        });
-    }
-    (tb, clients)
+    let enrolled = (0..clients)
+        .map(|t| {
+            let name = name_on_shard(t, t % shards, shards);
+            let guard = tb.deploy_guard(0, &name, 1).unwrap();
+            let key = guard.provisioning_key().unwrap();
+            let certificate = tb.enroll(0, &guard).unwrap();
+            Client {
+                serial: certificate.serial(),
+                key,
+            }
+        })
+        .collect();
+    (tb, enrolled)
 }
 
-/// Aggregate renewals/sec: [`CLIENTS`] threads chain
-/// [`RENEWALS_PER_CLIENT`] renewals each through clones of the service
-/// handle; wall-clock covers the whole concurrent burst.
-fn renewals_per_sec(shards: usize, attempt: usize, group_commit: bool) -> f64 {
-    let seed = format!("e15 saturation s{shards} a{attempt} g{group_commit}");
-    let (tb, clients) = saturated_world(seed.as_bytes(), shards, group_commit);
+/// One concurrent burst: `clients` threads chain [`RENEWALS_PER_CLIENT`]
+/// renewals each through clones of the service handle. Returns aggregate
+/// renewals/sec (wall-clock over the whole burst) and the device flushes,
+/// summed over every shard's medium, per acknowledged renewal.
+fn renewal_burst(shards: usize, clients: usize, attempt: usize, group_commit: bool) -> (f64, f64) {
+    let seed = format!("e15 saturation s{shards} c{clients} a{attempt} g{group_commit}");
+    let (tb, clients) = saturated_world(seed.as_bytes(), shards, clients, group_commit);
+    let flushes = || -> u64 {
+        (0..shards)
+            .map(|s| tb.shard_store_media(s).unwrap().flushes())
+            .sum()
+    };
+    let flushes_before = flushes();
     let vm = tb.vm_service();
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -116,7 +136,9 @@ fn renewals_per_sec(shards: usize, attempt: usize, group_commit: bool) -> f64 {
             });
         }
     });
-    (CLIENTS * RENEWALS_PER_CLIENT) as f64 / start.elapsed().as_secs_f64()
+    let renewals = (clients.len() * RENEWALS_PER_CLIENT) as f64;
+    let throughput = renewals / start.elapsed().as_secs_f64();
+    (throughput, (flushes() - flushes_before) as f64 / renewals)
 }
 
 /// One crash-under-load scenario. Returns the number of crashes injected
@@ -222,7 +244,7 @@ fn crash_scenario(seed: u64) -> usize {
 
     // Zero divergence: the recovered fleet equals oracle twins replayed
     // independently from forks of each shard's media.
-    let oracle = VmService::from_shards(tb.oracle_twins().unwrap());
+    let oracle = tb.oracle_fleet().unwrap();
     assert_eq!(
         fleet_view(&oracle),
         fleet_view(&tb.vm),
@@ -265,16 +287,35 @@ fn fleet_view(vm: &VmService) -> FleetView {
 
 fn main() {
     println!(
-        "e15_saturation: {CLIENTS} clients x {RENEWALS_PER_CLIENT} chained renewals, {:?} flush latency, group commit",
+        "e15_saturation: {RENEWALS_PER_CLIENT} chained renewals per client, {:?} flush latency, group commit",
         WRITE_LATENCY
     );
+    // The crash matrix runs before the scaling verdict, so a missed bar
+    // never hides its result.
+    let mut crashes = 0;
+    for seed in 0..CRASH_SEEDS {
+        crashes += crash_scenario(seed);
+    }
+    println!(
+        "e15_saturation/crash_matrix         {CRASH_SEEDS:>10} seeds, {crashes} injected crashes, every shard recovered"
+    );
+    assert!(crashes > 0, "crash matrix was vacuous: no crash ever fired");
+
+    for clients in CLIENT_COUNTS {
+        let (throughput, flushes) = renewal_burst(1, clients, 0, true);
+        println!(
+            "e15_saturation/renewals_1shard_{clients}c    {throughput:>10.0} renewals/s {flushes:>6.3} flushes/renewal"
+        );
+    }
     let mut scaling = 0.0;
     for attempt in 0..ATTEMPTS {
         let mut one_shard = 0.0;
         let mut four_shard = 0.0;
         for shards in SHARD_COUNTS {
-            let throughput = renewals_per_sec(shards, attempt, true);
-            println!("e15_saturation/renewals_{shards}shard      {throughput:>10.0} renewals/s");
+            let (throughput, flushes) = renewal_burst(shards, CLIENTS, attempt, true);
+            println!(
+                "e15_saturation/renewals_{shards}shard      {throughput:>10.0} renewals/s {flushes:>6.3} flushes/renewal"
+            );
             if shards == 1 {
                 one_shard = throughput;
             }
@@ -292,23 +333,16 @@ fn main() {
         println!("e15_saturation: attempt {} under the bar, retrying", attempt + 1);
     }
     // The group-commit contrast: same 4-shard fabric, one flush per
-    // record instead of one per workflow.
-    let ungrouped = renewals_per_sec(4, 0, false);
-    println!("e15_saturation/renewals_4shard_solo {ungrouped:>10.0} renewals/s (group commit off)");
+    // record instead of one group frame per batch.
+    let (ungrouped, flushes) = renewal_burst(4, CLIENTS, 0, false);
+    println!(
+        "e15_saturation/renewals_4shard_solo {ungrouped:>10.0} renewals/s {flushes:>6.3} flushes/renewal (group commit off)"
+    );
     if scaling < MIN_SCALING {
         eprintln!(
             "e15_saturation: FAIL — 4-shard throughput only {scaling:.2}x 1-shard (bar {MIN_SCALING:.1}x)"
         );
         std::process::exit(1);
     }
-
-    let mut crashes = 0;
-    for seed in 0..CRASH_SEEDS {
-        crashes += crash_scenario(seed);
-    }
-    println!(
-        "e15_saturation/crash_matrix         {CRASH_SEEDS:>10} seeds, {crashes} injected crashes, every shard recovered"
-    );
-    assert!(crashes > 0, "crash matrix was vacuous: no crash ever fired");
     println!("e15_saturation: PASS");
 }

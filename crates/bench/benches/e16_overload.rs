@@ -362,7 +362,7 @@ fn chaos_scenario(seed: u64) -> usize {
         0,
         "seed {seed}: shed left an orphaned WAL prepare"
     );
-    let oracle = VmService::from_shards(tb.oracle_twins().unwrap());
+    let oracle = tb.oracle_fleet().unwrap();
     assert_eq!(
         fleet_view(&oracle),
         fleet_view(&tb.vm),

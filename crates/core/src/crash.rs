@@ -9,7 +9,7 @@
 //!
 //! A fired crash surfaces as [`CoreError::VmCrashed`](crate::CoreError)
 //! and marks the manager dead — every subsequent workflow call fails until
-//! the operator runs `VerificationManager::recover` against the sealed
+//! the operator runs `VmService::recover` against the sealed
 //! store, exactly as a real restart would.
 
 use parking_lot::Mutex;

@@ -1254,8 +1254,16 @@ impl Testbed {
         let shard_count = self.vm.shard_count();
         let mut authority_report = None;
         for s in 0..shard_count {
-            let (vm, notifier, report) = self.recover_shard_incarnation(s)?;
-            *self.vm.shard_mutex(s).lock() = vm;
+            // One hold of the shard lock from quiesce to swap: once the old
+            // incarnation's store is idle, nothing it journaled can still
+            // land (or truncate the log) behind the replay, and no request
+            // reaches it before the new incarnation is in place.
+            let (notifier, report) = self.vm.call(s, |slot| {
+                slot.quiesce_store();
+                let (vm, notifier, report) = self.recover_shard_incarnation(s)?;
+                *slot = vm;
+                Ok((notifier, report))
+            })?;
             if s == 0 {
                 self.notifier =
                     notifier.expect("authority shard recovery rebuilds the notifier");
@@ -1266,10 +1274,11 @@ impl Testbed {
             let chain = self.vm.ca_rotation_chain();
             let now = self.clock.now();
             for s in 1..shard_count {
-                let mut shard = self.vm.shard_mutex(s).lock();
-                for (epoch, root, cross) in &chain {
-                    let _ = shard.adopt_rotation(*epoch, root.serial(), cross.serial(), now);
-                }
+                self.vm.run(s, |shard| {
+                    for (epoch, root, cross) in &chain {
+                        let _ = shard.adopt_rotation(*epoch, root.serial(), cross.serial(), now);
+                    }
+                });
             }
         }
         Ok(authority_report.expect("testbed has at least one shard"))
@@ -1342,15 +1351,17 @@ impl Testbed {
     /// Detach the authority shard's current incarnation — e.g. to keep a
     /// partitioned-away zombie primary alive across a failover drill —
     /// leaving a fresh placeholder incarnation behind in the service
-    /// handle so the testbed's own methods keep working.
-    pub fn detach_primary(&mut self) -> VerificationManager {
+    /// handle so the testbed's own methods keep working. The detached
+    /// incarnation comes back in a service handle of its own, whose shard
+    /// accessor still waits for (and fails on) its WAL commits.
+    pub fn detach_primary(&mut self) -> VmService {
         let placeholder = VerificationManager::with_runtime(
             self.vm_config.clone(),
             &self.seed,
             self.clock.clone(),
             self.telemetry.clone(),
         );
-        std::mem::replace(&mut *self.vm.shard_mutex(0).lock(), placeholder)
+        VmService::single(self.vm.run(0, |slot| std::mem::replace(slot, placeholder)))
     }
 
     /// The authority shard's replication handle, when built with
@@ -1555,7 +1566,7 @@ impl Testbed {
             "failover_promoted",
             &format!("{promoted_addr} promoted to primary at epoch {new_epoch} (high-water {high_water})"),
         );
-        *self.vm.shard_mutex(0).lock() = vm;
+        self.vm.run(0, |slot| *slot = vm);
         self.notifier = notifier;
         self.shard_media[0] = Some(media);
         self.shard_platforms[0] = platform;
@@ -1576,14 +1587,27 @@ impl Testbed {
     /// byte-equal CA roots, serials, enrollment records, and CRL numbers
     /// mean the replication stream lost nothing the primary had made
     /// durable.
-    pub fn oracle_twin(&self) -> Result<VerificationManager, CoreError> {
+    pub fn oracle_twin(&self) -> Result<VmService, CoreError> {
         self.oracle_twin_for(0)
     }
 
     /// An oracle twin of one shard, recovered from a fork of that shard's
     /// media (the fork drops the injected write latency, so building
     /// twins is fast even on a slow-media testbed).
-    pub fn oracle_twin_for(&self, shard: usize) -> Result<VerificationManager, CoreError> {
+    pub fn oracle_twin_for(&self, shard: usize) -> Result<VmService, CoreError> {
+        self.twin_manager(shard).map(VmService::single)
+    }
+
+    /// Oracle twins of every shard, served as one fleet in shard order.
+    pub fn oracle_fleet(&self) -> Result<VmService, CoreError> {
+        let twins = (0..self.vm.shard_count())
+            .map(|s| self.twin_manager(s))
+            .collect::<Result<_, _>>()?;
+        Ok(VmService::from_shards(twins))
+    }
+
+    /// Recover one shard's manager from a fork of its media.
+    fn twin_manager(&self, shard: usize) -> Result<VerificationManager, CoreError> {
         let media = self
             .shard_media
             .get(shard)
@@ -1610,13 +1634,6 @@ impl Testbed {
         )?;
         vm.set_shard(shard as u32, self.vm.shard_count() as u32);
         Ok(vm)
-    }
-
-    /// Oracle twins of every shard, in shard order.
-    pub fn oracle_twins(&self) -> Result<Vec<VerificationManager>, CoreError> {
-        (0..self.vm.shard_count())
-            .map(|s| self.oracle_twin_for(s))
-            .collect()
     }
 }
 

@@ -94,7 +94,7 @@ pub enum CoreError {
     InvalidConfig(String),
     /// The VM process crashed at the named injection site. The manager is
     /// dead: every further workflow call fails until state is rebuilt with
-    /// [`manager::VerificationManager::recover`].
+    /// [`service::VmService::recover`].
     VmCrashed(String),
     /// The durability layer failed: sealing, unsealing, or media
     /// corruption beyond the tolerated torn tail.

@@ -3,11 +3,13 @@
 use crate::attestation::{host_report_data, HostEvidence};
 use crate::crash::CrashPlan;
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
-use crate::replication::{ReplicaSet, ReplicationStatus};
+use crate::replication::ReplicaSet;
 use crate::revocation::{revocation_message, RevocationNotifier};
 use crate::CoreError;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
-use vnfguard_store::{StateStore, StoreStats, WalRecord};
+use std::time::Instant;
+use vnfguard_store::{Lsn, StateStore, StoreStats, WalRecord};
 use vnfguard_controller::clock::SimClock;
 use vnfguard_crypto::drbg::{HmacDrbg, SecureRandom};
 use vnfguard_crypto::ed25519::SigningKey;
@@ -493,7 +495,51 @@ impl ManagerMetrics {
     }
 }
 
-/// What a [`VerificationManager::recover`] pass reconstructed and repaired.
+/// One call's pending durability, taken under the shard lock by
+/// [`VerificationManager::commit_ticket`] and waited on after unlocking.
+pub(crate) struct CommitTicket {
+    store: StateStore,
+    lsn: Lsn,
+    journaled_at: Option<Instant>,
+    wal_append_micros: Histogram,
+    telemetry: Telemetry,
+    clock: SimClock,
+}
+
+impl CommitTicket {
+    /// Wait until the ticket's LSN is durable, inside a `wal_commit` span
+    /// annotated with the batch's record count and this caller's role
+    /// (leader or follower). A call that journaled charges its
+    /// journal-to-durable time to `vnfguard_core_wal_append_micros`. A
+    /// failed commit is audited, so an operator sees the durability gap
+    /// even when the caller's signature cannot surface it.
+    pub(crate) fn wait(self) -> Result<(), CoreError> {
+        let span = self.telemetry.span("vm", "wal_commit", self.clock.now());
+        let outcome = self.store.sync(self.lsn);
+        if let Some(begun) = self.journaled_at {
+            self.wal_append_micros
+                .record(begun.elapsed().as_micros() as u64);
+        }
+        let now = self.clock.now();
+        match &outcome {
+            Ok(commit) if span.context().is_recording() => {
+                let role = if commit.leader { "leader" } else { "follower" };
+                self.telemetry
+                    .annotate(now, "batch_records", &commit.batch_records.to_string());
+                self.telemetry.annotate(now, "role", role);
+            }
+            Ok(_) => {}
+            Err(e) => {
+                self.telemetry
+                    .event(now, "wal_commit_failed", &e.to_string());
+            }
+        }
+        outcome.map(drop).map_err(CoreError::from)
+    }
+}
+
+/// What a [`VmService::recover`](crate::service::VmService::recover) pass
+/// reconstructed and repaired.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// When the recovery ran.
@@ -566,6 +612,9 @@ pub struct VerificationManager {
     /// Sealed write-ahead log; `None` runs the manager volatile (the
     /// paper's original posture).
     store: Option<StateStore>,
+    /// When the current call first journaled: the start of the caller's
+    /// WAL wait, closed by [`CommitTicket::wait`].
+    journaled_at: Cell<Option<Instant>>,
     /// Seed for deriving per-epoch CA rotation keys (see
     /// [`epoch_key`](Self::epoch_key)): recovery re-derives the same keys
     /// from the same manager seed instead of persisting key material.
@@ -575,9 +624,12 @@ pub struct VerificationManager {
     /// The most recently issued numbered CRL, re-served to read-only
     /// distribution requests so polling does not grow the WAL.
     last_crl: Option<Crl>,
-    /// Set when revocations or a key rotation obsolete `last_crl`; the
-    /// next [`latest_crl_at`](Self::latest_crl_at) mints a fresh one.
-    crl_dirty: bool,
+    /// Bumped whenever revocations or a key rotation obsolete `last_crl`.
+    crl_revision: u64,
+    /// The `crl_revision` last folded into a signed CRL; the cache is
+    /// dirty while the two differ, and the next
+    /// [`latest_crl`](Self::latest_crl) mints a fresh one.
+    crl_folded: u64,
     /// End of the dual-trust window opened by the last rotation.
     rotation_drain_deadline: Option<u64>,
     /// Crash-point injection schedule (tests only in practice).
@@ -674,9 +726,11 @@ impl VerificationManager {
             rotation_seed,
             last_crl_issued_at: None,
             last_crl: None,
-            crl_dirty: false,
+            crl_revision: 0,
+            crl_folded: 0,
             rotation_drain_deadline: None,
             store: None,
+            journaled_at: Cell::new(None),
             crash_plan: None,
             crashed: None,
             last_recovery: None,
@@ -729,7 +783,10 @@ impl VerificationManager {
 
     /// Attach a sealed state store: from here on every state transition is
     /// journaled before the operation is acknowledged (WAL-before-response).
-    pub fn with_store(mut self, store: StateStore) -> VerificationManager {
+    /// The journal only enqueues; the [`VmService`](crate::service::VmService)
+    /// shard accessor waits for durability after unlocking, which is why
+    /// only the testbed, which always wraps managers in one, attaches stores.
+    pub(crate) fn with_store(mut self, store: StateStore) -> VerificationManager {
         self.store = Some(store);
         self
     }
@@ -859,35 +916,48 @@ impl VerificationManager {
         self.telemetry.event(time, kind, detail);
     }
 
-    /// WAL-before-response: seal and append `record`, failing the
-    /// operation if the journal write fails. A no-op without a store.
+    /// WAL-before-response, first half: seal `record` and queue it behind
+    /// everything journaled before, failing the operation if sealing
+    /// fails. The caller's shard accessor waits for durability (see
+    /// [`commit_ticket`](Self::commit_ticket)). A no-op without a store.
     fn journal(&self, record: &WalRecord) -> Result<(), CoreError> {
+        self.journal_group(std::slice::from_ref(record))
+    }
+
+    /// Journal a whole workflow's records together: with group commit
+    /// enabled on the store they land in one group frame, so a torn tail
+    /// drops all of them or none. A no-op without a store.
+    fn journal_group(&self, records: &[WalRecord]) -> Result<(), CoreError> {
         if let Some(store) = &self.store {
-            let begun = std::time::Instant::now();
-            store.append(record)?;
-            self.metrics
-                .wal_append_micros
-                .record(begun.elapsed().as_micros() as u64);
-            self.metrics.wal_records.inc();
+            if self.journaled_at.get().is_none() {
+                self.journaled_at.set(Some(Instant::now()));
+            }
+            store.enqueue(records)?;
+            self.metrics.wal_records.add(records.len() as u64);
         }
         Ok(())
     }
 
-    /// Journal a whole workflow's records in one flush (see
-    /// [`StateStore::append_group`]): with group commit enabled on the
-    /// store, the records land in a single group frame — one device write
-    /// for a multi-record workflow — and a torn tail drops all of them or
-    /// none. A no-op without a store.
-    fn journal_group(&self, records: &[WalRecord]) -> Result<(), CoreError> {
-        if let Some(store) = &self.store {
-            let begun = std::time::Instant::now();
-            store.append_group(records)?;
-            self.metrics
-                .wal_append_micros
-                .record(begun.elapsed().as_micros() as u64);
-            self.metrics.wal_records.add(records.len() as u64);
+    /// What the caller must wait for before answering: the store's
+    /// appended LSN, which covers this call's records and every record it
+    /// could have observed. `None` without a store, or when everything
+    /// appended is already durable and this call journaled nothing. Takes
+    /// the call's journal start time with it.
+    pub(crate) fn commit_ticket(&self) -> Option<CommitTicket> {
+        let store = self.store.as_ref()?;
+        let lsn = store.appended_lsn();
+        let journaled_at = self.journaled_at.take();
+        if journaled_at.is_none() && store.is_durable(lsn) {
+            return None;
         }
-        Ok(())
+        Some(CommitTicket {
+            store: store.clone(),
+            lsn,
+            journaled_at,
+            wal_append_micros: self.metrics.wal_append_micros.clone(),
+            telemetry: self.telemetry.clone(),
+            clock: self.clock.clone(),
+        })
     }
 
     /// Journal from a path whose signature cannot surface an error. The
@@ -945,6 +1015,15 @@ impl VerificationManager {
         self.store.as_ref().map(|s| s.stats())
     }
 
+    /// Wait until the attached store is idle (see
+    /// [`StateStore::quiesce`]): the caller is about to let another
+    /// incarnation write to the same medium.
+    pub(crate) fn quiesce_store(&self) {
+        if let Some(store) = &self.store {
+            store.quiesce();
+        }
+    }
+
     /// Distribution of wall-clock WAL append latency (empty when the
     /// manager runs volatile). Feeds the per-shard health snapshot.
     pub fn wal_append_latency(&self) -> vnfguard_telemetry::HistogramSnapshot {
@@ -974,20 +1053,10 @@ impl VerificationManager {
         self.replication = Some(replication);
     }
 
-    /// Role, epoch, and per-standby lag; `None` when unreplicated.
-    /// Reading refreshes the replication gauges, mirroring how
-    /// [`lifecycle_status`](Self::lifecycle_status) refreshes its own.
-    pub fn replication_status(&self) -> Option<ReplicationStatus> {
-        self.replication.as_ref().map(ReplicaSet::status)
-    }
-
-    /// Stream a liveness frame to every standby (a no-op when
-    /// unreplicated). Drains any buffered records first, so a quiet
-    /// primary still converges its standbys.
-    pub fn replication_heartbeat(&self) {
-        if let Some(replication) = &self.replication {
-            replication.heartbeat();
-        }
+    /// The primary-side replication handle, for callers that stream
+    /// (heartbeats) or wait on its lock (status) outside the shard lock.
+    pub(crate) fn replica_set(&self) -> Option<ReplicaSet> {
+        self.replication.clone()
     }
 
     /// Kill this incarnation in place (node-loss injection): every later
@@ -1551,7 +1620,7 @@ impl VerificationManager {
         })?;
         self.ca
             .revoke(serial, RevocationReason::CessationOfOperation, now);
-        self.crl_dirty = true;
+        self.mark_crl_dirty();
         self.metrics.enrollment_aborts.inc();
         self.event(
             now,
@@ -1628,7 +1697,13 @@ impl VerificationManager {
     /// Host trust records are deliberately *not* restored: attestation
     /// verdicts are evidence-bound and time-bound, so hosts must re-attest
     /// to the new incarnation.
-    pub fn recover(
+    ///
+    /// Recovery's own records are durable when this returns. Afterwards the
+    /// incarnation's journal only enqueues, so it is only ever served
+    /// through a [`VmService`](crate::service::VmService), whose shard
+    /// accessor waits for durability; public callers use
+    /// [`VmService::recover`](crate::service::VmService::recover).
+    pub(crate) fn recover(
         config: ManagerConfig,
         seed: &[u8],
         clock: SimClock,
@@ -1751,6 +1826,11 @@ impl VerificationManager {
             }));
         }
         vm.journal(&WalRecord::RecoveryCompleted { generation, at: now })?;
+        // Recovery runs outside any shard accessor, so it waits for its own
+        // records before the incarnation goes live.
+        if let Some(ticket) = vm.commit_ticket() {
+            ticket.wait()?;
+        }
         vm.metrics.recoveries.inc();
         let report = RecoveryReport {
             at: now,
@@ -1820,7 +1900,7 @@ impl VerificationManager {
         record.revoked = true;
         self.ca.revoke(serial, reason, now);
         // The cached distribution CRL no longer covers this serial.
-        self.crl_dirty = true;
+        self.mark_crl_dirty();
         self.metrics.revocations.inc();
         self.event(now, "credential_revoked", &format!("serial {serial}"));
         Ok(())
@@ -1884,7 +1964,7 @@ impl VerificationManager {
         let now = self.clock.now();
         self.ensure_alive()?;
         match &self.last_crl {
-            Some(crl) if !self.crl_dirty && !crl.is_stale(now) => Ok(crl.clone()),
+            Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
             _ => self.issue_crl(),
         }
     }
@@ -1907,13 +1987,27 @@ impl VerificationManager {
 
     /// Whether revocations or a rotation have obsoleted the cached CRL.
     pub fn crl_dirty(&self) -> bool {
-        self.crl_dirty
+        self.crl_revision > self.crl_folded
     }
 
-    /// Mark this shard's revocations as folded into a distributed CRL
-    /// (called by the service layer after the authority signed them).
-    pub fn clear_crl_dirty(&mut self) {
-        self.crl_dirty = false;
+    /// A counter bumped by every change that obsoletes the cached CRL; a
+    /// caller folding this shard's entries into a CRL reads it alongside
+    /// them and hands it back to [`clear_crl_dirty`](Self::clear_crl_dirty).
+    pub fn crl_revision(&self) -> u64 {
+        self.crl_revision
+    }
+
+    /// Mark this shard's revocations up to `revision` (read together with
+    /// the entries) as folded into a distributed CRL. Compare-and-clear: a
+    /// revocation that landed after that read keeps the shard dirty. A
+    /// revision read from an incarnation that recovery has since replaced
+    /// is clamped to this one's counter.
+    pub fn clear_crl_dirty(&mut self, revision: u64) {
+        self.crl_folded = self.crl_folded.max(revision.min(self.crl_revision));
+    }
+
+    fn mark_crl_dirty(&mut self) {
+        self.crl_revision += 1;
     }
 
     /// Authority-shard issuance of a fleet CRL: journal the number bump,
@@ -1933,7 +2027,7 @@ impl VerificationManager {
             .issue_crl_with(extra, now, self.config.crl_lifetime_secs);
         self.last_crl_issued_at = Some(now);
         self.last_crl = Some(crl.clone());
-        self.crl_dirty = false;
+        self.crl_folded = self.crl_revision;
         self.metrics.crls_issued.inc();
         self.metrics.crl_age_seconds.set(0);
         self.event(
@@ -1953,7 +2047,7 @@ impl VerificationManager {
         let now = self.clock.now();
         self.ensure_alive()?;
         match &self.last_crl {
-            Some(crl) if !self.crl_dirty && !crl.is_stale(now) => Ok(crl.clone()),
+            Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
             _ => self.issue_crl_merged(extra),
         }
     }
@@ -1984,7 +2078,7 @@ impl VerificationManager {
         let key = self.epoch_key(epoch);
         self.ca
             .install_rotation(key, self.config.ca_validity, root_serial, cross_serial);
-        self.crl_dirty = true;
+        self.mark_crl_dirty();
         self.rotation_drain_deadline =
             Some(rotated_at + self.config.rotation_drain_secs);
         self.event(
@@ -2019,8 +2113,9 @@ impl VerificationManager {
     /// valid through the dual-trust drain window; the revocation registry
     /// and serial allocator carry over. The rotation is two-phase in the
     /// WAL — `CaRotationPrepared` then `CaRotationCommitted` — and
-    /// [`recover`](Self::recover) resumes a committed rotation (re-deriving
-    /// the epoch key) or rolls back an uncommitted one.
+    /// [`recover`](crate::service::VmService::recover) resumes a committed
+    /// rotation (re-deriving the epoch key) or rolls back an uncommitted
+    /// one.
     pub fn rotate_ca(&mut self) -> Result<CaRotation, CoreError> {
         let now = self.clock.now();
         let _span = self.span("ca_rotation", now);
@@ -2068,7 +2163,7 @@ impl VerificationManager {
         self.metrics.rotations.inc();
         // Post-rotation CRLs must be signed by the new epoch key; the
         // cached one carries the outgoing signature.
-        self.crl_dirty = true;
+        self.mark_crl_dirty();
         let drain_deadline = now + self.config.rotation_drain_secs;
         self.rotation_drain_deadline = Some(drain_deadline);
         self.event(

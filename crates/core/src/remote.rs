@@ -1094,8 +1094,6 @@ pub fn serve_vm_api(
         telemetry.counter("vnfguard_core_api_requests_total"),
         telemetry.counter("vnfguard_core_api_request_errors_total"),
     );
-    // One clock clone for the whole router: `vm.clock()` locks the
-    // authority shard, so the router must not call it per-request.
     let clock = vm.clock();
     router.instrument_traces(&telemetry, "vm_api", move || clock.now());
 

@@ -12,8 +12,9 @@
 //! The protocol, end to end:
 //!
 //! - **Streaming** ([`ReplicaSet`], installed as the store's
-//!   [`AppendObserver`]): each append is framed and pushed to every
-//!   standby link before the manager acknowledges the operation, with a
+//!   [`AppendObserver`]): each flushed commit batch is framed and pushed
+//!   to every standby link by the store's commit leader, outside every
+//!   shard lock, before any caller in the batch is acknowledged, with a
 //!   bounded per-batch window, per-record crc32, explicit acks, and
 //!   clock-advancing retry/backoff via [`RetryPolicy`] when a link fails.
 //!   Undeliverable records stay buffered per the retention budget.
@@ -43,6 +44,7 @@ use crate::CoreError;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vnfguard_controller::SimClock;
 use vnfguard_net::fabric::Network;
@@ -593,7 +595,6 @@ struct ReplicaSetInner {
     /// Retained records for resends: `(seq, encoded record)`.
     buffer: VecDeque<(u64, Vec<u8>)>,
     links: Vec<LinkState>,
-    fenced: bool,
 }
 
 struct ReplMetrics {
@@ -613,6 +614,10 @@ struct ReplicaSetShared {
     /// Snapshot source for catch-up (the primary's own store).
     store: Mutex<Option<StateStore>>,
     metrics: ReplMetrics,
+    /// Set once a standby rejected this primary for a newer epoch; never
+    /// cleared. Outside `inner` so the manager's liveness check never
+    /// waits behind a pump that is streaming to a standby.
+    fenced: AtomicBool,
     inner: Mutex<ReplicaSetInner>,
 }
 
@@ -664,12 +669,12 @@ impl ReplicaSet {
                 config,
                 store: Mutex::new(None),
                 metrics,
+                fenced: AtomicBool::new(false),
                 inner: Mutex::new(ReplicaSetInner {
                     epoch,
                     next_seq,
                     buffer: VecDeque::new(),
                     links,
-                    fenced: false,
                 }),
             }),
         }
@@ -689,7 +694,7 @@ impl ReplicaSet {
 
     /// True once a standby rejected this primary for a newer epoch.
     pub fn is_fenced(&self) -> bool {
-        self.shared.inner.lock().fenced
+        self.shared.fenced.load(Ordering::SeqCst)
     }
 
     /// Stream any buffered records to every standby and read acks. Called
@@ -710,7 +715,7 @@ impl ReplicaSet {
         let shared = &self.shared;
         let now = shared.clock.now();
         let mut inner = shared.inner.lock();
-        if inner.fenced {
+        if self.is_fenced() {
             return Err(format!(
                 "replication fenced: a newer primary holds epoch > {}",
                 inner.epoch
@@ -750,7 +755,7 @@ impl ReplicaSet {
             }
         }
         if fenced {
-            inner.fenced = true;
+            shared.fenced.store(true, Ordering::SeqCst);
         }
         Self::trim_buffer(&shared.config, &mut inner);
         Self::refresh_gauges(shared, &inner, shared.clock.now());
@@ -923,6 +928,7 @@ impl ReplicaSet {
         let shared = &self.shared;
         let now = shared.clock.now();
         let inner = shared.inner.lock();
+        let fenced = self.is_fenced();
         Self::refresh_gauges(shared, &inner, now);
         let head = inner.next_seq - 1;
         let standbys: Vec<StandbyLink> = inner
@@ -938,10 +944,10 @@ impl ReplicaSet {
             .collect();
         let heartbeat_age_seconds = standbys.iter().map(|s| s.lag_seconds).max().flatten();
         ReplicationStatus {
-            role: if inner.fenced { "fenced" } else { "primary" },
+            role: if fenced { "fenced" } else { "primary" },
             epoch: inner.epoch,
             head_seq: head,
-            fenced: inner.fenced,
+            fenced,
             standbys,
             heartbeat_age_seconds,
         }
@@ -963,21 +969,24 @@ impl std::fmt::Display for LinkError {
 }
 
 impl AppendObserver for ReplicaSet {
-    /// Frame the freshly journaled record and stream it before the append
-    /// returns: an acknowledged operation is on every reachable standby.
-    /// Only fencing fails the append — an unreachable standby buffers.
-    fn appended(&self, record: &WalRecord) -> Result<(), String> {
+    /// Frame the freshly flushed batch and stream it before any of its
+    /// callers is acknowledged: an acknowledged operation is on every
+    /// reachable standby. Only fencing fails the batch — an unreachable
+    /// standby buffers.
+    fn appended(&self, records: &[WalRecord]) -> Result<(), String> {
         {
             let mut inner = self.shared.inner.lock();
-            if inner.fenced {
+            if self.is_fenced() {
                 return Err(format!(
                     "replication fenced: a newer primary holds epoch > {}",
                     inner.epoch
                 ));
             }
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.buffer.push_back((seq, record.encode()));
+            for record in records {
+                let seq = inner.next_seq;
+                inner.next_seq += 1;
+                inner.buffer.push_back((seq, record.encode()));
+            }
         }
         self.pump()
     }
@@ -990,7 +999,7 @@ impl std::fmt::Debug for ReplicaSet {
             .field("epoch", &inner.epoch)
             .field("head_seq", &(inner.next_seq - 1))
             .field("standbys", &inner.links.len())
-            .field("fenced", &inner.fenced)
+            .field("fenced", &self.is_fenced())
             .finish()
     }
 }

@@ -29,20 +29,26 @@
 //! re-adopts from the authority's replayed state (see
 //! `Testbed::recover_vm`).
 //!
-//! Every method takes `&self` and locks only the shard(s) it touches, for
-//! only as long as the manager call runs — in particular, no lock is ever
-//! held across a network call (the `remote` module's agent hops all happen
-//! between `VmService` calls).
+//! Every method takes `&self` and reaches a shard only through one private
+//! accessor, which locks it for only as long as the manager call runs —
+//! no lock is ever held across a network call (the `remote` module's agent
+//! hops all happen between `VmService` calls), a WAL flush, a compaction
+//! or replication streaming. The manager only *enqueues* its journal
+//! records; the accessor waits for them to be durable after unlocking, so
+//! one shard's concurrent callers share flushes (see `vnfguard_store`'s
+//! commit path) while no response leaves before its records — or any
+//! record it could have observed — are on the medium.
 
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::manager::{
-    shard_of_challenge, shard_of_serial, Challenge, EnrollmentRecord, HostRecord,
-    PendingEnrollment, RecoveryReport, VerificationManager, VmEvent,
+    shard_of_challenge, shard_of_serial, Challenge, CommitTicket, EnrollmentRecord, HostRecord,
+    ManagerConfig, PendingEnrollment, RecoveryReport, VerificationManager, VmEvent,
 };
 use crate::overload::{AdmissionController, Permit, Workclass};
 use crate::replication::ReplicationStatus;
+use crate::revocation::RevocationNotifier;
 use crate::CoreError;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use vnfguard_attest::{AttestationBackend, BackendKind, Measurement};
 use vnfguard_controller::SimClock;
@@ -50,7 +56,7 @@ use vnfguard_crypto::sha2::sha256;
 use vnfguard_ima::appraisal::Verdict;
 use vnfguard_pki::cert::Certificate;
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
-use vnfguard_store::StoreStats;
+use vnfguard_store::{StateStore, StoreStats};
 use vnfguard_telemetry::{
     current_trace, labeled, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry,
 };
@@ -79,6 +85,11 @@ fn recording_trace_id() -> Option<u128> {
 #[derive(Clone)]
 pub struct VmService {
     shards: Arc<Vec<Mutex<VerificationManager>>>,
+    /// The fleet's clock and telemetry, taken from the authority when the
+    /// service is built (every incarnation swapped in later shares them),
+    /// so reading them never touches a shard.
+    clock: SimClock,
+    telemetry: Telemetry,
     admission: Option<Arc<AdmissionController>>,
     health: Option<HealthHandle>,
     /// Offline SEV-SNP appraiser for this deployment, if SNP hosts exist.
@@ -87,14 +98,12 @@ pub struct VmService {
     snp: Option<vnfguard_attest::snp::SnpVerifier>,
 }
 
-/// The SLO monitor plus a clock clone, so hot-path outcome recording never
-/// has to lock the authority shard just to read the time. Each workclass
-/// also gets an exact log₂ latency histogram (with trace exemplars) —
-/// the unit of cross-node merging in the fleet monitor.
+/// The SLO monitor. Each workclass also gets an exact log₂ latency
+/// histogram (with trace exemplars) — the unit of cross-node merging in
+/// the fleet monitor.
 #[derive(Clone)]
 struct HealthHandle {
     monitor: HealthMonitor,
-    clock: SimClock,
     latency: [Histogram; 4],
     /// Per-(workclass, attestation backend) latency breakouts, indexed
     /// `[class.index()][backend.as_u8()]`. Only the evidence-carrying
@@ -110,12 +119,31 @@ impl VmService {
         VmService::from_shards(vec![vm])
     }
 
+    /// Rebuild a crashed manager from its sealed store (snapshot + WAL
+    /// replay, key re-derivation, orphan resolution; see the recovery
+    /// invariants in DESIGN §8) and serve it as a single-shard service.
+    /// The store must not be written by anyone else from here on.
+    pub fn recover(
+        config: ManagerConfig,
+        seed: &[u8],
+        clock: SimClock,
+        telemetry: Telemetry,
+        store: StateStore,
+        notifier: Option<&mut RevocationNotifier>,
+    ) -> Result<(VmService, RecoveryReport), CoreError> {
+        let (vm, report) =
+            VerificationManager::recover(config, seed, clock, telemetry, store, notifier)?;
+        Ok((VmService::single(vm), report))
+    }
+
     /// Wrap an already-constructed shard fleet. Shard 0 is the authority;
     /// every manager must have been configured with
     /// [`VerificationManager::set_shard`] for its position.
     pub fn from_shards(shards: Vec<VerificationManager>) -> VmService {
         assert!(!shards.is_empty(), "a VmService needs at least one shard");
         VmService {
+            clock: shards[0].clock().clone(),
+            telemetry: shards[0].telemetry().clone(),
             shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
             admission: None,
             health: None,
@@ -156,8 +184,7 @@ impl VmService {
     /// requests count as bad availability events — from the caller's view
     /// they failed, and the SLO measures the caller's view.
     pub fn with_health(mut self, monitor: HealthMonitor) -> VmService {
-        let clock = self.clock();
-        let telemetry = self.telemetry();
+        let telemetry = &self.telemetry;
         let latency = Workclass::ALL.map(|class| {
             telemetry.histogram(&labeled(
                 "vnfguard_core_workclass_latency_micros",
@@ -178,7 +205,6 @@ impl VmService {
         });
         self.health = Some(HealthHandle {
             monitor,
-            clock,
             latency,
             backend_latency,
         });
@@ -199,7 +225,7 @@ impl VmService {
             let trace_id = recording_trace_id();
             health
                 .monitor
-                .record(class.label(), health.clock.now(), ok, micros, trace_id);
+                .record(class.label(), self.clock.now(), ok, micros, trace_id);
             let histogram = &health.latency[class.index()];
             match trace_id {
                 Some(id) => histogram.record_with_exemplar(micros, id),
@@ -224,7 +250,7 @@ impl VmService {
             let trace_id = recording_trace_id();
             health.monitor.record(
                 &format!("{}.{}", class.label(), backend.label()),
-                health.clock.now(),
+                self.clock.now(),
                 ok,
                 micros,
                 trace_id,
@@ -258,16 +284,55 @@ impl VmService {
         self.shards.len()
     }
 
-    /// The mutex guarding one shard — for the deployment layer, which
-    /// swaps recovered incarnations in place (so every clone of this
-    /// handle, including the one inside `serve_vm_api`, sees the new
-    /// incarnation on its next request).
-    pub(crate) fn shard_mutex(&self, index: usize) -> &Mutex<VerificationManager> {
-        &self.shards[index]
+    /// The one way to a shard's manager. Runs `f` under the shard lock,
+    /// takes the call's commit ticket (the store's appended LSN) before
+    /// unlocking, and waits for it once the lock is released. So no shard
+    /// lock is ever held across a device flush, a compaction or
+    /// replication streaming, and no caller answers before every record it
+    /// could have observed is durable — reads included. Returns `f`'s
+    /// value and the commit outcome.
+    ///
+    /// Crash rule: when the call leaves the manager crashed, it waits
+    /// *before* unlocking and then quiesces the store
+    /// ([`StateStore::quiesce`]). Everything journaled ahead of the crash
+    /// site is durable, and no flush or compaction of the dead incarnation
+    /// is still running, by the time its lock frees. Otherwise
+    /// `Testbed::recover_vm` could replay the medium and swap in a new
+    /// incarnation while the dead one still writes behind that replay, or
+    /// truncates the log under what the new one journaled.
+    fn on_shard<T>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&mut VerificationManager) -> T,
+    ) -> (T, Result<(), CoreError>) {
+        let mut vm = self.shards[index].lock();
+        let value = f(&mut vm);
+        let ticket = vm.commit_ticket();
+        if vm.crashed_site().is_none() {
+            drop(vm);
+            return (value, ticket.map_or(Ok(()), CommitTicket::wait));
+        }
+        let committed = ticket.map_or(Ok(()), CommitTicket::wait);
+        vm.quiesce_store();
+        (value, committed)
     }
 
-    fn authority(&self) -> MutexGuard<'_, VerificationManager> {
-        self.shards[0].lock()
+    /// [`on_shard`](Self::on_shard) for a fallible manager call: a failed
+    /// commit (a fenced primary's veto) fails a call that itself succeeded.
+    pub(crate) fn call<R>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&mut VerificationManager) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError> {
+        let (result, committed) = self.on_shard(index, f);
+        result.and_then(|value| committed.map(|()| value))
+    }
+
+    /// [`on_shard`](Self::on_shard) for an infallible call. It still waits
+    /// for durability; a failed commit is audited by the wait and fails
+    /// the fallible calls whose batch it was.
+    pub(crate) fn run<T>(&self, index: usize, f: impl FnOnce(&mut VerificationManager) -> T) -> T {
+        self.on_shard(index, f).0
     }
 
     fn shard_for_vnf(&self, vnf_name: &str) -> usize {
@@ -288,7 +353,7 @@ impl VmService {
     /// queueing when the class is full, shed after acquiring the lock when
     /// sojourn shows a standing queue or the request's deadline died while
     /// it waited. Either shed happens before `f` runs, so refused requests
-    /// touch no manager state.
+    /// touch no manager state. The SLO latency includes the WAL wait.
     fn with_shard_gated<R>(
         &self,
         index: usize,
@@ -298,9 +363,10 @@ impl VmService {
         let begun = std::time::Instant::now();
         let result = (|| {
             let permit = self.gate(class)?;
-            let mut vm = self.shards[index].lock();
-            self.pass_dequeue(&permit)?;
-            f(&mut vm)
+            self.call(index, |vm| {
+                self.pass_dequeue(&permit)?;
+                f(vm)
+            })
         })();
         self.note_health(class, begun, result.is_ok());
         result
@@ -314,32 +380,49 @@ impl VmService {
         if self.shards.len() == 1 {
             return;
         }
-        let records = self.authority().host_records();
-        for shard in &self.shards[1..] {
-            let mut vm = shard.lock();
-            for record in &records {
-                vm.adopt_host_record(record.clone());
-            }
+        let records = self.run(0, |vm| vm.host_records());
+        for index in 1..self.shards.len() {
+            self.run(index, |vm| {
+                for record in &records {
+                    vm.adopt_host_record(record.clone());
+                }
+            });
         }
     }
 
-    /// Collect the non-authority shards' revocation entries and whether
-    /// any of them has revocations not yet folded into a distributed CRL.
-    fn gather_remote_revocations(&self) -> (Vec<CrlEntry>, bool) {
+    /// Collect the non-authority shards' revocation entries, whether any
+    /// of them has revocations not yet folded into a distributed CRL, and
+    /// each shard's CRL revision as of that read (for
+    /// [`clear_remote_dirty`](Self::clear_remote_dirty)).
+    fn gather_remote_revocations(&self) -> (Vec<CrlEntry>, bool, Vec<u64>) {
         let mut extras = Vec::new();
         let mut any_dirty = false;
-        for shard in &self.shards[1..] {
-            let vm = shard.lock();
-            any_dirty |= vm.crl_dirty();
-            extras.extend(vm.revoked_entries());
+        let mut revisions = Vec::with_capacity(self.shards.len() - 1);
+        for index in 1..self.shards.len() {
+            self.run(index, |vm| {
+                any_dirty |= vm.crl_dirty();
+                revisions.push(vm.crl_revision());
+                extras.extend(vm.revoked_entries());
+            });
         }
-        (extras, any_dirty)
+        (extras, any_dirty, revisions)
     }
 
-    fn clear_remote_dirty(&self) {
-        for shard in &self.shards[1..] {
-            shard.lock().clear_crl_dirty();
+    /// Mark the gathered revocations as folded into the CRL just signed.
+    /// Compare-and-clear: a shard that revoked since the gather stays
+    /// dirty, so the next poll re-issues instead of serving a CRL without
+    /// an acknowledged revocation.
+    fn clear_remote_dirty(&self, revisions: &[u64]) {
+        for (offset, &revision) in revisions.iter().enumerate() {
+            self.run(offset + 1, |vm| vm.clear_crl_dirty(revision));
         }
+    }
+
+    /// Every shard's `f`, in shard order.
+    fn each_shard<T>(&self, mut f: impl FnMut(&mut VerificationManager) -> T) -> Vec<T> {
+        (0..self.shards.len())
+            .map(|index| self.run(index, &mut f))
+            .collect()
     }
 
     // ---- Host attestation (authority shard) -------------------------------
@@ -350,13 +433,13 @@ impl VmService {
         host_id: &str,
         aik: vnfguard_crypto::ed25519::VerifyingKey,
     ) {
-        self.authority().register_host_tpm(host_id, aik);
+        self.run(0, |vm| vm.register_host_tpm(host_id, aik));
         self.sync_host_records();
     }
 
     /// Step 1: challenge a container host.
     pub fn begin_host_attestation(&self, host_id: &str) -> Challenge {
-        self.authority().begin_host_attestation(host_id)
+        self.run(0, |vm| vm.begin_host_attestation(host_id))
     }
 
     /// Step 2: verify and appraise host evidence through any attestation
@@ -371,9 +454,9 @@ impl VmService {
         challenge_id: u64,
         evidence: &crate::attestation::HostEvidence,
     ) -> Result<Verdict, CoreError> {
-        let verdict = self
-            .authority()
-            .complete_host_attestation(backend, challenge_id, evidence)?;
+        let verdict = self.call(0, |vm| {
+            vm.complete_host_attestation(backend, challenge_id, evidence)
+        })?;
         self.sync_host_records();
         Ok(verdict)
     }
@@ -381,21 +464,19 @@ impl VmService {
     /// Policy-gated reuse of a cached host verdict when the attestation
     /// service is unreachable.
     pub fn degraded_host_verdict(&self, host_id: &str) -> Result<Verdict, CoreError> {
-        self.authority().degraded_host_verdict(host_id)
+        self.call(0, |vm| vm.degraded_host_verdict(host_id))
     }
 
     /// Platform-compromise response: every shard revokes its own
     /// credentials for the host and flips its local trust record.
     pub fn revoke_host(&self, host_id: &str) -> usize {
-        let mut revoked = 0;
-        for shard in self.shards.iter() {
-            revoked += shard.lock().revoke_host(host_id);
-        }
-        revoked
+        self.each_shard(|vm| vm.revoke_host(host_id))
+            .into_iter()
+            .sum()
     }
 
     pub fn host_record(&self, host_id: &str) -> Option<HostRecord> {
-        self.authority().host_record(host_id).cloned()
+        self.run(0, |vm| vm.host_record(host_id).cloned())
     }
 
     // ---- VNF enrollment (routed shards) -----------------------------------
@@ -472,29 +553,27 @@ impl VmService {
 
     pub fn commit_vnf_enrollment(&self, serial: u64) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.shards[shard].lock().commit_vnf_enrollment(serial)
+        self.call(shard, |vm| vm.commit_vnf_enrollment(serial))
     }
 
     pub fn abort_vnf_enrollment(&self, serial: u64, reason: &str) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.shards[shard].lock().abort_vnf_enrollment(serial, reason)
+        self.call(shard, |vm| vm.abort_vnf_enrollment(serial, reason))
     }
 
     /// Enrollments issued but not yet committed, across all shards.
     pub fn pending_enrollments(&self) -> impl Iterator<Item = PendingEnrollment> {
-        let mut pending = Vec::new();
-        for shard in self.shards.iter() {
-            pending.extend(shard.lock().pending_enrollments().cloned().collect::<Vec<_>>());
-        }
-        pending.into_iter()
+        self.each_shard(|vm| vm.pending_enrollments().cloned().collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
     }
 
     /// Expire prepared-but-uncommitted enrollments on every shard; returns
     /// the fleet-wide count.
     pub fn sweep_pending_enrollments(&self) -> Result<usize, CoreError> {
         let mut swept = 0;
-        for shard in self.shards.iter() {
-            swept += shard.lock().sweep_pending_enrollments()?;
+        for index in 0..self.shards.len() {
+            swept += self.call(index, |vm| vm.sweep_pending_enrollments())?;
         }
         Ok(swept)
     }
@@ -502,11 +581,9 @@ impl VmService {
     /// Every shard's enrollment records (authority first, then shards in
     /// ascending order — the same deterministic order recovery replays).
     pub fn enrollments(&self) -> impl Iterator<Item = EnrollmentRecord> {
-        let mut records = Vec::new();
-        for shard in self.shards.iter() {
-            records.extend(shard.lock().enrollments().cloned().collect::<Vec<_>>());
-        }
-        records.into_iter()
+        self.each_shard(|vm| vm.enrollments().cloned().collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
     }
 
     // ---- Renewal and revocation -------------------------------------------
@@ -537,7 +614,7 @@ impl VmService {
 
     pub fn credential_is_revoked(&self, serial: u64) -> bool {
         let shard = self.shard_for_serial(serial);
-        self.shards[shard].lock().credential_is_revoked(serial)
+        self.run(shard, |vm| vm.credential_is_revoked(serial))
     }
 
     /// Record a refused renewal (see
@@ -546,67 +623,66 @@ impl VmService {
     /// re-offered must not itself be sheddable.
     pub fn note_renewal_refused(&self, serial: u64, retry_after_secs: u64) {
         let shard = self.shard_for_serial(serial);
-        self.shards[shard].lock().note_renewal_refused(serial, retry_after_secs);
+        self.run(shard, |vm| {
+            vm.note_renewal_refused(serial, retry_after_secs)
+        });
     }
 
     /// The instant before which refused-renewal backoff hides `serial`
     /// from the renewal sweep, if the serial is parked.
     pub fn renewal_backoff_until(&self, serial: u64) -> Option<u64> {
         let shard = self.shard_for_serial(serial);
-        self.shards[shard].lock().renewal_backoff_until(serial)
+        self.run(shard, |vm| vm.renewal_backoff_until(serial))
     }
 
     /// Credentials inside their renewal window, across all shards.
     pub fn certs_expiring(&self) -> Vec<RenewalDue> {
-        let mut due = Vec::new();
-        for shard in self.shards.iter() {
-            due.extend(shard.lock().certs_expiring());
-        }
-        due
+        self.each_shard(|vm| vm.certs_expiring()).concat()
     }
 
     // ---- CA, CRL and rotation (authority shard) ---------------------------
 
     pub fn ca_certificate(&self) -> Certificate {
-        self.authority().ca_certificate().clone()
+        self.run(0, |vm| vm.ca_certificate().clone())
     }
 
     pub fn ca_epoch(&self) -> u64 {
-        self.authority().ca_epoch()
+        self.run(0, |vm| vm.ca_epoch())
     }
 
     pub fn ca_cross_signed(&self) -> Option<Certificate> {
-        self.authority().ca_cross_signed().cloned()
+        self.run(0, |vm| vm.ca_cross_signed().cloned())
     }
 
     pub fn ca_previous_roots(&self) -> Vec<Certificate> {
-        self.authority().ca_previous_roots().to_vec()
+        self.run(0, |vm| vm.ca_previous_roots().to_vec())
     }
 
     pub fn ca_rotation_chain(&self) -> Vec<(u64, Certificate, Certificate)> {
-        self.authority().ca_rotation_chain()
+        self.run(0, |vm| vm.ca_rotation_chain())
     }
 
     pub fn rotation_drain_deadline(&self) -> Option<u64> {
-        self.authority().rotation_drain_deadline()
+        self.run(0, |vm| vm.rotation_drain_deadline())
     }
 
     /// Rotate the authority's CA key; every other shard then adopts the
     /// committed epoch so its future issuance is signed by the new key. A
     /// crashed shard skips adoption here and re-adopts during recovery.
     pub fn rotate_ca(&self) -> Result<CaRotation, CoreError> {
-        let (rotation, rotated_at) = {
-            let mut vm = self.authority();
+        let (rotation, rotated_at) = self.call(0, |vm| {
             let rotated_at = vm.clock().now();
-            (vm.rotate_ca()?, rotated_at)
-        };
-        for shard in &self.shards[1..] {
-            let _ = shard.lock().adopt_rotation(
-                rotation.epoch,
-                rotation.new_root.serial(),
-                rotation.cross_signed.serial(),
-                rotated_at,
-            );
+            Ok((vm.rotate_ca()?, rotated_at))
+        })?;
+        for index in 1..self.shards.len() {
+            self.run(index, |vm| {
+                let _ = vm.adopt_rotation(
+                    rotation.epoch,
+                    rotation.new_root.serial(),
+                    rotation.cross_signed.serial(),
+                    rotated_at,
+                );
+            });
         }
         Ok(rotation)
     }
@@ -616,39 +692,31 @@ impl VmService {
     /// in the revocation class — the highest, so CRL work still admits
     /// under an enrollment flood.
     pub fn issue_crl(&self) -> Result<Crl, CoreError> {
-        let begun = std::time::Instant::now();
-        let result = (|| {
-            let permit = self.gate(Workclass::Revocation)?;
-            let (extras, _) = self.gather_remote_revocations();
-            let crl = {
-                let mut authority = self.authority();
-                self.pass_dequeue(&permit)?;
-                authority.issue_crl_merged(&extras)
-            }?;
-            self.clear_remote_dirty();
-            Ok(crl)
-        })();
-        self.note_health(Workclass::Revocation, begun, result.is_ok());
-        result
+        self.fleet_crl(true)
     }
 
     /// The fleet CRL to serve to polling relying parties: the cached copy
     /// unless any shard has revocations (or a rotation) not yet covered.
     pub fn latest_crl(&self) -> Result<Crl, CoreError> {
+        self.fleet_crl(false)
+    }
+
+    /// [`issue_crl`](Self::issue_crl) when `fresh`, else
+    /// [`latest_crl`](Self::latest_crl).
+    fn fleet_crl(&self, fresh: bool) -> Result<Crl, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
             let permit = self.gate(Workclass::Revocation)?;
-            let (extras, any_dirty) = self.gather_remote_revocations();
-            let crl = {
-                let mut authority = self.authority();
+            let (extras, any_dirty, revisions) = self.gather_remote_revocations();
+            let crl = self.call(0, |authority| {
                 self.pass_dequeue(&permit)?;
-                if any_dirty {
+                if fresh || any_dirty {
                     authority.issue_crl_merged(&extras)
                 } else {
                     authority.latest_crl_merged(&extras)
                 }
-            }?;
-            self.clear_remote_dirty();
+            })?;
+            self.clear_remote_dirty(&revisions);
             Ok(crl)
         })();
         self.note_health(Workclass::Revocation, begun, result.is_ok());
@@ -657,8 +725,8 @@ impl VmService {
 
     /// Read-only preview of the fleet CRL (no journaling, no number bump).
     pub fn current_crl(&self, lifetime_secs: u64) -> Crl {
-        let (extras, _) = self.gather_remote_revocations();
-        self.authority().current_crl_merged(&extras, lifetime_secs)
+        let (extras, _, _) = self.gather_remote_revocations();
+        self.run(0, |vm| vm.current_crl_merged(&extras, lifetime_secs))
     }
 
     pub fn issue_client_certificate(
@@ -666,7 +734,7 @@ impl VmService {
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Certificate {
-        self.authority().issue_client_certificate(cn, public_key)
+        self.run(0, |vm| vm.issue_client_certificate(cn, public_key))
     }
 
     pub fn issue_server_certificate(
@@ -674,7 +742,7 @@ impl VmService {
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Certificate {
-        self.authority().issue_server_certificate(cn, public_key)
+        self.run(0, |vm| vm.issue_server_certificate(cn, public_key))
     }
 
     // ---- Deployment trust inputs ------------------------------------------
@@ -690,9 +758,7 @@ impl VmService {
     /// backend on every shard. Whitelists are backend-scoped: an SNP
     /// launch measurement never satisfies an SGX enrollment or vice versa.
     pub fn trust_enclave_for(&self, backend: BackendKind, measurement: Measurement, label: &str) {
-        for shard in self.shards.iter() {
-            shard.lock().trust_enclave_for(backend, measurement, label);
-        }
+        self.each_shard(|vm| vm.trust_enclave_for(backend, measurement, label));
     }
 
     /// Whitelist the integrity attestation enclave on every shard
@@ -708,60 +774,60 @@ impl VmService {
         measurement: Measurement,
         label: &str,
     ) {
-        for shard in self.shards.iter() {
-            shard
-                .lock()
-                .trust_integrity_enclave_for(backend, measurement, label);
-        }
+        self.each_shard(|vm| vm.trust_integrity_enclave_for(backend, measurement, label));
     }
 
     /// Override one backend's appraisal policy on every shard (policies
     /// default to the TCB policy the managers were configured with).
     pub fn set_backend_policy(&self, backend: BackendKind, policy: vnfguard_attest::AppraisalPolicy) {
-        for shard in self.shards.iter() {
-            shard.lock().set_backend_policy(backend, policy);
-        }
+        self.each_shard(|vm| vm.set_backend_policy(backend, policy));
     }
 
     /// Allow a host file's content in every shard's reference database.
     pub fn allow_reference_content(&self, path: &str, content: &[u8]) {
-        for shard in self.shards.iter() {
-            shard.lock().reference_db_mut().allow_content(path, content);
-        }
+        self.each_shard(|vm| {
+            vm.reference_db_mut().allow_content(path, content);
+        });
     }
 
     // ---- Operator surface --------------------------------------------------
 
     pub fn hmac_tag(&self, message: &[u8]) -> [u8; 32] {
-        self.authority().hmac_tag(message)
+        self.run(0, |vm| vm.hmac_tag(message))
     }
 
     pub fn share_hmac_key(&self) -> [u8; 32] {
-        self.authority().share_hmac_key()
+        self.run(0, |vm| vm.share_hmac_key())
     }
 
     /// Short identity fingerprint of the authority CA, for logs.
     pub fn fingerprint(&self) -> String {
-        self.authority().fingerprint()
+        self.run(0, |vm| vm.fingerprint())
     }
 
     /// Credentials issued fleet-wide (per-shard allocators live in
     /// disjoint serial spans; counts simply add).
     pub fn issued_count(&self) -> u64 {
-        self.shards.iter().map(|shard| shard.lock().issued_count()).sum()
+        self.each_shard(|vm| vm.issued_count()).into_iter().sum()
     }
 
     /// The audit journal (shared telemetry; one journal for the fleet).
     pub fn events(&self) -> Vec<VmEvent> {
-        self.authority().events()
+        self.run(0, |vm| vm.events())
     }
 
     /// Fleet lifecycle posture: per-shard active/expiring counts summed,
     /// CA/CRL/rotation posture from the authority.
     pub fn lifecycle_status(&self) -> LifecycleStatus {
-        let mut status = self.authority().lifecycle_status();
-        for shard in &self.shards[1..] {
-            let shard_status = shard.lock().lifecycle_status();
+        let status = self.run(0, |vm| vm.lifecycle_status());
+        self.add_shard_lifecycle(status)
+    }
+
+    /// Fold every non-authority shard's active/expiring counts into the
+    /// authority's `status`.
+    fn add_shard_lifecycle(&self, mut status: LifecycleStatus) -> LifecycleStatus {
+        for index in 1..self.shards.len() {
+            let shard_status = self.run(index, |vm| vm.lifecycle_status());
             status.active += shard_status.active;
             status.expiring += shard_status.expiring;
         }
@@ -777,17 +843,11 @@ impl VmService {
         let begun = std::time::Instant::now();
         let result = (|| {
             let permit = self.gate(Workclass::Introspection)?;
-            let mut status = {
-                let authority = self.authority();
+            let status = self.call(0, |authority| {
                 self.pass_dequeue(&permit)?;
-                authority.lifecycle_status()
-            };
-            for shard in &self.shards[1..] {
-                let shard_status = shard.lock().lifecycle_status();
-                status.active += shard_status.active;
-                status.expiring += shard_status.expiring;
-            }
-            Ok(status)
+                Ok(authority.lifecycle_status())
+            })?;
+            Ok(self.add_shard_lifecycle(status))
         })();
         self.note_health(Workclass::Introspection, begun, result.is_ok());
         result
@@ -795,45 +855,47 @@ impl VmService {
 
     /// Node-loss injection: halt every shard in place.
     pub fn halt(&self, reason: &str) {
-        for shard in self.shards.iter() {
-            shard.lock().halt(reason);
-        }
+        self.each_shard(|vm| vm.halt(reason));
     }
 
     /// The crash site that halted a shard, if any (authority first).
     pub fn crashed_site(&self) -> Option<String> {
-        self.shards
-            .iter()
-            .find_map(|shard| shard.lock().crashed_site().map(str::to_string))
+        (0..self.shards.len())
+            .find_map(|index| self.run(index, |vm| vm.crashed_site().map(str::to_string)))
     }
 
     pub fn clock(&self) -> SimClock {
-        self.authority().clock().clone()
+        self.clock.clone()
     }
 
     pub fn telemetry(&self) -> Telemetry {
-        self.authority().telemetry().clone()
+        self.telemetry.clone()
     }
 
     /// The authority's last recovery report, if it was recovered.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.authority().recovery_report().cloned()
+        self.run(0, |vm| vm.recovery_report().cloned())
     }
 
     /// Authority-shard sealed-store occupancy.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.authority().store_stats()
+        self.run(0, |vm| vm.store_stats())
     }
 
-    /// Authority-shard replication posture.
+    /// Authority-shard replication posture: role, epoch and per-standby
+    /// lag, `None` when unreplicated. Reading refreshes the replication
+    /// gauges. The status is read outside the shard lock: it waits for any
+    /// pump streaming to a standby.
     pub fn replication_status(&self) -> Option<ReplicationStatus> {
-        self.authority().replication_status()
+        self.run(0, |vm| vm.replica_set()).map(|set| set.status())
     }
 
-    /// Emit a replication heartbeat from every shard's primary handle.
+    /// Emit a replication heartbeat from every shard's primary handle,
+    /// streaming outside the shard locks. Drains any buffered records
+    /// first, so a quiet primary still converges its standbys.
     pub fn replication_heartbeat(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().replication_heartbeat();
+        for set in self.each_shard(|vm| vm.replica_set()).into_iter().flatten() {
+            set.heartbeat();
         }
     }
 
@@ -857,25 +919,26 @@ impl VmService {
                 .collect(),
             None => Vec::new(),
         };
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let vm = shard.lock();
-                let wal = vm.wal_append_latency();
-                ShardHealth {
-                    shard: index,
-                    wal_records: vm.wal_record_count(),
-                    wal_append_p50_micros: wal.quantile(0.50),
-                    wal_append_p99_micros: wal.quantile(0.99),
-                    wal_append_max_micros: wal.max,
-                    recovery_generation: vm
-                        .recovery_report()
-                        .map_or(0, |report| report.generation),
-                    crashed_site: vm.crashed_site().map(str::to_string),
-                    replication: vm.replication_status(),
-                }
+        let shards = (0..self.shards.len())
+            .map(|index| {
+                let (mut health, replication) = self.run(index, |vm| {
+                    let wal = vm.wal_append_latency();
+                    let health = ShardHealth {
+                        shard: index,
+                        wal_records: vm.wal_record_count(),
+                        wal_append_p50_micros: wal.quantile(0.50),
+                        wal_append_p99_micros: wal.quantile(0.99),
+                        wal_append_max_micros: wal.max,
+                        recovery_generation: vm
+                            .recovery_report()
+                            .map_or(0, |report| report.generation),
+                        crashed_site: vm.crashed_site().map(str::to_string),
+                        replication: None,
+                    };
+                    (health, vm.replica_set())
+                });
+                health.replication = replication.map(|set| set.status());
+                health
             })
             .collect();
         let (alerts, latency) = match &self.health {
@@ -991,5 +1054,140 @@ impl std::fmt::Debug for VmService {
         f.debug_struct("VmService")
             .field("shards", &self.shards.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deployment::{Testbed, TestbedBuilder};
+    use std::time::Duration;
+
+    /// A durable, host-attested testbed with `count` enrolled credentials
+    /// whose VNF names route to `shard` of `shards`: (serial, key) each.
+    fn enrolled_on(
+        seed: &[u8],
+        shards: usize,
+        shard: usize,
+        count: usize,
+    ) -> (Testbed, Vec<(u64, [u8; 32])>) {
+        let mut tb = TestbedBuilder::new(seed).durable().shards(shards).build();
+        tb.attest_host(0).unwrap();
+        let names: Vec<String> = (0..)
+            .map(|i| format!("vnf-svc-{i}"))
+            .filter(|name| shard_of_vnf(name, shards) == shard)
+            .take(count)
+            .collect();
+        let credentials = names
+            .iter()
+            .map(|name| {
+                let guard = tb.deploy_guard(0, name, 1).unwrap();
+                let key = guard.provisioning_key().unwrap();
+                (tb.enroll(0, &guard).unwrap().serial(), key)
+            })
+            .collect();
+        (tb, credentials)
+    }
+
+    #[test]
+    fn crl_clear_keeps_a_revocation_that_landed_after_the_gather() {
+        let (tb, credentials) = enrolled_on(b"svc crl race", 2, 1, 1);
+        let serial = credentials[0].0;
+        let vm = tb.vm_service();
+        assert_eq!(shard_of_serial(serial), 1);
+        // A CRL poll gathers the remote shards' entries ...
+        let (extras, _, revisions) = vm.gather_remote_revocations();
+        // ... a revocation is acknowledged on shard 1 meanwhile ...
+        vm.revoke_credential(serial, RevocationReason::KeyCompromise)
+            .unwrap();
+        // ... the authority signs what the gather saw, and the poll clears.
+        vm.call(0, |authority| authority.latest_crl_merged(&extras))
+            .unwrap();
+        vm.clear_remote_dirty(&revisions);
+        // The next poll must not re-serve a CRL without the revocation.
+        let crl = vm.latest_crl().unwrap();
+        assert!(
+            crl.lookup(serial).is_some(),
+            "acknowledged revocation of {serial} missing from the served CRL"
+        );
+    }
+
+    /// Revoke `serial` on a slow medium while `read` polls the same shard:
+    /// the first answer that reflects the revocation may only leave once
+    /// the revocation replays from a fork of the medium.
+    fn reader_waits_for(tb: &Testbed, serial: u64, read: impl Fn(&VmService) -> bool) {
+        let vm = tb.vm_service();
+        tb.store_media()
+            .unwrap()
+            .set_write_latency(Duration::from_millis(150));
+        std::thread::scope(|scope| {
+            let writer = vm.clone();
+            scope.spawn(move || {
+                writer
+                    .revoke_credential(serial, RevocationReason::KeyCompromise)
+                    .unwrap()
+            });
+            while !read(&vm) {}
+            let twin = tb.oracle_twin().unwrap();
+            assert!(
+                twin.credential_is_revoked(serial),
+                "an answer showing revocation {serial} left before it was durable"
+            );
+        });
+    }
+
+    #[test]
+    fn readers_that_see_an_in_flight_revocation_wait_until_it_is_durable() {
+        let (tb, credentials) = enrolled_on(b"svc reader waits", 1, 0, 2);
+        let (polled, listed) = (credentials[0].0, credentials[1].0);
+        reader_waits_for(&tb, polled, |vm| vm.credential_is_revoked(polled));
+        reader_waits_for(&tb, listed, |vm| {
+            vm.latest_crl().unwrap().lookup(listed).is_some()
+        });
+    }
+
+    #[test]
+    fn a_second_call_runs_its_manager_work_during_the_first_calls_flush() {
+        let (tb, credentials) = enrolled_on(b"svc overlap", 1, 0, 2);
+        let vm = tb.vm_service();
+        let media = tb.store_media().unwrap().clone();
+        let journaled = || {
+            tb.telemetry
+                .metrics()
+                .counter_value("vnfguard_core_wal_records_total")
+                .unwrap_or(0)
+        };
+        let (frames_before, journaled_before) = (media.frame_count(), journaled());
+        media.set_write_latency(Duration::from_millis(400));
+        let overlapped = std::thread::scope(|scope| {
+            let renew = |(serial, key): (u64, [u8; 32])| {
+                let vm = vm.clone();
+                move || vm.renew_vnf_credential(serial, &key, "controller").unwrap()
+            };
+            scope.spawn(renew(credentials[0]));
+            // Once the first renewal has journaled, its flush is under way.
+            while journaled() == journaled_before {
+                std::thread::yield_now();
+            }
+            let first_records = journaled() - journaled_before;
+            scope.spawn(renew(credentials[1]));
+            // The second renewal's records get queued while the medium
+            // still lacks the first renewal's frames.
+            loop {
+                let queued = journaled();
+                let landed = media.frame_count();
+                if queued > journaled_before + first_records {
+                    break landed == frames_before;
+                }
+                if landed > frames_before {
+                    break false;
+                }
+                std::thread::yield_now();
+            }
+        });
+        assert!(
+            overlapped,
+            "the second call's manager work waited for the first call's flush"
+        );
     }
 }

@@ -21,9 +21,37 @@
 //!   [`record::ManagerState`] — the aggregate replay target, which doubles
 //!   as the snapshot payload;
 //! - [`vault::StateVault`] — the sealing enclave;
-//! - [`StateStore`] — the handle the manager journals through:
-//!   WAL-before-response appends, threshold-driven compaction, and
-//!   [`StateStore::replay`] for recovery.
+//! - [`StateStore`] — the handle the manager journals through.
+//!
+//! ## Commit path
+//!
+//! Durability is split in two so that no caller's lock is ever held
+//! across a device flush:
+//!
+//! 1. [`StateStore::enqueue`] seals records and gives them their log
+//!    sequence numbers ([`Lsn`]). It does no I/O; the manager calls it
+//!    while its shard lock is held, so LSN order is the order in which
+//!    the manager mutated its state.
+//! 2. [`StateStore::sync`] waits until a given LSN is durable, after the
+//!    caller has released its lock. The first waiter that finds no flush
+//!    in progress becomes the *leader*: it takes every queued record,
+//!    writes them in one flush (one group frame with group commit on, one
+//!    frame and one flush per record with it off), hands the batch to the
+//!    [`AppendObserver`] once, marks it durable and wakes the
+//!    *followers*. A waiter whose LSN missed the batch leads the next one.
+//!
+//! The leader also compacts once the log crosses the threshold, from an
+//! in-memory *replay mirror* of snapshot + log: one [`StateStore::replay`]
+//! builds the mirror the first time it is needed, every flushed batch is
+//! applied to it, and [`StateStore::install_state`] resets it. Compaction
+//! then only seals the mirror instead of unsealing, decoding and replaying
+//! the snapshot. Followers return as soon as their batch is durable, so
+//! the leader may still be compacting when they answer; a handle about to
+//! be replaced by a new one on the same medium calls
+//! [`StateStore::quiesce`] first, or that compaction could truncate what
+//! the new handle wrote. Before its first write a new handle cuts any torn
+//! tail a crash left behind, so records acknowledged after recovery never
+//! land behind unparseable bytes.
 
 pub mod record;
 pub mod vault;
@@ -34,7 +62,7 @@ pub use vault::{PayloadKind, StateVault};
 pub use wal::Media;
 
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
 /// Errors from the durability layer.
 #[derive(Debug)]
@@ -100,70 +128,189 @@ pub struct StoreStats {
     pub has_snapshot: bool,
 }
 
-/// Sees every record the moment it lands on the medium — before the
-/// append is acknowledged to the caller. This is the replication tap: a
-/// streaming primary forwards each record to its standbys from here, so
-/// "WAL-before-response" extends to "WAL-and-stream-before-response".
-///
-/// Returning `Err` vetoes the append: the caller's operation fails with
-/// [`StoreError::Rejected`]. Observers must reserve this for authority
-/// failures (a fenced primary), never for mere delivery trouble — an
-/// unreachable standby is the observer's problem to buffer and retry.
-pub trait AppendObserver: Send + Sync {
-    fn appended(&self, record: &WalRecord) -> Result<(), String>;
+/// Log sequence number: a record's position in a store's append order.
+/// [`StateStore::enqueue`] hands them out from 1; 0 names "nothing yet".
+pub type Lsn = u64;
+
+/// How [`StateStore::sync`] saw its records become durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Commit {
+    /// Records in the batch that made the awaited LSN durable (0 when the
+    /// batch is no longer known, e.g. it finished long before the call).
+    pub batch_records: usize,
+    /// Whether this caller wrote that batch itself (the leader) rather
+    /// than waiting for another caller's write (a follower).
+    pub leader: bool,
 }
 
-/// The manager's journaling handle: sealed appends, compaction, replay.
+/// Sees every record the moment it lands on the medium — before the
+/// append is acknowledged to the caller. This is the replication tap: a
+/// streaming primary forwards each batch to its standbys from here, so
+/// "WAL-before-response" extends to "WAL-and-stream-before-response".
 ///
-/// Clones share the media, the vault, and the observer slot, so the
-/// manager and the revocation notifier journal into the same log and feed
-/// the same replication stream.
+/// The commit leader calls it once per flushed batch, records in log
+/// order, outside every caller's lock but holding the store's writer
+/// role — so it may read the store (`replay`) but never append to it.
+/// Returning `Err` vetoes the whole batch: every caller waiting on it
+/// fails with [`StoreError::Rejected`]. Observers must reserve this for
+/// authority failures (a fenced primary), never for mere delivery
+/// trouble — an unreachable standby is the observer's problem to buffer
+/// and retry.
+pub trait AppendObserver: Send + Sync {
+    fn appended(&self, records: &[WalRecord]) -> Result<(), String>;
+}
+
+/// Records sealed and ordered, waiting for a leader to flush them.
+#[derive(Default)]
+struct Queue {
+    records: Vec<WalRecord>,
+    sealed: Vec<Vec<u8>>,
+}
+
+/// Ordering and durability bookkeeping, shared by every clone.
+#[derive(Default)]
+struct CommitState {
+    queue: Queue,
+    /// LSN of the last record enqueued.
+    appended: Lsn,
+    /// Every record up to this LSN has had its batch written and observed.
+    durable: Lsn,
+    /// Someone holds the writer role (a leader flushing a batch, or a
+    /// compaction or snapshot install).
+    writing: bool,
+    /// First and last LSN of the most recently finished batch.
+    last_batch: (Lsn, Lsn),
+    /// LSN ranges whose batches the observer vetoed, with the reason.
+    /// Adjacent vetoed batches merge into one range, so a fenced primary
+    /// that fails every batch keeps a single entry.
+    vetoed: Vec<(Lsn, Lsn, String)>,
+}
+
+impl CommitState {
+    /// The outcome a follower reports for `lsn` once it is durable.
+    fn outcome(&self, lsn: Lsn) -> Result<Commit, StoreError> {
+        if let Some((_, _, reason)) = self
+            .vetoed
+            .iter()
+            .find(|(first, last, _)| (*first..=*last).contains(&lsn))
+        {
+            return Err(StoreError::Rejected(reason.clone()));
+        }
+        let (first, last) = self.last_batch;
+        let batch_records = if first > 0 && (first..=last).contains(&lsn) {
+            (last - first + 1) as usize
+        } else {
+            0
+        };
+        Ok(Commit {
+            batch_records,
+            leader: false,
+        })
+    }
+}
+
+/// State only the holder of the writer role touches.
+#[derive(Default)]
+struct WriterState {
+    /// Snapshot + log as one aggregate, once built (see the crate docs).
+    mirror: Option<ManagerState>,
+    /// The log length this store last left the medium at; `None` until
+    /// the first write checks the medium for a torn tail.
+    log_len: Option<usize>,
+}
+
+struct Shared {
+    media: Media,
+    vault: StateVault,
+    observer: Mutex<Option<Arc<dyn AppendObserver>>>,
+    /// A std mutex: the commit path waits on it with a [`Condvar`].
+    commit: std::sync::Mutex<CommitState>,
+    /// Signalled whenever a batch finishes or the writer role frees up.
+    changed: Condvar,
+    writer: Mutex<WriterState>,
+}
+
+impl Shared {
+    fn commit(&self) -> MutexGuard<'_, CommitState> {
+        self.commit.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until the next batch finishes or the writer role frees up.
+    fn wait<'a>(&self, commit: MutexGuard<'a, CommitState>) -> MutexGuard<'a, CommitState> {
+        self.changed
+            .wait(commit)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The manager's journaling handle: ordered enqueue, group-committed
+/// durability, compaction and replay (see the crate docs).
+///
+/// Clones share the media, the vault, the commit queue and the observer
+/// slot, so the manager and the revocation notifier journal into the same
+/// log and feed the same replication stream.
 #[derive(Clone)]
 pub struct StateStore {
-    media: Media,
-    vault: Arc<StateVault>,
+    shared: Arc<Shared>,
     /// Auto-compact once the log holds this many frames (`None`: manual).
     compact_every: Option<u64>,
-    /// Coalesce [`StateStore::append_group`] calls into one group frame.
+    /// Write each batch as one group frame instead of a frame per record.
     group_commit: bool,
-    /// Replication tap; shared by all clones of this store.
-    observer: Arc<Mutex<Option<Arc<dyn AppendObserver>>>>,
+}
+
+/// The writer role: held by a batch's leader, by a compaction and by a
+/// snapshot install, so exactly one of them touches the medium at a time.
+/// Dropping it hands the role to the next waiter.
+struct WriterRole<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for WriterRole<'_> {
+    fn drop(&mut self) {
+        self.shared.commit().writing = false;
+        self.shared.changed.notify_all();
+    }
 }
 
 impl StateStore {
     pub fn new(media: Media, vault: StateVault) -> StateStore {
         StateStore {
-            media,
-            vault: Arc::new(vault),
+            shared: Arc::new(Shared {
+                media,
+                vault,
+                observer: Mutex::new(None),
+                commit: std::sync::Mutex::new(CommitState::default()),
+                changed: Condvar::new(),
+                writer: Mutex::new(WriterState::default()),
+            }),
             compact_every: None,
             group_commit: false,
-            observer: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Install (or replace) the append observer. Takes effect for every
     /// clone of this store, including clones taken before this call.
     pub fn set_observer(&self, observer: Arc<dyn AppendObserver>) {
-        *self.observer.lock() = Some(observer);
+        *self.shared.observer.lock() = Some(observer);
     }
 
     /// Remove the append observer (e.g. when a deployment is demoted out
     /// of replicated operation).
     pub fn clear_observer(&self) {
-        *self.observer.lock() = None;
+        *self.shared.observer.lock() = None;
     }
 
-    /// Enable threshold compaction: after an append brings the log to
+    /// Enable threshold compaction: after a batch brings the log to
     /// `frames` frames, fold it into a fresh sealed snapshot. `0` disables.
     pub fn with_compaction(mut self, frames: u64) -> StateStore {
         self.compact_every = (frames > 0).then_some(frames);
         self
     }
 
-    /// Enable (or disable) group commit: [`StateStore::append_group`]
-    /// coalesces its records into one group frame — one device flush —
-    /// instead of one frame per record. Off by default; replay is
-    /// byte-for-byte the same either way for an untorn log.
+    /// Enable (or disable) group commit: each flushed batch becomes one
+    /// group frame — one device write, atomic under a tear — instead of
+    /// one frame and one flush per record. Off by default; replay is the
+    /// same either way for an untorn log.
     pub fn with_group_commit(mut self, enabled: bool) -> StateStore {
         self.group_commit = enabled;
         self
@@ -174,81 +321,237 @@ impl StateStore {
         self.group_commit
     }
 
-    /// Seal `record` and append it to the log — the WAL-before-response
-    /// step. Returns only once the frame is on the medium and any
-    /// installed [`AppendObserver`] has accepted it.
-    pub fn append(&self, record: &WalRecord) -> Result<(), StoreError> {
-        let sealed = self.vault.seal(PayloadKind::Record, &record.encode())?;
-        self.media.append_frame(&sealed);
-        let observer = self.observer.lock().clone();
-        if let Some(observer) = observer {
-            observer
-                .appended(record)
-                .map_err(StoreError::Rejected)?;
+    /// Seal `records` and queue them for the next flush, in order. Returns
+    /// the LSN of the last one (the current appended LSN when `records` is
+    /// empty). No I/O happens here: the records are durable only once a
+    /// [`sync`](Self::sync) to the returned LSN has returned `Ok`.
+    pub fn enqueue(&self, records: &[WalRecord]) -> Result<Lsn, StoreError> {
+        let mut sealed = Vec::with_capacity(records.len());
+        for record in records {
+            sealed.push(
+                self.shared
+                    .vault
+                    .seal(PayloadKind::Record, &record.encode())?,
+            );
         }
-        if let Some(every) = self.compact_every {
-            if self.media.frame_count() >= every {
-                self.compact()?;
-            }
-        }
-        Ok(())
+        let mut commit = self.shared.commit();
+        commit.queue.records.extend_from_slice(records);
+        commit.queue.sealed.extend(sealed);
+        commit.appended += records.len() as Lsn;
+        Ok(commit.appended)
     }
 
-    /// Journal a whole workflow's records in one flush. With group commit
-    /// enabled the records are sealed individually and coalesced into one
-    /// group frame (one device write; a tear drops all or none of them);
-    /// with it disabled this degrades to sequential [`StateStore::append`]
-    /// calls. Either way the [`AppendObserver`] sees every record in order
-    /// before the call returns, preserving WAL-and-stream-before-response.
+    /// The LSN of the last record enqueued on this store.
+    pub fn appended_lsn(&self) -> Lsn {
+        self.shared.commit().appended
+    }
+
+    /// Whether every record up to `lsn` has had its batch written.
+    pub fn is_durable(&self, lsn: Lsn) -> bool {
+        self.shared.commit().durable >= lsn
+    }
+
+    /// Wait until every record up to `lsn` is durable — on the medium and
+    /// accepted by the [`AppendObserver`] — leading the flush if no one
+    /// else is (see the crate docs). Fails with [`StoreError::Rejected`]
+    /// when the observer vetoed the batch holding `lsn`; the leader also
+    /// reports a failed threshold compaction, which runs after its batch
+    /// is durable and after the followers have been released.
+    pub fn sync(&self, lsn: Lsn) -> Result<Commit, StoreError> {
+        let mut commit = self.shared.commit();
+        // An LSN never handed out cannot be waited for.
+        let lsn = lsn.min(commit.appended);
+        while commit.durable < lsn && commit.writing {
+            commit = self.shared.wait(commit);
+        }
+        if commit.durable >= lsn {
+            return commit.outcome(lsn);
+        }
+        // Lead: take every queued record as one batch. The queue holds
+        // exactly the LSNs after `durable` (no batch is in flight), so the
+        // batch covers `lsn`.
+        commit.writing = true;
+        let role = WriterRole {
+            shared: &self.shared,
+        };
+        let batch = std::mem::take(&mut commit.queue);
+        let (first, last) = (commit.durable + 1, commit.appended);
+        drop(commit);
+
+        let observed = self.write_batch(&batch);
+        let due = self
+            .compact_every
+            .is_some_and(|every| self.shared.media.frame_count() >= every);
+        let mut commit = self.shared.commit();
+        commit.durable = last;
+        commit.last_batch = (first, last);
+        let outcome = match observed {
+            Ok(()) => Ok(Commit {
+                batch_records: batch.records.len(),
+                leader: true,
+            }),
+            Err(reason) => {
+                match commit.vetoed.last_mut() {
+                    Some(range) if range.1 + 1 == first => range.1 = last,
+                    _ => commit.vetoed.push((first, last, reason.clone())),
+                }
+                Err(StoreError::Rejected(reason))
+            }
+        };
+        drop(commit);
+        self.shared.changed.notify_all();
+        if due {
+            self.compact_holding(&role)?;
+        }
+        outcome
+    }
+
+    /// Wait until this store is idle: everything enqueued durable and no
+    /// flush, compaction or snapshot install running. Queued records no
+    /// one is flushing yet are flushed here. Call it, once the store's
+    /// users have stopped enqueuing, before a second handle starts writing
+    /// to the same medium (a recovered incarnation replacing a crashed
+    /// one): a late write of this handle, such as a threshold compaction
+    /// truncating the log, would otherwise erase what the new handle
+    /// wrote. Batch outcomes are left to the callers waiting on them
+    /// (vetoes are kept per LSN range).
+    pub fn quiesce(&self) {
+        loop {
+            let mut commit = self.shared.commit();
+            while commit.writing {
+                commit = self.shared.wait(commit);
+            }
+            if commit.durable == commit.appended {
+                return;
+            }
+            let lsn = commit.appended;
+            drop(commit);
+            let _ = self.sync(lsn);
+        }
+    }
+
+    /// Write one batch under the writer role: cut a torn tail first if the
+    /// medium is not as this store left it, flush, fold the records into
+    /// the replay mirror, then let the observer see them. Returns the
+    /// observer's verdict.
+    fn write_batch(&self, batch: &Queue) -> Result<(), String> {
+        if batch.records.is_empty() {
+            return Ok(());
+        }
+        let media = &self.shared.media;
+        {
+            let mut writer = self.shared.writer.lock();
+            Self::check_tail(media, &mut writer);
+            let len = if self.group_commit {
+                media.append_group_frame(&batch.sealed)
+            } else {
+                let mut len = 0;
+                for sealed in &batch.sealed {
+                    len = media.append_frame(sealed);
+                }
+                len
+            };
+            writer.log_len = Some(len);
+            if let Some(mirror) = &mut writer.mirror {
+                for record in &batch.records {
+                    mirror.apply(record);
+                }
+            }
+        }
+        let observer = self.shared.observer.lock().clone();
+        match observer {
+            Some(observer) => observer.appended(&batch.records),
+            None => Ok(()),
+        }
+    }
+
+    /// Make sure the next write lands right after the last intact frame.
+    /// A medium this store has not written yet (a fresh handle after a
+    /// crash) or one whose length changed under it (a torn write) is
+    /// parsed once and cut back; the mirror no longer matches it then, so
+    /// it is dropped and rebuilt on demand.
+    fn check_tail(media: &Media, writer: &mut WriterState) {
+        if writer.log_len != Some(media.log_bytes()) {
+            writer.log_len = Some(media.cut_torn_tail());
+            writer.mirror = None;
+        }
+    }
+
+    /// Wait for the writer role (no flush, compaction or install running).
+    fn writer_role(&self) -> WriterRole<'_> {
+        let mut commit = self.shared.commit();
+        while commit.writing {
+            commit = self.shared.wait(commit);
+        }
+        commit.writing = true;
+        WriterRole {
+            shared: &self.shared,
+        }
+    }
+
+    /// Seal the replay mirror as the new snapshot and truncate the log;
+    /// the caller holds the writer role. Returns the records folded in.
+    fn compact_holding(&self, _role: &WriterRole<'_>) -> Result<u64, StoreError> {
+        let media = &self.shared.media;
+        let mut writer = self.shared.writer.lock();
+        Self::check_tail(media, &mut writer);
+        let folded = media.frame_count();
+        if writer.mirror.is_none() {
+            writer.mirror = Some(self.replay()?.state);
+        }
+        let state = writer.mirror.as_ref().expect("mirror built above");
+        let sealed = self
+            .shared
+            .vault
+            .seal(PayloadKind::Snapshot, &state.encode())?;
+        media.install_snapshot(sealed);
+        writer.log_len = Some(0);
+        Ok(folded)
+    }
+
+    /// Seal `record` and make it durable — [`enqueue`](Self::enqueue) then
+    /// [`sync`](Self::sync), for callers that hold no lock of their own.
+    pub fn append(&self, record: &WalRecord) -> Result<(), StoreError> {
+        self.append_group(std::slice::from_ref(record))
+    }
+
+    /// Journal a whole workflow's records and wait until they are durable.
+    /// With group commit enabled they share a group frame with whatever
+    /// else is queued (a tear drops all of them or none); either way the
+    /// [`AppendObserver`] sees every record in order before the call
+    /// returns, preserving WAL-and-stream-before-response.
     pub fn append_group(&self, records: &[WalRecord]) -> Result<(), StoreError> {
         if records.is_empty() {
             return Ok(());
         }
-        if !self.group_commit {
-            for record in records {
-                self.append(record)?;
-            }
-            return Ok(());
-        }
-        let mut sealed = Vec::with_capacity(records.len());
-        for record in records {
-            sealed.push(self.vault.seal(PayloadKind::Record, &record.encode())?);
-        }
-        self.media.append_group_frame(&sealed);
-        let observer = self.observer.lock().clone();
-        if let Some(observer) = observer {
-            for record in records {
-                observer.appended(record).map_err(StoreError::Rejected)?;
-            }
-        }
-        if let Some(every) = self.compact_every {
-            if self.media.frame_count() >= every {
-                self.compact()?;
-            }
-        }
-        Ok(())
+        let lsn = self.enqueue(records)?;
+        self.sync(lsn).map(|_| ())
     }
 
     /// Install `state` as the sealed snapshot and truncate the log —
     /// snapshot-assisted catch-up on a replication standby that fell too
     /// far behind the primary's retained stream. The state is re-sealed
     /// under *this* store's vault, so a standby's medium only ever holds
-    /// blobs its own platform can open.
+    /// blobs its own platform can open. Resets the replay mirror to
+    /// `state`.
     pub fn install_state(&self, state: &ManagerState) -> Result<(), StoreError> {
-        let sealed = self.vault.seal(PayloadKind::Snapshot, &state.encode())?;
-        self.media.install_snapshot(sealed);
+        let sealed = self
+            .shared
+            .vault
+            .seal(PayloadKind::Snapshot, &state.encode())?;
+        let _role = self.writer_role();
+        let mut writer = self.shared.writer.lock();
+        self.shared.media.install_snapshot(sealed);
+        writer.log_len = Some(0);
+        writer.mirror = Some(state.clone());
         Ok(())
     }
 
     /// Fold snapshot + log into a new sealed snapshot and truncate the
     /// log. Returns the number of log records folded in.
     pub fn compact(&self) -> Result<u64, StoreError> {
-        let replay = self.replay()?;
-        let sealed = self
-            .vault
-            .seal(PayloadKind::Snapshot, &replay.state.encode())?;
-        self.media.install_snapshot(sealed);
-        Ok(replay.replayed_records)
+        let role = self.writer_role();
+        self.compact_holding(&role)
     }
 
     /// Reconstruct the aggregate state: unseal the snapshot (if present),
@@ -257,20 +560,21 @@ impl StateStore {
     /// intact frame is a hard error (the media passed its checksums, so
     /// the blob was written by someone else's keys).
     pub fn replay(&self) -> Result<Replay, StoreError> {
+        let vault = &self.shared.vault;
+        let (snapshot, log) = self.shared.media.contents();
         let mut state = ManagerState::default();
-        let from_snapshot = match self.media.snapshot() {
+        let from_snapshot = match snapshot {
             Some(blob) => {
-                let plaintext = self.vault.unseal(PayloadKind::Snapshot, &blob)?;
+                let plaintext = vault.unseal(PayloadKind::Snapshot, &blob)?;
                 state = ManagerState::decode(&plaintext)?;
                 true
             }
             None => false,
         };
-        let log = self.media.log();
         let parsed = wal::parse_log(&log);
         let mut replayed = 0;
         for frame in &parsed.frames {
-            let plaintext = self.vault.unseal(PayloadKind::Record, frame)?;
+            let plaintext = vault.unseal(PayloadKind::Record, frame)?;
             state.apply(&WalRecord::decode(&plaintext)?);
             replayed += 1;
         }
@@ -285,15 +589,16 @@ impl StateStore {
 
     /// The backing medium (for crash tests and occupancy surfaces).
     pub fn media(&self) -> &Media {
-        &self.media
+        &self.shared.media
     }
 
     pub fn stats(&self) -> StoreStats {
+        let media = &self.shared.media;
         StoreStats {
-            log_frames: self.media.frame_count(),
-            log_bytes: self.media.log_bytes(),
-            compactions: self.media.compactions(),
-            has_snapshot: self.media.has_snapshot(),
+            log_frames: media.frame_count(),
+            log_bytes: media.log_bytes(),
+            compactions: media.compactions(),
+            has_snapshot: media.has_snapshot(),
         }
     }
 }
@@ -447,9 +752,11 @@ mod tests {
     fn group_observer_sees_each_record_in_order() {
         struct Tape(Mutex<Vec<u64>>);
         impl AppendObserver for Tape {
-            fn appended(&self, record: &WalRecord) -> Result<(), String> {
-                if let WalRecord::CertIssued { serial, .. } = record {
-                    self.0.lock().push(*serial);
+            fn appended(&self, records: &[WalRecord]) -> Result<(), String> {
+                for record in records {
+                    if let WalRecord::CertIssued { serial, .. } = record {
+                        self.0.lock().push(*serial);
+                    }
                 }
                 Ok(())
             }
@@ -499,6 +806,148 @@ mod tests {
         assert_eq!(replay.replayed_records, 3, "whole group gone, prefix kept");
         assert_eq!(replay.state.max_serial, 2);
         assert!(replay.state.pending.is_empty());
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_recovery_survive() {
+        let platform = SgxPlatform::new(b"vm");
+        let media = Media::new();
+        {
+            let store = store_on(&platform, media.clone());
+            issue_and_commit(&store, 2, 10);
+            issue_and_commit(&store, 3, 20);
+        }
+        media.tear_tail(3); // the crash tore serial 3's commit frame
+        let revived = store_on(&platform, media.clone());
+        assert_eq!(revived.replay().unwrap().state.max_serial, 3);
+        assert!(!revived.replay().unwrap().state.enrollments.contains_key(&3));
+        issue_and_commit(&revived, 4, 30);
+        // The first write after recovery cut the torn bytes, so the new
+        // records replay instead of hiding behind them.
+        let replay = store_on(&platform, media).replay().unwrap();
+        assert!(!replay.truncated_tail);
+        assert_eq!(replay.state.max_serial, 4);
+        assert!(replay.state.enrollments.contains_key(&4));
+        replay.state.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sync_waits_for_the_batch_that_holds_its_lsn() {
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let issued = |serial: u64| WalRecord::CertIssued {
+            serial,
+            subject: format!("vnf-{serial}"),
+            at: serial,
+        };
+        let first = store.enqueue(&[issued(2), issued(3)]).unwrap();
+        let second = store.enqueue(&[issued(4)]).unwrap();
+        assert_eq!((first, second), (2, 3));
+        assert_eq!(store.stats().log_frames, 0, "enqueue does no I/O");
+        assert!(!store.is_durable(first));
+        // The first waiter leads one batch holding both callers' records.
+        let commit = store.sync(first).unwrap();
+        assert_eq!(
+            commit,
+            Commit {
+                batch_records: 3,
+                leader: true
+            }
+        );
+        assert!(store.is_durable(second));
+        assert_eq!(store.media().flushes(), 1, "one flush for both callers");
+        let late = store.sync(second).unwrap();
+        assert!(!late.leader);
+        assert_eq!(store.replay().unwrap().state.max_serial, 4);
+    }
+
+    #[test]
+    fn vetoed_batch_fails_every_lsn_in_it() {
+        struct Fenced;
+        impl AppendObserver for Fenced {
+            fn appended(&self, _: &[WalRecord]) -> Result<(), String> {
+                Err("fenced".into())
+            }
+        }
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        store.set_observer(Arc::new(Fenced));
+        let record = |serial: u64| WalRecord::CrlIssued {
+            number: serial,
+            at: 1,
+        };
+        let a = store.enqueue(&[record(1)]).unwrap();
+        let b = store.enqueue(&[record(2), record(3)]).unwrap();
+        assert!(matches!(store.sync(b), Err(StoreError::Rejected(_))));
+        assert!(matches!(store.sync(a), Err(StoreError::Rejected(_))));
+        store.clear_observer();
+        let c = store.enqueue(&[record(4)]).unwrap();
+        assert!(store.sync(c).is_ok(), "a later, accepted batch succeeds");
+        assert!(matches!(store.sync(a), Err(StoreError::Rejected(_))));
+    }
+
+    /// A leader compacts after its batch is durable, so a caller released
+    /// by that batch may hand the medium to a new handle (recovery) while
+    /// the compaction still runs. `quiesce` must hold the new handle off
+    /// until the old one is idle, or the compaction's log truncation
+    /// erases what the new handle wrote.
+    #[test]
+    fn quiesce_keeps_a_late_compaction_off_a_new_handles_records() {
+        let platform = SgxPlatform::new(b"vm");
+        let issued = |serial: u64| WalRecord::CertIssued {
+            serial,
+            subject: format!("vnf-{serial}"),
+            at: serial,
+        };
+        for round in 0..48 {
+            let media = Media::new();
+            let old = store_on(&platform, media.clone()).with_compaction(1);
+            let new = store_on(&platform, media.clone());
+            issue_and_commit(&old, 2, 10);
+            let lsn = old.enqueue(&[issued(3)]).unwrap();
+            std::thread::scope(|scope| {
+                scope.spawn(|| old.sync(lsn).unwrap());
+                while !old.is_durable(lsn) {
+                    std::hint::spin_loop();
+                }
+                old.quiesce();
+                new.append(&issued(4)).unwrap();
+            });
+            let replay = store_on(&platform, media).replay().unwrap();
+            assert_eq!(
+                replay.state.max_serial, 4,
+                "round {round}: the old handle's compaction erased the new handle's record"
+            );
+        }
+    }
+
+    #[test]
+    fn mirror_compaction_matches_replay_compaction() {
+        let platform = SgxPlatform::new(b"vm");
+        let mirrored = store_on(&platform, Media::new()).with_compaction(4);
+        let reference = store_on(&platform, Media::new());
+        for serial in 2..9 {
+            issue_and_commit(&mirrored, serial, serial * 10);
+            issue_and_commit(&reference, serial, serial * 10);
+        }
+        assert!(
+            mirrored.stats().compactions >= 2,
+            "the mirror sealed snapshots"
+        );
+        assert_eq!(
+            mirrored.replay().unwrap().state,
+            reference.replay().unwrap().state
+        );
+        // install_state resets the mirror; later compactions build on it.
+        let installed = reference.replay().unwrap().state;
+        mirrored.install_state(&installed).unwrap();
+        issue_and_commit(&mirrored, 9, 90);
+        issue_and_commit(&reference, 9, 90);
+        mirrored.compact().unwrap();
+        assert_eq!(
+            mirrored.replay().unwrap().state,
+            reference.replay().unwrap().state
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! at the first frame that is incomplete or fails its checksum — the
 //! torn-tail rule: a crash mid-append may leave a partial final frame, and
 //! that frame's record simply never happened (its response was never sent,
-//! so nothing observable is lost).
+//! so nothing observable is lost). The next writer cuts such a tail off
+//! ([`Media::cut_torn_tail`]) before it appends, so nothing it writes can
+//! hide behind the unparseable bytes.
 //!
 //! **Group frames** extend the format for group commit: several payloads
 //! coalesced into one device write, framed as
@@ -66,12 +68,15 @@ struct MediaInner {
     /// Frames appended since the snapshot.
     log: Vec<u8>,
     /// Records appended since the snapshot (a group frame counts each of
-    /// its payloads; not adjusted by `tear_tail`).
+    /// its payloads; recounted by `cut_torn_tail`, not by `tear_tail`).
     frames: u64,
+    /// Device flushes (one per `append_frame` / `append_group_frame`
+    /// call) over the media's lifetime.
+    flushes: u64,
     /// Snapshot installations over the media's lifetime.
     compactions: u64,
-    /// Simulated device-write latency charged once per flush (per
-    /// `append_frame` / `append_group_frame` call). Zero by default.
+    /// Simulated device-write latency charged once per flush. Zero by
+    /// default.
     write_latency: Duration,
 }
 
@@ -94,59 +99,63 @@ impl Media {
 
     /// Model the write latency of the backing device: every flush (one
     /// `append_frame` or `append_group_frame` call) costs `latency` of
-    /// wall-clock time. Zero — the default — keeps the media instantaneous.
-    /// Saturation benchmarks use this to reproduce cloud block-storage
-    /// behavior, where the per-write flush dominates the request path.
+    /// wall-clock time, and its bytes become visible — durable — only
+    /// when that time has passed. Zero, the default, keeps the media
+    /// instantaneous. Saturation benchmarks use this to reproduce cloud
+    /// block storage, where the per-write flush dominates the request
+    /// path. The store's commit leader pays it outside every shard lock,
+    /// once per batch of queued records.
     pub fn set_write_latency(&self, latency: Duration) {
         self.inner.lock().write_latency = latency;
     }
 
-    fn charge_flush(&self, latency: Duration) {
+    /// Flush `bytes` (holding `records` records) to the end of the log and
+    /// return the log's new length. The device time passes before the
+    /// bytes land, so a reader never sees a write whose flush is still in
+    /// progress.
+    fn flush(&self, bytes: &[u8], records: u64) -> usize {
+        let latency = self.inner.lock().write_latency;
         if !latency.is_zero() {
             std::thread::sleep(latency);
         }
+        let mut inner = self.inner.lock();
+        inner.log.extend_from_slice(bytes);
+        inner.frames += records;
+        inner.flushes += 1;
+        inner.log.len()
     }
 
-    /// Append one frame around `payload`.
-    pub fn append_frame(&self, payload: &[u8]) {
-        let latency = {
-            let mut inner = self.inner.lock();
-            inner.log.push(FRAME_MAGIC);
-            inner
-                .log
-                .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            inner.log.extend_from_slice(payload);
-            inner.log.extend_from_slice(&crc32(payload).to_be_bytes());
-            inner.frames += 1;
-            inner.write_latency
-        };
-        self.charge_flush(latency);
+    /// Append one frame around `payload`; returns the log's new length.
+    pub fn append_frame(&self, payload: &[u8]) -> usize {
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
+        frame.push(FRAME_MAGIC);
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&crc32(payload).to_be_bytes());
+        self.flush(&frame, 1)
     }
 
     /// Append every payload in one group frame — one device write, one
-    /// checksum, one flush charge. Replay yields the payloads individually
-    /// and in order, so a group is byte-equivalent (in replayed records) to
-    /// the same payloads appended one frame at a time; the difference is
-    /// that a tear anywhere inside the group drops the *whole* group.
-    pub fn append_group_frame(&self, payloads: &[Vec<u8>]) {
+    /// checksum, one flush charge — and return the log's new length.
+    /// Replay yields the payloads individually and in order, so a group is
+    /// byte-equivalent (in replayed records) to the same payloads appended
+    /// one frame at a time; the difference is that a tear anywhere inside
+    /// the group drops the *whole* group.
+    pub fn append_group_frame(&self, payloads: &[Vec<u8>]) -> usize {
         if payloads.is_empty() {
-            return;
+            return self.log_bytes();
         }
         let mut body = Vec::new();
         for payload in payloads {
             body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
             body.extend_from_slice(payload);
         }
-        let latency = {
-            let mut inner = self.inner.lock();
-            inner.log.push(GROUP_MAGIC);
-            inner.log.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            inner.log.extend_from_slice(&body);
-            inner.log.extend_from_slice(&crc32(&body).to_be_bytes());
-            inner.frames += payloads.len() as u64;
-            inner.write_latency
-        };
-        self.charge_flush(latency);
+        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
+        frame.push(GROUP_MAGIC);
+        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&crc32(&body).to_be_bytes());
+        self.flush(&frame, payloads.len() as u64)
     }
 
     /// Replace the snapshot region and truncate the log (compaction).
@@ -168,9 +177,34 @@ impl Media {
         self.inner.lock().log.clone()
     }
 
+    /// The snapshot and the log read at one instant, so a compaction can
+    /// never fall between the two reads.
+    pub fn contents(&self) -> (Option<Vec<u8>>, Vec<u8>) {
+        let inner = self.inner.lock();
+        (inner.snapshot.clone(), inner.log.clone())
+    }
+
+    /// Cut the log back to its last intact frame, dropping a torn or
+    /// corrupt tail, and return the log's new length. A writer calls this
+    /// before its first append after a crash: a frame written behind
+    /// unparseable bytes would never replay.
+    pub fn cut_torn_tail(&self) -> usize {
+        let mut inner = self.inner.lock();
+        let parsed = parse_log(&inner.log);
+        let intact = inner.log.len() - parsed.dropped_bytes;
+        inner.log.truncate(intact);
+        inner.frames = parsed.frames.len() as u64;
+        intact
+    }
+
     /// Frames appended since the last snapshot.
     pub fn frame_count(&self) -> u64 {
         self.inner.lock().frames
+    }
+
+    /// Device flushes over the media's lifetime.
+    pub fn flushes(&self) -> u64 {
+        self.inner.lock().flushes
     }
 
     /// Raw size of the log region.
@@ -197,6 +231,7 @@ impl Media {
                 snapshot: inner.snapshot.clone(),
                 log: inner.log.clone(),
                 frames: inner.frames,
+                flushes: inner.flushes,
                 compactions: inner.compactions,
                 // Forks are for offline oracle replay; they read, not flush.
                 write_latency: Duration::ZERO,

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use vnfguard::core::crash::CrashPlan;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::remote::serve_vm_api;
+use vnfguard::core::service::VmService;
 use vnfguard::core::CoreError;
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
@@ -255,6 +256,177 @@ fn torn_wal_tail_recovers_to_a_consistent_prefix() {
     assert_eq!(tb.vm.sweep_pending_enrollments().unwrap(), 1);
     assert!(tb.vm.credential_is_revoked(cert_b.serial()));
     assert!(!tb.vm.credential_is_revoked(cert_a.serial()));
+}
+
+/// Records acknowledged after a torn-tail recovery survive the next
+/// recovery: the first write after recovery cuts the torn bytes instead of
+/// landing behind them, where every later replay would stop.
+#[test]
+fn renewal_after_a_torn_tail_recovery_survives_the_next_recovery() {
+    let mut tb = TestbedBuilder::new(b"torn tail renewal").durable().build();
+    tb.attest_host(0).unwrap();
+    let guard_a = tb.deploy_guard(0, "vnf-a", 1).unwrap();
+    let cert_a = tb.enroll(0, &guard_a).unwrap();
+    let guard_b = tb.deploy_guard(0, "vnf-b", 1).unwrap();
+    tb.enroll(0, &guard_b).unwrap();
+
+    // Tear vnf-b's commit frame, recover, and renew vnf-a on the new
+    // incarnation (hosts re-attest to every incarnation).
+    tb.store_media().unwrap().tear_tail(3);
+    assert!(tb.recover_vm().unwrap().truncated_tail);
+    tb.attest_host(0).unwrap();
+    let renewed = tb.renew(&guard_a, cert_a.serial()).unwrap();
+
+    let report = tb.recover_vm().unwrap();
+    assert!(
+        !report.truncated_tail,
+        "nothing acknowledged sits behind torn bytes"
+    );
+    assert_eq!(report.generation, 2);
+    assert!(
+        tb.vm.enrollments().any(|e| e.serial == renewed.serial()),
+        "the renewal acknowledged after the first recovery was lost"
+    );
+}
+
+/// Concurrent renewals on one shard while a seeded plan crashes the
+/// manager at `renewal.issue` and the harness recovers it as soon as a
+/// client sees the crash, with the other clients still calling. Every
+/// acknowledged renewal survives, and the final recovered state equals an
+/// independent replay of a fork of the medium.
+#[test]
+fn crashes_under_concurrent_renewals_recover_to_the_fork_replay() {
+    let crashes: usize = (0..4).map(|seed| renewal_crash_race(seed, 256)).sum();
+    assert!(crashes > 0, "the race never crashed the manager");
+}
+
+/// The same race with a compaction every four frames, so crashes land
+/// while another client's commit leader is still compacting. The crashed
+/// incarnation's store is idle before recovery replays the medium, so its
+/// late compaction cannot truncate what the recovered incarnation
+/// journals: every recovery generation, and a renewal acknowledged after
+/// the last one, survive the next recovery.
+#[test]
+fn a_crash_during_another_clients_compaction_loses_no_later_record() {
+    let crashes: usize = (0..4).map(|seed| renewal_crash_race(seed, 4)).sum();
+    assert!(crashes > 0, "the race never crashed the manager");
+}
+
+/// One seed of the renewal crash race (see the two tests above) on a
+/// store that compacts every `wal_compaction` frames. Returns the crashes
+/// the plan fired.
+fn renewal_crash_race(seed: u64, wal_compaction: u64) -> usize {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
+    const CLIENTS: usize = 4;
+    const RENEWALS: usize = 4;
+    let plan = CrashPlan::seeded(seed);
+    plan.crash_with_probability("renewal.issue", 0.15);
+    let mut tb = TestbedBuilder::new(format!("renewal crash race {seed}").as_bytes())
+        .durable()
+        .group_commit(true)
+        .wal_compaction(wal_compaction)
+        .wal_write_latency(Duration::from_micros(300))
+        .crash_plan(plan.clone())
+        .build();
+    let mut recoveries = 0;
+    let mut recover = |tb: &mut Testbed| {
+        recoveries += 1;
+        let report = tb
+            .recover_vm()
+            .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
+        assert_eq!(
+            report.generation, recoveries,
+            "seed {seed}: an earlier recovery's generation was lost"
+        );
+        tb.attest_host(0).unwrap();
+    };
+    tb.attest_host(0).unwrap();
+    let mut clients = Vec::new();
+    for t in 0..CLIENTS {
+        let guard = tb.deploy_guard(0, &format!("vnf-race-{t}"), 1).unwrap();
+        let key = guard.provisioning_key().unwrap();
+        loop {
+            match tb.enroll(0, &guard) {
+                Ok(certificate) => break clients.push((certificate.serial(), key)),
+                Err(CoreError::VmCrashed(_)) => recover(&mut tb),
+                Err(other) => panic!("seed {seed}: enrollment failed: {other}"),
+            }
+        }
+    }
+    let vm = tb.vm_service();
+    let crashed = AtomicBool::new(false);
+    let finished = AtomicUsize::new(0);
+    let newest: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter()
+            .map(|&(serial, key)| {
+                let (vm, crashed, finished) = (vm.clone(), &crashed, &finished);
+                scope.spawn(move || {
+                    let mut serial = serial;
+                    let mut renewed = 0;
+                    for _ in 0..400 {
+                        match vm.renew_vnf_credential(serial, &key, "controller") {
+                            Ok((_, certificate)) => {
+                                serial = certificate.serial();
+                                renewed += 1;
+                                if renewed == RENEWALS {
+                                    break;
+                                }
+                            }
+                            // Dead, or alive again but not yet trusting
+                            // the host: back off until recovered.
+                            Err(CoreError::VmCrashed(_)) => {
+                                crashed.store(true, Ordering::SeqCst);
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    serial
+                })
+            })
+            .collect();
+        while finished.load(Ordering::SeqCst) < CLIENTS {
+            if crashed.swap(false, Ordering::SeqCst) {
+                recover(&mut tb);
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    // Recover, renew on the new incarnation, recover again: the renewal
+    // and both generations survive.
+    plan.clear("renewal.issue");
+    recover(&mut tb);
+    let (_, renewed) = vm
+        .renew_vnf_credential(newest[0], &clients[0].1, "controller")
+        .unwrap_or_else(|e| panic!("seed {seed}: renewal after recovery failed: {e}"));
+    recover(&mut tb);
+    for serial in newest[1..].iter().chain([&renewed.serial()]) {
+        assert!(
+            tb.vm.enrollments().any(|e| e.serial == *serial),
+            "seed {seed}: acknowledged serial {serial} lost"
+        );
+    }
+    let view = |vm: &VmService| {
+        let enrollments: Vec<_> = vm
+            .enrollments()
+            .map(|e| (e.serial, e.vnf_name.clone(), e.revoked))
+            .collect();
+        (
+            enrollments,
+            vm.issued_count(),
+            vm.lifecycle_status().crl_number,
+        )
+    };
+    assert_eq!(
+        view(&tb.vm),
+        view(&tb.oracle_twin().unwrap()),
+        "seed {seed}: recovered state diverged from the fork replay"
+    );
+    plan.fired_count()
 }
 
 /// A crash that strands a prepared enrollment past the grace window:

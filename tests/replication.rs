@@ -207,7 +207,7 @@ fn ride_out(tb: &mut Testbed, seed: u64, promotions: &mut usize) {
         );
         *promotions += 1;
         assert_eq!(
-            authority_view(&VmService::single(oracle)),
+            authority_view(&oracle),
             authority_view(&tb.vm),
             "seed {seed}: promoted standby diverged from the oracle twin \
              (epoch {}, high-water {})",
@@ -343,7 +343,7 @@ fn run_failover_scenario(seed: u64) -> Outcome {
     // state (replication never forked the timeline).
     let oracle = tb.oracle_twin().unwrap();
     assert_eq!(
-        authority_view(&VmService::single(oracle)),
+        authority_view(&oracle),
         authority_view(&tb.vm),
         "seed {seed}: final state diverged from the oracle twin"
     );
@@ -428,7 +428,7 @@ fn zombie_primary_is_fenced_after_partition_heals() {
     // The partition heals and the zombie tries to keep being primary.
     // Its append is rejected by the surviving standby's epoch check; the
     // operation fails instead of committing into the dead timeline.
-    let mut zombie = zombie_handle;
+    let zombie = zombie_handle;
     let err = zombie.issue_crl().unwrap_err();
     assert!(
         matches!(err, CoreError::Store(_)),
@@ -461,6 +461,64 @@ fn zombie_primary_is_fenced_after_partition_heals() {
     tb.attest_host(0).unwrap();
     let guard2 = tb.deploy_guard(0, "vnf-after-fence", 1).unwrap();
     tb.enroll(0, &guard2).unwrap();
+}
+
+/// Concurrent calls on a deposed primary share commit batches; the veto
+/// its standbys return fails every caller in a batch, not just the leader
+/// that streamed it.
+#[test]
+fn fenced_primary_veto_fails_every_waiter_in_its_batch() {
+    let mut tb = TestbedBuilder::new(b"replication veto batch")
+        .replicas(2)
+        .group_commit(true)
+        .build();
+    tb.attest_host(0).unwrap();
+    let serials: Vec<u64> = (0..4)
+        .map(|i| {
+            let guard = tb.deploy_guard(0, &format!("vnf-veto-{i}"), 1).unwrap();
+            tb.enroll(0, &guard).unwrap().serial()
+        })
+        .collect();
+    let media = tb.store_media().unwrap().clone();
+    let zombie = tb.detach_primary();
+    tb.promote().unwrap();
+
+    // A slow flush lets the later callers queue behind the first batch.
+    media.set_write_latency(Duration::from_millis(300));
+    let flushes_before = media.flushes();
+    let results: Vec<Result<(), CoreError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = serials
+            .iter()
+            .map(|&serial| {
+                let zombie = zombie.clone();
+                scope.spawn(move || {
+                    zombie.revoke_credential(serial, RevocationReason::KeyCompromise)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let flushes = media.flushes() - flushes_before;
+    let vetoed = results
+        .iter()
+        .filter(|r| matches!(r, Err(CoreError::Store(_))))
+        .count();
+    // Callers that reached the manager after the fence landed are refused
+    // up front; every caller whose record was journaled fails its commit.
+    assert!(
+        results.iter().all(|r| matches!(
+            r,
+            Err(CoreError::Store(_)) | Err(CoreError::ServiceUnavailable(_))
+        )),
+        "a deposed primary acknowledged a revocation: {results:?}"
+    );
+    assert!(
+        vetoed > flushes as usize,
+        "{vetoed} vetoed callers over {flushes} flushes: no batch held several waiters"
+    );
+    assert!(zombie.replication_status().unwrap().fenced);
+    let survivor = tb.standbys[0].store().replay().unwrap().state;
+    assert!(serials.iter().all(|s| !survivor.revoked.contains_key(s)));
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@
 //!   to a valid *earlier* manager state — `check_invariants` passes and
 //!   the monotone counters (serials, issuance, CRL number, CA epoch)
 //!   never run backwards along the prefix chain.
+//!
+//! The commit path (`enqueue` under the caller's lock, `sync` with one
+//! leader flushing every queued record) adds three more: concurrent
+//! appenders replay exactly as their records applied in LSN order, a tear
+//! anywhere drops only whole trailing batches, and compaction from the
+//! in-memory replay mirror seals the same state a full replay would.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -172,10 +178,19 @@ fn script(ops: &[u8]) -> Vec<WalRecord> {
 }
 
 fn fresh_store(compaction: u64) -> StateStore {
+    store_over(Media::new()).with_compaction(compaction)
+}
+
+fn store_over(media: Media) -> StateStore {
     let platform = SgxPlatform::new(b"store props vm");
     let author = EnclaveAuthor::from_seed(&[7; 32]);
     let vault = StateVault::load(&platform, &author).expect("vault loads");
-    StateStore::new(Media::new(), vault).with_compaction(compaction)
+    StateStore::new(media, vault)
+}
+
+/// A new handle over `store`'s medium, as a recovered incarnation opens it.
+fn reopen(store: &StateStore) -> StateStore {
+    store_over(store.media().clone())
 }
 
 /// Fold a record slice directly (the reference replay, no sealing).
@@ -345,6 +360,178 @@ proptest! {
             boundary_states.contains(&replayed),
             "torn group frame replayed to a non-boundary state (partial group applied)"
         );
+    }
+}
+
+/// A thread's journal stream: `count` enrollments on serials no other
+/// thread uses, each queueing a revocation notice. The notice list keeps
+/// journal order, so the replayed state shows the order records applied in.
+fn thread_script(thread: usize, count: usize) -> Vec<WalRecord> {
+    let mut records = Vec::new();
+    for i in 0..count {
+        let serial = (thread as u64 + 1) * 1_000 + i as u64;
+        records.push(WalRecord::CertIssued {
+            serial,
+            subject: format!("cn-{serial}"),
+            at: serial,
+        });
+        records.push(WalRecord::EnrollmentPrepared {
+            serial,
+            vnf_name: format!("vnf-{serial}"),
+            host_id: format!("host-{thread}"),
+            mrenclave: [thread as u8; 32],
+            provisioning_key_hash: [i as u8; 32],
+            backend: 0,
+            at: serial,
+        });
+        records.push(WalRecord::EnrollmentCommitted { serial, at: serial });
+        records.push(WalRecord::RevocationQueued {
+            host_id: format!("host-{thread}"),
+            serial,
+            tag: [i as u8; 32],
+            at: serial,
+        });
+    }
+    records
+}
+
+/// Split `records` into consecutive chunks, sized by cycling `sizes`.
+fn chunked<'a>(records: &'a [WalRecord], sizes: &[usize]) -> Vec<&'a [WalRecord]> {
+    let mut chunks = Vec::new();
+    let mut cursor = 0;
+    let mut sizes = sizes.iter().cycle();
+    while cursor < records.len() {
+        let take = (*sizes.next().unwrap()).min(records.len() - cursor);
+        chunks.push(&records[cursor..cursor + take]);
+        cursor += take;
+    }
+    chunks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Concurrent appenders, each enqueueing random-sized chunks and
+    /// waiting for them, replay to exactly the state of their records
+    /// applied in LSN order — with group commit on or off, with or without
+    /// mirror compaction running in the leaders — and every acknowledged
+    /// record is in it.
+    #[test]
+    fn concurrent_appenders_replay_in_lsn_order(
+        threads in 4usize..=8,
+        per_thread in 1usize..5,
+        sizes in vec(1usize..7, 1..8),
+        group_commit in any::<bool>(),
+        compaction in prop_oneof![Just(0u64), 3u64..16],
+    ) {
+        let store = fresh_store(compaction).with_group_commit(group_commit);
+        store.media().set_write_latency(std::time::Duration::from_micros(100));
+        let scripts: Vec<Vec<WalRecord>> =
+            (0..threads).map(|t| thread_script(t, per_thread)).collect();
+        let mut acknowledged: Vec<(u64, Vec<WalRecord>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = scripts
+                .iter()
+                .map(|script| {
+                    let (store, sizes) = (store.clone(), &sizes);
+                    scope.spawn(move || {
+                        chunked(script, sizes)
+                            .into_iter()
+                            .map(|chunk| {
+                                let lsn = store.enqueue(chunk).unwrap();
+                                store.sync(lsn).unwrap();
+                                (lsn, chunk.to_vec())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        acknowledged.sort_by_key(|(lsn, _)| *lsn);
+        let in_lsn_order: Vec<WalRecord> =
+            acknowledged.into_iter().flat_map(|(_, chunk)| chunk).collect();
+        prop_assert_eq!(in_lsn_order.len(), threads * per_thread * 4);
+        prop_assert_eq!(store.appended_lsn(), in_lsn_order.len() as u64);
+        let replayed = store.replay().unwrap().state;
+        prop_assert_eq!(&replayed, &fold(&in_lsn_order), "replay is not LSN-order application");
+        prop_assert_eq!(replayed.notices.len(), in_lsn_order.len() / 4, "an acknowledged record is missing");
+    }
+
+    /// Batches that hold several callers' records: a tear at any byte
+    /// replays to the state after some whole batch with group commit on
+    /// (one group frame per batch), and after some whole record with it
+    /// off (one frame per record) — never a torn record, never a record
+    /// past the tear.
+    #[test]
+    fn tear_anywhere_drops_only_whole_trailing_batches(
+        ops in vec(any::<u8>(), 2..40),
+        sizes in vec(1usize..5, 1..12),
+        callers in vec(1usize..4, 1..12),
+        group_commit in any::<bool>(),
+        tear in 1usize..100_000,
+    ) {
+        let records = script(&ops);
+        let store = fresh_store(0).with_group_commit(group_commit);
+        let chunks = chunked(&records, &sizes);
+        let mut boundaries = vec![ManagerState::default()];
+        let mut applied = 0;
+        let mut pending = chunks.iter().peekable();
+        let mut per_batch = callers.iter().cycle();
+        while pending.peek().is_some() {
+            // Several callers enqueue, then one sync leads them all.
+            let mut lsn = 0;
+            for chunk in pending.by_ref().take(*per_batch.next().unwrap()) {
+                lsn = store.enqueue(chunk).unwrap();
+                applied += chunk.len();
+            }
+            let commit = store.sync(lsn).unwrap();
+            prop_assert!(commit.leader);
+            boundaries.push(fold(&records[..applied]));
+        }
+        let prefixes: Vec<ManagerState> =
+            (0..=records.len()).map(|n| fold(&records[..n])).collect();
+        let log_bytes = store.stats().log_bytes;
+        store.media().tear_tail(1 + tear % log_bytes);
+        let replayed = store.replay().unwrap().state;
+        let allowed = if group_commit { &boundaries } else { &prefixes };
+        prop_assert!(allowed.contains(&replayed), "tear replayed to a state inside a batch or record");
+    }
+
+    /// Threshold compaction seals the leaders' in-memory replay mirror;
+    /// compacting a store that never built one seals a fresh full replay.
+    /// Both, and a store that never compacts, replay to the same state —
+    /// also after `install_state` resets the mirror mid-stream.
+    #[test]
+    fn mirror_compaction_replays_like_replay_compaction(
+        ops in vec(any::<u8>(), 1..60),
+        sizes in vec(1usize..6, 1..10),
+        compaction in 2u64..12,
+        install_at in 0usize..60,
+    ) {
+        let records = script(&ops);
+        let mirrored = fresh_store(compaction).with_group_commit(true);
+        let plain = fresh_store(0).with_group_commit(true);
+        let chunks = chunked(&records, &sizes);
+        let install_at = install_at % chunks.len();
+        for (i, chunk) in chunks.iter().enumerate() {
+            if i == install_at {
+                // A standby catch-up: install the state so far on both.
+                let so_far = plain.replay().unwrap().state;
+                mirrored.install_state(&so_far).unwrap();
+                plain.install_state(&so_far).unwrap();
+            }
+            mirrored.append_group(chunk).unwrap();
+            plain.append_group(chunk).unwrap();
+        }
+        let expected = fold(&records);
+        prop_assert_eq!(&mirrored.replay().unwrap().state, &expected, "mirror compaction diverged");
+        mirrored.compact().unwrap();
+        prop_assert_eq!(&mirrored.replay().unwrap().state, &expected, "forced mirror compaction diverged");
+        // A fresh handle has no mirror: its compaction starts from replay().
+        let reopened = reopen(&plain);
+        reopened.compact().unwrap();
+        prop_assert_eq!(&reopened.replay().unwrap().state, &expected, "replay-built compaction diverged");
+        prop_assert_eq!(&plain.replay().unwrap().state, &expected);
     }
 }
 
