@@ -508,8 +508,10 @@ pub(crate) struct CommitTicket {
 
 impl CommitTicket {
     /// Wait until the ticket's LSN is durable, inside a `wal_commit` span
-    /// annotated with the batch's record count and this caller's role
-    /// (leader or follower). A call that journaled charges its
+    /// annotated with the batch's record count, this caller's role (leader
+    /// or follower) and the device writes already in flight when the batch
+    /// was issued (0, or 1 when it overlapped the previous batch's write).
+    /// A call that journaled charges its
     /// journal-to-durable time to `vnfguard_core_wal_append_micros`. A
     /// failed commit is audited, so an operator sees the durability gap
     /// even when the caller's signature cannot surface it.
@@ -527,6 +529,8 @@ impl CommitTicket {
                 self.telemetry
                     .annotate(now, "batch_records", &commit.batch_records.to_string());
                 self.telemetry.annotate(now, "role", role);
+                self.telemetry
+                    .annotate(now, "in_flight", &commit.in_flight.to_string());
             }
             Ok(_) => {}
             Err(e) => {

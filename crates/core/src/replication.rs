@@ -13,10 +13,11 @@
 //!
 //! - **Streaming** ([`ReplicaSet`], installed as the store's
 //!   [`AppendObserver`]): each flushed commit batch is framed and pushed
-//!   to every standby link by the store's commit leader, outside every
-//!   shard lock, before any caller in the batch is acknowledged, with a
-//!   bounded per-batch window, per-record crc32, explicit acks, and
-//!   clock-advancing retry/backoff via [`RetryPolicy`] when a link fails.
+//!   to every standby link by the store's commit leader, in LSN order,
+//!   outside every shard lock, before any caller in the batch is
+//!   acknowledged, with a bounded per-batch window, per-record crc32,
+//!   explicit acks, and clock-advancing retry/backoff via
+//!   [`RetryPolicy`] when a link fails.
 //!   Undeliverable records stay buffered per the retention budget.
 //! - **Gap detection + catch-up** (standby acks carry the next expected
 //!   sequence): a lagging standby is replayed from the retained buffer, or

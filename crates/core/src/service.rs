@@ -1159,21 +1159,22 @@ mod tests {
         };
         let (frames_before, journaled_before) = (media.frame_count(), journaled());
         media.set_write_latency(Duration::from_millis(400));
-        let overlapped = std::thread::scope(|scope| {
+        let (queued_early, issued_early) = std::thread::scope(|scope| {
             let renew = |(serial, key): (u64, [u8; 32])| {
                 let vm = vm.clone();
                 move || vm.renew_vnf_credential(serial, &key, "controller").unwrap()
             };
             scope.spawn(renew(credentials[0]));
-            // Once the first renewal has journaled, its flush is under way.
-            while journaled() == journaled_before {
+            // Once the first renewal's write is issued, its flush is under
+            // way.
+            while media.writes_in_flight() == 0 {
                 std::thread::yield_now();
             }
             let first_records = journaled() - journaled_before;
             scope.spawn(renew(credentials[1]));
             // The second renewal's records get queued while the medium
             // still lacks the first renewal's frames.
-            loop {
+            let queued = loop {
                 let queued = journaled();
                 let landed = media.frame_count();
                 if queued > journaled_before + first_records {
@@ -1183,11 +1184,26 @@ mod tests {
                     break false;
                 }
                 std::thread::yield_now();
-            }
+            };
+            // Then its write is issued before the first renewal's lands.
+            let issued = loop {
+                if media.frame_count() > frames_before {
+                    break false;
+                }
+                if media.writes_in_flight() == 2 {
+                    break media.frame_count() == frames_before;
+                }
+                std::thread::yield_now();
+            };
+            (queued, issued)
         });
         assert!(
-            overlapped,
+            queued_early,
             "the second call's manager work waited for the first call's flush"
+        );
+        assert!(
+            issued_early,
+            "the second call's write waited for the first call's write to land"
         );
     }
 }

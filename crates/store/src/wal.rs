@@ -37,7 +37,7 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frame marker byte; a cheap misalignment detector.
 const FRAME_MAGIC: u8 = 0xA5;
@@ -47,6 +47,31 @@ const GROUP_MAGIC: u8 = 0xA6;
 const FRAME_HEADER: usize = 5;
 /// Trailing checksum.
 const FRAME_TRAILER: usize = 4;
+
+/// One frame: `magic`, the body's length, the body, its checksum.
+fn framed(magic: u8, body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
+    frame.push(magic);
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&crc32(body).to_be_bytes());
+    frame
+}
+
+/// The bytes of one frame around `payload`.
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    framed(FRAME_MAGIC, payload)
+}
+
+/// The bytes of one group frame holding every payload, in order.
+pub(crate) fn group_frame(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for payload in payloads {
+        body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        body.extend_from_slice(payload);
+    }
+    framed(GROUP_MAGIC, &body)
+}
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 pub fn crc32(data: &[u8]) -> u32 {
@@ -70,14 +95,23 @@ struct MediaInner {
     /// Records appended since the snapshot (a group frame counts each of
     /// its payloads; recounted by `cut_torn_tail`, not by `tear_tail`).
     frames: u64,
-    /// Device flushes (one per `append_frame` / `append_group_frame`
-    /// call) over the media's lifetime.
+    /// Device flushes (one per landed write) over the media's lifetime.
     flushes: u64,
     /// Snapshot installations over the media's lifetime.
     compactions: u64,
     /// Simulated device-write latency charged once per flush. Zero by
     /// default.
     write_latency: Duration,
+    /// Writes issued and not yet landed.
+    in_flight: u64,
+}
+
+/// A device write started by [`Media::issue`]; [`Media::land`] finishes
+/// it.
+#[must_use]
+pub(crate) struct Write {
+    /// When the write's device time ends.
+    due: Instant,
 }
 
 /// Durable storage shared across VM incarnations.
@@ -98,27 +132,41 @@ impl Media {
     }
 
     /// Model the write latency of the backing device: every flush (one
-    /// `append_frame` or `append_group_frame` call) costs `latency` of
-    /// wall-clock time, and its bytes become visible — durable — only
-    /// when that time has passed. Zero, the default, keeps the media
-    /// instantaneous. Saturation benchmarks use this to reproduce cloud
-    /// block storage, where the per-write flush dominates the request
-    /// path. The store's commit leader pays it outside every shard lock,
-    /// once per batch of queued records.
+    /// `append_frame` or `append_group_frame` call, or one write of a
+    /// store's batch) costs `latency` of wall-clock time from when it is
+    /// issued, and its bytes become visible — durable — only when that
+    /// time has passed. Writes may overlap: one issued while another is in
+    /// flight runs its device time alongside it. Zero, the default, keeps
+    /// the media instantaneous. Saturation benchmarks use this to
+    /// reproduce cloud block storage, where the per-write flush dominates
+    /// the request path. The store's commit leaders pay it outside every
+    /// shard lock, once per batch of queued records, with up to two
+    /// batches' writes in flight.
     pub fn set_write_latency(&self, latency: Duration) {
         self.inner.lock().write_latency = latency;
     }
 
-    /// Flush `bytes` (holding `records` records) to the end of the log and
-    /// return the log's new length. The device time passes before the
-    /// bytes land, so a reader never sees a write whose flush is still in
-    /// progress.
-    fn flush(&self, bytes: &[u8], records: u64) -> usize {
-        let latency = self.inner.lock().write_latency;
-        if !latency.is_zero() {
-            std::thread::sleep(latency);
+    /// Issue a device write: its device time starts now. Hand the write
+    /// to [`land`](Self::land) with its bytes.
+    pub(crate) fn issue(&self) -> Write {
+        let mut inner = self.inner.lock();
+        inner.in_flight += 1;
+        Write {
+            due: Instant::now() + inner.write_latency,
+        }
+    }
+
+    /// Land an issued write: wait until its device time has passed, then
+    /// append `bytes` (holding `records` records) to the log as one flush
+    /// and return the log's new length. A reader never sees a write whose
+    /// device time is still running.
+    pub(crate) fn land(&self, write: Write, bytes: &[u8], records: u64) -> usize {
+        let now = Instant::now();
+        if write.due > now {
+            std::thread::sleep(write.due - now);
         }
         let mut inner = self.inner.lock();
+        inner.in_flight -= 1;
         inner.log.extend_from_slice(bytes);
         inner.frames += records;
         inner.flushes += 1;
@@ -127,12 +175,7 @@ impl Media {
 
     /// Append one frame around `payload`; returns the log's new length.
     pub fn append_frame(&self, payload: &[u8]) -> usize {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
-        frame.push(FRAME_MAGIC);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
-        self.flush(&frame, 1)
+        self.land(self.issue(), &frame(payload), 1)
     }
 
     /// Append every payload in one group frame — one device write, one
@@ -145,17 +188,7 @@ impl Media {
         if payloads.is_empty() {
             return self.log_bytes();
         }
-        let mut body = Vec::new();
-        for payload in payloads {
-            body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            body.extend_from_slice(payload);
-        }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
-        frame.push(GROUP_MAGIC);
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc32(&body).to_be_bytes());
-        self.flush(&frame, payloads.len() as u64)
+        self.land(self.issue(), &group_frame(payloads), payloads.len() as u64)
     }
 
     /// Replace the snapshot region and truncate the log (compaction).
@@ -207,6 +240,11 @@ impl Media {
         self.inner.lock().flushes
     }
 
+    /// Device writes issued whose bytes have not landed yet.
+    pub fn writes_in_flight(&self) -> u64 {
+        self.inner.lock().in_flight
+    }
+
     /// Raw size of the log region.
     pub fn log_bytes(&self) -> usize {
         self.inner.lock().log.len()
@@ -235,6 +273,7 @@ impl Media {
                 compactions: inner.compactions,
                 // Forks are for offline oracle replay; they read, not flush.
                 write_latency: Duration::ZERO,
+                in_flight: 0,
             })),
         }
     }

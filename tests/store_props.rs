@@ -414,8 +414,9 @@ proptest! {
     /// Concurrent appenders, each enqueueing random-sized chunks and
     /// waiting for them, replay to exactly the state of their records
     /// applied in LSN order — with group commit on or off, with or without
-    /// mirror compaction running in the leaders — and every acknowledged
-    /// record is in it.
+    /// mirror compaction running in the leaders, with instant writes or
+    /// slow enough ones that two batches' writes overlap — and every
+    /// acknowledged record is in it.
     #[test]
     fn concurrent_appenders_replay_in_lsn_order(
         threads in 4usize..=8,
@@ -423,9 +424,10 @@ proptest! {
         sizes in vec(1usize..7, 1..8),
         group_commit in any::<bool>(),
         compaction in prop_oneof![Just(0u64), 3u64..16],
+        write_micros in prop_oneof![Just(0u64), Just(100), Just(2000)],
     ) {
         let store = fresh_store(compaction).with_group_commit(group_commit);
-        store.media().set_write_latency(std::time::Duration::from_micros(100));
+        store.media().set_write_latency(std::time::Duration::from_micros(write_micros));
         let scripts: Vec<Vec<WalRecord>> =
             (0..threads).map(|t| thread_script(t, per_thread)).collect();
         let mut acknowledged: Vec<(u64, Vec<WalRecord>)> = std::thread::scope(|scope| {
