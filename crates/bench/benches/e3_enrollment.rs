@@ -83,7 +83,7 @@ fn bench_e3(c: &mut Criterion) {
         let enclave_key = vnfguard_crypto::x25519::EphemeralKeyPair::from_seed([9; 32]);
         b.iter(|| {
             black_box(vnfguard_vnf::wrap_credentials(
-                &mut rng,
+                &vnfguard_vnf::WrapRandomness::draw(&mut rng),
                 &enclave_key.public,
                 &bundle,
             ));

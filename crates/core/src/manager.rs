@@ -9,7 +9,7 @@ use crate::CoreError;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-use vnfguard_store::{Lsn, StateStore, StoreStats, WalRecord};
+use vnfguard_store::{Lsn, Pending, StateStore, StoreStats, WalRecord};
 use vnfguard_controller::clock::SimClock;
 use vnfguard_crypto::drbg::{HmacDrbg, SecureRandom};
 use vnfguard_crypto::ed25519::SigningKey;
@@ -20,12 +20,12 @@ use vnfguard_attest::{
 };
 use vnfguard_ima::appraisal::{AppraisalPolicy, ReferenceDatabase, Verdict};
 use vnfguard_ima::list::IMA_PCR;
-use vnfguard_pki::ca::{CertificateAuthority, IssueProfile};
+use vnfguard_pki::ca::{CertificateAuthority, Issuance, IssueProfile};
 use vnfguard_pki::cert::{Certificate, DistinguishedName, Validity};
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
 use vnfguard_telemetry::{current_trace, Counter, Gauge, Histogram, SpanGuard, Telemetry};
 use vnfguard_vnf::credential_enclave::{provisioning_report_data, ProvisionBundle};
-use vnfguard_vnf::wrap_credentials;
+use vnfguard_vnf::{wrap_credentials, WrapRandomness};
 
 /// How strictly TCB warnings in attestation evidence are treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,6 +507,31 @@ pub(crate) struct CommitTicket {
 }
 
 impl CommitTicket {
+    /// Issue the batch holding the ticket's LSN if this caller may lead it
+    /// now (see [`StateStore::begin`]). The caller may then run work that
+    /// reads no manager state, such as a [`Mint`], while the write is in
+    /// flight, and [`finish`](PendingCommit::finish)es before answering.
+    pub(crate) fn begin(self) -> PendingCommit {
+        PendingCommit {
+            pending: self.store.begin(self.lsn),
+            ticket: self,
+        }
+    }
+
+    /// [`begin`](Self::begin), then [`finish`](PendingCommit::finish) at
+    /// once.
+    pub(crate) fn wait(self) -> Result<(), CoreError> {
+        self.begin().finish()
+    }
+}
+
+/// A [`CommitTicket`] whose commit has begun.
+pub(crate) struct PendingCommit {
+    ticket: CommitTicket,
+    pending: Pending,
+}
+
+impl PendingCommit {
     /// Wait until the ticket's LSN is durable, inside a `wal_commit` span
     /// annotated with the batch's record count, this caller's role (leader
     /// or follower) and the device writes already in flight when the batch
@@ -515,30 +540,86 @@ impl CommitTicket {
     /// journal-to-durable time to `vnfguard_core_wal_append_micros`. A
     /// failed commit is audited, so an operator sees the durability gap
     /// even when the caller's signature cannot surface it.
-    pub(crate) fn wait(self) -> Result<(), CoreError> {
-        let span = self.telemetry.span("vm", "wal_commit", self.clock.now());
-        let outcome = self.store.sync(self.lsn);
-        if let Some(begun) = self.journaled_at {
-            self.wal_append_micros
+    pub(crate) fn finish(self) -> Result<(), CoreError> {
+        let PendingCommit { ticket, pending } = self;
+        let telemetry = &ticket.telemetry;
+        let span = telemetry.span("vm", "wal_commit", ticket.clock.now());
+        let outcome = pending.finish();
+        if let Some(begun) = ticket.journaled_at {
+            ticket
+                .wal_append_micros
                 .record(begun.elapsed().as_micros() as u64);
         }
-        let now = self.clock.now();
+        let now = ticket.clock.now();
         match &outcome {
             Ok(commit) if span.context().is_recording() => {
                 let role = if commit.leader { "leader" } else { "follower" };
-                self.telemetry
-                    .annotate(now, "batch_records", &commit.batch_records.to_string());
-                self.telemetry.annotate(now, "role", role);
-                self.telemetry
-                    .annotate(now, "in_flight", &commit.in_flight.to_string());
+                telemetry.annotate(now, "batch_records", &commit.batch_records.to_string());
+                telemetry.annotate(now, "role", role);
+                telemetry.annotate(now, "in_flight", &commit.in_flight.to_string());
             }
             Ok(_) => {}
             Err(e) => {
-                self.telemetry
-                    .event(now, "wal_commit_failed", &e.to_string());
+                telemetry.event(now, "wal_commit_failed", &e.to_string());
             }
         }
         outcome.map(drop).map_err(CoreError::from)
+    }
+}
+
+/// Step 5's CPU work, cut off from the manager: generate the client key,
+/// sign its certificate and wrap the bundle to the enclave's provisioning
+/// key. A minting workflow (enrollment, renewal) runs its checks,
+/// allocates the serial, draws every random value in the DRBG's order
+/// (key seed, then wrap seed, then GCM nonce) and journals its records
+/// under the shard lock, then returns a `Mint`, which reads no manager
+/// state. The shard accessor runs it after unlocking, while the call's
+/// WAL write is in flight: the journal records hold nothing the
+/// signature or the wrap produce.
+#[must_use = "a Mint holds the credential the workflow promised"]
+pub struct Mint {
+    issuance: Issuance,
+    subject: DistinguishedName,
+    profile: IssueProfile,
+    key_seed: [u8; 32],
+    wrap: WrapRandomness,
+    provisioning_key: [u8; 32],
+    ca_certificate: Certificate,
+    ca_previous: Vec<Certificate>,
+    server_cn: String,
+    telemetry: Telemetry,
+    now: u64,
+}
+
+impl Mint {
+    /// The serial the certificate will carry.
+    pub fn serial(&self) -> u64 {
+        self.issuance.serial()
+    }
+
+    /// Generate the key, sign the certificate (span `issue_certificate`)
+    /// and wrap the bundle (span `wrap_credentials`). Returns the wrapped
+    /// bundle and the certificate.
+    pub fn run(self) -> (Vec<u8>, Certificate) {
+        let issue_span = self.telemetry.span("vm", "issue_certificate", self.now);
+        let client_key = SigningKey::from_seed(&self.key_seed);
+        let certificate = self.issuance.sign(
+            self.subject,
+            client_key.public_key(),
+            &self.profile,
+            self.now,
+        );
+        drop(issue_span);
+        let _wrap_span = self.telemetry.span("vm", "wrap_credentials", self.now);
+        let bundle = ProvisionBundle {
+            key_seed: self.key_seed,
+            certificate: certificate.clone(),
+            ca_certificate: self.ca_certificate,
+            server_cn: self.server_cn,
+            ca_previous: self.ca_previous,
+        };
+        let wrapped = wrap_credentials(&self.wrap, &self.provisioning_key, &bundle);
+        (wrapped, certificate)
     }
 }
 
@@ -1362,11 +1443,12 @@ impl VerificationManager {
         ))
     }
 
-    /// Steps 4–5: verify the enclave quote via IAS, then generate and wrap
-    /// the credentials for the attested enclave's provisioning key.
+    /// Steps 4–5: verify the enclave quote via IAS, then issue credentials
+    /// for the attested enclave's provisioning key.
     ///
-    /// Returns the wrapped bundle (deliver to the enclave) and the issued
-    /// certificate (for records; it is public anyway).
+    /// Returns the [`Mint`] whose [`run`](Mint::run) yields the wrapped
+    /// bundle (deliver to the enclave) and the issued certificate (for
+    /// records; it is public anyway).
     ///
     /// Equivalent to [`prepare_vnf_enrollment`](Self::prepare_vnf_enrollment)
     /// immediately followed by [`commit_vnf_enrollment`](Self::commit_vnf_enrollment)
@@ -1379,22 +1461,22 @@ impl VerificationManager {
         quote_bytes: &[u8],
         provisioning_key: &[u8; 32],
         controller_cn: &str,
-    ) -> Result<(Vec<u8>, Certificate), CoreError> {
-        let (serial, wrapped, certificate) = self.prepare_vnf_enrollment(
+    ) -> Result<Mint, CoreError> {
+        let mint = self.prepare_vnf_enrollment(
             backend,
             challenge_id,
             quote_bytes,
             provisioning_key,
             controller_cn,
         )?;
-        self.commit_vnf_enrollment(serial)?;
-        Ok((wrapped, certificate))
+        self.commit_vnf_enrollment(mint.serial())?;
+        Ok(mint)
     }
 
-    /// Phase one of enrollment: run every check of steps 4–5, issue the
-    /// certificate and wrap the credentials — but record the enrollment as
-    /// *pending* rather than established. The returned serial is the commit
-    /// token. If delivery of the wrapped bundle fails, call
+    /// Phase one of enrollment: run every check of steps 4–5 and issue the
+    /// credentials — but record the enrollment as *pending* rather than
+    /// established. The returned [`Mint`]'s serial is the commit token. If
+    /// delivery of the wrapped bundle fails, call
     /// [`abort_vnf_enrollment`](Self::abort_vnf_enrollment) to revoke the
     /// issued certificate; nothing half-provisioned survives.
     pub fn prepare_vnf_enrollment(
@@ -1404,7 +1486,7 @@ impl VerificationManager {
         quote_bytes: &[u8],
         provisioning_key: &[u8; 32],
         controller_cn: &str,
-    ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
+    ) -> Result<Mint, CoreError> {
         let now = self.clock.now();
         let result = {
             let _span = self
@@ -1433,7 +1515,7 @@ impl VerificationManager {
         provisioning_key: &[u8; 32],
         controller_cn: &str,
         now: u64,
-    ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
+    ) -> Result<Mint, CoreError> {
         self.ensure_alive()?;
         let challenge = self.take_challenge(challenge_id, now)?;
         let ChallengeSubject::Vnf { host_id, vnf_name } = challenge.subject.clone() else {
@@ -1492,32 +1574,16 @@ impl VerificationManager {
             ));
         }
 
-        // Step 5: generate key material, certify, wrap.
-        let issue_span = self.span("issue_certificate", now);
-        let key_seed = self.rng.gen_array::<32>();
-        let client_key = SigningKey::from_seed(&key_seed);
-        let certificate = self.ca.issue(
-            DistinguishedName::new(&vnf_name).with_org(&self.config.name),
-            client_key.public_key(),
-            &IssueProfile {
-                validity_secs: self.config.credential_validity_secs,
-                ..IssueProfile::vnf_client(appraisal.measurement)
-            },
+        // Step 5: the serial and every random value now, the key, the
+        // signature and the wrap after the lock drops.
+        let mint = self.mint(
+            &vnf_name,
+            appraisal.measurement,
+            provisioning_key,
+            controller_cn,
             now,
         );
-        self.metrics.certificates_issued.inc();
-        drop(issue_span);
-        let wrap_span = self.span("wrap_credentials", now);
-        let bundle = ProvisionBundle {
-            key_seed,
-            certificate: certificate.clone(),
-            ca_certificate: self.ca.certificate().clone(),
-            server_cn: controller_cn.to_string(),
-            ca_previous: self.drain_window_roots(now),
-        };
-        let wrapped = wrap_credentials(&mut self.rng, provisioning_key, &bundle);
-        drop(wrap_span);
-        let serial = certificate.serial();
+        let serial = mint.serial();
         // WAL-before-response: the issuance and the preparation must be
         // durable before the serial (the commit token) leaves the manager.
         // One workflow, one flush: under group commit both records share a
@@ -1554,7 +1620,44 @@ impl VerificationManager {
             },
         );
         self.event(now, "enrollment_prepared", &format!("{vnf_name} serial {serial}"));
-        Ok((serial, wrapped, certificate))
+        Ok(mint)
+    }
+
+    /// The locked half of step 5: draw the client key seed, allocate the
+    /// serial, then draw the wrap randomness — the DRBG order a seeded
+    /// run's minted bytes depend on — and take the roots the bundle
+    /// carries: the *current* one, so a renewal during a dual-trust window
+    /// migrates the guard onto the new epoch, plus the draining ones, so it
+    /// still validates a controller whose server certificate chains to the
+    /// outgoing key.
+    fn mint(
+        &mut self,
+        vnf_name: &str,
+        enclave_binding: [u8; 32],
+        provisioning_key: &[u8; 32],
+        controller_cn: &str,
+        now: u64,
+    ) -> Mint {
+        let key_seed = self.rng.gen_array::<32>();
+        let issuance = self.ca.reserve();
+        self.metrics.certificates_issued.inc();
+        let wrap = WrapRandomness::draw(&mut self.rng);
+        Mint {
+            issuance,
+            subject: DistinguishedName::new(vnf_name).with_org(&self.config.name),
+            profile: IssueProfile {
+                validity_secs: self.config.credential_validity_secs,
+                ..IssueProfile::vnf_client(enclave_binding)
+            },
+            key_seed,
+            wrap,
+            provisioning_key: *provisioning_key,
+            ca_certificate: self.ca.certificate().clone(),
+            ca_previous: self.drain_window_roots(now),
+            server_cn: controller_cn.to_string(),
+            telemetry: self.telemetry.clone(),
+            now,
+        }
     }
 
     /// Phase two of enrollment: the wrapped bundle reached the enclave, so
@@ -2196,13 +2299,14 @@ impl VerificationManager {
     /// full protocol. The new certificate keeps the enclave binding of the
     /// original enrollment and is wrapped for the same provisioning key;
     /// the old credential stays valid until its own expiry (it was never
-    /// compromised — revoking it would break sessions mid-handover).
+    /// compromised — revoking it would break sessions mid-handover). The
+    /// returned [`Mint`] produces the wrapped bundle and the certificate.
     pub fn renew_vnf_credential(
         &mut self,
         serial: u64,
         provisioning_key: &[u8; 32],
         controller_cn: &str,
-    ) -> Result<(Vec<u8>, Certificate), CoreError> {
+    ) -> Result<Mint, CoreError> {
         let now = self.clock.now();
         let result = {
             let _span = self
@@ -2223,7 +2327,7 @@ impl VerificationManager {
         provisioning_key: &[u8; 32],
         controller_cn: &str,
         now: u64,
-    ) -> Result<(Vec<u8>, Certificate), CoreError> {
+    ) -> Result<Mint, CoreError> {
         self.ensure_alive()?;
         let old = self
             .enrollments
@@ -2293,35 +2397,14 @@ impl VerificationManager {
             )));
         }
 
-        let issue_span = self.span("issue_certificate", now);
-        let key_seed = self.rng.gen_array::<32>();
-        let client_key = SigningKey::from_seed(&key_seed);
-        let certificate = self.ca.issue(
-            DistinguishedName::new(&old.vnf_name).with_org(&self.config.name),
-            client_key.public_key(),
-            &IssueProfile {
-                validity_secs: self.config.credential_validity_secs,
-                ..IssueProfile::vnf_client(*old.mrenclave.as_bytes())
-            },
+        let mint = self.mint(
+            &old.vnf_name,
+            *old.mrenclave.as_bytes(),
+            provisioning_key,
+            controller_cn,
             now,
         );
-        self.metrics.certificates_issued.inc();
-        drop(issue_span);
-        let wrap_span = self.span("wrap_credentials", now);
-        // The bundle carries the *current* root, so a renewal during a
-        // dual-trust window migrates the guard onto the new epoch — plus
-        // the draining roots, so it still validates a controller whose
-        // server certificate chains to the outgoing key.
-        let bundle = ProvisionBundle {
-            key_seed,
-            certificate: certificate.clone(),
-            ca_certificate: self.ca.certificate().clone(),
-            server_cn: controller_cn.to_string(),
-            ca_previous: self.drain_window_roots(now),
-        };
-        let wrapped = wrap_credentials(&mut self.rng, provisioning_key, &bundle);
-        drop(wrap_span);
-        let new_serial = certificate.serial();
+        let new_serial = mint.serial();
         self.journal_group(&[
             WalRecord::CertIssued {
                 serial: new_serial,
@@ -2360,7 +2443,7 @@ impl VerificationManager {
             &format!("{} serial {serial} -> {new_serial}", old.vnf_name),
         );
         self.renewal_backoff.remove(&serial);
-        Ok((wrapped, certificate))
+        Ok(mint)
     }
 
     /// Record that a renewal of `serial` was refused by the serving layer

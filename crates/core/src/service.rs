@@ -31,24 +31,31 @@
 //!
 //! Every method takes `&self` and reaches a shard only through one private
 //! accessor, which locks it for only as long as the manager call runs —
-//! no lock is ever held across a network call (the `remote` module's agent
-//! hops all happen between `VmService` calls), a WAL flush, a compaction
-//! or replication streaming. The manager only *enqueues* its journal
-//! records; the accessor waits for them to be durable after unlocking, so
-//! one shard's concurrent callers share flushes (see `vnfguard_store`'s
-//! commit path) while no response leaves before its records — or any
-//! record it could have observed — are on the medium.
+//! never across an agent hop (the `remote` module's hops all happen
+//! between `VmService` calls), a WAL flush, a compaction, replication
+//! streaming or credential minting. One network call still runs under the
+//! lock: evidence appraisal, which is an IAS round trip over the fabric
+//! in a distributed deployment, inside `prepare_vnf_enrollment` and
+//! `complete_host_attestation`. The manager only *enqueues* its journal
+//! records. After unlocking, the accessor issues the call's WAL write,
+//! runs the call's [`Mint`] (client keygen, certificate signing and the
+//! bundle wrap) while that write is in flight, and then waits for
+//! durability. So one shard's concurrent callers share flushes (see
+//! `vnfguard_store`'s commit path), while no response leaves before its
+//! records — or any record it could have observed — are on the medium.
 
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::manager::{
     shard_of_challenge, shard_of_serial, Challenge, CommitTicket, EnrollmentRecord, HostRecord,
-    ManagerConfig, PendingEnrollment, RecoveryReport, VerificationManager, VmEvent,
+    ManagerConfig, Mint, PendingCommit, PendingEnrollment, RecoveryReport, VerificationManager,
+    VmEvent,
 };
 use crate::overload::{AdmissionController, Permit, Workclass};
 use crate::replication::ReplicationStatus;
 use crate::revocation::RevocationNotifier;
 use crate::CoreError;
 use parking_lot::Mutex;
+use std::convert::identity;
 use std::sync::Arc;
 use vnfguard_attest::{AttestationBackend, BackendKind, Measurement};
 use vnfguard_controller::SimClock;
@@ -284,13 +291,16 @@ impl VmService {
         self.shards.len()
     }
 
-    /// The one way to a shard's manager. Runs `f` under the shard lock,
+    /// The one way to a shard's manager. Runs `f` under the shard lock and
     /// takes the call's commit ticket (the store's appended LSN) before
-    /// unlocking, and waits for it once the lock is released. So no shard
-    /// lock is ever held across a device flush, a compaction or
-    /// replication streaming, and no caller answers before every record it
-    /// could have observed is durable — reads included. Returns `f`'s
-    /// value and the commit outcome.
+    /// unlocking. Once the lock is released it issues the ticket's write
+    /// if this caller may lead it ([`StateStore::begin`]), runs `unlocked`
+    /// on `f`'s value while that write is in flight — a minting workflow's
+    /// [`Mint`] runs there — and then waits for durability. So no shard
+    /// lock is ever held across a device flush, a compaction, replication
+    /// streaming or a mint, and no caller answers before every record it
+    /// could have observed is durable — reads included. Returns the value
+    /// `unlocked` made and the commit outcome.
     ///
     /// Crash rule: when the call leaves the manager crashed, it waits
     /// *before* unlocking and then quiesces the store
@@ -300,21 +310,25 @@ impl VmService {
     /// `Testbed::recover_vm` could replay the medium and swap in a new
     /// incarnation while the dead one still writes behind that replay, or
     /// truncates the log under what the new one journaled.
-    fn on_shard<T>(
+    fn on_shard<T, U>(
         &self,
         index: usize,
         f: impl FnOnce(&mut VerificationManager) -> T,
-    ) -> (T, Result<(), CoreError>) {
+        unlocked: impl FnOnce(T) -> U,
+    ) -> (U, Result<(), CoreError>) {
         let mut vm = self.shards[index].lock();
         let value = f(&mut vm);
         let ticket = vm.commit_ticket();
-        if vm.crashed_site().is_none() {
+        if vm.crashed_site().is_some() {
+            let committed = ticket.map_or(Ok(()), CommitTicket::wait);
+            vm.quiesce_store();
             drop(vm);
-            return (value, ticket.map_or(Ok(()), CommitTicket::wait));
+            return (unlocked(value), committed);
         }
-        let committed = ticket.map_or(Ok(()), CommitTicket::wait);
-        vm.quiesce_store();
-        (value, committed)
+        drop(vm);
+        let commit = ticket.map(CommitTicket::begin);
+        let value = unlocked(value);
+        (value, commit.map_or(Ok(()), PendingCommit::finish))
     }
 
     /// [`on_shard`](Self::on_shard) for a fallible manager call: a failed
@@ -324,7 +338,7 @@ impl VmService {
         index: usize,
         f: impl FnOnce(&mut VerificationManager) -> Result<R, CoreError>,
     ) -> Result<R, CoreError> {
-        let (result, committed) = self.on_shard(index, f);
+        let (result, committed) = self.on_shard(index, f, identity);
         result.and_then(|value| committed.map(|()| value))
     }
 
@@ -332,7 +346,7 @@ impl VmService {
     /// for durability; a failed commit is audited by the wait and fails
     /// the fallible calls whose batch it was.
     pub(crate) fn run<T>(&self, index: usize, f: impl FnOnce(&mut VerificationManager) -> T) -> T {
-        self.on_shard(index, f).0
+        self.on_shard(index, f, identity).0
     }
 
     fn shard_for_vnf(&self, vnf_name: &str) -> usize {
@@ -353,20 +367,28 @@ impl VmService {
     /// queueing when the class is full, shed after acquiring the lock when
     /// sojourn shows a standing queue or the request's deadline died while
     /// it waited. Either shed happens before `f` runs, so refused requests
-    /// touch no manager state. The SLO latency includes the WAL wait.
-    fn with_shard_gated<R>(
+    /// touch no manager state. A successful value goes through `unlocked`
+    /// after the lock drops (see [`on_shard`](Self::on_shard)). The SLO
+    /// latency includes the WAL wait.
+    fn with_shard_gated<T, R>(
         &self,
         index: usize,
         class: Workclass,
-        f: impl FnOnce(&mut VerificationManager) -> Result<R, CoreError>,
+        f: impl FnOnce(&mut VerificationManager) -> Result<T, CoreError>,
+        unlocked: impl FnOnce(T) -> R,
     ) -> Result<R, CoreError> {
         let begun = std::time::Instant::now();
         let result = (|| {
             let permit = self.gate(class)?;
-            self.call(index, |vm| {
-                self.pass_dequeue(&permit)?;
-                f(vm)
-            })
+            let (result, committed) = self.on_shard(
+                index,
+                |vm| {
+                    self.pass_dequeue(&permit)?;
+                    f(vm)
+                },
+                |result| result.map(unlocked),
+            );
+            result.and_then(|value| committed.map(|()| value))
         })();
         self.note_health(class, begun, result.is_ok());
         result
@@ -489,9 +511,12 @@ impl VmService {
         vnf_name: &str,
     ) -> Result<Challenge, CoreError> {
         let shard = self.shard_for_vnf(vnf_name);
-        self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
-            vm.begin_vnf_attestation(host_id, vnf_name)
-        })
+        self.with_shard_gated(
+            shard,
+            Workclass::Enrollment,
+            |vm| vm.begin_vnf_attestation(host_id, vnf_name),
+            identity,
+        )
     }
 
     /// Steps 4–5 in one shot (prepare + commit), through any attestation
@@ -509,15 +534,20 @@ impl VmService {
     ) -> Result<(Vec<u8>, Certificate), CoreError> {
         let begun = std::time::Instant::now();
         let shard = self.shard_for_challenge(challenge_id);
-        let result = self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
-            vm.complete_vnf_enrollment(
-                &mut *backend,
-                challenge_id,
-                quote_bytes,
-                provisioning_key,
-                controller_cn,
-            )
-        });
+        let result = self.with_shard_gated(
+            shard,
+            Workclass::Enrollment,
+            |vm| {
+                vm.complete_vnf_enrollment(
+                    &mut *backend,
+                    challenge_id,
+                    quote_bytes,
+                    provisioning_key,
+                    controller_cn,
+                )
+            },
+            Mint::run,
+        );
         self.note_backend_health(Workclass::Enrollment, backend.kind(), begun, result.is_ok());
         result
     }
@@ -538,15 +568,23 @@ impl VmService {
     ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
         let begun = std::time::Instant::now();
         let shard = self.shard_for_challenge(challenge_id);
-        let result = self.with_shard_gated(shard, Workclass::Enrollment, |vm| {
-            vm.prepare_vnf_enrollment(
-                &mut *backend,
-                challenge_id,
-                quote_bytes,
-                provisioning_key,
-                controller_cn,
-            )
-        });
+        let result = self.with_shard_gated(
+            shard,
+            Workclass::Enrollment,
+            |vm| {
+                vm.prepare_vnf_enrollment(
+                    &mut *backend,
+                    challenge_id,
+                    quote_bytes,
+                    provisioning_key,
+                    controller_cn,
+                )
+            },
+            |mint| {
+                let (wrapped, certificate) = mint.run();
+                (certificate.serial(), wrapped, certificate)
+            },
+        );
         self.note_backend_health(Workclass::Enrollment, backend.kind(), begun, result.is_ok());
         result
     }
@@ -596,9 +634,12 @@ impl VmService {
         controller_cn: &str,
     ) -> Result<(Vec<u8>, Certificate), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_gated(shard, Workclass::Renewal, |vm| {
-            vm.renew_vnf_credential(serial, provisioning_key, controller_cn)
-        })
+        self.with_shard_gated(
+            shard,
+            Workclass::Renewal,
+            |vm| vm.renew_vnf_credential(serial, provisioning_key, controller_cn),
+            Mint::run,
+        )
     }
 
     pub fn revoke_credential(
@@ -607,9 +648,12 @@ impl VmService {
         reason: RevocationReason,
     ) -> Result<(), CoreError> {
         let shard = self.shard_for_serial(serial);
-        self.with_shard_gated(shard, Workclass::Revocation, |vm| {
-            vm.revoke_credential(serial, reason)
-        })
+        self.with_shard_gated(
+            shard,
+            Workclass::Revocation,
+            |vm| vm.revoke_credential(serial, reason),
+            identity,
+        )
     }
 
     pub fn credential_is_revoked(&self, serial: u64) -> bool {
@@ -1143,6 +1187,64 @@ mod tests {
         reader_waits_for(&tb, polled, |vm| vm.credential_is_revoked(polled));
         reader_waits_for(&tb, listed, |vm| {
             vm.latest_crl().unwrap().lookup(listed).is_some()
+        });
+    }
+
+    /// A renewal's mint runs after the shard lock drops and while the
+    /// renewal's own write is in flight: a second caller's manager work
+    /// completes before the mint starts, and the response still waits for
+    /// the renewal's records to land.
+    #[test]
+    fn a_mint_runs_unlocked_while_its_calls_write_is_in_flight() {
+        let (tb, credentials) = enrolled_on(b"svc mint overlap", 1, 0, 2);
+        let vm = tb.vm_service();
+        let media = tb.store_media().unwrap().clone();
+        let journaled = || {
+            tb.telemetry
+                .metrics()
+                .counter_value("vnfguard_core_wal_records_total")
+                .unwrap_or(0)
+        };
+        let frames_before = media.frame_count();
+        media.set_write_latency(Duration::from_millis(300));
+        let [(serial, key), second] = [credentials[0], credentials[1]];
+        std::thread::scope(|scope| {
+            let (minted, committed) = vm.on_shard(
+                0,
+                |manager| manager.renew_vnf_credential(serial, &key, "controller"),
+                |mint| {
+                    let own_write = (media.writes_in_flight(), media.frame_count());
+                    let unlocked = vm.shards[0].try_lock().is_some();
+                    if unlocked {
+                        // The second renewal journals before this mint runs.
+                        let before = journaled();
+                        let vm = vm.clone();
+                        scope.spawn(move || {
+                            vm.renew_vnf_credential(second.0, &second.1, "controller")
+                                .unwrap()
+                        });
+                        while journaled() == before {
+                            std::thread::yield_now();
+                        }
+                    }
+                    (mint.map(Mint::run), own_write, unlocked)
+                },
+            );
+            let (renewed, own_write, unlocked) = minted;
+            assert_eq!(
+                own_write,
+                (1, frames_before),
+                "the mint did not run while its own write was in flight"
+            );
+            assert!(unlocked, "the mint ran under the shard lock");
+            committed.unwrap();
+            let (_, certificate) = renewed.unwrap();
+            let twin = tb.oracle_twin().unwrap();
+            assert!(
+                twin.enrollments()
+                    .any(|enrollment| enrollment.serial == certificate.serial()),
+                "the renewal answered before its records were durable"
+            );
         });
     }
 

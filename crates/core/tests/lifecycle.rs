@@ -603,3 +603,83 @@ fn crl_number_stays_monotonic_across_crash() {
         "recovered issuer must not reuse the journaled CRL number"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Golden mint
+// ---------------------------------------------------------------------------
+
+/// SHA-256 over every certificate and wrapped bundle a seeded testbed
+/// mints: 4 enrollments on 2 hosts, then 3 renewal rounds with a CA
+/// rotation before the last. The bytes depend on every draw from the
+/// manager's DRBG, so this moves if any draw moves or any mint step
+/// changes.
+fn minted_digest(durable: bool) -> String {
+    let mut builder = TestbedBuilder::new(b"golden mint").hosts(2);
+    if durable {
+        builder = builder.durable().group_commit(true);
+    }
+    let mut tb = builder.build();
+    tb.attest_host(0).unwrap();
+    tb.attest_host(1).unwrap();
+    let controller_cn = tb.controller_cn.clone();
+    let mut minted = vnfguard_crypto::sha2::Sha256::new();
+    let mut mint = |wrapped: &[u8], certificate: &vnfguard_pki::Certificate| {
+        minted.update(wrapped);
+        minted.update(&certificate.encode());
+    };
+    let mut credentials = Vec::new();
+    for i in 0..4 {
+        let host = i % 2;
+        let guard = tb
+            .deploy_guard(host, &format!("vnf-golden-{i}"), 1)
+            .unwrap();
+        let key = guard.provisioning_key().unwrap();
+        let host_id = tb.hosts[host].id.clone();
+        let challenge = tb.vm.begin_vnf_attestation(&host_id, &guard.name).unwrap();
+        let quote = guard
+            .quote(&tb.hosts[host].platform, &challenge.nonce, challenge.nonce)
+            .unwrap();
+        let (wrapped, certificate) = tb
+            .vm
+            .complete_vnf_enrollment(
+                &mut tb.ias,
+                challenge.id,
+                &quote.encode(),
+                &key,
+                &controller_cn,
+            )
+            .unwrap();
+        mint(&wrapped, &certificate);
+        credentials.push((certificate.serial(), key));
+    }
+    for round in 0..3 {
+        if round == 2 {
+            tb.rotate_ca().unwrap();
+        }
+        for (serial, key) in &mut credentials {
+            let (wrapped, certificate) = tb
+                .vm
+                .renew_vnf_credential(*serial, key, &controller_cn)
+                .unwrap();
+            mint(&wrapped, &certificate);
+            *serial = certificate.serial();
+        }
+    }
+    vnfguard_encoding::hex::encode(&minted.finalize())
+}
+
+/// Captured with keygen, signing and the wrap run under the shard lock and
+/// X25519 public keys computed by the ladder on u = 9: minting after the
+/// lock and the fixed-base public key must change no byte.
+const GOLDEN_MINT_SHA256: &str = "e98671c1ce2ab0d06a76359904eaa0281982d988ec7ddb9882e03d5d9aab59f5";
+
+#[test]
+fn minted_bytes_match_the_golden_digest() {
+    for durable in [false, true] {
+        assert_eq!(
+            minted_digest(durable),
+            GOLDEN_MINT_SHA256,
+            "durable {durable}: a DRBG draw or a mint step moved"
+        );
+    }
+}

@@ -7,10 +7,10 @@
 //! Points use extended twisted-Edwards coordinates. Addition is the unified
 //! law (complete for a = −1), taken against a cached form of its second
 //! operand; doubling has its own formula (4 squarings, 4 multiplications).
-//! Multiples of the base point B — key generation, signing and the `[S]B`
-//! half of verification — read a signed radix-16 table of j·16²ⁱ·B
-//! (j = 1..8, i = 0..31) derived at first use, so each costs 64 additions
-//! and 4 doublings. Any other point is multiplied with a width-5 sliding
+//! Multiples of the base point B — key generation, signing, the `[S]B`
+//! half of verification and X25519 public keys — read a signed radix-16
+//! table of j·16²ⁱ·B (j = 1..8, i = 0..31) derived at first use, so each
+//! costs 64 additions and 4 doublings. Any other point is multiplied with a width-5 sliding
 //! window over its odd multiples P, 3P, …, 15P. Scalars modulo the group
 //! order L are four 64-bit limbs with Barrett reduction.
 //!
@@ -284,7 +284,7 @@ impl Point {
     /// `[a]B` for a scalar below 2²⁵⁵, from the fixed-base table: with
     /// a = Σ eᵢ·16ⁱ, the odd-indexed digits are summed, multiplied by 16,
     /// and the even-indexed ones added.
-    fn mul_base(scalar_le: &[u8; 32]) -> Point {
+    pub(crate) fn mul_base(scalar_le: &[u8; 32]) -> Point {
         let digits = radix16(scalar_le);
         let table = base_table();
         let mut acc = Point::identity();
@@ -313,6 +313,16 @@ impl Point {
             out[31] |= 0x80;
         }
         out
+    }
+
+    /// The u-coordinate of this point's image on Curve25519 under the
+    /// birational map u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y), which sends B
+    /// to the X25519 base point u = 9 (RFC 7748 §4.1).
+    pub(crate) fn montgomery_u(&self) -> [u8; 32] {
+        self.z
+            .add(&self.y)
+            .mul(&self.z.sub(&self.y).invert())
+            .to_bytes()
     }
 
     /// Decompress a 32-byte encoding; `None` if it is not a curve point.

@@ -2,7 +2,13 @@
 //!
 //! The ECDHE key exchange of the TLS channel and the SGX local-attestation
 //! key agreement both run on this function.
+//!
+//! A shared secret runs the Montgomery ladder on the peer's u-coordinate.
+//! A public key is a multiple of the fixed base point, so it reads the
+//! Ed25519 fixed-base table instead and maps the Edwards point to its
+//! u-coordinate; the ladder on u = 9 stays in the tests as its oracle.
 
+use crate::ed25519::Point;
 use crate::field25519::Fe;
 
 /// Length of scalars, coordinates and shared secrets.
@@ -66,9 +72,13 @@ pub fn base_point() -> [u8; KEY_LEN] {
     bp
 }
 
-/// Derive the public key for a secret scalar.
+/// Derive the public key for a secret scalar: X25519 of the clamped
+/// scalar and u = 9, computed as `[k]B` on edwards25519 (B maps to u = 9).
+/// Clamping leaves k below 2²⁵⁵, as the fixed-base table needs.
 pub fn public_key(secret: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-    x25519(secret, &base_point())
+    let mut k = *secret;
+    clamp(&mut k);
+    Point::mul_base(&k).montgomery_u()
 }
 
 /// An ephemeral X25519 key pair.
@@ -96,6 +106,18 @@ impl EphemeralKeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fixed-base public key equals the ladder on u = 9, for any
+        /// seed, clamped or not.
+        #[test]
+        fn prop_public_key_matches_the_ladder(seed in proptest::array::uniform32(any::<u8>())) {
+            prop_assert_eq!(public_key(&seed), x25519(&seed, &base_point()));
+        }
+    }
 
     fn hex32(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];

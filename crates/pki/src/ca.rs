@@ -45,6 +45,43 @@ impl IssueProfile {
     }
 }
 
+/// A serial allocated by [`CertificateAuthority::reserve`], with the issuer
+/// name and the signing key of the epoch that allocated it. Signing
+/// consumes it, so a reserved serial is signed at most once.
+pub struct Issuance {
+    serial: u64,
+    issuer: DistinguishedName,
+    key: SigningKey,
+}
+
+impl Issuance {
+    pub fn serial(&self) -> u64 {
+        self.serial
+    }
+
+    /// Build the TBS certificate for `public_key` under `profile`, valid
+    /// from `now`, and sign it.
+    pub fn sign(
+        self,
+        subject: DistinguishedName,
+        public_key: VerifyingKey,
+        profile: &IssueProfile,
+        now: u64,
+    ) -> Certificate {
+        let tbs = TbsCertificate {
+            serial: self.serial,
+            subject,
+            issuer: self.issuer,
+            validity: Validity::new(now, now.saturating_add(profile.validity_secs)),
+            public_key,
+            key_usage: profile.key_usage,
+            is_ca: profile.is_ca,
+            enclave_binding: profile.enclave_binding,
+        };
+        Certificate::sign(tbs, &self.key)
+    }
+}
+
 /// A certificate authority with an in-memory revocation registry.
 ///
 /// The CA key can be **rotated**: [`rotate_to`](Self::rotate_to) installs a
@@ -143,20 +180,21 @@ impl CertificateAuthority {
         profile: &IssueProfile,
         now: u64,
     ) -> Certificate {
+        self.reserve().sign(subject, public_key, profile, now)
+    }
+
+    /// Allocate the next serial and take what signing it needs, so the
+    /// certificate can be built and signed later without the CA:
+    /// [`issue`](Self::issue) is `reserve` then [`Issuance::sign`].
+    pub fn reserve(&mut self) -> Issuance {
         let serial = self.next_serial;
         self.next_serial += 1;
         self.issued += 1;
-        let tbs = TbsCertificate {
+        Issuance {
             serial,
-            subject,
             issuer: self.certificate.tbs.subject.clone(),
-            validity: Validity::new(now, now.saturating_add(profile.validity_secs)),
-            public_key,
-            key_usage: profile.key_usage,
-            is_ca: profile.is_ca,
-            enclave_binding: profile.enclave_binding,
-        };
-        Certificate::sign(tbs, &self.key)
+            key: self.key.clone(),
+        }
     }
 
     /// Issue from a CSR after checking proof-of-possession (the
@@ -413,6 +451,30 @@ mod tests {
         assert!(a.tbs.key_usage.permits(KeyUsage::CLIENT_AUTH));
         assert!(!a.tbs.is_ca);
         assert_eq!(a.tbs.validity.not_after, 100 + 24 * 3600);
+    }
+
+    /// Serials are taken in reservation order and signed in any order,
+    /// each to the certificate `issue` would have minted for it.
+    #[test]
+    fn reserved_serials_sign_like_issue() {
+        let mut issuing = test_ca();
+        let mut reserving = test_ca();
+        let leaf = SigningKey::from_seed(&[4; 32]);
+        let profile = IssueProfile::vnf_client([3; 32]);
+        let issue = |ca: &mut CertificateAuthority, name: &str| {
+            ca.issue(DistinguishedName::new(name), leaf.public_key(), &profile, 7)
+        };
+        let expected = [issue(&mut issuing, "vnf-a"), issue(&mut issuing, "vnf-b")];
+        let (a, b) = (reserving.reserve(), reserving.reserve());
+        assert_eq!((a.serial(), b.serial()), (2, 3));
+        let sign = |issuance: Issuance, name: &str| {
+            issuance.sign(DistinguishedName::new(name), leaf.public_key(), &profile, 7)
+        };
+        let second = sign(b, "vnf-b");
+        let first = sign(a, "vnf-a");
+        assert_eq!([first, second], expected);
+        assert_eq!(reserving.issued_count(), 2);
+        assert_eq!(reserving.next_serial(), issuing.next_serial());
     }
 
     #[test]

@@ -32,16 +32,25 @@
 //!    sequence numbers ([`Lsn`]). It does no I/O; the manager calls it
 //!    while its shard lock is held, so LSN order is the order in which
 //!    the manager mutated its state.
-//! 2. [`StateStore::sync`] waits until a given LSN is durable, after the
+//! 2. [`StateStore::begin`] starts making a given LSN durable, after the
 //!    caller has released its lock. A waiter whose LSN no one has issued
 //!    yet becomes a *leader* as soon as fewer than two device writes are
 //!    in flight: it takes every queued record as one batch (one group
 //!    frame with group commit on, one frame and one write per record with
 //!    it off) and issues its write at once, even while the previous
-//!    batch's write is still running. Batches land in LSN order: a leader
-//!    waits for the previous batch to be published, lands its own, hands
-//!    it to the [`AppendObserver`] once, marks it durable and wakes its
-//!    *followers*. Durability is therefore always a prefix of the log.
+//!    batch's write is still running.
+//! 3. [`Pending::finish`] waits until the LSN is durable. Batches land in
+//!    LSN order: a leader waits for the previous batch to be published,
+//!    lands its own, hands it to the [`AppendObserver`] once, marks it
+//!    durable and wakes its *followers*. A waiter that could not lead at
+//!    `begin` follows, or leads once the rule allows. Durability is
+//!    therefore always a prefix of the log.
+//!
+//! Between the two steps a caller may do work of its own while its write
+//! is in flight; the Verification Manager mints credentials there. A
+//! leader lands its batch only when it finishes, so on a device faster
+//! than that work its followers wait for it. [`StateStore::sync`] is
+//! `begin` then `finish`, the one commit path.
 //!
 //! The leader whose batch brings the log over the threshold also compacts,
 //! from an in-memory *replay mirror* of snapshot + log: one
@@ -247,6 +256,12 @@ impl CommitState {
             .map_or(self.durable, |batch| batch.last)
     }
 
+    /// The leader rule: a write may be issued while no one holds the
+    /// writer role and fewer than [`MAX_IN_FLIGHT`] writes are in flight.
+    fn may_issue(&self) -> bool {
+        !self.exclusive && self.in_flight.len() < MAX_IN_FLIGHT
+    }
+
     /// The outcome a follower reports for `lsn` once it is durable, given
     /// the batch it saw holding `lsn` in flight, if any.
     fn outcome(&self, lsn: Lsn, seen: Option<Batch>) -> Result<Commit, StoreError> {
@@ -315,6 +330,63 @@ pub struct StateStore {
     compact_every: Option<u64>,
     /// Write each batch as one group frame instead of a frame per record.
     group_commit: bool,
+}
+
+/// A batch whose write its leader has issued and not yet landed.
+struct Lead {
+    batch: Batch,
+    queue: Queue,
+    write: wal::Write,
+}
+
+/// A wait for durability started by [`StateStore::begin`]: either the
+/// caller leads a batch whose write is already in flight, or it has not
+/// issued anything. [`finish`](Self::finish) completes it. A leading
+/// `Pending` dropped without `finish` still lands and publishes its batch,
+/// so the followers of that batch are never stranded.
+#[must_use = "finish the wait: a response may leave only once it returns"]
+pub struct Pending {
+    store: StateStore,
+    lsn: Lsn,
+    lead: Option<Lead>,
+}
+
+impl Pending {
+    /// Wait until the LSN is durable: land the batch this caller leads, or
+    /// follow the batch holding the LSN — leading it once the leader rule
+    /// allows, if no one has issued it yet.
+    pub fn finish(mut self) -> Result<Commit, StoreError> {
+        let lead = match self.lead.take() {
+            Some(lead) => lead,
+            None => {
+                let shared = &self.store.shared;
+                let mut commit = shared.commit();
+                let mut seen = None;
+                loop {
+                    if commit.durable >= self.lsn {
+                        return commit.outcome(self.lsn, seen);
+                    }
+                    if self.lsn <= commit.issued() {
+                        seen = seen.or_else(|| {
+                            commit.in_flight.iter().copied().find(|b| b.holds(self.lsn))
+                        });
+                    } else if commit.may_issue() {
+                        break self.store.lead(&mut commit);
+                    }
+                    commit = shared.wait(commit);
+                }
+            }
+        };
+        self.store.land_in_order(lead)
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if let Some(lead) = self.lead.take() {
+            let _ = self.store.land_in_order(lead);
+        }
+    }
 }
 
 /// The writer role: held by a compaction or a snapshot install, so it has
@@ -416,38 +488,57 @@ impl StateStore {
     /// when the observer vetoed the batch holding `lsn`; the leader also
     /// reports a failed threshold compaction, which runs after its batch
     /// is durable and after the followers have been released.
+    ///
+    /// `sync` is [`begin`](Self::begin) then [`Pending::finish`] with
+    /// nothing in between.
     pub fn sync(&self, lsn: Lsn) -> Result<Commit, StoreError> {
+        self.begin(lsn).finish()
+    }
+
+    /// Start making `lsn` durable: if this caller may lead its batch now —
+    /// `lsn` is queued, not yet issued, and the leader rule lets a write
+    /// be issued — take the queue and issue the batch's device write
+    /// before returning. Otherwise issue nothing: the batch is someone
+    /// else's, or the write waits for its turn in
+    /// [`finish`](Pending::finish). The caller may do unrelated work while
+    /// the write is in flight; its batch lands only when it finishes.
+    pub fn begin(&self, lsn: Lsn) -> Pending {
         let mut commit = self.shared.commit();
         // An LSN never handed out cannot be waited for.
         let lsn = lsn.min(commit.appended);
-        let mut seen = None;
-        loop {
-            if commit.durable >= lsn {
-                return commit.outcome(lsn, seen);
-            }
-            if lsn <= commit.issued() {
-                seen = seen.or_else(|| commit.in_flight.iter().copied().find(|b| b.holds(lsn)));
-            } else if !commit.exclusive && commit.in_flight.len() < MAX_IN_FLIGHT {
-                break;
-            }
-            commit = self.shared.wait(commit);
+        let lead = (lsn > commit.issued() && commit.may_issue()).then(|| self.lead(&mut commit));
+        Pending {
+            store: self.clone(),
+            lsn,
+            lead,
         }
-        // Lead: take every queued record — exactly the LSNs after
-        // `issued`, so the batch covers `lsn` — and start its write.
+    }
+
+    /// Lead: take every queued record — exactly the LSNs after `issued`,
+    /// so the batch covers every waiter's LSN — and issue its write.
+    fn lead(&self, commit: &mut CommitState) -> Lead {
         let batch = Batch {
             first: commit.issued() + 1,
             last: commit.appended,
             in_flight: commit.in_flight.len(),
         };
         commit.in_flight.push_back(batch);
-        let queue = std::mem::take(&mut commit.queue);
-        let write = self.shared.media.issue();
-        // Land in LSN order: only once the previous batch is published.
-        while commit.durable + 1 < batch.first {
+        Lead {
+            batch,
+            queue: std::mem::take(&mut commit.queue),
+            write: self.shared.media.issue(),
+        }
+    }
+
+    /// Land a led batch once its predecessor is published, then compact if
+    /// the batch brought the log over the threshold.
+    fn land_in_order(&self, lead: Lead) -> Result<Commit, StoreError> {
+        let mut commit = self.shared.commit();
+        while commit.durable + 1 < lead.batch.first {
             commit = self.shared.wait(commit);
         }
         drop(commit);
-        let (outcome, compact) = self.land(batch, &queue, write);
+        let (outcome, compact) = self.land(lead.batch, &lead.queue, lead.write);
         if let Some(role) = compact {
             self.compact_holding(&role)?;
         }
@@ -1145,6 +1236,109 @@ mod tests {
         );
         assert!(matches!(store.sync(2), Err(StoreError::Rejected(_))));
         assert!(store.sync(4).is_ok());
+    }
+
+    /// `begin` issues the batch's write when the caller may lead it, and
+    /// the batch lands only at `finish`.
+    #[test]
+    fn begin_issues_the_write_of_a_batch_it_may_lead() {
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let lsn = store.enqueue(&[cert_issued(2), cert_issued(3)]).unwrap();
+        let pending = store.begin(lsn);
+        assert_eq!(store.media().writes_in_flight(), 1);
+        assert_eq!(store.media().flushes(), 0, "begin lands nothing");
+        assert!(!store.is_durable(lsn));
+        assert_eq!(
+            pending.finish().unwrap(),
+            Commit {
+                batch_records: 2,
+                leader: true,
+                in_flight: 0
+            }
+        );
+        assert_eq!(store.media().writes_in_flight(), 0);
+        assert_eq!(store.media().flushes(), 1);
+        assert!(store.is_durable(lsn));
+    }
+
+    /// `begin` issues nothing for an LSN whose batch is already issued,
+    /// with two writes in flight, or while the writer role is held; such a
+    /// caller follows, or leads at `finish` once the rule allows.
+    #[test]
+    fn begin_issues_nothing_it_may_not_lead() {
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let media = store.media().clone();
+        let first = store.enqueue(&[cert_issued(2)]).unwrap();
+        let led = store.begin(first);
+        let again = store.begin(first);
+        assert_eq!(media.writes_in_flight(), 1, "an issued LSN issues again");
+        let second = store.enqueue(&[cert_issued(3)]).unwrap();
+        let overlapped = store.begin(second);
+        assert_eq!(media.writes_in_flight(), 2);
+        let third = store.enqueue(&[cert_issued(4)]).unwrap();
+        let queued = store.begin(third);
+        assert_eq!(media.writes_in_flight(), 2, "a third write was issued");
+        let outcomes = [led, again, overlapped, queued].map(|pending| pending.finish().unwrap());
+        let commit = |leader, in_flight| Commit {
+            batch_records: 1,
+            leader,
+            in_flight,
+        };
+        assert_eq!(
+            outcomes,
+            [
+                commit(true, 0),
+                commit(false, 0),
+                commit(true, 1),
+                commit(true, 0)
+            ]
+        );
+        assert_eq!(media.flushes(), 3);
+
+        let role = store.writer_role();
+        let fourth = store.enqueue(&[cert_issued(5)]).unwrap();
+        let blocked = store.begin(fourth);
+        assert_eq!(media.writes_in_flight(), 0, "issued under the writer role");
+        drop(role);
+        assert!(blocked.finish().unwrap().leader);
+        assert_eq!(store.replay().unwrap().state.max_serial, 5);
+    }
+
+    /// A leader that drops its `Pending` without finishing (a panic while
+    /// its write is in flight) still lands, observes and publishes its
+    /// batch, so the batch's followers return.
+    #[test]
+    fn a_dropped_leader_still_publishes_its_batch() {
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let tape = Arc::new(Tape::default());
+        store.set_observer(tape.clone());
+        store.media().set_write_latency(Duration::from_millis(20));
+        let records = [cert_issued(2), cert_issued(3)];
+        let first = store.enqueue(&records[..1]).unwrap();
+        let last = store.enqueue(&records[1..]).unwrap();
+        let leader = store.begin(first);
+        let follower = store.begin(last);
+        assert_eq!(store.media().writes_in_flight(), 1);
+        let followed = std::thread::scope(|scope| {
+            let followed = scope.spawn(move || follower.finish());
+            drop(leader);
+            followed.join().unwrap()
+        });
+        assert_eq!(
+            followed.unwrap(),
+            Commit {
+                batch_records: 2,
+                leader: false,
+                in_flight: 0
+            }
+        );
+        assert!(store.is_durable(last));
+        assert_eq!(store.media().flushes(), 1);
+        assert_eq!(*tape.batches.lock(), vec![records.to_vec()]);
+        assert_eq!(store.replay().unwrap().state.max_serial, 3);
     }
 
     /// A leader compacts after its batch is durable, so a caller released

@@ -149,25 +149,40 @@ fn wrap_key(shared: &[u8; 32], eph_pub: &[u8; 32], prov_pub: &[u8; 32]) -> [u8; 
     hkdf::expand(&prk, &info, 32).try_into().expect("32")
 }
 
+/// The randomness one [`wrap_credentials`] call consumes: the ephemeral
+/// X25519 seed and the AES-GCM nonce.
+pub struct WrapRandomness {
+    seed: [u8; 32],
+    nonce: [u8; 12],
+}
+
+impl WrapRandomness {
+    /// Draw the seed, then the nonce, from `rng`.
+    pub fn draw(rng: &mut dyn SecureRandom) -> WrapRandomness {
+        let mut seed = [0u8; 32];
+        rng.fill(&mut seed);
+        let mut nonce = [0u8; 12];
+        rng.fill(&mut nonce);
+        WrapRandomness { seed, nonce }
+    }
+}
+
 /// VM-side: wrap a credential bundle to an attested enclave's provisioning
-/// public key. Only the holder of the matching private key — which never
-/// leaves the enclave — can unwrap it.
+/// public key, with randomness drawn beforehand. Only the holder of the
+/// matching private key — which never leaves the enclave — can unwrap it.
 pub fn wrap_credentials(
-    rng: &mut dyn SecureRandom,
+    randomness: &WrapRandomness,
     enclave_provisioning_key: &[u8; 32],
     bundle: &ProvisionBundle,
 ) -> Vec<u8> {
-    let mut seed = [0u8; 32];
-    rng.fill(&mut seed);
-    let eph = EphemeralKeyPair::from_seed(seed);
+    let eph = EphemeralKeyPair::from_seed(randomness.seed);
     let shared = eph.agree(enclave_provisioning_key);
     let key = wrap_key(&shared, &eph.public, enclave_provisioning_key);
-    let mut nonce = [0u8; 12];
-    rng.fill(&mut nonce);
-    let sealed = AesGcm::new(&key).seal(&nonce, &eph.public, &bundle.encode());
+    let nonce = &randomness.nonce;
+    let sealed = AesGcm::new(&key).seal(nonce, &eph.public, &bundle.encode());
     let mut w = TlvWriter::new();
     w.bytes(TAG_EPH_PUB, &eph.public)
-        .bytes(TAG_GCM_NONCE, &nonce)
+        .bytes(TAG_GCM_NONCE, nonce)
         .bytes(TAG_CIPHERTEXT, &sealed);
     w.finish()
 }
@@ -647,7 +662,11 @@ mod tests {
         let mut rng = HmacDrbg::new(b"wrap test");
         let enclave_key = EphemeralKeyPair::from_seed([7; 32]);
         let bundle = test_bundle();
-        let wrapped = wrap_credentials(&mut rng, &enclave_key.public, &bundle);
+        let wrapped = wrap_credentials(
+            &WrapRandomness::draw(&mut rng),
+            &enclave_key.public,
+            &bundle,
+        );
 
         // Unwrap with the right key succeeds.
         let mut r = TlvReader::new(&wrapped);

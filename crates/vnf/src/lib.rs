@@ -25,7 +25,7 @@ pub mod credential_enclave;
 pub mod guard;
 pub mod nf;
 
-pub use credential_enclave::{wrap_credentials, CredentialEnclave, ProvisionBundle};
+pub use credential_enclave::{wrap_credentials, CredentialEnclave, ProvisionBundle, WrapRandomness};
 pub use guard::{RenewFn, VnfGuard};
 pub use nf::{DpiCounter, Firewall, LoadBalancer, NatGateway, NetworkFunction};
 

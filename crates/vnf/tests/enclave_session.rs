@@ -16,7 +16,7 @@ use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_tls::signer::LocalSigner;
 use vnfguard_tls::validate::ClientValidator;
 use vnfguard_vnf::credential_enclave::ProvisionBundle;
-use vnfguard_vnf::{wrap_credentials, VnfGuard};
+use vnfguard_vnf::{wrap_credentials, VnfGuard, WrapRandomness};
 use vnfguard_encoding::Json;
 
 struct World {
@@ -86,7 +86,7 @@ fn setup() -> World {
         ca_previous: Vec::new(),
     };
     let prov_key = guard.provisioning_key().unwrap();
-    let wrapped = wrap_credentials(&mut rng, &prov_key, &bundle);
+    let wrapped = wrap_credentials(&WrapRandomness::draw(&mut rng), &prov_key, &bundle);
     guard.provision(&wrapped).unwrap();
 
     World {
