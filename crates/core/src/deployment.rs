@@ -509,8 +509,7 @@ impl TestbedBuilder {
         let mut standbys = Vec::with_capacity(self.replicas);
         let mut standby_media = Vec::with_capacity(self.replicas);
         let mut standby_platforms = Vec::with_capacity(self.replicas);
-        let mut replication = None;
-        let mut follower_replication = Vec::new();
+        let mut replica_sets: Vec<Option<ReplicaSet>> = vec![None; shard_count];
         let replication_config = self.replication_config.clone().unwrap_or_default();
         if self.replicas > 0 {
             for (s, shard_store) in shard_stores.iter().enumerate() {
@@ -567,18 +566,14 @@ impl TestbedBuilder {
                 );
                 set.attach_store(store.clone());
                 store.set_observer(Arc::new(set.clone()));
+                // Only the authority shard fails over, so only its standby
+                // handles are kept; dropping a handle leaves its node serving.
                 if s == 0 {
                     standbys = nodes;
                     standby_media = medias;
                     standby_platforms = platforms;
-                    replication = Some(set);
-                } else {
-                    follower_replication.push(FollowerReplica {
-                        shard: s,
-                        set,
-                        standbys: nodes,
-                    });
                 }
+                replica_sets[s] = Some(set);
             }
         }
 
@@ -600,12 +595,8 @@ impl TestbedBuilder {
             if let Some(plan) = &self.crash_plan {
                 manager = manager.with_crash_plan(plan.clone());
             }
-            if s == 0 {
-                if let Some(set) = &replication {
-                    manager.with_replication(set.clone());
-                }
-            } else if let Some(f) = follower_replication.iter().find(|f| f.shard == s) {
-                manager.with_replication(f.set.clone());
+            if let Some(set) = &replica_sets[s] {
+                manager.with_replication(set.clone());
             }
             manager.set_shard(s as u32, shard_count as u32);
             managers.push(manager);
@@ -777,11 +768,10 @@ impl TestbedBuilder {
             trust_log,
             amd_root,
             snp_verifier,
-            replication,
+            replication: replica_sets.swap_remove(0),
             standbys,
             standby_media,
             standby_platforms,
-            follower_replication,
             replication_config,
         }
     }
@@ -800,6 +790,16 @@ const STANDARD_HOST_FILES: &[(&str, &[u8])] = &[
 /// attestation.
 const SNP_HOST_IMAGE: &[u8] = b"snp host cvm image v1";
 
+/// What a recovered manager incarnation is for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Incarnation {
+    /// It takes the shard's place in the deployment.
+    Live,
+    /// An oracle twin: a measuring instrument, not part of the deployment,
+    /// that must not disturb the shared metrics.
+    Twin,
+}
+
 /// Config-time trust decisions made after build, replayed into a recovered
 /// manager (they are deployment inputs, not journaled state transitions).
 /// Each whitelist entry records the backend it was granted under —
@@ -808,15 +808,6 @@ enum TrustAction {
     TrustEnclave(BackendKind, Measurement, String),
     TrustIntegrity(BackendKind, Measurement, String),
     AllowContent(String, Vec<u8>),
-}
-
-/// Replication assets of a non-authority shard. The authority shard keeps
-/// the testbed's historical top-level fields (`standbys`, `replication`)
-/// so `promote` and the failover drills keep their shape.
-struct FollowerReplica {
-    shard: usize,
-    set: ReplicaSet,
-    standbys: Vec<StandbyNode>,
 }
 
 /// The assembled deployment.
@@ -868,8 +859,6 @@ pub struct Testbed {
     standby_media: Vec<Media>,
     /// Each authority standby's SGX platform.
     standby_platforms: Vec<SgxPlatform>,
-    /// Standby sets of the non-authority shards.
-    follower_replication: Vec<FollowerReplica>,
     replication_config: ReplicationConfig,
 }
 
@@ -1292,60 +1281,94 @@ impl Testbed {
         shard: usize,
     ) -> Result<(VerificationManager, Option<RevocationNotifier>, RecoveryReport), CoreError>
     {
-        let media = self.shard_media[shard].clone().ok_or_else(|| {
-            CoreError::Store(
-                "testbed is not durable (build with TestbedBuilder::durable)".into(),
-            )
-        })?;
-        let vault = StateVault::load(&self.shard_platforms[shard], &self.enclave_author)?;
-        let store = StateStore::new(media, vault)
-            .with_compaction(self.wal_compaction)
-            .with_group_commit(self.group_commit);
+        let store = self.shard_store(shard, Incarnation::Live)?;
         let mut notifier = (shard == 0).then(|| {
             RevocationNotifier::new(&self.network)
                 .with_telemetry(&self.telemetry)
                 .with_store(store.clone())
         });
+        let (vm, report) =
+            self.recover_incarnation(shard, store, notifier.as_mut(), Incarnation::Live)?;
+        Ok((vm, notifier, report))
+    }
+
+    /// Shard `shard`'s sealed store: over its medium for a live
+    /// incarnation, over a fork of it for a twin (the fork drops any
+    /// injected write latency).
+    fn shard_store(&self, shard: usize, role: Incarnation) -> Result<StateStore, CoreError> {
+        let media = self.shard_store_media(shard).ok_or_else(|| {
+            CoreError::Store("testbed is not durable (build with TestbedBuilder::durable)".into())
+        })?;
+        let media = match role {
+            Incarnation::Live => media.clone(),
+            Incarnation::Twin => media.fork(),
+        };
+        let vault = StateVault::load(&self.shard_platforms[shard], &self.enclave_author)?;
+        Ok(StateStore::new(media, vault)
+            .with_compaction(self.wal_compaction)
+            .with_group_commit(self.group_commit))
+    }
+
+    /// Recover shard `shard`'s manager from `store` (the one path for crash
+    /// recovery, promotion and oracle twins), then place it at its shard.
+    /// A live incarnation also re-learns the deployment's config-time
+    /// trust, which is input and not journaled state: the integrity
+    /// enclave, the reference files, the TPM AIKs and the trust log. It
+    /// shares the deployment's telemetry and takes its crash plan. A twin
+    /// gets its own telemetry and neither.
+    fn recover_incarnation(
+        &self,
+        shard: usize,
+        store: StateStore,
+        notifier: Option<&mut RevocationNotifier>,
+        role: Incarnation,
+    ) -> Result<(VerificationManager, RecoveryReport), CoreError> {
+        let telemetry = match role {
+            Incarnation::Live => self.telemetry.clone(),
+            Incarnation::Twin => Telemetry::new(),
+        };
         let (mut vm, report) = VerificationManager::recover(
             self.vm_config.clone(),
             &self.seed,
             self.clock.clone(),
-            self.telemetry.clone(),
+            telemetry,
             store,
-            notifier.as_mut(),
+            notifier,
         )?;
-        vm.trust_integrity_enclave(
-            IntegrityAttestationEnclave::expected_measurement(1),
-            "integrity-attestation-v1",
-        );
-        for (path, content) in STANDARD_HOST_FILES {
-            vm.reference_db_mut().allow_content(path, content);
-        }
-        for host in &self.hosts {
-            if let Some(tpm) = &host.tpm {
-                vm.register_host_tpm(&host.id, tpm.aik_public());
+        if role == Incarnation::Live {
+            vm.trust_integrity_enclave(
+                IntegrityAttestationEnclave::expected_measurement(1),
+                "integrity-attestation-v1",
+            );
+            for (path, content) in STANDARD_HOST_FILES {
+                vm.reference_db_mut().allow_content(path, content);
             }
-        }
-        for action in &self.trust_log {
-            match action {
-                TrustAction::TrustEnclave(backend, measurement, label) => {
-                    vm.trust_enclave_for(*backend, *measurement, label);
-                }
-                TrustAction::TrustIntegrity(backend, measurement, label) => {
-                    vm.trust_integrity_enclave_for(*backend, *measurement, label);
-                }
-                TrustAction::AllowContent(path, content) => {
-                    vm.reference_db_mut().allow_content(path, content);
+            for host in &self.hosts {
+                if let Some(tpm) = &host.tpm {
+                    vm.register_host_tpm(&host.id, tpm.aik_public());
                 }
             }
-        }
-        if let Some(plan) = &self.crash_plan {
-            vm = vm.with_crash_plan(plan.clone());
+            for action in &self.trust_log {
+                match action {
+                    TrustAction::TrustEnclave(backend, measurement, label) => {
+                        vm.trust_enclave_for(*backend, *measurement, label);
+                    }
+                    TrustAction::TrustIntegrity(backend, measurement, label) => {
+                        vm.trust_integrity_enclave_for(*backend, *measurement, label);
+                    }
+                    TrustAction::AllowContent(path, content) => {
+                        vm.reference_db_mut().allow_content(path, content);
+                    }
+                }
+            }
+            if let Some(plan) = &self.crash_plan {
+                vm = vm.with_crash_plan(plan.clone());
+            }
         }
         // Replay restored the journaled allocator high-water marks; the
         // shard floors are max-semantics, so re-applying them is safe.
         vm.set_shard(shard as u32, self.vm.shard_count() as u32);
-        Ok((vm, notifier, report))
+        Ok((vm, report))
     }
 
     /// Detach the authority shard's current incarnation — e.g. to keep a
@@ -1368,31 +1391,6 @@ impl Testbed {
     /// [`replicas`](TestbedBuilder::replicas).
     pub fn replication(&self) -> Option<&ReplicaSet> {
         self.replication.as_ref()
-    }
-
-    /// One shard's replication handle (shard 0 is the authority).
-    pub fn shard_replication(&self, shard: usize) -> Option<&ReplicaSet> {
-        if shard == 0 {
-            self.replication.as_ref()
-        } else {
-            self.follower_replication
-                .iter()
-                .find(|f| f.shard == shard)
-                .map(|f| &f.set)
-        }
-    }
-
-    /// One shard's standby nodes (empty when unreplicated).
-    pub fn shard_standbys(&self, shard: usize) -> &[StandbyNode] {
-        if shard == 0 {
-            &self.standbys
-        } else {
-            self.follower_replication
-                .iter()
-                .find(|f| f.shard == shard)
-                .map(|f| &f.standbys[..])
-                .unwrap_or(&[])
-        }
     }
 
     /// Stand up the fleet health plane over the fabric: one
@@ -1516,43 +1514,8 @@ impl Testbed {
         let mut notifier = RevocationNotifier::new(&self.network)
             .with_telemetry(&self.telemetry)
             .with_store(store.clone());
-        let (mut vm, recovery) = VerificationManager::recover(
-            self.vm_config.clone(),
-            &self.seed,
-            self.clock.clone(),
-            self.telemetry.clone(),
-            store,
-            Some(&mut notifier),
-        )?;
-        vm.trust_integrity_enclave(
-            IntegrityAttestationEnclave::expected_measurement(1),
-            "integrity-attestation-v1",
-        );
-        for (path, content) in STANDARD_HOST_FILES {
-            vm.reference_db_mut().allow_content(path, content);
-        }
-        for host in &self.hosts {
-            if let Some(tpm) = &host.tpm {
-                vm.register_host_tpm(&host.id, tpm.aik_public());
-            }
-        }
-        for action in &self.trust_log {
-            match action {
-                TrustAction::TrustEnclave(backend, measurement, label) => {
-                    vm.trust_enclave_for(*backend, *measurement, label);
-                }
-                TrustAction::TrustIntegrity(backend, measurement, label) => {
-                    vm.trust_integrity_enclave_for(*backend, *measurement, label);
-                }
-                TrustAction::AllowContent(path, content) => {
-                    vm.reference_db_mut().allow_content(path, content);
-                }
-            }
-        }
-        if let Some(plan) = &self.crash_plan {
-            vm = vm.with_crash_plan(plan.clone());
-        }
-        vm.set_shard(0, self.vm.shard_count() as u32);
+        let (mut vm, recovery) =
+            self.recover_incarnation(0, store, Some(&mut notifier), Incarnation::Live)?;
         vm.with_replication(set.clone());
         // The failed primary's store-and-forward queue was part of the
         // replicated state, so its undelivered notices came back in the
@@ -1592,8 +1555,7 @@ impl Testbed {
     }
 
     /// An oracle twin of one shard, recovered from a fork of that shard's
-    /// media (the fork drops the injected write latency, so building
-    /// twins is fast even on a slow-media testbed).
+    /// media (so building twins is fast even on a slow-media testbed).
     pub fn oracle_twin_for(&self, shard: usize) -> Result<VmService, CoreError> {
         self.twin_manager(shard).map(VmService::single)
     }
@@ -1608,32 +1570,9 @@ impl Testbed {
 
     /// Recover one shard's manager from a fork of its media.
     fn twin_manager(&self, shard: usize) -> Result<VerificationManager, CoreError> {
-        let media = self
-            .shard_media
-            .get(shard)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                CoreError::Store(
-                    "testbed is not durable (build with TestbedBuilder::durable)".into(),
-                )
-            })?
-            .fork();
-        let vault = StateVault::load(&self.shard_platforms[shard], &self.enclave_author)?;
-        let store = StateStore::new(media, vault)
-            .with_compaction(self.wal_compaction)
-            .with_group_commit(self.group_commit);
-        // Fresh telemetry: the twin is a measuring instrument, not part of
-        // the deployment, and must not disturb the shared metrics.
-        let (mut vm, _) = VerificationManager::recover(
-            self.vm_config.clone(),
-            &self.seed,
-            self.clock.clone(),
-            Telemetry::new(),
-            store,
-            None,
-        )?;
-        vm.set_shard(shard as u32, self.vm.shard_count() as u32);
-        Ok(vm)
+        let store = self.shard_store(shard, Incarnation::Twin)?;
+        self.recover_incarnation(shard, store, None, Incarnation::Twin)
+            .map(|(vm, _)| vm)
     }
 }
 

@@ -45,6 +45,7 @@ pub mod replication;
 pub mod resilience;
 pub mod revocation;
 pub mod service;
+mod state;
 
 pub use attestation::{HostEvidence, IntegrityAttestationEnclave};
 pub use backend::MultiBackend;

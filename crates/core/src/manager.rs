@@ -1,15 +1,32 @@
 //! The Verification Manager.
+//!
+//! Its authority state (enrollments, pending enrollments, revocations,
+//! issuance and CRL counters, committed rotations) is one
+//! [`ManagerState`], the fold of its write-ahead log (see the `state`
+//! module). A workflow checks, builds its [`WalRecord`]s and journals them;
+//! journaling enqueues them on the store and folds them through
+//! [`ManagerState::apply`], the fold replay runs. No workflow writes the
+//! maps by hand, and reads such as [`VerificationManager::enrollments`],
+//! [`VerificationManager::credential_is_revoked`] and the entries a CRL
+//! carries come from that state. Recovery is a replay into it.
+//!
+//! What the log does not carry stays outside it: the CA's keys, epoch,
+//! serial allocator and CRL number, host verdicts, challenges and the DRBG.
+//! That is why a shard can adopt the authority's rotation and host records
+//! without journaling anything.
 
 use crate::attestation::{host_report_data, HostEvidence};
 use crate::crash::CrashPlan;
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::replication::ReplicaSet;
 use crate::revocation::{revocation_message, RevocationNotifier};
+use crate::state::JournaledState;
 use crate::CoreError;
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-use vnfguard_store::{Lsn, Pending, StateStore, StoreStats, WalRecord};
+use vnfguard_store::{
+    EnrollmentEntry, Lsn, ManagerState, Pending, PendingEntry, StateStore, StoreStats, WalRecord,
+};
 use vnfguard_controller::clock::SimClock;
 use vnfguard_crypto::drbg::{HmacDrbg, SecureRandom};
 use vnfguard_crypto::ed25519::SigningKey;
@@ -340,41 +357,11 @@ pub struct HostRecord {
     pub tpm_aik: Option<vnfguard_crypto::ed25519::VerifyingKey>,
 }
 
-/// Enrollment record for an issued credential.
-#[derive(Debug, Clone)]
-pub struct EnrollmentRecord {
-    pub serial: u64,
-    pub vnf_name: String,
-    pub host_id: String,
-    /// The TEE backend whose evidence established this enrollment. The
-    /// WAL persists the code, so recovery and renewal re-bind the record
-    /// to the same backend's appraisal policy and whitelist.
-    pub backend: BackendKind,
-    pub mrenclave: Measurement,
-    /// Digest of the enclave's provisioning public key as bound by the
-    /// enrollment quote (see [`provisioning_key_hash`]). Renewals must
-    /// present the same key — serials are public, so without this check
-    /// anyone could have a successor credential wrapped to their own key.
-    pub provisioning_key_hash: [u8; 32],
-    pub issued_at: u64,
-    pub revoked: bool,
-}
-
-/// An enrollment whose credential was issued but not yet delivered. The
-/// two-phase protocol (prepare → commit, abort on delivery failure) keeps
-/// the manager's records consistent with what actually reached an enclave.
-#[derive(Debug, Clone)]
-pub struct PendingEnrollment {
-    pub serial: u64,
-    pub vnf_name: String,
-    pub host_id: String,
-    /// The TEE backend whose evidence prepared this enrollment.
-    pub backend: BackendKind,
-    pub mrenclave: Measurement,
-    /// Digest of the quote-bound provisioning public key (see
-    /// [`provisioning_key_hash`]).
-    pub provisioning_key_hash: [u8; 32],
-    pub prepared_at: u64,
+/// The backend a journaled backend code names. Unknown codes (from a
+/// newer incarnation's log) fall back to SGX, the only backend that
+/// predates the code.
+fn backend_of(code: u8) -> BackendKind {
+    BackendKind::from_u8(code).unwrap_or(BackendKind::SgxEpid)
 }
 
 /// Domain-separated digest of an enclave's provisioning public key, as
@@ -638,11 +625,11 @@ pub struct RecoveryReport {
     pub truncated_tail: bool,
     /// Log records applied on top of the snapshot.
     pub replayed_records: u64,
-    /// Committed enrollments restored into the live manager.
+    /// Committed enrollments replayed into the state.
     pub enrollments_restored: usize,
-    /// In-grace pending enrollments restored (still awaiting commit/abort).
+    /// In-grace pending enrollments kept (still awaiting commit/abort).
     pub pending_restored: usize,
-    /// Revocation-registry entries re-applied to the CA.
+    /// Revocations replayed into the state.
     pub revocations_restored: usize,
     /// Committed CA rotations re-applied (deterministic key re-derivation
     /// plus [`install_rotation`](CertificateAuthority::install_rotation)).
@@ -683,9 +670,9 @@ pub struct VerificationManager {
     /// Whitelisted integrity-attestation measurements, keyed per backend.
     trusted_integrity_enclaves: BTreeMap<(BackendKind, Measurement), String>,
     hosts: HashMap<String, HostRecord>,
-    enrollments: BTreeMap<u64, EnrollmentRecord>,
-    /// Prepared-but-uncommitted enrollments, keyed by certificate serial.
-    pending_enrollments: BTreeMap<u64, PendingEnrollment>,
+    /// Enrollments, pending enrollments and revocations: the fold of every
+    /// record this manager journaled, and of the log it recovered from.
+    journaled: JournaledState,
     challenges: HashMap<u64, Challenge>,
     next_challenge: u64,
     clock: SimClock,
@@ -694,12 +681,6 @@ pub struct VerificationManager {
     /// The HMAC key the paper has the VM generate (used to authenticate
     /// VM-originated notifications to hosts).
     hmac_key: [u8; 32],
-    /// Sealed write-ahead log; `None` runs the manager volatile (the
-    /// paper's original posture).
-    store: Option<StateStore>,
-    /// When the current call first journaled: the start of the caller's
-    /// WAL wait, closed by [`CommitTicket::wait`].
-    journaled_at: Cell<Option<Instant>>,
     /// Seed for deriving per-epoch CA rotation keys (see
     /// [`epoch_key`](Self::epoch_key)): recovery re-derives the same keys
     /// from the same manager seed instead of persisting key material.
@@ -709,10 +690,8 @@ pub struct VerificationManager {
     /// The most recently issued numbered CRL, re-served to read-only
     /// distribution requests so polling does not grow the WAL.
     last_crl: Option<Crl>,
-    /// Bumped whenever revocations or a key rotation obsolete `last_crl`.
-    crl_revision: u64,
-    /// The `crl_revision` last folded into a signed CRL; the cache is
-    /// dirty while the two differ, and the next
+    /// The [`crl_revision`](Self::crl_revision) last folded into a signed
+    /// CRL; the cache is dirty while the revision is past it, and the next
     /// [`latest_crl`](Self::latest_crl) mints a fresh one.
     crl_folded: u64,
     /// End of the dual-trust window opened by the last rotation.
@@ -727,9 +706,7 @@ pub struct VerificationManager {
     /// Primary-side replication handle (also installed as the store's
     /// append observer); `None` runs unreplicated.
     replication: Option<ReplicaSet>,
-    /// This manager's shard index (0 = the authority shard) and the total
-    /// shard count of the deployment it belongs to.
-    shard: u32,
+    /// The shard count of the deployment this manager belongs to.
     shard_count: u32,
     /// Per-serial next-attempt state for renewals the serving layer
     /// refused (shed or deadline-expired):
@@ -800,8 +777,7 @@ impl VerificationManager {
             trusted_enclaves: BTreeMap::new(),
             trusted_integrity_enclaves: BTreeMap::new(),
             hosts: HashMap::new(),
-            enrollments: BTreeMap::new(),
-            pending_enrollments: BTreeMap::new(),
+            journaled: JournaledState::new(ManagerState::default(), None),
             challenges: HashMap::new(),
             next_challenge: 1,
             clock,
@@ -811,16 +787,12 @@ impl VerificationManager {
             rotation_seed,
             last_crl_issued_at: None,
             last_crl: None,
-            crl_revision: 0,
             crl_folded: 0,
             rotation_drain_deadline: None,
-            store: None,
-            journaled_at: Cell::new(None),
             crash_plan: None,
             crashed: None,
             last_recovery: None,
             replication: None,
-            shard: 0,
             shard_count: 1,
             renewal_backoff: HashMap::new(),
         }
@@ -837,7 +809,6 @@ impl VerificationManager {
     /// restores allocators from the shard's own WAL, already inside the
     /// span) is idempotent.
     pub fn set_shard(&mut self, index: u32, count: u32) {
-        self.shard = index;
         self.shard_count = count.max(1);
         // In a multi-shard deployment every shard's per-shard series carry
         // a `{shard="i"}` label (otherwise N registries collide into one);
@@ -856,23 +827,23 @@ impl VerificationManager {
             .reseed(&[b"shard" as &[u8], &index.to_be_bytes()].concat());
     }
 
-    /// This manager's shard index (0 when unsharded).
-    pub fn shard_index(&self) -> u32 {
-        self.shard
-    }
-
     /// Total shards in the deployment this manager belongs to.
     pub fn shard_count(&self) -> u32 {
         self.shard_count
     }
 
-    /// Attach a sealed state store: from here on every state transition is
-    /// journaled before the operation is acknowledged (WAL-before-response).
-    /// The journal only enqueues; the [`VmService`](crate::service::VmService)
-    /// shard accessor waits for durability after unlocking, which is why
-    /// only the testbed, which always wraps managers in one, attaches stores.
+    /// Attach a sealed state store to a fresh manager: from here on every
+    /// state transition is journaled before the operation is acknowledged
+    /// (WAL-before-response). The journal only enqueues; the
+    /// [`VmService`](crate::service::VmService) shard accessor waits for
+    /// durability after unlocking, which is why only the testbed, which
+    /// always wraps managers in one, attaches stores.
     pub(crate) fn with_store(mut self, store: StateStore) -> VerificationManager {
-        self.store = Some(store);
+        debug_assert!(
+            *self.state() == ManagerState::default(),
+            "a store attaches before anything is journaled"
+        );
+        self.journaled = JournaledState::new(ManagerState::default(), Some(store));
         self
     }
 
@@ -965,11 +936,6 @@ impl VerificationManager {
             .insert((backend, measurement), label.to_string());
     }
 
-    /// The per-backend appraisal policies in force.
-    pub fn backend_policies(&self) -> &PolicyRegistry {
-        &self.policies
-    }
-
     /// Override the appraisal policy for one backend (the registry starts
     /// uniform at the config's [`TcbPolicy`] equivalent).
     pub fn set_backend_policy(&mut self, backend: BackendKind, policy: BackendPolicy) {
@@ -1001,23 +967,20 @@ impl VerificationManager {
         self.telemetry.event(time, kind, detail);
     }
 
-    /// WAL-before-response, first half: seal `record` and queue it behind
-    /// everything journaled before, failing the operation if sealing
-    /// fails. The caller's shard accessor waits for durability (see
-    /// [`commit_ticket`](Self::commit_ticket)). A no-op without a store.
-    fn journal(&self, record: &WalRecord) -> Result<(), CoreError> {
-        self.journal_group(std::slice::from_ref(record))
+    /// The manager's journaled state: every enrollment, pending enrollment
+    /// and revocation, with the issuance, CRL and rotation history.
+    fn state(&self) -> &ManagerState {
+        self.journaled.get()
     }
 
-    /// Journal a whole workflow's records together: with group commit
-    /// enabled on the store they land in one group frame, so a torn tail
-    /// drops all of them or none. A no-op without a store.
-    fn journal_group(&self, records: &[WalRecord]) -> Result<(), CoreError> {
-        if let Some(store) = &self.store {
-            if self.journaled_at.get().is_none() {
-                self.journaled_at.set(Some(Instant::now()));
-            }
-            store.enqueue(records)?;
+    /// WAL-before-response, first half: seal a workflow's `records`, queue
+    /// them behind everything journaled before and fold them into the
+    /// state, the one way the state changes. A failed enqueue fails the
+    /// operation and changes nothing. The caller's shard accessor waits
+    /// for durability (see [`commit_ticket`](Self::commit_ticket)).
+    fn journal(&mut self, records: &[WalRecord]) -> Result<(), CoreError> {
+        self.journaled.record(records)?;
+        if self.journaled.store().is_some() {
             self.metrics.wal_records.add(records.len() as u64);
         }
         Ok(())
@@ -1028,10 +991,10 @@ impl VerificationManager {
     /// could have observed. `None` without a store, or when everything
     /// appended is already durable and this call journaled nothing. Takes
     /// the call's journal start time with it.
-    pub(crate) fn commit_ticket(&self) -> Option<CommitTicket> {
-        let store = self.store.as_ref()?;
+    pub(crate) fn commit_ticket(&mut self) -> Option<CommitTicket> {
+        let journaled_at = self.journaled.take_journaled_at();
+        let store = self.journaled.store()?;
         let lsn = store.appended_lsn();
-        let journaled_at = self.journaled_at.take();
         if journaled_at.is_none() && store.is_durable(lsn) {
             return None;
         }
@@ -1047,8 +1010,8 @@ impl VerificationManager {
 
     /// Journal from a path whose signature cannot surface an error. The
     /// failure is still audited so an operator sees the durability gap.
-    fn journal_infallible(&self, record: &WalRecord) {
-        if let Err(e) = self.journal(record) {
+    fn journal_infallible(&mut self, record: WalRecord) {
+        if let Err(e) = self.journal(&[record]) {
             self.event(self.clock.now(), "wal_append_failed", &e.to_string());
         }
     }
@@ -1097,14 +1060,14 @@ impl VerificationManager {
 
     /// Occupancy of the attached state store, if any.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
+        self.journaled.store().map(StateStore::stats)
     }
 
     /// Wait until the attached store is idle (see
     /// [`StateStore::quiesce`]): the caller is about to let another
     /// incarnation write to the same medium.
     pub(crate) fn quiesce_store(&self) {
-        if let Some(store) = &self.store {
+        if let Some(store) = self.journaled.store() {
             store.quiesce();
         }
     }
@@ -1152,9 +1115,9 @@ impl VerificationManager {
         self.event(self.clock.now(), "vm_halted", reason);
     }
 
-    /// Whether the CA's revocation registry contains `serial`.
+    /// Whether `serial` is revoked.
     pub fn credential_is_revoked(&self, serial: u64) -> bool {
-        self.ca.is_revoked(serial)
+        self.state().revoked.contains_key(&serial)
     }
 
     /// The manager's audit journal (retained events, oldest first).
@@ -1173,8 +1136,8 @@ impl VerificationManager {
         self.hosts.values().cloned().collect()
     }
 
-    pub fn enrollments(&self) -> impl Iterator<Item = &EnrollmentRecord> {
-        self.enrollments.values()
+    pub fn enrollments(&self) -> impl Iterator<Item = &EnrollmentEntry> {
+        self.state().enrollments.values()
     }
 
     fn new_challenge(&mut self, subject: ChallengeSubject, now: u64) -> Challenge {
@@ -1401,10 +1364,10 @@ impl VerificationManager {
             )));
         }
         let verdict = record.verdict;
-        self.journal(&WalRecord::DegradedVerdictGranted {
+        self.journal(&[WalRecord::DegradedVerdictGranted {
             host_id: host_id.to_string(),
             at: now,
-        })?;
+        }])?;
         self.crash_point("degraded.verdict")?;
         self.metrics.degraded_verdicts.inc();
         self.event(
@@ -1589,8 +1552,7 @@ impl VerificationManager {
         // One workflow, one flush: under group commit both records share a
         // group frame, so a crash can never persist the issuance without
         // the preparation that explains it.
-        let key_hash = provisioning_key_hash(provisioning_key);
-        self.journal_group(&[
+        self.journal(&[
             WalRecord::CertIssued {
                 serial,
                 subject: vnf_name.clone(),
@@ -1599,26 +1561,14 @@ impl VerificationManager {
             WalRecord::EnrollmentPrepared {
                 serial,
                 vnf_name: vnf_name.clone(),
-                host_id: host_id.clone(),
+                host_id,
                 mrenclave: appraisal.measurement,
-                provisioning_key_hash: key_hash,
+                provisioning_key_hash: provisioning_key_hash(provisioning_key),
                 backend: appraisal.backend.as_u8(),
                 at: now,
             },
         ])?;
         self.crash_point("enrollment.prepare")?;
-        self.pending_enrollments.insert(
-            serial,
-            PendingEnrollment {
-                serial,
-                vnf_name: vnf_name.clone(),
-                host_id,
-                backend: appraisal.backend,
-                mrenclave: measurement,
-                provisioning_key_hash: key_hash,
-                prepared_at: now,
-            },
-        );
         self.event(now, "enrollment_prepared", &format!("{vnf_name} serial {serial}"));
         Ok(mint)
     }
@@ -1665,38 +1615,20 @@ impl VerificationManager {
     pub fn commit_vnf_enrollment(&mut self, serial: u64) -> Result<(), CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
-        if !self.pending_enrollments.contains_key(&serial) {
-            return Err(CoreError::WorkflowViolation(format!(
-                "no pending enrollment with serial {serial}"
-            )));
-        }
-        self.journal(&WalRecord::EnrollmentCommitted { serial, at: now })?;
+        let pending = self.pending_enrollment(serial)?;
+        let (vnf_name, backend) = (pending.vnf_name.clone(), backend_of(pending.backend));
+        self.journal(&[WalRecord::EnrollmentCommitted { serial, at: now }])?;
         self.crash_point("enrollment.commit")?;
-        let pending = self.pending_enrollments.remove(&serial).ok_or_else(|| {
-            CoreError::WorkflowViolation(format!("no pending enrollment with serial {serial}"))
-        })?;
-        self.event(
-            now,
-            "vnf_enrolled",
-            &format!("{} serial {serial}", pending.vnf_name),
-        );
-        let backend = pending.backend;
-        self.enrollments.insert(
-            serial,
-            EnrollmentRecord {
-                serial,
-                vnf_name: pending.vnf_name,
-                host_id: pending.host_id,
-                backend,
-                mrenclave: pending.mrenclave,
-                provisioning_key_hash: pending.provisioning_key_hash,
-                issued_at: now,
-                revoked: false,
-            },
-        );
+        self.event(now, "vnf_enrolled", &format!("{vnf_name} serial {serial}"));
         self.metrics.enrollments.inc();
         self.metrics.enrollments_by_backend[backend.as_u8() as usize].inc();
         Ok(())
+    }
+
+    fn pending_enrollment(&self, serial: u64) -> Result<&PendingEntry, CoreError> {
+        self.state().pending.get(&serial).ok_or_else(|| {
+            CoreError::WorkflowViolation(format!("no pending enrollment with serial {serial}"))
+        })
     }
 
     /// Roll back a prepared enrollment whose credential never reached the
@@ -1711,35 +1643,25 @@ impl VerificationManager {
     ) -> Result<(), CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
-        if !self.pending_enrollments.contains_key(&serial) {
-            return Err(CoreError::WorkflowViolation(format!(
-                "no pending enrollment with serial {serial}"
-            )));
-        }
-        self.journal(&WalRecord::EnrollmentAborted {
+        let vnf_name = self.pending_enrollment(serial)?.vnf_name.clone();
+        self.journal(&[WalRecord::EnrollmentAborted {
             serial,
             reason: reason.to_string(),
             at: now,
-        })?;
+        }])?;
         self.crash_point("enrollment.abort")?;
-        let pending = self.pending_enrollments.remove(&serial).ok_or_else(|| {
-            CoreError::WorkflowViolation(format!("no pending enrollment with serial {serial}"))
-        })?;
-        self.ca
-            .revoke(serial, RevocationReason::CessationOfOperation, now);
-        self.mark_crl_dirty();
         self.metrics.enrollment_aborts.inc();
         self.event(
             now,
             "enrollment_rolled_back",
-            &format!("{} serial {serial}: {reason}", pending.vnf_name),
+            &format!("{vnf_name} serial {serial}: {reason}"),
         );
         Ok(())
     }
 
     /// Enrollments issued but not yet committed (normally transient).
-    pub fn pending_enrollments(&self) -> impl Iterator<Item = &PendingEnrollment> {
-        self.pending_enrollments.values()
+    pub fn pending_enrollments(&self) -> impl Iterator<Item = &PendingEntry> {
+        self.state().pending.values()
     }
 
     /// Abort every pending enrollment older than the configured
@@ -1754,52 +1676,45 @@ impl VerificationManager {
         if ttl == 0 {
             return Ok(0);
         }
-        let stale: Vec<u64> = self
-            .pending_enrollments
-            .values()
+        let stale: Vec<(u64, String)> = self
+            .pending_enrollments()
             .filter(|p| now > p.prepared_at.saturating_add(ttl))
-            .map(|p| p.serial)
+            .map(|p| (p.serial, p.vnf_name.clone()))
             .collect();
-        let mut swept = 0;
-        for serial in stale {
-            self.journal(&WalRecord::EnrollmentAborted {
-                serial,
+        for (serial, vnf_name) in &stale {
+            self.journal(&[WalRecord::EnrollmentAborted {
+                serial: *serial,
                 reason: "pending enrollment expired".into(),
                 at: now,
-            })?;
+            }])?;
             self.crash_point("enrollment.expire")?;
-            if let Some(pending) = self.pending_enrollments.remove(&serial) {
-                self.ca
-                    .revoke(serial, RevocationReason::CessationOfOperation, now);
-                self.metrics.enrollment_aborts.inc();
-                self.event(
-                    now,
-                    "enrollment_expired",
-                    &format!("{} serial {serial}", pending.vnf_name),
-                );
-                swept += 1;
-            }
+            self.metrics.enrollment_aborts.inc();
+            self.event(
+                now,
+                "enrollment_expired",
+                &format!("{vnf_name} serial {serial}"),
+            );
         }
-        Ok(swept)
+        Ok(stale.len())
     }
 
     /// Rebuild a manager from its sealed store after a crash.
     ///
     /// The deterministic parts of the manager's identity (CA key, HMAC
     /// key) re-derive from `seed` exactly as in
-    /// [`with_runtime`](Self::with_runtime); the authority state —
-    /// serials, enrollments, revocations — replays from the snapshot and
-    /// log. The pass then resolves what the crash left dangling:
+    /// [`with_runtime`](Self::with_runtime); the journaled state —
+    /// serials, enrollments, revocations — is the replay of the snapshot
+    /// and log, and the CA's serial allocator, CRL number and committed
+    /// rotations are restored from it. The pass then resolves what the
+    /// crash left dangling:
     ///
-    /// - committed enrollments and the revocation registry are restored
-    ///   verbatim (nothing acknowledged is ever lost);
     /// - pending enrollments older than the grace period (the configured
     ///   pending TTL, else [`DEFAULT_ORPHAN_GRACE_SECS`]) are **aborted**
     ///   and their serials revoked — their bundles may have crossed the
     ///   wire, so fail closed — with a revocation notice pushed through
-    ///   `notifier`; younger ones are restored as still-pending;
-    /// - undelivered revocation notices re-enter the notifier's
-    ///   store-and-forward queue.
+    ///   `notifier`; younger ones stay pending;
+    /// - undelivered revocation notices move to the notifier's
+    ///   store-and-forward queue, which journals their delivery itself.
     ///
     /// Host trust records are deliberately *not* restored: attestation
     /// verdicts are evidence-bound and time-bound, so hosts must re-attest
@@ -1819,11 +1734,10 @@ impl VerificationManager {
         mut notifier: Option<&mut RevocationNotifier>,
     ) -> Result<(VerificationManager, RecoveryReport), CoreError> {
         let replay = store.replay()?;
-        let state = replay.state;
+        let mut state = replay.state;
         state.check_invariants().map_err(CoreError::Store)?;
         let now = clock.now();
         let mut vm = VerificationManager::with_runtime(config, seed, clock, telemetry);
-        vm.store = Some(store);
         let generation = state.generation + 1;
         // Diverge the DRBG from the dead incarnation: replaying its nonce
         // and key-seed sequence would reuse challenge nonces.
@@ -1843,7 +1757,6 @@ impl VerificationManager {
         if let Some(last) = state.rotations.last() {
             vm.rotation_drain_deadline = Some(last.at + vm.config.rotation_drain_secs);
         }
-        let rotation_rolled_back = state.pending_rotation.is_some();
         if let Some(epoch) = state.pending_rotation {
             // Prepared but never committed: the key swap never happened and
             // no certificate was journaled, so recovery leaves the CA on
@@ -1855,90 +1768,17 @@ impl VerificationManager {
                 &format!("epoch {epoch} prepared but never committed"),
             );
         }
-        for (serial, (reason, at)) in &state.revoked {
-            vm.ca
-                .revoke(*serial, RevocationReason::from_u8(*reason), *at);
-        }
-        for e in state.enrollments.values() {
-            vm.enrollments.insert(
-                e.serial,
-                EnrollmentRecord {
-                    serial: e.serial,
-                    vnf_name: e.vnf_name.clone(),
-                    host_id: e.host_id.clone(),
-                    // Unknown codes (from a future incarnation's WAL) fall
-                    // back to SGX, the only backend that predates the tag.
-                    backend: BackendKind::from_u8(e.backend).unwrap_or(BackendKind::SgxEpid),
-                    mrenclave: Measurement(e.mrenclave),
-                    provisioning_key_hash: e.provisioning_key_hash,
-                    issued_at: e.issued_at,
-                    revoked: e.revoked,
-                },
-            );
-        }
         let grace = match vm.config.pending_enrollment_ttl_secs {
             0 => DEFAULT_ORPHAN_GRACE_SECS,
             ttl => ttl,
         };
-        let mut orphans_aborted = 0;
-        let mut pending_restored = 0;
-        for p in state.pending.values() {
-            if now > p.prepared_at.saturating_add(grace) {
-                vm.journal(&WalRecord::EnrollmentAborted {
-                    serial: p.serial,
-                    reason: "orphaned by crash".into(),
-                    at: now,
-                })?;
-                vm.ca
-                    .revoke(p.serial, RevocationReason::CessationOfOperation, now);
-                vm.metrics.enrollment_aborts.inc();
-                vm.metrics.recovered_orphans.inc();
-                vm.event(
-                    now,
-                    "enrollment_rolled_back",
-                    &format!("{} serial {}: orphaned by crash", p.vnf_name, p.serial),
-                );
-                if let Some(n) = notifier.as_deref_mut() {
-                    let tag = vm.hmac_tag(&revocation_message(&p.host_id, p.serial));
-                    n.notify(&p.host_id, p.serial, tag, now);
-                }
-                orphans_aborted += 1;
-            } else {
-                vm.pending_enrollments.insert(
-                    p.serial,
-                    PendingEnrollment {
-                        serial: p.serial,
-                        vnf_name: p.vnf_name.clone(),
-                        host_id: p.host_id.clone(),
-                        backend: BackendKind::from_u8(p.backend)
-                            .unwrap_or(BackendKind::SgxEpid),
-                        mrenclave: Measurement(p.mrenclave),
-                        provisioning_key_hash: p.provisioning_key_hash,
-                        prepared_at: p.prepared_at,
-                    },
-                );
-                pending_restored += 1;
-            }
-        }
-        let notices_requeued = state.notices.len();
-        if let Some(n) = notifier {
-            n.restore(state.notices.iter().map(|notice| {
-                crate::revocation::PendingNotice {
-                    host_id: notice.host_id.clone(),
-                    serial: notice.serial,
-                    tag: notice.tag,
-                    queued_at: notice.queued_at,
-                    attempts: 0,
-                }
-            }));
-        }
-        vm.journal(&WalRecord::RecoveryCompleted { generation, at: now })?;
-        // Recovery runs outside any shard accessor, so it waits for its own
-        // records before the incarnation goes live.
-        if let Some(ticket) = vm.commit_ticket() {
-            ticket.wait()?;
-        }
-        vm.metrics.recoveries.inc();
+        let orphans: Vec<PendingEntry> = state
+            .pending
+            .values()
+            .filter(|p| now > p.prepared_at.saturating_add(grace))
+            .cloned()
+            .collect();
+        let notices = std::mem::take(&mut state.notices);
         let report = RecoveryReport {
             at: now,
             generation,
@@ -1946,13 +1786,57 @@ impl VerificationManager {
             truncated_tail: replay.truncated_tail,
             replayed_records: replay.replayed_records,
             enrollments_restored: state.enrollments.len(),
-            pending_restored,
+            pending_restored: state.pending.len() - orphans.len(),
             revocations_restored: state.revoked.len(),
             rotations_restored: state.rotations.len(),
-            rotation_rolled_back,
-            orphans_aborted,
-            notices_requeued,
+            rotation_rolled_back: state.pending_rotation.is_some(),
+            orphans_aborted: orphans.len(),
+            notices_requeued: notices.len(),
         };
+        vm.journaled = JournaledState::new(state, Some(store));
+        for p in &orphans {
+            vm.journal(&[WalRecord::EnrollmentAborted {
+                serial: p.serial,
+                reason: "orphaned by crash".into(),
+                at: now,
+            }])?;
+            vm.metrics.enrollment_aborts.inc();
+            vm.metrics.recovered_orphans.inc();
+            vm.event(
+                now,
+                "enrollment_rolled_back",
+                &format!("{} serial {}: orphaned by crash", p.vnf_name, p.serial),
+            );
+            if let Some(n) = notifier.as_deref_mut() {
+                let tag = vm.hmac_tag(&revocation_message(&p.host_id, p.serial));
+                n.notify(&p.host_id, p.serial, tag, now);
+            }
+        }
+        // The notifier journals the delivery of undelivered notices itself,
+        // so its queue, not the state, holds them from here on.
+        if let Some(n) = notifier {
+            n.restore(
+                notices
+                    .into_iter()
+                    .map(|notice| crate::revocation::PendingNotice {
+                        host_id: notice.host_id,
+                        serial: notice.serial,
+                        tag: notice.tag,
+                        queued_at: notice.queued_at,
+                        attempts: 0,
+                    }),
+            );
+        }
+        vm.journal(&[WalRecord::RecoveryCompleted {
+            generation,
+            at: now,
+        }])?;
+        // Recovery runs outside any shard accessor, so it waits for its own
+        // records before the incarnation goes live.
+        if let Some(ticket) = vm.commit_ticket() {
+            ticket.wait()?;
+        }
+        vm.metrics.recoveries.inc();
         vm.event(
             now,
             "recovery_completed",
@@ -1990,24 +1874,17 @@ impl VerificationManager {
     ) -> Result<(), CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
-        if !self.enrollments.contains_key(&serial) {
+        if !self.state().enrollments.contains_key(&serial) {
             return Err(CoreError::WorkflowViolation(format!(
                 "no enrollment with serial {serial}"
             )));
         }
-        self.journal(&WalRecord::CredentialRevoked {
+        self.journal(&[WalRecord::CredentialRevoked {
             serial,
             reason_code: reason.to_u8(),
             at: now,
-        })?;
+        }])?;
         self.crash_point("revocation.revoke")?;
-        let record = self.enrollments.get_mut(&serial).ok_or_else(|| {
-            CoreError::WorkflowViolation(format!("no enrollment with serial {serial}"))
-        })?;
-        record.revoked = true;
-        self.ca.revoke(serial, reason, now);
-        // The cached distribution CRL no longer covers this serial.
-        self.mark_crl_dirty();
         self.metrics.revocations.inc();
         self.event(now, "credential_revoked", &format!("serial {serial}"));
         Ok(())
@@ -2018,8 +1895,7 @@ impl VerificationManager {
     pub fn revoke_host(&mut self, host_id: &str) -> usize {
         let now = self.clock.now();
         let serials: Vec<u64> = self
-            .enrollments
-            .values()
+            .enrollments()
             .filter(|e| e.host_id == host_id && !e.revoked)
             .map(|e| e.serial)
             .collect();
@@ -2034,107 +1910,61 @@ impl VerificationManager {
         serials.len()
     }
 
-    /// Produce the current CRL for distribution to relying parties.
-    pub fn current_crl(&self, lifetime_secs: u64) -> Crl {
-        let now = self.clock.now();
-        self.ca.current_crl(now, lifetime_secs)
+    // ---- Certificate revocation lists -------------------------------------
+    //
+    // Every CRL carries the state's revocations plus `extra`: in a sharded
+    // deployment the authority shard signs the fleet CRL and the service
+    // passes the other shards' entries, and `&[]` otherwise. The CA's own
+    // revocation registry stays empty: revocations are journaled state.
+
+    /// This manager's revocations as CRL entries (for folding into the
+    /// authority-signed fleet CRL).
+    pub fn revoked_entries(&self) -> Vec<CrlEntry> {
+        self.state()
+            .revoked
+            .iter()
+            .map(|(&serial, &(reason, revoked_at))| CrlEntry {
+                serial,
+                revoked_at,
+                reason: RevocationReason::from_u8(reason),
+            })
+            .collect()
     }
 
-    /// Read-only preview of the fleet CRL: this shard's revocations merged
-    /// with `extra` (the other shards' entries), signed by this shard's CA
-    /// key. Like [`current_crl`](Self::current_crl), neither journals nor
-    /// bumps the CRL number.
-    pub fn current_crl_merged(&self, extra: &[CrlEntry], lifetime_secs: u64) -> Crl {
-        let now = self.clock.now();
-        self.ca.current_crl_with(extra, now, lifetime_secs)
+    fn crl_entries(&self, extra: &[CrlEntry]) -> Vec<CrlEntry> {
+        let mut entries = extra.to_vec();
+        entries.extend(self.revoked_entries());
+        entries
     }
 
-    // ---- Credential lifecycle ---------------------------------------------
+    /// Read-only preview of the CRL under the current CRL number: neither
+    /// journals nor bumps the number.
+    pub fn current_crl(&self, extra: &[CrlEntry], lifetime_secs: u64) -> Crl {
+        let now = self.clock.now();
+        self.ca
+            .current_crl_with(&self.crl_entries(extra), now, lifetime_secs)
+    }
 
     /// Issue a new numbered CRL for distribution. Unlike
     /// [`current_crl`](Self::current_crl) (a read-only preview), this bumps
     /// the monotonic CRL number and journals the issuance first, so the
     /// number never regresses across a crash — relying parties use it to
     /// reject replayed revocation data.
-    pub fn issue_crl(&mut self) -> Result<Crl, CoreError> {
-        self.issue_crl_merged(&[])
-    }
-
-    /// The CRL to serve to a polling relying party. Re-serves the most
-    /// recently issued numbered CRL byte-for-byte, so distribution reads
-    /// (`GET /vm/crl`) neither journal WAL records nor burn CRL numbers. A
-    /// fresh CRL is minted through [`issue_crl`](Self::issue_crl)
-    /// only when none has been issued yet, when a revocation or key
-    /// rotation obsoleted the cached one, or when the cached one passed
-    /// its `next_update`.
-    pub fn latest_crl(&mut self) -> Result<Crl, CoreError> {
+    pub fn issue_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
-        match &self.last_crl {
-            Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
-            _ => self.issue_crl(),
-        }
-    }
-
-    // ---- Shard fleet coordination ------------------------------------------
-    //
-    // In a sharded deployment the CA key, the CRL number and the rotation
-    // epoch are owned by the authority shard (shard 0); the methods below
-    // are how the service layer folds the other shards' state into the
-    // authority's signed artifacts, and how non-authority shards adopt the
-    // authority's decisions. Adoption is deliberately *not* journaled:
-    // authority state appears only in the authority's WAL, and recovery
-    // re-adopts from the authority's replayed state.
-
-    /// Revocation entries this shard has registered (for folding into the
-    /// authority-signed fleet CRL).
-    pub fn revoked_entries(&self) -> Vec<CrlEntry> {
-        self.ca.revoked_entries().copied().collect()
-    }
-
-    /// Whether revocations or a rotation have obsoleted the cached CRL.
-    pub fn crl_dirty(&self) -> bool {
-        self.crl_revision > self.crl_folded
-    }
-
-    /// A counter bumped by every change that obsoletes the cached CRL; a
-    /// caller folding this shard's entries into a CRL reads it alongside
-    /// them and hands it back to [`clear_crl_dirty`](Self::clear_crl_dirty).
-    pub fn crl_revision(&self) -> u64 {
-        self.crl_revision
-    }
-
-    /// Mark this shard's revocations up to `revision` (read together with
-    /// the entries) as folded into a distributed CRL. Compare-and-clear: a
-    /// revocation that landed after that read keeps the shard dirty. A
-    /// revision read from an incarnation that recovery has since replaced
-    /// is clamped to this one's counter.
-    pub fn clear_crl_dirty(&mut self, revision: u64) {
-        self.crl_folded = self.crl_folded.max(revision.min(self.crl_revision));
-    }
-
-    fn mark_crl_dirty(&mut self) {
-        self.crl_revision += 1;
-    }
-
-    /// Authority-shard issuance of a fleet CRL: journal the number bump,
-    /// then sign the authority's own revocations merged with `extra` (the
-    /// other shards' entries). With no extras this is exactly
-    /// [`issue_crl`](Self::issue_crl).
-    pub fn issue_crl_merged(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
-        let now = self.clock.now();
-        self.ensure_alive()?;
-        self.journal(&WalRecord::CrlIssued {
+        self.journal(&[WalRecord::CrlIssued {
             number: self.ca.crl_number() + 1,
             at: now,
-        })?;
+        }])?;
         self.crash_point("crl.issue")?;
-        let crl = self
-            .ca
-            .issue_crl_with(extra, now, self.config.crl_lifetime_secs);
+        let revision = self.crl_revision();
+        let crl =
+            self.ca
+                .issue_crl_with(&self.crl_entries(extra), now, self.config.crl_lifetime_secs);
         self.last_crl_issued_at = Some(now);
         self.last_crl = Some(crl.clone());
-        self.crl_folded = self.crl_revision;
+        self.crl_folded = revision;
         self.metrics.crls_issued.inc();
         self.metrics.crl_age_seconds.set(0);
         self.event(
@@ -2145,19 +1975,55 @@ impl VerificationManager {
         Ok(crl)
     }
 
-    /// [`latest_crl`](Self::latest_crl) for the fleet: serve the cached
-    /// CRL when it is still fresh, else mint a merged one carrying `extra`.
-    /// The caller decides staleness of the *extras* (a shard-side
-    /// revocation does not flip this shard's dirty bit) and forces a fresh
-    /// issue through [`issue_crl_merged`](Self::issue_crl_merged) instead.
-    pub fn latest_crl_merged(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
+    /// The CRL to serve to a polling relying party. Re-serves the most
+    /// recently issued numbered CRL byte-for-byte, so distribution reads
+    /// (`GET /vm/crl`) neither journal WAL records nor burn CRL numbers. A
+    /// fresh CRL carrying `extra` is minted through
+    /// [`issue_crl`](Self::issue_crl) only when none has been issued yet,
+    /// when a revocation or key rotation obsoleted the cached one, or when
+    /// the cached one passed its `next_update`. The caller decides whether
+    /// the *extras* changed (another shard's revocation does not move this
+    /// manager's revision) and then issues instead.
+    pub fn latest_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
         match &self.last_crl {
             Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
-            _ => self.issue_crl_merged(extra),
+            _ => self.issue_crl(extra),
         }
     }
+
+    /// A revision that every change obsoleting a signed CRL moves forward:
+    /// a revocation (the state's revocations only grow) or a CA rotation,
+    /// authored or adopted. A caller folding this manager's entries into a
+    /// CRL reads it alongside them and hands it back to
+    /// [`clear_crl_dirty`](Self::clear_crl_dirty).
+    pub fn crl_revision(&self) -> u64 {
+        self.state().revoked.len() as u64 + u64::from(self.ca.epoch())
+    }
+
+    /// Whether revocations or a rotation have obsoleted the cached CRL.
+    pub fn crl_dirty(&self) -> bool {
+        self.crl_revision() > self.crl_folded
+    }
+
+    /// Mark this manager's revocations up to `revision` (read together
+    /// with the entries) as folded into a distributed CRL.
+    /// Compare-and-clear: a revocation that landed after that read keeps
+    /// the manager dirty. A revision read from an incarnation that
+    /// recovery has since replaced is clamped to this one's.
+    pub fn clear_crl_dirty(&mut self, revision: u64) {
+        self.crl_folded = self.crl_folded.max(revision.min(self.crl_revision()));
+    }
+
+    // ---- Shard fleet coordination ------------------------------------------
+    //
+    // In a sharded deployment the CA key, the CRL number and the rotation
+    // epoch are owned by the authority shard (shard 0); non-authority
+    // shards adopt its decisions through the methods below. Adoption writes
+    // no journaled state: authority decisions appear only in the
+    // authority's WAL, and recovery re-adopts from the authority's
+    // replayed state.
 
     /// Adopt a CA rotation decided by the authority shard.
     ///
@@ -2185,7 +2051,6 @@ impl VerificationManager {
         let key = self.epoch_key(epoch);
         self.ca
             .install_rotation(key, self.config.ca_validity, root_serial, cross_serial);
-        self.mark_crl_dirty();
         self.rotation_drain_deadline =
             Some(rotated_at + self.config.rotation_drain_secs);
         self.event(
@@ -2203,6 +2068,8 @@ impl VerificationManager {
     pub fn adopt_host_record(&mut self, record: HostRecord) {
         self.hosts.insert(record.host_id.clone(), record);
     }
+
+    // ---- Credential lifecycle ---------------------------------------------
 
     /// The signing key for CA epoch `epoch`, derived deterministically from
     /// the construction seed (epoch 0 is the original DRBG-derived key, so
@@ -2232,7 +2099,7 @@ impl VerificationManager {
     fn rotate_ca_inner(&mut self, now: u64) -> Result<CaRotation, CoreError> {
         self.ensure_alive()?;
         let epoch = self.ca.epoch() as u64 + 1;
-        self.journal(&WalRecord::CaRotationPrepared { epoch, at: now })?;
+        self.journal(&[WalRecord::CaRotationPrepared { epoch, at: now }])?;
         self.crash_point("rotation.prepare")?;
         self.event(now, "ca_rotation_prepared", &format!("epoch {epoch}"));
 
@@ -2241,7 +2108,7 @@ impl VerificationManager {
         // recovery can replay the rotation byte-identically.
         let root_serial = self.ca.next_serial();
         let cross_serial = root_serial + 1;
-        self.journal_group(&[
+        self.journal(&[
             WalRecord::CertIssued {
                 serial: root_serial,
                 subject: self.config.name.clone(),
@@ -2268,9 +2135,6 @@ impl VerificationManager {
         drop(rotate_span);
         self.metrics.certificates_issued.add(2);
         self.metrics.rotations.inc();
-        // Post-rotation CRLs must be signed by the new epoch key; the
-        // cached one carries the outgoing signature.
-        self.mark_crl_dirty();
         let drain_deadline = now + self.config.rotation_drain_secs;
         self.rotation_drain_deadline = Some(drain_deadline);
         self.event(
@@ -2330,6 +2194,7 @@ impl VerificationManager {
     ) -> Result<Mint, CoreError> {
         self.ensure_alive()?;
         let old = self
+            .state()
             .enrollments
             .get(&serial)
             .ok_or_else(|| {
@@ -2378,8 +2243,9 @@ impl VerificationManager {
         // enrollment was established under: a host that re-attested as a
         // different technology is a different trust story, so the renewal
         // falls back to the full protocol.
+        let backend = backend_of(old.backend);
         let host_backend = self.hosts.get(&old.host_id).map(|h| h.backend);
-        if host_backend != Some(old.backend) {
+        if host_backend != Some(backend) {
             self.event(
                 now,
                 "renewal_refused",
@@ -2393,19 +2259,19 @@ impl VerificationManager {
                  enrolled under {}; full re-attestation required",
                 old.host_id,
                 host_backend.map(|b| b.label()).unwrap_or("none"),
-                old.backend
+                backend
             )));
         }
 
         let mint = self.mint(
             &old.vnf_name,
-            *old.mrenclave.as_bytes(),
+            old.mrenclave,
             provisioning_key,
             controller_cn,
             now,
         );
         let new_serial = mint.serial();
-        self.journal_group(&[
+        self.journal(&[
             WalRecord::CertIssued {
                 serial: new_serial,
                 subject: old.vnf_name.clone(),
@@ -2415,28 +2281,15 @@ impl VerificationManager {
                 old_serial: serial,
                 new_serial,
                 vnf_name: old.vnf_name.clone(),
-                host_id: old.host_id.clone(),
-                mrenclave: *old.mrenclave.as_bytes(),
+                host_id: old.host_id,
+                mrenclave: old.mrenclave,
                 provisioning_key_hash: old.provisioning_key_hash,
-                backend: old.backend.as_u8(),
+                backend: old.backend,
                 at: now,
             },
         ])?;
         self.crash_point("renewal.issue")?;
-        self.enrollments.insert(
-            new_serial,
-            EnrollmentRecord {
-                serial: new_serial,
-                vnf_name: old.vnf_name.clone(),
-                host_id: old.host_id,
-                backend: old.backend,
-                mrenclave: old.mrenclave,
-                provisioning_key_hash: old.provisioning_key_hash,
-                issued_at: now,
-                revoked: false,
-            },
-        );
-        self.metrics.renewals_by_backend[old.backend.as_u8() as usize].inc();
+        self.metrics.renewals_by_backend[backend.as_u8() as usize].inc();
         self.event(
             now,
             "credential_renewed",
@@ -2491,8 +2344,7 @@ impl VerificationManager {
             .config
             .renewal_window_secs
             .min(validity.saturating_sub(1));
-        self.enrollments
-            .values()
+        self.enrollments()
             .filter(|e| !e.revoked)
             .filter_map(|e| {
                 let not_after = e.issued_at.saturating_add(validity);
@@ -2528,8 +2380,7 @@ impl VerificationManager {
         let now = self.clock.now();
         let validity = self.config.credential_validity_secs;
         let active = self
-            .enrollments
-            .values()
+            .enrollments()
             .filter(|e| !e.revoked && now <= e.issued_at.saturating_add(validity))
             .count();
         let expiring = self.certs_expiring().len();
@@ -2623,7 +2474,7 @@ impl VerificationManager {
             },
             now,
         );
-        self.journal_infallible(&WalRecord::CertIssued {
+        self.journal_infallible(WalRecord::CertIssued {
             serial: certificate.serial(),
             subject: cn.to_string(),
             at: now,
@@ -2645,7 +2496,7 @@ impl VerificationManager {
             &IssueProfile::server(),
             now,
         );
-        self.journal_infallible(&WalRecord::CertIssued {
+        self.journal_infallible(WalRecord::CertIssued {
             serial: certificate.serial(),
             subject: cn.to_string(),
             at: now,
@@ -2670,7 +2521,7 @@ impl std::fmt::Debug for VerificationManager {
         f.debug_struct("VerificationManager")
             .field("name", &self.config.name)
             .field("hosts", &self.hosts.len())
-            .field("enrollments", &self.enrollments.len())
+            .field("enrollments", &self.state().enrollments.len())
             .field("trusted_enclaves", &self.trusted_enclaves.len())
             .finish_non_exhaustive()
     }
@@ -2679,6 +2530,10 @@ impl std::fmt::Debug for VerificationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployment::{Testbed, TestbedBuilder};
+    use crate::service::shard_of_vnf;
+    use proptest::prelude::*;
+    use vnfguard_vnf::VnfGuard;
 
     #[test]
     fn builder_defaults_match_default() {
@@ -2740,20 +2595,20 @@ mod tests {
             Telemetry::new(),
         );
         let key = SigningKey::from_seed(&[3; 32]);
-        let cert = vm.issue_client_certificate("op", key.public_key());
-        vm.enrollments.insert(
-            cert.serial(),
-            EnrollmentRecord {
-                serial: cert.serial(),
+        let serial = vm.issue_client_certificate("op", key.public_key()).serial();
+        vm.journal(&[
+            WalRecord::EnrollmentPrepared {
+                serial,
                 vnf_name: "op".into(),
                 host_id: "h".into(),
-                backend: BackendKind::SgxEpid,
-                mrenclave: Measurement([0; 32]),
+                mrenclave: [0; 32],
                 provisioning_key_hash: [0; 32],
-                issued_at: 1_000,
-                revoked: false,
+                backend: BackendKind::SgxEpid.as_u8(),
+                at: 1_000,
             },
-        );
+            WalRecord::EnrollmentCommitted { serial, at: 1_000 },
+        ])
+        .unwrap();
         assert!(vm.certs_expiring().is_empty());
         clock.advance(1);
         assert_eq!(vm.certs_expiring().len(), 1);
@@ -2822,5 +2677,175 @@ mod tests {
             telemetry.metrics().counter_value("vnfguard_core_challenges_total"),
             Some(1)
         );
+    }
+
+    /// Pending-enrollment TTL of the property tests' testbeds.
+    const TTL: u64 = 60;
+
+    /// A durable testbed driven through the workflows that journal, with
+    /// enough bookkeeping to only ever make calls the manager accepts.
+    struct Driver {
+        tb: Testbed,
+        /// One guard per shard, named to route there.
+        guards: Vec<VnfGuard>,
+        /// Prepared serials and their provisioning keys.
+        pending: Vec<(u64, [u8; 32])>,
+        /// Committed, unrevoked serials and their provisioning keys.
+        live: Vec<(u64, [u8; 32])>,
+    }
+
+    impl Driver {
+        fn new(shards: usize) -> Driver {
+            let mut tb = TestbedBuilder::new(format!("live state {shards}").as_bytes())
+                .durable()
+                // Replays then start from a snapshot as well as a log.
+                .wal_compaction(8)
+                .shards(shards)
+                .pending_enrollment_ttl(TTL)
+                .degraded(true, 3600)
+                .build();
+            tb.attest_host(0).unwrap();
+            let guards = (0..shards)
+                .map(|shard| {
+                    let name = (0..)
+                        .map(|i| format!("vnf-live-{i}"))
+                        .find(|name| shard_of_vnf(name, shards) == shard)
+                        .unwrap();
+                    tb.deploy_guard(0, &name, 1).unwrap()
+                })
+                .collect();
+            Driver {
+                tb,
+                guards,
+                pending: Vec::new(),
+                live: Vec::new(),
+            }
+        }
+
+        /// Run the workflow `op` names, or a prepare when that workflow has
+        /// nothing to act on.
+        fn step(&mut self, op: u8) {
+            let pick = usize::from(op / 10);
+            let vm = self.tb.vm_service();
+            match op % 10 {
+                1 if !self.pending.is_empty() => {
+                    let (serial, key) = self.pending.remove(pick % self.pending.len());
+                    vm.commit_vnf_enrollment(serial).unwrap();
+                    self.live.push((serial, key));
+                }
+                2 if !self.pending.is_empty() => {
+                    let (serial, _) = self.pending.remove(pick % self.pending.len());
+                    vm.abort_vnf_enrollment(serial, "delivery failed").unwrap();
+                }
+                3 => {
+                    self.tb.clock.advance(TTL + 1);
+                    let swept = vm.sweep_pending_enrollments().unwrap();
+                    assert_eq!(swept, std::mem::take(&mut self.pending).len());
+                }
+                4 if !self.live.is_empty() => {
+                    let (serial, _) = self.live.remove(pick % self.live.len());
+                    vm.revoke_credential(serial, RevocationReason::KeyCompromise)
+                        .unwrap();
+                }
+                5 if !self.live.is_empty() => {
+                    let (serial, key) = self.live[pick % self.live.len()];
+                    let (_, certificate) =
+                        vm.renew_vnf_credential(serial, &key, "controller").unwrap();
+                    self.live.push((certificate.serial(), key));
+                }
+                6 => {
+                    vm.degraded_host_verdict("host-0").unwrap();
+                }
+                7 if pick % 2 == 0 => {
+                    vm.issue_crl().unwrap();
+                }
+                7 => {
+                    vm.latest_crl().unwrap();
+                }
+                8 => {
+                    vm.rotate_ca().unwrap();
+                }
+                9 => {
+                    // Odd picks age every prepare past the grace period
+                    // first, so recovery aborts them as orphans.
+                    if pick % 2 == 1 {
+                        self.tb.clock.advance(TTL + 1);
+                    }
+                    self.tb.recover_vm().unwrap();
+                    self.tb.attest_host(0).unwrap();
+                    let pending: Vec<u64> = vm.pending_enrollments().map(|p| p.serial).collect();
+                    self.pending.retain(|(serial, _)| pending.contains(serial));
+                }
+                _ => self.prepare(pick),
+            }
+        }
+
+        fn prepare(&mut self, pick: usize) {
+            let guard = &self.guards[pick % self.guards.len()];
+            let vm = self.tb.vm_service();
+            let challenge = vm.begin_vnf_attestation("host-0", &guard.name).unwrap();
+            let quote = guard
+                .quote(
+                    &self.tb.hosts[0].platform,
+                    &challenge.nonce,
+                    challenge.nonce,
+                )
+                .unwrap();
+            let key = guard.provisioning_key().unwrap();
+            let (serial, _, _) = vm
+                .prepare_vnf_enrollment(
+                    &mut self.tb.ias,
+                    challenge.id,
+                    &quote.encode(),
+                    &key,
+                    "controller",
+                )
+                .unwrap();
+            self.pending.push((serial, key));
+        }
+    }
+
+    /// Drive `ops` on a durable testbed of `shards` shards, quiesce each
+    /// shard's store, and compare its live state with the store's replay.
+    /// Notices are left out: the notifier journals them and holds them.
+    fn live_state_is_the_replay(shards: usize, ops: &[u8]) {
+        let mut driver = Driver::new(shards);
+        for &op in ops {
+            driver.step(op);
+        }
+        for shard in 0..shards {
+            let (live, replayed) = driver.tb.vm.run(shard, |vm| {
+                vm.quiesce_store();
+                let store = vm.journaled.store().expect("the testbed is durable");
+                (vm.state().clone(), store.replay().unwrap().state)
+            });
+            let without_notices = |state: ManagerState| ManagerState {
+                notices: Vec::new(),
+                ..state
+            };
+            assert_eq!(
+                without_notices(live),
+                without_notices(replayed),
+                "shard {shard} of {shards} after ops {ops:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_live_state_is_the_replay_unsharded(
+            ops in proptest::collection::vec(any::<u8>(), 1..32)
+        ) {
+            live_state_is_the_replay(1, &ops);
+        }
+
+        #[test]
+        fn prop_live_state_is_the_replay_sharded(
+            ops in proptest::collection::vec(any::<u8>(), 1..32)
+        ) {
+            live_state_is_the_replay(2, &ops);
+        }
     }
 }

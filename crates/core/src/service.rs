@@ -24,10 +24,14 @@
 //! gate shard-local enrollments and renewals), CA rotations committed on
 //! the authority are *adopted* (never independently performed) by the
 //! others, and the fleet CRL folds every shard's revocations into one
-//! authority-signed artifact. None of the adoption traffic is journaled —
-//! authority decisions appear only in the authority's WAL, and recovery
-//! re-adopts from the authority's replayed state (see
-//! `Testbed::recover_vm`).
+//! authority-signed artifact. None of the adoption traffic is journaled:
+//! it touches no shard's journaled state (the CA's keys and epoch, host
+//! verdicts), authority decisions appear only in the authority's WAL, and
+//! recovery re-adopts from the authority's replayed state (see
+//! `Testbed::recover_vm`). A fleet CRL poll gathers each other shard's
+//! revocations with its CRL revision, which the shard derives from its
+//! journaled revocations and CA epoch, has the authority sign them with
+//! its own, and clears each shard only up to the revision it gathered.
 //!
 //! Every method takes `&self` and reaches a shard only through one private
 //! accessor, which locks it for only as long as the manager call runs —
@@ -46,9 +50,8 @@
 
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::manager::{
-    shard_of_challenge, shard_of_serial, Challenge, CommitTicket, EnrollmentRecord, HostRecord,
-    ManagerConfig, Mint, PendingCommit, PendingEnrollment, RecoveryReport, VerificationManager,
-    VmEvent,
+    shard_of_challenge, shard_of_serial, Challenge, CommitTicket, HostRecord, ManagerConfig, Mint,
+    PendingCommit, RecoveryReport, VerificationManager, VmEvent,
 };
 use crate::overload::{AdmissionController, Permit, Workclass};
 use crate::replication::ReplicationStatus;
@@ -63,7 +66,7 @@ use vnfguard_crypto::sha2::sha256;
 use vnfguard_ima::appraisal::Verdict;
 use vnfguard_pki::cert::Certificate;
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
-use vnfguard_store::{StateStore, StoreStats};
+use vnfguard_store::{EnrollmentEntry, PendingEntry, StateStore, StoreStats};
 use vnfguard_telemetry::{
     current_trace, labeled, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry,
 };
@@ -600,7 +603,7 @@ impl VmService {
     }
 
     /// Enrollments issued but not yet committed, across all shards.
-    pub fn pending_enrollments(&self) -> impl Iterator<Item = PendingEnrollment> {
+    pub fn pending_enrollments(&self) -> impl Iterator<Item = PendingEntry> {
         self.each_shard(|vm| vm.pending_enrollments().cloned().collect::<Vec<_>>())
             .into_iter()
             .flatten()
@@ -618,7 +621,7 @@ impl VmService {
 
     /// Every shard's enrollment records (authority first, then shards in
     /// ascending order — the same deterministic order recovery replays).
-    pub fn enrollments(&self) -> impl Iterator<Item = EnrollmentRecord> {
+    pub fn enrollments(&self) -> impl Iterator<Item = EnrollmentEntry> {
         self.each_shard(|vm| vm.enrollments().cloned().collect::<Vec<_>>())
             .into_iter()
             .flatten()
@@ -755,9 +758,9 @@ impl VmService {
             let crl = self.call(0, |authority| {
                 self.pass_dequeue(&permit)?;
                 if fresh || any_dirty {
-                    authority.issue_crl_merged(&extras)
+                    authority.issue_crl(&extras)
                 } else {
-                    authority.latest_crl_merged(&extras)
+                    authority.latest_crl(&extras)
                 }
             })?;
             self.clear_remote_dirty(&revisions);
@@ -770,7 +773,7 @@ impl VmService {
     /// Read-only preview of the fleet CRL (no journaling, no number bump).
     pub fn current_crl(&self, lifetime_secs: u64) -> Crl {
         let (extras, _, _) = self.gather_remote_revocations();
-        self.run(0, |vm| vm.current_crl_merged(&extras, lifetime_secs))
+        self.run(0, |vm| vm.current_crl(&extras, lifetime_secs))
     }
 
     pub fn issue_client_certificate(
@@ -1145,7 +1148,7 @@ mod tests {
         vm.revoke_credential(serial, RevocationReason::KeyCompromise)
             .unwrap();
         // ... the authority signs what the gather saw, and the poll clears.
-        vm.call(0, |authority| authority.latest_crl_merged(&extras))
+        vm.call(0, |authority| authority.latest_crl(&extras))
             .unwrap();
         vm.clear_remote_dirty(&revisions);
         // The next poll must not re-serve a CRL without the revocation.

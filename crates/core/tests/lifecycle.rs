@@ -7,7 +7,9 @@ use std::sync::Arc;
 use vnfguard_core::crash::CrashPlan;
 use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_core::lifecycle::LifecycleMonitor;
+use vnfguard_core::manager::shard_of_serial;
 use vnfguard_core::remote::serve_vm_api;
+use vnfguard_core::service::shard_of_vnf;
 use vnfguard_core::CoreError;
 use vnfguard_encoding::Json;
 use vnfguard_ias::QuoteVerifier;
@@ -474,6 +476,60 @@ fn crl_reads_serve_cached_list_until_state_changes() {
     // relying parties never receive an expired CRL.
     tb.clock.advance(700);
     assert_eq!(tb.vm.latest_crl().unwrap().crl_number, 3);
+}
+
+/// Prepare an enrollment whose serial lands on `shard` of `shards` on a
+/// testbed with a 60 s pending TTL, without committing it, and poll the
+/// CRL. After 61 s the sweep expires the prepare and revokes its serial,
+/// and the next poll must carry it.
+fn swept_serial_reaches_the_next_crl(shards: usize, shard: usize) {
+    let mut tb = TestbedBuilder::new(format!("swept serial crl {shards}").as_bytes())
+        .shards(shards)
+        .pending_enrollment_ttl(60)
+        .build();
+    tb.attest_host(0).unwrap();
+    let name = (0..)
+        .map(|i| format!("vnf-swept-{i}"))
+        .find(|name| shard_of_vnf(name, shards) == shard)
+        .unwrap();
+    let guard = tb.deploy_guard(0, &name, 1).unwrap();
+    let challenge = tb.vm.begin_vnf_attestation("host-0", &name).unwrap();
+    let quote = guard
+        .quote(&tb.hosts[0].platform, &challenge.nonce, challenge.nonce)
+        .unwrap();
+    let controller_cn = tb.controller_cn.clone();
+    let (serial, _, _) = tb
+        .vm
+        .prepare_vnf_enrollment(
+            &mut tb.ias,
+            challenge.id,
+            &quote.encode(),
+            &guard.provisioning_key().unwrap(),
+            &controller_cn,
+        )
+        .unwrap();
+    assert_eq!(shard_of_serial(serial) as usize, shard);
+    assert!(tb.vm.latest_crl().unwrap().lookup(serial).is_none());
+
+    tb.clock.advance(61);
+    assert_eq!(tb.vm.sweep_pending_enrollments().unwrap(), 1);
+    assert!(tb.vm.credential_is_revoked(serial));
+    let crl = tb.vm.latest_crl().unwrap();
+    assert!(
+        crl.lookup(serial).is_some(),
+        "CRL #{} was served without swept serial {serial}",
+        crl.crl_number
+    );
+}
+
+#[test]
+fn swept_serial_reaches_the_next_crl_unsharded() {
+    swept_serial_reaches_the_next_crl(1, 0);
+}
+
+#[test]
+fn swept_serial_reaches_the_next_crl_from_a_follower_shard() {
+    swept_serial_reaches_the_next_crl(2, 1);
 }
 
 #[test]

@@ -128,7 +128,7 @@ fn enrollment_records_track_revocation_state() {
     assert_eq!(record.vnf_name, "vnf-r");
     assert_eq!(record.host_id, "host-0");
     assert!(!record.revoked);
-    assert_eq!(record.mrenclave, guard.mrenclave());
+    assert_eq!(record.mrenclave, *guard.mrenclave().as_bytes());
 
     testbed
         .vm

@@ -54,7 +54,7 @@ fn mixed_fleet_full_lifecycle() {
         } else {
             BackendKind::SevSnp
         };
-        assert_eq!(record.backend, expected, "host {i}");
+        assert_eq!(record.backend, expected.as_u8(), "host {i}");
     }
 
     // Renewal routes back through the recorded backend for every host.
@@ -110,7 +110,7 @@ fn recovery_restores_both_backend_whitelists() {
             .enrollments()
             .find(|e| e.serial == certificate.serial())
             .unwrap();
-        assert_eq!(record.backend, tb.hosts[i].backend);
+        assert_eq!(record.backend, tb.hosts[i].backend.as_u8());
     }
 }
 
