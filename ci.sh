@@ -11,7 +11,7 @@ echo "== test (tier-1: the whole workspace) =="
 # The root manifest's default-members make this cover every crate, not just
 # the root package. The passed count may not silently shrink below the
 # floor; raise the floor when tests are added.
-TIER1_FLOOR=831
+TIER1_FLOOR=832
 test_log=$(mktemp)
 cargo test -q 2>&1 | tee "$test_log"
 passed=$(awk '/^test result:/ { sum += $4 } END { print sum + 0 }' "$test_log")
@@ -124,7 +124,7 @@ fi
 
 echo "== backend hygiene: core appraises through vnfguard-attest, not raw SGX/IAS =="
 # The AttestationBackend seam: relying-party code in vnfguard-core must not
-# name vnfguard_sgx:: / vnfguard_ias:: types directly. The adapter module
+# name vnfguard_sgx:: / vnfguard_ias:: types directly. The dispatcher module
 # (backend.rs) is the one sanctioned home; any other reference needs a
 # 'backend-opt-out' rationale within the 8 preceding lines (agent-side
 # platform plumbing, IAS transport, testbed assembly). Test modules are

@@ -10,9 +10,10 @@
 //! [`AttestationBackend`] trait, so heterogeneous fleets can mix TEE
 //! technologies behind one enrollment protocol:
 //!
-//! - [`SgxEpidBackend`] wraps any [`QuoteVerifier`](vnfguard_ias::QuoteVerifier)
-//!   (the in-process IAS simulation or a remote client handle) and appraises
-//!   EPID quotes exactly as before;
+//! - every [`QuoteVerifier`](vnfguard_ias::QuoteVerifier) (the in-process
+//!   IAS simulation or a remote client handle) is an SGX EPID backend
+//!   through one blanket impl in [`sgx_epid`], which sends the quote to
+//!   the verifier and appraises the signed report it returns;
 //! - [`snp::SnpVerifier`] appraises AMD SEV-SNP attestation reports
 //!   **offline**: launch measurement, guest policy, REPORT_DATA binding and
 //!   a VCEK-style certificate chain to a model AMD root — no service
@@ -28,7 +29,6 @@
 pub mod sgx_epid;
 pub mod snp;
 
-pub use sgx_epid::SgxEpidBackend;
 // Re-exported so relying parties (vnfguard-core) can speak about backend
 // reachability and SGX measurement registers without importing the
 // backend-specific crates directly.
@@ -190,24 +190,6 @@ pub trait AttestationBackend {
     /// verifiers are always available).
     fn availability(&self) -> Availability {
         Availability::Available
-    }
-}
-
-impl<B: AttestationBackend + ?Sized> AttestationBackend for &mut B {
-    fn kind(&self) -> BackendKind {
-        (**self).kind()
-    }
-
-    fn appraise(
-        &mut self,
-        evidence: &[u8],
-        nonce: &[u8],
-    ) -> Result<EvidenceAppraisal, AttestError> {
-        (**self).appraise(evidence, nonce)
-    }
-
-    fn availability(&self) -> Availability {
-        (**self).availability()
     }
 }
 

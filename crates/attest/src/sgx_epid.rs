@@ -1,41 +1,17 @@
-//! SGX EPID adapter: the paper's quote → IAS → signed-report path, wrapped
+//! SGX EPID appraisal: the paper's quote → IAS → signed-report path,
 //! behind [`AttestationBackend`].
 //!
-//! Nothing about the SGX flow changes — the quote bytes travel to whatever
-//! [`QuoteVerifier`] the adapter wraps (the in-process IAS simulation or a
-//! remote client handle), the returned report's service signature is
-//! checked, and the report's verdict is distilled into the normalized
-//! [`EvidenceAppraisal`] vocabulary. The adapter fails closed: an
+//! Every [`QuoteVerifier`] (the in-process IAS simulation, a remote client
+//! handle, or a `&mut` to either) *is* an SGX backend through the one
+//! blanket impl below. The quote bytes travel to the verifier, the
+//! returned report's service signature is checked, and the report's
+//! verdict is distilled into the normalized [`EvidenceAppraisal`]
+//! vocabulary. Appraisal fails closed: an
 //! unverifiable report signature, a missing quote body, or a nonce echo
 //! that does not match the challenge are all rejections.
 
 use crate::{AttestError, AttestationBackend, BackendKind, EvidenceAppraisal, TcbStatus};
 use vnfguard_ias::{Availability, QuoteStatus, QuoteVerifier};
-
-/// [`AttestationBackend`] over any [`QuoteVerifier`]. Generic so it wraps
-/// an owned `AttestationService`, a `RemoteIas` client, or a borrowed
-/// `&mut dyn QuoteVerifier` equally well.
-pub struct SgxEpidBackend<V> {
-    inner: V,
-}
-
-impl<V> SgxEpidBackend<V> {
-    pub fn new(inner: V) -> SgxEpidBackend<V> {
-        SgxEpidBackend { inner }
-    }
-
-    pub fn inner(&self) -> &V {
-        &self.inner
-    }
-
-    pub fn inner_mut(&mut self) -> &mut V {
-        &mut self.inner
-    }
-
-    pub fn into_inner(self) -> V {
-        self.inner
-    }
-}
 
 fn tcb_from_status(status: QuoteStatus) -> TcbStatus {
     match status {
@@ -51,7 +27,7 @@ fn tcb_from_status(status: QuoteStatus) -> TcbStatus {
     }
 }
 
-impl<V: QuoteVerifier> AttestationBackend for SgxEpidBackend<V> {
+impl<V: QuoteVerifier + ?Sized> AttestationBackend for V {
     fn kind(&self) -> BackendKind {
         BackendKind::SgxEpid
     }
@@ -61,9 +37,9 @@ impl<V: QuoteVerifier> AttestationBackend for SgxEpidBackend<V> {
         evidence: &[u8],
         nonce: &[u8],
     ) -> Result<EvidenceAppraisal, AttestError> {
-        let report = self.inner.verify_quote(evidence, nonce);
+        let report = self.verify_quote(evidence, nonce);
         report
-            .verify(&self.inner.report_signing_key())
+            .verify(&self.report_signing_key())
             .map_err(|e| AttestError::Rejected(e.to_string()))?;
         if report.nonce != nonce {
             return Err(AttestError::Rejected("IAS report nonce mismatch".into()));
@@ -94,7 +70,7 @@ impl<V: QuoteVerifier> AttestationBackend for SgxEpidBackend<V> {
     }
 
     fn availability(&self) -> Availability {
-        self.inner.availability()
+        QuoteVerifier::availability(self)
     }
 }
 
@@ -158,8 +134,8 @@ mod tests {
     fn valid_quote_appraises_up_to_date() {
         let report_data = [7u8; 64];
         let (platform, mrenclave, quote) = quoted(b"sgx-backend", false, report_data);
-        let mut backend = SgxEpidBackend::new(service_for(&platform));
-        let appraisal = backend.appraise(&quote, b"nonce-1").unwrap();
+        let mut ias = service_for(&platform);
+        let appraisal = ias.appraise(&quote, b"nonce-1").unwrap();
         assert_eq!(appraisal.backend, BackendKind::SgxEpid);
         assert_eq!(appraisal.tcb, TcbStatus::UpToDate);
         assert_eq!(appraisal.measurement, mrenclave.0);
@@ -171,8 +147,8 @@ mod tests {
     #[test]
     fn debug_enclave_surfaces_in_appraisal() {
         let (platform, _mr, quote) = quoted(b"sgx-dbg", true, [0u8; 64]);
-        let mut backend = SgxEpidBackend::new(service_for(&platform));
-        let appraisal = backend.appraise(&quote, b"n").unwrap();
+        let mut ias = service_for(&platform);
+        let appraisal = ias.appraise(&quote, b"n").unwrap();
         assert!(appraisal.debug);
         assert!(AppraisalPolicy::strict().check(&appraisal).is_err());
     }
@@ -181,8 +157,8 @@ mod tests {
     fn unknown_group_is_rejected_not_appraised() {
         let (_platform, _mr, quote) = quoted(b"sgx-unknown", false, [0u8; 64]);
         // Fresh service that never registered the platform's EPID group.
-        let mut backend = SgxEpidBackend::new(AttestationService::new(b"empty ias"));
-        let err = backend.appraise(&quote, b"n").unwrap_err();
+        let mut ias = AttestationService::new(b"empty ias");
+        let err = ias.appraise(&quote, b"n").unwrap_err();
         match err {
             AttestError::Rejected(msg) => assert!(msg.contains("EPID_GROUP_UNKNOWN"), "{msg}"),
             other => panic!("expected rejection, got {other:?}"),
@@ -191,8 +167,8 @@ mod tests {
 
     #[test]
     fn garbage_quote_is_rejected_not_appraised() {
-        let mut backend = SgxEpidBackend::new(AttestationService::new(b"attest test ias"));
-        let err = backend.appraise(b"not a quote", b"n").unwrap_err();
+        let mut ias = AttestationService::new(b"attest test ias");
+        let err = ias.appraise(b"not a quote", b"n").unwrap_err();
         assert!(matches!(err, AttestError::Rejected(_)), "{err:?}");
     }
 }

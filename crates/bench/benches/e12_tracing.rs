@@ -12,16 +12,12 @@
 //! Tracing-enabled enrollment must stay within [`MAX_OVERHEAD`] of
 //! disabled or the process exits non-zero, failing CI.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
+use vnfguard_bench::{deploy_agent_guard, paired_overhead};
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_bench::paired_overhead;
-use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, HostAgent, HostAgentState, RemoteIas,
-};
+use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
 use vnfguard_telemetry::Telemetry;
 
 /// Tracing-enabled enrollment must finish within 5% of disabled.
@@ -48,26 +44,9 @@ fn remote_world(seed: &[u8], telemetry: Telemetry, traced: bool) -> RemoteWorld 
         builder = builder.tracing(1.0);
     }
     let mut testbed = builder.build();
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard_ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let remote_ias =
-        RemoteIas::new(&testbed.network, "ias:443", report_key).with_telemetry(&telemetry);
-    let host = testbed.hosts.remove(0);
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(HashMap::new()),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(testbed.vm.share_hmac_key()),
-    });
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias.with_telemetry(&telemetry);
+    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
     RemoteWorld {
         testbed,
@@ -82,21 +61,7 @@ fn remote_world(seed: &[u8], telemetry: Telemetry, traced: bool) -> RemoteWorld 
 fn deploy_guard(world: &mut RemoteWorld) -> String {
     world.next_vnf += 1;
     let name = format!("vnf-{}", world.next_vnf);
-    let guard = vnfguard_vnf::VnfGuard::load(
-        &world.agent.state.platform,
-        &world.testbed.network,
-        &world.testbed.enclave_author,
-        &name,
-        1,
-    )
-    .unwrap();
-    world.testbed.vm.trust_enclave(guard.mrenclave(), &name);
-    world
-        .agent
-        .state
-        .guards
-        .write()
-        .insert(name.clone(), Arc::new(guard));
+    deploy_agent_guard(&world.testbed, &world.agent, &name);
     name
 }
 

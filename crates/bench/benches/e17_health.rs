@@ -21,17 +21,16 @@
 //! The drill runs on the simulated clock, so the alert timeline is
 //! deterministic: only the overhead bar gets noisy-machine retries.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vnfguard_bench::paired_overhead;
+use vnfguard_bench::{deploy_agent_guard, paired_overhead};
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
 use vnfguard_core::fleet::serve_fleet_api;
 use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, serve_vm_api, HostAgent,
-    HostAgentState, RemoteIas,
+    remote_attest_host, remote_enroll_vnf, serve_vm_api, HostAgent, RemoteIas,
 };
 use vnfguard_core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard_core::CoreError;
@@ -40,7 +39,6 @@ use vnfguard_ias::{AttestationService, QuoteVerifier};
 use vnfguard_net::server::HttpClient;
 use vnfguard_net::{FaultPlan, Request, ServerHandle};
 use vnfguard_telemetry::{AlertState, Telemetry};
-use vnfguard_vnf::VnfGuard;
 
 /// Health-enabled renewal must finish within 5% of health-disabled.
 const MAX_OVERHEAD: f64 = 0.05;
@@ -173,30 +171,17 @@ fn drill_world() -> DrillWorld {
         .replicas(1)
         .faults(plan.clone())
         .build();
-    let ias = std::mem::replace(&mut tb.ias, AttestationService::new(b"placeholder"));
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&tb.network, "ias:443", ias).unwrap();
+    let (_ias_handle, remote_ias) = tb.serve_ias("ias:443").unwrap();
     // Resilience rides the deployment clock so the breaker's cooldown
     // participates in the simulated outage-and-recovery timeline.
-    let mut remote_ias = RemoteIas::new(&tb.network, "ias:443", report_key)
+    let mut remote_ias = remote_ias
         .with_telemetry(&telemetry)
         .with_resilience(
             tb.clock.clone(),
             RetryPolicy::new(2, 1, 4),
             CircuitBreaker::new(3, 60),
         );
-    let host = tb.hosts.remove(0);
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(HashMap::new()),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(tb.vm.share_hmac_key()),
-    });
+    let state = tb.take_agent_state(HashMap::new(), Some(tb.vm.share_hmac_key()));
     let agent = HostAgent::serve(&tb.network, state).unwrap();
     remote_attest_host(&tb.vm, &mut remote_ias, &tb.network, "host-0").unwrap();
     let api_ias: Arc<Mutex<dyn QuoteVerifier + Send>> =
@@ -220,21 +205,7 @@ fn drill_world() -> DrillWorld {
 fn deploy(world: &mut DrillWorld) -> String {
     world.next_vnf += 1;
     let name = format!("vnf-drill-{}", world.next_vnf);
-    let guard = VnfGuard::load(
-        &world.agent.state.platform,
-        &world.tb.network,
-        &world.tb.enclave_author,
-        &name,
-        1,
-    )
-    .unwrap();
-    world.tb.vm.trust_enclave(guard.mrenclave(), &name);
-    world
-        .agent
-        .state
-        .guards
-        .write()
-        .insert(name.clone(), Arc::new(guard));
+    deploy_agent_guard(&world.tb, &world.agent, &name);
     name
 }
 

@@ -22,9 +22,7 @@ use std::time::{Duration, Instant};
 use vnfguard_attest::snp::{
     launch_measurement, AmdRoot, SnpFault, SnpPlatform, SnpVerifier,
 };
-use vnfguard_attest::{
-    AppraisalPolicy, AttestationBackend, SgxEpidBackend,
-};
+use vnfguard_attest::{AppraisalPolicy, AttestationBackend};
 use vnfguard_bench::median;
 use vnfguard_controller::SimClock;
 use vnfguard_core::remote::{serve_ias, RemoteIas};
@@ -64,7 +62,7 @@ impl EnclaveCode for Null {
 }
 
 struct SgxWorld {
-    backend: SgxEpidBackend<AttestationService>,
+    ias: AttestationService,
     platform: SgxPlatform,
     enclave: Enclave,
 }
@@ -83,7 +81,7 @@ impl SgxWorld {
         let mut ias = AttestationService::new(&[b"e18 ias ", seed].concat());
         ias.register_member(platform.epid_group_id(), platform.attestation_public_key());
         SgxWorld {
-            backend: SgxEpidBackend::new(ias),
+            ias,
             platform,
             enclave,
         }
@@ -125,8 +123,8 @@ fn measure(attempt: usize) -> (f64, f64, f64, f64) {
     let quote = sgx.quote();
     // Split the world: the service moves behind the fabric (the deployed
     // shape), while a second in-process handle isolates the crypto cost.
-    let mut local = sgx.backend;
-    let report_key = local.inner().report_signing_key();
+    let mut local = sgx.ias;
+    let report_key = local.report_signing_key();
     let network = Network::new();
     let ias_for_serving = {
         let mut ias = AttestationService::new(&[b"e18 ias ", seed.as_bytes()].concat());
@@ -137,7 +135,7 @@ fn measure(attempt: usize) -> (f64, f64, f64, f64) {
         ias
     };
     let (_handle, _shared) = serve_ias(&network, "ias:443", ias_for_serving).unwrap();
-    let mut remote = SgxEpidBackend::new(RemoteIas::new(&network, "ias:443", report_key));
+    let mut remote = RemoteIas::new(&network, "ias:443", report_key);
     let (snp_platform, mut snp_verifier) = snp_world(seed.as_bytes());
     let snp_evidence = snp_platform.attest_self([0u8; 64]);
     // Warm all three paths before timing.
@@ -180,7 +178,7 @@ fn refusal_matrix() -> (u64, u64) {
         let seed_bytes = [b"e18 matrix ".as_slice(), &seed.to_be_bytes()].concat();
         let sgx = SgxWorld::new(&seed_bytes);
         let quote = sgx.quote();
-        let mut sgx_backend = sgx.backend;
+        let mut sgx_backend = sgx.ias;
         let root = AmdRoot::new(&seed_bytes);
         let chip_seed = [&seed_bytes[..], b".chip"].concat();
         let provision = || {

@@ -3,15 +3,12 @@
 //! latency looks like when the path to IAS is flaky.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::Arc;
+use vnfguard_bench::deploy_agent_guard;
 use vnfguard_controller::SimClock;
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, HostAgent, HostAgentState, RemoteIas,
-};
+use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
 use vnfguard_core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard_net::{FaultPlan, Network};
 
@@ -27,29 +24,13 @@ fn remote_world(seed: &[u8]) -> RemoteWorld {
     let mut testbed = TestbedBuilder::new(seed).build();
     let plan = FaultPlan::seeded(9);
     testbed.network.install_faults(&plan);
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard_ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let remote_ias = RemoteIas::new(&testbed.network, "ias:443", report_key).with_resilience(
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias.with_resilience(
         testbed.clock.clone(),
         RetryPolicy::new(8, 1, 16),
         CircuitBreaker::new(64, 600),
     );
-    let host = testbed.hosts.remove(0);
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(HashMap::new()),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(testbed.vm.share_hmac_key()),
-    });
+    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
     RemoteWorld {
         testbed,
@@ -58,27 +39,6 @@ fn remote_world(seed: &[u8]) -> RemoteWorld {
         plan,
         _ias_handle,
     }
-}
-
-/// Deploy and register a fresh guard behind the agent; returns its name.
-fn deploy_guard(world: &mut RemoteWorld, n: u64) -> String {
-    let name = format!("vnf-{n}");
-    let guard = vnfguard_vnf::VnfGuard::load(
-        &world.agent.state.platform,
-        &world.testbed.network,
-        &world.testbed.enclave_author,
-        &name,
-        1,
-    )
-    .unwrap();
-    world.testbed.vm.trust_enclave(guard.mrenclave(), &name);
-    world
-        .agent
-        .state
-        .guards
-        .write()
-        .insert(name.clone(), Arc::new(guard));
-    name
 }
 
 fn bench_e9(c: &mut Criterion) {
@@ -139,7 +99,8 @@ fn bench_e9(c: &mut Criterion) {
         let mut n = 0;
         b.iter(|| {
             n += 1;
-            let name = deploy_guard(&mut world, n);
+            let name = format!("vnf-{n}");
+            deploy_agent_guard(&world.testbed, &world.agent, &name);
             remote_enroll_vnf(
                 &world.testbed.vm,
                 &mut world.remote_ias,
@@ -164,7 +125,8 @@ fn bench_e9(c: &mut Criterion) {
         let mut n = 0;
         b.iter(|| {
             n += 1;
-            let name = deploy_guard(&mut world, n);
+            let name = format!("vnf-{n}");
+            deploy_agent_guard(&world.testbed, &world.agent, &name);
             remote_enroll_vnf(
                 &world.testbed.vm,
                 &mut world.remote_ias,

@@ -2,10 +2,13 @@
 //!
 //! Each bench target regenerates one experiment of EXPERIMENTS.md; the
 //! helpers here build the standard deployment the paper's demo describes
-//! (E1–E8) and hold the paired-batch harness the overhead bars share.
+//! (E1–E8), load guards behind a host agent for the distributed benches,
+//! and hold the paired-batch harness the overhead bars share.
 
+use std::sync::Arc;
 use vnfguard_controller::SecurityMode;
-use vnfguard_core::deployment::{Testbed, TestbedBuilder, ValidationModel};
+use vnfguard_core::deployment::{Testbed, TestbedBuilder};
+use vnfguard_core::remote::HostAgent;
 use vnfguard_vnf::VnfGuard;
 
 /// Build the default trusted-HTTPS testbed with an attested host.
@@ -22,20 +25,31 @@ pub fn testbed_with_mode(seed: &[u8], mode: SecurityMode) -> Testbed {
     testbed
 }
 
-/// Build a testbed with keystore-based client validation.
-pub fn keystore_testbed(seed: &[u8]) -> Testbed {
-    let mut testbed = TestbedBuilder::new(seed)
-        .validation(ValidationModel::Keystore)
-        .build();
-    testbed.attest_host(0).expect("host attestation");
-    testbed
-}
-
 /// Deploy and enroll one guard.
 pub fn enrolled_guard(testbed: &mut Testbed, name: &str) -> VnfGuard {
     let guard = testbed.deploy_guard(0, name, 1).expect("deploy");
     testbed.enroll(0, &guard).expect("enroll");
     guard
+}
+
+/// Load a fresh guard named `name` on the agent's host, whitelist its
+/// enclave with the testbed's VM under the label `name`, and hand it to
+/// the agent, which then serves its attestation and provisioning.
+pub fn deploy_agent_guard(testbed: &Testbed, agent: &HostAgent, name: &str) {
+    let guard = VnfGuard::load(
+        &agent.state.platform,
+        &testbed.network,
+        &testbed.enclave_author,
+        name,
+        1,
+    )
+    .expect("guard loads");
+    testbed.vm.trust_enclave(guard.mrenclave(), name);
+    agent
+        .state
+        .guards
+        .write()
+        .insert(name.to_string(), Arc::new(guard));
 }
 
 /// Median of `values` (the upper median for an even count).

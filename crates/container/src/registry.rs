@@ -65,10 +65,6 @@ impl Registry {
     pub fn pull_count(&self) -> u64 {
         self.pulls
     }
-
-    pub fn references(&self) -> impl Iterator<Item = &str> {
-        self.images.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,17 @@
-//! The attestation-backend adapter layer: everything in `vnfguard-core`
-//! that still speaks SGX/IAS vocabulary lives here, behind the generic
-//! [`AttestationBackend`] seam the manager and service are written
-//! against.
+//! The evidence dispatcher a mixed SGX + SNP fleet appraises through.
 //!
-//! Three things live in this module:
+//! Every evidence-carrying workflow (`VmService::{complete_host_attestation,
+//! prepare_vnf_enrollment, complete_vnf_enrollment}`, and
+//! `remote::{remote_attest_host, remote_enroll_vnf}`) takes one
+//! `&mut dyn AttestationBackend`. An IAS handle is one already: every
+//! `QuoteVerifier` is the SGX EPID backend through `vnfguard-attest`'s
+//! blanket impl. So an `AttestationService`, a `RemoteIas`, an
+//! [`SnpVerifier`] or a [`MultiBackend`] enters each workflow the same way.
 //!
-//! - **Compat wrappers.** The original SGX-era entry points
-//!   ([`VmService::complete_host_attestation`],
-//!   [`VmService::complete_vnf_enrollment`],
-//!   [`VmService::prepare_vnf_enrollment`], [`remote_attest_host`],
-//!   [`remote_enroll_vnf`] and their traced forms) keep their
-//!   `&mut dyn QuoteVerifier` signatures; each one wraps the verifier in
-//!   an [`SgxEpidBackend`] adapter and forwards to the generic
-//!   `*_backend` method. Existing callers compile and behave unchanged.
-//! - **[`MultiBackend`]** — the evidence-sniffing dispatcher
-//!   `serve_vm_api` routes through. SNP evidence bundles self-describe
-//!   with the [`SNP_EVIDENCE_MAGIC`] prefix; everything else is treated
-//!   as an SGX quote and sent through the wrapped IAS handle. One API
-//!   endpoint serves a mixed SGX + SNP fleet.
+//! [`MultiBackend`] is the dispatcher `serve_vm_api` routes through. SNP
+//! evidence bundles self-describe with the [`SNP_EVIDENCE_MAGIC`] prefix;
+//! everything else is treated as an SGX quote and sent through the wrapped
+//! IAS handle. One API endpoint serves a mixed SGX + SNP fleet.
 //!
 //! Cross-backend rejection is structural, not advisory: SNP evidence
 //! reaching the SGX path fails quote decoding inside IAS, an SGX quote
@@ -27,21 +21,15 @@
 //!
 //! [`SnpEvidence`]: vnfguard_attest::snp::SnpEvidence
 
-use crate::attestation::HostEvidence;
-use crate::service::VmService;
-use crate::CoreError;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use vnfguard_attest::snp::{SnpVerifier, SNP_EVIDENCE_MAGIC};
 use vnfguard_attest::{
-    AttestError, AttestationBackend, Availability, BackendKind, EvidenceAppraisal, SgxEpidBackend,
+    AttestError, AttestationBackend, Availability, BackendKind, EvidenceAppraisal,
 };
-// backend-opt-out: this module IS the SGX/IAS adapter — the only place in
-// vnfguard-core allowed to name QuoteVerifier outside the IAS transport.
+// backend-opt-out: this module IS the SGX/IAS dispatcher — the only place
+// in vnfguard-core allowed to name QuoteVerifier outside the IAS transport.
 use vnfguard_ias::QuoteVerifier;
-use vnfguard_ima::appraisal::Verdict;
-use vnfguard_net::Network;
-use vnfguard_pki::cert::Certificate;
 
 /// The deployment convention for a VNF workload's SEV-SNP launch
 /// measurement: each VNF is modeled as its own CVM whose launch
@@ -70,22 +58,9 @@ pub struct MultiBackend {
 }
 
 impl MultiBackend {
-    pub fn new(ias: Arc<Mutex<dyn QuoteVerifier + Send>>) -> MultiBackend {
-        MultiBackend {
-            ias,
-            snp: None,
-            last: BackendKind::SgxEpid,
-        }
-    }
-
-    /// Enable SNP dispatch. Without a verifier, SNP evidence is rejected
-    /// (fail closed), never misrouted into the SGX path.
-    pub fn with_snp(mut self, verifier: SnpVerifier) -> MultiBackend {
-        self.snp = Some(verifier);
-        self
-    }
-
-    pub fn from_parts(
+    /// Without an SNP verifier, SNP evidence is rejected (fail closed),
+    /// never misrouted into the SGX path.
+    pub fn new(
         ias: Arc<Mutex<dyn QuoteVerifier + Send>>,
         snp: Option<SnpVerifier>,
     ) -> MultiBackend {
@@ -117,7 +92,7 @@ impl AttestationBackend for MultiBackend {
             }
         } else {
             self.last = BackendKind::SgxEpid;
-            SgxEpidBackend::new(&mut *self.ias.lock()).appraise(evidence, nonce)
+            self.ias.lock().appraise(evidence, nonce)
         }
     }
 
@@ -127,107 +102,8 @@ impl AttestationBackend for MultiBackend {
     /// hosts, which deployments that care route through a dedicated
     /// [`SnpVerifier`] instead.
     fn availability(&self) -> Availability {
-        self.ias.lock().availability()
+        QuoteVerifier::availability(&*self.ias.lock())
     }
-}
-
-// ---------------------------------------------------------------------------
-// SGX-era compat surface
-// ---------------------------------------------------------------------------
-
-impl VmService {
-    /// Step 2 with an explicit IAS handle — the SGX-era signature, kept
-    /// verbatim for existing harnesses. Wraps the verifier in
-    /// [`SgxEpidBackend`] and forwards to
-    /// [`complete_host_attestation_backend`](Self::complete_host_attestation_backend).
-    pub fn complete_host_attestation(
-        &self,
-        ias: &mut dyn QuoteVerifier,
-        challenge_id: u64,
-        evidence: &HostEvidence,
-    ) -> Result<Verdict, CoreError> {
-        let mut backend = SgxEpidBackend::new(ias);
-        self.complete_host_attestation_backend(&mut backend, challenge_id, evidence)
-    }
-
-    /// Steps 4–5 in one shot with an explicit IAS handle (SGX-era
-    /// signature; see
-    /// [`complete_vnf_enrollment_backend`](Self::complete_vnf_enrollment_backend)).
-    pub fn complete_vnf_enrollment(
-        &self,
-        ias: &mut dyn QuoteVerifier,
-        challenge_id: u64,
-        quote_bytes: &[u8],
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-    ) -> Result<(Vec<u8>, Certificate), CoreError> {
-        let mut backend = SgxEpidBackend::new(ias);
-        self.complete_vnf_enrollment_backend(
-            &mut backend,
-            challenge_id,
-            quote_bytes,
-            provisioning_key,
-            controller_cn,
-        )
-    }
-
-    /// Phase one of two-phase enrollment with an explicit IAS handle
-    /// (SGX-era signature; see
-    /// [`prepare_vnf_enrollment_backend`](Self::prepare_vnf_enrollment_backend)).
-    pub fn prepare_vnf_enrollment(
-        &self,
-        ias: &mut dyn QuoteVerifier,
-        challenge_id: u64,
-        quote_bytes: &[u8],
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-    ) -> Result<(u64, Vec<u8>, Certificate), CoreError> {
-        let mut backend = SgxEpidBackend::new(ias);
-        self.prepare_vnf_enrollment_backend(
-            &mut backend,
-            challenge_id,
-            quote_bytes,
-            provisioning_key,
-            controller_cn,
-        )
-    }
-}
-
-/// Drive the full host attestation (steps 1–2) against a remote agent
-/// with an explicit IAS handle — the SGX-era signature. See
-/// [`remote_attest_host_backend`](crate::remote::remote_attest_host_backend)
-/// for the generic form.
-pub fn remote_attest_host(
-    vm: &VmService,
-    ias: &mut dyn QuoteVerifier,
-    network: &Network,
-    host_id: &str,
-) -> Result<Verdict, CoreError> {
-    let mut backend = SgxEpidBackend::new(ias);
-    crate::remote::remote_attest_host_backend(vm, &mut backend, network, host_id)
-}
-
-/// Drive VNF enrollment (steps 3–5) against a remote agent with an
-/// explicit IAS handle — the SGX-era signature. See
-/// [`remote_enroll_vnf_backend`](crate::remote::remote_enroll_vnf_backend)
-/// for the generic form.
-pub fn remote_enroll_vnf(
-    vm: &VmService,
-    ias: &mut dyn QuoteVerifier,
-    network: &Network,
-    host_id: &str,
-    vnf_name: &str,
-    controller_cn: &str,
-) -> Result<Certificate, CoreError> {
-    let mut backend = SgxEpidBackend::new(ias);
-    crate::remote::remote_enroll_vnf_backend(
-        vm,
-        &mut backend,
-        network,
-        host_id,
-        vnf_name,
-        controller_cn,
-    )
 }
 
 #[cfg(test)]
@@ -246,7 +122,7 @@ mod tests {
         let root = AmdRoot::new(b"multi amd");
         let platform =
             SnpPlatform::provision(&root, b"chip-m", launch_measurement(b"cvm"), 3);
-        let mut multi = MultiBackend::new(ias_handle());
+        let mut multi = MultiBackend::new(ias_handle(), None);
         let err = multi
             .appraise(&platform.attest_self([0; 64]), b"n")
             .unwrap_err();
@@ -260,7 +136,7 @@ mod tests {
         let platform =
             SnpPlatform::provision(&root, b"chip-m2", launch_measurement(b"cvm"), 3);
         let verifier = SnpVerifier::new(root.ark_public(), SimClock::at(1_700_000_000));
-        let mut multi = MultiBackend::new(ias_handle()).with_snp(verifier);
+        let mut multi = MultiBackend::new(ias_handle(), Some(verifier));
         let appraisal = multi.appraise(&platform.attest_self([5; 64]), b"n").unwrap();
         assert_eq!(appraisal.backend, BackendKind::SevSnp);
         assert_eq!(multi.kind(), BackendKind::SevSnp);
@@ -268,7 +144,7 @@ mod tests {
 
     #[test]
     fn non_snp_bytes_route_to_ias() {
-        let mut multi = MultiBackend::new(ias_handle());
+        let mut multi = MultiBackend::new(ias_handle(), None);
         // Garbage is not SNP-magic-prefixed, so it must go to IAS and come
         // back as an SGX-path rejection, proving the dispatch direction.
         let err = multi.appraise(b"not a quote", b"n").unwrap_err();

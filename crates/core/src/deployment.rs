@@ -24,10 +24,13 @@ use crate::crash::CrashPlan;
 use crate::lifecycle::{verify_handover, CaRotation};
 use crate::manager::{ManagerConfig, RecoveryReport, TcbPolicy, VerificationManager};
 use crate::overload::{AdmissionConfig, AdmissionController};
+use crate::remote::{HostAgentState, RemoteIas};
 use crate::replication::{ReplicaSet, ReplicationConfig, StandbyNode};
 use crate::revocation::RevocationNotifier;
 use crate::service::VmService;
 use crate::CoreError;
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use vnfguard_container::host::ContainerHost;
@@ -37,7 +40,7 @@ use vnfguard_controller::{Controller, ControllerConfig, SecurityMode, SimClock};
 use vnfguard_attest::snp::{
     launch_measurement, normalize_measurement, AmdRoot, SnpPlatform, SnpVerifier,
 };
-use vnfguard_attest::BackendKind;
+use vnfguard_attest::{AttestationBackend, BackendKind};
 use vnfguard_crypto::ed25519::SigningKey;
 // backend-opt-out: the testbed assembles concrete TEE stacks — the IAS
 // simulation is the SGX hosts' verification collateral, exactly as the
@@ -623,7 +626,8 @@ impl TestbedBuilder {
 
         // Whitelist the integrity attestation enclave and seed every
         // shard's host reference database with the standard software stack.
-        vm.trust_integrity_enclave(
+        vm.trust_integrity_enclave_for(
+            BackendKind::SgxEpid,
             IntegrityAttestationEnclave::expected_measurement(1),
             "integrity-attestation-v1",
         );
@@ -904,34 +908,43 @@ impl Testbed {
             .tpm
             .as_ref()
             .map(|tpm| tpm.quote(IMA_PCR, challenge.nonce).encode());
-        match host.backend {
-            BackendKind::SgxEpid => {
-                let evidence = host_evidence(
-                    &host.platform,
-                    &host.integrity_enclave,
-                    &iml,
-                    &challenge.nonce,
-                    tpm_quote,
-                )?;
-                self.vm
-                    .complete_host_attestation(&mut self.ias, challenge.id, &evidence)
-            }
+        let evidence = match host.backend {
+            BackendKind::SgxEpid => host_evidence(
+                &host.platform,
+                &host.integrity_enclave,
+                &iml,
+                &challenge.nonce,
+                tpm_quote,
+            )?,
             BackendKind::SevSnp => {
                 let snp = host.snp.as_ref().expect("SNP host has an SNP platform");
                 let report_data =
                     crate::attestation::host_report_data(&iml, &challenge.nonce);
-                let evidence = crate::attestation::HostEvidence {
+                crate::attestation::HostEvidence {
                     quote: snp.attest_self(report_data),
                     iml,
                     tpm_quote,
-                };
-                let verifier = self
-                    .snp_verifier
-                    .as_mut()
-                    .expect("SNP hosts imply an SNP verifier");
-                self.vm
-                    .complete_host_attestation_backend(verifier, challenge.id, &evidence)
+                }
             }
+        };
+        let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
+        self.vm
+            .complete_host_attestation(backend, challenge.id, &evidence)
+    }
+
+    /// The verifier a host's evidence goes to: the IAS for SGX hosts, the
+    /// offline appraiser for SNP hosts. It borrows two fields, not `self`,
+    /// so the caller still reaches `self.vm`.
+    fn backend_for<'a>(
+        ias: &'a mut AttestationService,
+        snp_verifier: &'a mut Option<SnpVerifier>,
+        kind: BackendKind,
+    ) -> &'a mut dyn AttestationBackend {
+        match kind {
+            BackendKind::SgxEpid => ias,
+            BackendKind::SevSnp => snp_verifier
+                .as_mut()
+                .expect("SNP hosts imply an SNP verifier"),
         }
     }
 
@@ -984,33 +997,21 @@ impl Testbed {
             version,
         )?;
         let label = format!("{vnf_name}-v{version}");
-        match self.hosts[host_idx].backend {
-            BackendKind::SgxEpid => {
-                let image = CredentialEnclave::image_for(vnf_name, version);
-                let measurement =
-                    SgxPlatform::measure_image(&image, vnfguard_vnf::guard::ENCLAVE_SIZE);
-                self.vm.trust_enclave(measurement, &label);
-                self.trust_log.push(TrustAction::TrustEnclave(
-                    BackendKind::SgxEpid,
-                    measurement,
-                    label,
-                ));
-            }
+        let backend = self.hosts[host_idx].backend;
+        let measurement = match backend {
+            BackendKind::SgxEpid => SgxPlatform::measure_image(
+                &CredentialEnclave::image_for(vnf_name, version),
+                vnfguard_vnf::guard::ENCLAVE_SIZE,
+            ),
+            // On a confidential-VM host the credential workload runs as
+            // its own CVM; whitelist its deterministic launch measurement.
             BackendKind::SevSnp => {
-                // On a confidential-VM host the credential workload runs
-                // as its own CVM; whitelist its deterministic launch
-                // measurement under the SNP backend.
-                let measurement =
-                    Measurement(normalize_measurement(&snp_vnf_measurement(vnf_name)));
-                self.vm
-                    .trust_enclave_for(BackendKind::SevSnp, measurement, &label);
-                self.trust_log.push(TrustAction::TrustEnclave(
-                    BackendKind::SevSnp,
-                    measurement,
-                    label,
-                ));
+                Measurement(normalize_measurement(&snp_vnf_measurement(vnf_name)))
             }
-        }
+        };
+        self.vm.trust_enclave_for(backend, measurement, &label);
+        self.trust_log
+            .push(TrustAction::TrustEnclave(backend, measurement, label));
         Ok(guard)
     }
 
@@ -1043,48 +1044,32 @@ impl Testbed {
         let host_id = self.hosts[host_idx].id.clone();
         let challenge = self.vm.begin_vnf_attestation(&host_id, &guard.name)?;
         let provisioning_key = guard.provisioning_key()?;
-        let (wrapped, certificate) = match self.hosts[host_idx].backend {
-            BackendKind::SgxEpid => {
-                let quote = guard.quote(
-                    &self.hosts[host_idx].platform,
-                    &challenge.nonce,
-                    challenge.nonce,
-                )?;
-                self.vm.complete_vnf_enrollment(
-                    &mut self.ias,
-                    challenge.id,
-                    &quote.encode(),
-                    &provisioning_key,
-                    &self.controller_cn,
-                )?
-            }
+        let host = &self.hosts[host_idx];
+        let evidence = match host.backend {
+            BackendKind::SgxEpid => guard
+                .quote(&host.platform, &challenge.nonce, challenge.nonce)?
+                .encode(),
             BackendKind::SevSnp => {
                 // The workload CVM binds the same REPORT_DATA an SGX
                 // guard would: sha256(provisioning key) || nonce.
-                let snp = self.hosts[host_idx]
-                    .snp
-                    .as_ref()
-                    .expect("SNP host has an SNP platform");
-                let evidence = snp.attest(
+                let snp = host.snp.as_ref().expect("SNP host has an SNP platform");
+                snp.attest(
                     snp_vnf_measurement(&guard.name),
                     vnfguard_vnf::credential_enclave::provisioning_report_data(
                         &provisioning_key,
                         &challenge.nonce,
                     ),
-                );
-                let verifier = self
-                    .snp_verifier
-                    .as_mut()
-                    .expect("SNP hosts imply an SNP verifier");
-                self.vm.complete_vnf_enrollment_backend(
-                    verifier,
-                    challenge.id,
-                    &evidence,
-                    &provisioning_key,
-                    &self.controller_cn,
-                )?
+                )
             }
         };
+        let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
+        let (wrapped, certificate) = self.vm.complete_vnf_enrollment(
+            backend,
+            challenge.id,
+            &evidence,
+            &provisioning_key,
+            &self.controller_cn,
+        )?;
         guard.provision(&wrapped)?;
         // Keystore validation model: the controller's keystore must be
         // updated with the new certificate (the maintenance burden the
@@ -1336,7 +1321,8 @@ impl Testbed {
             notifier,
         )?;
         if role == Incarnation::Live {
-            vm.trust_integrity_enclave(
+            vm.trust_integrity_enclave_for(
+                BackendKind::SgxEpid,
                 IntegrityAttestationEnclave::expected_measurement(1),
                 "integrity-attestation-v1",
             );
@@ -1430,6 +1416,43 @@ impl Testbed {
             monitor.add_standby(&format!("vm-standby-{i}"), &health_addr);
         }
         Ok((monitor, handles))
+    }
+
+    /// Move the IAS behind a REST endpoint at `address` on the fabric, the
+    /// paper's shape, where the VM reaches the attestation service over
+    /// the network. Returns the server handle (the endpoint closes when it
+    /// drops) and a plain client for it, which the caller may configure
+    /// further (resilience, telemetry). The testbed keeps an empty
+    /// placeholder service that knows no EPID group.
+    pub fn serve_ias(&mut self, address: &str) -> Result<(ServerHandle, RemoteIas), CoreError> {
+        let ias = std::mem::replace(&mut self.ias, AttestationService::new(b"detached"));
+        let report_key = ias.report_signing_key();
+        let (server, _shared) = crate::remote::serve_ias(&self.network, address, ias)?;
+        Ok((server, RemoteIas::new(&self.network, address, report_key)))
+    }
+
+    /// Take the first host out of the testbed as the state its agent
+    /// serves: its platforms, container host and integrity enclave, the
+    /// given guards, no TPM and no revoked serials. `vm_hmac_key`
+    /// authenticates revocation notices; `None` accepts unauthenticated
+    /// ones.
+    pub fn take_agent_state(
+        &mut self,
+        guards: HashMap<String, Arc<VnfGuard>>,
+        vm_hmac_key: Option<[u8; 32]>,
+    ) -> Arc<HostAgentState> {
+        let host = self.hosts.remove(0);
+        Arc::new(HostAgentState {
+            host_id: host.id,
+            platform: host.platform,
+            snp: host.snp,
+            container_host: RwLock::new(host.container_host),
+            integrity_enclave: host.integrity_enclave,
+            tpm: None,
+            guards: RwLock::new(guards),
+            revoked_serials: RwLock::new(Default::default()),
+            vm_hmac_key,
+        })
     }
 
     /// Node-loss injection: kill the Verification Manager fleet in place.

@@ -900,12 +900,6 @@ impl VerificationManager {
         &mut self.reference_db
     }
 
-    /// Whitelist a VNF credential-enclave measurement (SGX backend; the
-    /// paper's original single-TEE form).
-    pub fn trust_enclave(&mut self, measurement: Measurement, label: &str) {
-        self.trust_enclave_for(BackendKind::SgxEpid, measurement, label);
-    }
-
     /// Whitelist a workload measurement for one backend: MRENCLAVE under
     /// SGX, the normalized CVM launch measurement under SNP. The key is
     /// `(backend, measurement)`, so cross-backend presentation of the
@@ -918,11 +912,6 @@ impl VerificationManager {
     ) {
         self.trusted_enclaves
             .insert((backend, measurement), label.to_string());
-    }
-
-    /// Whitelist an integrity-attestation-enclave measurement (SGX).
-    pub fn trust_integrity_enclave(&mut self, measurement: Measurement, label: &str) {
-        self.trust_integrity_enclave_for(BackendKind::SgxEpid, measurement, label);
     }
 
     /// Whitelist a host integrity-attestation measurement for one backend.
@@ -1211,6 +1200,7 @@ impl VerificationManager {
         evidence: &HostEvidence,
         now: u64,
     ) -> Result<Verdict, CoreError> {
+        self.ensure_alive()?;
         let challenge = self.take_challenge(challenge_id, now)?;
         let ChallengeSubject::Host { host_id } = challenge.subject.clone() else {
             return Err(CoreError::BadChallenge(
@@ -1389,6 +1379,7 @@ impl VerificationManager {
         host_id: &str,
         vnf_name: &str,
     ) -> Result<Challenge, CoreError> {
+        self.ensure_alive()?;
         let now = self.clock.now();
         if !self.host_is_trusted(host_id, now) {
             self.event(now, "vnf_attestation_refused", &format!("{vnf_name}: host {host_id} untrusted"));

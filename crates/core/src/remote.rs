@@ -56,11 +56,6 @@ use vnfguard_sgx::platform::SgxPlatform;
 use vnfguard_telemetry::{Counter, Histogram, Telemetry, TraceSpan};
 use vnfguard_vnf::VnfGuard;
 
-// The SGX-era IAS-handle entry points now live in the backend adapter
-// module; re-exported here so `vnfguard_core::remote::remote_attest_host`
-// and friends keep resolving for existing harnesses.
-pub use crate::backend::{remote_attest_host, remote_enroll_vnf};
-
 fn b64_field(doc: &Json, field: &str) -> Result<Vec<u8>, String> {
     let text = doc
         .get(field)
@@ -838,7 +833,7 @@ fn connect_agent(
 /// (circuit open), no fresh appraisal is possible; the call falls back to
 /// [`VmService::degraded_host_verdict`] — policy-gated reuse of
 /// the cached verdict, audit-logged as `DegradedVerdict`.
-pub fn remote_attest_host_backend(
+pub fn remote_attest_host(
     vm: &VmService,
     backend: &mut dyn AttestationBackend,
     network: &Network,
@@ -872,7 +867,7 @@ pub fn remote_attest_host_backend(
         .map_err(|e| CoreError::Encoding(e.to_string()))?;
     let evidence_bytes = b64_field(&body, "evidence").map_err(CoreError::Encoding)?;
     let evidence = HostEvidence::decode(&evidence_bytes)?;
-    vm.complete_host_attestation_backend(backend, challenge.id, &evidence)
+    vm.complete_host_attestation(backend, challenge.id, &evidence)
 }
 
 /// Drive VNF enrollment (steps 3–5) against a remote agent through any
@@ -884,7 +879,7 @@ pub fn remote_attest_host_backend(
 /// prepare → commit protocol: if the wrapped bundle cannot be confirmed
 /// delivered, the issued certificate is revoked and the enrollment rolled
 /// back, so no half-provisioned state survives a mid-transfer fault.
-pub fn remote_enroll_vnf_backend(
+pub fn remote_enroll_vnf(
     vm: &VmService,
     backend: &mut dyn AttestationBackend,
     network: &Network,
@@ -931,7 +926,7 @@ pub fn remote_enroll_vnf_backend(
 
     // Steps 4-5: verify + generate + wrap (prepare), deliver through the
     // agent, and only then commit the enrollment.
-    let (serial, wrapped, certificate) = vm.prepare_vnf_enrollment_backend(
+    let (serial, wrapped, certificate) = vm.prepare_vnf_enrollment(
         backend,
         challenge.id,
         &quote,
@@ -994,43 +989,6 @@ fn fenced_or(error: CoreError, fallback: impl FnOnce(CoreError) -> ApiError) -> 
         CoreError::DeadlineExceeded(_) => ApiError::deadline(error.to_string()),
         _ => fallback(error),
     }
-}
-
-/// Issue a VM API request, honoring overload backpressure: a 503
-/// `"overloaded"` response waits out the server's `retry-after-secs` hint
-/// (advancing the sim clock, not sleeping) before trying again, up to
-/// `max_attempts` total tries. A 504 `"deadline"` is returned immediately
-/// — the budget that died was this caller's own, so blind retry without a
-/// fresh budget would just die again. Other responses, success or error,
-/// pass straight through.
-pub fn vm_request_with_backpressure(
-    network: &Network,
-    address: &str,
-    request: &Request,
-    clock: &SimClock,
-    max_attempts: u32,
-) -> Result<Response, CoreError> {
-    let attempts = max_attempts.max(1);
-    let mut last = None;
-    for _ in 0..attempts {
-        let mut stream = network
-            .connect_from("operator", address)
-            .map_err(|e| CoreError::ServiceUnavailable(format!("{address}: {e}")))?;
-        stream.set_read_timeout(Some(AGENT_READ_TIMEOUT));
-        let mut client = vnfguard_net::server::HttpClient::new(stream);
-        let response = client
-            .request(request)
-            .map_err(|e| CoreError::ServiceUnavailable(format!("{address}: {e}")))?;
-        if response.status == Status::ServiceUnavailable {
-            if let Some(hint) = response.retry_after_secs() {
-                clock.advance(hint.max(1));
-                last = Some(response);
-                continue;
-            }
-        }
-        return Ok(response);
-    }
-    Ok(last.expect("at least one attempt ran"))
 }
 
 /// Serve the Verification Manager's operator API on the fabric.
@@ -1109,8 +1067,8 @@ pub fn serve_vm_api(
         let network = network.clone();
         router.post_api("/vm/hosts/:id/attest", move |_, params| {
             let host_id = params.get("id").unwrap_or("");
-            let mut backend = MultiBackend::from_parts(ias.clone(), snp.clone());
-            let verdict = remote_attest_host_backend(&vm, &mut backend, &network, host_id)
+            let mut backend = MultiBackend::new(ias.clone(), snp.clone());
+            let verdict = remote_attest_host(&vm, &mut backend, &network, host_id)
                 .map_err(|e| fenced_or(e, |e| ApiError::forbidden(e.to_string())))?;
             Ok(Response::json(
                 Status::Ok,
@@ -1127,8 +1085,8 @@ pub fn serve_vm_api(
         router.post_api("/vm/hosts/:id/vnfs/:name/enroll", move |_, params| {
             let host_id = params.get("id").unwrap_or("");
             let vnf_name = params.get("name").unwrap_or("");
-            let mut backend = MultiBackend::from_parts(ias.clone(), snp.clone());
-            let cert = remote_enroll_vnf_backend(
+            let mut backend = MultiBackend::new(ias.clone(), snp.clone());
+            let cert = remote_enroll_vnf(
                 &vm,
                 &mut backend,
                 &network,

@@ -33,6 +33,12 @@
 //! journaled revocations and CA epoch, has the authority sign them with
 //! its own, and clears each shard only up to the revision it gathered.
 //!
+//! The evidence-carrying workflows (`complete_host_attestation`,
+//! `prepare_vnf_enrollment`, `complete_vnf_enrollment`) take one
+//! `&mut dyn AttestationBackend`. An IAS handle is one (every
+//! `QuoteVerifier` is the SGX backend), and so are an SNP verifier and a
+//! `MultiBackend`; each enters the workflow the same way.
+//!
 //! Every method takes `&self` and reaches a shard only through one private
 //! accessor, which locks it for only as long as the manager call runs —
 //! never across an agent hop (the `remote` module's hops all happen
@@ -468,12 +474,9 @@ impl VmService {
     }
 
     /// Step 2: verify and appraise host evidence through any attestation
-    /// backend. The resulting trust record is propagated to every shard.
-    /// (The SGX/IAS-flavored [`complete_host_attestation`] wrapper lives
-    /// in the `backend` module.)
-    ///
-    /// [`complete_host_attestation`]: Self::complete_host_attestation
-    pub fn complete_host_attestation_backend(
+    /// backend (an IAS handle is one). The resulting trust record is
+    /// propagated to every shard.
+    pub fn complete_host_attestation(
         &self,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
@@ -523,11 +526,8 @@ impl VmService {
     }
 
     /// Steps 4–5 in one shot (prepare + commit), through any attestation
-    /// backend. (The SGX/IAS-flavored [`complete_vnf_enrollment`] wrapper
-    /// lives in the `backend` module.)
-    ///
-    /// [`complete_vnf_enrollment`]: Self::complete_vnf_enrollment
-    pub fn complete_vnf_enrollment_backend(
+    /// backend.
+    pub fn complete_vnf_enrollment(
         &self,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
@@ -557,11 +557,8 @@ impl VmService {
 
     /// Phase one of two-phase enrollment through any attestation backend;
     /// the returned serial is the commit token (and routes the
-    /// commit/abort back here). (The SGX/IAS-flavored
-    /// [`prepare_vnf_enrollment`] wrapper lives in the `backend` module.)
-    ///
-    /// [`prepare_vnf_enrollment`]: Self::prepare_vnf_enrollment
-    pub fn prepare_vnf_enrollment_backend(
+    /// commit/abort back here).
+    pub fn prepare_vnf_enrollment(
         &self,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
@@ -806,12 +803,6 @@ impl VmService {
     /// launch measurement never satisfies an SGX enrollment or vice versa.
     pub fn trust_enclave_for(&self, backend: BackendKind, measurement: Measurement, label: &str) {
         self.each_shard(|vm| vm.trust_enclave_for(backend, measurement, label));
-    }
-
-    /// Whitelist the integrity attestation enclave on every shard
-    /// (SGX-scoped).
-    pub fn trust_integrity_enclave(&self, measurement: Measurement, label: &str) {
-        self.trust_integrity_enclave_for(BackendKind::SgxEpid, measurement, label);
     }
 
     /// Backend-scoped integrity-enclave whitelist entry on every shard.

@@ -5,15 +5,13 @@
 //! [`AttestationBackend`]: vnfguard_attest::AttestationBackend
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::RwLock;
 use vnfguard_attest::snp::SnpFault;
 use vnfguard_attest::BackendKind;
 use vnfguard_core::attestation::{host_evidence, host_report_data, HostEvidence};
 use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_core::fleet::{fleet_json, render_cockpit};
-use vnfguard_core::remote::{HostAgent, HostAgentState};
+use vnfguard_core::remote::HostAgent;
 use vnfguard_pki::crl::RevocationReason;
 
 fn mixed_testbed(seed: &[u8]) -> vnfguard_core::deployment::Testbed {
@@ -177,7 +175,7 @@ fn cross_backend_evidence_refused_by_manager() {
     let mut verifier = tb.snp_verifier().unwrap().clone();
     assert!(tb
         .vm
-        .complete_host_attestation_backend(&mut verifier, challenge.id, &evidence)
+        .complete_host_attestation(&mut verifier, challenge.id, &evidence)
         .is_err());
 
     // Control arm: both hosts still attest cleanly through their own
@@ -193,18 +191,8 @@ fn fleet_status_breaks_out_backend_populations() {
 
     // Serve each host's agent; /agent/health advertises its backend.
     let mut agents = Vec::new();
-    for (i, host) in tb.hosts.drain(..).enumerate() {
-        let state = Arc::new(HostAgentState {
-            host_id: host.id.clone(),
-            platform: host.platform,
-            snp: host.snp,
-            container_host: RwLock::new(host.container_host),
-            integrity_enclave: host.integrity_enclave,
-            tpm: None,
-            guards: RwLock::new(HashMap::new()),
-            revoked_serials: RwLock::new(Default::default()),
-            vm_hmac_key: Some(tb.vm.share_hmac_key()),
-        });
+    for i in 0..tb.hosts.len() {
+        let state = tb.take_agent_state(HashMap::new(), Some(tb.vm.share_hmac_key()));
         let agent = HostAgent::serve(&tb.network, state).unwrap();
         monitor.add_agent(&format!("agent-{i}"), &agent.address);
         agents.push(agent);

@@ -2,13 +2,12 @@
 //! agents as separate services on the fabric, driven through the VM's
 //! operator API — the distributed shape of the paper's Figure 1.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, serve_vm_api, HostAgent, HostAgentState,
-    RemoteIas,
+    remote_attest_host, remote_enroll_vnf, serve_vm_api, HostAgent, RemoteIas,
 };
 use vnfguard_encoding::{base64, Json};
 use vnfguard_ias::QuoteVerifier;
@@ -29,39 +28,13 @@ fn remote_world(seed: &[u8]) -> RemoteWorld {
     let mut testbed = TestbedBuilder::new(seed).build();
 
     // Move the IAS out onto the fabric.
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard_ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let remote_ias = RemoteIas::new(&testbed.network, "ias:443", report_key);
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
 
     // Put an agent in front of host 0. The testbed host's parts move into
     // the shared agent state.
-    let host = testbed.hosts.remove(0);
-    let guard = vnfguard_vnf::VnfGuard::load(
-        &host.platform,
-        &testbed.network,
-        &testbed.enclave_author,
-        "vnf-remote",
-        1,
-    )
-    .unwrap();
-    testbed.vm.trust_enclave(guard.mrenclave(), "vnf-remote-v1");
-    let mut guards = HashMap::new();
-    guards.insert("vnf-remote".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: None,
-    });
+    let guard = testbed.deploy_guard(0, "vnf-remote", 1).unwrap();
+    let guards = HashMap::from([("vnf-remote".to_string(), Arc::new(guard))]);
+    let state = testbed.take_agent_state(guards, None);
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
 
     RemoteWorld {

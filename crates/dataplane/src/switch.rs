@@ -56,10 +56,6 @@ impl Switch {
         self.table.install(entry);
     }
 
-    pub fn remove_flow(&mut self, name: &str) -> bool {
-        self.table.remove(name)
-    }
-
     pub fn stats(&self) -> (u64, u64) {
         (self.packets_switched, self.packets_dropped)
     }

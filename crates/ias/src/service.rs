@@ -85,11 +85,6 @@ impl AttestationService {
         self.report_key.public_key()
     }
 
-    /// Advance the service clock (timestamps in reports).
-    pub fn set_clock(&mut self, unix_secs: u64) {
-        self.clock = unix_secs;
-    }
-
     /// The service clock's current position (unix seconds).
     pub fn now(&self) -> u64 {
         self.clock

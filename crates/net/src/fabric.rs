@@ -29,7 +29,6 @@ type Inbound = Option<Duplex>;
 struct NetworkInner {
     listeners: HashMap<String, Sender<Inbound>>,
     taps: HashMap<String, TapHandle>,
-    latency: Duration,
     connections: u64,
     faults: Option<FaultPlan>,
     counters: Option<FabricCounters>,
@@ -44,11 +43,6 @@ pub struct Network {
 impl Network {
     pub fn new() -> Network {
         Network::default()
-    }
-
-    /// Set the one-way latency applied to all *future* connections.
-    pub fn set_latency(&self, latency: Duration) {
-        self.inner.lock().latency = latency;
     }
 
     /// Attach telemetry: connection attempts, refusals (missing listener or
@@ -88,7 +82,7 @@ impl Network {
     /// Connect to `addr` as the named endpoint `origin`. Fault plans use
     /// the origin to enforce partitions between endpoint groups.
     pub fn connect_from(&self, origin: &str, addr: &str) -> Result<Duplex, NetError> {
-        let (latency, tap, listener_tx, faults, counters) = {
+        let (tap, listener_tx, faults, counters) = {
             let mut inner = self.inner.lock();
             let counters = inner.counters.clone();
             let tx = match inner.listeners.get(addr).cloned() {
@@ -102,19 +96,18 @@ impl Network {
             };
             inner.connections += 1;
             (
-                inner.latency,
                 inner.taps.get(addr).cloned(),
                 tx,
                 inner.faults.clone(),
                 counters,
             )
         };
-        let mut extra_latency = Duration::ZERO;
+        let mut latency = Duration::ZERO;
         let mut control = LinkControl::default();
         if let Some(plan) = &faults {
             match plan.admit(origin, addr) {
                 Ok(setup) => {
-                    extra_latency = setup.extra_latency;
+                    latency = setup.extra_latency;
                     control = LinkControl::with_faults(setup.stalled, setup.drop_after_bytes);
                 }
                 // Injected refusals are indistinguishable from a missing
@@ -135,7 +128,7 @@ impl Network {
         }
         let control = Arc::new(control);
         let (mut client, mut server) =
-            Duplex::pair_with_control(latency + extra_latency, tap.as_ref(), control.clone());
+            Duplex::pair_with_control(latency, tap.as_ref(), control.clone());
         if let Some(c) = &counters {
             c.connections.inc();
             // Both halves feed one fabric-wide counter, so it totals the
@@ -156,16 +149,6 @@ impl Network {
     /// clone of a plan shares its seed, rules and event log.
     pub fn install_faults(&self, plan: &FaultPlan) {
         self.inner.lock().faults = Some(plan.clone());
-    }
-
-    /// Remove the fault plan; existing links keep their injected behavior.
-    pub fn clear_faults(&self) {
-        self.inner.lock().faults = None;
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.lock().faults.clone()
     }
 
     /// Attach (or fetch) a tap on `addr`: every connection established to

@@ -52,21 +52,6 @@ pub enum NetError {
     Protocol(String),
 }
 
-impl NetError {
-    /// Is this the kind of transient transport failure a caller should
-    /// retry (refusal, timeout, mid-stream drop, peer close)?
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            NetError::ConnectionRefused(_)
-                | NetError::ConnectionClosed
-                | NetError::TimedOut(_)
-                | NetError::Injected(_)
-                | NetError::Io(_)
-        )
-    }
-}
-
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

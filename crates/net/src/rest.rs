@@ -305,18 +305,6 @@ impl Router {
         self.route_api(Method::Post, pattern, handler)
     }
 
-    pub fn delete_api(
-        &mut self,
-        pattern: &str,
-        handler: impl Fn(&Request, &PathParams) -> ApiResult<Response> + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.route_api(Method::Delete, pattern, handler)
-    }
-
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
-    }
-
     fn match_route<'a>(&'a self, method: Method, path: &str) -> Option<(&'a Route, PathParams)> {
         let path_segments: Vec<&str> = path
             .split('?')

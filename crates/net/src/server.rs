@@ -7,7 +7,7 @@
 
 use crate::fabric::{Listener, ListenerWaker};
 use crate::fault::LinkControl;
-use crate::http::{read_request, write_response, Response, Status};
+use crate::http::{read_request, write_response};
 use crate::rest::Router;
 use crate::stream::Duplex;
 use crate::NetError;
@@ -260,16 +260,11 @@ impl<S: Read + Write> HttpClient<S> {
     }
 }
 
-/// 500 response helper for handler panics and internal errors.
-pub fn internal_error(message: &str) -> Response {
-    Response::error(Status::ServerError, message)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::Network;
-    use crate::http::{Method, Request};
+    use crate::http::{Method, Request, Response, Status};
     use vnfguard_encoding::Json;
 
     fn test_router() -> Router {

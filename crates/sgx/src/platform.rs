@@ -4,7 +4,7 @@
 use crate::enclave::{Enclave, EnclaveCode, EnclaveIdentity};
 use crate::measurement::{Measurement, MeasurementBuilder, PagePerm};
 use crate::quote::QuotingEnclave;
-use crate::report::{attributes, Report, ReportBody, TargetInfo};
+use crate::report::{attributes, ReportBody, TargetInfo};
 use crate::seal::SealPolicy;
 use crate::sigstruct::SignedEnclave;
 use crate::transition::TransitionModel;
@@ -300,19 +300,6 @@ impl SgxPlatform {
     /// Total ecalls performed on this platform (cost-model counter).
     pub fn ecall_count(&self) -> u64 {
         self.inner.transition.ecall_count()
-    }
-
-    /// Build a report *as if from* a hypothetical enclave — used only by
-    /// tests to exercise verification failure paths.
-    #[doc(hidden)]
-    pub fn forge_report(&self, body: ReportBody, target: &TargetInfo) -> Report {
-        let key_id = {
-            let mut id = [0u8; 16];
-            self.inner.random_bytes(&mut id);
-            id
-        };
-        let mac = self.inner.mac_report(target, &body, &key_id);
-        Report { body, key_id, mac }
     }
 }
 

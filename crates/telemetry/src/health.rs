@@ -419,12 +419,6 @@ impl HealthMonitor {
     pub fn alert(&self, name: &str, now: u64) -> Option<AlertSnapshot> {
         self.evaluate(now).into_iter().find(|a| a.slo == name)
     }
-
-    /// Names of the configured SLOs, spec order.
-    pub fn slo_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("health monitor poisoned");
-        inner.trackers.iter().map(|t| t.spec.name.clone()).collect()
-    }
 }
 
 impl std::fmt::Debug for HealthMonitor {

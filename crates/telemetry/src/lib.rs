@@ -80,10 +80,6 @@ impl Telemetry {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The metrics registry backing this handle.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics

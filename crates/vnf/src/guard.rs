@@ -273,11 +273,6 @@ impl VnfGuard {
         self.auto_renew.as_ref().map(|r| r.renew_at)
     }
 
-    /// Disarm auto-renewal.
-    pub fn clear_auto_renew(&mut self) {
-        self.auto_renew = None;
-    }
-
     /// `not_after` of the credential auto-renewal is tracking, if armed.
     pub fn credential_not_after(&self) -> Option<u64> {
         self.auto_renew.as_ref().map(|r| r.not_after)
@@ -389,19 +384,6 @@ impl VnfGuard {
     pub fn close_session(&mut self, session: u32) -> Result<(), VnfError> {
         self.run_io_ecall(op::CLOSE_SESSION, &session.to_be_bytes())?;
         Ok(())
-    }
-
-    /// Convenience: open a session, perform one request, close.
-    pub fn one_shot_request(
-        &mut self,
-        addr: &str,
-        now: u64,
-        request: &Request,
-    ) -> Result<Response, VnfError> {
-        let session = self.open_session(addr, now)?;
-        let response = self.request(session, request);
-        let _ = self.close_session(session);
-        response
     }
 }
 

@@ -242,10 +242,6 @@ impl LoadBalancer {
             affinity: HashMap::new(),
         }
     }
-
-    pub fn affinity_entries(&self) -> usize {
-        self.affinity.len()
-    }
 }
 
 impl NetworkFunction for LoadBalancer {

@@ -9,11 +9,11 @@
 //!
 //! Run with: `cargo run --example distributed_deployment`
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::TestbedBuilder;
-use vnfguard::core::remote::{serve_ias, serve_vm_api, HostAgent, HostAgentState, RemoteIas};
+use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
 use vnfguard::net::http::Request;
@@ -25,45 +25,19 @@ fn main() {
     let network = testbed.network.clone();
 
     // Detach the IAS onto the fabric.
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard::ias::AttestationService::new(b"unused"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_server, _shared) = serve_ias(&network, "ias:443", ias).unwrap();
+    let (_ias_server, remote_ias) = testbed.serve_ias("ias:443").unwrap();
     println!("[svc] IAS serving at ias:443");
 
     // Host 0 becomes an agent-fronted host with one guarded VNF.
-    let host = testbed.hosts.remove(0);
-    let guard = vnfguard::vnf::VnfGuard::load(
-        &host.platform,
-        &network,
-        &testbed.enclave_author,
-        "vnf-edge-fw",
-        1,
-    )
-    .unwrap();
-    testbed.vm.trust_enclave(guard.mrenclave(), "vnf-edge-fw-v1");
-    let mut guards = HashMap::new();
-    guards.insert("vnf-edge-fw".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: None,
-    });
+    let guard = testbed.deploy_guard(0, "vnf-edge-fw", 1).unwrap();
+    let guards = HashMap::from([("vnf-edge-fw".to_string(), Arc::new(guard))]);
+    let state = testbed.take_agent_state(guards, None);
     let agent = HostAgent::serve(&network, state).unwrap();
     println!("[svc] host agent serving at {}", agent.address);
 
     // The VM's operator API: the service handle clones into the server,
     // so per-connection threads route to the shards concurrently.
-    let remote_ias: Arc<Mutex<dyn QuoteVerifier + Send>> =
-        Arc::new(Mutex::new(RemoteIas::new(&network, "ias:443", report_key)));
+    let remote_ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(remote_ias));
     let _vm_api =
         serve_vm_api(&network, "vm:8443", testbed.vm_service(), remote_ias, "controller")
             .unwrap();

@@ -5,12 +5,11 @@
 //! cargo run --example fault_drill
 //! ```
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, HostAgent, HostAgentState, RemoteIas,
+    remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas,
 };
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::core::revocation::{revocation_message, RevocationNotifier};
@@ -39,37 +38,11 @@ fn world_with(
     let mut testbed = configure(TestbedBuilder::new(seed)).build();
     let plan = FaultPlan::seeded(plan_seed);
     testbed.network.install_faults(&plan);
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard::ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let remote_ias = RemoteIas::new(&testbed.network, "ias:443", report_key)
-        .with_resilience(testbed.clock.clone(), retry, breaker);
-    let host = testbed.hosts.remove(0);
-    let guard = vnfguard::vnf::VnfGuard::load(
-        &host.platform,
-        &testbed.network,
-        &testbed.enclave_author,
-        "vnf-drill",
-        1,
-    )
-    .unwrap();
-    testbed.vm.trust_enclave(guard.mrenclave(), "vnf-drill-v1");
-    let mut guards = HashMap::new();
-    guards.insert("vnf-drill".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(testbed.vm.share_hmac_key()),
-    });
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias.with_resilience(testbed.clock.clone(), retry, breaker);
+    let guard = testbed.deploy_guard(0, "vnf-drill", 1).unwrap();
+    let guards = HashMap::from([("vnf-drill".to_string(), Arc::new(guard))]);
+    let state = testbed.take_agent_state(guards, Some(testbed.vm.share_hmac_key()));
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
     World {
         testbed,

@@ -19,14 +19,13 @@
 //!    (the node is marked stale, the scrape never wedges);
 //! 6. the link heals, the windows age clear, and the alert resolves.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::fleet::serve_fleet_api;
 use vnfguard::core::remote::{
-    remote_attest_host, remote_enroll_vnf, serve_ias, serve_vm_api, HostAgent,
-    HostAgentState, RemoteIas,
+    remote_attest_host, remote_enroll_vnf, serve_vm_api, HostAgent, RemoteIas,
 };
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::core::CoreError;
@@ -58,28 +57,15 @@ fn world() -> World {
         .replicas(1)
         .faults(plan.clone())
         .build();
-    let ias = std::mem::replace(&mut testbed.ias, AttestationService::new(b"placeholder"));
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let mut remote_ias = RemoteIas::new(&testbed.network, "ias:443", report_key)
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
+    let mut remote_ias = remote_ias
         .with_telemetry(&telemetry)
         .with_resilience(
             testbed.clock.clone(),
             RetryPolicy::new(2, 1, 4),
             CircuitBreaker::new(3, 60),
         );
-    let host = testbed.hosts.remove(0);
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(HashMap::new()),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(testbed.vm.share_hmac_key()),
-    });
+    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
     remote_attest_host(&testbed.vm, &mut remote_ias, &testbed.network, "host-0").unwrap();
     let api_ias: Arc<Mutex<dyn QuoteVerifier + Send>> =

@@ -7,12 +7,12 @@
 //! cargo run --example trace_drill
 //! ```
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::controller::{NorthboundClient, SecurityMode};
 use vnfguard::core::deployment::TestbedBuilder;
-use vnfguard::core::remote::{serve_ias, serve_vm_api, HostAgent, HostAgentState, RemoteIas};
+use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::ias::QuoteVerifier;
 use vnfguard::net::http::Request;
@@ -33,13 +33,8 @@ fn main() {
     network.install_faults(&faults);
 
     // Deploy the IAS, the host agent and the VM API as separate services.
-    let ias_service = std::mem::replace(
-        &mut tb.ias,
-        vnfguard::ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias_service.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&network, "ias:443", ias_service).unwrap();
-    let remote_ias = RemoteIas::new(&network, "ias:443", report_key)
+    let (_ias_handle, remote_ias) = tb.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias
         .with_resilience(
             clock.clone(),
             RetryPolicy::new(6, 1, 8).with_seed(3),
@@ -48,20 +43,8 @@ fn main() {
         .with_telemetry(&telemetry);
 
     let guard = tb.deploy_guard(0, "vnf-traced", 1).unwrap();
-    let host = tb.hosts.remove(0);
-    let mut guards = HashMap::new();
-    guards.insert("vnf-traced".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(tb.vm.share_hmac_key()),
-    });
+    let guards = HashMap::from([("vnf-traced".to_string(), Arc::new(guard))]);
+    let state = tb.take_agent_state(guards, Some(tb.vm.share_hmac_key()));
     let agent_clock = clock.clone();
     let _agent =
         HostAgent::serve_traced(&network, state, &telemetry, move || agent_clock.now()).unwrap();

@@ -182,14 +182,13 @@ proptest! {
 #[test]
 fn cross_backend_evidence_always_refused() {
     for seed in 0u64..16 {
-        let (quote, ias) = sgx_quote(&seed.to_be_bytes());
+        let (quote, mut ias) = sgx_quote(&seed.to_be_bytes());
         let (snp_platform, mut snp_verifier) = snp_fixture(seed, b"cross-prop cvm");
         let snp_evidence = snp_platform.attest_self([0; 64]);
 
         // Control arms: each backend accepts its own evidence.
-        let mut sgx_backend = vnfguard::attest::SgxEpidBackend::new(ias);
         assert_eq!(
-            sgx_backend.appraise(&quote, b"n").unwrap().backend,
+            ias.appraise(&quote, b"n").unwrap().backend,
             BackendKind::SgxEpid
         );
         assert_eq!(
@@ -204,7 +203,7 @@ fn cross_backend_evidence_always_refused() {
         ));
 
         // SNP evidence → SGX appraiser: IAS can't parse it as a quote and
-        // the adapter refuses rather than appraising.
-        assert!(sgx_backend.appraise(&snp_evidence, b"n").is_err());
+        // the appraisal refuses rather than appraising.
+        assert!(ias.appraise(&snp_evidence, b"n").is_err());
     }
 }

@@ -18,6 +18,7 @@
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use vnfguard::core::attestation::host_evidence;
 use vnfguard::core::crash::CrashPlan;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::remote::serve_vm_api;
@@ -579,4 +580,52 @@ fn recovery_route_on_a_fresh_manager_reports_nothing() {
         .unwrap();
     assert_eq!(body.get("recovered").and_then(Json::as_bool), Some(false));
     assert!(body.get("generation").is_none());
+}
+
+/// A halted incarnation is a zombie: it neither completes a host
+/// attestation begun before the halt nor hands out a VNF challenge, and
+/// neither call touches its state.
+#[test]
+fn a_halted_manager_neither_attests_hosts_nor_issues_vnf_challenges() {
+    let mut tb = TestbedBuilder::new(b"halted zombie").durable().build();
+    tb.attest_host(0).unwrap();
+    let before = tb.vm.host_record("host-0").expect("host attested");
+
+    let challenge = tb.vm.begin_host_attestation("host-0");
+    let host = &tb.hosts[0];
+    let iml = host.container_host.measurement_list().encode();
+    let evidence = host_evidence(
+        &host.platform,
+        &host.integrity_enclave,
+        &iml,
+        &challenge.nonce,
+        None,
+    )
+    .unwrap();
+    // A verdict stored after the halt would carry the later time.
+    tb.clock.advance(60);
+    tb.vm.halt("node loss");
+
+    let err = tb
+        .vm
+        .complete_host_attestation(&mut tb.ias, challenge.id, &evidence)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::VmCrashed(_)), "{err}");
+    let after = tb.vm.host_record("host-0").expect("record kept");
+    assert_eq!(after.attested_at, before.attested_at);
+    assert_eq!(after.verdict, before.verdict);
+
+    let err = tb
+        .vm
+        .begin_vnf_attestation("host-0", "vnf-after-halt")
+        .unwrap_err();
+    assert!(matches!(err, CoreError::VmCrashed(_)), "{err}");
+    let events = tb.vm.events();
+    let halted = events.iter().position(|e| e.kind == "vm_halted").unwrap();
+    assert!(
+        events[halted..]
+            .iter()
+            .all(|e| e.kind != "vnf_attestation_started"),
+        "a halted manager issued a VNF challenge"
+    );
 }

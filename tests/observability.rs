@@ -9,11 +9,11 @@
 //! and pages `GET /vm/events?since=` exactly as an external Prometheus /
 //! audit collector would.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::TestbedBuilder;
-use vnfguard::core::remote::{serve_ias, serve_vm_api, HostAgent, HostAgentState, RemoteIas};
+use vnfguard::core::remote::{serve_vm_api, HostAgent, RemoteIas};
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
@@ -40,13 +40,8 @@ fn observed_world(seed: &[u8], plan_seed: u64) -> ObservedWorld {
     let plan = FaultPlan::seeded(plan_seed);
     testbed.network.install_faults(&plan);
 
-    let ias = std::mem::replace(
-        &mut testbed.ias,
-        vnfguard::ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias.report_signing_key();
-    let (_ias_handle, _shared) = serve_ias(&testbed.network, "ias:443", ias).unwrap();
-    let remote_ias = RemoteIas::new(&testbed.network, "ias:443", report_key)
+    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias
         .with_resilience(
             testbed.clock.clone(),
             RetryPolicy::new(8, 1, 16).with_seed(plan_seed),
@@ -54,29 +49,9 @@ fn observed_world(seed: &[u8], plan_seed: u64) -> ObservedWorld {
         )
         .with_telemetry(&telemetry);
 
-    let host = testbed.hosts.remove(0);
-    let guard = vnfguard::vnf::VnfGuard::load(
-        &host.platform,
-        &testbed.network,
-        &testbed.enclave_author,
-        "vnf-obs",
-        1,
-    )
-    .unwrap();
-    testbed.vm.trust_enclave(guard.mrenclave(), "vnf-obs-v1");
-    let mut guards = HashMap::new();
-    guards.insert("vnf-obs".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(testbed.vm.share_hmac_key()),
-    });
+    let guard = testbed.deploy_guard(0, "vnf-obs", 1).unwrap();
+    let guards = HashMap::from([("vnf-obs".to_string(), Arc::new(guard))]);
+    let state = testbed.take_agent_state(guards, Some(testbed.vm.share_hmac_key()));
     let _agent = HostAgent::serve(&testbed.network, state).unwrap();
 
     ObservedWorld {

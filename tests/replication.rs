@@ -18,14 +18,14 @@
 //! - the failed primary's undelivered revocation notices survive node
 //!   loss inside the replicated state and drain at promotion.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vnfguard::core::crash::CrashPlan;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::service::VmService;
-use vnfguard::core::remote::{serve_vm_api, HostAgent, HostAgentState};
+use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::replication::ReplicationConfig;
 use vnfguard::core::revocation::revocation_message;
 use vnfguard::core::CoreError;
@@ -572,18 +572,7 @@ fn promotion_requeues_and_drains_undelivered_notices() {
     // An agent that knows the VM's HMAC key fronts host 0, but is
     // unreachable when the notice goes out: the notice enters the
     // store-and-forward queue — which journals into the replicated WAL.
-    let host = tb.hosts.remove(0);
-    let agent_state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(HashMap::new()),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(tb.vm.share_hmac_key()),
-    });
+    let agent_state = tb.take_agent_state(HashMap::new(), Some(tb.vm.share_hmac_key()));
     let _agent = HostAgent::serve(&tb.network, agent_state.clone()).unwrap();
     plan.isolate("agent:host-0");
     assert!(!tb.notifier.notify("host-0", serial, tag, now));

@@ -9,14 +9,13 @@
 //! must come back from `GET /vm/traces/{id}` as a *single connected tree*
 //! whose annotations name the fault site and the recovery generation.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use vnfguard::controller::{NorthboundClient, SecurityMode};
 use vnfguard::core::crash::CrashPlan;
 use vnfguard::core::deployment::TestbedBuilder;
-use vnfguard::core::remote::{serve_ias, serve_vm_api, HostAgent, HostAgentState};
-use vnfguard::core::remote::RemoteIas;
+use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
@@ -71,13 +70,8 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
     network.install_faults(&faults);
 
     // IAS as its own HTTP service, reached through a resilient client.
-    let ias_service = std::mem::replace(
-        &mut tb.ias,
-        vnfguard::ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias_service.report_signing_key();
-    let (_ias_handle, _ias_shared) = serve_ias(&network, "ias:443", ias_service).unwrap();
-    let remote_ias = RemoteIas::new(&network, "ias:443", report_key)
+    let (_ias_handle, remote_ias) = tb.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias
         .with_resilience(
             clock.clone(),
             RetryPolicy::new(6, 1, 8).with_seed(5),
@@ -89,20 +83,8 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
     // `deploy_guard` (not a bare `trust_enclave`) so the whitelist entry
     // lands in the trust log and survives manager recovery.
     let guard = tb.deploy_guard(0, "vnf-traced", 1).unwrap();
-    let host = tb.hosts.remove(0);
-    let mut guards = HashMap::new();
-    guards.insert("vnf-traced".to_string(), Arc::new(guard));
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(tb.vm.share_hmac_key()),
-    });
+    let guards = HashMap::from([("vnf-traced".to_string(), Arc::new(guard))]);
+    let state = tb.take_agent_state(guards, Some(tb.vm.share_hmac_key()));
     let agent_clock = clock.clone();
     let _agent =
         HostAgent::serve_traced(&network, state, &telemetry, move || agent_clock.now()).unwrap();
@@ -322,13 +304,8 @@ fn concurrent_enrollments_keep_ias_spans_in_their_own_traces() {
         .build();
     let network = tb.network.clone();
     let clock = tb.clock.clone();
-    let ias_service = std::mem::replace(
-        &mut tb.ias,
-        vnfguard::ias::AttestationService::new(b"placeholder"),
-    );
-    let report_key = ias_service.report_signing_key();
-    let (_ias_handle, _ias_shared) = serve_ias(&network, "ias:443", ias_service).unwrap();
-    let remote_ias = RemoteIas::new(&network, "ias:443", report_key).with_telemetry(&telemetry);
+    let (_ias_handle, remote_ias) = tb.serve_ias("ias:443").unwrap();
+    let remote_ias = remote_ias.with_telemetry(&telemetry);
 
     let mut guards = HashMap::new();
     for vnf in 0..2 * PER_CONNECTION {
@@ -336,18 +313,7 @@ fn concurrent_enrollments_keep_ias_spans_in_their_own_traces() {
         let guard = tb.deploy_guard(0, &name, 1).unwrap();
         guards.insert(name, Arc::new(guard));
     }
-    let host = tb.hosts.remove(0);
-    let state = Arc::new(HostAgentState {
-        host_id: host.id.clone(),
-        platform: host.platform,
-        snp: host.snp,
-        container_host: RwLock::new(host.container_host),
-        integrity_enclave: host.integrity_enclave,
-        tpm: None,
-        guards: RwLock::new(guards),
-        revoked_serials: RwLock::new(Default::default()),
-        vm_hmac_key: Some(tb.vm.share_hmac_key()),
-    });
+    let state = tb.take_agent_state(guards, Some(tb.vm.share_hmac_key()));
     let agent_clock = clock.clone();
     let _agent =
         HostAgent::serve_traced(&network, state, &telemetry, move || agent_clock.now()).unwrap();
