@@ -35,7 +35,6 @@ pub mod snp;
 pub use vnfguard_ias::Availability;
 pub use vnfguard_sgx::measurement::Measurement;
 
-
 /// Which TEE technology produced a piece of evidence. Stable `u8` codes
 /// are part of the WAL record format — never renumber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -179,11 +178,8 @@ pub trait AttestationBackend {
     /// whose verification protocol consumes it, like IAS) and distill the
     /// appraisal. Fails closed: any structural or cryptographic doubt is an
     /// error, never a degraded appraisal.
-    fn appraise(
-        &mut self,
-        evidence: &[u8],
-        nonce: &[u8],
-    ) -> Result<EvidenceAppraisal, AttestError>;
+    fn appraise(&mut self, evidence: &[u8], nonce: &[u8])
+        -> Result<EvidenceAppraisal, AttestError>;
 
     /// Whether the backend is currently worth calling (a remote verifier
     /// may report `Unavailable` while its circuit breaker is open; offline

@@ -343,8 +343,11 @@ impl SnpPlatform {
         // The fault RNG is deliberately local (splitmix64 over a seed
         // digest): relying-party DRBG streams are replayed byte-for-byte
         // by oracle twins and must never observe platform faults.
-        let mut fault_rng =
-            u64::from_be_bytes(sha256(&[seed, b".fault"].concat())[..8].try_into().expect("8"));
+        let mut fault_rng = u64::from_be_bytes(
+            sha256(&[seed, b".fault"].concat())[..8]
+                .try_into()
+                .expect("8"),
+        );
         let forge_seed = sha256(&splitmix(&mut fault_rng).to_be_bytes());
         SnpPlatform {
             vcek_fresh: root.issue_vcek(vcek_public, tcb_version, u64::MAX),
@@ -458,8 +461,8 @@ impl AttestationBackend for SnpVerifier {
         evidence: &[u8],
         _nonce: &[u8],
     ) -> Result<EvidenceAppraisal, AttestError> {
-        let evidence = SnpEvidence::decode(evidence)
-            .map_err(|e| AttestError::Encoding(e.to_string()))?;
+        let evidence =
+            SnpEvidence::decode(evidence).map_err(|e| AttestError::Encoding(e.to_string()))?;
         if !evidence.ask.verify(&self.ark) {
             return Err(AttestError::Rejected(
                 "SNP ASK certificate not signed by the pinned ARK".into(),
@@ -533,12 +536,8 @@ mod tests {
 
     fn fixture() -> (AmdRoot, SnpPlatform, SnpVerifier) {
         let root = AmdRoot::new(b"amd root");
-        let platform = SnpPlatform::provision(
-            &root,
-            b"chip-0",
-            launch_measurement(b"cvm image"),
-            7,
-        );
+        let platform =
+            SnpPlatform::provision(&root, b"chip-0", launch_measurement(b"cvm image"), 7);
         let verifier = SnpVerifier::new(root.ark_public(), SimClock::at(1_700_000_000));
         (root, platform, verifier)
     }
@@ -598,7 +597,9 @@ mod tests {
     #[test]
     fn non_snp_bytes_are_an_encoding_error() {
         let (_root, _platform, mut verifier) = fixture();
-        let err = verifier.appraise(b"clearly not snp evidence", b"").unwrap_err();
+        let err = verifier
+            .appraise(b"clearly not snp evidence", b"")
+            .unwrap_err();
         assert!(matches!(err, AttestError::Encoding(_)), "{err:?}");
     }
 
@@ -606,8 +607,7 @@ mod tests {
     fn wrong_root_rejects_chain() {
         let (_root, platform, _verifier) = fixture();
         let other_root = AmdRoot::new(b"some other amd");
-        let mut verifier =
-            SnpVerifier::new(other_root.ark_public(), SimClock::at(1_700_000_000));
+        let mut verifier = SnpVerifier::new(other_root.ark_public(), SimClock::at(1_700_000_000));
         let err = verifier
             .appraise(&platform.attest_self([0; 64]), b"")
             .unwrap_err();
@@ -629,11 +629,12 @@ mod tests {
     #[test]
     fn below_baseline_tcb_is_out_of_date() {
         let root = AmdRoot::new(b"amd root");
-        let platform =
-            SnpPlatform::provision(&root, b"chip-1", launch_measurement(b"img"), 3);
+        let platform = SnpPlatform::provision(&root, b"chip-1", launch_measurement(b"img"), 3);
         let mut verifier =
             SnpVerifier::new(root.ark_public(), SimClock::at(1_700_000_000)).with_min_tcb(5);
-        let appraisal = verifier.appraise(&platform.attest_self([0; 64]), b"").unwrap();
+        let appraisal = verifier
+            .appraise(&platform.attest_self([0; 64]), b"")
+            .unwrap();
         assert_eq!(appraisal.tcb, TcbStatus::OutOfDate);
         assert!(AppraisalPolicy::strict().check(&appraisal).is_err());
         assert!(AppraisalPolicy::lenient().check(&appraisal).is_ok());

@@ -112,7 +112,9 @@ fn bench_e10(c: &mut Criterion) {
     group.bench_function("render_prometheus_populated", |b| {
         let telemetry = Telemetry::new();
         for i in 0..16 {
-            telemetry.counter(&format!("vnfguard_bench_c{i}_total")).add(i);
+            telemetry
+                .counter(&format!("vnfguard_bench_c{i}_total"))
+                .add(i);
             let h = telemetry.histogram(&format!("vnfguard_bench_h{i}_micros"));
             for v in [3, 40, 500, 6_000] {
                 h.record(v * (i + 1));

@@ -54,7 +54,10 @@ fn logged_media(n: u64, compact: bool) -> Fixture {
             })
             .unwrap();
         store
-            .append(&WalRecord::EnrollmentCommitted { serial, at: 101 + i })
+            .append(&WalRecord::EnrollmentCommitted {
+                serial,
+                at: 101 + i,
+            })
             .unwrap();
     }
     if compact {

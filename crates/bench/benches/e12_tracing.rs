@@ -96,10 +96,20 @@ fn measure(attempt: usize) -> (f64, f64, f64) {
     let seed_off = format!("e12 disabled {attempt}");
     let mut on = remote_world(seed_on.as_bytes(), Telemetry::new(), true);
     let mut off = remote_world(seed_off.as_bytes(), Telemetry::disabled(), false);
-    remote_attest_host(&on.testbed.vm, &mut on.remote_ias, &on.testbed.network, "host-0")
-        .unwrap();
-    remote_attest_host(&off.testbed.vm, &mut off.remote_ias, &off.testbed.network, "host-0")
-        .unwrap();
+    remote_attest_host(
+        &on.testbed.vm,
+        &mut on.remote_ias,
+        &on.testbed.network,
+        "host-0",
+    )
+    .unwrap();
+    remote_attest_host(
+        &off.testbed.vm,
+        &mut off.remote_ias,
+        &off.testbed.network,
+        "host-0",
+    )
+    .unwrap();
     // Warm both paths before timing.
     for _ in 0..2 {
         batch(&mut on, true);
@@ -129,7 +139,10 @@ fn main() {
             return;
         }
         last = (enabled, disabled, overhead);
-        println!("e12_tracing: attempt {} over the bar, retrying", attempt + 1);
+        println!(
+            "e12_tracing: attempt {} over the bar, retrying",
+            attempt + 1
+        );
     }
     eprintln!(
         "e12_tracing: FAIL — traced {:.1} µs vs disabled {:.1} µs ({:+.2} % > {:.0} %)",

@@ -87,7 +87,11 @@ fn measure(attempt: usize) -> (f64, f64, f64) {
         batch(&mut off);
     }
     let per_iter = |d: Duration| d.as_micros() as f64 / BATCH_SIZE as f64;
-    paired_overhead(BATCHES, || per_iter(batch(&mut on)), || per_iter(batch(&mut off)))
+    paired_overhead(
+        BATCHES,
+        || per_iter(batch(&mut on)),
+        || per_iter(batch(&mut off)),
+    )
 }
 
 /// Median promotion time over fresh deployments with a populated WAL.
@@ -135,7 +139,10 @@ fn main() {
             return;
         }
         last = (replicated, unreplicated, overhead);
-        println!("e14_failover: attempt {} over the bar, retrying", attempt + 1);
+        println!(
+            "e14_failover: attempt {} over the bar, retrying",
+            attempt + 1
+        );
     }
     eprintln!(
         "e14_failover: FAIL — replicated {:.1} µs vs unreplicated {:.1} µs ({:+.2} % > {:.0} %)",

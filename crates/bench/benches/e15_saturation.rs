@@ -278,7 +278,12 @@ fn crash_scenario(seed: u64) -> usize {
         let (_, certificate) = tb
             .vm
             .renew_vnf_credential(newest, &clients[t].key, "controller")
-            .unwrap_or_else(|e| panic!("seed {seed}: shard {} dead after recovery: {e}", t % CRASH_SHARDS));
+            .unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed}: shard {} dead after recovery: {e}",
+                    t % CRASH_SHARDS
+                )
+            });
         acknowledge(certificate.serial());
     }
     crashes
@@ -286,7 +291,14 @@ fn crash_scenario(seed: u64) -> usize {
 
 /// The divergence-checked view of a fleet: CA material, counters, and
 /// every shard's enrollment records in deterministic shard order.
-type FleetView = (Vec<u8>, u64, u64, u64, Vec<(u64, String, String, bool)>, Vec<u64>);
+type FleetView = (
+    Vec<u8>,
+    u64,
+    u64,
+    u64,
+    Vec<(u64, String, String, bool)>,
+    Vec<u64>,
+);
 
 fn fleet_view(vm: &VmService) -> FleetView {
     (
@@ -346,13 +358,14 @@ fn main() {
             }
         }
         scaling = four_shard / one_shard;
-        println!(
-            "e15_saturation/scaling_1_to_4       {scaling:>10.2} x (bar {MIN_SCALING:.1} x)"
-        );
+        println!("e15_saturation/scaling_1_to_4       {scaling:>10.2} x (bar {MIN_SCALING:.1} x)");
         if scaling >= MIN_SCALING {
             break;
         }
-        println!("e15_saturation: attempt {} under the bar, retrying", attempt + 1);
+        println!(
+            "e15_saturation: attempt {} under the bar, retrying",
+            attempt + 1
+        );
     }
     // The group-commit contrast: same 4-shard fabric, one flush per
     // record instead of one group frame per batch.

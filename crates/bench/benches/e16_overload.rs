@@ -89,7 +89,13 @@ fn mass_enroll(tb: &mut Testbed, guard: &VnfGuard, count: usize, prefix: &str) -
             .unwrap();
         let (_, certificate) = tb
             .vm
-            .complete_vnf_enrollment(&mut tb.ias, challenge.id, &quote.encode(), &key, "controller")
+            .complete_vnf_enrollment(
+                &mut tb.ias,
+                challenge.id,
+                &quote.encode(),
+                &key,
+                "controller",
+            )
             .unwrap();
         serials.push(certificate.serial());
     }
@@ -198,8 +204,7 @@ fn storm(vm: &VmService, key: &[u8; 32], serials: &[u64], capacity: f64) -> Stor
                         match vm.renew_vnf_credential(owned[slot], key, "controller") {
                             Ok((_, certificate)) => {
                                 owned[slot] = certificate.serial();
-                                latencies
-                                    .push((start.elapsed().as_secs_f64() - arrival) * 1e6);
+                                latencies.push((start.elapsed().as_secs_f64() - arrival) * 1e6);
                             }
                             Err(CoreError::Overloaded { .. }) => shed += 1,
                             Err(other) => panic!("storm renewal failed: {other}"),
@@ -328,7 +333,9 @@ fn chaos_scenario(seed: u64) -> usize {
         // refusal the post-conditions check.
         let host_id = tb.hosts[0].id.clone();
         for i in 0..100 {
-            let challenge = match tb.vm.begin_vnf_attestation(&host_id, &format!("vnf-flood-{i}"))
+            let challenge = match tb
+                .vm
+                .begin_vnf_attestation(&host_id, &format!("vnf-flood-{i}"))
             {
                 Ok(challenge) => challenge,
                 Err(CoreError::Overloaded { .. }) => {
@@ -442,7 +449,10 @@ fn main() {
             pass = true;
             break;
         }
-        println!("e16_overload: attempt {} under a bar, retrying", attempt + 1);
+        println!(
+            "e16_overload: attempt {} under a bar, retrying",
+            attempt + 1
+        );
     }
     if !pass {
         eprintln!("e16_overload: FAIL — overload bars not met after {ATTEMPTS} attempts");

@@ -174,20 +174,24 @@ fn drill_world() -> DrillWorld {
     let (_ias_handle, remote_ias) = tb.serve_ias("ias:443").unwrap();
     // Resilience rides the deployment clock so the breaker's cooldown
     // participates in the simulated outage-and-recovery timeline.
-    let mut remote_ias = remote_ias
-        .with_telemetry(&telemetry)
-        .with_resilience(
-            tb.clock.clone(),
-            RetryPolicy::new(2, 1, 4),
-            CircuitBreaker::new(3, 60),
-        );
+    let mut remote_ias = remote_ias.with_telemetry(&telemetry).with_resilience(
+        tb.clock.clone(),
+        RetryPolicy::new(2, 1, 4),
+        CircuitBreaker::new(3, 60),
+    );
     let state = tb.take_agent_state(HashMap::new(), Some(tb.vm.share_hmac_key()));
     let agent = HostAgent::serve(&tb.network, state).unwrap();
     remote_attest_host(&tb.vm, &mut remote_ias, &tb.network, "host-0").unwrap();
     let api_ias: Arc<Mutex<dyn QuoteVerifier + Send>> =
         Arc::new(Mutex::new(AttestationService::new(b"placeholder")));
-    let _api_handle =
-        serve_vm_api(&tb.network, "vm:8443", tb.vm_service(), api_ias, "controller").unwrap();
+    let _api_handle = serve_vm_api(
+        &tb.network,
+        "vm:8443",
+        tb.vm_service(),
+        api_ias,
+        "controller",
+    )
+    .unwrap();
     DrillWorld {
         tb,
         agent,
@@ -229,7 +233,12 @@ fn enroll(world: &mut DrillWorld) -> Result<(), CoreError> {
 /// Drive the outage timeline and return
 /// `(time_to_fire, exemplar_span_count, time_to_resolve)`.
 fn burn_drill(world: &mut DrillWorld) -> (u64, i64, u64) {
-    let health = world.tb.vm.health().expect("health monitor attached").clone();
+    let health = world
+        .tb
+        .vm
+        .health()
+        .expect("health monitor attached")
+        .clone();
     let clock = world.tb.clock.clone();
 
     // Healthy baseline: good traced enrollments, a couple of simulated
@@ -371,7 +380,10 @@ fn fleet_partition_drill(world: &mut DrillWorld) -> i64 {
         .get("stale_nodes")
         .and_then(Json::as_i64)
         .unwrap_or(-1);
-    assert_eq!(stale, 1, "partitioned standby must be stale: {partitioned:?}");
+    assert_eq!(
+        stale, 1,
+        "partitioned standby must be stale: {partitioned:?}"
+    );
     assert!(
         node_reachable(&partitioned, "vm-primary"),
         "primary must stay reachable through the partition"

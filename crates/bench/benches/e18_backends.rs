@@ -19,9 +19,7 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use vnfguard_attest::snp::{
-    launch_measurement, AmdRoot, SnpFault, SnpPlatform, SnpVerifier,
-};
+use vnfguard_attest::snp::{launch_measurement, AmdRoot, SnpFault, SnpPlatform, SnpVerifier};
 use vnfguard_attest::{AppraisalPolicy, AttestationBackend};
 use vnfguard_bench::median;
 use vnfguard_controller::SimClock;
@@ -151,11 +149,19 @@ fn measure(attempt: usize) -> (f64, f64, f64, f64) {
     for pair in 0..BATCHES {
         // Alternate which side goes first so ordering bias cancels too.
         if pair % 2 == 0 {
-            snp_us.push(per_iter(timed_batch(&mut snp_verifier, &snp_evidence, b"n")));
+            snp_us.push(per_iter(timed_batch(
+                &mut snp_verifier,
+                &snp_evidence,
+                b"n",
+            )));
             sgx_us.push(per_iter(timed_batch(&mut remote, &quote, b"n")));
         } else {
             sgx_us.push(per_iter(timed_batch(&mut remote, &quote, b"n")));
-            snp_us.push(per_iter(timed_batch(&mut snp_verifier, &snp_evidence, b"n")));
+            snp_us.push(per_iter(timed_batch(
+                &mut snp_verifier,
+                &snp_evidence,
+                b"n",
+            )));
         }
         sgx_local_us.push(per_iter(timed_batch(&mut local, &quote, b"n")));
     }
@@ -181,14 +187,8 @@ fn refusal_matrix() -> (u64, u64) {
         let mut sgx_backend = sgx.ias;
         let root = AmdRoot::new(&seed_bytes);
         let chip_seed = [&seed_bytes[..], b".chip"].concat();
-        let provision = || {
-            SnpPlatform::provision(
-                &root,
-                &chip_seed,
-                launch_measurement(b"e18 cvm image"),
-                7,
-            )
-        };
+        let provision =
+            || SnpPlatform::provision(&root, &chip_seed, launch_measurement(b"e18 cvm image"), 7);
         let mut snp_verifier = SnpVerifier::new(root.ark_public(), SimClock::at(1_700_000_000));
         let good = provision().attest_self([0u8; 64]);
 
@@ -263,7 +263,10 @@ fn main() {
             return;
         }
         last = (snp, sgx, ratio);
-        println!("e18_backends: attempt {} over the bar, retrying", attempt + 1);
+        println!(
+            "e18_backends: attempt {} over the bar, retrying",
+            attempt + 1
+        );
     }
     eprintln!(
         "e18_backends: FAIL — SNP {:.1} µs vs SGX/IAS {:.1} µs ({:.2} x > {:.2} x)",

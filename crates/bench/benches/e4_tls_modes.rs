@@ -34,7 +34,9 @@ fn bench_e4(c: &mut Criterion) {
     group.bench_function("https", |b| {
         let testbed = testbed_with_mode(b"e4 https", SecurityMode::Https);
         let mut trust = TrustStore::new();
-        trust.add_anchor(testbed.vm.ca_certificate().clone()).unwrap();
+        trust
+            .add_anchor(testbed.vm.ca_certificate().clone())
+            .unwrap();
         let mut client = NorthboundClient::connect_tls(
             &testbed.network,
             &testbed.controller_addr,
@@ -52,13 +54,14 @@ fn bench_e4(c: &mut Criterion) {
     group.bench_function("trusted_https_native", |b| {
         let testbed = attested_testbed(b"e4 mtls native");
         let client_key = vnfguard_crypto::ed25519::SigningKey::from_seed(&[10; 32]);
-        let client_cert = testbed.vm.issue_client_certificate(
-            "native-client",
-            client_key.public_key(),
-        );
+        let client_cert = testbed
+            .vm
+            .issue_client_certificate("native-client", client_key.public_key());
         let signer = Arc::new(vnfguard_tls::LocalSigner::new(client_key, client_cert));
         let mut trust = TrustStore::new();
-        trust.add_anchor(testbed.vm.ca_certificate().clone()).unwrap();
+        trust
+            .add_anchor(testbed.vm.ca_certificate().clone())
+            .unwrap();
         let mut client = NorthboundClient::connect_tls(
             &testbed.network,
             &testbed.controller_addr,
@@ -99,7 +102,9 @@ fn bench_e4(c: &mut Criterion) {
     group.bench_function("https_handshake", |b| {
         let testbed = testbed_with_mode(b"e4 hs https", SecurityMode::Https);
         let mut trust = TrustStore::new();
-        trust.add_anchor(testbed.vm.ca_certificate().clone()).unwrap();
+        trust
+            .add_anchor(testbed.vm.ca_certificate().clone())
+            .unwrap();
         let trust = Arc::new(trust);
         b.iter(|| {
             black_box(

@@ -78,7 +78,11 @@ fn bench_e6(c: &mut Criterion) {
     println!("\ne6 list sizes:");
     for entries in [10usize, 100, 1000, 5000] {
         let (list, _) = list_with(entries);
-        println!("  {} entries → {} bytes encoded", entries, list.encode().len());
+        println!(
+            "  {} entries → {} bytes encoded",
+            entries,
+            list.encode().len()
+        );
     }
 }
 

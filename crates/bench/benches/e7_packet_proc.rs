@@ -38,7 +38,11 @@ fn firewall() -> Firewall {
 }
 
 fn sgx1_platform(seed: &[u8]) -> SgxPlatform {
-    SgxPlatform::with_config(seed, PlatformConfig::default(), TransitionModel::sgx1_like())
+    SgxPlatform::with_config(
+        seed,
+        PlatformConfig::default(),
+        TransitionModel::sgx1_like(),
+    )
 }
 
 fn bench_e7(c: &mut Criterion) {

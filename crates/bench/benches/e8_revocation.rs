@@ -40,13 +40,9 @@ fn bench_e8(c: &mut Criterion) {
         let ca = ca_with_revocations(revoked);
 
         // Producing a signed CRL (the VM's periodic cost).
-        group.bench_with_input(
-            BenchmarkId::new("build_crl", revoked),
-            &revoked,
-            |b, _| {
-                b.iter(|| black_box(ca.current_crl(10, 300)));
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("build_crl", revoked), &revoked, |b, _| {
+            b.iter(|| black_box(ca.current_crl(10, 300)));
+        });
 
         // Installing the CRL at a relying party (signature + replace).
         group.bench_with_input(
@@ -79,9 +75,7 @@ fn bench_e8(c: &mut Criterion) {
                 let mut store = TrustStore::new();
                 store.add_anchor(ca.certificate().clone()).unwrap();
                 store.install_crl(ca.current_crl(10, 300)).unwrap();
-                b.iter(|| {
-                    black_box(store.validate(&good, 100, KeyUsage::CLIENT_AUTH).is_ok())
-                });
+                b.iter(|| black_box(store.validate(&good, 100, KeyUsage::CLIENT_AUTH).is_ok()));
             },
         );
     }

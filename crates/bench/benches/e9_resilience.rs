@@ -75,7 +75,11 @@ fn bench_e9(c: &mut Criterion) {
     group.bench_function("connect_with_fault_plan", |b| {
         let network = Network::new();
         let plan = FaultPlan::seeded(1);
-        plan.add_latency("svc:1", std::time::Duration::ZERO, std::time::Duration::ZERO);
+        plan.add_latency(
+            "svc:1",
+            std::time::Duration::ZERO,
+            std::time::Duration::ZERO,
+        );
         network.install_faults(&plan);
         let listener = network.listen("svc:1").unwrap();
         b.iter(|| {

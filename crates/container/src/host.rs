@@ -100,10 +100,7 @@ impl ContainerHost {
         self.next_container += 1;
         for (i, layer) in image.layers.iter().enumerate() {
             let path = format!("/var/lib/docker/overlay2/{id}/layer-{i}");
-            if self
-                .policy
-                .should_measure(&MeasureEvent::exec(&path))
-            {
+            if self.policy.should_measure(&MeasureEvent::exec(&path)) {
                 self.ima.measure_file(&path, &layer.content);
             }
         }
@@ -214,7 +211,10 @@ mod tests {
         let image = vnf_image();
         let container = host.run(&image).unwrap();
         assert_eq!(container.state, ContainerState::Running);
-        assert_eq!(container.enclave_image.as_deref(), Some(&b"cred enclave"[..]));
+        assert_eq!(
+            container.enclave_image.as_deref(),
+            Some(&b"cred enclave"[..])
+        );
         // 1 layer + 1 entrypoint measured.
         assert_eq!(host.measurement_list().len(), before + 2);
         assert_eq!(host.running_count(), 1);

@@ -58,7 +58,10 @@ pub fn build_router(
                 .map(|sw| {
                     Json::object()
                         .with("switchDPID", format!("{:016x}", sw.dpid))
-                        .with("ports", sw.ports.iter().map(|&p| p as i64).collect::<Json>())
+                        .with(
+                            "ports",
+                            sw.ports.iter().map(|&p| p as i64).collect::<Json>(),
+                        )
                 })
                 .collect();
             Response::json(Status::Ok, &switches)
@@ -169,10 +172,7 @@ pub fn build_router(
                         "push_flow",
                         &spec.name,
                     );
-                    Response::json(
-                        Status::Ok,
-                        &Json::object().with("status", "Entry pushed"),
-                    )
+                    Response::json(Status::Ok, &Json::object().with("status", "Entry pushed"))
                 }
                 Err(msg) => Response::error(Status::NotFound, &msg),
             }
@@ -305,7 +305,12 @@ mod tests {
         );
         assert_eq!(response.status, Status::Ok);
         let response = router.dispatch(&Request::get("/wm/staticflowpusher/list/0a/json"));
-        assert!(response.parse_json().unwrap().as_array().unwrap().is_empty());
+        assert!(response
+            .parse_json()
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -326,9 +331,8 @@ mod tests {
         let mut request = Request::post("/wm/staticflowpusher/json");
         request.body = b"{broken".to_vec();
         assert_eq!(router.dispatch(&request).status, Status::BadRequest);
-        let response = router.dispatch(
-            &Request::post("/wm/staticflowpusher/json").with_json(&Json::object()),
-        );
+        let response =
+            router.dispatch(&Request::post("/wm/staticflowpusher/json").with_json(&Json::object()));
         assert_eq!(response.status, Status::BadRequest);
         let response = router
             .dispatch(&Request::delete("/wm/staticflowpusher/json").with_json(&Json::object()));

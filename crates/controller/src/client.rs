@@ -33,7 +33,10 @@ pub struct NorthboundClient {
 
 impl NorthboundClient {
     /// Connect without any transport security (controller HTTP mode).
-    pub fn connect_plain(network: &Network, address: &str) -> Result<NorthboundClient, ControllerError> {
+    pub fn connect_plain(
+        network: &Network,
+        address: &str,
+    ) -> Result<NorthboundClient, ControllerError> {
         let stream = network.connect(address)?;
         Ok(NorthboundClient {
             transport: Transport::Plain(stream),
@@ -129,15 +132,14 @@ impl NorthboundClient {
         let body = Json::object()
             .with("dpid", format!("{dpid:016x}"))
             .with("ports", ports.iter().map(|&p| p as i64).collect::<Json>());
-        let response =
-            self.request(&Request::post("/wm/core/switch/register").with_json(&body))?;
+        let response = self.request(&Request::post("/wm/core/switch/register").with_json(&body))?;
         Self::expect_success(response).map(|_| ())
     }
 
     /// Push a static flow.
     pub fn push_flow(&mut self, spec: &FlowSpec) -> Result<(), ControllerError> {
-        let response = self
-            .request(&Request::post("/wm/staticflowpusher/json").with_json(&spec.to_json()))?;
+        let response =
+            self.request(&Request::post("/wm/staticflowpusher/json").with_json(&spec.to_json()))?;
         Self::expect_success(response).map(|_| ())
     }
 
@@ -159,10 +161,12 @@ impl NorthboundClient {
         let mut flows = Vec::new();
         if let Some(items) = doc.as_array() {
             for item in items {
-                flows.push(FlowSpec::from_json(item).map_err(|msg| ControllerError::Api {
-                    status: 200,
-                    message: msg,
-                })?);
+                flows.push(
+                    FlowSpec::from_json(item).map_err(|msg| ControllerError::Api {
+                        status: 200,
+                        message: msg,
+                    })?,
+                );
             }
         }
         Ok(flows)
@@ -234,7 +238,9 @@ mod tests {
         let mut trust = TrustStore::new();
         trust.add_anchor(ca.certificate().clone()).unwrap();
         let mut validator_store = TrustStore::new();
-        validator_store.add_anchor(ca.certificate().clone()).unwrap();
+        validator_store
+            .add_anchor(ca.certificate().clone())
+            .unwrap();
 
         let network = Network::new();
         let config = match mode {

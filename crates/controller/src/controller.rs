@@ -91,9 +91,16 @@ pub struct Controller {
 
 impl Controller {
     /// Start serving the REST API on `network`.
-    pub fn start(network: &Network, config: ControllerConfig) -> Result<Controller, ControllerError> {
+    pub fn start(
+        network: &Network,
+        config: ControllerConfig,
+    ) -> Result<Controller, ControllerError> {
         let state = Arc::new(RwLock::new(ControllerState::new()));
-        let router = build_router(state.clone(), config.clock.clone(), config.telemetry.as_ref());
+        let router = build_router(
+            state.clone(),
+            config.clock.clone(),
+            config.telemetry.as_ref(),
+        );
         let listener = network.listen(&config.address)?;
 
         let handle = match config.mode {

@@ -18,7 +18,12 @@ pub struct FlowSpec {
 impl FlowSpec {
     /// Convert to a dataplane flow entry (for installation on a switch).
     pub fn to_entry(&self) -> FlowEntry {
-        FlowEntry::new(&self.name, self.priority, self.matcher.clone(), self.actions.clone())
+        FlowEntry::new(
+            &self.name,
+            self.priority,
+            self.matcher.clone(),
+            self.actions.clone(),
+        )
     }
 
     /// Encode as the static-flow-pusher JSON body.

@@ -35,7 +35,10 @@ pub enum ControllerError {
     Net(vnfguard_net::NetError),
     Tls(vnfguard_tls::TlsError),
     /// The API returned a non-success status.
-    Api { status: u16, message: String },
+    Api {
+        status: u16,
+        message: String,
+    },
     /// Required configuration is missing for the selected security mode.
     Misconfigured(String),
 }

@@ -20,16 +20,18 @@ fn arb_match() -> impl Strategy<Value = FlowMatch> {
         proptest::option::of(any::<u16>()),
         proptest::option::of(any::<u16>()),
     )
-        .prop_map(|(in_port, ip_src, ip_dst, protocol, tp_src, tp_dst)| FlowMatch {
-            in_port,
-            eth_src: None,
-            eth_dst: None,
-            ip_src,
-            ip_dst,
-            protocol,
-            tp_src,
-            tp_dst,
-        })
+        .prop_map(
+            |(in_port, ip_src, ip_dst, protocol, tp_src, tp_dst)| FlowMatch {
+                in_port,
+                eth_src: None,
+                eth_dst: None,
+                ip_src,
+                ip_dst,
+                protocol,
+                tp_src,
+                tp_dst,
+            },
+        )
 }
 
 fn arb_action() -> impl Strategy<Value = FlowAction> {

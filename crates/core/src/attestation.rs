@@ -282,7 +282,10 @@ mod tests {
         // Attesting without a loaded IML also fails.
         let qe = platform.quoting_enclave();
         assert!(enclave
-            .ecall(op::ATTEST, &encode_integrity_attest(&qe.target_info(), &[0; 32]))
+            .ecall(
+                op::ATTEST,
+                &encode_integrity_attest(&qe.target_info(), &[0; 32])
+            )
             .is_err());
     }
 

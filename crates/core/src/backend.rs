@@ -120,8 +120,7 @@ mod tests {
     #[test]
     fn snp_evidence_without_verifier_fails_closed() {
         let root = AmdRoot::new(b"multi amd");
-        let platform =
-            SnpPlatform::provision(&root, b"chip-m", launch_measurement(b"cvm"), 3);
+        let platform = SnpPlatform::provision(&root, b"chip-m", launch_measurement(b"cvm"), 3);
         let mut multi = MultiBackend::new(ias_handle(), None);
         let err = multi
             .appraise(&platform.attest_self([0; 64]), b"n")
@@ -133,11 +132,12 @@ mod tests {
     #[test]
     fn snp_evidence_routes_to_snp_verifier() {
         let root = AmdRoot::new(b"multi amd 2");
-        let platform =
-            SnpPlatform::provision(&root, b"chip-m2", launch_measurement(b"cvm"), 3);
+        let platform = SnpPlatform::provision(&root, b"chip-m2", launch_measurement(b"cvm"), 3);
         let verifier = SnpVerifier::new(root.ark_public(), SimClock::at(1_700_000_000));
         let mut multi = MultiBackend::new(ias_handle(), Some(verifier));
-        let appraisal = multi.appraise(&platform.attest_self([5; 64]), b"n").unwrap();
+        let appraisal = multi
+            .appraise(&platform.attest_self([5; 64]), b"n")
+            .unwrap();
         assert_eq!(appraisal.backend, BackendKind::SevSnp);
         assert_eq!(multi.kind(), BackendKind::SevSnp);
     }

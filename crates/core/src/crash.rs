@@ -93,7 +93,12 @@ impl CrashPlan {
     pub fn crash_once(&self, site: &str) -> &CrashPlan {
         let mut inner = self.inner.lock();
         let next = inner.hits.get(site).copied().unwrap_or(0) + 1;
-        inner.rules.entry(site.to_string()).or_default().at_hits.insert(next);
+        inner
+            .rules
+            .entry(site.to_string())
+            .or_default()
+            .at_hits
+            .insert(next);
         drop(inner);
         self
     }
@@ -208,7 +213,9 @@ mod tests {
         let run = |seed: u64| {
             let plan = CrashPlan::seeded(seed);
             plan.crash_with_probability("enrollment.commit", 0.5);
-            (0..32).map(|_| plan.fires("enrollment.commit")).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| plan.fires("enrollment.commit"))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds diverge");

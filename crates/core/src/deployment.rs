@@ -33,14 +33,14 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use vnfguard_container::host::ContainerHost;
-use vnfguard_container::image::Image;
-use vnfguard_container::registry::Registry;
-use vnfguard_controller::{Controller, ControllerConfig, SecurityMode, SimClock};
 use vnfguard_attest::snp::{
     launch_measurement, normalize_measurement, AmdRoot, SnpPlatform, SnpVerifier,
 };
 use vnfguard_attest::{AttestationBackend, BackendKind};
+use vnfguard_container::host::ContainerHost;
+use vnfguard_container::image::Image;
+use vnfguard_container::registry::Registry;
+use vnfguard_controller::{Controller, ControllerConfig, SecurityMode, SimClock};
 use vnfguard_crypto::ed25519::SigningKey;
 // backend-opt-out: the testbed assembles concrete TEE stacks — the IAS
 // simulation is the SGX hosts' verification collateral, exactly as the
@@ -56,13 +56,13 @@ use vnfguard_pki::{KeyStore, RevocationPolicy, TrustStore};
 // backend-opt-out: the testbed *builds* the SGX hosts, shard platforms
 // and state-vault enclaves — agent-side platform plumbing, not relying-
 // party appraisal (which goes through vnfguard-attest backends).
+use vnfguard_net::server::ServerHandle;
 use vnfguard_sgx::enclave::Enclave;
 use vnfguard_sgx::measurement::Measurement;
 use vnfguard_sgx::platform::{PlatformConfig, SgxPlatform};
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_sgx::transition::TransitionModel;
 use vnfguard_store::{Media, StateStore, StateVault};
-use vnfguard_net::server::ServerHandle;
 use vnfguard_telemetry::{HealthMonitor, Telemetry};
 use vnfguard_tls::signer::LocalSigner;
 use vnfguard_tls::validate::ClientValidator;
@@ -409,9 +409,8 @@ impl TestbedBuilder {
         }
         if let Some(rate) = self.tracing {
             use vnfguard_crypto::drbg::SecureRandom;
-            let mut drbg = vnfguard_crypto::drbg::HmacDrbg::new(
-                &[&self.seed[..], b"trace ids"].concat(),
-            );
+            let mut drbg =
+                vnfguard_crypto::drbg::HmacDrbg::new(&[&self.seed[..], b"trace ids"].concat());
             telemetry.seed_trace_ids(u64::from_be_bytes(drbg.gen_array::<8>()));
             telemetry.set_trace_sampling(rate);
         }
@@ -537,8 +536,8 @@ impl TestbedBuilder {
                     let vault = StateVault::load(&platform, &enclave_author)
                         .expect("state vault loads on the standby platform");
                     let media = Media::new();
-                    let standby_store = StateStore::new(media.clone(), vault)
-                        .with_compaction(self.wal_compaction);
+                    let standby_store =
+                        StateStore::new(media.clone(), vault).with_compaction(self.wal_compaction);
                     let addr = if s == 0 {
                         format!("vm-standby-{i}:7600")
                     } else {
@@ -644,11 +643,7 @@ impl TestbedBuilder {
         let snp_host_measurement = launch_measurement(SNP_HOST_IMAGE);
         if any_snp {
             let measurement = Measurement(normalize_measurement(&snp_host_measurement));
-            vm.trust_integrity_enclave_for(
-                BackendKind::SevSnp,
-                measurement,
-                "snp-host-cvm-v1",
-            );
+            vm.trust_integrity_enclave_for(BackendKind::SevSnp, measurement, "snp-host-cvm-v1");
             trust_log.push(TrustAction::TrustIntegrity(
                 BackendKind::SevSnp,
                 measurement,
@@ -693,8 +688,7 @@ impl TestbedBuilder {
         if self.tracing.is_some() {
             controller_config = controller_config.with_telemetry(&telemetry);
         }
-        let controller =
-            Controller::start(&network, controller_config).expect("controller start");
+        let controller = Controller::start(&network, controller_config).expect("controller start");
 
         let mut hosts = Vec::with_capacity(self.host_count);
         for (i, &backend) in backend_kinds.iter().enumerate() {
@@ -709,10 +703,7 @@ impl TestbedBuilder {
             // produced an SGX quote would be refused by IAS — cross-backend
             // confusion fails closed at the membership layer too.
             if backend == BackendKind::SgxEpid {
-                ias.register_member(
-                    platform.epid_group_id(),
-                    platform.attestation_public_key(),
-                );
+                ias.register_member(platform.epid_group_id(), platform.attestation_public_key());
             }
             let snp = (backend == BackendKind::SevSnp).then(|| {
                 SnpPlatform::provision(
@@ -918,8 +909,7 @@ impl Testbed {
             )?,
             BackendKind::SevSnp => {
                 let snp = host.snp.as_ref().expect("SNP host has an SNP platform");
-                let report_data =
-                    crate::attestation::host_report_data(&iml, &challenge.nonce);
+                let report_data = crate::attestation::host_report_data(&iml, &challenge.nonce);
                 crate::attestation::HostEvidence {
                     quote: snp.attest_self(report_data),
                     iml,
@@ -1036,11 +1026,7 @@ impl Testbed {
 
     /// Steps 3–5: attest the VNF enclave and provision credentials into it.
     /// Returns the issued certificate.
-    pub fn enroll(
-        &mut self,
-        host_idx: usize,
-        guard: &VnfGuard,
-    ) -> Result<Certificate, CoreError> {
+    pub fn enroll(&mut self, host_idx: usize, guard: &VnfGuard) -> Result<Certificate, CoreError> {
         let host_id = self.hosts[host_idx].id.clone();
         let challenge = self.vm.begin_vnf_attestation(&host_id, &guard.name)?;
         let provisioning_key = guard.provisioning_key()?;
@@ -1239,8 +1225,7 @@ impl Testbed {
                 Ok((notifier, report))
             })?;
             if s == 0 {
-                self.notifier =
-                    notifier.expect("authority shard recovery rebuilds the notifier");
+                self.notifier = notifier.expect("authority shard recovery rebuilds the notifier");
                 authority_report = Some(report);
             }
         }
@@ -1264,8 +1249,14 @@ impl Testbed {
     fn recover_shard_incarnation(
         &self,
         shard: usize,
-    ) -> Result<(VerificationManager, Option<RevocationNotifier>, RecoveryReport), CoreError>
-    {
+    ) -> Result<
+        (
+            VerificationManager,
+            Option<RevocationNotifier>,
+            RecoveryReport,
+        ),
+        CoreError,
+    > {
         let store = self.shard_store(shard, Incarnation::Live)?;
         let mut notifier = (shard == 0).then(|| {
             RevocationNotifier::new(&self.network)
@@ -1514,11 +1505,7 @@ impl Testbed {
             standby.set_epoch(new_epoch);
         }
         let store = node.store();
-        let survivors: Vec<String> = self
-            .standbys
-            .iter()
-            .map(|s| s.addr().to_string())
-            .collect();
+        let survivors: Vec<String> = self.standbys.iter().map(|s| s.addr().to_string()).collect();
         let set = ReplicaSet::new(
             &self.network,
             &survivors,

@@ -344,8 +344,7 @@ impl FleetMonitor {
             }
         }
         for slo in slos.values_mut() {
-            if let Some(milli) = (slo.fast_good * 1000).checked_div(slo.fast_good + slo.fast_bad)
-            {
+            if let Some(milli) = (slo.fast_good * 1000).checked_div(slo.fast_good + slo.fast_bad) {
                 slo.availability_milli = milli as i64;
             }
         }
@@ -474,9 +473,7 @@ fn alert_from_json(node: &str, entry: &Json) -> FleetAlert {
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string(),
-        state: AlertState::from_code(
-            entry.get("state_code").and_then(Json::as_i64).unwrap_or(2),
-        ),
+        state: AlertState::from_code(entry.get("state_code").and_then(Json::as_i64).unwrap_or(2)),
         fast_burn_milli: entry
             .get("fast_burn_milli")
             .and_then(Json::as_i64)
@@ -696,9 +693,10 @@ pub fn serve_standby_health(
             .with("snapshots_installed", status.snapshots_installed as i64)
             .with("fenced_rejections", status.fenced_rejections as i64);
         if let Some(at) = status.last_heartbeat_at {
-            body = body
-                .with("last_heartbeat_at", at as i64)
-                .with("heartbeat_age_seconds", clock.now().saturating_sub(at) as i64);
+            body = body.with("last_heartbeat_at", at as i64).with(
+                "heartbeat_age_seconds",
+                clock.now().saturating_sub(at) as i64,
+            );
         }
         Ok(Response::json(Status::Ok, &body))
     });

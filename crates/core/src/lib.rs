@@ -50,19 +50,17 @@ mod state;
 pub use attestation::{HostEvidence, IntegrityAttestationEnclave};
 pub use backend::MultiBackend;
 pub use crash::{CrashEvent, CrashPlan};
+pub use deployment::{Testbed, TestbedBuilder, TestbedHost};
+pub use fleet::{serve_fleet_api, serve_standby_health, FleetMonitor, FleetStatus, NodeKind};
 pub use lifecycle::{
     verify_handover, CaRotation, LifecycleMonitor, LifecycleStatus, LifecycleTick, RenewalDue,
 };
-pub use overload::{current_deadline, AdmissionConfig, AdmissionController, Deadline, Workclass};
-pub use fleet::{
-    serve_fleet_api, serve_standby_health, FleetMonitor, FleetStatus, NodeKind,
-};
-pub use remote::{HostAgent, RemoteIas};
-pub use deployment::{Testbed, TestbedBuilder, TestbedHost};
 pub use manager::{ManagerConfig, ManagerConfigBuilder, RecoveryReport, VerificationManager};
+pub use overload::{current_deadline, AdmissionConfig, AdmissionController, Deadline, Workclass};
+pub use remote::{HostAgent, RemoteIas};
 pub use resilience::{BreakerState, CircuitBreaker, RetryBudget, RetryPolicy};
-pub use service::VmService;
 pub use revocation::{DeliveredNotice, RevocationNotifier};
+pub use service::VmService;
 
 /// Errors from the Verification Manager and workflow orchestration.
 #[derive(Debug)]
@@ -131,7 +129,10 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             CoreError::VmCrashed(site) => {
-                write!(f, "verification manager crashed at {site}; recovery required")
+                write!(
+                    f,
+                    "verification manager crashed at {site}; recovery required"
+                )
             }
             CoreError::Store(msg) => write!(f, "state store: {msg}"),
             CoreError::DeadlineExceeded(msg) => write!(f, "deadline exceeded: {msg}"),

@@ -27,9 +27,9 @@
 //! client request.
 
 use crate::CoreError;
-use vnfguard_controller::clock::SimClock;
 use parking_lot::RwLock;
 use std::sync::Arc;
+use vnfguard_controller::clock::SimClock;
 use vnfguard_encoding::{base64, Json};
 use vnfguard_net::fabric::Network;
 use vnfguard_net::http::Request;
@@ -299,8 +299,7 @@ impl LifecycleMonitor {
         match doc.get("chain").and_then(Json::as_array) {
             Some(entries) => {
                 for entry in entries {
-                    let entry_epoch =
-                        entry.get("epoch").and_then(Json::as_i64).unwrap_or(0) as u64;
+                    let entry_epoch = entry.get("epoch").and_then(Json::as_i64).unwrap_or(0) as u64;
                     if entry_epoch <= self.known_epoch {
                         continue;
                     }

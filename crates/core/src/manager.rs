@@ -24,22 +24,21 @@ use crate::state::JournaledState;
 use crate::CoreError;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-use vnfguard_store::{
-    EnrollmentEntry, Lsn, ManagerState, Pending, PendingEntry, StateStore, StoreStats, WalRecord,
+use vnfguard_attest::{
+    AppraisalPolicy as BackendPolicy, AttestationBackend, BackendKind, Measurement, PolicyRegistry,
 };
 use vnfguard_controller::clock::SimClock;
 use vnfguard_crypto::drbg::{HmacDrbg, SecureRandom};
 use vnfguard_crypto::ed25519::SigningKey;
 use vnfguard_crypto::sha2::sha256;
-use vnfguard_attest::{
-    AppraisalPolicy as BackendPolicy, AttestationBackend, BackendKind, Measurement,
-    PolicyRegistry,
-};
 use vnfguard_ima::appraisal::{AppraisalPolicy, ReferenceDatabase, Verdict};
 use vnfguard_ima::list::IMA_PCR;
 use vnfguard_pki::ca::{CertificateAuthority, Issuance, IssueProfile};
 use vnfguard_pki::cert::{Certificate, DistinguishedName, Validity};
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
+use vnfguard_store::{
+    EnrollmentEntry, Lsn, ManagerState, Pending, PendingEntry, StateStore, StoreStats, WalRecord,
+};
 use vnfguard_telemetry::{current_trace, Counter, Gauge, Histogram, SpanGuard, Telemetry};
 use vnfguard_vnf::credential_enclave::{provisioning_report_data, ProvisionBundle};
 use vnfguard_vnf::{wrap_credentials, WrapRandomness};
@@ -444,9 +443,8 @@ impl ManagerMetrics {
             ),
             None => vnfguard_telemetry::labeled(family, "backend", backend.label()),
         };
-        let per_backend = |family: &str| {
-            BackendKind::ALL.map(|b| telemetry.counter(&backend_series(family, b)))
-        };
+        let per_backend =
+            |family: &str| BackendKind::ALL.map(|b| telemetry.counter(&backend_series(family, b)));
         ManagerMetrics {
             challenges: telemetry.counter(&series("vnfguard_core_challenges_total")),
             host_attestations: telemetry.counter(&series("vnfguard_core_host_attestations_total")),
@@ -819,7 +817,8 @@ impl VerificationManager {
         if index == 0 {
             return;
         }
-        self.ca.restore_issuance(u64::from(index) * SHARD_SERIAL_SPAN, 0);
+        self.ca
+            .restore_issuance(u64::from(index) * SHARD_SERIAL_SPAN, 0);
         self.next_challenge = self
             .next_challenge
             .max(u64::from(index) * SHARD_CHALLENGE_SPAN + 1);
@@ -1149,9 +1148,7 @@ impl VerificationManager {
             .remove(&id)
             .ok_or_else(|| CoreError::BadChallenge(format!("unknown challenge {id}")))?;
         if now > challenge.issued_at + self.config.challenge_lifetime_secs {
-            return Err(CoreError::BadChallenge(format!(
-                "challenge {id} expired"
-            )));
+            return Err(CoreError::BadChallenge(format!("challenge {id} expired")));
         }
         Ok(challenge)
     }
@@ -1226,8 +1223,16 @@ impl VerificationManager {
                 return Err(e);
             }
         };
-        if let Err(reason) = self.policies.policy_for(appraisal.backend).check(&appraisal) {
-            self.event(now, "host_attestation_rejected", &format!("{host_id}: {reason}"));
+        if let Err(reason) = self
+            .policies
+            .policy_for(appraisal.backend)
+            .check(&appraisal)
+        {
+            self.event(
+                now,
+                "host_attestation_rejected",
+                &format!("{host_id}: {reason}"),
+            );
             return Err(CoreError::AttestationFailed(reason));
         }
         let measurement = Measurement(appraisal.measurement);
@@ -1235,7 +1240,11 @@ impl VerificationManager {
             .trusted_integrity_enclaves
             .contains_key(&(appraisal.backend, measurement))
         {
-            self.event(now, "host_attestation_rejected", &format!("{host_id}: unknown enclave"));
+            self.event(
+                now,
+                "host_attestation_rejected",
+                &format!("{host_id}: unknown enclave"),
+            );
             return Err(CoreError::AttestationFailed(format!(
                 "integrity measurement {measurement} not whitelisted for backend {}",
                 appraisal.backend
@@ -1276,7 +1285,11 @@ impl VerificationManager {
                 return Err(CoreError::AttestationFailed("wrong PCR index".into()));
             }
             if quote.pcr_value != list.aggregate() {
-                self.event(now, "host_attestation_rejected", &format!("{host_id}: TPM/IML divergence"));
+                self.event(
+                    now,
+                    "host_attestation_rejected",
+                    &format!("{host_id}: TPM/IML divergence"),
+                );
                 return Err(CoreError::AttestationFailed(
                     "measurement list does not match the TPM-anchored aggregate".into(),
                 ));
@@ -1326,10 +1339,7 @@ impl VerificationManager {
     /// degraded answer is audit-logged as a `DegradedVerdict` event so
     /// operators can see exactly which trust decisions lacked fresh
     /// evidence.
-    pub fn degraded_host_verdict(
-        &mut self,
-        host_id: &str,
-    ) -> Result<Verdict, CoreError> {
+    pub fn degraded_host_verdict(&mut self, host_id: &str) -> Result<Verdict, CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
         if !self.config.degraded_verdicts {
@@ -1382,7 +1392,11 @@ impl VerificationManager {
         self.ensure_alive()?;
         let now = self.clock.now();
         if !self.host_is_trusted(host_id, now) {
-            self.event(now, "vnf_attestation_refused", &format!("{vnf_name}: host {host_id} untrusted"));
+            self.event(
+                now,
+                "vnf_attestation_refused",
+                &format!("{vnf_name}: host {host_id} untrusted"),
+            );
             return Err(CoreError::WorkflowViolation(format!(
                 "host {host_id} has no fresh trusted attestation"
             )));
@@ -1496,8 +1510,16 @@ impl VerificationManager {
                 return Err(e);
             }
         };
-        if let Err(reason) = self.policies.policy_for(appraisal.backend).check(&appraisal) {
-            self.event(now, "vnf_attestation_rejected", &format!("{vnf_name}: {reason}"));
+        if let Err(reason) = self
+            .policies
+            .policy_for(appraisal.backend)
+            .check(&appraisal)
+        {
+            self.event(
+                now,
+                "vnf_attestation_rejected",
+                &format!("{vnf_name}: {reason}"),
+            );
             return Err(CoreError::AttestationFailed(reason));
         }
         let measurement = Measurement(appraisal.measurement);
@@ -1560,7 +1582,11 @@ impl VerificationManager {
             },
         ])?;
         self.crash_point("enrollment.prepare")?;
-        self.event(now, "enrollment_prepared", &format!("{vnf_name} serial {serial}"));
+        self.event(
+            now,
+            "enrollment_prepared",
+            &format!("{vnf_name} serial {serial}"),
+        );
         Ok(mint)
     }
 
@@ -1627,11 +1653,7 @@ impl VerificationManager {
     /// partially working network) and the pending record is dropped, so the
     /// manager's state is exactly as if the enrollment never happened —
     /// except for the audit trail and the CRL entry.
-    pub fn abort_vnf_enrollment(
-        &mut self,
-        serial: u64,
-        reason: &str,
-    ) -> Result<(), CoreError> {
+    pub fn abort_vnf_enrollment(&mut self, serial: u64, reason: &str) -> Result<(), CoreError> {
         let now = self.clock.now();
         self.ensure_alive()?;
         let vnf_name = self.pending_enrollment(serial)?.vnf_name.clone();
@@ -1732,9 +1754,8 @@ impl VerificationManager {
         let generation = state.generation + 1;
         // Diverge the DRBG from the dead incarnation: replaying its nonce
         // and key-seed sequence would reuse challenge nonces.
-        vm.rng.reseed(
-            &[b"recovery generation" as &[u8], &generation.to_be_bytes()].concat(),
-        );
+        vm.rng
+            .reseed(&[b"recovery generation" as &[u8], &generation.to_be_bytes()].concat());
         vm.ca.restore_issuance(state.max_serial + 1, state.issued);
         vm.ca.restore_crl_number(state.crl_number);
         // Re-apply committed rotations in epoch order: the per-epoch keys
@@ -1844,12 +1865,8 @@ impl VerificationManager {
             // The crash fired under a distributed trace; stitch the
             // recovery generation onto that same trace so operators see
             // crash and restart as one causal story.
-            vm.telemetry.trace_annotate(
-                &ctx,
-                now,
-                "recovery",
-                &format!("generation {generation}"),
-            );
+            vm.telemetry
+                .trace_annotate(&ctx, now, "recovery", &format!("generation {generation}"));
         }
         vm.last_recovery = Some(report.clone());
         Ok((vm, report))
@@ -1897,7 +1914,11 @@ impl VerificationManager {
         if let Some(record) = self.hosts.get_mut(host_id) {
             record.verdict = Verdict::Mismatch;
         }
-        self.event(now, "host_revoked", &format!("{host_id}: {} credentials", serials.len()));
+        self.event(
+            now,
+            "host_revoked",
+            &format!("{host_id}: {} credentials", serials.len()),
+        );
         serials.len()
     }
 
@@ -2042,8 +2063,7 @@ impl VerificationManager {
         let key = self.epoch_key(epoch);
         self.ca
             .install_rotation(key, self.config.ca_validity, root_serial, cross_serial);
-        self.rotation_drain_deadline =
-            Some(rotated_at + self.config.rotation_drain_secs);
+        self.rotation_drain_deadline = Some(rotated_at + self.config.rotation_drain_secs);
         self.event(
             self.clock.now(),
             "ca_rotation_adopted",
@@ -2531,7 +2551,10 @@ mod tests {
         let built = ManagerConfig::builder().build().unwrap();
         let default = ManagerConfig::default();
         assert_eq!(built.name, default.name);
-        assert_eq!(built.credential_validity_secs, default.credential_validity_secs);
+        assert_eq!(
+            built.credential_validity_secs,
+            default.credential_validity_secs
+        );
         assert_eq!(built.tcb_policy, default.tcb_policy);
         assert!(!built.degraded_verdicts);
     }
@@ -2611,7 +2634,10 @@ mod tests {
             .renewal_window_secs(0)
             .build()
             .is_err());
-        assert!(ManagerConfig::builder().crl_lifetime_secs(0).build().is_err());
+        assert!(ManagerConfig::builder()
+            .crl_lifetime_secs(0)
+            .build()
+            .is_err());
         assert!(ManagerConfig::builder()
             .rotation_drain_secs(0)
             .build()
@@ -2665,7 +2691,9 @@ mod tests {
         // The same journal is visible through the shared telemetry handle.
         assert_eq!(telemetry.journal().len(), 1);
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_core_challenges_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_core_challenges_total"),
             Some(1)
         );
     }

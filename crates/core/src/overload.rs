@@ -541,10 +541,7 @@ mod tests {
         assert!(slow_dequeue().is_ok());
         std::thread::sleep(Duration::from_millis(4));
         // Still above target a full interval later: shed.
-        assert!(matches!(
-            slow_dequeue(),
-            Err(CoreError::Overloaded { .. })
-        ));
+        assert!(matches!(slow_dequeue(), Err(CoreError::Overloaded { .. })));
         // A prompt dequeue resets the interval.
         let quick = controller.admit(Workclass::Renewal).expect("room");
         assert!(controller.dequeued(&quick).is_ok());

@@ -137,7 +137,11 @@ fn replication_json(status: &crate::replication::ReplicationStatus) -> Json {
 }
 
 fn histogram_json(snapshot: &vnfguard_telemetry::HistogramSnapshot) -> Json {
-    let buckets: Json = snapshot.buckets.iter().map(|&b| Json::from(b as i64)).collect();
+    let buckets: Json = snapshot
+        .buckets
+        .iter()
+        .map(|&b| Json::from(b as i64))
+        .collect();
     let exemplars: Json = snapshot
         .exemplars
         .iter()
@@ -244,13 +248,14 @@ fn trace_tree_json(trace_id_hex: &str, spans: &[TraceSpan]) -> Json {
     let mut roots: Vec<&TraceSpan> = Vec::new();
     for span in spans {
         match span.parent_id {
-            Some(parent) if ids.contains(&parent) => {
-                children.entry(parent).or_default().push(span)
-            }
+            Some(parent) if ids.contains(&parent) => children.entry(parent).or_default().push(span),
             _ => roots.push(span),
         }
     }
-    let tree: Json = roots.iter().map(|root| span_node(root, &children)).collect();
+    let tree: Json = roots
+        .iter()
+        .map(|root| span_node(root, &children))
+        .collect();
     Json::object()
         .with("trace_id", trace_id_hex)
         .with("span_count", spans.len() as i64)
@@ -507,11 +512,9 @@ impl QuoteVerifier for RemoteIas {
             // shared retry budget before every backoff.
             let budget = self.retry_budget.as_deref();
             let outcome = self.retry.run_with_budget(&self.clock, budget, |attempt| {
-                let _attempt_span = self.telemetry.span(
-                    "vm",
-                    &format!("ias_attempt_{attempt}"),
-                    self.clock.now(),
-                );
+                let _attempt_span =
+                    self.telemetry
+                        .span("vm", &format!("ias_attempt_{attempt}"), self.clock.now());
                 Self::post_report(&self.network, &self.address, quote_bytes, nonce)
             });
             (span.context().clone(), outcome)
@@ -520,7 +523,11 @@ impl QuoteVerifier for RemoteIas {
         // fault site, attached to the round-trip span.
         for record in &outcome.attempts {
             if let Some(error) = &record.error {
-                let kind = if record.attempt == 0 { "fault" } else { "retry" };
+                let kind = if record.attempt == 0 {
+                    "fault"
+                } else {
+                    "retry"
+                };
                 self.telemetry.trace_annotate(
                     &roundtrip_ctx,
                     record.at,
@@ -623,7 +630,10 @@ impl HostAgent {
         Self::launch(
             network,
             state,
-            Some((telemetry.clone(), Arc::new(now_fn) as Arc<dyn Fn() -> u64 + Send + Sync>)),
+            Some((
+                telemetry.clone(),
+                Arc::new(now_fn) as Arc<dyn Fn() -> u64 + Send + Sync>,
+            )),
         )
     }
 
@@ -651,8 +661,7 @@ impl HostAgent {
                     // hash + nonce report data; IML and TPM quote travel
                     // alongside exactly as in the SGX evidence bundle.
                     Some(snp) => HostEvidence {
-                        quote: snp
-                            .attest_self(crate::attestation::host_report_data(&iml, &nonce)),
+                        quote: snp.attest_self(crate::attestation::host_report_data(&iml, &nonce)),
                         iml,
                         tpm_quote,
                     },
@@ -903,12 +912,11 @@ pub fn remote_enroll_vnf(
         let _span = telemetry.span("vm", "agent_vnf_attest", vm.clock().now());
         client
             .request(
-                &Request::post(&format!("/agent/vnf/{vnf_name}/attest"))
-                    .with_json(
-                        &Json::object()
-                            .with("nonce", base64::encode(&challenge.nonce))
-                            .with("basename", base64::encode(&challenge.nonce)),
-                    ),
+                &Request::post(&format!("/agent/vnf/{vnf_name}/attest")).with_json(
+                    &Json::object()
+                        .with("nonce", base64::encode(&challenge.nonce))
+                        .with("basename", base64::encode(&challenge.nonce)),
+                ),
             )
             .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
     };
@@ -973,9 +981,7 @@ pub fn remote_enroll_vnf(
 /// from overload; other errors fall through to the route's own mapping.
 fn fenced_or(error: CoreError, fallback: impl FnOnce(CoreError) -> ApiError) -> ApiError {
     match &error {
-        CoreError::VmCrashed(_) => {
-            ApiError::unavailable(error.to_string()).with_code("fenced")
-        }
+        CoreError::VmCrashed(_) => ApiError::unavailable(error.to_string()).with_code("fenced"),
         CoreError::ServiceUnavailable(detail) if detail.contains("fenced") => {
             ApiError::unavailable(error.to_string()).with_code("fenced")
         }
@@ -1144,9 +1150,7 @@ pub fn serve_vm_api(
                         CoreError::Overloaded {
                             retry_after_secs, ..
                         } => vm.note_renewal_refused(serial as u64, *retry_after_secs),
-                        CoreError::DeadlineExceeded(_) => {
-                            vm.note_renewal_refused(serial as u64, 1)
-                        }
+                        CoreError::DeadlineExceeded(_) => vm.note_renewal_refused(serial as u64, 1),
                         _ => {}
                     }
                     fenced_or(e, |e| match e {
@@ -1304,7 +1308,10 @@ pub fn serve_vm_api(
     {
         let vm = vm.clone();
         router.get_api("/vm/health", move |_, _| {
-            Ok(Response::json(Status::Ok, &health_json(&vm.health_snapshot())))
+            Ok(Response::json(
+                Status::Ok,
+                &health_json(&vm.health_snapshot()),
+            ))
         });
     }
     {

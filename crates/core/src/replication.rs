@@ -915,7 +915,10 @@ impl ReplicaSet {
         let age = inner
             .links
             .iter()
-            .map(|l| l.last_ack_at.map_or(i64::MAX, |at| now.saturating_sub(at) as i64))
+            .map(|l| {
+                l.last_ack_at
+                    .map_or(i64::MAX, |at| now.saturating_sub(at) as i64)
+            })
             .max()
             .unwrap_or(0);
         if age != i64::MAX {

@@ -419,9 +419,8 @@ mod tests {
         let clock = SimClock::at(0);
         // 2-token burst, one token per 10 seconds.
         let budget = RetryBudget::new(2, 100);
-        let outcome = RetryPolicy::new(6, 0, 0).run_with_budget(&clock, Some(&budget), |_| {
-            Err::<(), _>("down")
-        });
+        let outcome = RetryPolicy::new(6, 0, 0)
+            .run_with_budget(&clock, Some(&budget), |_| Err::<(), _>("down"));
         assert!(outcome.result.is_err());
         // First attempt is free; the two budgeted retries ran, then the
         // empty bucket ended the loop early.
@@ -479,15 +478,10 @@ mod tests {
         breaker.record_success(123);
         assert_eq!(breaker.state(123), BreakerState::Closed);
         assert_eq!(breaker.consecutive_failures(), 0);
-        let states: Vec<BreakerState> =
-            breaker.transitions().iter().map(|(_, s)| *s).collect();
+        let states: Vec<BreakerState> = breaker.transitions().iter().map(|(_, s)| *s).collect();
         assert_eq!(
             states,
-            vec![
-                BreakerState::Open,
-                BreakerState::Open,
-                BreakerState::Closed
-            ]
+            vec![BreakerState::Open, BreakerState::Open, BreakerState::Closed]
         );
     }
 

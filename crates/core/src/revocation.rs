@@ -101,11 +101,13 @@ impl RevocationNotifier {
         stream.set_read_timeout(Some(NOTIFY_READ_TIMEOUT));
         let mut client = vnfguard_net::server::HttpClient::new(stream);
         let response = client
-            .request(&Request::post("/agent/revocations").with_json(
-                &Json::object()
-                    .with("serial", serial as i64)
-                    .with("tag", base64::encode(tag)),
-            ))
+            .request(
+                &Request::post("/agent/revocations").with_json(
+                    &Json::object()
+                        .with("serial", serial as i64)
+                        .with("tag", base64::encode(tag)),
+                ),
+            )
             .map_err(|e| e.to_string())?;
         if response.status.is_success() {
             Ok(())

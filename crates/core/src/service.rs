@@ -459,11 +459,7 @@ impl VmService {
     // ---- Host attestation (authority shard) -------------------------------
 
     /// Register a host TPM AIK ahead of attestation.
-    pub fn register_host_tpm(
-        &self,
-        host_id: &str,
-        aik: vnfguard_crypto::ed25519::VerifyingKey,
-    ) {
+    pub fn register_host_tpm(&self, host_id: &str, aik: vnfguard_crypto::ed25519::VerifyingKey) {
         self.run(0, |vm| vm.register_host_tpm(host_id, aik));
         self.sync_host_records();
     }
@@ -817,7 +813,11 @@ impl VmService {
 
     /// Override one backend's appraisal policy on every shard (policies
     /// default to the TCB policy the managers were configured with).
-    pub fn set_backend_policy(&self, backend: BackendKind, policy: vnfguard_attest::AppraisalPolicy) {
+    pub fn set_backend_policy(
+        &self,
+        backend: BackendKind,
+        policy: vnfguard_attest::AppraisalPolicy,
+    ) {
         self.each_shard(|vm| vm.set_backend_policy(backend, policy));
     }
 
@@ -996,9 +996,9 @@ impl VmService {
                 // exactly as it did before backends existed.
                 for &class in Workclass::ALL.iter() {
                     for backend in BackendKind::ALL {
-                        let snapshot =
-                            health.backend_latency[class.index()][backend.as_u8() as usize]
-                                .snapshot();
+                        let snapshot = health.backend_latency[class.index()]
+                            [backend.as_u8() as usize]
+                            .snapshot();
                         if snapshot.count > 0 {
                             latency.push(WorkclassLatency {
                                 class: format!("{}.{}", class.label(), backend.label()),

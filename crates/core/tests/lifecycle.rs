@@ -82,11 +82,7 @@ fn renewal_refused_when_host_attestation_stale() {
     tb.clock.advance(4000);
     let err = tb.renew(&guard, certificate.serial()).unwrap_err();
     assert!(matches!(err, CoreError::AttestationFailed(_)), "{err}");
-    assert!(tb
-        .vm
-        .events()
-        .iter()
-        .any(|e| e.kind == "renewal_refused"));
+    assert!(tb.vm.events().iter().any(|e| e.kind == "renewal_refused"));
 
     // A fresh host attestation restores the lightweight path.
     tb.attest_host(0).unwrap();
@@ -223,7 +219,10 @@ fn failed_renewal_provision_keeps_auto_renew_armed() {
     let renewed_not_after = renewed.tbs.validity.not_after;
     // First attempt hands back a bundle the enclave cannot unwrap (the
     // fetch succeeded, provisioning fails); the retry is genuine.
-    let mut queue = vec![(wrapped, renewed_not_after), (vec![0u8; 16], renewed_not_after)];
+    let mut queue = vec![
+        (wrapped, renewed_not_after),
+        (vec![0u8; 16], renewed_not_after),
+    ];
     guard.set_auto_renew(
         not_after,
         7200,

@@ -75,7 +75,10 @@ fn mixed_fleet_full_lifecycle() {
     for (i, guard) in guards.iter_mut().enumerate() {
         let session = tb.open_session(guard);
         if i == 0 || i == 2 {
-            assert!(session.is_err(), "revoked host-{i} credential opened a session");
+            assert!(
+                session.is_err(),
+                "revoked host-{i} credential opened a session"
+            );
         } else {
             guard.close_session(session.unwrap()).unwrap();
         }

@@ -64,19 +64,17 @@ fn enrollment_flood_sheds_while_revocation_completes() {
 
     // Revocation still has headroom: the control-plane action the paper's
     // operator actually needs under attack completes despite the flood.
-    tb.vm.revoke_credential(
-        cert.serial(),
-        vnfguard_pki::crl::RevocationReason::KeyCompromise,
-    )
-    .unwrap();
+    tb.vm
+        .revoke_credential(
+            cert.serial(),
+            vnfguard_pki::crl::RevocationReason::KeyCompromise,
+        )
+        .unwrap();
     assert!(tb.vm.credential_is_revoked(cert.serial()));
 
     drop(flood);
     // Slots released: enrollment admission works again.
-    let challenge = tb
-        .vm
-        .begin_vnf_attestation("host-0", "vnf-late")
-        .unwrap();
+    let challenge = tb.vm.begin_vnf_attestation("host-0", "vnf-late").unwrap();
     assert!(challenge.id > 0);
 
     // The shed surfaced in telemetry, attributed to the enrollment class.
@@ -177,12 +175,10 @@ fn vm_api_honors_deadlines_and_advertises_retry_hints() {
         .map(|_| admission.admit(Workclass::Renewal).expect("slot"))
         .collect();
     let renew = Request::post("/vm/renew").with_json(
-        &Json::object()
-            .with("serial", cert.serial() as i64)
-            .with(
-                "provisioning_key",
-                vnfguard_encoding::base64::encode(&provisioning_key),
-            ),
+        &Json::object().with("serial", cert.serial() as i64).with(
+            "provisioning_key",
+            vnfguard_encoding::base64::encode(&provisioning_key),
+        ),
     );
     let response = client.request(&renew).unwrap();
     assert_eq!(response.status.code(), 503);
@@ -237,8 +233,7 @@ fn health_surfaces_ignore_exhausted_deadlines() {
     )));
     let _api = serve_vm_api(&network, "vm:8443", tb.vm_service(), ias, "controller").unwrap();
     let (monitor, _standby_health) = tb.fleet_monitor("operator", "vm:8443").unwrap();
-    let _fleet =
-        serve_fleet_api(&network, "fleet:9443", Arc::new(Mutex::new(monitor))).unwrap();
+    let _fleet = serve_fleet_api(&network, "fleet:9443", Arc::new(Mutex::new(monitor))).unwrap();
 
     // Dead budget straight at the VM's health surface → still a full 200.
     let mut client = HttpClient::new(network.connect("vm:8443").unwrap());
@@ -271,9 +266,7 @@ fn health_surfaces_ignore_exhausted_deadlines() {
 
     // The ASCII cockpit answers under the same dead budget.
     let response = client
-        .request(
-            &Request::get("/fleet/status?format=ascii").with_header(DEADLINE_HEADER, "0"),
-        )
+        .request(&Request::get("/fleet/status?format=ascii").with_header(DEADLINE_HEADER, "0"))
         .unwrap();
     assert!(response.status.is_success());
     let text = String::from_utf8(response.body.clone()).unwrap();
@@ -301,7 +294,10 @@ fn refused_renewals_back_off_until_their_jittered_retry() {
     tb.vm.note_renewal_refused(cert.serial(), 5);
     let until = tb.vm.renewal_backoff_until(cert.serial()).unwrap();
     let now = tb.clock.now();
-    assert!(until > now && until <= now + 10, "first backoff ~5s: {until}");
+    assert!(
+        until > now && until <= now + 10,
+        "first backoff ~5s: {until}"
+    );
     assert!(!tb
         .vm
         .certs_expiring()

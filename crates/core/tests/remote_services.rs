@@ -132,8 +132,14 @@ fn operator_api_drives_the_workflow() {
 
     // Hand the service handle + wrapped IAS to the API server.
     let ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(world.remote_ias));
-    let _api = serve_vm_api(&network, "vm:8443", world.testbed.vm_service(), ias, "controller")
-        .unwrap();
+    let _api = serve_vm_api(
+        &network,
+        "vm:8443",
+        world.testbed.vm_service(),
+        ias,
+        "controller",
+    )
+    .unwrap();
 
     let mut client = HttpClient::new(network.connect("vm:8443").unwrap());
 
@@ -143,7 +149,11 @@ fn operator_api_drives_the_workflow() {
         .unwrap();
     assert!(response.status.is_success(), "{:?}", response.status);
     assert_eq!(
-        response.parse_json().unwrap().get("verdict").and_then(Json::as_str),
+        response
+            .parse_json()
+            .unwrap()
+            .get("verdict")
+            .and_then(Json::as_str),
         Some("Trusted")
     );
 
@@ -154,7 +164,10 @@ fn operator_api_drives_the_workflow() {
     assert!(response.status.is_success());
     let body = response.parse_json().unwrap();
     let serial = body.get("serial").and_then(Json::as_i64).unwrap();
-    assert_eq!(body.get("subject").and_then(Json::as_str), Some("vnf-remote"));
+    assert_eq!(
+        body.get("subject").and_then(Json::as_str),
+        Some("vnf-remote")
+    );
 
     // Status reflects the enrollment.
     let status = client
@@ -165,8 +178,13 @@ fn operator_api_drives_the_workflow() {
     assert_eq!(status.get("enrollments").and_then(Json::as_i64), Some(1));
 
     // Fetch the CA certificate and CRL.
-    let ca_doc = client.request(&Request::get("/vm/ca")).unwrap().parse_json().unwrap();
-    let ca_bytes = base64::decode(ca_doc.get("certificate").and_then(Json::as_str).unwrap()).unwrap();
+    let ca_doc = client
+        .request(&Request::get("/vm/ca"))
+        .unwrap()
+        .parse_json()
+        .unwrap();
+    let ca_bytes =
+        base64::decode(ca_doc.get("certificate").and_then(Json::as_str).unwrap()).unwrap();
     let ca_cert = Certificate::decode(&ca_bytes).unwrap();
     assert!(ca_cert.is_self_signed());
 
@@ -175,7 +193,11 @@ fn operator_api_drives_the_workflow() {
         .request(&Request::post("/vm/revoke").with_json(&Json::object().with("serial", serial)))
         .unwrap();
     assert!(response.status.is_success());
-    let crl_doc = client.request(&Request::get("/vm/crl")).unwrap().parse_json().unwrap();
+    let crl_doc = client
+        .request(&Request::get("/vm/crl"))
+        .unwrap()
+        .parse_json()
+        .unwrap();
     let crl_bytes = base64::decode(crl_doc.get("crl").and_then(Json::as_str).unwrap()).unwrap();
     let crl = vnfguard_pki::Crl::decode(&crl_bytes).unwrap();
     assert!(crl.lookup(serial as u64).is_some());

@@ -311,8 +311,7 @@ fn tpm_extension_defeats_iml_rewrite() {
 
     // The adversary fabricates a clean host state for the next attestation
     // by replacing the container host (fresh, consistent IML)...
-    testbed.hosts[0].container_host =
-        vnfguard_container::host::ContainerHost::standard("host-0");
+    testbed.hosts[0].container_host = vnfguard_container::host::ContainerHost::standard("host-0");
     // ...but cannot rewind the TPM. Attestation fails on the divergence.
     let err = testbed.attest_host(0).unwrap_err();
     assert!(
@@ -330,8 +329,7 @@ fn without_tpm_iml_rewrite_succeeds() {
     testbed.hosts[0]
         .container_host
         .compromise_runtime(b"docker daemon 1.12.2 + rootkit");
-    testbed.hosts[0].container_host =
-        vnfguard_container::host::ContainerHost::standard("host-0");
+    testbed.hosts[0].container_host = vnfguard_container::host::ContainerHost::standard("host-0");
     // The fabricated list passes appraisal — the gap the TPM extension closes.
     assert_eq!(testbed.attest_host(0).unwrap(), Verdict::Trusted);
 }
@@ -340,9 +338,7 @@ fn without_tpm_iml_rewrite_succeeds() {
 fn stale_challenge_rejected() {
     let mut testbed = TestbedBuilder::new(b"challenge expiry").build();
     let host_id = testbed.hosts[0].id.clone();
-    let challenge = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id);
     // Evidence prepared but presented after the challenge lifetime.
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(
@@ -366,9 +362,7 @@ fn quote_replay_with_wrong_nonce_rejected() {
     let mut testbed = TestbedBuilder::new(b"replay").build();
     let host_id = testbed.hosts[0].id.clone();
     // Attacker records evidence for challenge A...
-    let challenge_a = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge_a = testbed.vm.begin_host_attestation(&host_id);
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(
         &testbed.hosts[0].platform,
@@ -379,9 +373,7 @@ fn quote_replay_with_wrong_nonce_rejected() {
     )
     .unwrap();
     // ...and replays it against challenge B.
-    let challenge_b = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge_b = testbed.vm.begin_host_attestation(&host_id);
     let err = testbed
         .vm
         .complete_host_attestation(&mut testbed.ias, challenge_b.id, &evidence)

@@ -294,9 +294,9 @@ mod tests {
     fn rfc8439_poly1305_vector() {
         let key: [u8; 32] = <[u8; 32]>::try_from(
             &[
-                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42,
-                0xd5, 0x06, 0xa8, 0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf,
-                0xf6, 0xaf, 0x41, 0x49, 0xf5, 0x1b,
+                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5,
+                0x06, 0xa8, 0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf,
+                0x41, 0x49, 0xf5, 0x1b,
             ][..],
         )
         .unwrap();
@@ -311,7 +311,9 @@ mod tests {
     #[test]
     fn rfc8439_aead_vector() {
         let key: [u8; 32] = (0x80..0xa0u8).collect::<Vec<_>>().try_into().unwrap();
-        let nonce: [u8; 12] = [0x07, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+        let nonce: [u8; 12] = [
+            0x07, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47,
+        ];
         let aad: Vec<u8> = vec![
             0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
         ];

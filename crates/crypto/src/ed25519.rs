@@ -332,15 +332,14 @@ impl Point {
 
     /// Point equality in the projective sense (x1 z2 == x2 z1 etc.).
     pub fn equals(&self, other: &Point) -> bool {
-        self.x.mul(&other.z) == other.x.mul(&self.z)
-            && self.y.mul(&other.z) == other.y.mul(&self.z)
+        self.x.mul(&other.z) == other.x.mul(&self.z) && self.y.mul(&other.z) == other.y.mul(&self.z)
     }
 }
 
 fn decompress_with_d(bytes: &[u8; 32], d: &Fe) -> Option<Point> {
     let sign = bytes[31] >> 7;
     let y = Fe::from_bytes(bytes); // from_bytes masks bit 255
-    // Reject non-canonical y (>= p) to keep encodings unique.
+                                   // Reject non-canonical y (>= p) to keep encodings unique.
     let mut canonical = y.to_bytes();
     canonical[31] |= sign << 7;
     if &canonical != bytes {
@@ -623,9 +622,15 @@ mod tests {
         }
         // Wrong key.
         let other = SigningKey::from_seed(&[8u8; 32]);
-        assert!(other.public_key().verify(b"authentic message", &sig).is_err());
+        assert!(other
+            .public_key()
+            .verify(b"authentic message", &sig)
+            .is_err());
         // Truncated signature.
-        assert!(key.public_key().verify(b"authentic message", &sig[..63]).is_err());
+        assert!(key
+            .public_key()
+            .verify(b"authentic message", &sig[..63])
+            .is_err());
     }
 
     #[test]

@@ -156,17 +156,13 @@ impl Fe {
         let a = &self.0;
         let b = &other.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
-        let r0 = m(a[0], b[0])
-            + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        let r1 = m(a[0], b[1])
-            + m(a[1], b[0])
-            + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        let r2 = m(a[0], b[2])
-            + m(a[1], b[1])
-            + m(a[2], b[0])
-            + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        let r3 =
-            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
+        let r0 =
+            m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
+        let r1 =
+            m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
+        let r2 =
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
+        let r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
         let r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
         Fe::carry_wide([r0, r1, r2, r3, r4])
     }

@@ -4,7 +4,9 @@
 //! "generates the HMAC key and nonces"), for HKDF, and for the HMAC-DRBG.
 
 use crate::ct::ct_eq;
-use crate::sha2::{sha256, sha512, Sha256, Sha512, SHA256_BLOCK, SHA256_LEN, SHA512_BLOCK, SHA512_LEN};
+use crate::sha2::{
+    sha256, sha512, Sha256, Sha512, SHA256_BLOCK, SHA256_LEN, SHA512_BLOCK, SHA512_LEN,
+};
 
 /// Incremental HMAC-SHA-256.
 #[derive(Clone)]

@@ -145,10 +145,7 @@ impl MpInt {
 
     /// Subtraction; panics if `other > self` (callers guarantee ordering).
     pub fn sub(&self, other: &MpInt) -> MpInt {
-        assert!(
-            self.cmp_to(other) != Ordering::Less,
-            "MpInt::sub underflow"
-        );
+        assert!(self.cmp_to(other) != Ordering::Less, "MpInt::sub underflow");
         let mut limbs = Vec::with_capacity(self.limbs.len());
         let mut borrow = 0i128;
         for i in 0..self.limbs.len() {

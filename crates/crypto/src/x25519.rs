@@ -145,8 +145,7 @@ mod tests {
     // RFC 7748 §6.1 Diffie-Hellman test.
     #[test]
     fn rfc7748_diffie_hellman() {
-        let alice_priv =
-            hex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+        let alice_priv = hex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
         let bob_priv = hex32("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
         let alice_pub = public_key(&alice_priv);
         let bob_pub = public_key(&bob_priv);

@@ -1,7 +1,8 @@
 //! OpenFlow-style flow matching and actions.
 
-use crate::wire::{EthernetFrame, Ipv4Packet, MacAddr, Protocol, TcpSegment, UdpDatagram,
-    ETHERTYPE_IPV4};
+use crate::wire::{
+    EthernetFrame, Ipv4Packet, MacAddr, Protocol, TcpSegment, UdpDatagram, ETHERTYPE_IPV4,
+};
 use std::net::Ipv4Addr;
 
 /// The fields a flow entry can match on, extracted from a packet.
@@ -153,7 +154,12 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    pub fn new(name: &str, priority: u16, matcher: FlowMatch, actions: Vec<FlowAction>) -> FlowEntry {
+    pub fn new(
+        name: &str,
+        priority: u16,
+        matcher: FlowMatch,
+        actions: Vec<FlowAction>,
+    ) -> FlowEntry {
         FlowEntry {
             name: name.to_string(),
             priority,
@@ -306,10 +312,7 @@ pub fn apply_actions(actions: &[FlowAction], frame_bytes: &[u8]) -> Disposition 
 }
 
 /// Re-emit the transport payload under new IP addresses (checksum refresh).
-fn rebuild_transport(
-    packet: &Ipv4Packet,
-    mutate: impl FnOnce(&mut Ipv4Packet),
-) -> Option<Vec<u8>> {
+fn rebuild_transport(packet: &Ipv4Packet, mutate: impl FnOnce(&mut Ipv4Packet)) -> Option<Vec<u8>> {
     let mut updated = packet.clone();
     mutate(&mut updated);
     match packet.protocol {
@@ -439,7 +442,12 @@ mod tests {
     #[test]
     fn replace_by_name() {
         let mut table = FlowTable::new();
-        table.install(FlowEntry::new("f", 1, FlowMatch::any(), vec![FlowAction::Drop]));
+        table.install(FlowEntry::new(
+            "f",
+            1,
+            FlowMatch::any(),
+            vec![FlowAction::Drop],
+        ));
         table.install(FlowEntry::new(
             "f",
             5,
@@ -467,7 +475,10 @@ mod tests {
     #[test]
     fn drop_and_controller() {
         let bytes = frame(1, 2, 80);
-        assert_eq!(apply_actions(&[FlowAction::Drop], &bytes), Disposition::Drop);
+        assert_eq!(
+            apply_actions(&[FlowAction::Drop], &bytes),
+            Disposition::Drop
+        );
         assert_eq!(
             apply_actions(&[FlowAction::Controller], &bytes),
             Disposition::ToController

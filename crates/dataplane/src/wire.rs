@@ -479,7 +479,10 @@ mod tests {
 
     #[test]
     fn mac_display_and_broadcast() {
-        assert_eq!(MacAddr([0xde, 0xad, 0, 1, 2, 3]).to_string(), "de:ad:00:01:02:03");
+        assert_eq!(
+            MacAddr([0xde, 0xad, 0, 1, 2, 3]).to_string(),
+            "de:ad:00:01:02:03"
+        );
         assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(!MacAddr([0; 6]).is_broadcast());
     }

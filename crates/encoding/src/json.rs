@@ -116,7 +116,6 @@ impl Json {
             _ => None,
         }
     }
-
 }
 
 impl std::fmt::Display for Json {
@@ -403,22 +402,20 @@ impl<'a> Parser<'a> {
                             self.expect(b'u')?;
                             let lo = self.hex4()?;
                             if !(0xdc00..0xe000).contains(&lo) {
-                                return Err(EncodingError::Malformed(
-                                    "unpaired surrogate".into(),
-                                ));
+                                return Err(EncodingError::Malformed("unpaired surrogate".into()));
                             }
                             let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                            out.push(
-                                char::from_u32(c).ok_or_else(|| {
-                                    EncodingError::Malformed("bad surrogate pair".into())
-                                })?,
-                            );
+                            out.push(char::from_u32(c).ok_or_else(|| {
+                                EncodingError::Malformed("bad surrogate pair".into())
+                            })?);
                         } else if (0xdc00..0xe000).contains(&cp) {
                             return Err(EncodingError::Malformed("unpaired surrogate".into()));
                         } else {
-                            out.push(char::from_u32(cp).ok_or_else(|| {
-                                EncodingError::Malformed("bad codepoint".into())
-                            })?);
+                            out.push(
+                                char::from_u32(cp).ok_or_else(|| {
+                                    EncodingError::Malformed("bad codepoint".into())
+                                })?,
+                            );
                         }
                     }
                     other => {
@@ -511,7 +508,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(EncodingError::Malformed("digit expected in exponent".into()));
+                return Err(EncodingError::Malformed(
+                    "digit expected in exponent".into(),
+                ));
             }
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
@@ -580,15 +579,9 @@ mod tests {
 
     #[test]
     fn parses_unicode_escapes() {
-        assert_eq!(
-            parse(r#""Aé""#).unwrap(),
-            Json::Str("A\u{e9}".into())
-        );
+        assert_eq!(parse(r#""Aé""#).unwrap(), Json::Str("A\u{e9}".into()));
         // Surrogate pair for U+1F600.
-        assert_eq!(
-            parse(r#""😀""#).unwrap(),
-            Json::Str("\u{1f600}".into())
-        );
+        assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("\u{1f600}".into()));
     }
 
     #[test]
@@ -606,8 +599,8 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[", "\"", "{\"a\"}", "{\"a\":}", "[1,]", "{,}", "01", "1.",
-            "--1", "+1", "tru", "nul", "[1 2]",
+            "", "{", "[", "\"", "{\"a\"}", "{\"a\":}", "[1,]", "{,}", "01", "1.", "--1", "+1",
+            "tru", "nul", "[1 2]",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -647,7 +640,10 @@ mod tests {
     fn serialization_roundtrip() {
         let doc = Json::object()
             .with("list", (0..5i64).collect::<Json>())
-            .with("nested", Json::object().with("f", 2.25).with("n", Json::Null));
+            .with(
+                "nested",
+                Json::object().with("f", 2.25).with("n", Json::Null),
+            );
         assert_eq!(parse(&doc.to_string()).unwrap(), doc);
     }
 

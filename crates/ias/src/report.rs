@@ -188,7 +188,8 @@ impl AttestationReport {
             &self.quote_body,
             &self.advisories,
         );
-        w.bytes(TAG_BODY, &body).bytes(TAG_SIGNATURE, &self.signature);
+        w.bytes(TAG_BODY, &body)
+            .bytes(TAG_SIGNATURE, &self.signature);
         w.finish()
     }
 
@@ -210,8 +211,7 @@ impl AttestationReport {
             match tag {
                 TAG_QUOTE_BODY => {
                     quote_body = Some(
-                        ReportBody::decode(value)
-                            .map_err(|e| IasError::Encoding(e.to_string()))?,
+                        ReportBody::decode(value).map_err(|e| IasError::Encoding(e.to_string()))?,
                     );
                 }
                 TAG_ADVISORY => {
@@ -314,8 +314,7 @@ mod tests {
     fn wrong_key_rejected() {
         let key = SigningKey::from_seed(&[1; 32]);
         let other = SigningKey::from_seed(&[2; 32]);
-        let report =
-            AttestationReport::create(1, 0, QuoteStatus::Ok, b"", None, vec![], &key);
+        let report = AttestationReport::create(1, 0, QuoteStatus::Ok, b"", None, vec![], &key);
         assert_eq!(
             report.verify(&other.public_key()),
             Err(IasError::BadReportSignature)

@@ -203,10 +203,18 @@ impl AttestationService {
             );
         }
         let Some(group) = self.groups.get(&quote.epid_group_id) else {
-            return (QuoteStatus::UnknownGroup, Some(quote.report_body), Vec::new());
+            return (
+                QuoteStatus::UnknownGroup,
+                Some(quote.report_body),
+                Vec::new(),
+            );
         };
         if group.status == GroupStatus::Revoked {
-            return (QuoteStatus::GroupRevoked, Some(quote.report_body), Vec::new());
+            return (
+                QuoteStatus::GroupRevoked,
+                Some(quote.report_body),
+                Vec::new(),
+            );
         }
         // Member key lookup and EPID signature check.
         let Some(member_key) = group.members.get(&quote.member_id) else {
@@ -399,11 +407,15 @@ mod tests {
         ias.verify_quote(&quote, b"n1");
         ias.verify_quote(b"garbage", b"n2");
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_ias_requests_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_ias_requests_total"),
             Some(2)
         );
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_ias_non_ok_verdicts_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_ias_non_ok_verdicts_total"),
             Some(1)
         );
     }

@@ -44,14 +44,12 @@ pub struct AppraisalResult {
 }
 
 /// Policy knobs for appraisal.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AppraisalPolicy {
     /// Whether files absent from the reference database are acceptable
     /// (lenient mode for hosts running unrelated software).
     pub allow_unknown: bool,
 }
-
 
 /// Known-good digests per path. Multiple digests per path support
 /// co-existing versions during rollout.
@@ -67,7 +65,10 @@ impl ReferenceDatabase {
 
     /// Record `digest` as a known-good value for `path`.
     pub fn allow(&mut self, path: &str, digest: [u8; 32]) -> &mut Self {
-        self.good.entry(path.to_string()).or_default().insert(digest);
+        self.good
+            .entry(path.to_string())
+            .or_default()
+            .insert(digest);
         self
     }
 
@@ -195,7 +196,12 @@ mod tests {
         let strict = reference().appraise(&list, &AppraisalPolicy::default());
         assert_eq!(strict.verdict, Verdict::UnknownComponents);
         assert_eq!(strict.unknown, vec!["/usr/bin/cryptominer".to_string()]);
-        let lenient = reference().appraise(&list, &AppraisalPolicy { allow_unknown: true });
+        let lenient = reference().appraise(
+            &list,
+            &AppraisalPolicy {
+                allow_unknown: true,
+            },
+        );
         assert_eq!(lenient.verdict, Verdict::Trusted);
     }
 
@@ -203,7 +209,12 @@ mod tests {
     fn violations_dominate() {
         let mut list = clean_list();
         list.record_violation("/usr/bin/vnf");
-        let result = reference().appraise(&list, &AppraisalPolicy { allow_unknown: true });
+        let result = reference().appraise(
+            &list,
+            &AppraisalPolicy {
+                allow_unknown: true,
+            },
+        );
         assert_eq!(result.verdict, Verdict::Violations);
         assert_eq!(result.violations, vec!["/usr/bin/vnf".to_string()]);
     }

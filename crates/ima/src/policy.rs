@@ -215,11 +215,7 @@ mod tests {
     #[test]
     fn uid_scoping() {
         let mut policy = ImaPolicy::empty();
-        policy.push(
-            PolicyRule::measure()
-                .on_hook(ImaHook::FileCheck)
-                .for_uid(0),
-        );
+        policy.push(PolicyRule::measure().on_hook(ImaHook::FileCheck).for_uid(0));
         let mut event = MeasureEvent {
             hook: ImaHook::FileCheck,
             path: "/etc/passwd".into(),

@@ -235,7 +235,9 @@ impl Drop for Listener {
 
 impl std::fmt::Debug for Listener {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Listener").field("addr", &self.addr).finish()
+        f.debug_struct("Listener")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -398,16 +400,22 @@ mod tests {
         client.read_exact(&mut buf).unwrap();
         let _ = net.connect("nobody:1");
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_net_connections_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_net_connections_total"),
             Some(1)
         );
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_net_refusals_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_net_refusals_total"),
             Some(1)
         );
         // 4 bytes client→server plus 5 back.
         assert_eq!(
-            telemetry.metrics().counter_value("vnfguard_net_bytes_total"),
+            telemetry
+                .metrics()
+                .counter_value("vnfguard_net_bytes_total"),
             Some(9)
         );
     }

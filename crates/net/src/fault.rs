@@ -124,20 +124,39 @@ pub enum RefuseReason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A connection attempt to `addr` was refused.
-    Refused { addr: String, reason: RefuseReason },
+    Refused {
+        addr: String,
+        reason: RefuseReason,
+    },
     /// A connection to `addr` was admitted, with the injected extra
     /// latency (microseconds) drawn for it.
-    Admitted { addr: String, extra_latency_us: u64 },
+    Admitted {
+        addr: String,
+        extra_latency_us: u64,
+    },
     /// Existing links to `addr` were severed (isolation or partition).
-    Severed { addr: String },
+    Severed {
+        addr: String,
+    },
     /// Delivery to `addr` stopped / resumed.
-    Stalled { addr: String },
-    Unstalled { addr: String },
+    Stalled {
+        addr: String,
+    },
+    Unstalled {
+        addr: String,
+    },
     /// `addr` entered / left single-address isolation.
-    Isolated { addr: String },
-    Healed { addr: String },
+    Isolated {
+        addr: String,
+    },
+    Healed {
+        addr: String,
+    },
     /// A group partition was installed / removed.
-    Partitioned { a: Vec<String>, b: Vec<String> },
+    Partitioned {
+        a: Vec<String>,
+        b: Vec<String>,
+    },
     PartitionHealed,
 }
 
@@ -482,8 +501,14 @@ mod tests {
     fn scheduled_refusals_consume_exactly() {
         let plan = FaultPlan::seeded(1);
         plan.refuse_next("svc:1", 2);
-        assert_eq!(plan.admit("", "svc:1").unwrap_err(), RefuseReason::Scheduled);
-        assert_eq!(plan.admit("", "svc:1").unwrap_err(), RefuseReason::Scheduled);
+        assert_eq!(
+            plan.admit("", "svc:1").unwrap_err(),
+            RefuseReason::Scheduled
+        );
+        assert_eq!(
+            plan.admit("", "svc:1").unwrap_err(),
+            RefuseReason::Scheduled
+        );
         assert!(plan.admit("", "svc:1").is_ok());
     }
 
@@ -530,11 +555,7 @@ mod tests {
     #[test]
     fn latency_jitter_is_bounded_and_logged() {
         let plan = FaultPlan::seeded(9);
-        plan.add_latency(
-            "svc:1",
-            Duration::from_millis(2),
-            Duration::from_millis(3),
-        );
+        plan.add_latency("svc:1", Duration::from_millis(2), Duration::from_millis(3));
         for _ in 0..32 {
             let setup = plan.admit("", "svc:1").unwrap();
             assert!(setup.extra_latency >= Duration::from_millis(2));
@@ -542,9 +563,9 @@ mod tests {
         }
         let events = plan.events();
         assert_eq!(events.len(), 32);
-        assert!(events
-            .iter()
-            .all(|e| matches!(e, FaultEvent::Admitted { extra_latency_us, .. }
-                if (2_000..=5_000).contains(extra_latency_us))));
+        assert!(events.iter().all(
+            |e| matches!(e, FaultEvent::Admitted { extra_latency_us, .. }
+                if (2_000..=5_000).contains(extra_latency_us))
+        ));
     }
 }

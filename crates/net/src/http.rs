@@ -150,7 +150,8 @@ impl Request {
     }
 
     pub fn with_header(mut self, name: &str, value: &str) -> Request {
-        self.headers.insert(name.to_ascii_lowercase(), value.to_string());
+        self.headers
+            .insert(name.to_ascii_lowercase(), value.to_string());
         self
     }
 
@@ -196,7 +197,9 @@ impl Request {
     }
 
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.get(&name.to_ascii_lowercase()).map(String::as_str)
+        self.headers
+            .get(&name.to_ascii_lowercase())
+            .map(String::as_str)
     }
 
     /// Parse the body as JSON.
@@ -262,7 +265,9 @@ impl Response {
     }
 
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.get(&name.to_ascii_lowercase()).map(String::as_str)
+        self.headers
+            .get(&name.to_ascii_lowercase())
+            .map(String::as_str)
     }
 
     /// Parse the body as JSON.
@@ -341,10 +346,14 @@ fn read_body(
             .map_err(|_| NetError::Protocol(format!("bad content-length: {v}")))?,
     };
     if length > MAX_BODY_BYTES {
-        return Err(NetError::Protocol(format!("body of {length} bytes exceeds limit")));
+        return Err(NetError::Protocol(format!(
+            "body of {length} bytes exceeds limit"
+        )));
     }
     let mut body = vec![0u8; length];
-    stream.read_exact(&mut body).map_err(|_| NetError::ConnectionClosed)?;
+    stream
+        .read_exact(&mut body)
+        .map_err(|_| NetError::ConnectionClosed)?;
     Ok(body)
 }
 
@@ -360,7 +369,9 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, NetError> {
         .to_string();
     let version = parts.next().unwrap_or("");
     if version != "HTTP/1.1" {
-        return Err(NetError::Protocol(format!("unsupported version {version:?}")));
+        return Err(NetError::Protocol(format!(
+            "unsupported version {version:?}"
+        )));
     }
     let headers = read_headers(stream, &mut budget)?;
     let body = read_body(stream, &headers)?;
@@ -403,7 +414,9 @@ pub fn read_response(stream: &mut impl Read) -> Result<Response, NetError> {
     let mut parts = status_line.split_whitespace();
     let version = parts.next().unwrap_or("");
     if version != "HTTP/1.1" {
-        return Err(NetError::Protocol(format!("unsupported version {version:?}")));
+        return Err(NetError::Protocol(format!(
+            "unsupported version {version:?}"
+        )));
     }
     let code: u16 = parts
         .next()
@@ -456,7 +469,11 @@ mod tests {
         let (mut client, mut server) = Duplex::pipe();
         let request = Request::post("/wm/staticflowpusher/json")
             .with_header("X-Auth", "token-1")
-            .with_json(&Json::object().with("name", "flow-1").with("priority", 100i64));
+            .with_json(
+                &Json::object()
+                    .with("name", "flow-1")
+                    .with("priority", 100i64),
+            );
         write_request(&mut client, &request).unwrap();
         let received = read_request(&mut server).unwrap();
         assert_eq!(received.method, Method::Post);
@@ -497,7 +514,10 @@ mod tests {
         }
         for i in 0..3i64 {
             let received = read_request(&mut server).unwrap();
-            assert_eq!(received.json().unwrap().get("i").and_then(Json::as_i64), Some(i));
+            assert_eq!(
+                received.json().unwrap().get("i").and_then(Json::as_i64),
+                Some(i)
+            );
         }
     }
 
@@ -560,7 +580,10 @@ mod tests {
     fn text_response_sets_plain_content_type() {
         let response = Response::text(Status::Ok, "vnfguard_core_enrollments_total 3\n");
         assert_eq!(response.status, Status::Ok);
-        assert!(response.header("content-type").unwrap().starts_with("text/plain"));
+        assert!(response
+            .header("content-type")
+            .unwrap()
+            .starts_with("text/plain"));
         assert_eq!(response.body, b"vnfguard_core_enrollments_total 3\n");
     }
 
@@ -591,7 +614,9 @@ mod tests {
     fn retry_after_from_header_and_body() {
         let mut response = Response::json(
             Status::ServiceUnavailable,
-            &Json::object().with("code", "overloaded").with("retry-after-secs", 7i64),
+            &Json::object()
+                .with("code", "overloaded")
+                .with("retry-after-secs", 7i64),
         );
         assert_eq!(response.retry_after_secs(), Some(7));
         // The header, when present, wins over the body field.

@@ -137,7 +137,9 @@ impl From<ApiError> for Response {
         }
         let mut response = Response::json(error.status, &body);
         if let Some(secs) = error.retry_after_secs {
-            response.headers.insert("retry-after".into(), secs.to_string());
+            response
+                .headers
+                .insert("retry-after".into(), secs.to_string());
         }
         response
     }
@@ -424,7 +426,11 @@ mod tests {
         let response = router().dispatch(&Request::get("/health"));
         assert_eq!(response.status, Status::Ok);
         assert_eq!(
-            response.parse_json().unwrap().get("status").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("status")
+                .and_then(Json::as_str),
             Some("up")
         );
     }
@@ -433,12 +439,20 @@ mod tests {
     fn param_capture() {
         let response = router().dispatch(&Request::get("/wm/device/aa:bb:cc"));
         assert_eq!(
-            response.parse_json().unwrap().get("mac").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("mac")
+                .and_then(Json::as_str),
             Some("aa:bb:cc")
         );
         let response = router().dispatch(&Request::delete("/vm/vnf/vnf-7/credentials"));
         assert_eq!(
-            response.parse_json().unwrap().get("revoked").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("revoked")
+                .and_then(Json::as_str),
             Some("vnf-7")
         );
     }
@@ -474,7 +488,11 @@ mod tests {
         let response = router().dispatch(&request);
         assert_eq!(response.status, Status::Created);
         assert_eq!(
-            response.parse_json().unwrap().get("name").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("name")
+                .and_then(Json::as_str),
             Some("f1")
         );
     }
@@ -559,13 +577,22 @@ mod tests {
         let mut r = Router::new();
         r.get_api("/vm/vnf/:id", |_, params| {
             let state = lookup(params.get("id").unwrap_or(""))?;
-            Ok(Response::json(Status::Ok, &Json::object().with("state", state.as_str())))
+            Ok(Response::json(
+                Status::Ok,
+                &Json::object().with("state", state.as_str()),
+            ))
         });
-        assert_eq!(r.dispatch(&Request::get("/vm/vnf/vnf-1")).status, Status::Ok);
+        assert_eq!(
+            r.dispatch(&Request::get("/vm/vnf/vnf-1")).status,
+            Status::Ok
+        );
         let miss = r.dispatch(&Request::get("/vm/vnf/vnf-9"));
         assert_eq!(miss.status, Status::NotFound);
         assert_eq!(
-            miss.parse_json().unwrap().get("detail").and_then(Json::as_str),
+            miss.parse_json()
+                .unwrap()
+                .get("detail")
+                .and_then(Json::as_str),
             Some("unknown vnf vnf-9")
         );
     }
@@ -627,7 +654,11 @@ mod tests {
             for path in ["/a", "/b/:id"] {
                 r.get(path, |_, _| {
                     let expired = current_deadline().is_some_and(|d| d.expired(1_600_000_000));
-                    Response::new(if expired { Status::GatewayTimeout } else { Status::Ok })
+                    Response::new(if expired {
+                        Status::GatewayTimeout
+                    } else {
+                        Status::Ok
+                    })
                 });
             }
         }
@@ -660,6 +691,10 @@ mod tests {
         assert_eq!(missing.status, Status::NotFound);
         assert_eq!(missing.header("x-vnfguard-trace"), Some(expected.as_str()));
         // Requests without a traceparent get no echo header.
-        assert_eq!(r.dispatch(&Request::get("/fail")).header("x-vnfguard-trace"), None);
+        assert_eq!(
+            r.dispatch(&Request::get("/fail"))
+                .header("x-vnfguard-trace"),
+            None
+        );
     }
 }

@@ -303,7 +303,11 @@ mod tests {
             .request(&Request::post("/echo").with_json(&Json::object().with("n", 1i64)))
             .unwrap();
         assert_eq!(
-            response.parse_json().unwrap().get("n").and_then(Json::as_i64),
+            response
+                .parse_json()
+                .unwrap()
+                .get("n")
+                .and_then(Json::as_i64),
             Some(1)
         );
         assert_eq!(handle.requests(), 2);
@@ -365,7 +369,11 @@ mod tests {
         let mut client = HttpClient::new(net.connect("svc:443").unwrap());
         let response = client.request(&Request::get("/whoami")).unwrap();
         assert_eq!(
-            response.parse_json().unwrap().get("cn").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("cn")
+                .and_then(Json::as_str),
             Some("vnf-42")
         );
     }
@@ -402,7 +410,11 @@ mod tests {
                 .with_header("x-peer-serial", "1");
             let response = client.request(&spoofed).unwrap();
             assert_eq!(
-                response.parse_json().unwrap().get("cn").and_then(Json::as_str),
+                response
+                    .parse_json()
+                    .unwrap()
+                    .get("cn")
+                    .and_then(Json::as_str),
                 Some("anonymous"),
                 "{addr}"
             );
@@ -412,7 +424,11 @@ mod tests {
             .request(&Request::get("/serial").with_header("x-peer-serial", "1"))
             .unwrap();
         assert_eq!(
-            response.parse_json().unwrap().get("serial").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("serial")
+                .and_then(Json::as_str),
             Some("9"),
             "the handshake's serial replaces the client's"
         );
@@ -446,15 +462,25 @@ mod tests {
             sampled: true,
         };
         let mut client = HttpClient::new(net.connect("up:80").unwrap());
-        let response = client.request(&Request::get("/relay").with_trace(&ctx)).unwrap();
+        let response = client
+            .request(&Request::get("/relay").with_trace(&ctx))
+            .unwrap();
         assert_eq!(
-            response.parse_json().unwrap().get("traceparent").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("traceparent")
+                .and_then(Json::as_str),
             Some(ctx.traceparent().as_str())
         );
         // An untraced request stays untraced downstream.
         let response = client.request(&Request::get("/relay")).unwrap();
         assert_eq!(
-            response.parse_json().unwrap().get("traceparent").and_then(Json::as_str),
+            response
+                .parse_json()
+                .unwrap()
+                .get("traceparent")
+                .and_then(Json::as_str),
             Some("")
         );
     }

@@ -3,12 +3,12 @@
 
 use crate::fault::{injected_io, LinkControl};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use vnfguard_telemetry::Counter;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vnfguard_telemetry::Counter;
 
 /// How long a blocked read sleeps between checks of the sever/stall flags
 /// and the deadline. Data arrival wakes the reader immediately (channel
@@ -294,9 +294,9 @@ impl Write for Duplex {
                 deliver_at: Instant::now() + self.latency,
                 bytes: deliver.to_vec(),
             };
-            self.tx.send(frame).map_err(|_| {
-                io::Error::new(io::ErrorKind::BrokenPipe, "peer endpoint dropped")
-            })?;
+            self.tx
+                .send(frame)
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer endpoint dropped"))?;
             self.bytes_sent += deliver.len() as u64;
             if let Some(counter) = &self.fabric_bytes {
                 counter.add(deliver.len() as u64);

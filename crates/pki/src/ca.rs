@@ -275,10 +275,8 @@ impl CertificateAuthority {
     /// signed CRL still covers the whole fleet. Duplicate serials keep the
     /// authority's own entry.
     pub fn current_crl_with(&self, extra: &[CrlEntry], now: u64, lifetime_secs: u64) -> Crl {
-        let mut merged: std::collections::BTreeMap<u64, CrlEntry> = extra
-            .iter()
-            .map(|entry| (entry.serial, *entry))
-            .collect();
+        let mut merged: std::collections::BTreeMap<u64, CrlEntry> =
+            extra.iter().map(|entry| (entry.serial, *entry)).collect();
         for entry in self.revoked.values() {
             merged.insert(entry.serial, *entry);
         }
@@ -313,7 +311,11 @@ impl CertificateAuthority {
     /// root is retained (served for the dual-trust drain window) and the
     /// revocation registry carries over, so post-rotation CRLs still cover
     /// serials minted by earlier epochs.
-    pub fn rotate_to(&mut self, new_key: SigningKey, validity: Validity) -> (Certificate, Certificate) {
+    pub fn rotate_to(
+        &mut self,
+        new_key: SigningKey,
+        validity: Validity,
+    ) -> (Certificate, Certificate) {
         let root_serial = self.next_serial;
         let cross_serial = self.next_serial + 1;
         self.next_serial += 2;

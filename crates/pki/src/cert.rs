@@ -208,8 +208,7 @@ impl Certificate {
 
     /// True for a self-signed certificate that verifies under its own key.
     pub fn is_self_signed(&self) -> bool {
-        self.tbs.subject == self.tbs.issuer
-            && self.verify_signature(&self.tbs.public_key).is_ok()
+        self.tbs.subject == self.tbs.issuer && self.verify_signature(&self.tbs.public_key).is_ok()
     }
 
     /// SHA-256 fingerprint over the complete encoded certificate.
@@ -255,7 +254,9 @@ mod tests {
     fn sample_tbs(key: &SigningKey) -> TbsCertificate {
         TbsCertificate {
             serial: 7,
-            subject: DistinguishedName::new("vnf-1").with_org("tenant-a").with_unit("edge"),
+            subject: DistinguishedName::new("vnf-1")
+                .with_org("tenant-a")
+                .with_unit("edge"),
             issuer: DistinguishedName::new("verification-manager"),
             validity: Validity::new(1000, 2000),
             public_key: key.public_key(),

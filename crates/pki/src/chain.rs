@@ -149,12 +149,7 @@ impl TrustStore {
     /// clients ever enrolled (experiment E5). Every anchor whose subject
     /// matches the leaf's issuer is tried, so a dual-trust rotation window
     /// accepts leaves from either CA generation.
-    pub fn validate(
-        &self,
-        cert: &Certificate,
-        now: u64,
-        usage: KeyUsage,
-    ) -> Result<(), PkiError> {
+    pub fn validate(&self, cert: &Certificate, now: u64, usage: KeyUsage) -> Result<(), PkiError> {
         let mut seen_issuer = false;
         let mut verified = false;
         for anchor in &self.anchors {
@@ -363,7 +358,11 @@ mod tests {
         store.install_crl(newer).unwrap();
         assert!(matches!(
             store.install_crl(fresh),
-            Err(PkiError::CrlReplay { cached: 2, offered: 1, .. })
+            Err(PkiError::CrlReplay {
+                cached: 2,
+                offered: 1,
+                ..
+            })
         ));
         // Re-installing the same number is idempotent, not a replay.
         store.install_crl(ca.current_crl(30, 100)).unwrap();
@@ -387,7 +386,10 @@ mod tests {
         // One past next_update: fail-closed rejects, fail-open does not.
         assert!(matches!(
             store.validate(&cert, 151, KeyUsage::CLIENT_AUTH),
-            Err(PkiError::StaleCrl { next_update: 150, .. })
+            Err(PkiError::StaleCrl {
+                next_update: 150,
+                ..
+            })
         ));
         store.set_revocation_policy(RevocationPolicy::FailOpen);
         store.validate(&cert, 151, KeyUsage::CLIENT_AUTH).unwrap();
@@ -404,8 +406,10 @@ mod tests {
             100,
         );
         let old_root = ca.certificate().clone();
-        let (new_root, cross) =
-            ca.rotate_to(SigningKey::from_seed(&[42; 32]), Validity::new(0, 2_000_000));
+        let (new_root, cross) = ca.rotate_to(
+            SigningKey::from_seed(&[42; 32]),
+            Validity::new(0, 2_000_000),
+        );
         // The handover is verifiable: cross cert carries the new key, signed
         // by the old one — and cannot itself be abused as an anchor.
         assert_eq!(cross.tbs.public_key, new_root.tbs.public_key);
@@ -424,8 +428,12 @@ mod tests {
         // Both epochs validate while both anchors are installed, and the
         // post-rotation CRL (signed by the new key) still installs and
         // covers serials minted by the old epoch.
-        store.validate(&old_leaf, 200, KeyUsage::CLIENT_AUTH).unwrap();
-        store.validate(&new_leaf, 200, KeyUsage::CLIENT_AUTH).unwrap();
+        store
+            .validate(&old_leaf, 200, KeyUsage::CLIENT_AUTH)
+            .unwrap();
+        store
+            .validate(&new_leaf, 200, KeyUsage::CLIENT_AUTH)
+            .unwrap();
         ca.revoke(old_leaf.serial(), RevocationReason::Superseded, 250);
         store.install_crl(ca.issue_crl(260, 300)).unwrap();
         assert!(matches!(
@@ -438,7 +446,9 @@ mod tests {
         assert!(store.remove_anchor(&old_root.fingerprint()));
         assert!(!store.remove_anchor(&old_root.fingerprint()));
         assert_eq!(store.anchor_count(), 1);
-        assert!(store.validate(&new_leaf, 300, KeyUsage::CLIENT_AUTH).is_ok());
+        assert!(store
+            .validate(&new_leaf, 300, KeyUsage::CLIENT_AUTH)
+            .is_ok());
         assert_eq!(
             store.validate(&old_leaf, 300, KeyUsage::CLIENT_AUTH),
             Err(PkiError::BadSignature)

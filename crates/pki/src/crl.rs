@@ -95,8 +95,7 @@ impl Crl {
         entries: impl IntoIterator<Item = CrlEntry>,
         key: &SigningKey,
     ) -> Crl {
-        let entries: BTreeMap<u64, CrlEntry> =
-            entries.into_iter().map(|e| (e.serial, e)).collect();
+        let entries: BTreeMap<u64, CrlEntry> = entries.into_iter().map(|e| (e.serial, e)).collect();
         let body = Self::body_bytes(&issuer, issued_at, next_update, crl_number, &entries);
         Crl {
             issuer,
@@ -176,7 +175,8 @@ impl Crl {
             self.crl_number,
             &self.entries,
         );
-        w.bytes(TAG_BODY, &body).bytes(TAG_SIGNATURE, &self.signature);
+        w.bytes(TAG_BODY, &body)
+            .bytes(TAG_SIGNATURE, &self.signature);
         w.finish()
     }
 
@@ -284,7 +284,14 @@ mod tests {
     #[test]
     fn forged_entry_rejected() {
         let key = SigningKey::from_seed(&[4; 32]);
-        let crl = Crl::build(DistinguishedName::new("ca"), 1, 2, 1, sample_entries(), &key);
+        let crl = Crl::build(
+            DistinguishedName::new("ca"),
+            1,
+            2,
+            1,
+            sample_entries(),
+            &key,
+        );
         let mut bytes = crl.encode();
         // Tamper a byte inside the body.
         let mid = bytes.len() / 2;

@@ -36,11 +36,7 @@ pub struct CertificateRequest {
 impl CertificateRequest {
     /// Create a request, signing the body with the subject key to prove
     /// possession of the private half.
-    pub fn new(
-        subject: DistinguishedName,
-        key: &SigningKey,
-        context: &[u8],
-    ) -> CertificateRequest {
+    pub fn new(subject: DistinguishedName, key: &SigningKey, context: &[u8]) -> CertificateRequest {
         let body = Self::body_bytes(&subject, &key.public_key(), context);
         CertificateRequest {
             subject,
@@ -161,7 +157,10 @@ mod tests {
         let key = SigningKey::from_seed(&[7; 32]);
         let bytes = CertificateRequest::new(DistinguishedName::new("v"), &key, b"x").encode();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(CertificateRequest::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                CertificateRequest::decode(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
     }
 }

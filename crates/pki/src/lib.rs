@@ -41,9 +41,16 @@ pub enum PkiError {
     /// The signature over a certificate, CRL or CSR did not verify.
     BadSignature,
     /// The certificate is outside its validity window.
-    Expired { now: u64, not_before: u64, not_after: u64 },
+    Expired {
+        now: u64,
+        not_before: u64,
+        not_after: u64,
+    },
     /// The certificate's serial appears on a CRL.
-    Revoked { serial: u64, reason: crl::RevocationReason },
+    Revoked {
+        serial: u64,
+        reason: crl::RevocationReason,
+    },
     /// No trust anchor matches the certificate's issuer.
     UnknownIssuer(String),
     /// The issuing certificate is not a CA or lacks the required key usage.
@@ -52,10 +59,18 @@ pub enum PkiError {
     ConstraintViolated(String),
     /// The cached CRL for the issuer is past `next_update` and the relying
     /// party runs a fail-closed revocation policy.
-    StaleCrl { issuer: String, next_update: u64, now: u64 },
+    StaleCrl {
+        issuer: String,
+        next_update: u64,
+        now: u64,
+    },
     /// An offered CRL carries a lower number than the cached one — a replay
     /// or out-of-order distribution that must not overwrite fresher data.
-    CrlReplay { issuer: String, cached: u64, offered: u64 },
+    CrlReplay {
+        issuer: String,
+        cached: u64,
+        offered: u64,
+    },
 }
 
 impl std::fmt::Display for PkiError {

@@ -5,13 +5,16 @@ use vnfguard_crypto::ed25519::SigningKey;
 use vnfguard_pki::cert::{Certificate, DistinguishedName, KeyUsage, TbsCertificate, Validity};
 
 fn arb_dn() -> impl Strategy<Value = DistinguishedName> {
-    ("[a-zA-Z0-9 ._-]{1,24}", "[a-zA-Z0-9 ]{0,12}", "[a-zA-Z0-9 ]{0,12}").prop_map(
-        |(cn, org, unit)| DistinguishedName {
+    (
+        "[a-zA-Z0-9 ._-]{1,24}",
+        "[a-zA-Z0-9 ]{0,12}",
+        "[a-zA-Z0-9 ]{0,12}",
+    )
+        .prop_map(|(cn, org, unit)| DistinguishedName {
             common_name: cn,
             organization: org,
             unit,
-        },
-    )
+        })
 }
 
 fn arb_tbs() -> impl Strategy<Value = TbsCertificate> {

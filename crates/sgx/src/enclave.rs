@@ -348,11 +348,9 @@ mod tests {
                         .map_err(|_| SgxError::App("bad secret length".into()))?;
                     Ok(b"ok".to_vec())
                 }
-                Self::OP_HMAC_WITH_SECRET => Ok(vnfguard_crypto::hmac::hmac_sha256(
-                    &self.secret,
-                    input,
-                )
-                .to_vec()),
+                Self::OP_HMAC_WITH_SECRET => {
+                    Ok(vnfguard_crypto::hmac::hmac_sha256(&self.secret, input).to_vec())
+                }
                 other => Err(SgxError::BadCall(other)),
             }
         }

@@ -85,13 +85,19 @@ impl std::fmt::Display for SgxError {
             SgxError::OutOfEpc {
                 requested,
                 available,
-            } => write!(f, "EPC exhausted: requested {requested}, available {available}"),
+            } => write!(
+                f,
+                "EPC exhausted: requested {requested}, available {available}"
+            ),
             SgxError::BadCall(op) => write!(f, "unhandled ecall opcode {op}"),
             SgxError::EnclaveDestroyed => write!(f, "enclave has been destroyed"),
             SgxError::BadReport => write!(f, "report MAC verification failed"),
             SgxError::UnsealFailed(msg) => write!(f, "unseal failed: {msg}"),
             SgxError::SvnTooHigh { requested, current } => {
-                write!(f, "key request for SVN {requested} exceeds current {current}")
+                write!(
+                    f,
+                    "key request for SVN {requested} exceeds current {current}"
+                )
             }
             SgxError::Encoding(msg) => write!(f, "encoding: {msg}"),
             SgxError::App(msg) => write!(f, "enclave application error: {msg}"),

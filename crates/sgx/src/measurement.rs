@@ -177,9 +177,11 @@ mod tests {
     #[test]
     fn order_sensitivity() {
         let mut a = MeasurementBuilder::ecreate(8192);
-        a.add_page(0, PagePerm::R, b"x").add_page(4096, PagePerm::R, b"y");
+        a.add_page(0, PagePerm::R, b"x")
+            .add_page(4096, PagePerm::R, b"y");
         let mut b = MeasurementBuilder::ecreate(8192);
-        b.add_page(4096, PagePerm::R, b"y").add_page(0, PagePerm::R, b"x");
+        b.add_page(4096, PagePerm::R, b"y")
+            .add_page(0, PagePerm::R, b"x");
         assert_ne!(a.einit(), b.einit());
     }
 

@@ -192,9 +192,12 @@ impl SgxPlatform {
         let ak_seed: [u8; 32] = hkdf::derive(b"sgx-epid", seed, b"attestation key", 32)
             .try_into()
             .expect("32");
-        let rng = vnfguard_crypto::drbg::HmacDrbg::new(
-            &hkdf::derive(b"sgx-rdrand", seed, b"platform rng", 32),
-        );
+        let rng = vnfguard_crypto::drbg::HmacDrbg::new(&hkdf::derive(
+            b"sgx-rdrand",
+            seed,
+            b"platform rng",
+            32,
+        ));
         SgxPlatform {
             inner: Arc::new(PlatformInner {
                 fuse_key,
@@ -349,7 +352,11 @@ mod tests {
         let author = EnclaveAuthor::from_seed(&[1; 32]);
         let signed = signed_for(&author, b"enclave code v1", 4096, false);
         let enclave = platform
-            .load_enclave(&signed, 4096, Box::new(NullCode(b"enclave code v1".to_vec())))
+            .load_enclave(
+                &signed,
+                4096,
+                Box::new(NullCode(b"enclave code v1".to_vec())),
+            )
             .unwrap();
         assert_eq!(enclave.identity().mrsigner, author.mrsigner());
         assert_eq!(platform.epc_used(), 4096);
@@ -362,7 +369,11 @@ mod tests {
         let signed = signed_for(&author, b"enclave code v1", 4096, false);
         // A backdoored image measures differently.
         let err = platform
-            .load_enclave(&signed, 4096, Box::new(NullCode(b"enclave code vX".to_vec())))
+            .load_enclave(
+                &signed,
+                4096,
+                Box::new(NullCode(b"enclave code vX".to_vec())),
+            )
             .unwrap_err();
         assert!(matches!(err, SgxError::LaunchFailed(_)), "{err}");
     }
@@ -432,32 +443,17 @@ mod tests {
         let p1 = SgxPlatform::new(b"platform-a");
         let p2 = SgxPlatform::new(b"platform-b");
         let id = [9u8; 16];
-        let k1 = p1.inner.derive_key(
-            KeyClass::Seal,
-            None,
-            &Measurement([1; 32]),
-            1,
-            1,
-            &id,
-        );
-        let k2 = p2.inner.derive_key(
-            KeyClass::Seal,
-            None,
-            &Measurement([1; 32]),
-            1,
-            1,
-            &id,
-        );
+        let k1 = p1
+            .inner
+            .derive_key(KeyClass::Seal, None, &Measurement([1; 32]), 1, 1, &id);
+        let k2 = p2
+            .inner
+            .derive_key(KeyClass::Seal, None, &Measurement([1; 32]), 1, 1, &id);
         assert_ne!(k1, k2, "different fuse keys must give different keys");
         // Same inputs on the same platform are deterministic.
-        let k1b = p1.inner.derive_key(
-            KeyClass::Seal,
-            None,
-            &Measurement([1; 32]),
-            1,
-            1,
-            &id,
-        );
+        let k1b = p1
+            .inner
+            .derive_key(KeyClass::Seal, None, &Measurement([1; 32]), 1, 1, &id);
         assert_eq!(k1, k1b);
     }
 

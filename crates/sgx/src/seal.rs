@@ -136,17 +136,8 @@ mod tests {
 
     fn blob(aad: &[u8], pt: &[u8]) -> ([u8; 32], SealedBlob) {
         let key = [0x11; 32];
-        let blob = SealedBlob::seal(
-            &key,
-            SealPolicy::MrEnclave,
-            3,
-            7,
-            [1; 16],
-            [2; 12],
-            aad,
-            pt,
-        )
-        .unwrap();
+        let blob =
+            SealedBlob::seal(&key, SealPolicy::MrEnclave, 3, 7, [1; 16], [2; 12], aad, pt).unwrap();
         (key, blob)
     }
 

@@ -79,12 +79,7 @@ pub struct SignedEnclave {
 }
 
 impl SignedEnclave {
-    fn body_bytes(
-        mrenclave: &Measurement,
-        isv_prod_id: u16,
-        isv_svn: u16,
-        debug: bool,
-    ) -> Vec<u8> {
+    fn body_bytes(mrenclave: &Measurement, isv_prod_id: u16, isv_svn: u16, debug: bool) -> Vec<u8> {
         let mut w = TlvWriter::new();
         w.bytes(TAG_MRENCLAVE, mrenclave.as_bytes())
             .u32(TAG_PROD_ID, isv_prod_id as u32)

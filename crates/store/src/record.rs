@@ -66,7 +66,11 @@ pub enum WalRecord {
     /// A certificate left the CA (enrollment, operator or server issuance).
     /// Journaled for serial continuity: recovery must never re-mint a
     /// serial its predecessor already signed.
-    CertIssued { serial: u64, subject: String, at: u64 },
+    CertIssued {
+        serial: u64,
+        subject: String,
+        at: u64,
+    },
     /// Phase one of enrollment: credential issued and wrapped, delivery
     /// outcome unknown. `provisioning_key_hash` is the digest of the
     /// enclave's quote-bound provisioning public key — the renewal path
@@ -85,9 +89,17 @@ pub enum WalRecord {
     /// Phase two: the wrapped bundle reached the enclave.
     EnrollmentCommitted { serial: u64, at: u64 },
     /// Rollback of a prepared enrollment; implies revocation of the serial.
-    EnrollmentAborted { serial: u64, reason: String, at: u64 },
+    EnrollmentAborted {
+        serial: u64,
+        reason: String,
+        at: u64,
+    },
     /// Explicit revocation of a committed credential.
-    CredentialRevoked { serial: u64, reason_code: u8, at: u64 },
+    CredentialRevoked {
+        serial: u64,
+        reason_code: u8,
+        at: u64,
+    },
     /// A revocation notice could not be delivered and entered the
     /// store-and-forward queue.
     RevocationQueued {
@@ -97,7 +109,11 @@ pub enum WalRecord {
         at: u64,
     },
     /// A (queued or immediate) revocation notice reached its agent.
-    RevocationDelivered { host_id: String, serial: u64, at: u64 },
+    RevocationDelivered {
+        host_id: String,
+        serial: u64,
+        at: u64,
+    },
     /// A degraded (cached) trust verdict was handed out.
     DegradedVerdictGranted { host_id: String, at: u64 },
     /// A recovery pass completed; `generation` counts manager incarnations.
@@ -136,7 +152,11 @@ impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = TlvWriter::new();
         match self {
-            WalRecord::CertIssued { serial, subject, at } => {
+            WalRecord::CertIssued {
+                serial,
+                subject,
+                at,
+            } => {
                 w.u8(TAG_KIND, KIND_CERT_ISSUED)
                     .u64(TAG_SERIAL, *serial)
                     .string(TAG_NAME, subject)
@@ -193,7 +213,11 @@ impl WalRecord {
                     .bytes(TAG_TAG, tag)
                     .u64(TAG_AT, *at);
             }
-            WalRecord::RevocationDelivered { host_id, serial, at } => {
+            WalRecord::RevocationDelivered {
+                host_id,
+                serial,
+                at,
+            } => {
                 w.u8(TAG_KIND, KIND_NOTICE_DELIVERED)
                     .string(TAG_HOST, host_id)
                     .u64(TAG_SERIAL, *serial)
@@ -330,9 +354,7 @@ impl WalRecord {
                 backend: r.expect_u8(TAG_BACKEND)?,
                 at: r.expect_u64(TAG_AT)?,
             },
-            other => {
-                return Err(StoreError::Corrupt(format!("unknown record kind {other}")))
-            }
+            other => return Err(StoreError::Corrupt(format!("unknown record kind {other}"))),
         };
         r.finish()?;
         Ok(record)
@@ -506,7 +528,9 @@ impl ManagerState {
                     });
                 }
             }
-            WalRecord::RevocationDelivered { host_id, serial, .. } => {
+            WalRecord::RevocationDelivered {
+                host_id, serial, ..
+            } => {
                 self.notices
                     .retain(|n| !(n.host_id == *host_id && n.serial == *serial));
             }

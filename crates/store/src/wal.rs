@@ -336,9 +336,8 @@ pub(crate) fn parse_log(log: &[u8]) -> ParsedLog {
             break;
         }
         let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        let stored = u32::from_be_bytes(
-            rest[FRAME_HEADER + len..total].try_into().expect("4 bytes"),
-        );
+        let stored =
+            u32::from_be_bytes(rest[FRAME_HEADER + len..total].try_into().expect("4 bytes"));
         if crc32(payload) != stored {
             break;
         }
@@ -356,9 +355,8 @@ pub(crate) fn parse_log(log: &[u8]) -> ParsedLog {
                     well_formed = false;
                     break;
                 }
-                let sub = u32::from_be_bytes(
-                    payload[at..at + 4].try_into().expect("4 bytes"),
-                ) as usize;
+                let sub =
+                    u32::from_be_bytes(payload[at..at + 4].try_into().expect("4 bytes")) as usize;
                 at += 4;
                 if payload.len() - at < sub {
                     well_formed = false;
@@ -399,7 +397,10 @@ mod tests {
         media.append_frame(b"two");
         media.append_frame(&[]);
         let parsed = parse_log(&media.log());
-        assert_eq!(parsed.frames, vec![b"one".to_vec(), b"two".to_vec(), vec![]]);
+        assert_eq!(
+            parsed.frames,
+            vec![b"one".to_vec(), b"two".to_vec(), vec![]]
+        );
         assert!(!parsed.truncated);
         assert_eq!(media.frame_count(), 3);
     }

@@ -286,7 +286,10 @@ impl SloTracker {
             telemetry.event(
                 now,
                 kind,
-                &format!("{}: fast burn {fast:.2}, slow burn {slow:.2}", tracker.spec.name),
+                &format!(
+                    "{}: fast burn {fast:.2}, slow burn {slow:.2}",
+                    tracker.spec.name
+                ),
             );
         };
         match self.state {
@@ -560,8 +563,7 @@ mod tests {
     #[test]
     fn latency_slo_grades_successes_against_threshold() {
         let tele = Telemetry::new();
-        let monitor =
-            HealthMonitor::new(&tele, vec![SloSpec::latency("renewal", 0.95, 10_000)]);
+        let monitor = HealthMonitor::new(&tele, vec![SloSpec::latency("renewal", 0.95, 10_000)]);
         let now = 1_600_000_000;
         monitor.record("renewal", now, true, 5_000, None); // good
         monitor.record("renewal", now, true, 50_000, None); // bad: slow
@@ -580,8 +582,7 @@ mod tests {
         }
         let _ = monitor.evaluate(now);
         let text = tele.render_prometheus();
-        assert!(text
-            .contains("vnfguard_health_alert_state{slo=\"enrollment-availability\"} 1"));
+        assert!(text.contains("vnfguard_health_alert_state{slo=\"enrollment-availability\"} 1"));
         // 100% bad at a 1% budget = burn 100.0 → 100000 milli-units.
         assert!(text.contains(
             "vnfguard_health_burn_rate{slo=\"enrollment-availability\",window=\"fast\"} 100000"

@@ -37,8 +37,7 @@ pub mod trace;
 pub use health::{AlertSnapshot, AlertState, HealthMonitor, SloKind, SloSpec};
 pub use journal::{Event, Journal};
 pub use metrics::{
-    labeled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    EXEMPLAR_CAP,
+    labeled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, EXEMPLAR_CAP,
 };
 pub use scope::{current_deadline, current_trace, Deadline, RequestScope};
 pub use spans::SpanGuard;
@@ -176,9 +175,17 @@ impl Telemetry {
     /// attributed to `service`) as the thread's current context. Returns
     /// the root's context plus its guard. Disabled handles return an
     /// invalid context and a guard that leaves the scope alone.
-    pub fn trace_root(&self, service: &str, name: &str, unix_now: u64) -> (TraceContext, SpanGuard) {
+    pub fn trace_root(
+        &self,
+        service: &str,
+        name: &str,
+        unix_now: u64,
+    ) -> (TraceContext, SpanGuard) {
         if !self.enabled {
-            return (TraceContext::disabled(), SpanGuard::timer(scope::current_trace()));
+            return (
+                TraceContext::disabled(),
+                SpanGuard::timer(scope::current_trace()),
+            );
         }
         let ctx = TraceContext {
             trace_id: self.trace_ids.next_trace_id(),
@@ -224,7 +231,10 @@ impl Telemetry {
             return out;
         }
         for (name, value) in [
-            ("vnfguard_telemetry_journal_dropped_total", self.journal.dropped()),
+            (
+                "vnfguard_telemetry_journal_dropped_total",
+                self.journal.dropped(),
+            ),
             (
                 "vnfguard_telemetry_trace_spans_dropped_total",
                 self.traces.dropped(),
@@ -275,7 +285,10 @@ mod tests {
         assert!(!root.is_valid());
         {
             let _span = tele.span("vm", "invisible", 0);
-            assert!(!current_trace().is_valid(), "disabled spans leave the scope alone");
+            assert!(
+                !current_trace().is_valid(),
+                "disabled spans leave the scope alone"
+            );
         }
         tele.event(0, "invisible", "");
         assert_eq!(tele.render_prometheus(), "");
@@ -312,7 +325,10 @@ mod tests {
         assert_eq!(by_name("enrollment").parent_id, Some(root.span_id));
         assert_eq!(by_name("ias_verify").parent_id, Some(outer_ctx.span_id));
         assert_eq!(by_name("ias_verify").span_id, inner_ctx.span_id);
-        assert_eq!(by_name("wrap_credentials").parent_id, Some(outer_ctx.span_id));
+        assert_eq!(
+            by_name("wrap_credentials").parent_id,
+            Some(outer_ctx.span_id)
+        );
         assert_eq!(by_name("enrollment").service, "vm");
         let verify = by_name("ias_verify");
         assert_eq!(verify.annotations.len(), 1);
@@ -325,11 +341,15 @@ mod tests {
         let histogram = tele.histogram("vnfguard_test_span_micros");
         {
             // No request scope: a plain timing.
-            let _span = tele.span("vm", "untraced", 0).with_histogram(histogram.clone());
+            let _span = tele
+                .span("vm", "untraced", 0)
+                .with_histogram(histogram.clone());
         }
         let (root, _root) = tele.trace_root("operator", "traced", 0);
         {
-            let _span = tele.span("vm", "traced", 0).with_histogram(histogram.clone());
+            let _span = tele
+                .span("vm", "traced", 0)
+                .with_histogram(histogram.clone());
         }
         assert_eq!(histogram.count(), 2);
         let exemplars = histogram.exemplars();

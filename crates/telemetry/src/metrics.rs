@@ -341,10 +341,7 @@ pub fn labeled(family: &str, key: &str, value: &str) -> String {
 /// text between the braces), if any.
 fn split_series(name: &str) -> (&str, Option<&str>) {
     match name.find('{') {
-        Some(pos) => (
-            &name[..pos],
-            Some(name[pos + 1..].trim_end_matches('}')),
-        ),
+        Some(pos) => (&name[..pos], Some(name[pos + 1..].trim_end_matches('}'))),
         None => (name, None),
     }
 }
@@ -640,7 +637,10 @@ mod tests {
             .counter(&labeled("vnfguard_x_ops_total", "shard", "1"))
             .add(5);
         let text = registry.render_prometheus();
-        assert_eq!(text.matches("# TYPE vnfguard_x_ops_total counter").count(), 1);
+        assert_eq!(
+            text.matches("# TYPE vnfguard_x_ops_total counter").count(),
+            1
+        );
         assert!(text.contains("vnfguard_x_ops_total{shard=\"0\"} 2"));
         assert!(text.contains("vnfguard_x_ops_total{shard=\"1\"} 5"));
     }

@@ -187,7 +187,9 @@ mod tests {
     #[test]
     fn scopes_are_per_thread() {
         let _scope = RequestScope::enter(ctx(7, 7), None);
-        let seen = std::thread::spawn(|| current_trace().is_valid()).join().unwrap();
+        let seen = std::thread::spawn(|| current_trace().is_valid())
+            .join()
+            .unwrap();
         assert!(!seen, "another thread must not see this thread's scope");
         assert_eq!(current_trace().trace_id, 7);
     }

@@ -57,7 +57,10 @@ impl TraceContext {
     /// Render the context as a `traceparent` header value.
     pub fn traceparent(&self) -> String {
         let flags: u8 = if self.sampled { 0x01 } else { 0x00 };
-        format!("00-{:032x}-{:016x}-{:02x}", self.trace_id, self.span_id, flags)
+        format!(
+            "00-{:032x}-{:016x}-{:02x}",
+            self.trace_id, self.span_id, flags
+        )
     }
 
     /// Parse a `traceparent` header value. Returns `None` for malformed
@@ -433,8 +436,7 @@ impl TraceCollector {
             .unwrap_or(16)
             + 8;
         let mut out = format!("trace {trace_id:032x} ({} spans)\n", spans.len());
-        let mut stack: Vec<(&TraceSpan, usize)> =
-            roots.into_iter().rev().map(|s| (s, 0)).collect();
+        let mut stack: Vec<(&TraceSpan, usize)> = roots.into_iter().rev().map(|s| (s, 0)).collect();
         while let Some((span, depth)) = stack.pop() {
             let from = ((span.offset_micros - start) as usize * BAR) / window as usize;
             let len = ((span.duration_micros as usize * BAR) / window as usize).max(1);
@@ -569,15 +571,15 @@ mod tests {
     fn traceparent_rejects_malformed() {
         assert!(TraceContext::parse("").is_none());
         assert!(TraceContext::parse("00-short-feedfacedeadbeef-01").is_none());
-        assert!(TraceContext::parse(
-            "ff-0123456789abcdef0123456789abcdef-feedfacedeadbeef-01"
-        )
-        .is_none());
+        assert!(
+            TraceContext::parse("ff-0123456789abcdef0123456789abcdef-feedfacedeadbeef-01")
+                .is_none()
+        );
         // all-zero trace id is invalid per the W3C spec
-        assert!(TraceContext::parse(
-            "00-00000000000000000000000000000000-feedfacedeadbeef-01"
-        )
-        .is_none());
+        assert!(
+            TraceContext::parse("00-00000000000000000000000000000000-feedfacedeadbeef-01")
+                .is_none()
+        );
         let unsampled =
             TraceContext::parse("00-0123456789abcdef0123456789abcdef-feedfacedeadbeef-00")
                 .expect("parses");
@@ -626,7 +628,11 @@ mod tests {
         collector.annotate(5, 20, "retry", "late");
         let spans = collector.trace(1);
         assert_eq!(spans.len(), 1);
-        let kinds: Vec<&str> = spans[0].annotations.iter().map(|a| a.kind.as_str()).collect();
+        let kinds: Vec<&str> = spans[0]
+            .annotations
+            .iter()
+            .map(|a| a.kind.as_str())
+            .collect();
         assert_eq!(kinds, vec!["fault", "retry"]);
     }
 

@@ -119,10 +119,7 @@ fn send_hs(
     write_protected(stream, seal, INNER_HANDSHAKE, &bytes)
 }
 
-fn recv_hs(
-    stream: &mut impl Read,
-    seal: &mut SealState,
-) -> Result<(Handshake, Vec<u8>), TlsError> {
+fn recv_hs(stream: &mut impl Read, seal: &mut SealState) -> Result<(Handshake, Vec<u8>), TlsError> {
     let (inner_type, bytes) = read_protected(stream, seal)?;
     if inner_type != INNER_HANDSHAKE {
         return Err(TlsError::Protocol(
@@ -147,7 +144,9 @@ pub fn client_handshake<S: Read + Write>(
         .record(begun.elapsed().as_micros() as u64);
     telemetry.counter("vnfguard_tls_handshakes_total").inc();
     if result.is_err() {
-        telemetry.counter("vnfguard_tls_handshake_failures_total").inc();
+        telemetry
+            .counter("vnfguard_tls_handshake_failures_total")
+            .inc();
     }
     result
 }
@@ -229,9 +228,9 @@ fn client_handshake_inner<S: Read + Write>(
                 transcript.absorb(&bytes);
             }
             Handshake::CertificateVerify { signature } => {
-                let cert = server_cert
-                    .as_ref()
-                    .ok_or_else(|| TlsError::Protocol("CertificateVerify before Certificate".into()))?;
+                let cert = server_cert.as_ref().ok_or_else(|| {
+                    TlsError::Protocol("CertificateVerify before Certificate".into())
+                })?;
                 let payload = certificate_verify_payload(true, &transcript.current());
                 cert.tbs
                     .public_key
@@ -330,7 +329,9 @@ pub fn server_handshake<S: Read + Write>(
         .record(begun.elapsed().as_micros() as u64);
     telemetry.counter("vnfguard_tls_handshakes_total").inc();
     if result.is_err() {
-        telemetry.counter("vnfguard_tls_handshake_failures_total").inc();
+        telemetry
+            .counter("vnfguard_tls_handshake_failures_total")
+            .inc();
     }
     result
 }
@@ -413,9 +414,10 @@ fn server_handshake_inner<S: Read + Write>(
         let (message, bytes) = recv_hs(&mut stream, &mut read_seal)?;
         match message {
             Handshake::Certificate(cert) => {
-                let validator = config.client_auth.as_ref().ok_or_else(|| {
-                    TlsError::Protocol("unsolicited client certificate".into())
-                })?;
+                let validator = config
+                    .client_auth
+                    .as_ref()
+                    .ok_or_else(|| TlsError::Protocol("unsolicited client certificate".into()))?;
                 validator.validate(&cert, config.now)?;
                 client_cert = Some(cert);
                 transcript.absorb(&bytes);

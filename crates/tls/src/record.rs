@@ -52,10 +52,12 @@ impl RecordCipher {
 
     fn open(&self, nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
         match self {
-            RecordCipher::Aes(gcm) => gcm.open(nonce, aad, sealed).map_err(|_| TlsError::BadRecord),
-            RecordCipher::ChaCha(aead) => {
-                aead.open(nonce, aad, sealed).map_err(|_| TlsError::BadRecord)
-            }
+            RecordCipher::Aes(gcm) => gcm
+                .open(nonce, aad, sealed)
+                .map_err(|_| TlsError::BadRecord),
+            RecordCipher::ChaCha(aead) => aead
+                .open(nonce, aad, sealed)
+                .map_err(|_| TlsError::BadRecord),
         }
     }
 }
@@ -103,7 +105,9 @@ fn read_record_raw(stream: &mut impl Read) -> Result<(u8, Vec<u8>), TlsError> {
     let content_type = header[0];
     let length = u32::from_be_bytes(header[1..].try_into().expect("4")) as usize;
     if length > MAX_RECORD {
-        return Err(TlsError::Protocol(format!("record of {length} bytes too large")));
+        return Err(TlsError::Protocol(format!(
+            "record of {length} bytes too large"
+        )));
     }
     let mut payload = vec![0u8; length];
     stream.read_exact(&mut payload).map_err(TlsError::Io)?;
@@ -197,7 +201,10 @@ mod tests {
             write_protected(&mut a, &mut seal, INNER_HANDSHAKE, b"finished msg").unwrap();
             let (t1, d1) = read_protected(&mut b, &mut open).unwrap();
             let (t2, d2) = read_protected(&mut b, &mut open).unwrap();
-            assert_eq!((t1, d1.as_slice()), (INNER_APPLICATION, &b"secret payload"[..]));
+            assert_eq!(
+                (t1, d1.as_slice()),
+                (INNER_APPLICATION, &b"secret payload"[..])
+            );
             assert_eq!((t2, d2.as_slice()), (INNER_HANDSHAKE, &b"finished msg"[..]));
         }
     }
@@ -205,8 +212,7 @@ mod tests {
     #[test]
     fn ciphertext_hides_plaintext() {
         let tap = vnfguard_net::stream::TapHandle::new();
-        let (mut a, mut b) =
-            Duplex::pair(std::time::Duration::ZERO, Some(&tap));
+        let (mut a, mut b) = Duplex::pair(std::time::Duration::ZERO, Some(&tap));
         let (mut seal, mut open) = seal_pair(CipherSuite::Aes128Gcm);
         write_protected(&mut a, &mut seal, INNER_APPLICATION, b"password=hunter2").unwrap();
         let (_, data) = read_protected(&mut b, &mut open).unwrap();

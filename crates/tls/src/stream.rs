@@ -101,7 +101,10 @@ impl<S: Read + Write> Read for TlsStream<S> {
                 }
                 Err(crate::TlsError::Io(e)) => return Err(e),
                 Err(other) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, other.to_string()))
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        other.to_string(),
+                    ))
                 }
             }
         }
@@ -202,8 +205,7 @@ mod tests {
         ClientValidator::ca(store)
     }
 
-    type HandshakeResult =
-        Result<(TlsStream<Duplex>, crate::handshake::SessionInfo), TlsError>;
+    type HandshakeResult = Result<(TlsStream<Duplex>, crate::handshake::SessionInfo), TlsError>;
 
     /// Run client and server handshakes concurrently over a pipe.
     fn run_handshake(
@@ -233,7 +235,10 @@ mod tests {
         let (mut server, server_info) = server.unwrap();
         assert_eq!(client_info.suite, server_info.suite);
         assert_eq!(
-            client_info.peer_certificate.as_ref().map(|c| c.subject_cn()),
+            client_info
+                .peer_certificate
+                .as_ref()
+                .map(|c| c.subject_cn()),
             Some("controller")
         );
         assert_eq!(server_info.peer_certificate, None);
@@ -270,7 +275,9 @@ mod tests {
         client.unwrap();
         server.unwrap();
         assert_eq!(
-            client_tele.metrics().counter_value("vnfguard_tls_handshakes_total"),
+            client_tele
+                .metrics()
+                .counter_value("vnfguard_tls_handshakes_total"),
             Some(1)
         );
         assert_eq!(
@@ -302,7 +309,9 @@ mod tests {
         let (_c, _ci) = client.unwrap();
         let (_s, server_info) = server.unwrap();
         assert_eq!(
-            server_info.peer_certificate.map(|c| c.subject_cn().to_string()),
+            server_info
+                .peer_certificate
+                .map(|c| c.subject_cn().to_string()),
             Some("vnf-1".to_string())
         );
     }
@@ -369,9 +378,9 @@ mod tests {
         if let Ok((mut stream, _)) = client {
             let mut buf = [0u8; 1];
             match stream.read(&mut buf) {
-                Ok(0) => {}         // clean EOF from the aborted server
+                Ok(0) => {} // clean EOF from the aborted server
                 Ok(_) => panic!("revoked client received data"),
-                Err(_) => {}        // transport error is equally a rejection
+                Err(_) => {} // transport error is equally a rejection
             }
         }
     }

@@ -68,7 +68,11 @@ impl std::fmt::Debug for ClientValidator {
         match self {
             ClientValidator::Ca(_) => write!(f, "ClientValidator::Ca"),
             ClientValidator::Keystore(store) => {
-                write!(f, "ClientValidator::Keystore({} entries)", store.read().len())
+                write!(
+                    f,
+                    "ClientValidator::Keystore({} entries)",
+                    store.read().len()
+                )
             }
         }
     }

@@ -14,9 +14,9 @@ use vnfguard_crypto::x25519::EphemeralKeyPair;
 use vnfguard_encoding::{TlvReader, TlvWriter};
 use vnfguard_pki::{Certificate, TrustStore};
 use vnfguard_sgx::enclave::{EnclaveCode, EnclaveContext};
+use vnfguard_sgx::measurement::Measurement;
 use vnfguard_sgx::report::TargetInfo;
 use vnfguard_sgx::seal::{SealPolicy, SealedBlob};
-use vnfguard_sgx::measurement::Measurement;
 use vnfguard_sgx::SgxError;
 use vnfguard_tls::handshake::{client_handshake, ClientConfig};
 use vnfguard_tls::record::SealState;
@@ -127,9 +127,8 @@ impl ProvisionBundle {
                     "unexpected trailing tag {tag:#04x} in credential bundle"
                 )));
             }
-            ca_previous.push(
-                Certificate::decode(value).map_err(|e| SgxError::Encoding(e.to_string()))?,
-            );
+            ca_previous
+                .push(Certificate::decode(value).map_err(|e| SgxError::Encoding(e.to_string()))?);
         }
         Ok(ProvisionBundle {
             key_seed,
@@ -572,7 +571,9 @@ impl CredentialEnclave {
                     .u64(TAG_SERIAL, credentials.certificate.serial());
             }
             None => {
-                w.u8(TAG_PROVISIONED, 0).string(TAG_SUBJECT, "").u64(TAG_SERIAL, 0);
+                w.u8(TAG_PROVISIONED, 0)
+                    .string(TAG_SUBJECT, "")
+                    .u64(TAG_SERIAL, 0);
             }
         }
         w.finish()
@@ -675,14 +676,18 @@ mod tests {
         let ciphertext = r.expect(TAG_CIPHERTEXT).unwrap();
         let shared = enclave_key.agree(&eph_pub);
         let key = wrap_key(&shared, &eph_pub, &enclave_key.public);
-        let plaintext = AesGcm::new(&key).open(&nonce, &eph_pub, ciphertext).unwrap();
+        let plaintext = AesGcm::new(&key)
+            .open(&nonce, &eph_pub, ciphertext)
+            .unwrap();
         assert_eq!(ProvisionBundle::decode(&plaintext).unwrap(), bundle);
 
         // A different provisioning key cannot unwrap (MITM substitution).
         let wrong = EphemeralKeyPair::from_seed([8; 32]);
         let shared = wrong.agree(&eph_pub);
         let key = wrap_key(&shared, &eph_pub, &wrong.public);
-        assert!(AesGcm::new(&key).open(&nonce, &eph_pub, ciphertext).is_err());
+        assert!(AesGcm::new(&key)
+            .open(&nonce, &eph_pub, ciphertext)
+            .is_err());
     }
 
     #[test]

@@ -52,10 +52,9 @@ fn splitmix(seed: u64) -> u64 {
 }
 
 fn name_seed(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The jittered renewal start for a credential expiring at `not_after`:
@@ -198,8 +197,9 @@ impl VnfGuard {
         let network = self.network.clone();
         let connections = &mut self.connections;
         let next_conn = &mut self.next_conn;
-        let result = self.enclave.ecall_io(opcode, input, |ocall_op, payload| {
-            match ocall_op {
+        let result = self
+            .enclave
+            .ecall_io(opcode, input, |ocall_op, payload| match ocall_op {
                 credential_enclave::ocall::NET_CONNECT => {
                     let addr = std::str::from_utf8(payload)
                         .map_err(|_| SgxError::App("bad address".into()))?;
@@ -212,8 +212,8 @@ impl VnfGuard {
                     Ok(conn.to_be_bytes().to_vec())
                 }
                 credential_enclave::ocall::NET_SEND => {
-                    let (conn, bytes) = decode_net_send(payload)
-                        .map_err(|e| SgxError::App(e.to_string()))?;
+                    let (conn, bytes) =
+                        decode_net_send(payload).map_err(|e| SgxError::App(e.to_string()))?;
                     let stream = connections
                         .get_mut(&conn)
                         .ok_or_else(|| SgxError::App(format!("no connection {conn}")))?;
@@ -223,8 +223,8 @@ impl VnfGuard {
                     Ok(Vec::new())
                 }
                 credential_enclave::ocall::NET_RECV => {
-                    let (conn, max) = decode_net_recv(payload)
-                        .map_err(|e| SgxError::App(e.to_string()))?;
+                    let (conn, max) =
+                        decode_net_recv(payload).map_err(|e| SgxError::App(e.to_string()))?;
                     let stream = connections
                         .get_mut(&conn)
                         .ok_or_else(|| SgxError::App(format!("no connection {conn}")))?;
@@ -245,8 +245,7 @@ impl VnfGuard {
                     Ok(Vec::new())
                 }
                 other => Err(SgxError::App(format!("unknown ocall {other}"))),
-            }
-        })?;
+            })?;
         Ok(result)
     }
 

@@ -25,7 +25,9 @@ pub mod credential_enclave;
 pub mod guard;
 pub mod nf;
 
-pub use credential_enclave::{wrap_credentials, CredentialEnclave, ProvisionBundle, WrapRandomness};
+pub use credential_enclave::{
+    wrap_credentials, CredentialEnclave, ProvisionBundle, WrapRandomness,
+};
 pub use guard::{RenewFn, VnfGuard};
 pub use nf::{DpiCounter, Firewall, LoadBalancer, NatGateway, NetworkFunction};
 
@@ -39,7 +41,9 @@ pub enum VnfError {
     /// Malformed structure crossing the enclave boundary.
     Encoding(String),
     /// The controller shed the request under load; retry after the hint.
-    Backpressure { retry_after_secs: u64 },
+    Backpressure {
+        retry_after_secs: u64,
+    },
 }
 
 impl std::fmt::Display for VnfError {

@@ -268,14 +268,11 @@ impl NetworkFunction for LoadBalancer {
             Protocol::Other(_) => None,
         }
         .unwrap_or(0);
-        let backend = *self
-            .affinity
-            .entry((ip.src, src_port))
-            .or_insert_with(|| {
-                let chosen = self.backends[self.next % self.backends.len()];
-                self.next += 1;
-                chosen
-            });
+        let backend = *self.affinity.entry((ip.src, src_port)).or_insert_with(|| {
+            let chosen = self.backends[self.next % self.backends.len()];
+            self.next += 1;
+            chosen
+        });
         let new_payload = match ip.protocol {
             Protocol::Udp => UdpDatagram::parse(&ip.payload)
                 .ok()
@@ -415,7 +412,11 @@ pub fn load_enclave_nf<F: NetworkFunction + 'static>(
     let image = format!("enclave-nf {}", function.name()).into_bytes();
     let mrenclave = SgxPlatform::measure_image(&image, 64 * 1024);
     let signed = author.sign_enclave(mrenclave, 2, 1, false);
-    platform.load_enclave(&signed, 64 * 1024, Box::new(EnclaveNf::new(&image, function)))
+    platform.load_enclave(
+        &signed,
+        64 * 1024,
+        Box::new(EnclaveNf::new(&image, function)),
+    )
 }
 
 /// Encode frames into the batch wire format for [`OP_PROCESS_BATCH`].
@@ -469,9 +470,10 @@ mod tests {
 
     #[test]
     fn firewall_default_deny() {
-        let mut fw = Firewall::default_deny(vec![
-            FirewallRule::allow().to(ip(2)).port(53).proto(Protocol::Udp)
-        ]);
+        let mut fw = Firewall::default_deny(vec![FirewallRule::allow()
+            .to(ip(2))
+            .port(53)
+            .proto(Protocol::Udp)]);
         assert!(matches!(
             fw.process(&udp_frame(1, 2, 53)),
             NfVerdict::Forward(_)

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use vnfguard_controller::{Controller, ControllerConfig, NorthboundClient, SimClock};
 use vnfguard_crypto::drbg::HmacDrbg;
 use vnfguard_crypto::ed25519::SigningKey;
+use vnfguard_encoding::Json;
 use vnfguard_net::fabric::Network;
 use vnfguard_net::http::Request;
 use vnfguard_pki::ca::{CertificateAuthority, IssueProfile};
@@ -17,7 +18,6 @@ use vnfguard_tls::signer::LocalSigner;
 use vnfguard_tls::validate::ClientValidator;
 use vnfguard_vnf::credential_enclave::ProvisionBundle;
 use vnfguard_vnf::{wrap_credentials, VnfGuard, WrapRandomness};
-use vnfguard_encoding::Json;
 
 struct World {
     network: Network,
@@ -49,7 +49,9 @@ fn setup() -> World {
     );
     let server_identity = Arc::new(LocalSigner::new(server_key, server_cert));
     let mut validator_store = TrustStore::new();
-    validator_store.add_anchor(ca.certificate().clone()).unwrap();
+    validator_store
+        .add_anchor(ca.certificate().clone())
+        .unwrap();
 
     let network = Network::new();
     let tap = network.tap(ADDR);
@@ -114,7 +116,11 @@ fn enclave_session_reaches_controller_with_client_identity() {
             .with("ports", vec![Json::from(1i64), Json::from(2i64)]),
     );
     let response = world.guard.request(session, &register).unwrap();
-    assert!(response.status.is_success(), "register: {:?}", response.status);
+    assert!(
+        response.status.is_success(),
+        "register: {:?}",
+        response.status
+    );
 
     let flow = Request::post("/wm/staticflowpusher/json").with_json(
         &Json::object()

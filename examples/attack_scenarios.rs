@@ -64,7 +64,11 @@ fn trojaned_vnf_image() -> Outcome {
     let verdict = testbed.attest_host(0).unwrap();
     Outcome {
         scenario: "trojaned VNF image",
-        result: if verdict == Verdict::Mismatch { "DETECTED" } else { "MISSED" },
+        result: if verdict == Verdict::Mismatch {
+            "DETECTED"
+        } else {
+            "MISSED"
+        },
         detail: format!("appraisal verdict {verdict:?}"),
     }
 }
@@ -102,7 +106,11 @@ fn compromised_container_runtime() -> Outcome {
     let enroll_refused = testbed.enroll(0, &guard).is_err();
     Outcome {
         scenario: "compromised container runtime",
-        result: if verdict == Verdict::Mismatch && enroll_refused { "DETECTED" } else { "MISSED" },
+        result: if verdict == Verdict::Mismatch && enroll_refused {
+            "DETECTED"
+        } else {
+            "MISSED"
+        },
         detail: format!("verdict {verdict:?}, enrollment refused: {enroll_refused}"),
     }
 }
@@ -136,7 +144,9 @@ fn stolen_certificate_replay() -> Outcome {
     // panics — so they must forge the CertificateVerify, which fails at the
     // server. Emulate by connecting with their own self-issued identity.
     let mut trust = vnfguard::pki::TrustStore::new();
-    trust.add_anchor(testbed.vm.ca_certificate().clone()).unwrap();
+    trust
+        .add_anchor(testbed.vm.ca_certificate().clone())
+        .unwrap();
     let forged_cert = vnfguard::pki::cert::Certificate::sign(
         vnfguard::pki::cert::TbsCertificate {
             serial: certificate.serial(),
@@ -224,7 +234,9 @@ fn eavesdropping_trusted_https() -> Outcome {
 fn unauthenticated_flow_injection() -> Outcome {
     let testbed = TestbedBuilder::new(b"attack: inject").build();
     let mut trust = vnfguard::pki::TrustStore::new();
-    trust.add_anchor(testbed.vm.ca_certificate().clone()).unwrap();
+    trust
+        .add_anchor(testbed.vm.ca_certificate().clone())
+        .unwrap();
     let refused = NorthboundClient::connect_tls(
         &testbed.network,
         &testbed.controller_addr,
@@ -272,7 +284,11 @@ fn iml_rewrite_without_tpm() -> Outcome {
     let verdict = testbed.attest_host(0).unwrap();
     Outcome {
         scenario: "IML rewrite (no TPM, paper §4 gap)",
-        result: if verdict == Verdict::Trusted { "SUCCEEDED" } else { "unexpected" },
+        result: if verdict == Verdict::Trusted {
+            "SUCCEEDED"
+        } else {
+            "unexpected"
+        },
         detail: "fabricated list passes appraisal — the documented limitation".into(),
     }
 }

@@ -34,9 +34,7 @@ fn main() {
 
     // --- The challenge and the quote --------------------------------------
     println!("\n=== 2. challenge, report and quote ===");
-    let challenge = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id);
     println!("  VM nonce: {}", to_hex(&challenge.nonce));
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = host_evidence(
@@ -93,9 +91,7 @@ fn main() {
 
     // --- Tampering demonstration -------------------------------------------
     println!("\n=== 5. what tampering does ===");
-    let challenge = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id);
     let mut tampered = host_evidence(
         &testbed.hosts[0].platform,
         &testbed.hosts[0].integrity_enclave,
@@ -114,9 +110,7 @@ fn main() {
         .unwrap_err();
     println!("  substituted IML  → {err}");
 
-    let challenge = testbed
-        .vm
-        .begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id);
     let mut forged = host_evidence(
         &testbed.hosts[0].platform,
         &testbed.hosts[0].integrity_enclave,
@@ -133,5 +127,8 @@ fn main() {
         .unwrap_err();
     println!("  forged quote bit → {err}");
 
-    println!("\nIAS requests served in this run: {}", testbed.ias.requests_served());
+    println!(
+        "\nIAS requests served in this run: {}",
+        testbed.ias.requests_served()
+    );
 }

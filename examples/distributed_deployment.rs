@@ -38,11 +38,19 @@ fn main() {
     // The VM's operator API: the service handle clones into the server,
     // so per-connection threads route to the shards concurrently.
     let remote_ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(remote_ias));
-    let _vm_api =
-        serve_vm_api(&network, "vm:8443", testbed.vm_service(), remote_ias, "controller")
-            .unwrap();
+    let _vm_api = serve_vm_api(
+        &network,
+        "vm:8443",
+        testbed.vm_service(),
+        remote_ias,
+        "controller",
+    )
+    .unwrap();
     println!("[svc] Verification Manager API serving at vm:8443");
-    println!("[svc] controller serving at {} (trusted HTTPS)\n", testbed.controller_addr);
+    println!(
+        "[svc] controller serving at {} (trusted HTTPS)\n",
+        testbed.controller_addr
+    );
 
     // Operate the deployment purely through the VM's REST API.
     let mut operator = HttpClient::new(network.connect("vm:8443").unwrap());
@@ -64,7 +72,10 @@ fn main() {
         .unwrap();
     println!(
         "[op ] POST …/vnfs/vnf-edge-fw/enroll → subject {} serial {}",
-        enrolled.get("subject").and_then(Json::as_str).unwrap_or("?"),
+        enrolled
+            .get("subject")
+            .and_then(Json::as_str)
+            .unwrap_or("?"),
         enrolled.get("serial").and_then(Json::as_i64).unwrap_or(-1),
     );
 
@@ -76,7 +87,10 @@ fn main() {
     println!(
         "[op ] GET /vm/status → issued={} enrollments={} events={}",
         status.get("issued").and_then(Json::as_i64).unwrap_or(0),
-        status.get("enrollments").and_then(Json::as_i64).unwrap_or(0),
+        status
+            .get("enrollments")
+            .and_then(Json::as_i64)
+            .unwrap_or(0),
         status.get("events").and_then(Json::as_i64).unwrap_or(0),
     );
 
@@ -114,8 +128,14 @@ fn main() {
         .unwrap();
     println!(
         "[obs] GET /vm/events?since=0 → {} events, next_seq={}",
-        events.get("events").and_then(Json::as_array).map(|a| a.len()).unwrap_or(0),
+        events
+            .get("events")
+            .and_then(Json::as_array)
+            .map(|a| a.len())
+            .unwrap_or(0),
         events.get("next_seq").and_then(Json::as_i64).unwrap_or(0),
     );
-    println!("\nEvery workflow interaction crossed the network, none carried key material in clear.");
+    println!(
+        "\nEvery workflow interaction crossed the network, none carried key material in clear."
+    );
 }

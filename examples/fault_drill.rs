@@ -8,9 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
-use vnfguard::core::remote::{
-    remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas,
-};
+use vnfguard::core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
 use vnfguard::core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard::core::revocation::{revocation_message, RevocationNotifier};
 use vnfguard::core::CoreError;
@@ -115,10 +113,19 @@ fn main() {
     );
     attest(&mut w).unwrap();
     w.plan.partition(&["vm"], &["ias:443"]);
-    println!("  degraded policy OFF (default): attest → {}", attest(&mut w).unwrap_err());
-    println!("                        2nd try → {}", attest(&mut w).unwrap_err());
+    println!(
+        "  degraded policy OFF (default): attest → {}",
+        attest(&mut w).unwrap_err()
+    );
+    println!(
+        "                        2nd try → {}",
+        attest(&mut w).unwrap_err()
+    );
     println!("  breaker is now {:?}", w.remote_ias.breaker_state());
-    println!("  open circuit, policy OFF: {}", attest(&mut w).unwrap_err());
+    println!(
+        "  open circuit, policy OFF: {}",
+        attest(&mut w).unwrap_err()
+    );
 
     // Degradation is a build-time policy now (ManagerConfig::builder()'s
     // degraded_verdicts): stand up the same drill with the policy ON.

@@ -58,13 +58,11 @@ fn world() -> World {
         .faults(plan.clone())
         .build();
     let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
-    let mut remote_ias = remote_ias
-        .with_telemetry(&telemetry)
-        .with_resilience(
-            testbed.clock.clone(),
-            RetryPolicy::new(2, 1, 4),
-            CircuitBreaker::new(3, 60),
-        );
+    let mut remote_ias = remote_ias.with_telemetry(&telemetry).with_resilience(
+        testbed.clock.clone(),
+        RetryPolicy::new(2, 1, 4),
+        CircuitBreaker::new(3, 60),
+    );
     let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
     let agent = HostAgent::serve(&testbed.network, state).unwrap();
     remote_attest_host(&testbed.vm, &mut remote_ias, &testbed.network, "host-0").unwrap();
@@ -188,10 +186,7 @@ fn main() {
     );
 
     println!("\n== cockpit: fleet status while a standby is partitioned ==");
-    let (monitor, _standby_handles) = world
-        .testbed
-        .fleet_monitor("operator", "vm:8443")
-        .unwrap();
+    let (monitor, _standby_handles) = world.testbed.fleet_monitor("operator", "vm:8443").unwrap();
     let _fleet = serve_fleet_api(
         &world.testbed.network,
         "fleet:9443",

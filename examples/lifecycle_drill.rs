@@ -75,7 +75,10 @@ fn main() {
         *serial = tb.renew(guard, *serial).unwrap().serial();
     }
     let retired = tb.retire_previous_roots();
-    println!("  fleet renewed onto epoch {}; {retired} old root retired", rotation.epoch);
+    println!(
+        "  fleet renewed onto epoch {}; {retired} old root retired",
+        rotation.epoch
+    );
 
     println!("== phase 5: revoke vnf-dpi and distribute the CRL ==");
     vm.revoke_credential(serials[2], RevocationReason::KeyCompromise)

@@ -67,7 +67,10 @@ fn main() {
     tb.clock.advance(1);
     for ((guard, serial), name) in guards.iter().zip(serials.iter_mut()).zip(names) {
         *serial = tb.renew(guard, *serial).unwrap().serial();
-        println!("  {name}: renewed under epoch {} (serial {serial})", rotation.epoch);
+        println!(
+            "  {name}: renewed under epoch {} (serial {serial})",
+            rotation.epoch
+        );
     }
     let retired = tb.retire_previous_roots();
     println!("  {retired} old root retired; dual-trust window closed");
@@ -83,7 +86,10 @@ fn main() {
     for (i, name) in names.iter().enumerate() {
         match tb.open_session(&mut guards[i]) {
             Ok(session) => {
-                println!("  {name} ({}): session {session} up", tb.hosts[i].backend.label());
+                println!(
+                    "  {name} ({}): session {session} up",
+                    tb.hosts[i].backend.label()
+                );
                 guards[i].close_session(session).unwrap();
             }
             Err(e) => println!("  {name} ({}): refused — {e}", tb.hosts[i].backend.label()),

@@ -22,7 +22,9 @@ use vnfguard::net::http::Request;
 use vnfguard::vnf::credential_enclave::CredentialEnclave;
 
 fn main() {
-    println!("=== vnfguard quickstart: Safeguarding VNF Credentials with (simulated) Intel SGX ===\n");
+    println!(
+        "=== vnfguard quickstart: Safeguarding VNF Credentials with (simulated) Intel SGX ===\n"
+    );
 
     let t0 = Instant::now();
     let mut testbed = TestbedBuilder::new(b"quickstart").build();
@@ -53,11 +55,15 @@ fn main() {
         .build();
     testbed.registry.push(image.clone());
     let pulled = testbed.registry.pull("vnf-firewall:1.0").expect("pull");
-    let container_id = testbed.deploy_container(0, &pulled, &pulled).expect("deploy");
+    let container_id = testbed
+        .deploy_container(0, &pulled, &pulled)
+        .expect("deploy");
     testbed.attest_host(0).expect("re-attestation after deploy");
     println!("[deploy]  container {container_id} running vnf-firewall:1.0 (host re-attested)");
 
-    let guard = testbed.deploy_guard(0, "vnf-firewall", 1).expect("enclave load");
+    let guard = testbed
+        .deploy_guard(0, "vnf-firewall", 1)
+        .expect("enclave load");
     println!(
         "[deploy]  credential enclave loaded, MRENCLAVE {}",
         guard.mrenclave()
@@ -148,7 +154,11 @@ fn main() {
     scaled.attest_host(0).expect("host attestation");
     let mut guards = Vec::new();
     for i in 0..4 {
-        guards.push(scaled.deploy_guard(0, &format!("vnf-scale-{i}"), 1).expect("guard"));
+        guards.push(
+            scaled
+                .deploy_guard(0, &format!("vnf-scale-{i}"), 1)
+                .expect("guard"),
+        );
     }
     let vm = scaled.vm_service();
     let ias = std::sync::Arc::new(parking_lot::Mutex::new(std::mem::replace(
@@ -191,5 +201,8 @@ fn main() {
         serials
     );
 
-    println!("\nDone in {:?}. The private key never left the enclave.", t0.elapsed());
+    println!(
+        "\nDone in {:?}. The private key never left the enclave.",
+        t0.elapsed()
+    );
 }

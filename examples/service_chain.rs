@@ -20,8 +20,8 @@ use vnfguard::encoding::Json;
 use vnfguard::net::http::Request;
 use vnfguard::sgx::sigstruct::EnclaveAuthor;
 use vnfguard::vnf::nf::{
-    decode_verdict, load_enclave_nf, Firewall, FirewallRule, LoadBalancer, NatGateway, NfVerdict,
-    NetworkFunction, OP_PROCESS,
+    decode_verdict, load_enclave_nf, Firewall, FirewallRule, LoadBalancer, NatGateway,
+    NetworkFunction, NfVerdict, OP_PROCESS,
 };
 
 fn ip(a: u8) -> Ipv4Addr {
@@ -47,9 +47,10 @@ fn main() {
         .request(
             fw_session,
             &Request::post("/wm/core/switch/register").with_json(
-                &Json::object()
-                    .with("dpid", "0000000000000e11")
-                    .with("ports", vec![Json::from(1i64), Json::from(2i64), Json::from(3i64)]),
+                &Json::object().with("dpid", "0000000000000e11").with(
+                    "ports",
+                    vec![Json::from(1i64), Json::from(2i64), Json::from(3i64)],
+                ),
             ),
         )
         .unwrap();
@@ -65,7 +66,9 @@ fn main() {
             name: "fw-allow-https".into(),
             dpid: 0xe11,
             priority: 200,
-            matcher: FlowMatch::any().with_protocol(Protocol::Udp).to_tp_port(443),
+            matcher: FlowMatch::any()
+                .with_protocol(Protocol::Udp)
+                .to_tp_port(443),
             actions: vec![FlowAction::Output(2)],
         },
         FlowSpec {
@@ -85,21 +88,46 @@ fn main() {
             .unwrap();
         assert!(response.status.is_success());
     }
-    println!("[flows]  firewall policy installed via north-bound API: {} flows", specs.len());
+    println!(
+        "[flows]  firewall policy installed via north-bound API: {} flows",
+        specs.len()
+    );
 
     // The controller syncs the flows onto the actual dataplane switch.
     let mut switch = Switch::new(0xe11, vec![1, 2, 3]);
     testbed.controller.state().read().sync_switch(&mut switch);
-    println!("[sync]   switch 0xe11 programmed with {} entries", switch.flow_table().len());
+    println!(
+        "[sync]   switch 0xe11 programmed with {} entries",
+        switch.flow_table().len()
+    );
 
     // Traffic through the switch.
-    let dns = build_udp_frame(MacAddr([1; 6]), MacAddr([2; 6]), ip(1), ip(9), 40000, 53, b"query");
-    let telnet = build_udp_frame(MacAddr([1; 6]), MacAddr([2; 6]), ip(1), ip(9), 40000, 23, b"root");
+    let dns = build_udp_frame(
+        MacAddr([1; 6]),
+        MacAddr([2; 6]),
+        ip(1),
+        ip(9),
+        40000,
+        53,
+        b"query",
+    );
+    let telnet = build_udp_frame(
+        MacAddr([1; 6]),
+        MacAddr([2; 6]),
+        ip(1),
+        ip(9),
+        40000,
+        23,
+        b"root",
+    );
     let out = switch.receive(1, &dns);
     assert_eq!(out.transmit.len(), 1);
     let out_blocked = switch.receive(1, &telnet);
     assert!(out_blocked.transmit.is_empty());
-    println!("[switch] DNS forwarded to port {}, telnet dropped by policy", 2);
+    println!(
+        "[switch] DNS forwarded to port {}, telnet dropped by policy",
+        2
+    );
 
     // The NF pipeline behind the switch: NAT then load balancer.
     let mut nat = NatGateway::new(ip(9), ip(100));
@@ -115,13 +143,21 @@ fn main() {
             443,
             b"req",
         );
-        let NfVerdict::Forward(frame) = nat.process(&frame) else { panic!("nat dropped") };
-        let NfVerdict::Forward(frame) = lb.process(&frame) else { panic!("lb dropped") };
+        let NfVerdict::Forward(frame) = nat.process(&frame) else {
+            panic!("nat dropped")
+        };
+        let NfVerdict::Forward(frame) = lb.process(&frame) else {
+            panic!("lb dropped")
+        };
         let eth = EthernetFrame::parse(&frame).unwrap();
         let packet = Ipv4Packet::parse(&eth.payload).unwrap();
         *served.entry(packet.dst).or_insert(0u32) += 1;
     }
-    println!("[chain]  9 flows NAT'd {} times and balanced across backends: {:?}", nat.translated(), served);
+    println!(
+        "[chain]  9 flows NAT'd {} times and balanced across backends: {:?}",
+        nat.translated(),
+        served
+    );
     assert_eq!(served.len(), 3, "all backends used");
 
     // Trusted-Click variant: the same firewall runs inside an enclave.
@@ -157,5 +193,7 @@ fn main() {
         .count();
     println!("[audit]  controller records {pushes} authenticated flow pushes");
 
-    println!("\nService chain complete: policy programmed over guarded credentials, packets flowing.");
+    println!(
+        "\nService chain complete: policy programmed over guarded credentials, packets flowing."
+    );
 }

@@ -72,7 +72,11 @@ fn main() {
         println!(
             "POST {path} -> {} (x-vnfguard-trace: {})",
             response.status.code(),
-            response.headers.get("x-vnfguard-trace").cloned().unwrap_or_default()
+            response
+                .headers
+                .get("x-vnfguard-trace")
+                .cloned()
+                .unwrap_or_default()
         );
     }
 
@@ -85,13 +89,17 @@ fn main() {
 
     // What the operator sees at GET /vm/traces/{id}?format=ascii.
     let waterfall = client
-        .request(&Request::get(&format!("/vm/traces/{root_hex}?format=ascii")))
+        .request(&Request::get(&format!(
+            "/vm/traces/{root_hex}?format=ascii"
+        )))
         .unwrap();
     println!("GET /vm/traces/{root_hex}?format=ascii\n");
     println!("{}", String::from_utf8(waterfall.body).unwrap());
 
     let chrome = client
-        .request(&Request::get(&format!("/vm/traces/{root_hex}?format=chrome")))
+        .request(&Request::get(&format!(
+            "/vm/traces/{root_hex}?format=chrome"
+        )))
         .unwrap();
     println!(
         "?format=chrome -> {} bytes of trace_event JSON (load in chrome://tracing)",

@@ -14,9 +14,7 @@ use proptest::prelude::*;
 use vnfguard::attest::snp::{
     launch_measurement, normalize_measurement, AmdRoot, SnpFault, SnpPlatform, SnpVerifier,
 };
-use vnfguard::attest::{
-    AppraisalPolicy, AttestError, AttestationBackend, BackendKind, TcbStatus,
-};
+use vnfguard::attest::{AppraisalPolicy, AttestError, AttestationBackend, BackendKind, TcbStatus};
 use vnfguard::controller::clock::SimClock;
 use vnfguard::ias::AttestationService;
 use vnfguard::sgx::enclave::{EnclaveCode, EnclaveContext};

@@ -73,7 +73,10 @@ fn run_crash_scenario(seed: u64) -> Outcome {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            assert!(attempts <= 24, "seed {seed}: enrollment of {name} livelocked");
+            assert!(
+                attempts <= 24,
+                "seed {seed}: enrollment of {name} livelocked"
+            );
             match tb.enroll(0, &guard) {
                 Ok(certificate) => {
                     committed.insert(certificate.serial());
@@ -111,7 +114,10 @@ fn run_crash_scenario(seed: u64) -> Outcome {
     // saw an error.
     let to_revoke: Vec<u64> = committed.iter().copied().take(VNFS_PER_SEED / 2).collect();
     for serial in &to_revoke {
-        match tb.vm.revoke_credential(*serial, RevocationReason::KeyCompromise) {
+        match tb
+            .vm
+            .revoke_credential(*serial, RevocationReason::KeyCompromise)
+        {
             Ok(()) => {}
             Err(CoreError::VmCrashed(_)) => {
                 crashes += 1;
@@ -174,7 +180,10 @@ fn run_crash_scenario(seed: u64) -> Outcome {
     // serial must be an enrollment or on the CRL.
     let max_serial = tb.vm.issued_count() + 1;
     for serial in 3..=max_serial {
-        let enrolled = tb.vm.enrollments().any(|e| e.serial == serial && !e.revoked);
+        let enrolled = tb
+            .vm
+            .enrollments()
+            .any(|e| e.serial == serial && !e.revoked);
         let revoked = tb.vm.credential_is_revoked(serial);
         assert!(
             enrolled || revoked,
@@ -470,11 +479,17 @@ fn recovery_aborts_expired_orphans_and_queues_notices() {
         .any(|n| n.serial == 3 && n.host_id == "host-0"));
 
     // Fresh incarnation, fresh trust: the host must re-attest first.
-    let err = tb.vm.begin_vnf_attestation("host-0", "vnf-orphan").unwrap_err();
+    let err = tb
+        .vm
+        .begin_vnf_attestation("host-0", "vnf-orphan")
+        .unwrap_err();
     assert!(matches!(err, CoreError::WorkflowViolation(_)));
     tb.attest_host(0).unwrap();
     let certificate = tb.enroll(0, &guard).unwrap();
-    assert!(certificate.serial() > 3, "the orphaned serial is never reused");
+    assert!(
+        certificate.serial() > 3,
+        "the orphaned serial is never reused"
+    );
 }
 
 /// Snapshot-seeded recovery and full-log replay converge to the same
@@ -558,7 +573,10 @@ fn recovery_report_is_served_over_the_operator_api() {
     assert_eq!(body.get("recovered").and_then(Json::as_bool), Some(true));
     assert_eq!(body.get("generation").and_then(Json::as_i64), Some(1));
     assert_eq!(body.get("orphans_aborted").and_then(Json::as_i64), Some(0));
-    assert_eq!(body.get("enrollments_restored").and_then(Json::as_i64), Some(1));
+    assert_eq!(
+        body.get("enrollments_restored").and_then(Json::as_i64),
+        Some(1)
+    );
     let store = body.get("store").expect("store occupancy block");
     assert!(store.get("log_frames").and_then(Json::as_i64).unwrap() > 0);
 }

@@ -105,11 +105,9 @@ fn mixed_mode_deployments_coexist() {
         .build();
     let mut trusted = TestbedBuilder::new(b"mixed trusted").build();
 
-    let mut plain_client = vnfguard::controller::NorthboundClient::connect_plain(
-        &http.network,
-        &http.controller_addr,
-    )
-    .unwrap();
+    let mut plain_client =
+        vnfguard::controller::NorthboundClient::connect_plain(&http.network, &http.controller_addr)
+            .unwrap();
     plain_client.summary().unwrap();
 
     trusted.attest_host(0).unwrap();

@@ -17,9 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard::core::deployment::TestbedBuilder;
-use vnfguard::core::remote::{
-    remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas,
-};
+use vnfguard::core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
 use vnfguard::core::resilience::{BreakerState, CircuitBreaker, RetryPolicy};
 use vnfguard::core::revocation::{revocation_message, RevocationNotifier};
 use vnfguard::core::CoreError;
@@ -187,16 +185,28 @@ fn ias_partition_opens_breaker_and_gates_degradation() {
 
     // Credential issuance has no degraded mode: fail fast, fail closed.
     let err = enroll_vnf(&mut world).unwrap_err();
-    assert!(matches!(err, CoreError::ServiceUnavailable(_)), "got: {err}");
+    assert!(
+        matches!(err, CoreError::ServiceUnavailable(_)),
+        "got: {err}"
+    );
     assert_eq!(world.testbed.vm.enrollments().count(), 0);
 
     // A host whose last real appraisal failed gets nothing under
     // degradation, trusted cache or not.
     world.testbed.vm.revoke_host("host-0");
     let err = attest_host0(&mut world).unwrap_err();
-    assert!(matches!(err, CoreError::ServiceUnavailable(_)), "got: {err}");
+    assert!(
+        matches!(err, CoreError::ServiceUnavailable(_)),
+        "got: {err}"
+    );
     assert_eq!(
-        world.testbed.vm.events().iter().filter(|e| e.kind == "DegradedVerdict").count(),
+        world
+            .testbed
+            .vm
+            .events()
+            .iter()
+            .filter(|e| e.kind == "DegradedVerdict")
+            .count(),
         1,
         "no degraded verdict for a failed appraisal"
     );
@@ -249,14 +259,14 @@ fn mid_provision_drop_never_half_provisions() {
                 delivered += 1;
                 assert!(provisioned, "budget {budget}: committed but undelivered");
                 assert_eq!(vm.enrollments().count(), 1);
-                assert!(vm
-                    .current_crl(3600)
-                    .lookup(certificate.serial())
-                    .is_none());
+                assert!(vm.current_crl(3600).lookup(certificate.serial()).is_none());
             }
             Err(CoreError::ProvisioningRolledBack(detail)) => {
                 rolled_back += 1;
-                assert!(!provisioned, "budget {budget}: rollback but enclave provisioned");
+                assert!(
+                    !provisioned,
+                    "budget {budget}: rollback but enclave provisioned"
+                );
                 assert_eq!(vm.enrollments().count(), 0, "budget {budget}");
                 // The issued-then-rolled-back serial is on the CRL.
                 let serial: u64 = detail
@@ -266,9 +276,7 @@ fn mid_provision_drop_never_half_provisions() {
                     .and_then(|s| s.trim().parse().ok())
                     .expect("rollback error names the serial");
                 assert!(
-                    vm.current_crl(3600)
-                        .lookup(serial)
-                        .is_some(),
+                    vm.current_crl(3600).lookup(serial).is_some(),
                     "budget {budget}: rolled-back serial {serial} missing from CRL"
                 );
             }
@@ -276,7 +284,10 @@ fn mid_provision_drop_never_half_provisions() {
                 // Cut before issuance (e.g. during the attest exchange):
                 // nothing was prepared, nothing to roll back.
                 assert!(
-                    matches!(other, CoreError::HostUnreachable(_) | CoreError::Encoding(_)),
+                    matches!(
+                        other,
+                        CoreError::HostUnreachable(_) | CoreError::Encoding(_)
+                    ),
                     "budget {budget}: unexpected error {other}"
                 );
                 assert!(!provisioned, "budget {budget}");
@@ -313,7 +324,10 @@ fn revocations_queue_and_drain_after_heal() {
         .vm
         .revoke_credential(serial, vnfguard::pki::crl::RevocationReason::KeyCompromise)
         .unwrap();
-    let tag = world.testbed.vm.hmac_tag(&revocation_message("host-0", serial));
+    let tag = world
+        .testbed
+        .vm
+        .hmac_tag(&revocation_message("host-0", serial));
 
     // Host-0 drops off the network; the notice queues instead of failing.
     world.plan.isolate("agent:host-0");
@@ -336,7 +350,12 @@ fn revocations_queue_and_drain_after_heal() {
     // Forged notices are refused even when the host is reachable.
     let mut forger = RevocationNotifier::new(&world.testbed.network);
     assert!(!forger.notify("host-0", serial + 1, [0xAA; 32], now));
-    assert!(!world.agent.state.revoked_serials.read().contains(&(serial + 1)));
+    assert!(!world
+        .agent
+        .state
+        .revoked_serials
+        .read()
+        .contains(&(serial + 1)));
 }
 
 // ---------------------------------------------------------------------------

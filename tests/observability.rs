@@ -111,14 +111,29 @@ fn metrics_surface_reflects_a_fault_injected_enrollment() {
     let text = String::from_utf8(scrape.body.clone()).unwrap();
 
     // Workflow counters: one host attestation, one enrollment, no failures.
-    assert_eq!(metric_value(&text, "vnfguard_core_host_attestations_total"), Some(1));
-    assert_eq!(metric_value(&text, "vnfguard_core_enrollments_total"), Some(1));
-    assert_eq!(metric_value(&text, "vnfguard_core_enrollment_failures_total"), Some(0));
+    assert_eq!(
+        metric_value(&text, "vnfguard_core_host_attestations_total"),
+        Some(1)
+    );
+    assert_eq!(
+        metric_value(&text, "vnfguard_core_enrollments_total"),
+        Some(1)
+    );
+    assert_eq!(
+        metric_value(&text, "vnfguard_core_enrollment_failures_total"),
+        Some(0)
+    );
 
     // Resilience counters: retries fired, nothing failed terminally.
     let retries = metric_value(&text, "vnfguard_core_ias_retries_total").unwrap();
-    assert!(retries > 0, "30% IAS refusals should force retries:\n{text}");
-    assert_eq!(metric_value(&text, "vnfguard_core_ias_failures_total"), Some(0));
+    assert!(
+        retries > 0,
+        "30% IAS refusals should force retries:\n{text}"
+    );
+    assert_eq!(
+        metric_value(&text, "vnfguard_core_ias_failures_total"),
+        Some(0)
+    );
 
     // Fabric + IAS service counters observed the same traffic.
     assert_eq!(
@@ -134,7 +149,10 @@ fn metrics_surface_reflects_a_fault_injected_enrollment() {
         "vnfguard_core_enrollment_micros",
         "vnfguard_core_ias_roundtrip_micros",
     ] {
-        assert!(metric_value(&text, &format!("{h}_count")).unwrap() > 0, "{h} empty");
+        assert!(
+            metric_value(&text, &format!("{h}_count")).unwrap() > 0,
+            "{h} empty"
+        );
         for q in ["p50", "p90", "p99", "max"] {
             assert!(text.contains(&format!("{h}_{q} ")), "{h}_{q} missing");
         }
@@ -180,7 +198,10 @@ fn metrics_surface_reflects_a_fault_injected_enrollment() {
 
     // The REST surface and the in-process registry agree.
     assert_eq!(
-        metric_value(&telemetry.render_prometheus(), "vnfguard_core_enrollments_total"),
+        metric_value(
+            &telemetry.render_prometheus(),
+            "vnfguard_core_enrollments_total"
+        ),
         Some(1)
     );
 }

@@ -24,10 +24,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vnfguard::core::crash::CrashPlan;
 use vnfguard::core::deployment::{Testbed, TestbedBuilder};
-use vnfguard::core::service::VmService;
 use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::replication::ReplicationConfig;
 use vnfguard::core::revocation::revocation_message;
+use vnfguard::core::service::VmService;
 use vnfguard::core::CoreError;
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
@@ -193,13 +193,13 @@ fn ride_out(tb: &mut Testbed, seed: u64, promotions: &mut usize) {
         // place from the current primary's own WAL.
         tb.recover_vm().unwrap();
     } else {
-        let oracle = tb.oracle_twin().unwrap_or_else(|e| {
-            panic!("seed {seed}: oracle twin recovery failed: {e}")
-        });
+        let oracle = tb
+            .oracle_twin()
+            .unwrap_or_else(|e| panic!("seed {seed}: oracle twin recovery failed: {e}"));
         let started = Instant::now();
-        let report = tb.promote().unwrap_or_else(|e| {
-            panic!("seed {seed}: promotion failed: {e}")
-        });
+        let report = tb
+            .promote()
+            .unwrap_or_else(|e| panic!("seed {seed}: promotion failed: {e}"));
         let elapsed = started.elapsed();
         assert!(
             elapsed < MAX_FAILOVER,
@@ -601,9 +601,7 @@ fn promotion_requeues_and_drains_undelivered_notices() {
 
 #[test]
 fn replication_status_is_served_over_the_operator_api() {
-    let mut tb = TestbedBuilder::new(b"replication api")
-        .replicas(2)
-        .build();
+    let mut tb = TestbedBuilder::new(b"replication api").replicas(2).build();
     tb.attest_host(0).unwrap();
     let guard = tb.deploy_guard(0, "vnf-api", 1).unwrap();
     tb.enroll(0, &guard).unwrap();
@@ -638,10 +636,8 @@ fn replication_status_is_served_over_the_operator_api() {
 
     // The status read refreshed the gauges; the Prometheus exposition
     // must carry them (satellite metric names are part of the contract).
-    let metrics = String::from_utf8(
-        client.request(&Request::get("/vm/metrics")).unwrap().body,
-    )
-    .unwrap();
+    let metrics =
+        String::from_utf8(client.request(&Request::get("/vm/metrics")).unwrap().body).unwrap();
     assert!(metrics.contains("vnfguard_core_replication_lag_records 0"));
     assert!(metrics.contains("vnfguard_core_replication_heartbeat_age_seconds"));
     assert!(metrics.contains("vnfguard_core_replication_records_total"));
@@ -652,7 +648,9 @@ fn replication_status_is_served_over_the_operator_api() {
 /// special-casing.
 #[test]
 fn replication_route_reports_unreplicated_deployments() {
-    let tb = TestbedBuilder::new(b"replication api bare").durable().build();
+    let tb = TestbedBuilder::new(b"replication api bare")
+        .durable()
+        .build();
     let network = tb.network.clone();
     let vm = tb.vm_service();
     let ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(tb.ias));
@@ -663,6 +661,9 @@ fn replication_route_reports_unreplicated_deployments() {
         .unwrap()
         .parse_json()
         .unwrap();
-    assert_eq!(body.get("role").and_then(Json::as_str), Some("unreplicated"));
+    assert_eq!(
+        body.get("role").and_then(Json::as_str),
+        Some("unreplicated")
+    );
     assert!(body.get("epoch").is_none());
 }

@@ -93,7 +93,9 @@ fn script(ops: &[u8]) -> Vec<WalRecord> {
                 model.revoked.push(serial);
             }
             5 if !model.committed.is_empty() => {
-                let serial = model.committed.remove((*op as usize) % model.committed.len());
+                let serial = model
+                    .committed
+                    .remove((*op as usize) % model.committed.len());
                 records.push(WalRecord::CredentialRevoked {
                     serial,
                     reason_code: 1,
@@ -552,11 +554,16 @@ fn concurrent_enrollments_issue_unique_serials_across_shards() {
     const SHARDS: usize = 4;
     const SHARD_SERIAL_SPAN: u64 = 1 << 40;
 
-    let mut tb = TestbedBuilder::new(b"store-props-shards").shards(SHARDS).build();
+    let mut tb = TestbedBuilder::new(b"store-props-shards")
+        .shards(SHARDS)
+        .build();
     tb.attest_host(0).expect("host attestation");
     let mut guards = Vec::new();
     for i in 0..CLIENTS {
-        guards.push(tb.deploy_guard(0, &format!("vnf-conc-{i}"), 1).expect("guard"));
+        guards.push(
+            tb.deploy_guard(0, &format!("vnf-conc-{i}"), 1)
+                .expect("guard"),
+        );
     }
     let vm = tb.vm_service();
     let ias = Arc::new(parking_lot::Mutex::new(std::mem::replace(
@@ -604,5 +611,9 @@ fn concurrent_enrollments_issue_unique_serials_across_shards() {
             "serial {serial} for {name} landed outside its shard's span"
         );
     }
-    assert_eq!(seen.len(), CLIENTS, "expected one distinct serial per client");
+    assert_eq!(
+        seen.len(),
+        CLIENTS,
+        "expected one distinct serial per client"
+    );
 }

@@ -180,13 +180,22 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
 
     // Every tier of the deployment contributed spans to the one trace.
     for service in ["operator", "vm_api", "vm", "ias", "agent", "controller"] {
-        assert!(services.contains(service), "missing {service}: {services:?}");
+        assert!(
+            services.contains(service),
+            "missing {service}: {services:?}"
+        );
     }
     for name in ["host_attestation", "vnf_enrollment", "ias_roundtrip"] {
-        assert!(names.iter().any(|n| n == name), "missing span {name}: {names:?}");
+        assert!(
+            names.iter().any(|n| n == name),
+            "missing span {name}: {names:?}"
+        );
     }
     // The stalled round-trip produced per-attempt retry children.
-    let attempts = names.iter().filter(|n| n.starts_with("ias_attempt_")).count();
+    let attempts = names
+        .iter()
+        .filter(|n| n.starts_with("ias_attempt_"))
+        .count();
     assert!(attempts >= 2, "expected retry attempts, got {names:?}");
 
     // Annotations name the fault site, the crash site and the recovery
@@ -212,13 +221,20 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
 
     // The alternative renderings serve from the same route.
     let ascii = client
-        .request(&Request::get(&format!("/vm/traces/{root_hex}?format=ascii")))
+        .request(&Request::get(&format!(
+            "/vm/traces/{root_hex}?format=ascii"
+        )))
         .unwrap();
     let waterfall = String::from_utf8(ascii.body).unwrap();
     assert!(waterfall.contains("enrollment_drill"));
-    assert!(waterfall.contains('#'), "waterfall bars missing:\n{waterfall}");
+    assert!(
+        waterfall.contains('#'),
+        "waterfall bars missing:\n{waterfall}"
+    );
     let chrome = client
-        .request(&Request::get(&format!("/vm/traces/{root_hex}?format=chrome")))
+        .request(&Request::get(&format!(
+            "/vm/traces/{root_hex}?format=chrome"
+        )))
         .unwrap();
     let chrome_doc = chrome.parse_json().unwrap();
     assert!(
@@ -279,7 +295,10 @@ fn untraced_requests_stay_untraced_and_the_surface_validates_input() {
     let bad = client.request(&Request::get("/vm/traces/zzz")).unwrap();
     assert_eq!(bad.status.code(), 400);
     let missing = client
-        .request(&Request::get(&format!("/vm/traces/{:032x}", 0xdead_beefu128)))
+        .request(&Request::get(&format!(
+            "/vm/traces/{:032x}",
+            0xdead_beefu128
+        )))
         .unwrap();
     assert_eq!(missing.status.code(), 404);
     let unknown_format = client
@@ -320,7 +339,9 @@ fn concurrent_enrollments_keep_ias_spans_in_their_own_traces() {
     let ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(remote_ias));
     let _api = serve_vm_api(&network, "vm:8443", tb.vm_service(), ias, "controller").unwrap();
     let mut client = HttpClient::new(network.connect("vm:8443").unwrap());
-    let response = client.request(&Request::post("/vm/hosts/host-0/attest")).unwrap();
+    let response = client
+        .request(&Request::post("/vm/hosts/host-0/attest"))
+        .unwrap();
     assert!(response.status.is_success(), "{:?}", response.status);
 
     std::thread::scope(|s| {
@@ -334,7 +355,11 @@ fn concurrent_enrollments_keep_ias_spans_in_their_own_traces() {
                         telemetry.trace_root("operator", "enrollment", clock.now());
                     let path = format!("/vm/hosts/host-0/vnfs/vnf-{vnf}/enroll");
                     let response = client.request(&Request::post(&path)).unwrap();
-                    assert!(response.status.is_success(), "{path}: {:?}", response.status);
+                    assert!(
+                        response.status.is_success(),
+                        "{path}: {:?}",
+                        response.status
+                    );
                     // Every span of the enrollment closed before its response
                     // was written; only the operator root is still open.
                     let spans = telemetry.traces().trace(root.trace_id);
