@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== format =="
+cargo fmt --all -- --check
+
 echo "== build (release) =="
 cargo build --release
 
@@ -11,7 +14,7 @@ echo "== test (tier-1: the whole workspace) =="
 # The root manifest's default-members make this cover every crate, not just
 # the root package. The passed count may not silently shrink below the
 # floor; raise the floor when tests are added.
-TIER1_FLOOR=832
+TIER1_FLOOR=837
 test_log=$(mktemp)
 cargo test -q 2>&1 | tee "$test_log"
 passed=$(awk '/^test result:/ { sum += $4 } END { print sum + 0 }' "$test_log")
@@ -24,11 +27,14 @@ fi
 echo "== crypto in release (limb and table-index arithmetic wraps silently there) =="
 cargo test --release -q -p vnfguard-crypto
 
-echo "== crash matrix (sealed WAL, crash injection, recovery; >=8 seeds) =="
+echo "== crash matrix and renewal crash race on the chaos driver (sealed WAL, crash injection, recovery; >=8 seeds) =="
 cargo test -q --test crash_recovery
 
-echo "== failover chaos matrix (replicated VM, node loss, oracle divergence; >=10 seeds) =="
+echo "== failover chaos matrix on the chaos driver (replicated VM, node loss, oracle divergence; >=10 seeds) =="
 cargo test -q --test replication
+
+echo "== combined-fault chaos schedules (crash after promotion, storm during recovery, partition through compaction) =="
+cargo test -q --test chaos
 
 echo "== store replay properties (idempotence, prefix consistency, torn tails) =="
 cargo test -q --test store_props
@@ -164,10 +170,10 @@ cargo bench -p vnfguard-bench --bench e13_lifecycle
 echo "== e14: failover time + replication overhead bar (<=10% vs unreplicated) =="
 cargo bench -p vnfguard-bench --bench e14_failover
 
-echo "== e15: shard saturation (4-shard >= 2x 1-shard) + crash-under-load matrix =="
+echo "== e15: shard saturation (4-shard >= 2x 1-shard) + crash-under-load matrix on the chaos driver =="
 cargo bench -p vnfguard-bench --bench e15_saturation
 
-echo "== e16: overload (admitted p99 <= 5x unloaded, goodput >= 60% while shedding) + storm chaos matrix =="
+echo "== e16: overload (admitted p99 <= 5x unloaded, goodput >= 60% while shedding) + storm chaos matrix on the chaos driver =="
 cargo bench -p vnfguard-bench --bench e16_overload
 
 echo "== e17: health plane (overhead <=5%, burn-rate alert fires in-window, exemplar resolvable, partition staleness) =="

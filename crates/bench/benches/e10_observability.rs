@@ -9,62 +9,18 @@
 //! crypto and fabric round-trips it annotates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
-use vnfguard_bench::deploy_agent_guard;
-use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
+use vnfguard_bench::RemoteWorld;
+use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_telemetry::Telemetry;
 
-struct RemoteWorld {
-    testbed: Testbed,
-    agent: HostAgent,
-    remote_ias: RemoteIas,
-    _ias_handle: vnfguard_net::ServerHandle,
-}
-
-/// The distributed deployment of e9, but with an explicit telemetry
-/// bundle threaded through fabric, IAS, manager and IAS client.
+/// The distributed deployment with an explicit telemetry bundle threaded
+/// through fabric, IAS, manager and IAS client, host 0 attested.
 fn remote_world(seed: &[u8], telemetry: Telemetry) -> RemoteWorld {
-    let mut testbed = TestbedBuilder::new(seed)
-        .telemetry(telemetry.clone())
-        .build();
-    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
-    let remote_ias = remote_ias.with_telemetry(&telemetry);
-    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
-    let agent = HostAgent::serve(&testbed.network, state).unwrap();
-    RemoteWorld {
-        testbed,
-        agent,
-        remote_ias,
-        _ias_handle,
-    }
-}
-
-/// One full remote enrollment per iteration against the given world.
-fn bench_enrollment(b: &mut criterion::Bencher, world: &mut RemoteWorld) {
-    remote_attest_host(
-        &world.testbed.vm,
-        &mut world.remote_ias,
-        &world.testbed.network,
-        "host-0",
-    )
-    .unwrap();
-    let mut n = 0;
-    b.iter(|| {
-        n += 1;
-        let name = format!("vnf-{n}");
-        deploy_agent_guard(&world.testbed, &world.agent, &name);
-        remote_enroll_vnf(
-            &world.testbed.vm,
-            &mut world.remote_ias,
-            &world.testbed.network,
-            "host-0",
-            &name,
-            "controller",
-        )
-        .unwrap();
-    });
+    let builder = TestbedBuilder::new(seed).telemetry(telemetry.clone());
+    let mut world = RemoteWorld::new(builder, |_, ias| ias.with_telemetry(&telemetry));
+    world.attest_host();
+    world
 }
 
 fn bench_e10(c: &mut Criterion) {
@@ -128,12 +84,10 @@ fn bench_e10(c: &mut Criterion) {
     // within a few percent of each other.
     group.sample_size(10);
     group.bench_function("enrollment_telemetry_enabled", |b| {
-        let mut world = remote_world(b"e10 enabled", Telemetry::new());
-        bench_enrollment(b, &mut world);
+        remote_world(b"e10 enabled", Telemetry::new()).bench_enrollments(b);
     });
     group.bench_function("enrollment_telemetry_disabled", |b| {
-        let mut world = remote_world(b"e10 disabled", Telemetry::disabled());
-        bench_enrollment(b, &mut world);
+        remote_world(b"e10 disabled", Telemetry::disabled()).bench_enrollments(b);
     });
 
     group.finish();

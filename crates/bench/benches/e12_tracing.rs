@@ -12,12 +12,10 @@
 //! Tracing-enabled enrollment must stay within [`MAX_OVERHEAD`] of
 //! disabled or the process exits non-zero, failing CI.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
-use vnfguard_bench::{deploy_agent_guard, paired_overhead};
-use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
+use vnfguard_bench::{paired_overhead, RemoteWorld};
+use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_telemetry::Telemetry;
 
 /// Tracing-enabled enrollment must finish within 5% of disabled.
@@ -29,62 +27,29 @@ const BATCH_SIZE: u64 = 6;
 /// Noisy-machine retries before the bar is declared failed.
 const ATTEMPTS: usize = 3;
 
-struct RemoteWorld {
-    testbed: Testbed,
-    agent: HostAgent,
-    remote_ias: RemoteIas,
-    telemetry: Telemetry,
-    next_vnf: u64,
-    _ias_handle: vnfguard_net::ServerHandle,
-}
-
+/// The distributed deployment with `telemetry` threaded through, tracing
+/// every request when `traced`, host 0 attested.
 fn remote_world(seed: &[u8], telemetry: Telemetry, traced: bool) -> RemoteWorld {
     let mut builder = TestbedBuilder::new(seed).telemetry(telemetry.clone());
     if traced {
         builder = builder.tracing(1.0);
     }
-    let mut testbed = builder.build();
-    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
-    let remote_ias = remote_ias.with_telemetry(&telemetry);
-    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
-    let agent = HostAgent::serve(&testbed.network, state).unwrap();
-    RemoteWorld {
-        testbed,
-        agent,
-        remote_ias,
-        telemetry,
-        next_vnf: 0,
-        _ias_handle,
-    }
-}
-
-fn deploy_guard(world: &mut RemoteWorld) -> String {
-    world.next_vnf += 1;
-    let name = format!("vnf-{}", world.next_vnf);
-    deploy_agent_guard(&world.testbed, &world.agent, &name);
-    name
+    let mut world = RemoteWorld::new(builder, |_, ias| ias.with_telemetry(&telemetry));
+    world.attest_host();
+    world
 }
 
 /// Time one batch of enrollments, in µs per enrollment. Traced batches
 /// open an operator root span per enrollment, exactly like the `/vm/...`
 /// REST handlers do; the enrollment runs under it.
 fn batch(world: &mut RemoteWorld, traced: bool) -> f64 {
-    let names: Vec<String> = (0..BATCH_SIZE).map(|_| deploy_guard(world)).collect();
+    let names: Vec<String> = (0..BATCH_SIZE).map(|_| world.deploy_guard()).collect();
     let start = Instant::now();
     for name in &names {
         let now = world.testbed.clock.now();
-        let _root = traced.then(|| world.telemetry.trace_root("operator", "enrollment", now));
-        black_box(
-            remote_enroll_vnf(
-                &world.testbed.vm,
-                &mut world.remote_ias,
-                &world.testbed.network,
-                "host-0",
-                name,
-                "controller",
-            )
-            .unwrap(),
-        );
+        let telemetry = &world.testbed.telemetry;
+        let _root = traced.then(|| telemetry.trace_root("operator", "enrollment", now));
+        black_box(world.enroll(name));
     }
     start.elapsed().as_micros() as f64 / BATCH_SIZE as f64
 }
@@ -96,20 +61,6 @@ fn measure(attempt: usize) -> (f64, f64, f64) {
     let seed_off = format!("e12 disabled {attempt}");
     let mut on = remote_world(seed_on.as_bytes(), Telemetry::new(), true);
     let mut off = remote_world(seed_off.as_bytes(), Telemetry::disabled(), false);
-    remote_attest_host(
-        &on.testbed.vm,
-        &mut on.remote_ias,
-        &on.testbed.network,
-        "host-0",
-    )
-    .unwrap();
-    remote_attest_host(
-        &off.testbed.vm,
-        &mut off.remote_ias,
-        &off.testbed.network,
-        "host-0",
-    )
-    .unwrap();
     // Warm both paths before timing.
     for _ in 0..2 {
         batch(&mut on, true);

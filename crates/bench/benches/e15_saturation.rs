@@ -20,27 +20,21 @@
 //! sharding adds rather than how much it is needed.
 //!
 //! The crash matrix runs first, so a missed scaling bar still reports it.
-//! It re-runs concurrent renewals with a seeded [`CrashPlan`] firing at
-//! the renewal and enrollment-commit WAL sites, recovers every shard from
-//! its sealed log, and checks the sharded crash-consistency contract for
-//! each seed:
-//!
-//! - **no acknowledged renewal is lost** — a certificate handed to a
-//!   client thread survives recovery of its shard;
-//! - **zero serial collisions** — every serial ever acknowledged is
-//!   unique across shards (disjoint per-shard serial spans);
-//! - **zero divergence** — the recovered fleet equals oracle twins
-//!   replayed independently from forks of each shard's media;
-//! - **every shard recovers** — after recovery each client can renew
-//!   again on its own shard.
+//! It is a schedule on the chaos driver ([`Chaos`]): concurrent renewals
+//! on four shards while a seeded crash plan fires at the renewal and
+//! enrollment-commit WAL sites and the driver thread recovers every
+//! crashed fleet. After every step the driver checks that no acknowledged
+//! renewal is lost, that no serial is acknowledged twice across shards,
+//! that each shard's live state is the replay of its sealed log, and,
+//! after each recovery, that the fleet equals oracle twins replayed from
+//! forks of each shard's media. Once the faults stop, every shard must
+//! serve a renewal.
 
-use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use vnfguard_core::crash::CrashPlan;
+use vnfguard_core::chaos::{Burst, Chaos, Fault, Step};
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::service::{shard_of_vnf, VmService};
-use vnfguard_core::CoreError;
+use vnfguard_core::service::shard_of_vnf;
 
 /// Simulated device flush latency on every shard WAL.
 const WRITE_LATENCY: Duration = Duration::from_micros(1500);
@@ -67,7 +61,7 @@ const ATTEMPTS: usize = 3;
 const CRASH_SEEDS: u64 = 10;
 /// Shards in every crash scenario.
 const CRASH_SHARDS: usize = 4;
-/// Renewal attempts per client under crash injection.
+/// Chained renewals per client under crash injection.
 const CRASH_RENEWALS: usize = 6;
 
 /// One client thread's credential: the serial it chains renewals on and
@@ -157,160 +151,29 @@ fn renewal_burst(
     (throughput, (flushes() - flushes_before) as f64 / renewals)
 }
 
-/// One crash-under-load scenario. Returns the number of crashes injected
-/// (so the matrix can prove it was non-vacuous).
-fn crash_scenario(seed: u64) -> usize {
-    let plan = CrashPlan::seeded(seed);
-    plan.crash_with_probability("renewal.issue", 0.10)
-        .crash_with_probability("enrollment.commit", 0.10);
-    let mut tb = TestbedBuilder::new(format!("e15 crash {seed}").as_bytes())
+/// One crash-under-load seed: [`CLIENTS`] credentials over
+/// [`CRASH_SHARDS`] shards, then every client chains [`CRASH_RENEWALS`]
+/// renewals under crashes. Returns the crashes that fired, so the matrix
+/// can prove it was non-vacuous.
+fn crash_under_load(seed: u64) -> usize {
+    let builder = TestbedBuilder::new(format!("e15 crash {seed}").as_bytes())
         .durable()
         .shards(CRASH_SHARDS)
-        .group_commit(true)
-        .crash_plan(plan.clone())
-        .build();
-    tb.attest_host(0).unwrap();
-
-    // Every serial ever acknowledged to a caller; must stay collision-free.
-    let mut serials = BTreeSet::new();
-    let mut acknowledge = |serial: u64| {
-        assert!(
-            serials.insert(serial),
-            "seed {seed}: serial {serial} issued twice across shards"
-        );
+        .group_commit(true);
+    let renewals = Burst {
+        renewers: CLIENTS,
+        rounds: CRASH_RENEWALS,
+        ..Burst::default()
     };
-
-    // Enroll one credential per client, riding out setup crashes.
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for t in 0..CLIENTS {
-        let name = name_on_shard(t, t % CRASH_SHARDS, CRASH_SHARDS);
-        let guard = tb.deploy_guard(0, &name, 1).unwrap();
-        let key = guard.provisioning_key().unwrap();
-        loop {
-            match tb.enroll(0, &guard) {
-                Ok(certificate) => {
-                    acknowledge(certificate.serial());
-                    clients.push(Client {
-                        serial: certificate.serial(),
-                        key,
-                    });
-                    break;
-                }
-                Err(CoreError::VmCrashed(_)) => {
-                    tb.recover_vm().unwrap();
-                    tb.attest_host(0).unwrap();
-                }
-                Err(other) => panic!("seed {seed}: enrollment failed: {other}"),
-            }
-        }
-    }
-
-    // Concurrent renewals under fire: each thread chains renewals until
-    // its shard dies (a fenced shard fails every call until recovery).
-    let vm = tb.vm_service();
-    let chains: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        clients
-            .iter()
-            .map(|client| {
-                let vm = vm.clone();
-                scope.spawn(move || {
-                    let mut acknowledged = Vec::new();
-                    let mut serial = client.serial;
-                    for _ in 0..CRASH_RENEWALS {
-                        match vm.renew_vnf_credential(serial, &client.key, "controller") {
-                            Ok((_, certificate)) => {
-                                serial = certificate.serial();
-                                acknowledged.push(serial);
-                            }
-                            Err(CoreError::VmCrashed(_))
-                            | Err(CoreError::ServiceUnavailable(_)) => break,
-                            Err(other) => {
-                                panic!("seed {seed}: renewal failed non-fatally: {other}")
-                            }
-                        }
-                    }
-                    acknowledged
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|handle| handle.join().unwrap())
-            .collect()
-    });
-    for chain in &chains {
-        for serial in chain {
-            acknowledge(*serial);
-        }
-    }
-    let crashes = plan.fired_count();
-
-    // Recover every shard from its sealed WAL.
-    tb.recover_vm()
-        .unwrap_or_else(|e| panic!("seed {seed}: sharded recovery failed: {e}"));
-
-    // No acknowledged renewal is lost: each client's newest acknowledged
-    // credential is an enrollment on the recovered fleet.
-    for (t, chain) in chains.iter().enumerate() {
-        let newest = chain.last().copied().unwrap_or(clients[t].serial);
-        assert!(
-            tb.vm.enrollments().any(|e| e.serial == newest),
-            "seed {seed}: client {t}'s acknowledged serial {newest} lost in recovery"
-        );
-    }
-
-    // Zero divergence: the recovered fleet equals oracle twins replayed
-    // independently from forks of each shard's media.
-    let oracle = tb.oracle_fleet().unwrap();
-    assert_eq!(
-        fleet_view(&oracle),
-        fleet_view(&tb.vm),
-        "seed {seed}: recovered fleet diverged from the oracle twins"
-    );
-
-    // Every shard recovered: with the plan disarmed and the host
-    // re-attested (attestations die with the incarnation), each client
-    // renews once more on its own shard.
-    plan.clear("renewal.issue");
-    plan.clear("enrollment.commit");
-    tb.attest_host(0).unwrap();
-    for (t, chain) in chains.iter().enumerate() {
-        let newest = chain.last().copied().unwrap_or(clients[t].serial);
-        let (_, certificate) = tb
-            .vm
-            .renew_vnf_credential(newest, &clients[t].key, "controller")
-            .unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed}: shard {} dead after recovery: {e}",
-                    t % CRASH_SHARDS
-                )
-            });
-        acknowledge(certificate.serial());
-    }
-    crashes
-}
-
-/// The divergence-checked view of a fleet: CA material, counters, and
-/// every shard's enrollment records in deterministic shard order.
-type FleetView = (
-    Vec<u8>,
-    u64,
-    u64,
-    u64,
-    Vec<(u64, String, String, bool)>,
-    Vec<u64>,
-);
-
-fn fleet_view(vm: &VmService) -> FleetView {
-    (
-        vm.ca_certificate().encode(),
-        vm.ca_epoch(),
-        vm.issued_count(),
-        vm.lifecycle_status().crl_number,
-        vm.enrollments()
-            .map(|e| (e.serial, e.vnf_name.clone(), e.host_id.clone(), e.revoked))
-            .collect(),
-        vm.pending_enrollments().map(|p| p.serial).collect(),
-    )
+    Chaos::new(seed, builder)
+        .run(&[
+            Step::Fault(Fault::Crash("renewal.issue", 0.10)),
+            Step::Fault(Fault::Crash("enrollment.commit", 0.10)),
+            Step::Enroll(CLIENTS),
+            Step::Burst(renewals),
+        ])
+        .finish()
+        .crashes
 }
 
 fn main() {
@@ -322,7 +185,7 @@ fn main() {
     // never hides its result.
     let mut crashes = 0;
     for seed in 0..CRASH_SEEDS {
-        crashes += crash_scenario(seed);
+        crashes += crash_under_load(seed);
     }
     println!(
         "e15_saturation/crash_matrix         {CRASH_SEEDS:>10} seeds, {crashes} injected crashes, every shard recovered"

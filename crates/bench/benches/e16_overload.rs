@@ -21,12 +21,15 @@
 //! The chaos matrix then runs [`CHAOS_SEEDS`] seeded storms — renewal
 //! stampedes, revocation storms and CRL thundering herds in seed-varied
 //! mixes, with enrollment floods riding on top — against a durable
-//! sharded testbed, and checks that shedding never corrupts state: zero
-//! orphaned WAL prepares, and the fleet stays byte-identical to oracle
-//! twins replayed from forks of each shard's media.
+//! sharded testbed. Each storm is a burst on the chaos driver ([`Chaos`]),
+//! which checks that shedding never corrupts state: no acknowledged
+//! operation is lost, zero orphaned WAL prepares, each shard's live state
+//! stays the replay of its sealed log, and every poll's CRL carries the
+//! revocations acknowledged before it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use vnfguard_core::chaos::{Burst, Chaos, Step};
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
 use vnfguard_core::overload::AdmissionConfig;
 use vnfguard_core::service::VmService;
@@ -238,167 +241,32 @@ fn storm(vm: &VmService, key: &[u8; 32], serials: &[u64], capacity: f64) -> Stor
 /// One chaos-matrix storm: a seed-varied mix of renewal stampede,
 /// revocation storm, CRL thundering herd and enrollment flood against a
 /// durable sharded world with tight admission. Returns the shed count.
-fn chaos_scenario(seed: u64) -> usize {
-    let mut tb = TestbedBuilder::new(format!("e16 chaos {seed}").as_bytes())
+fn storm_chaos(seed: u64) -> usize {
+    let builder = TestbedBuilder::new(format!("e16 chaos {seed}").as_bytes())
         .durable()
         .shards(SHARDS)
         .group_commit(true)
-        .admission_config(storm_admission())
-        .build();
-    tb.attest_host(0).unwrap();
-    let guard = tb.deploy_guard(0, "vnf-chaos-seed", 1).unwrap();
-    let key = guard.provisioning_key().unwrap();
-    let serials = mass_enroll(&mut tb, &guard, CHAOS_VNFS, "vnf-chaos");
-    let (revocable, renewable) = serials.split_at(CHAOS_REVOCABLE);
-
+        .admission_config(storm_admission());
     // Seed-varied emphasis: every third seed leans renewal-stampede,
     // revocation-storm or CRL-herd respectively.
-    let (renewers, revokers, herd) = match seed % 3 {
-        0 => (16usize, 2usize, 2usize),
+    let (renewers, revokers, pollers) = match seed % 3 {
+        0 => (16, 2, 2),
         1 => (8, 8, 2),
         _ => (8, 2, 8),
     };
-    let rounds = 2usize;
-    let shed = AtomicUsize::new(0);
-
-    let vm = tb.vm_service();
-    std::thread::scope(|scope| {
-        for w in 0..renewers {
-            let vm = vm.clone();
-            let shed = &shed;
-            let mut owned: Vec<u64> = renewable
-                .iter()
-                .copied()
-                .skip(w)
-                .step_by(renewers)
-                .collect();
-            scope.spawn(move || {
-                for round in 0..rounds {
-                    for serial in owned.iter_mut() {
-                        match vm.renew_vnf_credential(*serial, &key, "controller") {
-                            Ok((_, certificate)) => *serial = certificate.serial(),
-                            Err(CoreError::Overloaded { .. }) => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(other) => {
-                                panic!("seed {seed} round {round}: renewal failed: {other}")
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        for w in 0..revokers {
-            let vm = vm.clone();
-            let shed = &shed;
-            let owned: Vec<u64> = revocable
-                .iter()
-                .copied()
-                .skip(w)
-                .step_by(revokers)
-                .collect();
-            scope.spawn(move || {
-                for serial in owned {
-                    match vm.revoke_credential(
-                        serial,
-                        vnfguard_pki::crl::RevocationReason::KeyCompromise,
-                    ) {
-                        Ok(_) => {}
-                        Err(CoreError::Overloaded { .. }) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("seed {seed}: revocation failed: {other}"),
-                    }
-                }
-            });
-        }
-        for _ in 0..herd {
-            let vm = vm.clone();
-            let shed = &shed;
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    match vm.latest_crl() {
-                        Ok(_) => {}
-                        Err(CoreError::Overloaded { .. }) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("seed {seed}: CRL fetch failed: {other}"),
-                    }
-                }
-            });
-        }
-
-        // The enrollment flood rides on the main thread (it needs the IAS
-        // exclusively); sheds here are the two-phase requests whose clean
-        // refusal the post-conditions check.
-        let host_id = tb.hosts[0].id.clone();
-        for i in 0..100 {
-            let challenge = match tb
-                .vm
-                .begin_vnf_attestation(&host_id, &format!("vnf-flood-{i}"))
-            {
-                Ok(challenge) => challenge,
-                Err(CoreError::Overloaded { .. }) => {
-                    shed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Err(other) => panic!("seed {seed}: flood challenge failed: {other}"),
-            };
-            let quote = guard
-                .quote(&tb.hosts[0].platform, &challenge.nonce, challenge.nonce)
-                .unwrap();
-            match tb.vm.complete_vnf_enrollment(
-                &mut tb.ias,
-                challenge.id,
-                &quote.encode(),
-                &key,
-                "controller",
-            ) {
-                Ok(_) => {}
-                Err(CoreError::Overloaded { .. }) => {
-                    shed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(other) => panic!("seed {seed}: flood enrollment failed: {other}"),
-            }
-        }
-    });
-
-    // Post-conditions: a shed is a clean refusal, never partial state.
-    assert_eq!(
-        tb.vm.pending_enrollments().count(),
-        0,
-        "seed {seed}: shed left an orphaned WAL prepare"
-    );
-    let oracle = tb.oracle_fleet().unwrap();
-    assert_eq!(
-        fleet_view(&oracle),
-        fleet_view(&tb.vm),
-        "seed {seed}: storm state diverged from the WAL-replayed oracle twins"
-    );
-    shed.into_inner()
-}
-
-/// The divergence-checked view of a fleet (same shape as E15's).
-type FleetView = (
-    Vec<u8>,
-    u64,
-    u64,
-    u64,
-    Vec<(u64, String, String, bool)>,
-    Vec<u64>,
-);
-
-fn fleet_view(vm: &VmService) -> FleetView {
-    (
-        vm.ca_certificate().encode(),
-        vm.ca_epoch(),
-        vm.issued_count(),
-        vm.lifecycle_status().crl_number,
-        vm.enrollments()
-            .map(|e| (e.serial, e.vnf_name.clone(), e.host_id.clone(), e.revoked))
-            .collect(),
-        vm.pending_enrollments().map(|p| p.serial).collect(),
-    )
+    let storm = Burst {
+        renewers,
+        rounds: 2,
+        revokers,
+        revocations: CHAOS_REVOCABLE,
+        pollers,
+        enrollments: 100,
+        recoveries: 0,
+    };
+    Chaos::new(seed, builder)
+        .run(&[Step::Enroll(CHAOS_VNFS), Step::Burst(storm), Step::CrlPoll])
+        .finish()
+        .shed
 }
 
 fn main() {
@@ -461,7 +329,7 @@ fn main() {
 
     let mut shed = 0usize;
     for seed in 0..CHAOS_SEEDS {
-        shed += chaos_scenario(seed);
+        shed += storm_chaos(seed);
     }
     println!(
         "e16_overload/chaos_matrix           {CHAOS_SEEDS:>10} seeds, {shed} sheds, zero orphaned prepares, zero divergence"

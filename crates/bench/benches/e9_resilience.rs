@@ -3,42 +3,26 @@
 //! latency looks like when the path to IAS is flaky.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
-use vnfguard_bench::deploy_agent_guard;
+use vnfguard_bench::RemoteWorld;
 use vnfguard_controller::SimClock;
-use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
+use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_core::resilience::{CircuitBreaker, RetryPolicy};
 use vnfguard_net::{FaultPlan, Network};
 
-struct RemoteWorld {
-    testbed: Testbed,
-    agent: HostAgent,
-    remote_ias: RemoteIas,
-    plan: FaultPlan,
-    _ias_handle: vnfguard_net::ServerHandle,
-}
-
-fn remote_world(seed: &[u8]) -> RemoteWorld {
-    let mut testbed = TestbedBuilder::new(seed).build();
-    let plan = FaultPlan::seeded(9);
-    testbed.network.install_faults(&plan);
-    let (_ias_handle, remote_ias) = testbed.serve_ias("ias:443").unwrap();
-    let remote_ias = remote_ias.with_resilience(
-        testbed.clock.clone(),
-        RetryPolicy::new(8, 1, 16),
-        CircuitBreaker::new(64, 600),
-    );
-    let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
-    let agent = HostAgent::serve(&testbed.network, state).unwrap();
-    RemoteWorld {
-        testbed,
-        agent,
-        remote_ias,
-        plan,
-        _ias_handle,
-    }
+/// The distributed deployment behind a fault plan, with host 0 attested
+/// through a resilient IAS client.
+fn remote_world(seed: &[u8], plan: &FaultPlan) -> RemoteWorld {
+    let builder = TestbedBuilder::new(seed).faults(plan.clone());
+    let mut world = RemoteWorld::new(builder, |testbed, ias| {
+        ias.with_resilience(
+            testbed.clock.clone(),
+            RetryPolicy::new(8, 1, 16),
+            CircuitBreaker::new(64, 600),
+        )
+    });
+    world.attest_host();
+    world
 }
 
 fn bench_e9(c: &mut Criterion) {
@@ -92,55 +76,13 @@ fn bench_e9(c: &mut Criterion) {
     // IAS connections (retries absorb the refusals).
     group.sample_size(10);
     group.bench_function("remote_enrollment_clean", |b| {
-        let mut world = remote_world(b"e9 clean");
-        remote_attest_host(
-            &world.testbed.vm,
-            &mut world.remote_ias,
-            &world.testbed.network,
-            "host-0",
-        )
-        .unwrap();
-        let mut n = 0;
-        b.iter(|| {
-            n += 1;
-            let name = format!("vnf-{n}");
-            deploy_agent_guard(&world.testbed, &world.agent, &name);
-            remote_enroll_vnf(
-                &world.testbed.vm,
-                &mut world.remote_ias,
-                &world.testbed.network,
-                "host-0",
-                &name,
-                "controller",
-            )
-            .unwrap();
-        });
+        remote_world(b"e9 clean", &FaultPlan::seeded(9)).bench_enrollments(b);
     });
     group.bench_function("remote_enrollment_30pct_ias_refusal", |b| {
-        let mut world = remote_world(b"e9 flaky");
-        remote_attest_host(
-            &world.testbed.vm,
-            &mut world.remote_ias,
-            &world.testbed.network,
-            "host-0",
-        )
-        .unwrap();
-        world.plan.refuse_connections("ias:443", 0.30);
-        let mut n = 0;
-        b.iter(|| {
-            n += 1;
-            let name = format!("vnf-{n}");
-            deploy_agent_guard(&world.testbed, &world.agent, &name);
-            remote_enroll_vnf(
-                &world.testbed.vm,
-                &mut world.remote_ias,
-                &world.testbed.network,
-                "host-0",
-                &name,
-                "controller",
-            )
-            .unwrap();
-        });
+        let plan = FaultPlan::seeded(9);
+        let mut world = remote_world(b"e9 flaky", &plan);
+        plan.refuse_connections("ias:443", 0.30);
+        world.bench_enrollments(b);
     });
 
     group.finish();

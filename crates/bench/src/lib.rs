@@ -2,13 +2,17 @@
 //!
 //! Each bench target regenerates one experiment of EXPERIMENTS.md; the
 //! helpers here build the standard deployment the paper's demo describes
-//! (E1–E8), load guards behind a host agent for the distributed benches,
-//! and hold the paired-batch harness the overhead bars share.
+//! (E1–E8), the distributed deployment E9, E10 and E12 enroll through
+//! ([`RemoteWorld`]), and hold the paired-batch harness the overhead bars
+//! share.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use vnfguard_controller::SecurityMode;
 use vnfguard_core::deployment::{Testbed, TestbedBuilder};
-use vnfguard_core::remote::HostAgent;
+use vnfguard_core::remote::{remote_attest_host, remote_enroll_vnf, HostAgent, RemoteIas};
+use vnfguard_net::ServerHandle;
+use vnfguard_pki::Certificate;
 use vnfguard_vnf::VnfGuard;
 
 /// Build the default trusted-HTTPS testbed with an attested host.
@@ -30,6 +34,80 @@ pub fn enrolled_guard(testbed: &mut Testbed, name: &str) -> VnfGuard {
     let guard = testbed.deploy_guard(0, name, 1).expect("deploy");
     testbed.enroll(0, &guard).expect("enroll");
     guard
+}
+
+/// The distributed deployment: the testbed's IAS served at `ias:443` on
+/// the fabric, and host 0 behind a host agent that authenticates the VM's
+/// revocation notices.
+pub struct RemoteWorld {
+    pub testbed: Testbed,
+    pub agent: HostAgent,
+    pub remote_ias: RemoteIas,
+    next_vnf: u64,
+    _ias: ServerHandle,
+}
+
+impl RemoteWorld {
+    /// Build `builder`'s testbed and distribute it; `configure` finishes
+    /// the VM's IAS client (resilience, telemetry).
+    pub fn new(
+        builder: TestbedBuilder,
+        configure: impl FnOnce(&Testbed, RemoteIas) -> RemoteIas,
+    ) -> RemoteWorld {
+        let mut testbed = builder.build();
+        let (_ias, remote_ias) = testbed.serve_ias("ias:443").expect("the IAS binds");
+        let remote_ias = configure(&testbed, remote_ias);
+        let state = testbed.take_agent_state(HashMap::new(), Some(testbed.vm.share_hmac_key()));
+        let agent = HostAgent::serve(&testbed.network, state).expect("the agent binds");
+        RemoteWorld {
+            testbed,
+            agent,
+            remote_ias,
+            next_vnf: 0,
+            _ias,
+        }
+    }
+
+    /// Attest host 0 through its agent.
+    pub fn attest_host(&mut self) {
+        remote_attest_host(
+            &self.testbed.vm,
+            &mut self.remote_ias,
+            &self.testbed.network,
+            "host-0",
+        )
+        .expect("host 0 attests");
+    }
+
+    /// Deploy a fresh guard behind the agent ([`deploy_agent_guard`]) and
+    /// return its name.
+    pub fn deploy_guard(&mut self) -> String {
+        self.next_vnf += 1;
+        let name = format!("vnf-{}", self.next_vnf);
+        deploy_agent_guard(&self.testbed, &self.agent, &name);
+        name
+    }
+
+    /// Enroll the named guard through its agent.
+    pub fn enroll(&mut self, name: &str) -> Certificate {
+        remote_enroll_vnf(
+            &self.testbed.vm,
+            &mut self.remote_ias,
+            &self.testbed.network,
+            "host-0",
+            name,
+            "controller",
+        )
+        .expect("remote enrollment")
+    }
+
+    /// One remote enrollment of a freshly deployed guard per iteration.
+    pub fn bench_enrollments(&mut self, b: &mut criterion::Bencher) {
+        b.iter(|| {
+            let name = self.deploy_guard();
+            self.enroll(&name)
+        });
+    }
 }
 
 /// Load a fresh guard named `name` on the agent's host, whitelist its

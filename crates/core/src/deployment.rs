@@ -22,7 +22,7 @@ use crate::attestation::{host_evidence, IntegrityAttestationEnclave};
 use crate::backend::snp_vnf_measurement;
 use crate::crash::CrashPlan;
 use crate::lifecycle::{verify_handover, CaRotation};
-use crate::manager::{ManagerConfig, RecoveryReport, TcbPolicy, VerificationManager};
+use crate::manager::{Challenge, ManagerConfig, RecoveryReport, TcbPolicy, VerificationManager};
 use crate::overload::{AdmissionConfig, AdmissionController};
 use crate::remote::{HostAgentState, RemoteIas};
 use crate::replication::{ReplicaSet, ReplicationConfig, StandbyNode};
@@ -721,7 +721,8 @@ impl TestbedBuilder {
                 let tpm = SimTpm::new(&vnfguard_crypto::sha2::sha256(
                     &[&platform_seed[..], b"tpm"].concat(),
                 ));
-                vm.register_host_tpm(&id, tpm.aik_public());
+                vm.register_host_tpm(&id, tpm.aik_public())
+                    .expect("a fresh manager registers TPM AIKs");
                 Some(tpm)
             } else {
                 None
@@ -891,8 +892,19 @@ impl Testbed {
     /// report over the same measurement list and REPORT_DATA binding,
     /// appraised offline against the deployment's AMD root.
     pub fn attest_host(&mut self, host_idx: usize) -> Result<Verdict, CoreError> {
+        let challenge = self.vm.begin_host_attestation(&self.hosts[host_idx].id)?;
+        self.answer_host_challenge(host_idx, &challenge)
+    }
+
+    /// Step 2 of [`attest_host`](Self::attest_host) for a challenge taken
+    /// earlier: the host's evidence over its nonce, appraised through the
+    /// host's backend.
+    pub(crate) fn answer_host_challenge(
+        &mut self,
+        host_idx: usize,
+        challenge: &Challenge,
+    ) -> Result<Verdict, CoreError> {
         let host = &mut self.hosts[host_idx];
-        let challenge = self.vm.begin_host_attestation(&host.id);
         host.sync_tpm();
         let iml = host.container_host.measurement_list().encode();
         let tpm_quote = host
@@ -1322,7 +1334,7 @@ impl Testbed {
             }
             for host in &self.hosts {
                 if let Some(tpm) = &host.tpm {
-                    vm.register_host_tpm(&host.id, tpm.aik_public());
+                    vm.register_host_tpm(&host.id, tpm.aik_public())?;
                 }
             }
             for action in &self.trust_log {

@@ -34,6 +34,7 @@
 
 pub mod attestation;
 pub mod backend;
+pub mod chaos;
 pub mod crash;
 pub mod deployment;
 pub mod fleet;

@@ -935,7 +935,8 @@ impl VerificationManager {
         &mut self,
         host_id: &str,
         aik: vnfguard_crypto::ed25519::VerifyingKey,
-    ) {
+    ) -> Result<(), CoreError> {
+        self.ensure_alive()?;
         let now = self.clock.now();
         let record = self.hosts.entry(host_id.to_string()).or_insert(HostRecord {
             host_id: host_id.to_string(),
@@ -949,6 +950,7 @@ impl VerificationManager {
         });
         record.tpm_aik = Some(aik);
         self.event(now, "tpm_registered", host_id);
+        Ok(())
     }
 
     fn event(&self, time: u64, kind: &str, detail: &str) {
@@ -957,8 +959,13 @@ impl VerificationManager {
 
     /// The manager's journaled state: every enrollment, pending enrollment
     /// and revocation, with the issuance, CRL and rotation history.
-    fn state(&self) -> &ManagerState {
+    pub(crate) fn state(&self) -> &ManagerState {
         self.journaled.get()
+    }
+
+    /// The sealed store this manager journals to; `None` when volatile.
+    pub(crate) fn store(&self) -> Option<&StateStore> {
+        self.journaled.store()
     }
 
     /// WAL-before-response, first half: seal a workflow's `records`, queue
@@ -1156,15 +1163,16 @@ impl VerificationManager {
     // ---- Steps 1–2: host attestation -------------------------------------
 
     /// Step 1: initiate remote attestation of a container host.
-    pub fn begin_host_attestation(&mut self, host_id: &str) -> Challenge {
+    pub fn begin_host_attestation(&mut self, host_id: &str) -> Result<Challenge, CoreError> {
+        self.ensure_alive()?;
         let now = self.clock.now();
         self.event(now, "host_attestation_started", host_id);
-        self.new_challenge(
+        Ok(self.new_challenge(
             ChallengeSubject::Host {
                 host_id: host_id.to_string(),
             },
             now,
-        )
+        ))
     }
 
     /// Step 2: verify the evidence with the backend's verifier (IAS for
@@ -1899,8 +1907,12 @@ impl VerificationManager {
     }
 
     /// Revoke every credential issued to VNFs on a host (platform
-    /// compromise response).
-    pub fn revoke_host(&mut self, host_id: &str) -> usize {
+    /// compromise response); returns how many this call revoked. The first
+    /// revocation that fails fails the call, and a retry after recovery
+    /// skips the serials already revoked. The host loses its trusted status
+    /// only once every revocation is journaled.
+    pub fn revoke_host(&mut self, host_id: &str) -> Result<usize, CoreError> {
+        self.ensure_alive()?;
         let now = self.clock.now();
         let serials: Vec<u64> = self
             .enrollments()
@@ -1908,9 +1920,8 @@ impl VerificationManager {
             .map(|e| e.serial)
             .collect();
         for serial in &serials {
-            let _ = self.revoke_credential(*serial, RevocationReason::PlatformCompromise);
+            self.revoke_credential(*serial, RevocationReason::PlatformCompromise)?;
         }
-        // The host loses its trusted status.
         if let Some(record) = self.hosts.get_mut(host_id) {
             record.verdict = Verdict::Mismatch;
         }
@@ -1919,7 +1930,7 @@ impl VerificationManager {
             "host_revoked",
             &format!("{host_id}: {} credentials", serials.len()),
         );
-        serials.len()
+        Ok(serials.len())
     }
 
     // ---- Certificate revocation lists -------------------------------------
@@ -1971,9 +1982,14 @@ impl VerificationManager {
         }])?;
         self.crash_point("crl.issue")?;
         let revision = self.crl_revision();
-        let crl =
-            self.ca
-                .issue_crl_with(&self.crl_entries(extra), now, self.config.crl_lifetime_secs);
+        // Keep every entry of the CRL this one replaces: a revocation is
+        // never undone, and a caller whose gather of `extra` predates
+        // another's may sign after it.
+        let mut entries = self.crl_entries(extra);
+        entries.extend(self.last_crl.iter().flat_map(Crl::entries));
+        let crl = self
+            .ca
+            .issue_crl_with(&entries, now, self.config.crl_lifetime_secs);
         self.last_crl_issued_at = Some(now);
         self.last_crl = Some(crl.clone());
         self.crl_folded = revision;
@@ -2541,10 +2557,10 @@ impl std::fmt::Debug for VerificationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{Testbed, TestbedBuilder};
-    use crate::service::shard_of_vnf;
+    use crate::chaos::{Chaos, Fault, Step};
+    use crate::crash::CRASH_SITES;
+    use crate::deployment::TestbedBuilder;
     use proptest::prelude::*;
-    use vnfguard_vnf::VnfGuard;
 
     #[test]
     fn builder_defaults_match_default() {
@@ -2661,15 +2677,15 @@ mod tests {
             clock.clone(),
             Telemetry::new(),
         );
-        let challenge = vm.begin_host_attestation("host-1");
+        let challenge = vm.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_000);
         clock.advance(100);
-        let challenge = vm.begin_host_attestation("host-1");
+        let challenge = vm.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_100);
         // Rewinding the shared clock is the only way to move time: there
         // is no explicit-time entry point to bypass the injected clock.
         clock.set(42);
-        let challenge = vm.begin_host_attestation("host-1");
+        let challenge = vm.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 42);
     }
 
@@ -2682,7 +2698,7 @@ mod tests {
             SimClock::at(1_000),
             telemetry.clone(),
         );
-        vm.begin_host_attestation("host-1");
+        vm.begin_host_attestation("host-1").unwrap();
         let events = vm.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "host_attestation_started");
@@ -2698,156 +2714,43 @@ mod tests {
         );
     }
 
-    /// Pending-enrollment TTL of the property tests' testbeds.
-    const TTL: u64 = 60;
-
-    /// A durable testbed driven through the workflows that journal, with
-    /// enough bookkeeping to only ever make calls the manager accepts.
-    struct Driver {
-        tb: Testbed,
-        /// One guard per shard, named to route there.
-        guards: Vec<VnfGuard>,
-        /// Prepared serials and their provisioning keys.
-        pending: Vec<(u64, [u8; 32])>,
-        /// Committed, unrevoked serials and their provisioning keys.
-        live: Vec<(u64, [u8; 32])>,
-    }
-
-    impl Driver {
-        fn new(shards: usize) -> Driver {
-            let mut tb = TestbedBuilder::new(format!("live state {shards}").as_bytes())
-                .durable()
-                // Replays then start from a snapshot as well as a log.
-                .wal_compaction(8)
-                .shards(shards)
-                .pending_enrollment_ttl(TTL)
-                .degraded(true, 3600)
-                .build();
-            tb.attest_host(0).unwrap();
-            let guards = (0..shards)
-                .map(|shard| {
-                    let name = (0..)
-                        .map(|i| format!("vnf-live-{i}"))
-                        .find(|name| shard_of_vnf(name, shards) == shard)
-                        .unwrap();
-                    tb.deploy_guard(0, &name, 1).unwrap()
-                })
-                .collect();
-            Driver {
-                tb,
-                guards,
-                pending: Vec::new(),
-                live: Vec::new(),
-            }
-        }
-
-        /// Run the workflow `op` names, or a prepare when that workflow has
-        /// nothing to act on.
-        fn step(&mut self, op: u8) {
-            let pick = usize::from(op / 10);
-            let vm = self.tb.vm_service();
-            match op % 10 {
-                1 if !self.pending.is_empty() => {
-                    let (serial, key) = self.pending.remove(pick % self.pending.len());
-                    vm.commit_vnf_enrollment(serial).unwrap();
-                    self.live.push((serial, key));
-                }
-                2 if !self.pending.is_empty() => {
-                    let (serial, _) = self.pending.remove(pick % self.pending.len());
-                    vm.abort_vnf_enrollment(serial, "delivery failed").unwrap();
-                }
-                3 => {
-                    self.tb.clock.advance(TTL + 1);
-                    let swept = vm.sweep_pending_enrollments().unwrap();
-                    assert_eq!(swept, std::mem::take(&mut self.pending).len());
-                }
-                4 if !self.live.is_empty() => {
-                    let (serial, _) = self.live.remove(pick % self.live.len());
-                    vm.revoke_credential(serial, RevocationReason::KeyCompromise)
-                        .unwrap();
-                }
-                5 if !self.live.is_empty() => {
-                    let (serial, key) = self.live[pick % self.live.len()];
-                    let (_, certificate) =
-                        vm.renew_vnf_credential(serial, &key, "controller").unwrap();
-                    self.live.push((certificate.serial(), key));
-                }
-                6 => {
-                    vm.degraded_host_verdict("host-0").unwrap();
-                }
-                7 if pick % 2 == 0 => {
-                    vm.issue_crl().unwrap();
-                }
-                7 => {
-                    vm.latest_crl().unwrap();
-                }
-                8 => {
-                    vm.rotate_ca().unwrap();
-                }
-                9 => {
-                    // Odd picks age every prepare past the grace period
-                    // first, so recovery aborts them as orphans.
-                    if pick % 2 == 1 {
-                        self.tb.clock.advance(TTL + 1);
-                    }
-                    self.tb.recover_vm().unwrap();
-                    self.tb.attest_host(0).unwrap();
-                    let pending: Vec<u64> = vm.pending_enrollments().map(|p| p.serial).collect();
-                    self.pending.retain(|(serial, _)| pending.contains(serial));
-                }
-                _ => self.prepare(pick),
-            }
-        }
-
-        fn prepare(&mut self, pick: usize) {
-            let guard = &self.guards[pick % self.guards.len()];
-            let vm = self.tb.vm_service();
-            let challenge = vm.begin_vnf_attestation("host-0", &guard.name).unwrap();
-            let quote = guard
-                .quote(
-                    &self.tb.hosts[0].platform,
-                    &challenge.nonce,
-                    challenge.nonce,
-                )
-                .unwrap();
-            let key = guard.provisioning_key().unwrap();
-            let (serial, _, _) = vm
-                .prepare_vnf_enrollment(
-                    &mut self.tb.ias,
-                    challenge.id,
-                    &quote.encode(),
-                    &key,
-                    "controller",
-                )
-                .unwrap();
-            self.pending.push((serial, key));
+    /// The step a fuzzer's byte names: each sequential workflow twice as
+    /// often as each fault an unreplicated testbed with degraded verdicts
+    /// takes. A halt recovers such a testbed in place.
+    fn drawn(byte: u8) -> Step {
+        match byte % 27 {
+            0 | 12 => Step::Prepare,
+            1 | 13 => Step::Commit,
+            2 | 14 => Step::Abort,
+            3 | 15 => Step::Sweep,
+            4 | 16 => Step::Revoke,
+            5 | 17 => Step::Renew,
+            6 | 18 => Step::Degraded,
+            7 | 19 => Step::CrlPoll,
+            8 | 20 => Step::IssueCrl,
+            9 | 21 => Step::Rotate,
+            10 | 22 => Step::Age,
+            11 | 23 => Step::RevokeHost,
+            24 => Step::Fault(Fault::CrashOnce(CRASH_SITES[usize::from(byte / 27)])),
+            25 => Step::Fault(Fault::TornTail(3)),
+            _ => Step::Fault(Fault::Halt),
         }
     }
 
-    /// Drive `ops` on a durable testbed of `shards` shards, quiesce each
-    /// shard's store, and compare its live state with the store's replay.
-    /// Notices are left out: the notifier journals them and holds them.
-    fn live_state_is_the_replay(shards: usize, ops: &[u8]) {
-        let mut driver = Driver::new(shards);
-        for &op in ops {
-            driver.step(op);
-        }
-        for shard in 0..shards {
-            let (live, replayed) = driver.tb.vm.run(shard, |vm| {
-                vm.quiesce_store();
-                let store = vm.journaled.store().expect("the testbed is durable");
-                (vm.state().clone(), store.replay().unwrap().state)
-            });
-            let without_notices = |state: ManagerState| ManagerState {
-                notices: Vec::new(),
-                ..state
-            };
-            assert_eq!(
-                without_notices(live),
-                without_notices(replayed),
-                "shard {shard} of {shards} after ops {ops:?}"
-            );
-        }
+    /// Drive a drawn schedule of every sequential workflow and fault on a
+    /// durable testbed of `shards` shards. The chaos driver checks after
+    /// every step that each shard's live state is the replay of its
+    /// quiesced store, notices aside (the notifier journals and holds them).
+    fn live_state_is_the_replay(shards: usize, seed: u64, ops: &[u8]) {
+        let builder = TestbedBuilder::new(format!("live state {shards}").as_bytes())
+            .durable()
+            // Replays then start from a snapshot as well as a log.
+            .wal_compaction(8)
+            .shards(shards)
+            .pending_enrollment_ttl(60)
+            .degraded(true, 3600);
+        let schedule: Vec<Step> = ops.iter().map(|&op| drawn(op)).collect();
+        Chaos::new(seed, builder).run(&schedule);
     }
 
     proptest! {
@@ -2855,16 +2758,18 @@ mod tests {
 
         #[test]
         fn prop_live_state_is_the_replay_unsharded(
+            seed in any::<u64>(),
             ops in proptest::collection::vec(any::<u8>(), 1..32)
         ) {
-            live_state_is_the_replay(1, &ops);
+            live_state_is_the_replay(1, seed, &ops);
         }
 
         #[test]
         fn prop_live_state_is_the_replay_sharded(
+            seed in any::<u64>(),
             ops in proptest::collection::vec(any::<u8>(), 1..32)
         ) {
-            live_state_is_the_replay(2, &ops);
+            live_state_is_the_replay(2, seed, &ops);
         }
     }
 }

@@ -854,7 +854,7 @@ pub fn remote_attest_host(
     let telemetry = vm.telemetry();
     // Each `vm.*` call locks its shard only for the duration of the
     // manager work; the agent hop below runs with no shard lock held.
-    let challenge = vm.begin_host_attestation(host_id);
+    let challenge = vm.begin_host_attestation(host_id)?;
     let mut client = connect_agent(network, host_id)?;
     let response = {
         let _span = telemetry.span("vm", "agent_attest", vm.clock().now());

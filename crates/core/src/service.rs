@@ -459,14 +459,19 @@ impl VmService {
     // ---- Host attestation (authority shard) -------------------------------
 
     /// Register a host TPM AIK ahead of attestation.
-    pub fn register_host_tpm(&self, host_id: &str, aik: vnfguard_crypto::ed25519::VerifyingKey) {
-        self.run(0, |vm| vm.register_host_tpm(host_id, aik));
+    pub fn register_host_tpm(
+        &self,
+        host_id: &str,
+        aik: vnfguard_crypto::ed25519::VerifyingKey,
+    ) -> Result<(), CoreError> {
+        self.call(0, |vm| vm.register_host_tpm(host_id, aik))?;
         self.sync_host_records();
+        Ok(())
     }
 
     /// Step 1: challenge a container host.
-    pub fn begin_host_attestation(&self, host_id: &str) -> Challenge {
-        self.run(0, |vm| vm.begin_host_attestation(host_id))
+    pub fn begin_host_attestation(&self, host_id: &str) -> Result<Challenge, CoreError> {
+        self.call(0, |vm| vm.begin_host_attestation(host_id))
     }
 
     /// Step 2: verify and appraise host evidence through any attestation
@@ -492,11 +497,15 @@ impl VmService {
     }
 
     /// Platform-compromise response: every shard revokes its own
-    /// credentials for the host and flips its local trust record.
-    pub fn revoke_host(&self, host_id: &str) -> usize {
-        self.each_shard(|vm| vm.revoke_host(host_id))
-            .into_iter()
-            .sum()
+    /// credentials for the host and flips its local trust record. Returns
+    /// how many credentials the call revoked fleet-wide; a shard whose
+    /// revocation or commit fails fails the call.
+    pub fn revoke_host(&self, host_id: &str) -> Result<usize, CoreError> {
+        let mut revoked = 0;
+        for index in 0..self.shards.len() {
+            revoked += self.call(index, |vm| vm.revoke_host(host_id))?;
+        }
+        Ok(revoked)
     }
 
     pub fn host_record(&self, host_id: &str) -> Option<HostRecord> {
@@ -1147,6 +1156,27 @@ mod tests {
         assert!(
             crl.lookup(serial).is_some(),
             "acknowledged revocation of {serial} missing from the served CRL"
+        );
+    }
+
+    #[test]
+    fn a_crl_signed_from_an_older_gather_keeps_the_newer_revocations() {
+        let (tb, credentials) = enrolled_on(b"svc crl reorder", 2, 1, 1);
+        let serial = credentials[0].0;
+        let vm = tb.vm_service();
+        // An operator's CRL push gathers the remote shards' entries ...
+        let (stale, _, revisions) = vm.gather_remote_revocations();
+        // ... a revocation lands and a poll gathers, signs and clears it ...
+        vm.revoke_credential(serial, RevocationReason::KeyCompromise)
+            .unwrap();
+        assert!(vm.latest_crl().unwrap().lookup(serial).is_some());
+        // ... and the push signs its older entries last.
+        vm.call(0, |authority| authority.issue_crl(&stale)).unwrap();
+        vm.clear_remote_dirty(&revisions);
+        let crl = vm.latest_crl().unwrap();
+        assert!(
+            crl.lookup(serial).is_some(),
+            "acknowledged revocation of {serial} dropped by a CRL signed from an older gather"
         );
     }
 

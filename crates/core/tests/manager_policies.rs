@@ -51,7 +51,7 @@ fn group_status_changes_propagate() {
 fn challenges_are_single_use() {
     let mut testbed = TestbedBuilder::new(b"challenge reuse").build();
     let host_id = testbed.hosts[0].id.clone();
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(
         &testbed.hosts[0].platform,
@@ -81,7 +81,7 @@ fn host_challenge_cannot_complete_vnf_enrollment() {
     let guard = testbed.deploy_guard(0, "vnf", 1).unwrap();
     let host_id = testbed.hosts[0].id.clone();
     // A *host* challenge presented to the VNF-enrollment endpoint.
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let prov = guard.provisioning_key().unwrap();
     let quote = guard
         .quote(
@@ -159,7 +159,7 @@ fn require_tpm_refuses_hosts_without_quotes() {
     // A TPM-requiring deployment where the host omits the TPM quote.
     let mut testbed = TestbedBuilder::new(b"tpm required").with_tpm().build();
     let host_id = testbed.hosts[0].id.clone();
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     testbed.hosts[0].sync_tpm();
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(

@@ -147,7 +147,7 @@ fn cross_backend_evidence_refused_by_manager() {
 
     // An SNP host presenting its evidence down the SGX/IAS path: IAS
     // cannot parse the bundle as a quote and the manager refuses.
-    let challenge = tb.vm.begin_host_attestation(&tb.hosts[2].id);
+    let challenge = tb.vm.begin_host_attestation(&tb.hosts[2].id).unwrap();
     tb.hosts[2].sync_tpm();
     let iml = tb.hosts[2].container_host.measurement_list().encode();
     let report_data = host_report_data(&iml, &challenge.nonce);
@@ -164,7 +164,7 @@ fn cross_backend_evidence_refused_by_manager() {
 
     // An SGX host presenting its quote to the SNP appraiser: the bundle
     // has no SNP magic and dies structurally.
-    let challenge = tb.vm.begin_host_attestation(&tb.hosts[0].id);
+    let challenge = tb.vm.begin_host_attestation(&tb.hosts[0].id).unwrap();
     tb.hosts[0].sync_tpm();
     let iml = tb.hosts[0].container_host.measurement_list().encode();
     let evidence = host_evidence(

@@ -221,7 +221,7 @@ fn host_wide_revocation() {
     testbed.enroll(1, &g2).unwrap();
 
     // Host 0 is found compromised: evict everything on it.
-    let revoked = testbed.vm.revoke_host("host-0");
+    let revoked = testbed.vm.revoke_host("host-0").unwrap();
     assert_eq!(revoked, 2);
     testbed.push_crl().unwrap();
 
@@ -338,7 +338,7 @@ fn without_tpm_iml_rewrite_succeeds() {
 fn stale_challenge_rejected() {
     let mut testbed = TestbedBuilder::new(b"challenge expiry").build();
     let host_id = testbed.hosts[0].id.clone();
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     // Evidence prepared but presented after the challenge lifetime.
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(
@@ -362,7 +362,7 @@ fn quote_replay_with_wrong_nonce_rejected() {
     let mut testbed = TestbedBuilder::new(b"replay").build();
     let host_id = testbed.hosts[0].id.clone();
     // Attacker records evidence for challenge A...
-    let challenge_a = testbed.vm.begin_host_attestation(&host_id);
+    let challenge_a = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = vnfguard_core::attestation::host_evidence(
         &testbed.hosts[0].platform,
@@ -373,7 +373,7 @@ fn quote_replay_with_wrong_nonce_rejected() {
     )
     .unwrap();
     // ...and replays it against challenge B.
-    let challenge_b = testbed.vm.begin_host_attestation(&host_id);
+    let challenge_b = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let err = testbed
         .vm
         .complete_host_attestation(&mut testbed.ias, challenge_b.id, &evidence)

@@ -34,7 +34,7 @@ fn main() {
 
     // --- The challenge and the quote --------------------------------------
     println!("\n=== 2. challenge, report and quote ===");
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     println!("  VM nonce: {}", to_hex(&challenge.nonce));
     let iml = testbed.hosts[0].container_host.measurement_list().encode();
     let evidence = host_evidence(
@@ -91,7 +91,7 @@ fn main() {
 
     // --- Tampering demonstration -------------------------------------------
     println!("\n=== 5. what tampering does ===");
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let mut tampered = host_evidence(
         &testbed.hosts[0].platform,
         &testbed.hosts[0].integrity_enclave,
@@ -110,7 +110,7 @@ fn main() {
         .unwrap_err();
     println!("  substituted IML  → {err}");
 
-    let challenge = testbed.vm.begin_host_attestation(&host_id);
+    let challenge = testbed.vm.begin_host_attestation(&host_id).unwrap();
     let mut forged = host_evidence(
         &testbed.hosts[0].platform,
         &testbed.hosts[0].integrity_enclave,

@@ -193,7 +193,7 @@ fn ias_partition_opens_breaker_and_gates_degradation() {
 
     // A host whose last real appraisal failed gets nothing under
     // degradation, trusted cache or not.
-    world.testbed.vm.revoke_host("host-0");
+    world.testbed.vm.revoke_host("host-0").unwrap();
     let err = attest_host0(&mut world).unwrap_err();
     assert!(
         matches!(err, CoreError::ServiceUnavailable(_)),

@@ -7,11 +7,11 @@
 //!   primary's journaled state;
 //! - a standby cut off long enough to outrun the resend buffer is caught
 //!   up with a sealed snapshot and converges anyway;
-//! - the failover chaos matrix kills the primary mid-enrollment,
-//!   mid-renewal, and mid-rotation under seeded load, promotes a standby,
-//!   and asserts **zero divergence** against an uncrashed oracle twin
-//!   recovered from the dead primary's own media — plus a bounded
-//!   promotion time;
+//! - the failover chaos matrix, a schedule on the chaos driver, kills the
+//!   primary mid-enrollment, mid-renewal, and mid-rotation under seeded
+//!   load; the driver promotes a standby and asserts **zero divergence**
+//!   against an uncrashed oracle twin recovered from the dead primary's
+//!   own media — plus a bounded promotion time;
 //! - a deposed primary that keeps appending after its partition heals is
 //!   fenced by the epoch check, its operation fails, and the rejection is
 //!   journaled;
@@ -21,13 +21,12 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use vnfguard::core::crash::CrashPlan;
-use vnfguard::core::deployment::{Testbed, TestbedBuilder};
+use std::time::Duration;
+use vnfguard::core::chaos::{Chaos, Fault, Outcome, Step};
+use vnfguard::core::deployment::TestbedBuilder;
 use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::replication::ReplicationConfig;
 use vnfguard::core::revocation::revocation_message;
-use vnfguard::core::service::VmService;
 use vnfguard::core::CoreError;
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
@@ -35,36 +34,6 @@ use vnfguard::net::http::Request;
 use vnfguard::net::server::HttpClient;
 use vnfguard::net::FaultPlan;
 use vnfguard::pki::crl::RevocationReason;
-
-/// Promotion must complete well under this (wall-clock) bound; the sim
-/// does no real I/O waiting, so seconds of slack absorb CI noise.
-const MAX_FAILOVER: Duration = Duration::from_secs(2);
-
-/// Everything two managers must agree on for "zero certificate
-/// divergence": CA root bytes, key epoch, serial high-water, CRL number,
-/// committed enrollment records, and prepared-but-uncommitted serials.
-#[allow(clippy::type_complexity)]
-fn authority_view(
-    vm: &VmService,
-) -> (
-    Vec<u8>,
-    u64,
-    u64,
-    u64,
-    Vec<(u64, String, String, bool)>,
-    Vec<u64>,
-) {
-    (
-        vm.ca_certificate().encode(),
-        vm.ca_epoch(),
-        vm.issued_count(),
-        vm.lifecycle_status().crl_number,
-        vm.enrollments()
-            .map(|e| (e.serial, e.vnf_name.clone(), e.host_id.clone(), e.revoked))
-            .collect(),
-        vm.pending_enrollments().map(|p| p.serial).collect(),
-    )
-}
 
 // ---------------------------------------------------------------------------
 // Steady state: standbys mirror the primary's journaled state exactly.
@@ -176,185 +145,31 @@ fn severed_standby_catches_up_with_a_snapshot() {
 // Failover chaos matrix.
 // ---------------------------------------------------------------------------
 
-struct Outcome {
-    crashes: usize,
-    promotions: usize,
-    issued: u64,
-    ca_epoch: u64,
-    fingerprint: String,
-}
-
-/// Ride out a primary loss: divergence-check a promoted standby against
-/// an oracle twin recovered from the dead primary's own media, inside a
-/// bounded failover window, then re-attest so the workload can continue.
-fn ride_out(tb: &mut Testbed, seed: u64, promotions: &mut usize) {
-    if tb.standbys.is_empty() {
-        // Standbys exhausted (multiple crashes in one seed): restart in
-        // place from the current primary's own WAL.
-        tb.recover_vm().unwrap();
-    } else {
-        let oracle = tb
-            .oracle_twin()
-            .unwrap_or_else(|e| panic!("seed {seed}: oracle twin recovery failed: {e}"));
-        let started = Instant::now();
-        let report = tb
-            .promote()
-            .unwrap_or_else(|e| panic!("seed {seed}: promotion failed: {e}"));
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < MAX_FAILOVER,
-            "seed {seed}: failover took {elapsed:?} (bound {MAX_FAILOVER:?})"
-        );
-        *promotions += 1;
-        assert_eq!(
-            authority_view(&oracle),
-            authority_view(&tb.vm),
-            "seed {seed}: promoted standby diverged from the oracle twin \
-             (epoch {}, high-water {})",
-            report.epoch,
-            report.high_water
-        );
-    }
-    tb.attest_host(0).unwrap();
-}
-
-/// One full scenario: enrollments, a renewal, a CA rotation, a CRL push,
-/// and a revocation, with the crash plan killing the primary at journal-
-/// adjacent sites throughout. Every node loss is ridden out by promotion.
-fn run_failover_scenario(seed: u64) -> Outcome {
-    let plan = CrashPlan::seeded(seed);
-    plan.crash_with_probability("enrollment.prepare", 0.12)
-        .crash_with_probability("enrollment.commit", 0.12)
-        .crash_with_probability("revocation.revoke", 0.15)
-        .crash_with_probability("renewal.issue", 0.25)
-        .crash_with_probability("rotation.commit", 0.25);
-    let mut tb = TestbedBuilder::new(format!("failover matrix {seed}").as_bytes())
+/// One failover-matrix seed: enrollments, a renewal, a CA rotation, a CRL
+/// push, a revocation and a CRL poll while the primary crashes at
+/// journal-adjacent sites. The driver rides out every node loss by promotion, inside the
+/// failover bound and checked against an oracle twin of the dead primary.
+/// Half the seeds promote from a snapshot, half replay the standby's log.
+fn failover_matrix_seed(seed: u64) -> Outcome {
+    let builder = TestbedBuilder::new(format!("failover matrix {seed}").as_bytes())
         .replicas(2)
-        // Half the seeds exercise snapshot-seeded promotion, half replay
-        // the standby's full log.
         .wal_compaction(if seed.is_multiple_of(2) { 6 } else { 0 })
-        .crash_plan(plan)
-        .pending_enrollment_ttl(600)
-        .build();
-    tb.attest_host(0).unwrap();
-
-    let mut crashes = 0;
-    let mut promotions = 0;
-    let mut guards = Vec::new();
-    let mut serials = Vec::new();
-
-    // Enroll three VNFs to acknowledged completion.
-    for i in 0..3 {
-        let guard = tb.deploy_guard(0, &format!("vnf-{i}"), 1).unwrap();
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            assert!(attempts <= 24, "seed {seed}: enrollment livelocked");
-            match tb.enroll(0, &guard) {
-                Ok(certificate) => {
-                    serials.push(certificate.serial());
-                    break;
-                }
-                Err(CoreError::VmCrashed(_)) => {
-                    crashes += 1;
-                    ride_out(&mut tb, seed, &mut promotions);
-                }
-                Err(other) => panic!("seed {seed}: enrollment error: {other}"),
-            }
-        }
-        guards.push(guard);
-    }
-
-    // Renew the first credential (mid-renewal crashes fail over too).
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        assert!(attempts <= 24, "seed {seed}: renewal livelocked");
-        match tb.renew(&guards[0], serials[0]) {
-            Ok(certificate) => {
-                serials.push(certificate.serial());
-                break;
-            }
-            Err(CoreError::VmCrashed(_)) => {
-                crashes += 1;
-                ride_out(&mut tb, seed, &mut promotions);
-            }
-            Err(other) => panic!("seed {seed}: renewal error: {other}"),
-        }
-    }
-
-    // Rotate the CA (a crash after the committed record still rotates —
-    // the retried call simply opens the next epoch).
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        assert!(attempts <= 24, "seed {seed}: rotation livelocked");
-        match tb.rotate_ca() {
-            Ok(_) => {
-                // The controller must learn every rotated root before it
-                // can validate anything the new CA signs (CRLs included) —
-                // a crash after the commit record still rotates, so the
-                // retry may leave more than one epoch to catch up on.
-                tb.distribute_ca_chain().unwrap();
-                break;
-            }
-            Err(CoreError::VmCrashed(_)) => {
-                crashes += 1;
-                ride_out(&mut tb, seed, &mut promotions);
-            }
-            Err(other) => panic!("seed {seed}: rotation error: {other}"),
-        }
-    }
-
-    // Publish a CRL and revoke one credential.
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        assert!(attempts <= 24, "seed {seed}: crl livelocked");
-        match tb.push_crl() {
-            Ok(()) => break,
-            Err(CoreError::VmCrashed(_)) => {
-                crashes += 1;
-                ride_out(&mut tb, seed, &mut promotions);
-            }
-            Err(other) => panic!("seed {seed}: crl error: {other}"),
-        }
-    }
-    match tb
-        .vm
-        .revoke_credential(serials[1], RevocationReason::KeyCompromise)
-    {
-        Ok(()) => {}
-        Err(CoreError::VmCrashed(_)) => {
-            crashes += 1;
-            ride_out(&mut tb, seed, &mut promotions);
-            // WAL-before-response: the journaled revocation survived the
-            // node, not just the process.
-            assert!(
-                tb.vm.credential_is_revoked(serials[1]),
-                "seed {seed}: replicated revocation lost in failover"
-            );
-        }
-        Err(other) => panic!("seed {seed}: revocation error: {other}"),
-    }
-
-    // Closing divergence check: an oracle recovered from the live
-    // primary's current media agrees with the primary's actual authority
-    // state (replication never forked the timeline).
-    let oracle = tb.oracle_twin().unwrap();
-    assert_eq!(
-        authority_view(&oracle),
-        authority_view(&tb.vm),
-        "seed {seed}: final state diverged from the oracle twin"
-    );
-
-    Outcome {
-        crashes,
-        promotions,
-        issued: tb.vm.issued_count(),
-        ca_epoch: tb.vm.ca_epoch(),
-        fingerprint: tb.vm.fingerprint(),
-    }
+        .pending_enrollment_ttl(600);
+    Chaos::new(seed, builder)
+        .run(&[
+            Step::Fault(Fault::Crash("enrollment.prepare", 0.12)),
+            Step::Fault(Fault::Crash("enrollment.commit", 0.12)),
+            Step::Fault(Fault::Crash("revocation.revoke", 0.15)),
+            Step::Fault(Fault::Crash("renewal.issue", 0.25)),
+            Step::Fault(Fault::Crash("rotation.commit", 0.25)),
+            Step::Enroll(3),
+            Step::Renew,
+            Step::Rotate,
+            Step::IssueCrl,
+            Step::Revoke,
+            Step::CrlPoll,
+        ])
+        .finish()
 }
 
 /// The chaos matrix: ten seeds of kill-the-primary-under-load, each
@@ -362,20 +177,16 @@ fn run_failover_scenario(seed: u64) -> Outcome {
 /// matrix as a whole must actually crash and actually promote.
 #[test]
 fn failover_matrix_preserves_authority_state_across_seeds() {
-    let mut total_crashes = 0;
-    let mut total_promotions = 0;
-    for seed in 0..10 {
-        let outcome = run_failover_scenario(seed);
-        total_crashes += outcome.crashes;
-        total_promotions += outcome.promotions;
-    }
+    let outcomes: Vec<Outcome> = (0..10).map(failover_matrix_seed).collect();
+    let crashes: usize = outcomes.iter().map(|o| o.crashes).sum();
+    let promotions: usize = outcomes.iter().map(|o| o.promotions).sum();
     assert!(
-        total_crashes >= 5,
-        "matrix is vacuous: only {total_crashes} crashes fired"
+        crashes >= 5,
+        "matrix is vacuous: only {crashes} crashes fired"
     );
     assert!(
-        total_promotions >= 3,
-        "matrix is vacuous: only {total_promotions} promotions ran"
+        promotions >= 3,
+        "matrix is vacuous: only {promotions} promotions ran"
     );
 }
 
@@ -383,13 +194,7 @@ fn failover_matrix_preserves_authority_state_across_seeds() {
 /// deterministic end to end.
 #[test]
 fn failover_scenarios_are_deterministic_per_seed() {
-    let a = run_failover_scenario(4);
-    let b = run_failover_scenario(4);
-    assert_eq!(a.crashes, b.crashes);
-    assert_eq!(a.promotions, b.promotions);
-    assert_eq!(a.issued, b.issued);
-    assert_eq!(a.ca_epoch, b.ca_epoch);
-    assert_eq!(a.fingerprint, b.fingerprint);
+    assert_eq!(failover_matrix_seed(4), failover_matrix_seed(4));
 }
 
 // ---------------------------------------------------------------------------
