@@ -16,8 +16,8 @@
 //! `thread % shards` by VNF-name routing) and measures aggregate
 //! renewals/sec at 1, 2, 4 and 8 shards. CI gates on 4-shard throughput ≥
 //! [`MIN_SCALING`]× 1-shard; with cross-request group commit one shard
-//! already approaches the CPU ceiling, so that bar now measures how little
-//! sharding adds rather than how much it is needed.
+//! already gets most of the way to four, so that bar measures how much
+//! sharding adds on top (DESIGN §12 has why the shards stay).
 //!
 //! The crash matrix runs first, so a missed scaling bar still reports it.
 //! It is a schedule on the chaos driver ([`Chaos`]): concurrent renewals
@@ -83,16 +83,10 @@ fn name_on_shard(t: usize, target: usize, shards: usize) -> String {
 /// A saturated world: sharded, durable, slow-flush testbed with one
 /// enrolled credential per client, client `t` pinned to shard
 /// `t % shards`.
-fn saturated_world(
-    seed: &[u8],
-    shards: usize,
-    clients: usize,
-    group_commit: bool,
-) -> (Testbed, Vec<Client>) {
+fn saturated_world(seed: &[u8], shards: usize, clients: usize) -> (Testbed, Vec<Client>) {
     let mut tb = TestbedBuilder::new(seed)
         .durable()
         .shards(shards)
-        .group_commit(group_commit)
         .wal_write_latency(WRITE_LATENCY)
         .build();
     tb.attest_host(0).unwrap();
@@ -115,15 +109,11 @@ fn saturated_world(
 /// through clones of the service handle. Returns aggregate renewals/sec
 /// (wall-clock over the whole burst) and the device flushes, summed over
 /// every shard's medium, per acknowledged renewal.
-fn renewal_burst(
-    shards: usize,
-    clients: usize,
-    renewals: usize,
-    attempt: usize,
-    group_commit: bool,
-) -> (f64, f64) {
-    let seed = format!("e15 saturation s{shards} c{clients} a{attempt} g{group_commit}");
-    let (tb, clients) = saturated_world(seed.as_bytes(), shards, clients, group_commit);
+fn renewal_burst(shards: usize, clients: usize, renewals: usize, attempt: usize) -> (f64, f64) {
+    // The `gtrue` suffix keeps each build's seed, and so its key material,
+    // what it was when group commit was an option.
+    let seed = format!("e15 saturation s{shards} c{clients} a{attempt} gtrue");
+    let (tb, clients) = saturated_world(seed.as_bytes(), shards, clients);
     let flushes = || -> u64 {
         (0..shards)
             .map(|s| tb.shard_store_media(s).unwrap().flushes())
@@ -158,8 +148,7 @@ fn renewal_burst(
 fn crash_under_load(seed: u64) -> usize {
     let builder = TestbedBuilder::new(format!("e15 crash {seed}").as_bytes())
         .durable()
-        .shards(CRASH_SHARDS)
-        .group_commit(true);
+        .shards(CRASH_SHARDS);
     let renewals = Burst {
         renewers: CLIENTS,
         rounds: CRASH_RENEWALS,
@@ -194,7 +183,7 @@ fn main() {
 
     for clients in CLIENT_COUNTS {
         let mut builds: Vec<(f64, f64)> = (0..SCAN_BUILDS)
-            .map(|build| renewal_burst(1, clients, SCAN_RENEWALS_PER_CLIENT, build, true))
+            .map(|build| renewal_burst(1, clients, SCAN_RENEWALS_PER_CLIENT, build))
             .collect();
         builds.sort_by(|a, b| a.0.total_cmp(&b.0));
         let (throughput, flushes) = builds[SCAN_BUILDS / 2];
@@ -209,7 +198,7 @@ fn main() {
         let mut four_shard = 0.0;
         for shards in SHARD_COUNTS {
             let (throughput, flushes) =
-                renewal_burst(shards, CLIENTS, RENEWALS_PER_CLIENT, attempt, true);
+                renewal_burst(shards, CLIENTS, RENEWALS_PER_CLIENT, attempt);
             println!(
                 "e15_saturation/renewals_{shards}shard      {throughput:>10.0} renewals/s {flushes:>6.3} flushes/renewal"
             );
@@ -230,12 +219,6 @@ fn main() {
             attempt + 1
         );
     }
-    // The group-commit contrast: same 4-shard fabric, one flush per
-    // record instead of one group frame per batch.
-    let (ungrouped, flushes) = renewal_burst(4, CLIENTS, RENEWALS_PER_CLIENT, 0, false);
-    println!(
-        "e15_saturation/renewals_4shard_solo {ungrouped:>10.0} renewals/s {flushes:>6.3} flushes/renewal (group commit off)"
-    );
     if scaling < MIN_SCALING {
         eprintln!(
             "e15_saturation: FAIL — 4-shard throughput only {scaling:.2}x 1-shard (bar {MIN_SCALING:.1}x)"

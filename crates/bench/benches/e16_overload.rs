@@ -245,7 +245,6 @@ fn storm_chaos(seed: u64) -> usize {
     let builder = TestbedBuilder::new(format!("e16 chaos {seed}").as_bytes())
         .durable()
         .shards(SHARDS)
-        .group_commit(true)
         .admission_config(storm_admission());
     // Seed-varied emphasis: every third seed leans renewal-stampede,
     // revocation-storm or CRL-herd respectively.

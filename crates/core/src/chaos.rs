@@ -72,8 +72,7 @@ pub enum Step {
     /// Age every prepare past the grace period; or age, then sweep.
     Age,
     Sweep,
-    /// Recover the fleet in place (unreplicated testbeds only: a recovered
-    /// primary no longer feeds its standbys).
+    /// Recover the fleet in place.
     Recover,
     Burst(Burst),
     Fault(Fault),
@@ -662,11 +661,6 @@ impl Chaos {
     /// schedule tore one. Under load the clients keep writing, so the
     /// oracle comparison waits until they stop.
     fn recover(&mut self, under_load: bool) {
-        // A recovered primary no longer feeds its standbys.
-        assert!(
-            self.tb.standbys.is_empty(),
-            "recovery in place with standbys"
-        );
         let report = self
             .tb
             .recover_vm()

@@ -148,7 +148,6 @@ pub struct TestbedBuilder {
     replication_config: Option<ReplicationConfig>,
     faults: Option<FaultPlan>,
     shards: usize,
-    group_commit: bool,
     wal_write_latency: Option<Duration>,
     admission: Option<AdmissionConfig>,
     health: bool,
@@ -182,7 +181,6 @@ impl TestbedBuilder {
             replication_config: None,
             faults: None,
             shards: 1,
-            group_commit: false,
             wal_write_latency: None,
             admission: None,
             health: false,
@@ -276,20 +274,19 @@ impl TestbedBuilder {
         self
     }
 
-    /// Coalesce concurrent WAL appends on each shard into single group
-    /// frames (one media flush per group) instead of one flush per
-    /// record. WAL-before-response semantics are preserved: a workflow
-    /// call still returns only after its records are sealed on media.
-    pub fn group_commit(mut self, enabled: bool) -> TestbedBuilder {
-        self.group_commit = enabled;
+    /// Accepts only `true` and changes nothing: every WAL writes one frame
+    /// per commit batch, so group commit is the only commit path. The
+    /// method stays because the wirebench harness (`wirebench/src/deploy.rs`)
+    /// calls it.
+    pub fn group_commit(self, enabled: bool) -> TestbedBuilder {
+        assert!(enabled, "every WAL group-commits");
         self
     }
 
     /// Model the flush cost of cloud block storage: every media flush on
     /// every shard WAL sleeps for `latency`. With sharding the sleeps of
-    /// different shards overlap across server threads, and with
-    /// [`group_commit`](Self::group_commit) a whole workflow pays one
-    /// sleep instead of one per record — the effects E15 measures.
+    /// different shards overlap across server threads, and a whole commit
+    /// batch pays one sleep — the effects E15 measures.
     pub fn wal_write_latency(mut self, latency: Duration) -> TestbedBuilder {
         self.wal_write_latency = Some(latency);
         self
@@ -337,11 +334,11 @@ impl TestbedBuilder {
         self
     }
 
-    /// Replicate each shard's WAL to `n` standby managers over the fabric
+    /// Replicate the manager's WAL to `n` standby managers over the fabric
     /// (implies [`durable`](Self::durable)), enabling
-    /// [`Testbed::kill_primary`] and [`Testbed::promote`]. Every shard
-    /// gets its own standby set with its own sequence space; `promote`
-    /// fails over the authority shard.
+    /// [`Testbed::kill_primary`] and [`Testbed::promote`]. Failover covers
+    /// one manager only, so [`build`](Self::build) refuses replicas on a
+    /// testbed with more than one [`shard`](Self::shards).
     pub fn replicas(mut self, n: usize) -> TestbedBuilder {
         self.replicas = n;
         if n > 0 {
@@ -400,6 +397,12 @@ impl TestbedBuilder {
 
     pub fn build(self) -> Testbed {
         let shard_count = self.shards.max(1);
+        // `kill_primary` halts every shard but `promote` swaps in the
+        // authority shard alone, so a follower shard would stay dead.
+        assert!(
+            self.replicas == 0 || shard_count == 1,
+            "replicas need a single shard: failover covers the authority shard only"
+        );
         let network = Network::new();
         let clock = SimClock::at(1_600_000_000);
         let telemetry = self.telemetry.unwrap_or_default();
@@ -495,88 +498,60 @@ impl TestbedBuilder {
             let store = media.as_ref().map(|media| {
                 let vault = StateVault::load(platform, &enclave_author)
                     .expect("state vault loads on the shard platform");
-                StateStore::new(media.clone(), vault)
-                    .with_compaction(self.wal_compaction)
-                    .with_group_commit(self.group_commit)
+                StateStore::new(media.clone(), vault).with_compaction(self.wal_compaction)
             });
             shard_media.push(media);
             shard_stores.push(store);
         }
 
-        // Standbys come up before the managers so the very first journaled
+        // Standbys come up before the manager so the very first journaled
         // record (the controller's server certificate) already streams:
         // each standby runs its own vault on its own platform and re-seals
-        // what it receives into its own media. Every shard replicates into
-        // its own standby set — sequence spaces are per shard.
+        // what it receives into its own media.
         let mut standbys = Vec::with_capacity(self.replicas);
-        let mut standby_media = Vec::with_capacity(self.replicas);
         let mut standby_platforms = Vec::with_capacity(self.replicas);
-        let mut replica_sets: Vec<Option<ReplicaSet>> = vec![None; shard_count];
+        let mut replication = None;
         let replication_config = self.replication_config.clone().unwrap_or_default();
         if self.replicas > 0 {
-            for (s, shard_store) in shard_stores.iter().enumerate() {
-                let store = shard_store.as_ref().expect("replicas imply durable");
-                let mut addrs = Vec::with_capacity(self.replicas);
-                let mut nodes = Vec::with_capacity(self.replicas);
-                let mut medias = Vec::with_capacity(self.replicas);
-                let mut platforms = Vec::with_capacity(self.replicas);
-                for i in 0..self.replicas {
-                    let label = if s == 0 {
-                        format!("vm standby {i} platform")
-                    } else {
-                        format!("vm shard {s} standby {i} platform")
-                    };
-                    let platform = SgxPlatform::with_config(
-                        &vnfguard_crypto::sha2::sha256(
-                            &[&self.seed[..], label.as_bytes()].concat(),
-                        ),
-                        PlatformConfig::default(),
-                        TransitionModel::new(0, 0),
-                    );
-                    let vault = StateVault::load(&platform, &enclave_author)
-                        .expect("state vault loads on the standby platform");
-                    let media = Media::new();
-                    let standby_store =
-                        StateStore::new(media.clone(), vault).with_compaction(self.wal_compaction);
-                    let addr = if s == 0 {
-                        format!("vm-standby-{i}:7600")
-                    } else {
-                        format!("vm-shard-{s}-standby-{i}:7600")
-                    };
-                    let node = StandbyNode::spawn(
-                        &network,
-                        &addr,
-                        standby_store,
-                        clock.clone(),
-                        telemetry.clone(),
-                        0,
-                    )
-                    .expect("standby binds its fabric address");
-                    addrs.push(addr);
-                    nodes.push(node);
-                    medias.push(media);
-                    platforms.push(platform);
-                }
-                let set = ReplicaSet::new(
+            let store = shard_stores[0].as_ref().expect("replicas imply durable");
+            let mut addrs = Vec::with_capacity(self.replicas);
+            for i in 0..self.replicas {
+                let label = format!("vm standby {i} platform");
+                let platform = SgxPlatform::with_config(
+                    &vnfguard_crypto::sha2::sha256(&[&self.seed[..], label.as_bytes()].concat()),
+                    PlatformConfig::default(),
+                    TransitionModel::new(0, 0),
+                );
+                let vault = StateVault::load(&platform, &enclave_author)
+                    .expect("state vault loads on the standby platform");
+                let standby_store =
+                    StateStore::new(Media::new(), vault).with_compaction(self.wal_compaction);
+                let addr = format!("vm-standby-{i}:7600");
+                let node = StandbyNode::spawn(
                     &network,
-                    &addrs,
-                    0,
-                    1,
-                    replication_config.clone(),
+                    &addr,
+                    standby_store,
                     clock.clone(),
                     telemetry.clone(),
-                );
-                set.attach_store(store.clone());
-                store.set_observer(Arc::new(set.clone()));
-                // Only the authority shard fails over, so only its standby
-                // handles are kept; dropping a handle leaves its node serving.
-                if s == 0 {
-                    standbys = nodes;
-                    standby_media = medias;
-                    standby_platforms = platforms;
-                }
-                replica_sets[s] = Some(set);
+                    0,
+                )
+                .expect("standby binds its fabric address");
+                addrs.push(addr);
+                standbys.push(node);
+                standby_platforms.push(platform);
             }
+            let set = ReplicaSet::new(
+                &network,
+                &addrs,
+                0,
+                1,
+                replication_config.clone(),
+                clock.clone(),
+                telemetry.clone(),
+            );
+            set.attach_store(store.clone());
+            store.set_observer(Arc::new(set.clone()));
+            replication = Some(set);
         }
 
         // The manager fleet. Every shard derives from the same seed (so CA
@@ -597,7 +572,7 @@ impl TestbedBuilder {
             if let Some(plan) = &self.crash_plan {
                 manager = manager.with_crash_plan(plan.clone());
             }
-            if let Some(set) = &replica_sets[s] {
+            if let Some(set) = &replication {
                 manager.with_replication(set.clone());
             }
             manager.set_shard(s as u32, shard_count as u32);
@@ -758,15 +733,13 @@ impl TestbedBuilder {
             vm_config,
             shard_platforms,
             shard_media,
-            group_commit: self.group_commit,
             crash_plan: self.crash_plan,
             wal_compaction: self.wal_compaction,
             trust_log,
             amd_root,
             snp_verifier,
-            replication: replica_sets.swap_remove(0),
+            replication,
             standbys,
-            standby_media,
             standby_platforms,
             replication_config,
         }
@@ -835,7 +808,6 @@ pub struct Testbed {
     shard_platforms: Vec<SgxPlatform>,
     /// Each shard's crash-surviving medium (`None`: volatile testbed).
     shard_media: Vec<Option<Media>>,
-    group_commit: bool,
     crash_plan: Option<CrashPlan>,
     wal_compaction: u64,
     trust_log: Vec<TrustAction>,
@@ -850,10 +822,7 @@ pub struct Testbed {
     replication: Option<ReplicaSet>,
     /// The authority shard's standby managers, in builder order.
     pub standbys: Vec<StandbyNode>,
-    /// Each authority standby's crash-surviving medium (parallel to
-    /// `standbys`).
-    standby_media: Vec<Media>,
-    /// Each authority standby's SGX platform.
+    /// Each standby's SGX platform (parallel to `standbys`).
     standby_platforms: Vec<SgxPlatform>,
     replication_config: ReplicationConfig,
 }
@@ -1257,7 +1226,9 @@ impl Testbed {
 
     /// Recover one shard's incarnation from its own media. Only the
     /// authority shard owns the revocation notifier (its store-and-forward
-    /// queue journals into the authority WAL).
+    /// queue journals into the authority WAL) and the replica set, which
+    /// the new store feeds before recovery journals anything, in the order
+    /// [`promote`](Self::promote) uses.
     fn recover_shard_incarnation(
         &self,
         shard: usize,
@@ -1270,13 +1241,21 @@ impl Testbed {
         CoreError,
     > {
         let store = self.shard_store(shard, Incarnation::Live)?;
+        let replication = self.replication.as_ref().filter(|_| shard == 0);
+        if let Some(set) = replication {
+            set.attach_store(store.clone());
+            store.set_observer(Arc::new(set.clone()));
+        }
         let mut notifier = (shard == 0).then(|| {
             RevocationNotifier::new(&self.network)
                 .with_telemetry(&self.telemetry)
                 .with_store(store.clone())
         });
-        let (vm, report) =
+        let (mut vm, report) =
             self.recover_incarnation(shard, store, notifier.as_mut(), Incarnation::Live)?;
+        if let Some(set) = replication {
+            vm.with_replication(set.clone());
+        }
         Ok((vm, notifier, report))
     }
 
@@ -1292,9 +1271,7 @@ impl Testbed {
             Incarnation::Twin => media.fork(),
         };
         let vault = StateVault::load(&self.shard_platforms[shard], &self.enclave_author)?;
-        Ok(StateStore::new(media, vault)
-            .with_compaction(self.wal_compaction)
-            .with_group_commit(self.group_commit))
+        Ok(StateStore::new(media, vault).with_compaction(self.wal_compaction))
     }
 
     /// Recover shard `shard`'s manager from `store` (the one path for crash
@@ -1507,7 +1484,6 @@ impl Testbed {
             .map(|(i, _)| i)
             .expect("standbys is non-empty");
         let node = self.standbys.remove(chosen);
-        let media = self.standby_media.remove(chosen);
         let platform = self.standby_platforms.remove(chosen);
         let high_water = node.status().next_seq - 1;
         node.stop();
@@ -1517,6 +1493,7 @@ impl Testbed {
             standby.set_epoch(new_epoch);
         }
         let store = node.store();
+        let media = store.media().clone();
         let survivors: Vec<String> = self.standbys.iter().map(|s| s.addr().to_string()).collect();
         let set = ReplicaSet::new(
             &self.network,

@@ -59,7 +59,7 @@ pub use lifecycle::{
 pub use manager::{ManagerConfig, ManagerConfigBuilder, RecoveryReport, VerificationManager};
 pub use overload::{current_deadline, AdmissionConfig, AdmissionController, Deadline, Workclass};
 pub use remote::{HostAgent, RemoteIas};
-pub use resilience::{BreakerState, CircuitBreaker, RetryBudget, RetryPolicy};
+pub use resilience::{BreakerState, CircuitBreaker, RetryPolicy};
 pub use revocation::{DeliveredNotice, RevocationNotifier};
 pub use service::VmService;
 

@@ -1570,9 +1570,9 @@ impl VerificationManager {
         let serial = mint.serial();
         // WAL-before-response: the issuance and the preparation must be
         // durable before the serial (the commit token) leaves the manager.
-        // One workflow, one flush: under group commit both records share a
-        // group frame, so a crash can never persist the issuance without
-        // the preparation that explains it.
+        // One workflow, one flush: both records share a frame, so a crash
+        // can never persist the issuance without the preparation that
+        // explains it.
         self.journal(&[
             WalRecord::CertIssued {
                 serial,

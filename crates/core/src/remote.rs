@@ -27,7 +27,7 @@
 use crate::attestation::{host_evidence, HostEvidence};
 use crate::backend::MultiBackend;
 use crate::overload::check_deadline;
-use crate::resilience::{AttemptRecord, BreakerState, CircuitBreaker, RetryBudget, RetryPolicy};
+use crate::resilience::{AttemptRecord, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::service::{HealthSnapshot, VmService};
 use crate::CoreError;
 use parking_lot::{Mutex, RwLock};
@@ -343,7 +343,6 @@ pub struct RemoteIas {
     report_key: vnfguard_crypto::ed25519::VerifyingKey,
     clock: SimClock,
     retry: RetryPolicy,
-    retry_budget: Option<Arc<RetryBudget>>,
     breaker: CircuitBreaker,
     last_attempts: Vec<AttemptRecord>,
     telemetry: Telemetry,
@@ -370,7 +369,6 @@ impl RemoteIas {
             report_key,
             clock: SimClock::at(0),
             retry: RetryPolicy::default(),
-            retry_budget: None,
             breaker: CircuitBreaker::new(3, 60),
             last_attempts: Vec::new(),
             telemetry: Telemetry::disabled(),
@@ -391,16 +389,6 @@ impl RemoteIas {
         self.clock = clock;
         self.retry = retry;
         self.breaker = breaker;
-        self
-    }
-
-    /// Cap retry amplification with a shared token bucket: once the budget
-    /// is empty, failed IAS calls are not retried until tokens refill —
-    /// one brownout cannot turn N failing verifications into N × attempts
-    /// extra load. The `Arc` is typically shared with the deployment's
-    /// other clients so the cap is per-deployment, not per-handle.
-    pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> RemoteIas {
-        self.retry_budget = Some(budget);
         self
     }
 
@@ -508,10 +496,9 @@ impl QuoteVerifier for RemoteIas {
                 .telemetry
                 .span("vm", "ias_roundtrip", self.clock.now())
                 .with_histogram(self.roundtrip_micros.clone());
-            // The retry loop itself re-checks the request deadline and the
-            // shared retry budget before every backoff.
-            let budget = self.retry_budget.as_deref();
-            let outcome = self.retry.run_with_budget(&self.clock, budget, |attempt| {
+            // The retry loop itself re-checks the request deadline before
+            // every backoff.
+            let outcome = self.retry.run(&self.clock, |attempt| {
                 let _attempt_span =
                     self.telemetry
                         .span("vm", &format!("ias_attempt_{attempt}"), self.clock.now());

@@ -497,32 +497,30 @@ impl StandbyShared {
                         next_seq: inner.next_seq,
                     };
                 }
-                for (i, payload) in batch.frames.iter().enumerate() {
-                    let seq = batch.first_seq + i as u64;
-                    if seq < inner.next_seq {
-                        continue; // duplicate from a retry; applying twice would fork
+                // Records a retry already delivered are skipped: applying
+                // them twice would fork. The rest land as one frame, so
+                // the batch applies whole or not at all.
+                let skip = (inner.next_seq - batch.first_seq) as usize;
+                let fresh: Result<Vec<WalRecord>, _> = batch
+                    .frames
+                    .iter()
+                    .skip(skip)
+                    .map(|payload| WalRecord::decode(payload))
+                    .collect();
+                let applied = match fresh {
+                    Ok(records) if self.store.append_group(&records).is_ok() => {
+                        records.len() as u64
                     }
-                    match WalRecord::decode(payload) {
-                        Ok(record) => {
-                            if self.store.append(&record).is_err() {
-                                return Ack {
-                                    status: STATUS_GAP,
-                                    epoch: inner.epoch,
-                                    next_seq: inner.next_seq,
-                                };
-                            }
-                            inner.next_seq = seq + 1;
-                            inner.applied_records += 1;
-                        }
-                        Err(_) => {
-                            return Ack {
-                                status: STATUS_GAP,
-                                epoch: inner.epoch,
-                                next_seq: inner.next_seq,
-                            };
+                    _ => {
+                        return Ack {
+                            status: STATUS_GAP,
+                            epoch: inner.epoch,
+                            next_seq: inner.next_seq,
                         }
                     }
-                }
+                };
+                inner.next_seq += applied;
+                inner.applied_records += applied;
                 Ack {
                     status: STATUS_OK,
                     epoch: inner.epoch,

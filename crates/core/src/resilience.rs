@@ -12,18 +12,13 @@
 //!   delay is reproducible from the policy seed;
 //! - [`CircuitBreaker`] — closed → open after K consecutive failures →
 //!   half-open probe after a cooldown, with a transition log.
-//! - [`RetryBudget`] — a token bucket shared across a client's retries so
-//!   that when the backend browns out, retry traffic cannot multiply the
-//!   offered load (the classic retry-storm amplifier).
 //!
 //! Retries are deadline-aware: when the calling thread's request scope
 //! carries a [`crate::overload::Deadline`] and it expires, the loop stops
 //! rather than burning attempts nobody will wait for.
 
 use crate::overload::deadline_expired;
-use std::sync::Mutex;
 use vnfguard_controller::SimClock;
-use vnfguard_telemetry::{Counter, Telemetry};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -103,26 +98,12 @@ impl RetryPolicy {
 
     /// Run `op` until it succeeds or attempts are exhausted. Between
     /// attempts the deployment clock is advanced by a uniform draw from
-    /// `[0, backoff_bound(attempt)]` — full jitter, no real sleeping.
+    /// `[0, backoff_bound(attempt)]` — full jitter, no real sleeping. No
+    /// retry starts once the ambient request deadline, if one is
+    /// installed, has expired: the loop ends with the last error.
     pub fn run<T, E: std::fmt::Display>(
         &self,
         clock: &SimClock,
-        op: impl FnMut(u32) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
-        self.run_with_budget(clock, None, op)
-    }
-
-    /// Like [`run`](Self::run), but each *retry* (never the first attempt)
-    /// must also clear two gates:
-    ///
-    /// - the ambient request deadline, if one is installed — a dead budget
-    ///   ends the loop with the last error;
-    /// - the shared [`RetryBudget`], if given — an empty bucket ends the
-    ///   loop, capping fleet-wide retry amplification during a brownout.
-    pub fn run_with_budget<T, E: std::fmt::Display>(
-        &self,
-        clock: &SimClock,
-        budget: Option<&RetryBudget>,
         mut op: impl FnMut(u32) -> Result<T, E>,
     ) -> RetryOutcome<T, E> {
         let attempts_allowed = self.max_attempts.max(1);
@@ -157,11 +138,6 @@ impl RetryPolicy {
                         if deadline_expired(clock) {
                             break;
                         }
-                        if let Some(budget) = budget {
-                            if !budget.try_spend(clock) {
-                                break;
-                            }
-                        }
                         let bound = self.backoff_bound(attempt);
                         delay_before_secs = if bound == 0 {
                             0
@@ -177,85 +153,6 @@ impl RetryPolicy {
             result: Err(last_error.expect("at least one attempt ran")),
             attempts,
         }
-    }
-}
-
-/// A token bucket shared across all retries of a client (or fleet of
-/// clients): every retry spends one token, tokens refill at a steady
-/// rate, and an empty bucket means *no retry* — first attempts are never
-/// charged. This bounds the retry amplification factor during a backend
-/// brownout: with a refill of `r` tokens/sec the whole client adds at
-/// most `r` retries/sec on top of offered load, no matter how many calls
-/// are failing.
-///
-/// Tokens are tracked in millitokens so slow refill rates (one retry per
-/// tens of seconds) stay integer-exact on the [`SimClock`].
-#[derive(Debug)]
-pub struct RetryBudget {
-    capacity_millitokens: u64,
-    refill_millitokens_per_sec: u64,
-    state: Mutex<BudgetState>,
-    exhausted: Counter,
-}
-
-#[derive(Debug)]
-struct BudgetState {
-    millitokens: u64,
-    refilled_at: u64,
-}
-
-impl RetryBudget {
-    /// A bucket holding `capacity_tokens` (burst) refilling at
-    /// `refill_millitokens_per_sec` (1000 = one retry token per second).
-    /// Starts full.
-    pub fn new(capacity_tokens: u64, refill_millitokens_per_sec: u64) -> RetryBudget {
-        RetryBudget {
-            capacity_millitokens: capacity_tokens.saturating_mul(1000),
-            refill_millitokens_per_sec,
-            state: Mutex::new(BudgetState {
-                millitokens: capacity_tokens.saturating_mul(1000),
-                refilled_at: 0,
-            }),
-            exhausted: Counter::detached(),
-        }
-    }
-
-    /// Register the exhaustion counter
-    /// (`vnfguard_core_retry_budget_exhausted_total`) with `telemetry`.
-    pub fn instrumented(mut self, telemetry: &Telemetry) -> RetryBudget {
-        self.exhausted = telemetry.counter("vnfguard_core_retry_budget_exhausted_total");
-        self
-    }
-
-    /// Spend one retry token, refilling first from elapsed clock time.
-    /// Returns `false` (and bumps the exhaustion counter) when the bucket
-    /// is empty.
-    pub fn try_spend(&self, clock: &SimClock) -> bool {
-        let mut state = self.state.lock().expect("retry budget poisoned");
-        let elapsed = clock.now().saturating_sub(state.refilled_at);
-        state.refilled_at = clock.now();
-        state.millitokens = state
-            .millitokens
-            .saturating_add(elapsed.saturating_mul(self.refill_millitokens_per_sec))
-            .min(self.capacity_millitokens);
-        if state.millitokens >= 1000 {
-            state.millitokens -= 1000;
-            true
-        } else {
-            self.exhausted.inc();
-            false
-        }
-    }
-
-    /// Whole retry tokens currently available.
-    pub fn tokens(&self, clock: &SimClock) -> u64 {
-        let state = self.state.lock().expect("retry budget poisoned");
-        let elapsed = clock.now().saturating_sub(state.refilled_at);
-        state
-            .millitokens
-            .saturating_add(elapsed.saturating_mul(self.refill_millitokens_per_sec))
-            .min(self.capacity_millitokens)
-            / 1000
     }
 }
 
@@ -412,24 +309,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
-    }
-
-    #[test]
-    fn retry_budget_caps_retries_then_refills() {
-        let clock = SimClock::at(0);
-        // 2-token burst, one token per 10 seconds.
-        let budget = RetryBudget::new(2, 100);
-        let outcome = RetryPolicy::new(6, 0, 0)
-            .run_with_budget(&clock, Some(&budget), |_| Err::<(), _>("down"));
-        assert!(outcome.result.is_err());
-        // First attempt is free; the two budgeted retries ran, then the
-        // empty bucket ended the loop early.
-        assert_eq!(outcome.attempts.len(), 3);
-        assert_eq!(budget.tokens(&clock), 0);
-        clock.advance(10);
-        assert_eq!(budget.tokens(&clock), 1);
-        assert!(budget.try_spend(&clock));
-        assert!(!budget.try_spend(&clock));
     }
 
     #[test]

@@ -937,11 +937,11 @@ impl VmService {
         self.run(0, |vm| vm.replica_set()).map(|set| set.status())
     }
 
-    /// Emit a replication heartbeat from every shard's primary handle,
-    /// streaming outside the shard locks. Drains any buffered records
-    /// first, so a quiet primary still converges its standbys.
+    /// Emit a replication heartbeat from the authority shard's primary
+    /// handle, streaming outside the shard lock. Drains any buffered
+    /// records first, so a quiet primary still converges its standbys.
     pub fn replication_heartbeat(&self) {
-        for set in self.each_shard(|vm| vm.replica_set()).into_iter().flatten() {
+        if let Some(set) = self.run(0, |vm| vm.replica_set()) {
             set.heartbeat();
         }
     }

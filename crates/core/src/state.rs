@@ -45,8 +45,8 @@ impl JournaledState {
     }
 
     /// Seal `records` and queue them behind everything journaled before,
-    /// then fold them into the state. With group commit on the store they
-    /// land in one group frame, so a torn tail drops all of them or none.
+    /// then fold them into the state. They land in one frame on the store,
+    /// so a torn tail drops all of them or none.
     /// A failed enqueue changes nothing.
     pub(crate) fn record(&mut self, records: &[WalRecord]) -> Result<(), StoreError> {
         if let Some(store) = &self.store {

@@ -671,7 +671,7 @@ fn crl_number_stays_monotonic_across_crash() {
 fn minted_digest(durable: bool) -> String {
     let mut builder = TestbedBuilder::new(b"golden mint").hosts(2);
     if durable {
-        builder = builder.durable().group_commit(true);
+        builder = builder.durable();
     }
     let mut tb = builder.build();
     tb.attest_host(0).unwrap();

@@ -35,10 +35,10 @@
 //! 2. [`StateStore::begin`] starts making a given LSN durable, after the
 //!    caller has released its lock. A waiter whose LSN no one has issued
 //!    yet becomes a *leader* as soon as fewer than two device writes are
-//!    in flight: it takes every queued record as one batch (one group
-//!    frame with group commit on, one frame and one write per record with
-//!    it off) and issues its write at once, even while the previous
-//!    batch's write is still running.
+//!    in flight: it takes every queued record as one batch, one frame and
+//!    one device write, and issues its write at once, even while the
+//!    previous batch's write is still running. A tear drops a whole batch,
+//!    never part of one.
 //! 3. [`Pending::finish`] waits until the LSN is durable. Batches land in
 //!    LSN order: a leader waits for the previous batch to be published,
 //!    lands its own, hands it to the [`AppendObserver`] once, marks it
@@ -328,8 +328,6 @@ pub struct StateStore {
     shared: Arc<Shared>,
     /// Auto-compact once the log holds this many frames (`None`: manual).
     compact_every: Option<u64>,
-    /// Write each batch as one group frame instead of a frame per record.
-    group_commit: bool,
 }
 
 /// A batch whose write its leader has issued and not yet landed.
@@ -415,7 +413,6 @@ impl StateStore {
                 writer: Mutex::new(WriterState::default()),
             }),
             compact_every: None,
-            group_commit: false,
         }
     }
 
@@ -436,20 +433,6 @@ impl StateStore {
     pub fn with_compaction(mut self, frames: u64) -> StateStore {
         self.compact_every = (frames > 0).then_some(frames);
         self
-    }
-
-    /// Enable (or disable) group commit: each flushed batch becomes one
-    /// group frame — one device write, atomic under a tear — instead of
-    /// one frame and one flush per record. Off by default; replay is the
-    /// same either way for an untorn log.
-    pub fn with_group_commit(mut self, enabled: bool) -> StateStore {
-        self.group_commit = enabled;
-        self
-    }
-
-    /// Whether group commit is enabled on this handle.
-    pub fn group_commit(&self) -> bool {
-        self.group_commit
     }
 
     /// Seal `records` and queue them for the next flush, in order. Returns
@@ -586,22 +569,8 @@ impl StateStore {
         let media = &self.shared.media;
         let mut writer = self.shared.writer.lock();
         Self::check_tail(media, &mut writer);
-        // Group commit lands the batch as one write. Without it every
-        // record is its own write, the next issued as the previous lands.
-        let writes: Vec<(Vec<u8>, u64)> = if self.group_commit {
-            vec![(wal::group_frame(&queue.sealed), queue.sealed.len() as u64)]
-        } else {
-            queue
-                .sealed
-                .iter()
-                .map(|sealed| (wal::frame(sealed), 1))
-                .collect()
-        };
-        let mut write = Some(write);
-        for (bytes, records) in &writes {
-            let write = write.take().unwrap_or_else(|| media.issue());
-            writer.log_len = Some(media.land(write, bytes, *records));
-        }
+        let frame = wal::group_frame(&queue.sealed);
+        writer.log_len = Some(media.land(write, &frame, queue.sealed.len() as u64));
         if let Some(mirror) = &mut writer.mirror {
             for record in &queue.records {
                 mirror.apply(record);
@@ -704,10 +673,10 @@ impl StateStore {
     }
 
     /// Journal a whole workflow's records and wait until they are durable.
-    /// With group commit enabled they share a group frame with whatever
-    /// else is queued (a tear drops all of them or none); either way the
-    /// [`AppendObserver`] sees every record in order before the call
-    /// returns, preserving WAL-and-stream-before-response.
+    /// They share one frame with whatever else is queued, so a tear drops
+    /// all of them or none, and the [`AppendObserver`] sees every record in
+    /// order before the call returns, preserving
+    /// WAL-and-stream-before-response.
     pub fn append_group(&self, records: &[WalRecord]) -> Result<(), StoreError> {
         if records.is_empty() {
             return Ok(());
@@ -973,7 +942,7 @@ mod tests {
     #[test]
     fn group_append_replays_like_sequential() {
         let platform = SgxPlatform::new(b"vm");
-        let grouped = store_on(&platform, Media::new()).with_group_commit(true);
+        let grouped = store_on(&platform, Media::new());
         let sequential = store_on(&platform, Media::new());
         let records = [
             WalRecord::CertIssued {
@@ -992,19 +961,23 @@ mod tests {
             },
         ];
         grouped.append_group(&records).unwrap();
-        sequential.append_group(&records).unwrap(); // degrades to append()
+        for record in &records {
+            sequential.append(record).unwrap();
+        }
         let a = grouped.replay().unwrap();
         let b = sequential.replay().unwrap();
         assert_eq!(a.state, b.state);
         assert_eq!(a.replayed_records, 2);
         assert_eq!(b.replayed_records, 2);
         assert_eq!(grouped.stats().log_frames, 2, "members counted");
+        assert_eq!(grouped.media().flushes(), 1, "one write for the group");
+        assert_eq!(sequential.media().flushes(), 2);
     }
 
     #[test]
     fn group_observer_sees_each_record_in_order() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let tape = Arc::new(Tape::default());
         store.set_observer(tape.clone());
         let records: Vec<WalRecord> = (2..6).map(cert_issued).collect();
@@ -1016,7 +989,7 @@ mod tests {
     fn torn_group_loses_the_whole_workflow() {
         let platform = SgxPlatform::new(b"vm");
         let media = Media::new();
-        let store = store_on(&platform, media.clone()).with_group_commit(true);
+        let store = store_on(&platform, media.clone());
         issue_and_commit(&store, 2, 10);
         store
             .append_group(&[
@@ -1070,7 +1043,7 @@ mod tests {
     #[test]
     fn sync_waits_for_the_batch_that_holds_its_lsn() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let first = store.enqueue(&[cert_issued(2), cert_issued(3)]).unwrap();
         let second = store.enqueue(&[cert_issued(4)]).unwrap();
         assert_eq!((first, second), (2, 3));
@@ -1102,7 +1075,7 @@ mod tests {
             }
         }
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         store.set_observer(Arc::new(Fenced));
         let record = |serial: u64| WalRecord::CrlIssued {
             number: serial,
@@ -1139,51 +1112,46 @@ mod tests {
         ];
         let mut folded = ManagerState::default();
         records.iter().for_each(|record| folded.apply(record));
-        for group_commit in [true, false] {
-            let media = Media::new();
-            media.set_write_latency(Duration::from_millis(200));
-            let store = store_on(&platform, media.clone()).with_group_commit(group_commit);
-            let tape = Arc::new(Tape::default());
-            store.set_observer(tape.clone());
-            let store = &store;
-            let first = store.enqueue(&records[..2]).unwrap();
-            let (led, pipelined, overlapped) = std::thread::scope(|scope| {
-                let led = scope.spawn(|| store.sync(first).unwrap());
-                while media.writes_in_flight() == 0 {
-                    std::thread::yield_now();
+        let media = Media::new();
+        media.set_write_latency(Duration::from_millis(200));
+        let store = store_on(&platform, media.clone());
+        let tape = Arc::new(Tape::default());
+        store.set_observer(tape.clone());
+        let store = &store;
+        let first = store.enqueue(&records[..2]).unwrap();
+        let (led, pipelined, overlapped) = std::thread::scope(|scope| {
+            let led = scope.spawn(|| store.sync(first).unwrap());
+            while media.writes_in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let second = store.enqueue(&records[2..]).unwrap();
+            let pipelined = scope.spawn(move || store.sync(second).unwrap());
+            // The second write is issued before the first one lands.
+            let overlapped = loop {
+                if media.flushes() > 0 {
+                    break false;
                 }
-                let second = store.enqueue(&records[2..]).unwrap();
-                let pipelined = scope.spawn(move || store.sync(second).unwrap());
-                // The second write is issued before the first one lands.
-                let overlapped = loop {
-                    if media.flushes() > 0 {
-                        break false;
-                    }
-                    if media.writes_in_flight() == 2 {
-                        break media.flushes() == 0;
-                    }
-                    std::thread::yield_now();
-                };
-                (led.join().unwrap(), pipelined.join().unwrap(), overlapped)
-            });
-            assert!(
-                overlapped,
-                "group commit {group_commit}: the second write waited for the first to land"
-            );
-            let commit = |batch_records, in_flight| Commit {
-                batch_records,
-                leader: true,
-                in_flight,
+                if media.writes_in_flight() == 2 {
+                    break media.flushes() == 0;
+                }
+                std::thread::yield_now();
             };
-            assert_eq!((led, pipelined), (commit(2, 0), commit(1, 1)));
-            assert_eq!(media.flushes(), if group_commit { 2 } else { 3 });
-            assert_eq!(
-                *tape.batches.lock(),
-                vec![records[..2].to_vec(), records[2..].to_vec()],
-                "batches observed out of LSN order"
-            );
-            assert_eq!(store.replay().unwrap().state, folded);
-        }
+            (led.join().unwrap(), pipelined.join().unwrap(), overlapped)
+        });
+        assert!(overlapped, "the second write waited for the first to land");
+        let commit = |batch_records, in_flight| Commit {
+            batch_records,
+            leader: true,
+            in_flight,
+        };
+        assert_eq!((led, pipelined), (commit(2, 0), commit(1, 1)));
+        assert_eq!(media.flushes(), 2);
+        assert_eq!(
+            *tape.batches.lock(),
+            vec![records[..2].to_vec(), records[2..].to_vec()],
+            "batches observed out of LSN order"
+        );
+        assert_eq!(store.replay().unwrap().state, folded);
     }
 
     /// With two batches in flight, each waiter reports its own batch —
@@ -1192,7 +1160,7 @@ mod tests {
     #[test]
     fn followers_of_overlapping_batches_report_their_own_batch() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let batches = overlapping_batches(
             &store,
             &[cert_issued(2), cert_issued(3)],
@@ -1216,7 +1184,7 @@ mod tests {
     #[test]
     fn a_veto_fails_only_its_batch_while_the_next_is_in_flight() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let tape = Arc::new(Tape {
             veto: Some(1),
             ..Tape::default()
@@ -1243,7 +1211,7 @@ mod tests {
     #[test]
     fn begin_issues_the_write_of_a_batch_it_may_lead() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let lsn = store.enqueue(&[cert_issued(2), cert_issued(3)]).unwrap();
         let pending = store.begin(lsn);
         assert_eq!(store.media().writes_in_flight(), 1);
@@ -1268,7 +1236,7 @@ mod tests {
     #[test]
     fn begin_issues_nothing_it_may_not_lead() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let media = store.media().clone();
         let first = store.enqueue(&[cert_issued(2)]).unwrap();
         let led = store.begin(first);
@@ -1312,7 +1280,7 @@ mod tests {
     #[test]
     fn a_dropped_leader_still_publishes_its_batch() {
         let platform = SgxPlatform::new(b"vm");
-        let store = store_on(&platform, Media::new()).with_group_commit(true);
+        let store = store_on(&platform, Media::new());
         let tape = Arc::new(Tape::default());
         store.set_observer(tape.clone());
         store.media().set_write_latency(Duration::from_millis(20));

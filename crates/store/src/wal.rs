@@ -5,24 +5,8 @@
 //! but it is *host-visible* storage: everything written to it is a sealed
 //! blob produced by the [`vault`](crate::vault), never plaintext state.
 //!
-//! The log region is a byte stream of frames:
-//!
-//! ```text
-//! ┌──────┬───────────┬───────────────┬────────────┐
-//! │ 0xA5 │ len (u32) │ payload bytes │ crc32 (u32)│
-//! └──────┴───────────┴───────────────┴────────────┘
-//! ```
-//!
-//! The CRC covers the payload. Replay walks frames front to back and stops
-//! at the first frame that is incomplete or fails its checksum — the
-//! torn-tail rule: a crash mid-append may leave a partial final frame, and
-//! that frame's record simply never happened (its response was never sent,
-//! so nothing observable is lost). The next writer cuts such a tail off
-//! ([`Media::cut_torn_tail`]) before it appends, so nothing it writes can
-//! hide behind the unparseable bytes.
-//!
-//! **Group frames** extend the format for group commit: several payloads
-//! coalesced into one device write, framed as
+//! The log region is a byte stream of frames, one per commit batch and one
+//! device write each:
 //!
 //! ```text
 //! ┌──────┬────────────────┬─────────────────────────────┬────────────┐
@@ -30,47 +14,42 @@
 //! └──────┴────────────────┴─────────────────────────────┴────────────┘
 //! ```
 //!
-//! One CRC covers the whole body, so a tear *inside* a group drops the
-//! entire group — exactly the atomicity a multi-record workflow wants: the
-//! response was only sent after the whole group landed, so either every
-//! record of the workflow replays or none does.
+//! One CRC covers the whole body. Replay walks frames front to back,
+//! yields each frame's payloads in order, and stops at the first frame
+//! that is incomplete or fails its checksum — the torn-tail rule: a crash
+//! mid-append may leave a partial final frame, and that frame's batch
+//! simply never happened (no caller in it was answered, so nothing
+//! observable is lost). A tear *inside* a frame drops the whole batch,
+//! exactly the atomicity a multi-record workflow wants: either every
+//! record of the workflow replays or none does. The next writer cuts such
+//! a tail off ([`Media::cut_torn_tail`]) before it appends, so nothing it
+//! writes can hide behind the unparseable bytes.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Frame marker byte; a cheap misalignment detector.
-const FRAME_MAGIC: u8 = 0xA5;
-/// Marker for a group-commit frame holding several payloads.
 const GROUP_MAGIC: u8 = 0xA6;
 /// Magic + length prefix.
 const FRAME_HEADER: usize = 5;
 /// Trailing checksum.
 const FRAME_TRAILER: usize = 4;
 
-/// One frame: `magic`, the body's length, the body, its checksum.
-fn framed(magic: u8, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
-    frame.push(magic);
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&crc32(body).to_be_bytes());
-    frame
-}
-
-/// The bytes of one frame around `payload`.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    framed(FRAME_MAGIC, payload)
-}
-
-/// The bytes of one group frame holding every payload, in order.
+/// The bytes of one frame holding every payload, in order: the marker,
+/// the body's length, the body, its checksum.
 pub(crate) fn group_frame(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut body = Vec::new();
     for payload in payloads {
         body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         body.extend_from_slice(payload);
     }
-    framed(GROUP_MAGIC, &body)
+    let mut frame = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
+    frame.push(GROUP_MAGIC);
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&crc32(&body).to_be_bytes());
+    frame
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
@@ -92,8 +71,8 @@ struct MediaInner {
     snapshot: Option<Vec<u8>>,
     /// Frames appended since the snapshot.
     log: Vec<u8>,
-    /// Records appended since the snapshot (a group frame counts each of
-    /// its payloads; recounted by `cut_torn_tail`, not by `tear_tail`).
+    /// Records appended since the snapshot (a frame counts each of its
+    /// payloads; recounted by `cut_torn_tail`, not by `tear_tail`).
     frames: u64,
     /// Device flushes (one per landed write) over the media's lifetime.
     flushes: u64,
@@ -132,8 +111,7 @@ impl Media {
     }
 
     /// Model the write latency of the backing device: every flush (one
-    /// `append_frame` or `append_group_frame` call, or one write of a
-    /// store's batch) costs `latency` of wall-clock time from when it is
+    /// `append_group_frame` call, or one write of a store's batch) costs `latency` of wall-clock time from when it is
     /// issued, and its bytes become visible — durable — only when that
     /// time has passed. Writes may overlap: one issued while another is in
     /// flight runs its device time alongside it. Zero, the default, keeps
@@ -173,17 +151,10 @@ impl Media {
         inner.log.len()
     }
 
-    /// Append one frame around `payload`; returns the log's new length.
-    pub fn append_frame(&self, payload: &[u8]) -> usize {
-        self.land(self.issue(), &frame(payload), 1)
-    }
-
-    /// Append every payload in one group frame — one device write, one
-    /// checksum, one flush charge — and return the log's new length.
-    /// Replay yields the payloads individually and in order, so a group is
-    /// byte-equivalent (in replayed records) to the same payloads appended
-    /// one frame at a time; the difference is that a tear anywhere inside
-    /// the group drops the *whole* group.
+    /// Append every payload in one frame — one device write, one checksum,
+    /// one flush charge — and return the log's new length. Replay yields
+    /// the payloads individually and in order; a tear anywhere inside the
+    /// frame drops all of them.
     pub fn append_group_frame(&self, payloads: &[Vec<u8>]) -> usize {
         if payloads.is_empty() {
             return self.log_bytes();
@@ -318,16 +289,14 @@ pub(crate) struct ParsedLog {
 }
 
 /// Walk `log` front to back, stopping at the first incomplete or
-/// checksum-failing frame. Group frames are expanded into their member
-/// payloads in order; a torn or corrupt group is dropped whole.
+/// checksum-failing frame. Each frame is expanded into its member payloads
+/// in order; a torn or corrupt frame is dropped whole.
 pub(crate) fn parse_log(log: &[u8]) -> ParsedLog {
     let mut frames = Vec::new();
     let mut pos = 0;
     while pos < log.len() {
         let rest = &log[pos..];
-        if rest.len() < FRAME_HEADER + FRAME_TRAILER
-            || (rest[0] != FRAME_MAGIC && rest[0] != GROUP_MAGIC)
-        {
+        if rest.len() < FRAME_HEADER + FRAME_TRAILER || rest[0] != GROUP_MAGIC {
             break;
         }
         let len = u32::from_be_bytes(rest[1..5].try_into().expect("4 bytes")) as usize;
@@ -335,41 +304,19 @@ pub(crate) fn parse_log(log: &[u8]) -> ParsedLog {
         if rest.len() < total {
             break;
         }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+        let body = &rest[FRAME_HEADER..FRAME_HEADER + len];
         let stored =
             u32::from_be_bytes(rest[FRAME_HEADER + len..total].try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
+        if crc32(body) != stored {
             break;
         }
-        if rest[0] == FRAME_MAGIC {
-            frames.push(payload.to_vec());
-        } else {
-            // Group body: (len | payload) repeated. The body passed its
-            // checksum, so an ill-formed interior is corruption beyond the
-            // tolerated torn tail — stop here like any bad frame.
-            let mut at = 0;
-            let mut members = Vec::new();
-            let mut well_formed = true;
-            while at < payload.len() {
-                if payload.len() - at < 4 {
-                    well_formed = false;
-                    break;
-                }
-                let sub =
-                    u32::from_be_bytes(payload[at..at + 4].try_into().expect("4 bytes")) as usize;
-                at += 4;
-                if payload.len() - at < sub {
-                    well_formed = false;
-                    break;
-                }
-                members.push(payload[at..at + sub].to_vec());
-                at += sub;
-            }
-            if !well_formed {
-                break;
-            }
-            frames.extend(members);
-        }
+        // Body: (len | payload) repeated. It passed its checksum, so an
+        // ill-formed interior is corruption beyond the tolerated torn
+        // tail — stop here like any bad frame.
+        let Some(members) = members(body) else {
+            break;
+        };
+        frames.extend(members);
         pos += total;
     }
     ParsedLog {
@@ -379,9 +326,25 @@ pub(crate) fn parse_log(log: &[u8]) -> ParsedLog {
     }
 }
 
+/// A frame body's payloads, or `None` when a length runs past the body.
+fn members(mut body: &[u8]) -> Option<Vec<Vec<u8>>> {
+    let mut members = Vec::new();
+    while let Some((len, rest)) = body.split_first_chunk::<4>() {
+        let (payload, rest) = rest.split_at_checked(u32::from_be_bytes(*len) as usize)?;
+        members.push(payload.to_vec());
+        body = rest;
+    }
+    body.is_empty().then_some(members)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Append a one-payload frame.
+    fn append(media: &Media, payload: &[u8]) -> usize {
+        media.append_group_frame(&[payload.to_vec()])
+    }
 
     #[test]
     fn crc32_known_vector() {
@@ -393,9 +356,9 @@ mod tests {
     #[test]
     fn frames_roundtrip_in_order() {
         let media = Media::new();
-        media.append_frame(b"one");
-        media.append_frame(b"two");
-        media.append_frame(&[]);
+        append(&media, b"one");
+        append(&media, b"two");
+        append(&media, &[]);
         let parsed = parse_log(&media.log());
         assert_eq!(
             parsed.frames,
@@ -408,8 +371,8 @@ mod tests {
     #[test]
     fn torn_tail_drops_only_last_frame() {
         let media = Media::new();
-        media.append_frame(b"keep me");
-        media.append_frame(b"torn away");
+        append(&media, b"keep me");
+        append(&media, b"torn away");
         media.tear_tail(3);
         let parsed = parse_log(&media.log());
         assert_eq!(parsed.frames, vec![b"keep me".to_vec()]);
@@ -420,11 +383,10 @@ mod tests {
     #[test]
     fn checksum_failure_stops_replay() {
         let media = Media::new();
-        media.append_frame(b"good");
-        media.append_frame(b"flipped");
+        let first_total = append(&media, b"good");
+        append(&media, b"flipped");
         // Corrupt a payload byte of the second frame.
-        let first_total = FRAME_HEADER + 4 + FRAME_TRAILER;
-        media.corrupt_byte(first_total + FRAME_HEADER);
+        media.corrupt_byte(first_total + FRAME_HEADER + 4);
         let parsed = parse_log(&media.log());
         assert_eq!(parsed.frames, vec![b"good".to_vec()]);
         assert!(parsed.truncated);
@@ -433,7 +395,7 @@ mod tests {
     #[test]
     fn snapshot_truncates_log() {
         let media = Media::new();
-        media.append_frame(b"folded");
+        append(&media, b"folded");
         media.install_snapshot(b"sealed snapshot".to_vec());
         assert_eq!(media.frame_count(), 0);
         assert_eq!(media.log_bytes(), 0);
@@ -444,9 +406,9 @@ mod tests {
     #[test]
     fn forks_diverge() {
         let a = Media::new();
-        a.append_frame(b"shared history");
+        append(&a, b"shared history");
         let b = a.fork();
-        a.append_frame(b"a only");
+        append(&a, b"a only");
         assert_eq!(a.frame_count(), 2);
         assert_eq!(b.frame_count(), 1);
         assert_eq!(parse_log(&b.log()).frames, vec![b"shared history".to_vec()]);
@@ -455,9 +417,9 @@ mod tests {
     #[test]
     fn group_frame_expands_to_member_payloads() {
         let media = Media::new();
-        media.append_frame(b"solo");
+        append(&media, b"solo");
         media.append_group_frame(&[b"one".to_vec(), b"two".to_vec(), vec![]]);
-        media.append_frame(b"after");
+        append(&media, b"after");
         let parsed = parse_log(&media.log());
         assert_eq!(
             parsed.frames,
@@ -471,12 +433,13 @@ mod tests {
         );
         assert!(!parsed.truncated);
         assert_eq!(media.frame_count(), 5, "each group member counts");
+        assert_eq!(media.flushes(), 3, "one flush per frame");
     }
 
     #[test]
     fn torn_group_drops_whole_group() {
         let media = Media::new();
-        media.append_frame(b"keep");
+        append(&media, b"keep");
         media.append_group_frame(&[b"aaaa".to_vec(), b"bbbb".to_vec()]);
         media.tear_tail(2);
         let parsed = parse_log(&media.log());
@@ -507,7 +470,7 @@ mod tests {
     fn clones_share_bytes() {
         let a = Media::new();
         let b = a.clone();
-        a.append_frame(b"written by a");
+        append(&a, b"written by a");
         assert_eq!(b.frame_count(), 1);
     }
 }

@@ -38,7 +38,6 @@ fn an_admission_storm_during_recovery_loses_nothing() {
     let builder = TestbedBuilder::new(b"storm during recovery")
         .durable()
         .shards(2)
-        .group_commit(true)
         .wal_compaction(4)
         .admission_config(AdmissionConfig {
             queue_bound: 8,
@@ -85,4 +84,24 @@ fn a_standby_partitioned_through_compaction_is_promoted_later() {
         ])
         .finish();
     assert_eq!(outcome.promotions, 2);
+}
+
+/// A recovery in place on a replicated testbed: the recovered primary
+/// keeps streaming, so the standby promoted at the next node loss holds
+/// every enrollment and the revocation acknowledged after the recovery.
+#[test]
+fn a_primary_recovered_in_place_keeps_feeding_its_standbys() {
+    let builder = TestbedBuilder::new(b"recovery with standbys").replicas(2);
+    let outcome = Chaos::new(3, builder)
+        .run(&[
+            Step::Enroll(2),
+            Step::Recover,
+            Step::Enroll(2),
+            Step::Revoke,
+            Step::Fault(Fault::Halt),
+            Step::Renew,
+            Step::CrlPoll,
+        ])
+        .finish();
+    assert_eq!((outcome.recoveries, outcome.promotions), (1, 1));
 }

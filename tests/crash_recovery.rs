@@ -142,7 +142,6 @@ fn a_crash_during_another_clients_compaction_loses_no_later_record() {
 fn renewals_under_crashes(seed: u64, wal_compaction: u64) -> usize {
     let builder = TestbedBuilder::new(format!("renewal crash race {seed}").as_bytes())
         .durable()
-        .group_commit(true)
         .wal_compaction(wal_compaction)
         .wal_write_latency(Duration::from_micros(300));
     let renewals = Burst {

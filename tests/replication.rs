@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use vnfguard::core::chaos::{Chaos, Fault, Outcome, Step};
-use vnfguard::core::deployment::TestbedBuilder;
+use vnfguard::core::deployment::{Testbed, TestbedBuilder};
 use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::replication::ReplicationConfig;
 use vnfguard::core::revocation::revocation_message;
@@ -139,6 +139,82 @@ fn severed_standby_catches_up_with_a_snapshot() {
     );
     let status = tb.vm.replication_status().unwrap();
     assert!(status.standbys.iter().all(|s| s.lag_records == 0));
+}
+
+/// A standby lands each streamed batch as one frame, so its log keeps the
+/// primary's batch boundaries: a prepare's two records cost one write on
+/// either node.
+#[test]
+fn a_standby_lands_a_streamed_batch_with_one_write() {
+    let mut tb = TestbedBuilder::new(b"standby batch frames")
+        .replicas(1)
+        .build();
+    tb.attest_host(0).unwrap();
+    let guard = tb.deploy_guard(0, "vnf-batch", 1).unwrap();
+    let challenge = tb.vm.begin_vnf_attestation("host-0", &guard.name).unwrap();
+    let nonce = challenge.nonce;
+    let quote = guard.quote(&tb.hosts[0].platform, &nonce, nonce).unwrap();
+    let key = guard.provisioning_key().unwrap();
+    let (primary, standby) = (tb.store_media().unwrap().clone(), tb.standbys[0].store());
+    let writes = || [primary.flushes(), standby.media().flushes()];
+    let before = writes();
+    let ias = &mut tb.ias;
+    let (serial, _, _) = tb
+        .vm
+        .prepare_vnf_enrollment(ias, challenge.id, &quote.encode(), &key, "controller")
+        .unwrap();
+    assert_eq!(
+        writes(),
+        before.map(|flushes| flushes + 1),
+        "[primary, standby]"
+    );
+    let state = standby.replay().unwrap().state;
+    assert!(state.pending.contains_key(&serial) && state.max_serial == serial);
+}
+
+// ---------------------------------------------------------------------------
+// Recovery in place on a replicated deployment.
+// ---------------------------------------------------------------------------
+
+/// A primary recovered in place keeps its standby set: what it journals
+/// after the recovery still streams.
+#[test]
+fn a_primary_recovered_in_place_keeps_streaming_to_its_standbys() {
+    let mut tb = TestbedBuilder::new(b"replicated recovery")
+        .replicas(2)
+        .build();
+    let enroll = |tb: &mut Testbed, name: &str| {
+        tb.attest_host(0).unwrap();
+        let guard = tb.deploy_guard(0, name, 1).unwrap();
+        tb.enroll(0, &guard).unwrap().serial()
+    };
+    let before = enroll(&mut tb, "vnf-before");
+    tb.recover_vm().unwrap();
+    let after = enroll(&mut tb, "vnf-after");
+    let status = tb.vm.replication_status().expect("still replicated");
+    assert!(status
+        .standbys
+        .iter()
+        .all(|s| s.acked_seq == status.head_seq));
+    for node in &tb.standbys {
+        let state = node.store().replay().unwrap().state;
+        assert_eq!(state.generation, 1, "the recovery record never streamed");
+        assert!([before, after]
+            .iter()
+            .all(|s| state.enrollments.contains_key(s)));
+    }
+}
+
+/// Failover covers the authority shard alone, so a sharded testbed with
+/// standbys is refused at build time instead of losing its other shards
+/// at the first node loss.
+#[test]
+#[should_panic(expected = "failover covers the authority shard only")]
+fn replicas_on_a_sharded_testbed_are_refused() {
+    TestbedBuilder::new(b"replicas and shards")
+        .replicas(1)
+        .shards(2)
+        .build();
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +351,6 @@ fn zombie_primary_is_fenced_after_partition_heals() {
 fn fenced_primary_veto_fails_every_waiter_in_its_batch() {
     let mut tb = TestbedBuilder::new(b"replication veto batch")
         .replicas(2)
-        .group_commit(true)
         .build();
     tb.attest_host(0).unwrap();
     let serials: Vec<u64> = (0..4)

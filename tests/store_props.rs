@@ -14,10 +14,11 @@
 //!   never run backwards along the prefix chain.
 //!
 //! The commit path (`enqueue` under the caller's lock, `sync` with one
-//! leader flushing every queued record) adds three more: concurrent
-//! appenders replay exactly as their records applied in LSN order, a tear
-//! anywhere drops only whole trailing batches, and compaction from the
-//! in-memory replay mirror seals the same state a full replay would.
+//! leader flushing every queued record as one frame) adds three more:
+//! concurrent appenders replay exactly as their records applied in LSN
+//! order, a tear anywhere drops only whole trailing batches, and
+//! compaction from the in-memory replay mirror seals the same state a full
+//! replay would.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -300,8 +301,9 @@ proptest! {
     /// A coalesced flush is byte-equivalent to sequential appends on
     /// replay: the same record sequence pushed through `append_group` in
     /// arbitrary chunkings replays to the same state (and the same frame
-    /// accounting) as one-record-per-flush appends. Group commit changes
-    /// *when* the medium is flushed, never *what* the log means.
+    /// accounting) as one-record-per-flush appends, with one flush per
+    /// chunk. Batching changes *when* the medium is flushed, never *what*
+    /// the log means.
     #[test]
     fn group_commit_replay_matches_sequential(
         ops in vec(any::<u8>(), 1..50),
@@ -312,14 +314,13 @@ proptest! {
         for record in &records {
             sequential.append(record).unwrap();
         }
-        let grouped = fresh_store(0).with_group_commit(true);
-        let mut cursor = 0;
-        let mut chunks = chunk_sizes.iter().cycle();
-        while cursor < records.len() {
-            let take = (*chunks.next().unwrap()).min(records.len() - cursor);
-            grouped.append_group(&records[cursor..cursor + take]).unwrap();
-            cursor += take;
+        let grouped = fresh_store(0);
+        let chunks = chunked(&records, &chunk_sizes);
+        for chunk in &chunks {
+            grouped.append_group(chunk).unwrap();
         }
+        prop_assert_eq!(grouped.media().flushes(), chunks.len() as u64);
+        prop_assert_eq!(sequential.media().flushes(), records.len() as u64);
         let grouped_state = grouped.replay().unwrap().state;
         let sequential_state = sequential.replay().unwrap().state;
         prop_assert_eq!(&grouped_state, &sequential_state, "group-commit replay diverged");
@@ -346,14 +347,12 @@ proptest! {
         tear in 1usize..96,
     ) {
         let records = script(&ops);
-        let store = fresh_store(0).with_group_commit(true);
+        let store = fresh_store(0);
         let mut boundary_states = vec![ManagerState::default()];
         let mut cursor = 0;
-        let mut chunks = chunk_sizes.iter().cycle();
-        while cursor < records.len() {
-            let take = (*chunks.next().unwrap()).min(records.len() - cursor);
-            store.append_group(&records[cursor..cursor + take]).unwrap();
-            cursor += take;
+        for chunk in chunked(&records, &chunk_sizes) {
+            store.append_group(chunk).unwrap();
+            cursor += chunk.len();
             boundary_states.push(fold(&records[..cursor]));
         }
         store.media().tear_tail(tear);
@@ -415,20 +414,18 @@ proptest! {
 
     /// Concurrent appenders, each enqueueing random-sized chunks and
     /// waiting for them, replay to exactly the state of their records
-    /// applied in LSN order — with group commit on or off, with or without
-    /// mirror compaction running in the leaders, with instant writes or
-    /// slow enough ones that two batches' writes overlap — and every
-    /// acknowledged record is in it.
+    /// applied in LSN order — with or without mirror compaction running in
+    /// the leaders, with instant writes or slow enough ones that two
+    /// batches' writes overlap — and every acknowledged record is in it.
     #[test]
     fn concurrent_appenders_replay_in_lsn_order(
         threads in 4usize..=8,
         per_thread in 1usize..5,
         sizes in vec(1usize..7, 1..8),
-        group_commit in any::<bool>(),
         compaction in prop_oneof![Just(0u64), 3u64..16],
         write_micros in prop_oneof![Just(0u64), Just(100), Just(2000)],
     ) {
-        let store = fresh_store(compaction).with_group_commit(group_commit);
+        let store = fresh_store(compaction);
         store.media().set_write_latency(std::time::Duration::from_micros(write_micros));
         let scripts: Vec<Vec<WalRecord>> =
             (0..threads).map(|t| thread_script(t, per_thread)).collect();
@@ -462,20 +459,17 @@ proptest! {
     }
 
     /// Batches that hold several callers' records: a tear at any byte
-    /// replays to the state after some whole batch with group commit on
-    /// (one group frame per batch), and after some whole record with it
-    /// off (one frame per record) — never a torn record, never a record
-    /// past the tear.
+    /// replays to the state after some whole batch (one frame per batch) —
+    /// never part of a batch, never a record past the tear.
     #[test]
     fn tear_anywhere_drops_only_whole_trailing_batches(
         ops in vec(any::<u8>(), 2..40),
         sizes in vec(1usize..5, 1..12),
         callers in vec(1usize..4, 1..12),
-        group_commit in any::<bool>(),
         tear in 1usize..100_000,
     ) {
         let records = script(&ops);
-        let store = fresh_store(0).with_group_commit(group_commit);
+        let store = fresh_store(0);
         let chunks = chunked(&records, &sizes);
         let mut boundaries = vec![ManagerState::default()];
         let mut applied = 0;
@@ -492,13 +486,10 @@ proptest! {
             prop_assert!(commit.leader);
             boundaries.push(fold(&records[..applied]));
         }
-        let prefixes: Vec<ManagerState> =
-            (0..=records.len()).map(|n| fold(&records[..n])).collect();
         let log_bytes = store.stats().log_bytes;
         store.media().tear_tail(1 + tear % log_bytes);
         let replayed = store.replay().unwrap().state;
-        let allowed = if group_commit { &boundaries } else { &prefixes };
-        prop_assert!(allowed.contains(&replayed), "tear replayed to a state inside a batch or record");
+        prop_assert!(boundaries.contains(&replayed), "tear replayed to a state inside a batch");
     }
 
     /// Threshold compaction seals the leaders' in-memory replay mirror;
@@ -513,8 +504,8 @@ proptest! {
         install_at in 0usize..60,
     ) {
         let records = script(&ops);
-        let mirrored = fresh_store(compaction).with_group_commit(true);
-        let plain = fresh_store(0).with_group_commit(true);
+        let mirrored = fresh_store(compaction);
+        let plain = fresh_store(0);
         let chunks = chunked(&records, &sizes);
         let install_at = install_at % chunks.len();
         for (i, chunk) in chunks.iter().enumerate() {
