@@ -29,17 +29,17 @@ fn bench_e10(c: &mut Criterion) {
     // Primitive costs: what one instrumentation touch adds to a hot path.
     group.bench_function("counter_inc", |b| {
         let telemetry = Telemetry::new();
-        let counter = telemetry.counter("vnfguard_bench_ticks_total");
+        let counter = telemetry.namespace("bench").counter("ticks_total", &[]);
         b.iter(|| counter.inc());
     });
     group.bench_function("counter_inc_detached", |b| {
         let telemetry = Telemetry::disabled();
-        let counter = telemetry.counter("vnfguard_bench_ticks_total");
+        let counter = telemetry.namespace("bench").counter("ticks_total", &[]);
         b.iter(|| counter.inc());
     });
     group.bench_function("histogram_record", |b| {
         let telemetry = Telemetry::new();
-        let histogram = telemetry.histogram("vnfguard_bench_lat_micros");
+        let histogram = telemetry.namespace("bench").histogram("lat_micros", &[]);
         let mut v = 0u64;
         b.iter(|| {
             v = (v + 17) % 10_000;
@@ -48,7 +48,7 @@ fn bench_e10(c: &mut Criterion) {
     });
     group.bench_function("span_open_close", |b| {
         let telemetry = Telemetry::new();
-        let histogram = telemetry.histogram("vnfguard_bench_span_micros");
+        let histogram = telemetry.namespace("bench").histogram("span_micros", &[]);
         b.iter(|| {
             let _span = telemetry
                 .span("bench", "bench_span", 0)
@@ -67,11 +67,10 @@ fn bench_e10(c: &mut Criterion) {
     // What an operator scrape costs once the registry is populated.
     group.bench_function("render_prometheus_populated", |b| {
         let telemetry = Telemetry::new();
+        let bench = telemetry.namespace("bench");
         for i in 0..16 {
-            telemetry
-                .counter(&format!("vnfguard_bench_c{i}_total"))
-                .add(i);
-            let h = telemetry.histogram(&format!("vnfguard_bench_h{i}_micros"));
+            bench.counter(&format!("c{i}_total"), &[]).add(i);
+            let h = bench.histogram(&format!("h{i}_micros"), &[]);
             for v in [3, 40, 500, 6_000] {
                 h.record(v * (i + 1));
             }

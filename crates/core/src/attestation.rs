@@ -1,6 +1,8 @@
 //! Attestation evidence and the integrity attestation enclave.
 
+use crate::backend::snp_vnf_measurement;
 use crate::CoreError;
+use vnfguard_attest::snp::SnpPlatform;
 use vnfguard_crypto::sha2::sha256;
 use vnfguard_encoding::{TlvReader, TlvWriter};
 use vnfguard_ima::list::MeasurementList;
@@ -14,6 +16,8 @@ use vnfguard_sgx::platform::SgxPlatform;
 use vnfguard_sgx::report::TargetInfo;
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_sgx::SgxError;
+use vnfguard_vnf::credential_enclave::provisioning_report_data;
+use vnfguard_vnf::VnfGuard;
 
 const TAG_QUOTE: u8 = 0xc0;
 const TAG_IML: u8 = 0xc1;
@@ -212,6 +216,49 @@ pub fn host_evidence(
         iml: iml_bytes.to_vec(),
         tpm_quote,
     })
+}
+
+/// A host's evidence for a challenge, from whichever TEE it runs: an SNP
+/// confidential-VM host's attestation report, else the SGX integrity
+/// enclave's quote ([`host_evidence`]). Both bind the same report data
+/// (the IML hash, then the nonce); the IML and TPM quote travel alongside.
+pub fn host_tee_evidence(
+    platform: &SgxPlatform,
+    snp: Option<&SnpPlatform>,
+    integrity_enclave: &Enclave,
+    iml: Vec<u8>,
+    nonce: &[u8; 32],
+    tpm_quote: Option<Vec<u8>>,
+) -> Result<HostEvidence, CoreError> {
+    match snp {
+        Some(snp) => Ok(HostEvidence {
+            quote: snp.attest_self(host_report_data(&iml, nonce)),
+            iml,
+            tpm_quote,
+        }),
+        None => host_evidence(platform, integrity_enclave, &iml, nonce, tpm_quote),
+    }
+}
+
+/// A VNF's enrollment evidence, from whichever TEE its host runs: on an
+/// SNP host the workload CVM's report, else the guard's SGX quote under
+/// `basename`. Both bind the same report data: the provisioning key's
+/// hash, then the nonce. SNP reports have no basename.
+pub fn vnf_tee_evidence(
+    platform: &SgxPlatform,
+    snp: Option<&SnpPlatform>,
+    guard: &VnfGuard,
+    provisioning_key: &[u8; 32],
+    nonce: &[u8; 32],
+    basename: [u8; 32],
+) -> Result<Vec<u8>, CoreError> {
+    match snp {
+        Some(snp) => Ok(snp.attest(
+            snp_vnf_measurement(&guard.name),
+            provisioning_report_data(provisioning_key, nonce),
+        )),
+        None => Ok(guard.quote(platform, nonce, basename)?.encode()),
+    }
 }
 
 #[cfg(test)]

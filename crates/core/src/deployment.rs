@@ -18,7 +18,7 @@
 //! `Testbed::vm` is always a [`VmService`] — a single-shard testbed is
 //! simply a service with one shard, routing everything to it.
 
-use crate::attestation::{host_evidence, IntegrityAttestationEnclave};
+use crate::attestation::{host_tee_evidence, vnf_tee_evidence, IntegrityAttestationEnclave};
 use crate::backend::snp_vnf_measurement;
 use crate::crash::CrashPlan;
 use crate::lifecycle::{verify_handover, CaRotation};
@@ -127,7 +127,6 @@ pub struct TestbedBuilder {
     mode: SecurityMode,
     validation: ValidationModel,
     host_count: usize,
-    default_backend: BackendKind,
     host_backends: Vec<(usize, BackendKind)>,
     with_tpm: bool,
     tcb_policy: TcbPolicy,
@@ -142,7 +141,6 @@ pub struct TestbedBuilder {
     tracing: Option<f64>,
     renewal_window: Option<u64>,
     crl_lifetime: Option<u64>,
-    rotation_drain: Option<u64>,
     revocation_policy: Option<RevocationPolicy>,
     replicas: usize,
     replication_config: Option<ReplicationConfig>,
@@ -160,7 +158,6 @@ impl TestbedBuilder {
             mode: SecurityMode::TrustedHttps,
             validation: ValidationModel::Ca,
             host_count: 1,
-            default_backend: BackendKind::SgxEpid,
             host_backends: Vec::new(),
             with_tpm: false,
             tcb_policy: TcbPolicy::Strict,
@@ -175,7 +172,6 @@ impl TestbedBuilder {
             tracing: None,
             renewal_window: None,
             crl_lifetime: None,
-            rotation_drain: None,
             revocation_policy: None,
             replicas: 0,
             replication_config: None,
@@ -202,17 +198,11 @@ impl TestbedBuilder {
         self
     }
 
-    /// Attestation backend for every host that has no per-host override
-    /// (default [`BackendKind::SgxEpid`] — the paper's deployment).
-    /// Building with any SEV-SNP host also provisions the model AMD root
-    /// and wires an offline [`SnpVerifier`] into the service handle.
-    pub fn backend(mut self, kind: BackendKind) -> TestbedBuilder {
-        self.default_backend = kind;
-        self
-    }
-
     /// Override one host's attestation backend — mixed SGX+SNP fleets.
-    /// The last override for an index wins.
+    /// Hosts without an override run SGX, the paper's deployment; the last
+    /// override for an index wins. Building with any SEV-SNP host also
+    /// provisions the model AMD root and wires an offline [`SnpVerifier`]
+    /// into the service handle.
     pub fn host_backend(mut self, host_idx: usize, kind: BackendKind) -> TestbedBuilder {
         self.host_backends.push((host_idx, kind));
         self
@@ -321,12 +311,6 @@ impl TestbedBuilder {
         self
     }
 
-    /// Length of the dual-trust window after a CA rotation.
-    pub fn rotation_drain(mut self, secs: u64) -> TestbedBuilder {
-        self.rotation_drain = Some(secs);
-        self
-    }
-
     /// Revocation posture of the controller's trust store when its cached
     /// CRL goes stale (CA validation model only; default fail-open).
     pub fn revocation_policy(mut self, policy: RevocationPolicy) -> TestbedBuilder {
@@ -431,7 +415,7 @@ impl TestbedBuilder {
                     .rev()
                     .find(|(host, _)| *host == i)
                     .map(|&(_, kind)| kind)
-                    .unwrap_or(self.default_backend)
+                    .unwrap_or(BackendKind::SgxEpid)
             })
             .collect();
         let any_snp = backend_kinds.contains(&BackendKind::SevSnp);
@@ -458,9 +442,6 @@ impl TestbedBuilder {
         }
         if let Some(secs) = self.crl_lifetime {
             vm_config = vm_config.crl_lifetime_secs(secs);
-        }
-        if let Some(secs) = self.rotation_drain {
-            vm_config = vm_config.rotation_drain_secs(secs);
         }
         let vm_config = vm_config.build().expect("testbed manager config is valid");
 
@@ -631,7 +612,11 @@ impl TestbedBuilder {
         let server_key = SigningKey::from_seed(&vnfguard_crypto::sha2::sha256(
             &[&self.seed[..], b"controller key"].concat(),
         ));
-        let server_cert = vm.issue_server_certificate(&controller_cn, server_key.public_key());
+        let server_cert = vm
+            .call(0, |m| {
+                m.issue_server_certificate(&controller_cn, server_key.public_key())
+            })
+            .expect("a fresh manager issues the controller's certificate");
         let server_identity = Arc::new(LocalSigner::new(server_key, server_cert));
 
         let validator = match self.validation {
@@ -880,24 +865,14 @@ impl Testbed {
             .tpm
             .as_ref()
             .map(|tpm| tpm.quote(IMA_PCR, challenge.nonce).encode());
-        let evidence = match host.backend {
-            BackendKind::SgxEpid => host_evidence(
-                &host.platform,
-                &host.integrity_enclave,
-                &iml,
-                &challenge.nonce,
-                tpm_quote,
-            )?,
-            BackendKind::SevSnp => {
-                let snp = host.snp.as_ref().expect("SNP host has an SNP platform");
-                let report_data = crate::attestation::host_report_data(&iml, &challenge.nonce);
-                crate::attestation::HostEvidence {
-                    quote: snp.attest_self(report_data),
-                    iml,
-                    tpm_quote,
-                }
-            }
-        };
+        let evidence = host_tee_evidence(
+            &host.platform,
+            host.snp.as_ref(),
+            &host.integrity_enclave,
+            iml,
+            &challenge.nonce,
+            tpm_quote,
+        )?;
         let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
         self.vm
             .complete_host_attestation(backend, challenge.id, &evidence)
@@ -1012,23 +987,14 @@ impl Testbed {
         let challenge = self.vm.begin_vnf_attestation(&host_id, &guard.name)?;
         let provisioning_key = guard.provisioning_key()?;
         let host = &self.hosts[host_idx];
-        let evidence = match host.backend {
-            BackendKind::SgxEpid => guard
-                .quote(&host.platform, &challenge.nonce, challenge.nonce)?
-                .encode(),
-            BackendKind::SevSnp => {
-                // The workload CVM binds the same REPORT_DATA an SGX
-                // guard would: sha256(provisioning key) || nonce.
-                let snp = host.snp.as_ref().expect("SNP host has an SNP platform");
-                snp.attest(
-                    snp_vnf_measurement(&guard.name),
-                    vnfguard_vnf::credential_enclave::provisioning_report_data(
-                        &provisioning_key,
-                        &challenge.nonce,
-                    ),
-                )
-            }
-        };
+        let evidence = vnf_tee_evidence(
+            &host.platform,
+            host.snp.as_ref(),
+            guard,
+            &provisioning_key,
+            &challenge.nonce,
+            challenge.nonce,
+        )?;
         let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
         let (wrapped, certificate) = self.vm.complete_vnf_enrollment(
             backend,
@@ -1038,17 +1004,21 @@ impl Testbed {
             &self.controller_cn,
         )?;
         guard.provision(&wrapped)?;
-        // Keystore validation model: the controller's keystore must be
-        // updated with the new certificate (the maintenance burden the
-        // paper's CA approach removes).
-        if self.validation == ValidationModel::Keystore {
-            if let Some(validator) = self.controller.client_validator() {
-                if let Some(keystore) = validator.key_store() {
-                    keystore.write().set(&guard.name, certificate.clone());
-                }
-            }
-        }
+        self.note_in_keystore(&guard.name, &certificate);
         Ok(certificate)
+    }
+
+    /// Keystore validation model: the controller's keystore must learn
+    /// every new certificate (the maintenance burden the paper's CA
+    /// approach removes). The CA model validates by signature instead.
+    fn note_in_keystore(&self, vnf_name: &str, certificate: &Certificate) {
+        if let Some(keystore) = self
+            .controller
+            .client_validator()
+            .and_then(ClientValidator::key_store)
+        {
+            keystore.write().set(vnf_name, certificate.clone());
+        }
     }
 
     /// Issue a fresh, journaled CRL on the VM and distribute it to the
@@ -1073,13 +1043,7 @@ impl Testbed {
             self.vm
                 .renew_vnf_credential(serial, &provisioning_key, &self.controller_cn)?;
         guard.provision(&wrapped)?;
-        if self.validation == ValidationModel::Keystore {
-            if let Some(validator) = self.controller.client_validator() {
-                if let Some(keystore) = validator.key_store() {
-                    keystore.write().set(&guard.name, certificate.clone());
-                }
-            }
-        }
+        self.note_in_keystore(&guard.name, &certificate);
         Ok(certificate)
     }
 

@@ -171,14 +171,15 @@ impl FleetMonitor {
         origin: &str,
         telemetry: &Telemetry,
     ) -> FleetMonitor {
+        let core = telemetry.namespace("core");
         FleetMonitor {
             network,
             clock,
             origin: origin.to_string(),
             nodes: Vec::new(),
-            scrapes: telemetry.counter("vnfguard_core_fleet_scrapes_total"),
-            scrape_failures: telemetry.counter("vnfguard_core_fleet_scrape_failures_total"),
-            stale_gauge: telemetry.gauge("vnfguard_core_fleet_stale_nodes"),
+            scrapes: core.counter("fleet_scrapes_total", &[]),
+            scrape_failures: core.counter("fleet_scrape_failures_total", &[]),
+            stale_gauge: core.gauge("fleet_stale_nodes", &[]),
         }
     }
 

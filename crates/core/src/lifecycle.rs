@@ -200,11 +200,11 @@ impl LifecycleMonitor {
         telemetry: Telemetry,
         issuer_cn: &str,
     ) -> LifecycleMonitor {
-        let ca_polls = telemetry.counter("vnfguard_core_controller_ca_polls_total");
-        let crl_polls = telemetry.counter("vnfguard_core_controller_crl_polls_total");
-        let rotations_adopted =
-            telemetry.counter("vnfguard_core_controller_rotations_adopted_total");
-        let crl_age = telemetry.gauge("vnfguard_core_controller_crl_age_seconds");
+        let core = telemetry.namespace("core");
+        let ca_polls = core.counter("controller_ca_polls_total", &[]);
+        let crl_polls = core.counter("controller_crl_polls_total", &[]);
+        let rotations_adopted = core.counter("controller_rotations_adopted_total", &[]);
+        let crl_age = core.gauge("controller_crl_age_seconds", &[]);
         LifecycleMonitor {
             network,
             clock,

@@ -70,15 +70,8 @@ impl TcbPolicy {
 /// of settings; `Default` yields the safe fail-closed posture.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    name: String,
-    ca_validity: Validity,
     credential_validity_secs: u64,
-    appraisal: AppraisalPolicy,
     tcb_policy: TcbPolicy,
-    /// Challenges expire after this many seconds.
-    challenge_lifetime_secs: u64,
-    /// Host attestations are considered fresh for this long.
-    host_freshness_secs: u64,
     /// Require the §4 TPM anchoring of the IMA aggregate.
     require_tpm: bool,
     /// Graceful degradation: when the attestation service is unreachable,
@@ -86,7 +79,7 @@ pub struct ManagerConfig {
     /// appraisal. Disabled by default — the safe posture is fail-closed.
     degraded_verdicts: bool,
     /// How long a cached verdict may be re-used under degradation. Bounded
-    /// separately from (and typically tighter than) `host_freshness_secs`.
+    /// separately from (and typically tighter than) [`HOST_FRESHNESS_SECS`].
     degraded_ttl_secs: u64,
     /// Prepared enrollments older than this are aborted by
     /// [`VerificationManager::sweep_pending_enrollments`] (and treated as
@@ -101,29 +94,46 @@ pub struct ManagerConfig {
     /// `next_update` horizon of issued CRLs: a relying party whose cached
     /// CRL is older than this is running on stale revocation data.
     crl_lifetime_secs: u64,
-    /// After a CA rotation, relying parties keep the previous root
-    /// trusted for this long (the dual-trust drain window) so credentials
-    /// issued under the old key keep validating while the fleet renews.
-    rotation_drain_secs: u64,
 }
+
+/// The manager's name: its CA's common name and the organisation of every
+/// certificate it issues.
+const MANAGER_NAME: &str = "verification-manager";
+
+/// Validity of every CA root, the first and each rotated one.
+const CA_VALIDITY: Validity = Validity {
+    not_before: 0,
+    not_after: u64::MAX / 2,
+};
+
+/// How a host's measurement list is appraised: a file absent from the
+/// reference database fails it.
+const HOST_APPRAISAL: AppraisalPolicy = AppraisalPolicy {
+    allow_unknown: false,
+};
+
+/// Challenges expire after this many seconds.
+const CHALLENGE_LIFETIME_SECS: u64 = 300;
+
+/// Host attestations are considered fresh for this long.
+const HOST_FRESHNESS_SECS: u64 = 3600;
+
+/// After a CA rotation, relying parties keep the previous root trusted for
+/// this long (the dual-trust drain window) so credentials issued under the
+/// old key keep validating while the fleet renews.
+const ROTATION_DRAIN_SECS: u64 = 24 * 3600;
 
 impl Default for ManagerConfig {
     fn default() -> ManagerConfig {
         ManagerConfig {
-            name: "verification-manager".into(),
-            ca_validity: Validity::new(0, u64::MAX / 2),
             credential_validity_secs: 24 * 3600,
-            appraisal: AppraisalPolicy::default(),
             tcb_policy: TcbPolicy::Strict,
-            challenge_lifetime_secs: 300,
-            host_freshness_secs: 3600,
             require_tpm: false,
             degraded_verdicts: false,
             degraded_ttl_secs: 900,
             pending_enrollment_ttl_secs: 0,
             renewal_window_secs: 6 * 3600,
             crl_lifetime_secs: 3600,
-            rotation_drain_secs: 24 * 3600,
         }
     }
 }
@@ -136,52 +146,8 @@ impl ManagerConfig {
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn tcb_policy(&self) -> TcbPolicy {
-        self.tcb_policy
-    }
-
-    pub fn credential_validity_secs(&self) -> u64 {
-        self.credential_validity_secs
-    }
-
-    pub fn challenge_lifetime_secs(&self) -> u64 {
-        self.challenge_lifetime_secs
-    }
-
-    pub fn host_freshness_secs(&self) -> u64 {
-        self.host_freshness_secs
-    }
-
-    pub fn require_tpm(&self) -> bool {
-        self.require_tpm
-    }
-
-    pub fn degraded_verdicts(&self) -> bool {
-        self.degraded_verdicts
-    }
-
-    pub fn degraded_ttl_secs(&self) -> u64 {
-        self.degraded_ttl_secs
-    }
-
     pub fn pending_enrollment_ttl_secs(&self) -> u64 {
         self.pending_enrollment_ttl_secs
-    }
-
-    pub fn renewal_window_secs(&self) -> u64 {
-        self.renewal_window_secs
-    }
-
-    pub fn crl_lifetime_secs(&self) -> u64 {
-        self.crl_lifetime_secs
-    }
-
-    pub fn rotation_drain_secs(&self) -> u64 {
-        self.rotation_drain_secs
     }
 }
 
@@ -193,38 +159,13 @@ pub struct ManagerConfigBuilder {
 }
 
 impl ManagerConfigBuilder {
-    pub fn name(mut self, name: &str) -> Self {
-        self.config.name = name.to_string();
-        self
-    }
-
-    pub fn ca_validity(mut self, validity: Validity) -> Self {
-        self.config.ca_validity = validity;
-        self
-    }
-
     pub fn credential_validity_secs(mut self, secs: u64) -> Self {
         self.config.credential_validity_secs = secs;
         self
     }
 
-    pub fn appraisal(mut self, policy: AppraisalPolicy) -> Self {
-        self.config.appraisal = policy;
-        self
-    }
-
     pub fn tcb_policy(mut self, policy: TcbPolicy) -> Self {
         self.config.tcb_policy = policy;
-        self
-    }
-
-    pub fn challenge_lifetime_secs(mut self, secs: u64) -> Self {
-        self.config.challenge_lifetime_secs = secs;
-        self
-    }
-
-    pub fn host_freshness_secs(mut self, secs: u64) -> Self {
-        self.config.host_freshness_secs = secs;
         self
     }
 
@@ -262,31 +203,12 @@ impl ManagerConfigBuilder {
         self
     }
 
-    /// Length of the dual-trust window after a CA rotation.
-    pub fn rotation_drain_secs(mut self, secs: u64) -> Self {
-        self.config.rotation_drain_secs = secs;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ManagerConfig, CoreError> {
         let c = &self.config;
-        if c.name.is_empty() {
-            return Err(CoreError::InvalidConfig("manager name is empty".into()));
-        }
         if c.credential_validity_secs == 0 {
             return Err(CoreError::InvalidConfig(
                 "credential_validity_secs must be nonzero".into(),
-            ));
-        }
-        if c.challenge_lifetime_secs == 0 {
-            return Err(CoreError::InvalidConfig(
-                "challenge_lifetime_secs must be nonzero".into(),
-            ));
-        }
-        if c.ca_validity.not_after <= c.ca_validity.not_before {
-            return Err(CoreError::InvalidConfig(
-                "ca_validity interval is empty".into(),
             ));
         }
         if c.degraded_verdicts && c.degraded_ttl_secs == 0 {
@@ -314,13 +236,6 @@ impl ManagerConfigBuilder {
         if c.crl_lifetime_secs == 0 {
             return Err(CoreError::InvalidConfig(
                 "crl_lifetime_secs must be nonzero".into(),
-            ));
-        }
-        if c.rotation_drain_secs == 0 {
-            return Err(CoreError::InvalidConfig(
-                "rotation_drain_secs must be nonzero: credentials issued under the old \
-                 root need a window to renew"
-                    .into(),
             ));
         }
         Ok(self.config)
@@ -415,67 +330,45 @@ struct ManagerMetrics {
 }
 
 impl ManagerMetrics {
-    fn bind(telemetry: &Telemetry) -> ManagerMetrics {
-        ManagerMetrics::bind_with(telemetry, None)
-    }
-
-    /// Bind this shard's series under a `{shard="i"}` label so N shards'
-    /// metrics stop colliding into one registry entry. Authority-only
-    /// series — CA rotations, CRL issuance and age — exist once per
-    /// deployment and stay unlabeled.
-    fn bind_sharded(telemetry: &Telemetry, shard: u32) -> ManagerMetrics {
-        ManagerMetrics::bind_with(telemetry, Some(shard))
-    }
-
-    fn bind_with(telemetry: &Telemetry, shard: Option<u32>) -> ManagerMetrics {
+    /// Bind a manager's series, labelled `{shard="i"}` for shard `i` of a
+    /// multi-shard deployment. Authority-only series — CA rotations, CRL
+    /// issuance and age — exist once per deployment and stay unlabeled.
+    fn bind(telemetry: &Telemetry, shard: Option<u32>) -> ManagerMetrics {
+        let core = telemetry.namespace("core");
         let shard = shard.map(|s| s.to_string());
-        let series = |family: &str| match &shard {
-            Some(shard) => vnfguard_telemetry::labeled(family, "shard", shard),
-            None => family.to_string(),
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        let counter = |name: &str| core.counter(name, &labels);
+        let per_backend = |name: &str| {
+            BackendKind::ALL
+                .map(|b| core.counter(name, &[&labels[..], &[("backend", b.label())]].concat()))
         };
-        // Two-dimensional series are hand-composed: `labeled` carries one
-        // dimension, and label order is lexicographic (backend before
-        // shard) so renderers see one canonical key per series.
-        let backend_series = |family: &str, backend: BackendKind| match &shard {
-            Some(shard) => format!(
-                "{family}{{backend=\"{}\",shard=\"{shard}\"}}",
-                backend.label()
-            ),
-            None => vnfguard_telemetry::labeled(family, "backend", backend.label()),
-        };
-        let per_backend =
-            |family: &str| BackendKind::ALL.map(|b| telemetry.counter(&backend_series(family, b)));
         ManagerMetrics {
-            challenges: telemetry.counter(&series("vnfguard_core_challenges_total")),
-            host_attestations: telemetry.counter(&series("vnfguard_core_host_attestations_total")),
-            host_attestation_failures: telemetry
-                .counter(&series("vnfguard_core_host_attestation_failures_total")),
-            enrollments: telemetry.counter(&series("vnfguard_core_enrollments_total")),
-            enrollment_failures: telemetry
-                .counter(&series("vnfguard_core_enrollment_failures_total")),
-            enrollment_aborts: telemetry.counter(&series("vnfguard_core_enrollment_aborts_total")),
-            degraded_verdicts: telemetry.counter(&series("vnfguard_core_degraded_verdicts_total")),
-            revocations: telemetry.counter(&series("vnfguard_core_revocations_total")),
-            certificates_issued: telemetry
-                .counter(&series("vnfguard_core_certificates_issued_total")),
-            recoveries: telemetry.counter(&series("vnfguard_core_recoveries_total")),
-            recovered_orphans: telemetry.counter(&series("vnfguard_core_recovery_orphans_total")),
-            wal_records: telemetry.counter(&series("vnfguard_core_wal_records_total")),
-            renewals: telemetry.counter(&series("vnfguard_core_renewals_total")),
-            renewal_failures: telemetry.counter(&series("vnfguard_core_renewal_failures_total")),
-            host_attestations_by_backend: per_backend("vnfguard_core_host_attestations_total"),
-            enrollments_by_backend: per_backend("vnfguard_core_enrollments_total"),
-            renewals_by_backend: per_backend("vnfguard_core_renewals_total"),
-            rotations: telemetry.counter("vnfguard_core_ca_rotations_total"),
-            crls_issued: telemetry.counter("vnfguard_core_crls_issued_total"),
-            certs_active: telemetry.gauge(&series("vnfguard_core_certs_active")),
-            certs_expiring: telemetry.gauge(&series("vnfguard_core_certs_expiring")),
-            crl_age_seconds: telemetry.gauge("vnfguard_core_crl_age_seconds"),
-            host_attestation_micros: telemetry
-                .histogram(&series("vnfguard_core_host_attestation_micros")),
-            enrollment_micros: telemetry.histogram(&series("vnfguard_core_enrollment_micros")),
-            renewal_micros: telemetry.histogram(&series("vnfguard_core_renewal_micros")),
-            wal_append_micros: telemetry.histogram(&series("vnfguard_core_wal_append_micros")),
+            challenges: counter("challenges_total"),
+            host_attestations: counter("host_attestations_total"),
+            host_attestation_failures: counter("host_attestation_failures_total"),
+            enrollments: counter("enrollments_total"),
+            enrollment_failures: counter("enrollment_failures_total"),
+            enrollment_aborts: counter("enrollment_aborts_total"),
+            degraded_verdicts: counter("degraded_verdicts_total"),
+            revocations: counter("revocations_total"),
+            certificates_issued: counter("certificates_issued_total"),
+            recoveries: counter("recoveries_total"),
+            recovered_orphans: counter("recovery_orphans_total"),
+            wal_records: counter("wal_records_total"),
+            renewals: counter("renewals_total"),
+            renewal_failures: counter("renewal_failures_total"),
+            host_attestations_by_backend: per_backend("host_attestations_total"),
+            enrollments_by_backend: per_backend("enrollments_total"),
+            renewals_by_backend: per_backend("renewals_total"),
+            rotations: core.counter("ca_rotations_total", &[]),
+            crls_issued: core.counter("crls_issued_total", &[]),
+            certs_active: core.gauge("certs_active", &labels),
+            certs_expiring: core.gauge("certs_expiring", &labels),
+            crl_age_seconds: core.gauge("crl_age_seconds", &[]),
+            host_attestation_micros: core.histogram("host_attestation_micros", &labels),
+            enrollment_micros: core.histogram("enrollment_micros", &labels),
+            renewal_micros: core.histogram("renewal_micros", &labels),
+            wal_append_micros: core.histogram("wal_append_micros", &labels),
         }
     }
 }
@@ -754,17 +647,14 @@ impl VerificationManager {
         telemetry: Telemetry,
     ) -> VerificationManager {
         let mut rng = HmacDrbg::new(seed);
-        let ca = CertificateAuthority::new(
-            DistinguishedName::new(&config.name),
-            config.ca_validity,
-            &mut rng,
-        );
+        let ca =
+            CertificateAuthority::new(DistinguishedName::new(MANAGER_NAME), CA_VALIDITY, &mut rng);
         let hmac_key = rng.gen_array::<32>();
         // Rotation keys derive from the construction seed, not the DRBG
         // stream: recovery must re-derive the exact epoch keys regardless
         // of how far the dead incarnation had advanced its DRBG.
         let rotation_seed = sha256(&[seed, b"ca rotation" as &[u8]].concat());
-        let metrics = ManagerMetrics::bind(&telemetry);
+        let metrics = ManagerMetrics::bind(&telemetry, None);
         let policies = PolicyRegistry::uniform(config.tcb_policy.backend_policy());
         VerificationManager {
             config,
@@ -812,7 +702,7 @@ impl VerificationManager {
         // a `{shard="i"}` label (otherwise N registries collide into one);
         // a single-shard deployment keeps the unlabeled names.
         if self.shard_count > 1 {
-            self.metrics = ManagerMetrics::bind_sharded(&self.telemetry, index);
+            self.metrics = ManagerMetrics::bind(&self.telemetry, Some(index));
         }
         if index == 0 {
             return;
@@ -1003,14 +893,6 @@ impl VerificationManager {
         })
     }
 
-    /// Journal from a path whose signature cannot surface an error. The
-    /// failure is still audited so an operator sees the durability gap.
-    fn journal_infallible(&mut self, record: WalRecord) {
-        if let Err(e) = self.journal(&[record]) {
-            self.event(self.clock.now(), "wal_append_failed", &e.to_string());
-        }
-    }
-
     /// Evaluate the crash plan at `site`. A firing plan kills the manager:
     /// the WAL retains whatever was journaled, memory mutations after the
     /// site never happen, and every later call fails [`CoreError::VmCrashed`].
@@ -1154,7 +1036,7 @@ impl VerificationManager {
             .challenges
             .remove(&id)
             .ok_or_else(|| CoreError::BadChallenge(format!("unknown challenge {id}")))?;
-        if now > challenge.issued_at + self.config.challenge_lifetime_secs {
+        if now > challenge.issued_at + CHALLENGE_LIFETIME_SECS {
             return Err(CoreError::BadChallenge(format!("challenge {id} expired")));
         }
         Ok(challenge)
@@ -1270,7 +1152,7 @@ impl VerificationManager {
         // Appraise the list.
         let appraise_span = self.span("appraise", now);
         let list = evidence.measurement_list()?;
-        let result = self.reference_db.appraise(&list, &self.config.appraisal);
+        let result = self.reference_db.appraise(&list, &HOST_APPRAISAL);
         drop(appraise_span);
 
         // §4 extension: check the TPM anchor if required/available.
@@ -1333,8 +1215,7 @@ impl VerificationManager {
     fn host_is_trusted(&self, host_id: &str, now: u64) -> bool {
         match self.hosts.get(host_id) {
             Some(record) => {
-                record.verdict.is_trusted()
-                    && now <= record.attested_at + self.config.host_freshness_secs
+                record.verdict.is_trusted() && now <= record.attested_at + HOST_FRESHNESS_SECS
             }
             None => false,
         }
@@ -1619,7 +1500,7 @@ impl VerificationManager {
         let wrap = WrapRandomness::draw(&mut self.rng);
         Mint {
             issuance,
-            subject: DistinguishedName::new(vnf_name).with_org(&self.config.name),
+            subject: DistinguishedName::new(vnf_name).with_org(MANAGER_NAME),
             profile: IssueProfile {
                 validity_secs: self.config.credential_validity_secs,
                 ..IssueProfile::vnf_client(enclave_binding)
@@ -1772,10 +1653,10 @@ impl VerificationManager {
         for r in &state.rotations {
             let key = vm.epoch_key(r.epoch);
             vm.ca
-                .install_rotation(key, vm.config.ca_validity, r.root_serial, r.cross_serial);
+                .install_rotation(key, CA_VALIDITY, r.root_serial, r.cross_serial);
         }
         if let Some(last) = state.rotations.last() {
-            vm.rotation_drain_deadline = Some(last.at + vm.config.rotation_drain_secs);
+            vm.rotation_drain_deadline = Some(last.at + ROTATION_DRAIN_SECS);
         }
         if let Some(epoch) = state.pending_rotation {
             // Prepared but never committed: the key swap never happened and
@@ -2078,8 +1959,8 @@ impl VerificationManager {
         }
         let key = self.epoch_key(epoch);
         self.ca
-            .install_rotation(key, self.config.ca_validity, root_serial, cross_serial);
-        self.rotation_drain_deadline = Some(rotated_at + self.config.rotation_drain_secs);
+            .install_rotation(key, CA_VALIDITY, root_serial, cross_serial);
+        self.rotation_drain_deadline = Some(rotated_at + ROTATION_DRAIN_SECS);
         self.event(
             self.clock.now(),
             "ca_rotation_adopted",
@@ -2138,12 +2019,12 @@ impl VerificationManager {
         self.journal(&[
             WalRecord::CertIssued {
                 serial: root_serial,
-                subject: self.config.name.clone(),
+                subject: MANAGER_NAME.to_string(),
                 at: now,
             },
             WalRecord::CertIssued {
                 serial: cross_serial,
-                subject: format!("{} (cross-signed)", self.config.name),
+                subject: format!("{MANAGER_NAME} (cross-signed)"),
                 at: now,
             },
             WalRecord::CaRotationCommitted {
@@ -2158,11 +2039,11 @@ impl VerificationManager {
         let rotate_span = self.span("rotate_keys", now);
         let previous_root = self.ca.certificate().clone();
         let new_key = self.epoch_key(epoch);
-        let (new_root, cross_signed) = self.ca.rotate_to(new_key, self.config.ca_validity);
+        let (new_root, cross_signed) = self.ca.rotate_to(new_key, CA_VALIDITY);
         drop(rotate_span);
         self.metrics.certificates_issued.add(2);
         self.metrics.rotations.inc();
-        let drain_deadline = now + self.config.rotation_drain_secs;
+        let drain_deadline = now + ROTATION_DRAIN_SECS;
         self.rotation_drain_deadline = Some(drain_deadline);
         self.event(
             now,
@@ -2488,25 +2369,13 @@ impl VerificationManager {
         &mut self,
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
-    ) -> Certificate {
-        let now = self.clock.now();
-        self.metrics.certificates_issued.inc();
-        let certificate = self.ca.issue(
-            DistinguishedName::new(cn).with_org(&self.config.name),
-            public_key,
-            &IssueProfile {
-                validity_secs: self.config.credential_validity_secs,
-                enclave_binding: None,
-                ..IssueProfile::vnf_client([0; 32])
-            },
-            now,
-        );
-        self.journal_infallible(WalRecord::CertIssued {
-            serial: certificate.serial(),
-            subject: cn.to_string(),
-            at: now,
-        });
-        certificate
+    ) -> Result<Certificate, CoreError> {
+        let profile = IssueProfile {
+            validity_secs: self.config.credential_validity_secs,
+            enclave_binding: None,
+            ..IssueProfile::vnf_client([0; 32])
+        };
+        self.issue_operator_certificate(cn, public_key, &profile)
     }
 
     /// Issue a server certificate (for the controller's TLS identity).
@@ -2514,21 +2383,34 @@ impl VerificationManager {
         &mut self,
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
-    ) -> Certificate {
+    ) -> Result<Certificate, CoreError> {
+        self.issue_operator_certificate(cn, public_key, &IssueProfile::server())
+    }
+
+    /// Sign and journal a certificate outside the enrollment workflows. A
+    /// crashed, halted or fenced manager signs nothing, and a certificate
+    /// whose record the journal refuses is not handed out.
+    fn issue_operator_certificate(
+        &mut self,
+        cn: &str,
+        public_key: vnfguard_crypto::ed25519::VerifyingKey,
+        profile: &IssueProfile,
+    ) -> Result<Certificate, CoreError> {
+        self.ensure_alive()?;
         let now = self.clock.now();
-        self.metrics.certificates_issued.inc();
         let certificate = self.ca.issue(
-            DistinguishedName::new(cn).with_org(&self.config.name),
+            DistinguishedName::new(cn).with_org(MANAGER_NAME),
             public_key,
-            &IssueProfile::server(),
+            profile,
             now,
         );
-        self.journal_infallible(WalRecord::CertIssued {
+        self.journal(&[WalRecord::CertIssued {
             serial: certificate.serial(),
             subject: cn.to_string(),
             at: now,
-        });
-        certificate
+        }])?;
+        self.metrics.certificates_issued.inc();
+        Ok(certificate)
     }
 
     /// Number of credentials issued so far.
@@ -2546,7 +2428,6 @@ impl VerificationManager {
 impl std::fmt::Debug for VerificationManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerificationManager")
-            .field("name", &self.config.name)
             .field("hosts", &self.hosts.len())
             .field("enrollments", &self.state().enrollments.len())
             .field("trusted_enclaves", &self.trusted_enclaves.len())
@@ -2566,7 +2447,6 @@ mod tests {
     fn builder_defaults_match_default() {
         let built = ManagerConfig::builder().build().unwrap();
         let default = ManagerConfig::default();
-        assert_eq!(built.name, default.name);
         assert_eq!(
             built.credential_validity_secs,
             default.credential_validity_secs
@@ -2582,14 +2462,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn builder_rejects_zero_challenge_lifetime() {
-        assert!(ManagerConfig::builder()
-            .challenge_lifetime_secs(0)
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -2625,7 +2497,10 @@ mod tests {
             Telemetry::new(),
         );
         let key = SigningKey::from_seed(&[3; 32]);
-        let serial = vm.issue_client_certificate("op", key.public_key()).serial();
+        let serial = vm
+            .issue_client_certificate("op", key.public_key())
+            .unwrap()
+            .serial();
         vm.journal(&[
             WalRecord::EnrollmentPrepared {
                 serial,
@@ -2654,18 +2529,31 @@ mod tests {
             .crl_lifetime_secs(0)
             .build()
             .is_err());
-        assert!(ManagerConfig::builder()
-            .rotation_drain_secs(0)
-            .build()
-            .is_err());
     }
 
     #[test]
-    fn builder_rejects_empty_ca_validity() {
-        assert!(ManagerConfig::builder()
-            .ca_validity(Validity::new(100, 100))
-            .build()
-            .is_err());
+    fn a_halted_manager_issues_no_operator_certificates() {
+        let mut vm = VerificationManager::with_runtime(
+            ManagerConfig::default(),
+            b"halted operator certificates",
+            SimClock::at(1_000),
+            Telemetry::new(),
+        );
+        let key = SigningKey::from_seed(&[4; 32]);
+        vm.issue_client_certificate("op", key.public_key()).unwrap();
+        let issued = vm.issued_count();
+        let journaled = vm.state().clone();
+        vm.halt("node loss");
+        assert!(matches!(
+            vm.issue_client_certificate("op", key.public_key()),
+            Err(CoreError::VmCrashed(_))
+        ));
+        assert!(matches!(
+            vm.issue_server_certificate("controller", key.public_key()),
+            Err(CoreError::VmCrashed(_))
+        ));
+        assert_eq!(vm.issued_count(), issued);
+        assert_eq!(*vm.state(), journaled);
     }
 
     #[test]

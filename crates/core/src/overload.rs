@@ -179,14 +179,14 @@ pub struct AdmissionController {
     classes: [ClassState; 4],
     shed_total: Counter,
     deadline_total: Counter,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl AdmissionController {
     /// A controller with detached (unrendered) metrics; use
     /// [`instrumented`](Self::instrumented) to publish them.
     pub fn new(config: AdmissionConfig, clock: SimClock) -> AdmissionController {
-        AdmissionController::build(config, clock, None)
+        AdmissionController::instrumented(config, clock, &Telemetry::disabled())
     }
 
     /// A controller whose gauges and counters register with `telemetry`
@@ -197,50 +197,20 @@ impl AdmissionController {
         clock: SimClock,
         telemetry: &Telemetry,
     ) -> AdmissionController {
-        AdmissionController::build(config, clock, Some(telemetry.clone()))
-    }
-
-    fn build(
-        config: AdmissionConfig,
-        clock: SimClock,
-        telemetry: Option<Telemetry>,
-    ) -> AdmissionController {
+        // Admission control guards the serving surface, so its series live
+        // in the net namespace even though the controller lives in core.
+        let net = telemetry.namespace("net");
         let class = |c: Workclass| {
             let label = c.label();
-            let (depth_gauge, sojourn_gauge, shed, deadline_exceeded) = match &telemetry {
-                // metric-name-opt-out: admission control guards the serving
-                // surface, so its series live in the vnfguard_net_ namespace
-                // even though the controller itself lives in core.
-                Some(t) => (
-                    t.gauge(&format!("vnfguard_net_queue_depth_{label}")),
-                    t.gauge(&format!("vnfguard_net_sojourn_micros_{label}")),
-                    t.counter(&format!("vnfguard_net_shed_total_{label}")),
-                    t.counter(&format!("vnfguard_net_deadline_exceeded_total_{label}")),
-                ),
-                None => (
-                    Gauge::detached(),
-                    Gauge::detached(),
-                    Counter::detached(),
-                    Counter::detached(),
-                ),
-            };
             ClassState {
                 bound: config.bound_for(c),
                 waiting: AtomicUsize::new(0),
                 codel: Mutex::new(CodelState::default()),
-                depth_gauge,
-                sojourn_gauge,
-                shed,
-                deadline_exceeded,
+                depth_gauge: net.gauge(&format!("queue_depth_{label}"), &[]),
+                sojourn_gauge: net.gauge(&format!("sojourn_micros_{label}"), &[]),
+                shed: net.counter(&format!("shed_total_{label}"), &[]),
+                deadline_exceeded: net.counter(&format!("deadline_exceeded_total_{label}"), &[]),
             }
-        };
-        let (shed_total, deadline_total) = match &telemetry {
-            // metric-name-opt-out: vnfguard_net_ namespace (see above).
-            Some(t) => (
-                t.counter("vnfguard_net_shed_total"),
-                t.counter("vnfguard_net_deadline_exceeded_total"),
-            ),
-            None => (Counter::detached(), Counter::detached()),
         };
         AdmissionController {
             clock,
@@ -250,9 +220,9 @@ impl AdmissionController {
                 class(Workclass::Enrollment),
                 class(Workclass::Introspection),
             ],
-            shed_total,
-            deadline_total,
-            telemetry,
+            shed_total: net.counter("shed_total", &[]),
+            deadline_total: net.counter("deadline_exceeded_total", &[]),
+            telemetry: telemetry.clone(),
             config,
         }
     }
@@ -313,9 +283,7 @@ impl AdmissionController {
     /// Record why a request died into its current trace span, so waterfall
     /// views show shed/deadline events inline.
     pub fn annotate(&self, kind: &str, detail: &str) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.annotate(self.clock.now(), kind, detail);
-        }
+        self.telemetry.annotate(self.clock.now(), kind, detail);
     }
 
     /// The depth gate: admit a request of `class` into its queue, or shed.

@@ -24,7 +24,7 @@
 //!
 //! Payload binary fields travel base64-encoded inside JSON bodies.
 
-use crate::attestation::{host_evidence, HostEvidence};
+use crate::attestation::{host_tee_evidence, vnf_tee_evidence, HostEvidence};
 use crate::backend::MultiBackend;
 use crate::overload::check_deadline;
 use crate::resilience::{AttemptRecord, BreakerState, CircuitBreaker, RetryPolicy};
@@ -396,10 +396,11 @@ impl RemoteIas {
     /// shared telemetry bundle.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> RemoteIas {
         self.telemetry = telemetry.clone();
-        self.retries = telemetry.counter("vnfguard_core_ias_retries_total");
-        self.failures = telemetry.counter("vnfguard_core_ias_failures_total");
-        self.breaker_transitions = telemetry.counter("vnfguard_core_ias_breaker_transitions_total");
-        self.roundtrip_micros = telemetry.histogram("vnfguard_core_ias_roundtrip_micros");
+        let core = telemetry.namespace("core");
+        self.retries = core.counter("ias_retries_total", &[]);
+        self.failures = core.counter("ias_failures_total", &[]);
+        self.breaker_transitions = core.counter("ias_breaker_transitions_total", &[]);
+        self.roundtrip_micros = core.histogram("ias_roundtrip_micros", &[]);
         self
     }
 
@@ -643,24 +644,15 @@ impl HostAgent {
                     .as_ref()
                     .map(|tpm| tpm.lock().quote(IMA_PCR, nonce).encode());
                 let iml = state.container_host.read().measurement_list().encode();
-                let evidence = match &state.snp {
-                    // SNP CVM host: the report binds the identical IML
-                    // hash + nonce report data; IML and TPM quote travel
-                    // alongside exactly as in the SGX evidence bundle.
-                    Some(snp) => HostEvidence {
-                        quote: snp.attest_self(crate::attestation::host_report_data(&iml, &nonce)),
-                        iml,
-                        tpm_quote,
-                    },
-                    None => host_evidence(
-                        &state.platform,
-                        &state.integrity_enclave,
-                        &iml,
-                        &nonce,
-                        tpm_quote,
-                    )
-                    .map_err(|e| ApiError::server_error(e.to_string()))?,
-                };
+                let evidence = host_tee_evidence(
+                    &state.platform,
+                    state.snp.as_ref(),
+                    &state.integrity_enclave,
+                    iml,
+                    &nonce,
+                    tpm_quote,
+                )
+                .map_err(|e| ApiError::server_error(e.to_string()))?;
                 Ok(Response::json(
                     Status::Ok,
                     &Json::object().with("evidence", base64::encode(&evidence.encode())),
@@ -684,23 +676,15 @@ impl HostAgent {
                 let provisioning_key = guard
                     .provisioning_key()
                     .map_err(|e| ApiError::server_error(e.to_string()))?;
-                let quote = match &state.snp {
-                    // SNP host: per-VNF CVM evidence binding the same
-                    // provisioning-key + nonce report data the SGX quote
-                    // would carry. `basename` is an EPID concept; SNP
-                    // reports have no equivalent and ignore it.
-                    Some(snp) => snp.attest(
-                        crate::backend::snp_vnf_measurement(name),
-                        vnfguard_vnf::credential_enclave::provisioning_report_data(
-                            &provisioning_key,
-                            &nonce,
-                        ),
-                    ),
-                    None => guard
-                        .quote(&state.platform, &nonce, basename)
-                        .map_err(|e| ApiError::server_error(e.to_string()))?
-                        .encode(),
-                };
+                let quote = vnf_tee_evidence(
+                    &state.platform,
+                    state.snp.as_ref(),
+                    guard,
+                    &provisioning_key,
+                    &nonce,
+                    basename,
+                )
+                .map_err(|e| ApiError::server_error(e.to_string()))?;
                 Ok(Response::json(
                     Status::Ok,
                     &Json::object()
@@ -1041,9 +1025,10 @@ pub fn serve_vm_api(
     let mut router = Router::new();
     let controller_cn = controller_cn.to_string();
     let telemetry = vm.telemetry();
+    let core = telemetry.namespace("core");
     router.instrument(
-        telemetry.counter("vnfguard_core_api_requests_total"),
-        telemetry.counter("vnfguard_core_api_request_errors_total"),
+        core.counter("api_requests_total", &[]),
+        core.counter("api_request_errors_total", &[]),
     );
     let clock = vm.clock();
     router.instrument_traces(&telemetry, "vm_api", move || clock.now());

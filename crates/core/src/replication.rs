@@ -652,12 +652,13 @@ impl ReplicaSet {
                 send_failures: 0,
             })
             .collect();
+        let core = telemetry.namespace("core");
         let metrics = ReplMetrics {
-            records_streamed: telemetry.counter("vnfguard_core_replication_records_total"),
-            snapshots_sent: telemetry.counter("vnfguard_core_replication_snapshots_total"),
-            fenced_appends: telemetry.counter("vnfguard_core_replication_fenced_total"),
-            lag_records: telemetry.gauge("vnfguard_core_replication_lag_records"),
-            heartbeat_age: telemetry.gauge("vnfguard_core_replication_heartbeat_age_seconds"),
+            records_streamed: core.counter("replication_records_total", &[]),
+            snapshots_sent: core.counter("replication_snapshots_total", &[]),
+            fenced_appends: core.counter("replication_fenced_total", &[]),
+            lag_records: core.gauge("replication_lag_records", &[]),
+            heartbeat_age: core.gauge("replication_heartbeat_age_seconds", &[]),
         };
         ReplicaSet {
             shared: Arc::new(ReplicaSetShared {

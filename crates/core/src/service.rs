@@ -74,7 +74,7 @@ use vnfguard_pki::cert::Certificate;
 use vnfguard_pki::crl::{Crl, CrlEntry, RevocationReason};
 use vnfguard_store::{EnrollmentEntry, PendingEntry, StateStore, StoreStats};
 use vnfguard_telemetry::{
-    current_trace, labeled, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry,
+    current_trace, AlertSnapshot, HealthMonitor, Histogram, HistogramSnapshot, Telemetry,
 };
 
 /// Deterministic shard index for a VNF name: the first eight bytes of a
@@ -200,23 +200,15 @@ impl VmService {
     /// requests count as bad availability events — from the caller's view
     /// they failed, and the SLO measures the caller's view.
     pub fn with_health(mut self, monitor: HealthMonitor) -> VmService {
-        let telemetry = &self.telemetry;
-        let latency = Workclass::ALL.map(|class| {
-            telemetry.histogram(&labeled(
-                "vnfguard_core_workclass_latency_micros",
-                "class",
-                class.label(),
-            ))
-        });
-        // Label order is lexicographic (backend before class), matching the
-        // hand-composed multi-label series elsewhere in the crate.
+        let core = self.telemetry.namespace("core");
+        let latency = Workclass::ALL
+            .map(|class| core.histogram("workclass_latency_micros", &[("class", class.label())]));
         let backend_latency = Workclass::ALL.map(|class| {
             BackendKind::ALL.map(|backend| {
-                telemetry.histogram(&format!(
-                    "vnfguard_core_workclass_latency_micros{{backend=\"{}\",class=\"{}\"}}",
-                    backend.label(),
-                    class.label(),
-                ))
+                core.histogram(
+                    "workclass_latency_micros",
+                    &[("class", class.label()), ("backend", backend.label())],
+                )
             })
         });
         self.health = Some(HealthHandle {
@@ -778,20 +770,34 @@ impl VmService {
         self.run(0, |vm| vm.current_crl(&extras, lifetime_secs))
     }
 
+    /// Issue an operator client certificate on the authority shard.
+    ///
+    /// # Panics
+    ///
+    /// When the authority refuses: a crashed, halted or fenced manager
+    /// issues nothing, and a certificate no journal holds is not handed
+    /// out.
     pub fn issue_client_certificate(
         &self,
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Certificate {
-        self.run(0, |vm| vm.issue_client_certificate(cn, public_key))
+        self.call(0, |vm| vm.issue_client_certificate(cn, public_key))
+            .unwrap_or_else(|e| panic!("operator certificate refused: {e}"))
     }
 
+    /// Issue a server certificate on the authority shard.
+    ///
+    /// # Panics
+    ///
+    /// As [`issue_client_certificate`](Self::issue_client_certificate).
     pub fn issue_server_certificate(
         &self,
         cn: &str,
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Certificate {
-        self.run(0, |vm| vm.issue_server_certificate(cn, public_key))
+        self.call(0, |vm| vm.issue_server_certificate(cn, public_key))
+            .unwrap_or_else(|e| panic!("operator certificate refused: {e}"))
     }
 
     // ---- Deployment trust inputs ------------------------------------------

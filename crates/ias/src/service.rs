@@ -42,8 +42,8 @@ pub struct AttestationService {
     next_report_id: u64,
     clock: u64,
     requests_served: u64,
-    requests_counter: Option<Counter>,
-    non_ok_counter: Option<Counter>,
+    requests_counter: Counter,
+    non_ok_counter: Counter,
     telemetry: Option<Telemetry>,
 }
 
@@ -59,8 +59,8 @@ impl AttestationService {
             next_report_id: 1,
             clock: 1_500_000_000,
             requests_served: 0,
-            requests_counter: None,
-            non_ok_counter: None,
+            requests_counter: Counter::detached(),
+            non_ok_counter: Counter::detached(),
             telemetry: None,
         }
     }
@@ -69,8 +69,9 @@ impl AttestationService {
     /// `vnfguard_ias_*` counters, and the bundle is kept so the REST front
     /// end (`core::remote::serve_ias`) can record server-side trace spans.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.requests_counter = Some(telemetry.counter("vnfguard_ias_requests_total"));
-        self.non_ok_counter = Some(telemetry.counter("vnfguard_ias_non_ok_verdicts_total"));
+        let ias = telemetry.namespace("ias");
+        self.requests_counter = ias.counter("requests_total", &[]);
+        self.non_ok_counter = ias.counter("non_ok_verdicts_total", &[]);
         self.telemetry = Some(telemetry.clone());
     }
 
@@ -160,17 +161,13 @@ impl AttestationService {
     /// Manager expects to consume.
     pub fn verify_quote(&mut self, quote_bytes: &[u8], nonce: &[u8]) -> AttestationReport {
         self.requests_served += 1;
-        if let Some(counter) = &self.requests_counter {
-            counter.inc();
-        }
+        self.requests_counter.inc();
         let id = self.next_report_id;
         self.next_report_id += 1;
 
         let (status, quote_body, advisories) = self.evaluate(quote_bytes);
         if status != QuoteStatus::Ok {
-            if let Some(counter) = &self.non_ok_counter {
-                counter.inc();
-            }
+            self.non_ok_counter.inc();
         }
         AttestationReport::create(
             id,

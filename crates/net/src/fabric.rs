@@ -49,10 +49,11 @@ impl Network {
     /// injected fault), and bytes carried over future connections land in
     /// `vnfguard_net_*` counters.
     pub fn set_telemetry(&self, telemetry: &Telemetry) {
+        let net = telemetry.namespace("net");
         self.inner.lock().counters = Some(FabricCounters {
-            connections: telemetry.counter("vnfguard_net_connections_total"),
-            refusals: telemetry.counter("vnfguard_net_refusals_total"),
-            bytes: telemetry.counter("vnfguard_net_bytes_total"),
+            connections: net.counter("connections_total", &[]),
+            refusals: net.counter("refusals_total", &[]),
+            bytes: net.counter("bytes_total", &[]),
         });
     }
 

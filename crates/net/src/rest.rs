@@ -71,20 +71,12 @@ impl ApiError {
         ApiError::new(Status::BadRequest, message)
     }
 
-    pub fn unauthorized(message: impl Into<String>) -> ApiError {
-        ApiError::new(Status::Unauthorized, message)
-    }
-
     pub fn forbidden(message: impl Into<String>) -> ApiError {
         ApiError::new(Status::Forbidden, message)
     }
 
     pub fn not_found(message: impl Into<String>) -> ApiError {
         ApiError::new(Status::NotFound, message)
-    }
-
-    pub fn conflict(message: impl Into<String>) -> ApiError {
-        ApiError::new(Status::Conflict, message)
     }
 
     pub fn server_error(message: impl Into<String>) -> ApiError {

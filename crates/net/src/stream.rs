@@ -171,10 +171,6 @@ impl Duplex {
         self.read_timeout = timeout;
     }
 
-    pub fn read_timeout(&self) -> Option<Duration> {
-        self.read_timeout
-    }
-
     /// The shared fault/shutdown switches for this link (both halves
     /// return the same control).
     pub fn control(&self) -> Arc<LinkControl> {

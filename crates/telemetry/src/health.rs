@@ -18,7 +18,7 @@
 //! ids, so a firing alert carries exemplars an operator can resolve via
 //! `/vm/traces/{id}`.
 
-use crate::metrics::{labeled, Gauge};
+use crate::metrics::Gauge;
 use crate::Telemetry;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -202,14 +202,11 @@ struct SloTracker {
 impl SloTracker {
     fn new(telemetry: &Telemetry, spec: SloSpec) -> SloTracker {
         let slots = (spec.slow_window_secs / BUCKET_SECS).max(1) as usize + 1;
-        let burn_gauge = |window: &str| {
-            // metric-name-opt-out: the health plane exports fleet-level
-            // series under its own vnfguard_health_ namespace.
-            telemetry.gauge(&format!(
-                "vnfguard_health_burn_rate{{slo=\"{}\",window=\"{window}\"}}",
-                spec.name
-            ))
-        };
+        // The health plane exports fleet-level series under its own
+        // namespace, not the telemetry crate's.
+        let health = telemetry.namespace("health");
+        let burn_gauge =
+            |window: &str| health.gauge("burn_rate", &[("slo", &spec.name), ("window", window)]);
         SloTracker {
             buckets: vec![WindowBucket::default(); slots],
             state: AlertState::Ok,
@@ -217,12 +214,7 @@ impl SloTracker {
             clear_since: None,
             resolved_at: None,
             exemplars: VecDeque::new(),
-            // metric-name-opt-out: vnfguard_health_ namespace (see above).
-            state_gauge: telemetry.gauge(&labeled(
-                "vnfguard_health_alert_state",
-                "slo",
-                &spec.name,
-            )),
+            state_gauge: health.gauge("alert_state", &[("slo", &spec.name)]),
             fast_gauge: burn_gauge("fast"),
             slow_gauge: burn_gauge("slow"),
             spec,

@@ -23,9 +23,11 @@
 //!   same state, mirroring how `SimClock` and `Network` behave elsewhere
 //!   in the workspace.
 //!
-//! Metric naming convention: `vnfguard_<crate>_<name>`, with `_total` for
-//! counters and `_micros` for latency histograms (see DESIGN.md
-//! §Observability).
+//! Metric names: a series is registered only through a [`Namespace`]
+//! from [`Telemetry::namespace`], which names it
+//! `vnfguard_<namespace>_<name>` and sorts its labels, so an unprefixed
+//! series does not compile. By convention counters end in `_total` and
+//! latency histograms in `_micros` (see DESIGN.md §Observability).
 
 pub mod health;
 pub mod journal;
@@ -37,7 +39,8 @@ pub mod trace;
 pub use health::{AlertSnapshot, AlertState, HealthMonitor, SloKind, SloSpec};
 pub use journal::{Event, Journal};
 pub use metrics::{
-    labeled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, EXEMPLAR_CAP,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Namespace,
+    EXEMPLAR_CAP,
 };
 pub use scope::{current_deadline, current_trace, Deadline, RequestScope};
 pub use spans::SpanGuard;
@@ -94,11 +97,6 @@ impl Telemetry {
         &self.traces
     }
 
-    /// The seeded trace/span id generator backing this handle.
-    pub fn trace_ids(&self) -> &TraceIds {
-        &self.trace_ids
-    }
-
     /// Reseed the trace/span id generator (the deployment builder derives
     /// this from its HMAC-DRBG so ids are deterministic per testbed seed).
     pub fn seed_trace_ids(&self, seed: u64) {
@@ -110,32 +108,39 @@ impl Telemetry {
         self.trace_ids.set_sample_rate(rate);
     }
 
-    /// Get-or-register a counter. Disabled handles return a detached
-    /// counter that never appears in the rendered exposition.
-    pub fn counter(&self, name: &str) -> Counter {
-        if self.enabled {
-            self.metrics.counter(name)
-        } else {
-            Counter::detached()
-        }
-    }
-
-    /// Get-or-register a gauge (detached when disabled).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if self.enabled {
-            self.metrics.gauge(name)
-        } else {
-            Gauge::detached()
-        }
-    }
-
-    /// Get-or-register a histogram (detached when disabled).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        if self.enabled {
-            self.metrics.histogram(name)
-        } else {
-            Histogram::detached()
-        }
+    /// The metric namespace `vnfguard_<name>_`: the one way to register a
+    /// series. A crate registers under its own name; the admission
+    /// controller's `net` and the health plane's `health` are shared
+    /// namespaces named where they are used. Disabled handles hand out
+    /// detached metrics that never appear in the rendered exposition.
+    ///
+    /// There is no unscoped registrar, so a series outside a namespace
+    /// does not compile:
+    ///
+    /// ```compile_fail
+    /// let telemetry = vnfguard_telemetry::Telemetry::new();
+    /// telemetry.counter("vnfguard_core_x_total").inc();
+    /// ```
+    ///
+    /// nor through the registry behind the handle:
+    ///
+    /// ```compile_fail
+    /// let telemetry = vnfguard_telemetry::Telemetry::new();
+    /// telemetry.metrics().counter("vnfguard_core_x_total").inc();
+    /// ```
+    ///
+    /// The same series, registered through its namespace:
+    ///
+    /// ```
+    /// let telemetry = vnfguard_telemetry::Telemetry::new();
+    /// telemetry.namespace("core").counter("x_total", &[]).inc();
+    /// assert_eq!(
+    ///     telemetry.metrics().counter_value("vnfguard_core_x_total"),
+    ///     Some(1)
+    /// );
+    /// ```
+    pub fn namespace(&self, name: &'static str) -> Namespace {
+        Namespace::new(self.enabled.then(|| self.metrics.clone()), name)
     }
 
     /// Append a structured event to the journal; returns its sequence
@@ -268,8 +273,9 @@ mod tests {
     #[test]
     fn enabled_bundle_registers_and_renders() {
         let tele = Telemetry::new();
-        tele.counter("vnfguard_test_ops_total").add(3);
-        tele.histogram("vnfguard_test_latency_micros").record(100);
+        let test = tele.namespace("test");
+        test.counter("ops_total", &[]).add(3);
+        test.histogram("latency_micros", &[]).record(100);
         tele.event(1_600_000_000, "test_event", "detail");
         let text = tele.render_prometheus();
         assert!(text.contains("vnfguard_test_ops_total 3"));
@@ -280,7 +286,7 @@ mod tests {
     #[test]
     fn disabled_bundle_is_inert() {
         let tele = Telemetry::disabled();
-        tele.counter("vnfguard_test_ops_total").add(3);
+        tele.namespace("test").counter("ops_total", &[]).add(3);
         let (root, _root) = tele.trace_root("operator", "invisible", 0);
         assert!(!root.is_valid());
         {
@@ -338,7 +344,7 @@ mod tests {
     #[test]
     fn span_histograms_carry_exemplars_only_when_sampled() {
         let tele = Telemetry::new();
-        let histogram = tele.histogram("vnfguard_test_span_micros");
+        let histogram = tele.namespace("test").histogram("span_micros", &[]);
         {
             // No request scope: a plain timing.
             let _span = tele
@@ -414,7 +420,7 @@ mod tests {
     fn clones_share_state() {
         let tele = Telemetry::new();
         let other = tele.clone();
-        other.counter("vnfguard_test_shared_total").inc();
+        other.namespace("test").counter("shared_total", &[]).inc();
         assert_eq!(
             tele.metrics().counter_value("vnfguard_test_shared_total"),
             Some(1)

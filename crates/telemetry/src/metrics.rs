@@ -327,16 +327,6 @@ struct RegistryInner {
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Compose a registry key carrying one label dimension, e.g.
-/// `labeled("vnfguard_core_enrollments_total", "shard", "2")` →
-/// `vnfguard_core_enrollments_total{shard="2"}`. The registry treats each
-/// labeled key as its own series; [`MetricsRegistry::render_prometheus`]
-/// folds every series of a family under a single `# TYPE` header and
-/// merges the labels into histogram companion lines.
-pub fn labeled(family: &str, key: &str, value: &str) -> String {
-    format!("{family}{{{key}=\"{value}\"}}")
-}
-
 /// Split a registry key into its metric family and the label body (the
 /// text between the braces), if any.
 fn split_series(name: &str) -> (&str, Option<&str>) {
@@ -365,8 +355,9 @@ fn bucket_series(family: &str, labels: Option<&str>, le: &str) -> String {
     }
 }
 
-/// A registry of named metrics. Get-or-register by name; cloning shares
-/// the registry. Rendering emits Prometheus text exposition, with
+/// A registry of named metrics. Cloning shares the registry. Series are
+/// registered only through a [`Namespace`]; the registry itself reads them
+/// back and renders Prometheus text exposition, with
 /// `_p50/_p90/_p99/_max` companion lines for each histogram.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
@@ -374,36 +365,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
     /// Current value of a registered counter (None if never registered).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.inner
@@ -425,8 +386,7 @@ impl MetricsRegistry {
     }
 
     /// Render every metric in Prometheus text exposition format, sorted by
-    /// name. Labeled series (registered via [`labeled`] keys) share one
-    /// `# TYPE` header per family. Histogram bucket lines stop at the
+    /// name. Labeled series of one family share one `# TYPE` header. Histogram bucket lines stop at the
     /// highest occupied finite bucket (plus the mandatory `+Inf` line) to
     /// keep the surface compact; a bucket holding a retained exemplar
     /// carries it OpenMetrics-style after a `#`.
@@ -528,21 +488,76 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
+/// A metric namespace, the only way to register a series: every series
+/// registered through it is named `vnfguard_<namespace>_<name>`, its
+/// labels sorted by key. A namespace of a disabled
+/// [`Telemetry`](crate::Telemetry) hands out detached metrics.
+pub struct Namespace {
+    registry: Option<MetricsRegistry>,
+    name: &'static str,
+}
+
+impl Namespace {
+    pub(crate) fn new(registry: Option<MetricsRegistry>, name: &'static str) -> Namespace {
+        Namespace { registry, name }
+    }
+
+    /// Get-or-register series `name` with `labels` in the map `kind`
+    /// picks, under the key `vnfguard_<namespace>_<name>{k="v",...}` that
+    /// [`MetricsRegistry::render_prometheus`] splits into family and labels.
+    fn register<M: Clone + Default>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        kind: fn(&mut RegistryInner) -> &mut BTreeMap<String, M>,
+    ) -> M {
+        let Some(registry) = &self.registry else {
+            return M::default();
+        };
+        let mut labels = labels.to_vec();
+        labels.sort_unstable();
+        let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        let mut key = format!("vnfguard_{}_{name}", self.name);
+        if !labels.is_empty() {
+            key.push_str(&format!("{{{}}}", labels.join(",")));
+        }
+        let mut inner = registry.inner.lock().expect("metrics registry poisoned");
+        kind(&mut inner).entry(key).or_default().clone()
+    }
+
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.register(name, labels, |r| &mut r.counters)
+    }
+
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        self.register(name, labels, |r| &mut r.gauges)
+    }
+
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+        self.register(name, labels, |r| &mut r.histograms)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Namespace `x` over `registry`.
+    fn x(registry: &MetricsRegistry) -> Namespace {
+        Namespace::new(Some(registry.clone()), "x")
+    }
+
     #[test]
     fn counter_and_gauge_basics() {
         let registry = MetricsRegistry::default();
-        let c = registry.counter("c_total");
+        let c = x(&registry).counter("c_total", &[]);
         c.inc();
         c.add(4);
-        assert_eq!(registry.counter("c_total").get(), 5);
-        let g = registry.gauge("g");
+        assert_eq!(x(&registry).counter("c_total", &[]).get(), 5);
+        let g = x(&registry).gauge("g", &[]);
         g.set(-3);
         g.add(10);
-        assert_eq!(registry.gauge("g").get(), 7);
+        assert_eq!(x(&registry).gauge("g", &[]).get(), 7);
     }
 
     #[test]
@@ -599,9 +614,9 @@ mod tests {
     #[test]
     fn prometheus_rendering_shape() {
         let registry = MetricsRegistry::default();
-        registry.counter("vnfguard_x_ops_total").add(2);
-        registry.gauge("vnfguard_x_depth").set(4);
-        let h = registry.histogram("vnfguard_x_micros");
+        x(&registry).counter("ops_total", &[]).add(2);
+        x(&registry).gauge("depth", &[]).set(4);
+        let h = x(&registry).histogram("micros", &[]);
         h.record(3);
         h.record(300);
         let text = registry.render_prometheus();
@@ -630,12 +645,8 @@ mod tests {
     #[test]
     fn labeled_series_share_one_type_header() {
         let registry = MetricsRegistry::default();
-        registry
-            .counter(&labeled("vnfguard_x_ops_total", "shard", "0"))
-            .add(2);
-        registry
-            .counter(&labeled("vnfguard_x_ops_total", "shard", "1"))
-            .add(5);
+        x(&registry).counter("ops_total", &[("shard", "0")]).add(2);
+        x(&registry).counter("ops_total", &[("shard", "1")]).add(5);
         let text = registry.render_prometheus();
         assert_eq!(
             text.matches("# TYPE vnfguard_x_ops_total counter").count(),
@@ -648,8 +659,9 @@ mod tests {
     #[test]
     fn labeled_histogram_merges_labels_into_companion_lines() {
         let registry = MetricsRegistry::default();
-        let h = registry.histogram(&labeled("vnfguard_x_micros", "shard", "2"));
-        h.record(3);
+        x(&registry)
+            .histogram("micros", &[("shard", "2")])
+            .record(3);
         let text = registry.render_prometheus();
         assert!(text.contains("# TYPE vnfguard_x_micros histogram"));
         assert!(text.contains("vnfguard_x_micros_bucket{shard=\"2\",le=\"4\"} 1"));
@@ -657,6 +669,25 @@ mod tests {
         assert!(text.contains("vnfguard_x_micros_sum{shard=\"2\"} 3"));
         assert!(text.contains("vnfguard_x_micros_count{shard=\"2\"} 1"));
         assert!(text.contains("vnfguard_x_micros_max{shard=\"2\"} 3"));
+    }
+
+    #[test]
+    fn namespace_prefixes_names_and_sorts_labels() {
+        let registry = MetricsRegistry::default();
+        x(&registry)
+            .counter("ops_total", &[("shard", "1"), ("backend", "snp")])
+            .add(2);
+        // The same labels in the other order name the same series.
+        x(&registry)
+            .counter("ops_total", &[("backend", "snp"), ("shard", "1")])
+            .inc();
+        assert_eq!(
+            registry.counter_value("vnfguard_x_ops_total{backend=\"snp\",shard=\"1\"}"),
+            Some(3)
+        );
+        // A disabled namespace hands out detached metrics.
+        Namespace::new(None, "x").counter("gone_total", &[]).inc();
+        assert_eq!(registry.counter_value("vnfguard_x_gone_total"), None);
     }
 
     #[test]
@@ -671,7 +702,7 @@ mod tests {
         assert_eq!(exemplars[0].value, (EXEMPLAR_CAP as u64 + 3) * 100);
         assert!(exemplars.iter().all(|e| e.value >= 400));
         let registry = MetricsRegistry::default();
-        let h = registry.histogram("vnfguard_x_micros");
+        let h = x(&registry).histogram("micros", &[]);
         h.record_with_exemplar(300, 0xDEAD);
         let text = registry.render_prometheus();
         assert!(text.contains(&format!(" # {{trace_id=\"{:032x}\"}} 300", 0xDEADu128)));

@@ -136,19 +136,32 @@ pub fn client_handshake<S: Read + Write>(
     config: &ClientConfig,
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
-    let telemetry = &config.telemetry;
     let begun = std::time::Instant::now();
     let result = client_handshake_inner(stream, config, rng);
-    telemetry
-        .histogram("vnfguard_tls_client_handshake_micros")
-        .record(begun.elapsed().as_micros() as u64);
-    telemetry.counter("vnfguard_tls_handshakes_total").inc();
-    if result.is_err() {
-        telemetry
-            .counter("vnfguard_tls_handshake_failures_total")
-            .inc();
-    }
+    record_handshake(
+        &config.telemetry,
+        "client_handshake_micros",
+        begun,
+        result.is_err(),
+    );
     result
+}
+
+/// Count a finished handshake and record its duration in the side's
+/// `histogram`. The failure counter registers on the first failure.
+fn record_handshake(
+    telemetry: &Telemetry,
+    histogram: &str,
+    begun: std::time::Instant,
+    failed: bool,
+) {
+    let tls = telemetry.namespace("tls");
+    tls.histogram(histogram, &[])
+        .record(begun.elapsed().as_micros() as u64);
+    tls.counter("handshakes_total", &[]).inc();
+    if failed {
+        tls.counter("handshake_failures_total", &[]).inc();
+    }
 }
 
 fn client_handshake_inner<S: Read + Write>(
@@ -321,18 +334,14 @@ pub fn server_handshake<S: Read + Write>(
     config: &ServerConfig,
     rng: &mut dyn SecureRandom,
 ) -> Result<(TlsStream<S>, SessionInfo), TlsError> {
-    let telemetry = &config.telemetry;
     let begun = std::time::Instant::now();
     let result = server_handshake_inner(stream, config, rng);
-    telemetry
-        .histogram("vnfguard_tls_server_handshake_micros")
-        .record(begun.elapsed().as_micros() as u64);
-    telemetry.counter("vnfguard_tls_handshakes_total").inc();
-    if result.is_err() {
-        telemetry
-            .counter("vnfguard_tls_handshake_failures_total")
-            .inc();
-    }
+    record_handshake(
+        &config.telemetry,
+        "server_handshake_micros",
+        begun,
+        result.is_err(),
+    );
     result
 }
 

@@ -18,7 +18,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use vnfguard::telemetry::{HistogramSnapshot, Telemetry, EXEMPLAR_CAP};
+use vnfguard::telemetry::{Histogram, HistogramSnapshot, EXEMPLAR_CAP};
 
 /// One node's worth of observations: latency values, each optionally
 /// carrying a trace id (sampled requests carry one, unsampled don't).
@@ -38,8 +38,7 @@ fn part() -> impl Strategy<Value = Part> {
 /// and snapshot it — properties run against the production record path,
 /// not a reimplementation.
 fn snapshot_of(values: &[(u64, Option<u128>)]) -> HistogramSnapshot {
-    let telemetry = Telemetry::new();
-    let histogram = telemetry.histogram("vnfguard_test_health_props");
+    let histogram = Histogram::detached();
     for (value, trace) in values {
         match trace {
             Some(id) => histogram.record_with_exemplar(*value, *id),

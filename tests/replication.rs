@@ -28,6 +28,7 @@ use vnfguard::core::remote::{serve_vm_api, HostAgent};
 use vnfguard::core::replication::ReplicationConfig;
 use vnfguard::core::revocation::revocation_message;
 use vnfguard::core::CoreError;
+use vnfguard::crypto::ed25519::SigningKey;
 use vnfguard::encoding::Json;
 use vnfguard::ias::QuoteVerifier;
 use vnfguard::net::http::Request;
@@ -342,6 +343,38 @@ fn zombie_primary_is_fenced_after_partition_heals() {
     tb.attest_host(0).unwrap();
     let guard2 = tb.deploy_guard(0, "vnf-after-fence", 1).unwrap();
     tb.enroll(0, &guard2).unwrap();
+}
+
+/// A fenced zombie signs no operator certificate: its serial would come
+/// from a dead timeline the promoted primary never saw, and no surviving
+/// journal would hold it.
+#[test]
+#[should_panic(expected = "operator certificate refused")]
+fn a_fenced_zombie_issues_no_operator_certificate() {
+    let plan = FaultPlan::seeded(5);
+    let mut tb = TestbedBuilder::new(b"replication zombie certificate")
+        .replicas(2)
+        .faults(plan.clone())
+        .build();
+    tb.attest_host(0).unwrap();
+    let guard = tb.deploy_guard(0, "vnf-zc", 1).unwrap();
+    let serial = tb.enroll(0, &guard).unwrap().serial();
+    // The partitioned primary journals a revocation only it will hold,
+    // then is declared dead and replaced.
+    plan.isolate("vm-standby-0:7600");
+    plan.isolate("vm-standby-1:7600");
+    tb.vm
+        .revoke_credential(serial, RevocationReason::KeyCompromise)
+        .unwrap();
+    let zombie = tb.detach_primary();
+    plan.heal("vm-standby-0:7600");
+    plan.heal("vm-standby-1:7600");
+    tb.promote().unwrap();
+    // Its next append meets the survivor's epoch check and fences it.
+    zombie.issue_crl().unwrap_err();
+    assert!(zombie.replication_status().unwrap().fenced);
+    let key = SigningKey::from_seed(&[9; 32]);
+    zombie.issue_client_certificate("operator", key.public_key());
 }
 
 /// Concurrent calls on a deposed primary share commit batches; the veto
