@@ -20,9 +20,9 @@
 //!   round-trip at all.
 //!
 //! Every backend reduces its native evidence to one normalized
-//! [`EvidenceAppraisal`]; the relying party then applies a per-backend
-//! [`AppraisalPolicy`] (from a [`PolicyRegistry`]) plus its own whitelist
-//! and REPORT_DATA binding checks. Cross-backend confusion fails closed:
+//! [`EvidenceAppraisal`]; the relying party then applies an
+//! [`AppraisalPolicy`] plus its own whitelist and REPORT_DATA binding
+//! checks. Cross-backend confusion fails closed:
 //! an SGX quote handed to the SNP appraiser (or vice versa) is a structural
 //! decode error, never a `Verified` verdict.
 
@@ -251,40 +251,6 @@ impl AppraisalPolicy {
     }
 }
 
-/// Per-backend appraisal policies, looked up by [`BackendKind`]. A mixed
-/// SGX+SNP fleet can run strict SNP policy while tolerating out-of-date
-/// SGX microcode, or vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyRegistry {
-    sgx: AppraisalPolicy,
-    snp: AppraisalPolicy,
-}
-
-impl PolicyRegistry {
-    /// The same policy for every backend.
-    pub fn uniform(policy: AppraisalPolicy) -> PolicyRegistry {
-        PolicyRegistry {
-            sgx: policy,
-            snp: policy,
-        }
-    }
-
-    pub fn policy_for(&self, kind: BackendKind) -> &AppraisalPolicy {
-        match kind {
-            BackendKind::SgxEpid => &self.sgx,
-            BackendKind::SevSnp => &self.snp,
-        }
-    }
-
-    /// Replace one backend's policy.
-    pub fn set(&mut self, kind: BackendKind, policy: AppraisalPolicy) {
-        match kind {
-            BackendKind::SgxEpid => self.sgx = policy,
-            BackendKind::SevSnp => self.snp = policy,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,17 +296,5 @@ mod tests {
             native_status: "OK".to_string(),
         };
         assert!(policy.check(&appraisal).is_err());
-    }
-
-    #[test]
-    fn registry_keeps_per_backend_policies_apart() {
-        let mut registry = PolicyRegistry::uniform(AppraisalPolicy::strict());
-        registry.set(BackendKind::SgxEpid, AppraisalPolicy::lenient());
-        assert!(registry
-            .policy_for(BackendKind::SgxEpid)
-            .accepts_tcb(TcbStatus::OutOfDate));
-        assert!(!registry
-            .policy_for(BackendKind::SevSnp)
-            .accepts_tcb(TcbStatus::OutOfDate));
     }
 }

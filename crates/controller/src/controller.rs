@@ -10,6 +10,7 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 use vnfguard_net::fabric::Network;
 use vnfguard_net::server::{serve, PlainUpgrade, ServerHandle};
+use vnfguard_telemetry::Telemetry;
 use vnfguard_tls::signer::IdentitySigner;
 use vnfguard_tls::validate::ClientValidator;
 
@@ -25,7 +26,7 @@ pub struct ControllerConfig {
     pub clock: SimClock,
     /// Telemetry bundle for distributed tracing of north-bound requests;
     /// `None` serves untraced.
-    pub telemetry: Option<vnfguard_telemetry::Telemetry>,
+    pub telemetry: Option<Telemetry>,
 }
 
 impl ControllerConfig {
@@ -71,11 +72,32 @@ impl ControllerConfig {
         self
     }
 
-    /// Record north-bound requests as distributed-trace server spans in
-    /// `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: &vnfguard_telemetry::Telemetry) -> ControllerConfig {
+    /// Record north-bound requests as distributed-trace server spans, and
+    /// TLS handshakes as `vnfguard_tls_*` series, in `telemetry`.
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> ControllerConfig {
         self.telemetry = Some(telemetry.clone());
         self
+    }
+
+    /// The server-side TLS upgrade of the two HTTPS modes: trusted HTTPS
+    /// adds client validation to HTTPS's server identity.
+    fn tls_upgrade(&self) -> Result<TlsUpgrade, ControllerError> {
+        let mode = self.mode.as_str();
+        let identity = self.identity.clone().ok_or_else(|| {
+            ControllerError::Misconfigured(format!("{mode} mode requires a server identity"))
+        })?;
+        let client_validator = match self.mode {
+            SecurityMode::TrustedHttps => Some(self.client_validator.clone().ok_or_else(|| {
+                ControllerError::Misconfigured(format!("{mode} mode requires a client validator"))
+            })?),
+            SecurityMode::Http | SecurityMode::Https => None,
+        };
+        Ok(TlsUpgrade {
+            identity,
+            client_validator,
+            clock: self.clock.clone(),
+            telemetry: self.telemetry.clone().unwrap_or_else(Telemetry::disabled),
+        })
     }
 }
 
@@ -105,40 +127,8 @@ impl Controller {
 
         let handle = match config.mode {
             SecurityMode::Http => serve(listener, PlainUpgrade, router),
-            SecurityMode::Https => {
-                let identity = config.identity.clone().ok_or_else(|| {
-                    ControllerError::Misconfigured("HTTPS mode requires a server identity".into())
-                })?;
-                serve(
-                    listener,
-                    TlsUpgrade {
-                        identity,
-                        client_validator: None,
-                        clock: config.clock.clone(),
-                    },
-                    router,
-                )
-            }
-            SecurityMode::TrustedHttps => {
-                let identity = config.identity.clone().ok_or_else(|| {
-                    ControllerError::Misconfigured(
-                        "trusted HTTPS mode requires a server identity".into(),
-                    )
-                })?;
-                let validator = config.client_validator.clone().ok_or_else(|| {
-                    ControllerError::Misconfigured(
-                        "trusted HTTPS mode requires a client validator".into(),
-                    )
-                })?;
-                serve(
-                    listener,
-                    TlsUpgrade {
-                        identity,
-                        client_validator: Some(validator),
-                        clock: config.clock.clone(),
-                    },
-                    router,
-                )
+            SecurityMode::Https | SecurityMode::TrustedHttps => {
+                serve(listener, config.tls_upgrade()?, router)
             }
         };
         Ok(Controller {

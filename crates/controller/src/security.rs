@@ -6,6 +6,7 @@ use vnfguard_crypto::drbg::SystemEntropy;
 use vnfguard_net::server::{PeerIdentity, StreamUpgrade};
 use vnfguard_net::stream::Duplex;
 use vnfguard_net::NetError;
+use vnfguard_telemetry::Telemetry;
 use vnfguard_tls::handshake::{server_handshake, ServerConfig};
 use vnfguard_tls::signer::IdentitySigner;
 use vnfguard_tls::stream::TlsStream;
@@ -38,13 +39,17 @@ pub struct TlsUpgrade {
     /// Some → mutual auth (trusted HTTPS); None → server-auth only.
     pub client_validator: Option<ClientValidator>,
     pub clock: SimClock,
+    /// Where each handshake's duration and outcome are recorded
+    /// (`vnfguard_tls_*`); a disabled bundle records nothing.
+    pub telemetry: Telemetry,
 }
 
 impl StreamUpgrade for TlsUpgrade {
     type Upgraded = TlsStream<Duplex>;
 
     fn upgrade(&self, raw: Duplex) -> Result<(Self::Upgraded, PeerIdentity), NetError> {
-        let mut config = ServerConfig::new(self.identity.clone(), self.clock.now());
+        let mut config = ServerConfig::new(self.identity.clone(), self.clock.now())
+            .with_telemetry(&self.telemetry);
         if let Some(validator) = &self.client_validator {
             config = config.require_client_auth(validator.clone());
         }

@@ -560,8 +560,8 @@ impl TestbedBuilder {
             managers.push(manager);
         }
         let mut vm = VmService::from_shards(managers);
-        if let Some(verifier) = &snp_verifier {
-            vm = vm.with_snp_verifier(verifier.clone());
+        if let Some(verifier) = snp_verifier {
+            vm = vm.with_snp_verifier(verifier);
         }
         if let Some(config) = self.admission {
             vm = vm.with_admission(Arc::new(AdmissionController::instrumented(
@@ -579,8 +579,9 @@ impl TestbedBuilder {
             notifier = notifier.with_store(store.clone());
         }
 
-        // Whitelist the integrity attestation enclave and seed every
-        // shard's host reference database with the standard software stack.
+        // Whitelist the integrity attestation enclave and seed the host
+        // reference database with the standard software stack. The service
+        // holds these for every shard and every later incarnation.
         vm.trust_integrity_enclave_for(
             BackendKind::SgxEpid,
             IntegrityAttestationEnclave::expected_measurement(1),
@@ -591,20 +592,13 @@ impl TestbedBuilder {
         }
 
         // SNP hosts all boot the standard CVM host image; whitelist its
-        // launch measurement under the SNP backend (journaled into the
-        // trust log so recovered incarnations re-learn it). The SGX
+        // launch measurement under the SNP backend. The SGX
         // integrity-enclave whitelist above cannot satisfy SNP evidence —
         // whitelists key on (backend, measurement).
-        let mut trust_log = Vec::new();
         let snp_host_measurement = launch_measurement(SNP_HOST_IMAGE);
         if any_snp {
             let measurement = Measurement(normalize_measurement(&snp_host_measurement));
             vm.trust_integrity_enclave_for(BackendKind::SevSnp, measurement, "snp-host-cvm-v1");
-            trust_log.push(TrustAction::TrustIntegrity(
-                BackendKind::SevSnp,
-                measurement,
-                "snp-host-cvm-v1".to_string(),
-            ));
         }
 
         // Controller identity and client validation.
@@ -720,9 +714,7 @@ impl TestbedBuilder {
             shard_media,
             crash_plan: self.crash_plan,
             wal_compaction: self.wal_compaction,
-            trust_log,
             amd_root,
-            snp_verifier,
             replication,
             standbys,
             standby_platforms,
@@ -752,16 +744,6 @@ enum Incarnation {
     /// An oracle twin: a measuring instrument, not part of the deployment,
     /// that must not disturb the shared metrics.
     Twin,
-}
-
-/// Config-time trust decisions made after build, replayed into a recovered
-/// manager (they are deployment inputs, not journaled state transitions).
-/// Each whitelist entry records the backend it was granted under —
-/// recovery must re-learn SNP trust as SNP trust, never as SGX trust.
-enum TrustAction {
-    TrustEnclave(BackendKind, Measurement, String),
-    TrustIntegrity(BackendKind, Measurement, String),
-    AllowContent(String, Vec<u8>),
 }
 
 /// The assembled deployment.
@@ -795,12 +777,8 @@ pub struct Testbed {
     shard_media: Vec<Option<Media>>,
     crash_plan: Option<CrashPlan>,
     wal_compaction: u64,
-    trust_log: Vec<TrustAction>,
     /// The model AMD certificate root, when any host is SEV-SNP.
     amd_root: Option<AmdRoot>,
-    /// The deployment's offline SNP appraiser (also wired into the
-    /// service handle for `serve_vm_api` dispatch).
-    snp_verifier: Option<SnpVerifier>,
     /// The authority shard's replication handle (a clone of the one
     /// installed as its store's append observer); `None` when
     /// unreplicated.
@@ -829,10 +807,10 @@ impl Testbed {
         self.amd_root.as_ref()
     }
 
-    /// The deployment's offline SNP appraiser (a clone is also wired into
-    /// the service handle for API dispatch).
+    /// The deployment's offline SNP appraiser, the one the service handle
+    /// holds.
     pub fn snp_verifier(&self) -> Option<&SnpVerifier> {
-        self.snp_verifier.as_ref()
+        self.vm.snp_verifier()
     }
 
     /// The launch measurement every SNP testbed host boots with.
@@ -873,14 +851,16 @@ impl Testbed {
             &challenge.nonce,
             tpm_quote,
         )?;
-        let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
+        let mut snp_verifier = self.vm.snp_verifier().cloned();
+        let backend = Self::backend_for(&mut self.ias, &mut snp_verifier, host.backend);
         self.vm
             .complete_host_attestation(backend, challenge.id, &evidence)
     }
 
     /// The verifier a host's evidence goes to: the IAS for SGX hosts, the
-    /// offline appraiser for SNP hosts. It borrows two fields, not `self`,
-    /// so the caller still reaches `self.vm`.
+    /// offline appraiser for SNP hosts, a clone of the service's (it is
+    /// stateless). It borrows the IAS, not `self`, so the caller still
+    /// reaches `self.vm`.
     fn backend_for<'a>(
         ias: &'a mut AttestationService,
         snp_verifier: &'a mut Option<SnpVerifier>,
@@ -913,16 +893,10 @@ impl Testbed {
         for (i, layer) in reference_image.layers.iter().enumerate() {
             let path = format!("/var/lib/docker/overlay2/{id}/layer-{i}");
             self.vm.allow_reference_content(&path, &layer.content);
-            self.trust_log
-                .push(TrustAction::AllowContent(path, layer.content.clone()));
         }
         let entrypoint = format!("/var/lib/docker/overlay2/{id}/entrypoint");
         self.vm
             .allow_reference_content(&entrypoint, &reference_image.entrypoint.content);
-        self.trust_log.push(TrustAction::AllowContent(
-            entrypoint,
-            reference_image.entrypoint.content.clone(),
-        ));
         Ok(id)
     }
 
@@ -956,8 +930,6 @@ impl Testbed {
             }
         };
         self.vm.trust_enclave_for(backend, measurement, &label);
-        self.trust_log
-            .push(TrustAction::TrustEnclave(backend, measurement, label));
         Ok(guard)
     }
 
@@ -995,7 +967,8 @@ impl Testbed {
             &challenge.nonce,
             challenge.nonce,
         )?;
-        let backend = Self::backend_for(&mut self.ias, &mut self.snp_verifier, host.backend);
+        let mut snp_verifier = self.vm.snp_verifier().cloned();
+        let backend = Self::backend_for(&mut self.ias, &mut snp_verifier, host.backend);
         let (wrapped, certificate) = self.vm.complete_vnf_enrollment(
             backend,
             challenge.id,
@@ -1147,14 +1120,14 @@ impl Testbed {
     /// the new incarnations on its next call. Returns the authority
     /// shard's recovery report.
     ///
-    /// Config-time trust (integrity enclave, reference files, TPM AIKs,
-    /// whitelisted guard measurements) is replayed from the deployment's
-    /// own records — it is input, not journaled state. Host attestations
-    /// are *not* carried over: every host must re-attest to the new
-    /// incarnation before further enrollments. Follower shards re-adopt
-    /// the authority's rotation chain after replay, because adoption is
-    /// un-journaled by design (the rotated certificates re-derive
-    /// bit-identically from the shared seed).
+    /// The service's trust inputs (whitelists, reference files) are not
+    /// the incarnation's, so they carry over untouched; the hosts' TPM
+    /// AIKs, which live in host records, are registered again. Host
+    /// attestations are *not* carried over: every host must re-attest to
+    /// the new incarnation before further enrollments. Follower shards
+    /// re-adopt the authority's rotation chain after replay, because
+    /// adoption is un-journaled by design (the rotated certificates
+    /// re-derive bit-identically from the shared seed).
     pub fn recover_vm(&mut self) -> Result<RecoveryReport, CoreError> {
         let shard_count = self.vm.shard_count();
         let mut authority_report = None;
@@ -1240,11 +1213,10 @@ impl Testbed {
 
     /// Recover shard `shard`'s manager from `store` (the one path for crash
     /// recovery, promotion and oracle twins), then place it at its shard.
-    /// A live incarnation also re-learns the deployment's config-time
-    /// trust, which is input and not journaled state: the integrity
-    /// enclave, the reference files, the TPM AIKs and the trust log. It
-    /// shares the deployment's telemetry and takes its crash plan. A twin
-    /// gets its own telemetry and neither.
+    /// A live incarnation registers the hosts' TPM AIKs again (they live
+    /// in host records, which are not journaled), shares the deployment's
+    /// telemetry and takes its crash plan. A twin gets its own telemetry
+    /// and none of these.
     fn recover_incarnation(
         &self,
         shard: usize,
@@ -1265,30 +1237,9 @@ impl Testbed {
             notifier,
         )?;
         if role == Incarnation::Live {
-            vm.trust_integrity_enclave_for(
-                BackendKind::SgxEpid,
-                IntegrityAttestationEnclave::expected_measurement(1),
-                "integrity-attestation-v1",
-            );
-            for (path, content) in STANDARD_HOST_FILES {
-                vm.reference_db_mut().allow_content(path, content);
-            }
             for host in &self.hosts {
                 if let Some(tpm) = &host.tpm {
                     vm.register_host_tpm(&host.id, tpm.aik_public())?;
-                }
-            }
-            for action in &self.trust_log {
-                match action {
-                    TrustAction::TrustEnclave(backend, measurement, label) => {
-                        vm.trust_enclave_for(*backend, *measurement, label);
-                    }
-                    TrustAction::TrustIntegrity(backend, measurement, label) => {
-                        vm.trust_integrity_enclave_for(*backend, *measurement, label);
-                    }
-                    TrustAction::AllowContent(path, content) => {
-                        vm.reference_db_mut().allow_content(path, content);
-                    }
                 }
             }
             if let Some(plan) = &self.crash_plan {
@@ -1306,7 +1257,8 @@ impl Testbed {
     /// leaving a fresh placeholder incarnation behind in the service
     /// handle so the testbed's own methods keep working. The detached
     /// incarnation comes back in a service handle of its own, whose shard
-    /// accessor still waits for (and fails on) its WAL commits.
+    /// accessor still waits for (and fails on) its WAL commits and which
+    /// reads the deployment's trust inputs.
     pub fn detach_primary(&mut self) -> VmService {
         let placeholder = VerificationManager::with_runtime(
             self.vm_config.clone(),
@@ -1314,7 +1266,7 @@ impl Testbed {
             self.clock.clone(),
             self.telemetry.clone(),
         );
-        VmService::single(self.vm.run(0, |slot| std::mem::replace(slot, placeholder)))
+        self.vm.detach(0, placeholder)
     }
 
     /// The authority shard's replication handle, when built with
@@ -1450,13 +1402,13 @@ impl Testbed {
         let node = self.standbys.remove(chosen);
         let platform = self.standby_platforms.remove(chosen);
         let high_water = node.status().next_seq - 1;
+        let (store, promoted_addr) = (node.store(), node.addr().to_string());
         node.stop();
         let old_epoch = self.replication.as_ref().map_or(0, ReplicaSet::epoch);
         let new_epoch = old_epoch + 1;
         for standby in &self.standbys {
             standby.set_epoch(new_epoch);
         }
-        let store = node.store();
         let media = store.media().clone();
         let survivors: Vec<String> = self.standbys.iter().map(|s| s.addr().to_string()).collect();
         let set = ReplicaSet::new(
@@ -1486,7 +1438,6 @@ impl Testbed {
         // revocation.
         let notices_requeued = notifier.pending().len();
         let notices_delivered = notifier.drain(self.clock.now());
-        let promoted_addr = node.addr().to_string();
         self.telemetry.event(
             self.clock.now(),
             "failover_promoted",

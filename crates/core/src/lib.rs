@@ -47,6 +47,7 @@ pub mod resilience;
 pub mod revocation;
 pub mod service;
 mod state;
+pub mod trust;
 
 pub use attestation::{HostEvidence, IntegrityAttestationEnclave};
 pub use backend::MultiBackend;

@@ -21,17 +21,18 @@ use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::replication::ReplicaSet;
 use crate::revocation::{revocation_message, RevocationNotifier};
 use crate::state::JournaledState;
+use crate::trust::Trust;
 use crate::CoreError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 use vnfguard_attest::{
-    AppraisalPolicy as BackendPolicy, AttestationBackend, BackendKind, Measurement, PolicyRegistry,
+    AppraisalPolicy as BackendPolicy, AttestationBackend, BackendKind, Measurement,
 };
 use vnfguard_controller::clock::SimClock;
 use vnfguard_crypto::drbg::{HmacDrbg, SecureRandom};
 use vnfguard_crypto::ed25519::SigningKey;
 use vnfguard_crypto::sha2::sha256;
-use vnfguard_ima::appraisal::{AppraisalPolicy, ReferenceDatabase, Verdict};
+use vnfguard_ima::appraisal::{AppraisalPolicy, Verdict};
 use vnfguard_ima::list::IMA_PCR;
 use vnfguard_pki::ca::{CertificateAuthority, Issuance, IssueProfile};
 use vnfguard_pki::cert::{Certificate, DistinguishedName, Validity};
@@ -53,9 +54,8 @@ pub enum TcbPolicy {
 }
 
 impl TcbPolicy {
-    /// The equivalent normalized per-backend appraisal policy: the manager
-    /// seeds its [`PolicyRegistry`] uniformly from this, and
-    /// [`VerificationManager::set_backend_policy`] overrides per backend.
+    /// The equivalent normalized appraisal policy, which the manager
+    /// applies to every backend's evidence.
     pub fn backend_policy(self) -> BackendPolicy {
         match self {
             TcbPolicy::Strict => BackendPolicy::strict(),
@@ -544,22 +544,14 @@ pub const DEFAULT_ORPHAN_GRACE_SECS: u64 = 300;
 /// The Verification Manager (Figure 1, center).
 ///
 /// Time comes from the [`SimClock`] injected at construction: workflow
-/// methods read it implicitly, and each has a thin `*_at(now)` shim for
-/// callers that need to pin an explicit instant (expiry tests, replays).
+/// methods read it implicitly, and no workflow takes an explicit instant.
+/// The whitelists and the host reference database are not the manager's:
+/// the evidence workflows read the deployment's [`Trust`], which the
+/// service lends them.
 pub struct VerificationManager {
     config: ManagerConfig,
     ca: CertificateAuthority,
     rng: HmacDrbg,
-    reference_db: ReferenceDatabase,
-    /// Per-backend appraisal policies, seeded uniformly from the config's
-    /// [`TcbPolicy`] and overridable per backend.
-    policies: PolicyRegistry,
-    /// Whitelisted VNF credential-enclave (or CVM launch) measurements,
-    /// keyed by the backend that may present them — equal bytes from a
-    /// different TEE never satisfy an entry — with labels.
-    trusted_enclaves: BTreeMap<(BackendKind, Measurement), String>,
-    /// Whitelisted integrity-attestation measurements, keyed per backend.
-    trusted_integrity_enclaves: BTreeMap<(BackendKind, Measurement), String>,
     hosts: HashMap<String, HostRecord>,
     /// Enrollments, pending enrollments and revocations: the fold of every
     /// record this manager journaled, and of the log it recovered from.
@@ -655,15 +647,10 @@ impl VerificationManager {
         // of how far the dead incarnation had advanced its DRBG.
         let rotation_seed = sha256(&[seed, b"ca rotation" as &[u8]].concat());
         let metrics = ManagerMetrics::bind(&telemetry, None);
-        let policies = PolicyRegistry::uniform(config.tcb_policy.backend_policy());
         VerificationManager {
             config,
             ca,
             rng,
-            reference_db: ReferenceDatabase::new(),
-            policies,
-            trusted_enclaves: BTreeMap::new(),
-            trusted_integrity_enclaves: BTreeMap::new(),
             hosts: HashMap::new(),
             journaled: JournaledState::new(ManagerState::default(), None),
             challenges: HashMap::new(),
@@ -782,42 +769,6 @@ impl VerificationManager {
     /// can authenticate VM-originated notifications (the paper's §2 key).
     pub fn share_hmac_key(&self) -> [u8; 32] {
         self.hmac_key
-    }
-
-    /// Reference database of known-good host file digests.
-    pub fn reference_db_mut(&mut self) -> &mut ReferenceDatabase {
-        &mut self.reference_db
-    }
-
-    /// Whitelist a workload measurement for one backend: MRENCLAVE under
-    /// SGX, the normalized CVM launch measurement under SNP. The key is
-    /// `(backend, measurement)`, so cross-backend presentation of the
-    /// same bytes stays unauthorized.
-    pub fn trust_enclave_for(
-        &mut self,
-        backend: BackendKind,
-        measurement: Measurement,
-        label: &str,
-    ) {
-        self.trusted_enclaves
-            .insert((backend, measurement), label.to_string());
-    }
-
-    /// Whitelist a host integrity-attestation measurement for one backend.
-    pub fn trust_integrity_enclave_for(
-        &mut self,
-        backend: BackendKind,
-        measurement: Measurement,
-        label: &str,
-    ) {
-        self.trusted_integrity_enclaves
-            .insert((backend, measurement), label.to_string());
-    }
-
-    /// Override the appraisal policy for one backend (the registry starts
-    /// uniform at the config's [`TcbPolicy`] equivalent).
-    pub fn set_backend_policy(&mut self, backend: BackendKind, policy: BackendPolicy) {
-        self.policies.set(backend, policy);
     }
 
     /// Register a host's TPM AIK (the §4 extension).
@@ -1058,10 +1009,12 @@ impl VerificationManager {
     }
 
     /// Step 2: verify the evidence with the backend's verifier (IAS for
-    /// SGX, the offline VCEK chain for SNP) and appraise the measurement
-    /// list.
+    /// SGX, the offline VCEK chain for SNP), check its integrity
+    /// measurement against `trust` and appraise the measurement list
+    /// against `trust`'s reference database.
     pub fn complete_host_attestation(
         &mut self,
+        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         evidence: &HostEvidence,
@@ -1071,7 +1024,7 @@ impl VerificationManager {
             let _span = self
                 .span("host_attestation", now)
                 .with_histogram(self.metrics.host_attestation_micros.clone());
-            self.host_attestation_inner(backend, challenge_id, evidence, now)
+            self.host_attestation_inner(trust, backend, challenge_id, evidence, now)
         };
         match &result {
             Ok(_) => self.metrics.host_attestations.inc(),
@@ -1082,6 +1035,7 @@ impl VerificationManager {
 
     fn host_attestation_inner(
         &mut self,
+        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         evidence: &HostEvidence,
@@ -1113,11 +1067,7 @@ impl VerificationManager {
                 return Err(e);
             }
         };
-        if let Err(reason) = self
-            .policies
-            .policy_for(appraisal.backend)
-            .check(&appraisal)
-        {
+        if let Err(reason) = self.config.tcb_policy.backend_policy().check(&appraisal) {
             self.event(
                 now,
                 "host_attestation_rejected",
@@ -1126,10 +1076,8 @@ impl VerificationManager {
             return Err(CoreError::AttestationFailed(reason));
         }
         let measurement = Measurement(appraisal.measurement);
-        if !self
-            .trusted_integrity_enclaves
-            .contains_key(&(appraisal.backend, measurement))
-        {
+        let key = (appraisal.backend, measurement);
+        if !trust.read().integrity_enclaves.contains_key(&key) {
             self.event(
                 now,
                 "host_attestation_rejected",
@@ -1152,7 +1100,7 @@ impl VerificationManager {
         // Appraise the list.
         let appraise_span = self.span("appraise", now);
         let list = evidence.measurement_list()?;
-        let result = self.reference_db.appraise(&list, &HOST_APPRAISAL);
+        let result = trust.read().reference_db.appraise(&list, &HOST_APPRAISAL);
         drop(appraise_span);
 
         // §4 extension: check the TPM anchor if required/available.
@@ -1313,6 +1261,7 @@ impl VerificationManager {
     /// fail mid-delivery.
     pub fn complete_vnf_enrollment(
         &mut self,
+        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         quote_bytes: &[u8],
@@ -1320,6 +1269,7 @@ impl VerificationManager {
         controller_cn: &str,
     ) -> Result<Mint, CoreError> {
         let mint = self.prepare_vnf_enrollment(
+            trust,
             backend,
             challenge_id,
             quote_bytes,
@@ -1338,6 +1288,32 @@ impl VerificationManager {
     /// issued certificate; nothing half-provisioned survives.
     pub fn prepare_vnf_enrollment(
         &mut self,
+        trust: &Trust,
+        backend: &mut dyn AttestationBackend,
+        challenge_id: u64,
+        quote_bytes: &[u8],
+        provisioning_key: &[u8; 32],
+        controller_cn: &str,
+    ) -> Result<Mint, CoreError> {
+        let result = self.prepare_enrollment_inner(
+            trust,
+            backend,
+            challenge_id,
+            quote_bytes,
+            provisioning_key,
+            controller_cn,
+        );
+        if result.is_err() {
+            self.metrics.enrollment_failures.inc();
+        }
+        result
+    }
+
+    /// [`prepare_vnf_enrollment`](Self::prepare_vnf_enrollment) inside its
+    /// `vnf_enrollment` span.
+    fn prepare_enrollment_inner(
+        &mut self,
+        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         quote_bytes: &[u8],
@@ -1345,34 +1321,9 @@ impl VerificationManager {
         controller_cn: &str,
     ) -> Result<Mint, CoreError> {
         let now = self.clock.now();
-        let result = {
-            let _span = self
-                .span("vnf_enrollment", now)
-                .with_histogram(self.metrics.enrollment_micros.clone());
-            self.prepare_enrollment_inner(
-                backend,
-                challenge_id,
-                quote_bytes,
-                provisioning_key,
-                controller_cn,
-                now,
-            )
-        };
-        if result.is_err() {
-            self.metrics.enrollment_failures.inc();
-        }
-        result
-    }
-
-    fn prepare_enrollment_inner(
-        &mut self,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        quote_bytes: &[u8],
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-        now: u64,
-    ) -> Result<Mint, CoreError> {
+        let _span = self
+            .span("vnf_enrollment", now)
+            .with_histogram(self.metrics.enrollment_micros.clone());
         self.ensure_alive()?;
         let challenge = self.take_challenge(challenge_id, now)?;
         let ChallengeSubject::Vnf { host_id, vnf_name } = challenge.subject.clone() else {
@@ -1399,11 +1350,7 @@ impl VerificationManager {
                 return Err(e);
             }
         };
-        if let Err(reason) = self
-            .policies
-            .policy_for(appraisal.backend)
-            .check(&appraisal)
-        {
+        if let Err(reason) = self.config.tcb_policy.backend_policy().check(&appraisal) {
             self.event(
                 now,
                 "vnf_attestation_rejected",
@@ -1416,10 +1363,8 @@ impl VerificationManager {
         // this is where a trojaned VNF image (different enclave or CVM
         // code) — or known-good bytes presented through the wrong TEE —
         // is caught.
-        if !self
-            .trusted_enclaves
-            .contains_key(&(appraisal.backend, measurement))
-        {
+        let key = (appraisal.backend, measurement);
+        if !trust.read().enclaves.contains_key(&key) {
             self.event(
                 now,
                 "vnf_attestation_rejected",
@@ -2430,7 +2375,6 @@ impl std::fmt::Debug for VerificationManager {
         f.debug_struct("VerificationManager")
             .field("hosts", &self.hosts.len())
             .field("enrollments", &self.state().enrollments.len())
-            .field("trusted_enclaves", &self.trusted_enclaves.len())
             .finish_non_exhaustive()
     }
 }

@@ -47,8 +47,9 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use vnfguard_controller::SimClock;
-use vnfguard_net::fabric::Network;
+use vnfguard_net::fabric::{ListenerWaker, Network};
 use vnfguard_net::stream::Duplex;
 use vnfguard_store::wal::crc32;
 use vnfguard_store::{AppendObserver, ManagerState, StateStore, WalRecord};
@@ -287,10 +288,12 @@ impl StandbyProbe {
 /// A standby manager's replication endpoint: listens on the fabric,
 /// applies streamed records into its own sealed store, and answers acks.
 /// The applied log is what [`Testbed::promote`](crate::deployment::Testbed)
-/// recovers the next primary from.
+/// recovers the next primary from. Stops, unbinds its address and joins
+/// its accept thread on [`stop`](Self::stop) or drop.
 pub struct StandbyNode {
     shared: Arc<StandbyShared>,
-    network: Network,
+    waker: ListenerWaker,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl StandbyNode {
@@ -323,8 +326,9 @@ impl StandbyNode {
                 stop: false,
             }),
         });
+        let waker = listener.waker();
         let thread_shared = shared.clone();
-        std::thread::spawn(move || {
+        let accept = std::thread::spawn(move || {
             // One handler per connection: a half-dead primary's stalled
             // link must not block a reconnect, the promoted primary's new
             // link, or a zombie's doomed one. `handle` serializes all
@@ -356,7 +360,8 @@ impl StandbyNode {
         });
         Ok(StandbyNode {
             shared,
-            network: network.clone(),
+            waker,
+            accept: Some(accept),
         })
     }
 
@@ -412,11 +417,24 @@ impl StandbyNode {
     /// Stop the apply loop and release the address. Called on the chosen
     /// standby at promotion — the node stops being a replication sink and
     /// its store becomes the new primary's.
-    pub fn stop(&self) {
+    pub fn stop(mut self) {
+        self.shutdown();
+    }
+
+    fn shutdown(&mut self) {
         self.shared.inner.lock().stop = true;
-        // Wake the accept loop; the handshake connection is dropped
-        // immediately after.
-        let _ = self.network.connect(&self.shared.addr);
+        self.waker.wake();
+        // The accept thread owns the listener, so joining it also unbinds
+        // the address.
+        if let Some(thread) = self.accept.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for StandbyNode {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -37,7 +37,11 @@
 //! `prepare_vnf_enrollment`, `complete_vnf_enrollment`) take one
 //! `&mut dyn AttestationBackend`. An IAS handle is one (every
 //! `QuoteVerifier` is the SGX backend), and so are an SNP verifier and a
-//! `MultiBackend`; each enters the workflow the same way.
+//! `MultiBackend`; each enters the workflow the same way. They read the
+//! deployment's trust inputs, the whitelists and the host reference
+//! database, from the service's one [`Trust`], which no shard holds: a
+//! trust write takes no shard lock, and a recovered or promoted
+//! incarnation sees every entry made before it.
 //!
 //! Every method takes `&self` and reaches a shard only through one private
 //! accessor, which locks it for only as long as the manager call runs —
@@ -62,6 +66,7 @@ use crate::manager::{
 use crate::overload::{AdmissionController, Permit, Workclass};
 use crate::replication::ReplicationStatus;
 use crate::revocation::RevocationNotifier;
+use crate::trust::Trust;
 use crate::CoreError;
 use parking_lot::Mutex;
 use std::convert::identity;
@@ -106,6 +111,9 @@ pub struct VmService {
     /// so reading them never touches a shard.
     clock: SimClock,
     telemetry: Telemetry,
+    /// The deployment's trust inputs, shared by every clone of the handle
+    /// and lent to every shard's evidence workflows.
+    trust: Trust,
     admission: Option<Arc<AdmissionController>>,
     health: Option<HealthHandle>,
     /// Offline SEV-SNP appraiser for this deployment, if SNP hosts exist.
@@ -137,8 +145,9 @@ impl VmService {
 
     /// Rebuild a crashed manager from its sealed store (snapshot + WAL
     /// replay, key re-derivation, orphan resolution; see the recovery
-    /// invariants in DESIGN §8) and serve it as a single-shard service.
-    /// The store must not be written by anyone else from here on.
+    /// invariants in DESIGN §8) and serve it as a single-shard service
+    /// with empty trust inputs. The store must not be written by anyone
+    /// else from here on.
     pub fn recover(
         config: ManagerConfig,
         seed: &[u8],
@@ -152,15 +161,16 @@ impl VmService {
         Ok((VmService::single(vm), report))
     }
 
-    /// Wrap an already-constructed shard fleet. Shard 0 is the authority;
-    /// every manager must have been configured with
-    /// [`VerificationManager::set_shard`] for its position.
+    /// Wrap an already-constructed shard fleet, with empty trust inputs.
+    /// Shard 0 is the authority; every manager must have been configured
+    /// with [`VerificationManager::set_shard`] for its position.
     pub fn from_shards(shards: Vec<VerificationManager>) -> VmService {
         assert!(!shards.is_empty(), "a VmService needs at least one shard");
         VmService {
             clock: shards[0].clock().clone(),
             telemetry: shards[0].telemetry().clone(),
             shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
+            trust: Trust::default(),
             admission: None,
             health: None,
             snp: None,
@@ -476,7 +486,7 @@ impl VmService {
         evidence: &crate::attestation::HostEvidence,
     ) -> Result<Verdict, CoreError> {
         let verdict = self.call(0, |vm| {
-            vm.complete_host_attestation(backend, challenge_id, evidence)
+            vm.complete_host_attestation(&self.trust, backend, challenge_id, evidence)
         })?;
         self.sync_host_records();
         Ok(verdict)
@@ -539,6 +549,7 @@ impl VmService {
             Workclass::Enrollment,
             |vm| {
                 vm.complete_vnf_enrollment(
+                    &self.trust,
                     &mut *backend,
                     challenge_id,
                     quote_bytes,
@@ -570,6 +581,7 @@ impl VmService {
             Workclass::Enrollment,
             |vm| {
                 vm.prepare_vnf_enrollment(
+                    &self.trust,
                     &mut *backend,
                     challenge_id,
                     quote_bytes,
@@ -801,8 +813,11 @@ impl VmService {
     }
 
     // ---- Deployment trust inputs ------------------------------------------
+    //
+    // These write the service's one `Trust` and touch no shard, so they
+    // never wait behind a workflow or its WAL write.
 
-    /// Whitelist a credential-enclave measurement on every shard (any
+    /// Whitelist a credential-enclave measurement for every shard (any
     /// shard may be asked to enroll this VNF). SGX-scoped; see
     /// [`trust_enclave_for`](Self::trust_enclave_for).
     pub fn trust_enclave(&self, measurement: Measurement, label: &str) {
@@ -810,37 +825,42 @@ impl VmService {
     }
 
     /// Whitelist a workload measurement under a specific attestation
-    /// backend on every shard. Whitelists are backend-scoped: an SNP
-    /// launch measurement never satisfies an SGX enrollment or vice versa.
+    /// backend. Whitelists are backend-scoped: an SNP launch measurement
+    /// never satisfies an SGX enrollment or vice versa.
     pub fn trust_enclave_for(&self, backend: BackendKind, measurement: Measurement, label: &str) {
-        self.each_shard(|vm| vm.trust_enclave_for(backend, measurement, label));
+        let mut trust = self.trust.write();
+        trust
+            .enclaves
+            .insert((backend, measurement), label.to_string());
     }
 
-    /// Backend-scoped integrity-enclave whitelist entry on every shard.
+    /// Backend-scoped integrity-enclave whitelist entry.
     pub fn trust_integrity_enclave_for(
         &self,
         backend: BackendKind,
         measurement: Measurement,
         label: &str,
     ) {
-        self.each_shard(|vm| vm.trust_integrity_enclave_for(backend, measurement, label));
+        let mut trust = self.trust.write();
+        trust
+            .integrity_enclaves
+            .insert((backend, measurement), label.to_string());
     }
 
-    /// Override one backend's appraisal policy on every shard (policies
-    /// default to the TCB policy the managers were configured with).
-    pub fn set_backend_policy(
-        &self,
-        backend: BackendKind,
-        policy: vnfguard_attest::AppraisalPolicy,
-    ) {
-        self.each_shard(|vm| vm.set_backend_policy(backend, policy));
-    }
-
-    /// Allow a host file's content in every shard's reference database.
+    /// Allow a host file's content in the reference database.
     pub fn allow_reference_content(&self, path: &str, content: &[u8]) {
-        self.each_shard(|vm| {
-            vm.reference_db_mut().allow_content(path, content);
-        });
+        self.trust.write().reference_db.allow_content(path, content);
+    }
+
+    /// Swap `placeholder` in for shard `index`'s incarnation and serve the
+    /// one it replaces as a single-shard service over the same trust
+    /// inputs.
+    pub(crate) fn detach(&self, index: usize, placeholder: VerificationManager) -> VmService {
+        let detached = self.run(index, |slot| std::mem::replace(slot, placeholder));
+        VmService {
+            trust: self.trust.clone(),
+            ..VmService::single(detached)
+        }
     }
 
     // ---- Operator surface --------------------------------------------------

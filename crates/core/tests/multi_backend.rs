@@ -6,13 +6,15 @@
 
 use std::collections::HashMap;
 
-use vnfguard_attest::snp::SnpFault;
-use vnfguard_attest::BackendKind;
+use vnfguard_attest::snp::{normalize_measurement, SnpFault};
+use vnfguard_attest::{BackendKind, Measurement};
 use vnfguard_core::attestation::{host_evidence, host_report_data, HostEvidence};
+use vnfguard_core::backend::snp_vnf_measurement;
 use vnfguard_core::deployment::TestbedBuilder;
 use vnfguard_core::fleet::{fleet_json, render_cockpit};
 use vnfguard_core::remote::HostAgent;
 use vnfguard_pki::crl::RevocationReason;
+use vnfguard_vnf::VnfGuard;
 
 fn mixed_testbed(seed: &[u8]) -> vnfguard_core::deployment::Testbed {
     TestbedBuilder::new(seed)
@@ -91,27 +93,42 @@ fn recovery_restores_both_backend_whitelists() {
     for i in 0..4 {
         tb.attest_host(i).unwrap();
     }
+    // Each host's guard is whitelisted through the service under the
+    // host's backend, not through `deploy_guard`.
+    let mut pre = Vec::new();
     for i in 0..4 {
-        let guard = tb.deploy_guard(i, &format!("pre-{i}"), 1).unwrap();
+        let name = format!("pre-{i}");
+        let host = &tb.hosts[i];
+        let guard =
+            VnfGuard::load(&host.platform, &tb.network, &tb.enclave_author, &name, 1).unwrap();
+        let measurement = match host.backend {
+            BackendKind::SgxEpid => guard.mrenclave(),
+            BackendKind::SevSnp => Measurement(normalize_measurement(&snp_vnf_measurement(&name))),
+        };
+        tb.vm.trust_enclave_for(host.backend, measurement, &name);
         tb.enroll(i, &guard).unwrap();
+        pre.push(guard);
     }
 
     let report = tb.recover_vm().unwrap();
     assert!(report.replayed_records > 0);
 
     // Attestations are dropped by design; re-attesting uses the backend
-    // each host was built with, and the replayed trust log restores both
-    // backends' whitelists so fresh enrollments succeed on either side.
+    // each host was built with. The whitelists belong to the service, not
+    // to the incarnation, so both a guard whitelisted before the recovery
+    // and a fresh one enroll on either side.
     for i in [0usize, 3] {
         tb.attest_host(i).unwrap();
-        let guard = tb.deploy_guard(i, &format!("post-{i}"), 1).unwrap();
-        let certificate = tb.enroll(i, &guard).unwrap();
-        let record = tb
-            .vm
-            .enrollments()
-            .find(|e| e.serial == certificate.serial())
-            .unwrap();
-        assert_eq!(record.backend, tb.hosts[i].backend.as_u8());
+        let post = tb.deploy_guard(i, &format!("post-{i}"), 1).unwrap();
+        for guard in [&pre[i], &post] {
+            let certificate = tb.enroll(i, guard).unwrap();
+            let record = tb
+                .vm
+                .enrollments()
+                .find(|e| e.serial == certificate.serial())
+                .unwrap();
+            assert_eq!(record.backend, tb.hosts[i].backend.as_u8());
+        }
     }
 }
 

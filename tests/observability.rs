@@ -221,3 +221,29 @@ fn disabled_telemetry_keeps_the_workflow_silent() {
     assert_eq!(telemetry.render_prometheus(), "");
     assert!(testbed.vm.events().is_empty());
 }
+
+#[test]
+fn controller_tls_handshakes_are_measured_on_a_traced_testbed() {
+    let mut testbed = TestbedBuilder::new(b"observability tls")
+        .tracing(1.0)
+        .build();
+    testbed.attest_host(0).unwrap();
+    let mut guard = testbed.deploy_guard(0, "vnf-tls", 1).unwrap();
+    testbed.enroll(0, &guard).unwrap();
+    let session = testbed.open_session(&mut guard).unwrap();
+    // A request answered over the session means the server finished (and
+    // recorded) its side of the handshake.
+    guard
+        .request(session, &Request::get("/wm/core/health/json"))
+        .unwrap();
+    guard.close_session(session).unwrap();
+
+    let metrics = testbed.telemetry.metrics();
+    let server = metrics
+        .histogram_snapshot("vnfguard_tls_server_handshake_micros")
+        .expect("the controller's handshake was measured");
+    assert!(server.count() >= 1);
+    assert!(metrics
+        .counter_value("vnfguard_tls_handshakes_total")
+        .is_some_and(|handshakes| handshakes >= 1));
+}

@@ -206,6 +206,20 @@ fn a_primary_recovered_in_place_keeps_streaming_to_its_standbys() {
     }
 }
 
+/// A dropped testbed takes its standbys down with it: each one's accept
+/// loop ends and its fabric address is free again.
+#[test]
+fn a_dropped_testbed_releases_its_standby_addresses() {
+    let tb = TestbedBuilder::new(b"standby drop").replicas(1).build();
+    let network = tb.network.clone();
+    assert!(network.connect("vm-standby-0:7600").is_ok());
+    drop(tb);
+    assert!(
+        network.connect("vm-standby-0:7600").is_err(),
+        "a dropped standby still accepts connections"
+    );
+}
+
 /// Failover covers the authority shard alone, so a sharded testbed with
 /// standbys is refused at build time instead of losing its other shards
 /// at the first node loss.

@@ -80,8 +80,6 @@ fn faulted_crashed_enrollment_assembles_one_connected_trace() {
         .with_telemetry(&telemetry);
 
     // Host agent serving host-0's enclaves, with trace instrumentation.
-    // `deploy_guard` (not a bare `trust_enclave`) so the whitelist entry
-    // lands in the trust log and survives manager recovery.
     let guard = tb.deploy_guard(0, "vnf-traced", 1).unwrap();
     let guards = HashMap::from([("vnf-traced".to_string(), Arc::new(guard))]);
     let state = tb.take_agent_state(guards, Some(tb.vm.share_hmac_key()));
