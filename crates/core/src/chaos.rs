@@ -131,7 +131,7 @@ impl FleetView {
         let (states, hosts) = (0..vm.shard_count())
             .map(|shard| {
                 vm.run(shard, |m| {
-                    let mut hosts = m.host_records();
+                    let mut hosts = m.handshake().host_records();
                     hosts.sort_by(|a, b| a.host_id.cmp(&b.host_id));
                     let state = ManagerState {
                         generation: 0,

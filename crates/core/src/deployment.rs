@@ -1239,7 +1239,8 @@ impl Testbed {
         if role == Incarnation::Live {
             for host in &self.hosts {
                 if let Some(tpm) = &host.tpm {
-                    vm.register_host_tpm(&host.id, tpm.aik_public())?;
+                    vm.handshake()
+                        .register_host_tpm(&host.id, tpm.aik_public())?;
                 }
             }
             if let Some(plan) = &self.crash_plan {

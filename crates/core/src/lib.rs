@@ -27,8 +27,8 @@
 //!
 //! | Step | API |
 //! |---|---|
-//! | 1–2 host attestation via IAS | [`manager::VerificationManager::begin_host_attestation`] → [`attestation::host_evidence`] → [`manager::VerificationManager::complete_host_attestation`] |
-//! | 3–4 VNF enclave attestation via IAS | [`manager::VerificationManager::begin_vnf_attestation`] → [`manager::VerificationManager::complete_vnf_enrollment`] |
+//! | 1–2 host attestation via IAS | [`manager::Handshake::begin_host_attestation`] → [`attestation::host_evidence`] → [`manager::Handshake::complete_host_attestation`] |
+//! | 3–4 VNF enclave attestation via IAS | [`manager::Handshake::begin_vnf_attestation`] → [`manager::VerificationManager::complete_vnf_enrollment`] |
 //! | 5 credential provisioning | returned wrapped bundle → `VnfGuard::provision` |
 //! | 6 VNF ↔ controller TLS | `VnfGuard::open_session` / `request` |
 

@@ -11,9 +11,12 @@
 //! carries come from that state. Recovery is a replay into it.
 //!
 //! What the log does not carry stays outside it: the CA's keys, epoch,
-//! serial allocator and CRL number, host verdicts, challenges and the DRBG.
+//! serial allocator and CRL number, the DRBG, and the handshake part (the
+//! outstanding challenges, the challenge counter and the host verdicts).
 //! That is why a shard can adopt the authority's rotation and host records
-//! without journaling anything.
+//! without journaling anything. The handshake steps, Figure 1's steps 1–3,
+//! run on a [`Handshake`], a borrowed view of that part with no way to the
+//! journaled state, so the service lends it without a commit wait.
 
 use crate::attestation::{host_report_data, HostEvidence};
 use crate::crash::CrashPlan;
@@ -378,7 +381,9 @@ impl ManagerMetrics {
 pub(crate) struct CommitTicket {
     store: StateStore,
     lsn: Lsn,
-    journaled_at: Option<Instant>,
+    /// When the call first journaled and how many records it journaled;
+    /// `None` for a call that only waits for records others journaled.
+    journaled: Option<(Instant, usize)>,
     wal_append_micros: Histogram,
     telemetry: Telemetry,
     clock: SimClock,
@@ -411,19 +416,21 @@ pub(crate) struct PendingCommit {
 
 impl PendingCommit {
     /// Wait until the ticket's LSN is durable, inside a `wal_commit` span
-    /// annotated with the batch's record count, this caller's role (leader
-    /// or follower) and the device writes already in flight when the batch
-    /// was issued (0, or 1 when it overlapped the previous batch's write).
-    /// A call that journaled charges its
-    /// journal-to-durable time to `vnfguard_core_wal_append_micros`. A
-    /// failed commit is audited, so an operator sees the durability gap
-    /// even when the caller's signature cannot surface it.
+    /// annotated with the batch's record count, the records this caller
+    /// journaled itself (0 for a read barrier, a call that only waits for
+    /// others' records), this caller's role (leader or follower) and the
+    /// device writes already in flight when the batch was issued (0, or 1
+    /// when it overlapped the previous batch's write). A call that
+    /// journaled charges its journal-to-durable time to
+    /// `vnfguard_core_wal_append_micros`. A failed commit is audited, so
+    /// an operator sees the durability gap even when the caller's
+    /// signature cannot surface it.
     pub(crate) fn finish(self) -> Result<(), CoreError> {
         let PendingCommit { ticket, pending } = self;
         let telemetry = &ticket.telemetry;
         let span = telemetry.span("vm", "wal_commit", ticket.clock.now());
         let outcome = pending.finish();
-        if let Some(begun) = ticket.journaled_at {
+        if let Some((begun, _)) = ticket.journaled {
             ticket
                 .wal_append_micros
                 .record(begun.elapsed().as_micros() as u64);
@@ -432,7 +439,9 @@ impl PendingCommit {
         match &outcome {
             Ok(commit) if span.context().is_recording() => {
                 let role = if commit.leader { "leader" } else { "follower" };
+                let own = ticket.journaled.map_or(0, |(_, records)| records);
                 telemetry.annotate(now, "batch_records", &commit.batch_records.to_string());
+                telemetry.annotate(now, "own_records", &own.to_string());
                 telemetry.annotate(now, "role", role);
                 telemetry.annotate(now, "in_flight", &commit.in_flight.to_string());
             }
@@ -547,17 +556,17 @@ pub const DEFAULT_ORPHAN_GRACE_SECS: u64 = 300;
 /// methods read it implicitly, and no workflow takes an explicit instant.
 /// The whitelists and the host reference database are not the manager's:
 /// the evidence workflows read the deployment's [`Trust`], which the
-/// service lends them.
+/// service lends them. The host handshake and the VNF challenge are
+/// [`Handshake`] methods (see [`handshake`](Self::handshake)).
 pub struct VerificationManager {
     config: ManagerConfig,
     ca: CertificateAuthority,
     rng: HmacDrbg,
-    hosts: HashMap<String, HostRecord>,
     /// Enrollments, pending enrollments and revocations: the fold of every
     /// record this manager journaled, and of the log it recovered from.
     journaled: JournaledState,
-    challenges: HashMap<u64, Challenge>,
-    next_challenge: u64,
+    /// Challenges and host verdicts, which no journal carries.
+    handshake: HandshakeState,
     clock: SimClock,
     telemetry: Telemetry,
     metrics: ManagerMetrics,
@@ -581,14 +590,9 @@ pub struct VerificationManager {
     rotation_drain_deadline: Option<u64>,
     /// Crash-point injection schedule (tests only in practice).
     crash_plan: Option<CrashPlan>,
-    /// Set once a crash point fires: the site name. A crashed manager
-    /// refuses every further workflow call.
-    crashed: Option<String>,
+    liveness: Liveness,
     /// Outcome of the recovery pass that produced this incarnation.
     last_recovery: Option<RecoveryReport>,
-    /// Primary-side replication handle (also installed as the store's
-    /// append observer); `None` runs unreplicated.
-    replication: Option<ReplicaSet>,
     /// The shard count of the deployment this manager belongs to.
     shard_count: u32,
     /// Per-serial next-attempt state for renewals the serving layer
@@ -606,6 +610,76 @@ pub struct VerificationManager {
 struct RenewalBackoff {
     attempts: u32,
     next_attempt_at: u64,
+}
+
+/// A manager's handshake part: the outstanding challenges, the challenge
+/// counter and the host trust records. No journal carries any of it (a new
+/// incarnation starts with none, and hosts re-attest), so the steps that
+/// touch only this part never wait for a WAL write.
+struct HandshakeState {
+    challenges: HashMap<u64, Challenge>,
+    next_challenge: u64,
+    hosts: HashMap<String, HostRecord>,
+}
+
+impl HandshakeState {
+    fn new() -> HandshakeState {
+        HandshakeState {
+            challenges: HashMap::new(),
+            next_challenge: 1,
+            hosts: HashMap::new(),
+        }
+    }
+
+    /// Consume challenge `id`: a challenge answers once, and only within
+    /// its lifetime.
+    fn take_challenge(&mut self, id: u64, now: u64) -> Result<Challenge, CoreError> {
+        let challenge = self
+            .challenges
+            .remove(&id)
+            .ok_or_else(|| CoreError::BadChallenge(format!("unknown challenge {id}")))?;
+        if now > challenge.issued_at + CHALLENGE_LIFETIME_SECS {
+            return Err(CoreError::BadChallenge(format!("challenge {id} expired")));
+        }
+        Ok(challenge)
+    }
+
+    fn host_is_trusted(&self, host_id: &str, now: u64) -> bool {
+        self.hosts.get(host_id).is_some_and(|record| {
+            record.verdict.is_trusted() && now <= record.attested_at + HOST_FRESHNESS_SECS
+        })
+    }
+}
+
+/// Whether a manager answers at all.
+#[derive(Default)]
+struct Liveness {
+    /// Set once a crash point fires (or a halt): the site name. A crashed
+    /// manager refuses every further workflow call.
+    crashed: Option<String>,
+    /// Primary-side replication handle (also installed as the store's
+    /// append observer); `None` runs unreplicated.
+    replication: Option<ReplicaSet>,
+}
+
+impl Liveness {
+    /// A crashed manager answers nothing until recovered; a fenced one —
+    /// deposed by a promoted standby at a higher replication epoch —
+    /// answers nothing ever again (its timeline is dead).
+    fn check(&self) -> Result<(), CoreError> {
+        if let Some(site) = &self.crashed {
+            return Err(CoreError::VmCrashed(site.clone()));
+        }
+        if let Some(replication) = &self.replication {
+            if replication.is_fenced() {
+                return Err(CoreError::ServiceUnavailable(format!(
+                    "manager fenced: a newer primary holds a replication epoch above {}",
+                    replication.epoch()
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Serial-number span reserved per shard: shard `i` allocates serials in
@@ -651,10 +725,8 @@ impl VerificationManager {
             config,
             ca,
             rng,
-            hosts: HashMap::new(),
             journaled: JournaledState::new(ManagerState::default(), None),
-            challenges: HashMap::new(),
-            next_challenge: 1,
+            handshake: HandshakeState::new(),
             clock,
             telemetry,
             metrics,
@@ -665,9 +737,8 @@ impl VerificationManager {
             crl_folded: 0,
             rotation_drain_deadline: None,
             crash_plan: None,
-            crashed: None,
+            liveness: Liveness::default(),
             last_recovery: None,
-            replication: None,
             shard_count: 1,
             renewal_backoff: HashMap::new(),
         }
@@ -696,7 +767,8 @@ impl VerificationManager {
         }
         self.ca
             .restore_issuance(u64::from(index) * SHARD_SERIAL_SPAN, 0);
-        self.next_challenge = self
+        self.handshake.next_challenge = self
+            .handshake
             .next_challenge
             .max(u64::from(index) * SHARD_CHALLENGE_SPAN + 1);
         self.rng
@@ -771,27 +843,19 @@ impl VerificationManager {
         self.hmac_key
     }
 
-    /// Register a host's TPM AIK (the §4 extension).
-    pub fn register_host_tpm(
-        &mut self,
-        host_id: &str,
-        aik: vnfguard_crypto::ed25519::VerifyingKey,
-    ) -> Result<(), CoreError> {
-        self.ensure_alive()?;
-        let now = self.clock.now();
-        let record = self.hosts.entry(host_id.to_string()).or_insert(HostRecord {
-            host_id: host_id.to_string(),
-            verdict: Verdict::UnknownComponents,
-            attested_at: 0,
-            iml_entries: 0,
-            // Placeholder until the host actually attests; the record is
-            // untrusted (UnknownComponents) so the value never gates anything.
-            backend: BackendKind::SgxEpid,
-            tpm_aik: None,
-        });
-        record.tpm_aik = Some(aik);
-        self.event(now, "tpm_registered", host_id);
-        Ok(())
+    /// The handshake steps: a view of the challenges and host records that
+    /// borrows the DRBG, clock, configuration, metrics, telemetry and
+    /// liveness check with them, and nothing journaled.
+    pub fn handshake(&mut self) -> Handshake<'_> {
+        Handshake {
+            part: &mut self.handshake,
+            rng: &mut self.rng,
+            clock: &self.clock,
+            config: &self.config,
+            metrics: &self.metrics,
+            telemetry: &self.telemetry,
+            liveness: &self.liveness,
+        }
     }
 
     fn event(&self, time: u64, kind: &str, detail: &str) {
@@ -822,22 +886,24 @@ impl VerificationManager {
         Ok(())
     }
 
-    /// What the caller must wait for before answering: the store's
-    /// appended LSN, which covers this call's records and every record it
-    /// could have observed. `None` without a store, or when everything
-    /// appended is already durable and this call journaled nothing. Takes
-    /// the call's journal start time with it.
+    /// What a call that may have read or written journaled state must wait
+    /// for before answering: the store's appended LSN, which covers this
+    /// call's records and every record it could have observed. `None`
+    /// without a store, or when everything appended is already durable and
+    /// this call journaled nothing. Takes the call's journal start time and
+    /// record count with it. A [`Handshake`] step takes no ticket: it
+    /// observes nothing journaled.
     pub(crate) fn commit_ticket(&mut self) -> Option<CommitTicket> {
-        let journaled_at = self.journaled.take_journaled_at();
+        let journaled = self.journaled.take_journaled();
         let store = self.journaled.store()?;
         let lsn = store.appended_lsn();
-        if journaled_at.is_none() && store.is_durable(lsn) {
+        if journaled.is_none() && store.is_durable(lsn) {
             return None;
         }
         Some(CommitTicket {
             store: store.clone(),
             lsn,
-            journaled_at,
+            journaled,
             wal_append_micros: self.metrics.wal_append_micros.clone(),
             telemetry: self.telemetry.clone(),
             clock: self.clock.clone(),
@@ -853,7 +919,7 @@ impl VerificationManager {
             .as_ref()
             .is_some_and(|plan| plan.fires(site));
         if fired {
-            self.crashed = Some(site.to_string());
+            self.liveness.crashed = Some(site.to_string());
             self.event(self.clock.now(), "vm_crashed", site);
             // Stitch the crash onto the current trace and remember the
             // context so the recovery pass (a new manager incarnation
@@ -864,24 +930,6 @@ impl VerificationManager {
                 .trace_annotate(&ctx, self.clock.now(), "crash", site);
             self.telemetry.traces().set_crash_scope(ctx);
             return Err(CoreError::VmCrashed(site.to_string()));
-        }
-        Ok(())
-    }
-
-    /// A crashed manager answers nothing until recovered; a fenced one —
-    /// deposed by a promoted standby at a higher replication epoch —
-    /// answers nothing ever again (its timeline is dead).
-    fn ensure_alive(&self) -> Result<(), CoreError> {
-        if let Some(site) = &self.crashed {
-            return Err(CoreError::VmCrashed(site.clone()));
-        }
-        if let Some(replication) = &self.replication {
-            if replication.is_fenced() {
-                return Err(CoreError::ServiceUnavailable(format!(
-                    "manager fenced: a newer primary holds a replication epoch above {}",
-                    replication.epoch()
-                )));
-            }
         }
         Ok(())
     }
@@ -918,7 +966,7 @@ impl VerificationManager {
 
     /// The crash site that killed this manager, if a crash point fired.
     pub fn crashed_site(&self) -> Option<&str> {
-        self.crashed.as_deref()
+        self.liveness.crashed.as_deref()
     }
 
     /// Attach the primary-side replication handle. The same [`ReplicaSet`]
@@ -926,20 +974,20 @@ impl VerificationManager {
     /// this hook only gives the manager fencing awareness and the
     /// `GET /vm/replication` surface.
     pub fn with_replication(&mut self, replication: ReplicaSet) {
-        self.replication = Some(replication);
+        self.liveness.replication = Some(replication);
     }
 
     /// The primary-side replication handle, for callers that stream
     /// (heartbeats) or wait on its lock (status) outside the shard lock.
     pub(crate) fn replica_set(&self) -> Option<ReplicaSet> {
-        self.replication.clone()
+        self.liveness.replication.clone()
     }
 
     /// Kill this incarnation in place (node-loss injection): every later
     /// call fails [`CoreError::VmCrashed`], exactly as if a crash point
     /// fired. The WAL and the standbys keep what was already journaled.
     pub fn halt(&mut self, reason: &str) {
-        self.crashed = Some(reason.to_string());
+        self.liveness.crashed = Some(reason.to_string());
         self.event(self.clock.now(), "vm_halted", reason);
     }
 
@@ -953,220 +1001,8 @@ impl VerificationManager {
         self.telemetry.journal().events()
     }
 
-    pub fn host_record(&self, host_id: &str) -> Option<&HostRecord> {
-        self.hosts.get(host_id)
-    }
-
-    /// Every host trust record this manager holds (the service layer
-    /// propagates these to non-authority shards after attestations, so
-    /// shard-local enrollment checks see the authority's verdicts).
-    pub fn host_records(&self) -> Vec<HostRecord> {
-        self.hosts.values().cloned().collect()
-    }
-
     pub fn enrollments(&self) -> impl Iterator<Item = &EnrollmentEntry> {
         self.state().enrollments.values()
-    }
-
-    fn new_challenge(&mut self, subject: ChallengeSubject, now: u64) -> Challenge {
-        let id = self.next_challenge;
-        self.next_challenge += 1;
-        let challenge = Challenge {
-            id,
-            nonce: self.rng.gen_array::<32>(),
-            issued_at: now,
-            subject,
-        };
-        self.challenges.insert(id, challenge.clone());
-        self.metrics.challenges.inc();
-        challenge
-    }
-
-    fn take_challenge(&mut self, id: u64, now: u64) -> Result<Challenge, CoreError> {
-        let challenge = self
-            .challenges
-            .remove(&id)
-            .ok_or_else(|| CoreError::BadChallenge(format!("unknown challenge {id}")))?;
-        if now > challenge.issued_at + CHALLENGE_LIFETIME_SECS {
-            return Err(CoreError::BadChallenge(format!("challenge {id} expired")));
-        }
-        Ok(challenge)
-    }
-
-    // ---- Steps 1–2: host attestation -------------------------------------
-
-    /// Step 1: initiate remote attestation of a container host.
-    pub fn begin_host_attestation(&mut self, host_id: &str) -> Result<Challenge, CoreError> {
-        self.ensure_alive()?;
-        let now = self.clock.now();
-        self.event(now, "host_attestation_started", host_id);
-        Ok(self.new_challenge(
-            ChallengeSubject::Host {
-                host_id: host_id.to_string(),
-            },
-            now,
-        ))
-    }
-
-    /// Step 2: verify the evidence with the backend's verifier (IAS for
-    /// SGX, the offline VCEK chain for SNP), check its integrity
-    /// measurement against `trust` and appraise the measurement list
-    /// against `trust`'s reference database.
-    pub fn complete_host_attestation(
-        &mut self,
-        trust: &Trust,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        evidence: &HostEvidence,
-    ) -> Result<Verdict, CoreError> {
-        let now = self.clock.now();
-        let result = {
-            let _span = self
-                .span("host_attestation", now)
-                .with_histogram(self.metrics.host_attestation_micros.clone());
-            self.host_attestation_inner(trust, backend, challenge_id, evidence, now)
-        };
-        match &result {
-            Ok(_) => self.metrics.host_attestations.inc(),
-            Err(_) => self.metrics.host_attestation_failures.inc(),
-        }
-        result
-    }
-
-    fn host_attestation_inner(
-        &mut self,
-        trust: &Trust,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        evidence: &HostEvidence,
-        now: u64,
-    ) -> Result<Verdict, CoreError> {
-        self.ensure_alive()?;
-        let challenge = self.take_challenge(challenge_id, now)?;
-        let ChallengeSubject::Host { host_id } = challenge.subject.clone() else {
-            return Err(CoreError::BadChallenge(
-                "challenge is not a host challenge".into(),
-            ));
-        };
-
-        // Backend verification of the evidence: signature chains,
-        // revocation collateral, TCB status. (The span keeps the name
-        // "ias_verify" from the single-TEE days — renaming would orphan
-        // every stored trace comparison.)
-        // A remote backend's round-trips run under this step's span, so
-        // its retry attempts and server spans chain under it.
-        let verify_span = self.span("ias_verify", now);
-        let appraised = backend
-            .appraise(&evidence.quote, &challenge.nonce)
-            .map_err(|e| CoreError::AttestationFailed(e.to_string()));
-        drop(verify_span);
-        let appraisal = match appraised {
-            Ok(appraisal) => appraisal,
-            Err(e) => {
-                self.event(now, "host_attestation_rejected", &format!("{host_id}: {e}"));
-                return Err(e);
-            }
-        };
-        if let Err(reason) = self.config.tcb_policy.backend_policy().check(&appraisal) {
-            self.event(
-                now,
-                "host_attestation_rejected",
-                &format!("{host_id}: {reason}"),
-            );
-            return Err(CoreError::AttestationFailed(reason));
-        }
-        let measurement = Measurement(appraisal.measurement);
-        let key = (appraisal.backend, measurement);
-        if !trust.read().integrity_enclaves.contains_key(&key) {
-            self.event(
-                now,
-                "host_attestation_rejected",
-                &format!("{host_id}: unknown enclave"),
-            );
-            return Err(CoreError::AttestationFailed(format!(
-                "integrity measurement {measurement} not whitelisted for backend {}",
-                appraisal.backend
-            )));
-        }
-
-        // The evidence must bind exactly the measurement list we received.
-        let expected = host_report_data(&evidence.iml, &challenge.nonce);
-        if appraisal.report_data != expected {
-            return Err(CoreError::AttestationFailed(
-                "quote does not bind the transmitted measurement list".into(),
-            ));
-        }
-
-        // Appraise the list.
-        let appraise_span = self.span("appraise", now);
-        let list = evidence.measurement_list()?;
-        let result = trust.read().reference_db.appraise(&list, &HOST_APPRAISAL);
-        drop(appraise_span);
-
-        // §4 extension: check the TPM anchor if required/available.
-        if self.config.require_tpm || evidence.tpm_quote.is_some() {
-            let _tpm_span = self.span("tpm_check", now);
-            let aik = self
-                .hosts
-                .get(&host_id)
-                .and_then(|h| h.tpm_aik)
-                .ok_or_else(|| {
-                    CoreError::AttestationFailed(format!("no TPM AIK registered for {host_id}"))
-                })?;
-            let quote = evidence.parsed_tpm_quote()?.ok_or_else(|| {
-                CoreError::AttestationFailed("TPM quote required but absent".into())
-            })?;
-            quote
-                .verify(&aik, &challenge.nonce)
-                .map_err(|e| CoreError::AttestationFailed(e.to_string()))?;
-            if quote.pcr_index != IMA_PCR {
-                return Err(CoreError::AttestationFailed("wrong PCR index".into()));
-            }
-            if quote.pcr_value != list.aggregate() {
-                self.event(
-                    now,
-                    "host_attestation_rejected",
-                    &format!("{host_id}: TPM/IML divergence"),
-                );
-                return Err(CoreError::AttestationFailed(
-                    "measurement list does not match the TPM-anchored aggregate".into(),
-                ));
-            }
-        }
-
-        let verdict = result.verdict;
-        let previous_aik = self.hosts.get(&host_id).and_then(|h| h.tpm_aik);
-        self.hosts.insert(
-            host_id.clone(),
-            HostRecord {
-                host_id: host_id.clone(),
-                verdict,
-                attested_at: now,
-                iml_entries: result.entries,
-                backend: appraisal.backend,
-                tpm_aik: previous_aik,
-            },
-        );
-        self.metrics.host_attestations_by_backend[appraisal.backend.as_u8() as usize].inc();
-        self.event(
-            now,
-            if verdict.is_trusted() {
-                "host_attested"
-            } else {
-                "host_untrusted"
-            },
-            &format!("{host_id}: {verdict:?}"),
-        );
-        Ok(verdict)
-    }
-
-    fn host_is_trusted(&self, host_id: &str, now: u64) -> bool {
-        match self.hosts.get(host_id) {
-            Some(record) => {
-                record.verdict.is_trusted() && now <= record.attested_at + HOST_FRESHNESS_SECS
-            }
-            None => false,
-        }
     }
 
     /// Graceful degradation: answer a host-trust query from the cached
@@ -1178,14 +1014,14 @@ impl VerificationManager {
     /// evidence.
     pub fn degraded_host_verdict(&mut self, host_id: &str) -> Result<Verdict, CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         if !self.config.degraded_verdicts {
             return Err(CoreError::ServiceUnavailable(format!(
                 "attestation service unreachable and degraded verdicts are disabled \
                  (host {host_id})"
             )));
         }
-        let record = self.hosts.get(host_id).ok_or_else(|| {
+        let record = self.handshake.hosts.get(host_id).ok_or_else(|| {
             CoreError::ServiceUnavailable(format!(
                 "attestation service unreachable and host {host_id} has no cached verdict"
             ))
@@ -1215,38 +1051,7 @@ impl VerificationManager {
         Ok(verdict)
     }
 
-    // ---- Steps 3–5: VNF attestation and enrollment ------------------------
-
-    /// Step 3: initiate attestation of a VNF credential enclave. Fails
-    /// unless the hosting platform has a fresh, trusted attestation — the
-    /// paper's "the protocol continues only if the host is considered
-    /// trustworthy following the appraisal".
-    pub fn begin_vnf_attestation(
-        &mut self,
-        host_id: &str,
-        vnf_name: &str,
-    ) -> Result<Challenge, CoreError> {
-        self.ensure_alive()?;
-        let now = self.clock.now();
-        if !self.host_is_trusted(host_id, now) {
-            self.event(
-                now,
-                "vnf_attestation_refused",
-                &format!("{vnf_name}: host {host_id} untrusted"),
-            );
-            return Err(CoreError::WorkflowViolation(format!(
-                "host {host_id} has no fresh trusted attestation"
-            )));
-        }
-        self.event(now, "vnf_attestation_started", vnf_name);
-        Ok(self.new_challenge(
-            ChallengeSubject::Vnf {
-                host_id: host_id.to_string(),
-                vnf_name: vnf_name.to_string(),
-            },
-            now,
-        ))
-    }
+    // ---- Steps 4–5: VNF enrollment ----------------------------------------
 
     /// Steps 4–5: verify the enclave quote via IAS, then issue credentials
     /// for the attested enclave's provisioning key.
@@ -1324,15 +1129,15 @@ impl VerificationManager {
         let _span = self
             .span("vnf_enrollment", now)
             .with_histogram(self.metrics.enrollment_micros.clone());
-        self.ensure_alive()?;
-        let challenge = self.take_challenge(challenge_id, now)?;
+        self.liveness.check()?;
+        let challenge = self.handshake.take_challenge(challenge_id, now)?;
         let ChallengeSubject::Vnf { host_id, vnf_name } = challenge.subject.clone() else {
             return Err(CoreError::BadChallenge(
                 "challenge is not a VNF challenge".into(),
             ));
         };
         // Host trust may have been revoked between steps.
-        if !self.host_is_trusted(&host_id, now) {
+        if !self.handshake.host_is_trusted(&host_id, now) {
             return Err(CoreError::WorkflowViolation(format!(
                 "host {host_id} lost trust during enrollment"
             )));
@@ -1465,7 +1270,7 @@ impl VerificationManager {
     /// promote the pending record to an established enrollment.
     pub fn commit_vnf_enrollment(&mut self, serial: u64) -> Result<(), CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let pending = self.pending_enrollment(serial)?;
         let (vnf_name, backend) = (pending.vnf_name.clone(), backend_of(pending.backend));
         self.journal(&[WalRecord::EnrollmentCommitted { serial, at: now }])?;
@@ -1489,7 +1294,7 @@ impl VerificationManager {
     /// except for the audit trail and the CRL entry.
     pub fn abort_vnf_enrollment(&mut self, serial: u64, reason: &str) -> Result<(), CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let vnf_name = self.pending_enrollment(serial)?.vnf_name.clone();
         self.journal(&[WalRecord::EnrollmentAborted {
             serial,
@@ -1518,7 +1323,7 @@ impl VerificationManager {
     /// abort. A TTL of `0` disables the sweep. Returns how many expired.
     pub fn sweep_pending_enrollments(&mut self) -> Result<usize, CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let ttl = self.config.pending_enrollment_ttl_secs;
         if ttl == 0 {
             return Ok(0);
@@ -1715,7 +1520,7 @@ impl VerificationManager {
         reason: RevocationReason,
     ) -> Result<(), CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         if !self.state().enrollments.contains_key(&serial) {
             return Err(CoreError::WorkflowViolation(format!(
                 "no enrollment with serial {serial}"
@@ -1738,7 +1543,7 @@ impl VerificationManager {
     /// skips the serials already revoked. The host loses its trusted status
     /// only once every revocation is journaled.
     pub fn revoke_host(&mut self, host_id: &str) -> Result<usize, CoreError> {
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let now = self.clock.now();
         let serials: Vec<u64> = self
             .enrollments()
@@ -1748,7 +1553,7 @@ impl VerificationManager {
         for serial in &serials {
             self.revoke_credential(*serial, RevocationReason::PlatformCompromise)?;
         }
-        if let Some(record) = self.hosts.get_mut(host_id) {
+        if let Some(record) = self.handshake.hosts.get_mut(host_id) {
             record.verdict = Verdict::Mismatch;
         }
         self.event(
@@ -1801,7 +1606,7 @@ impl VerificationManager {
     /// reject replayed revocation data.
     pub fn issue_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         self.journal(&[WalRecord::CrlIssued {
             number: self.ca.crl_number() + 1,
             at: now,
@@ -1840,7 +1645,7 @@ impl VerificationManager {
     /// manager's revision) and then issues instead.
     pub fn latest_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
-        self.ensure_alive()?;
+        self.liveness.check()?;
         match &self.last_crl {
             Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
             _ => self.issue_crl(extra),
@@ -1874,7 +1679,8 @@ impl VerificationManager {
     //
     // In a sharded deployment the CA key, the CRL number and the rotation
     // epoch are owned by the authority shard (shard 0); non-authority
-    // shards adopt its decisions through the methods below. Adoption writes
+    // shards adopt its rotations through the method below, and its host
+    // records through [`Handshake::adopt_host_record`]. Adoption writes
     // no journaled state: authority decisions appear only in the
     // authority's WAL, and recovery re-adopts from the authority's
     // replayed state.
@@ -1892,7 +1698,7 @@ impl VerificationManager {
         cross_serial: u64,
         rotated_at: u64,
     ) -> Result<(), CoreError> {
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let current = self.ca.epoch() as u64;
         if epoch <= current {
             return Ok(());
@@ -1912,14 +1718,6 @@ impl VerificationManager {
             &format!("epoch {epoch} from authority shard"),
         );
         Ok(())
-    }
-
-    /// Adopt a host trust record decided by the authority shard (which
-    /// runs all host attestation). Verdicts are volatile evidence — like
-    /// the authority's own host table they are not journaled and do not
-    /// survive recovery.
-    pub fn adopt_host_record(&mut self, record: HostRecord) {
-        self.hosts.insert(record.host_id.clone(), record);
     }
 
     // ---- Credential lifecycle ---------------------------------------------
@@ -1950,7 +1748,7 @@ impl VerificationManager {
     }
 
     fn rotate_ca_inner(&mut self, now: u64) -> Result<CaRotation, CoreError> {
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let epoch = self.ca.epoch() as u64 + 1;
         self.journal(&[WalRecord::CaRotationPrepared { epoch, at: now }])?;
         self.crash_point("rotation.prepare")?;
@@ -2045,7 +1843,7 @@ impl VerificationManager {
         controller_cn: &str,
         now: u64,
     ) -> Result<Mint, CoreError> {
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let old = self
             .state()
             .enrollments
@@ -2078,7 +1876,7 @@ impl VerificationManager {
                  of serial {serial}; full re-attestation required"
             )));
         }
-        if !self.host_is_trusted(&old.host_id, now) {
+        if !self.handshake.host_is_trusted(&old.host_id, now) {
             self.event(
                 now,
                 "renewal_refused",
@@ -2097,7 +1895,7 @@ impl VerificationManager {
         // different technology is a different trust story, so the renewal
         // falls back to the full protocol.
         let backend = backend_of(old.backend);
-        let host_backend = self.hosts.get(&old.host_id).map(|h| h.backend);
+        let host_backend = self.handshake.hosts.get(&old.host_id).map(|h| h.backend);
         if host_backend != Some(backend) {
             self.event(
                 now,
@@ -2341,7 +2139,7 @@ impl VerificationManager {
         public_key: vnfguard_crypto::ed25519::VerifyingKey,
         profile: &IssueProfile,
     ) -> Result<Certificate, CoreError> {
-        self.ensure_alive()?;
+        self.liveness.check()?;
         let now = self.clock.now();
         let certificate = self.ca.issue(
             DistinguishedName::new(cn).with_org(MANAGER_NAME),
@@ -2370,10 +2168,339 @@ impl VerificationManager {
     }
 }
 
+/// A borrowed view of a manager's handshake part: Figure 1's steps 1–3
+/// (challenge a host, appraise its evidence, challenge a VNF's enclave),
+/// TPM registration and the host records. From
+/// [`VerificationManager::handshake`].
+///
+/// The view borrows the part with the DRBG that draws challenge nonces,
+/// the clock, the configuration, the metrics, the telemetry and the
+/// liveness check. It has no way to the journaled state, the CA or the CRL
+/// cache, so a handshake step neither journals nor reads what a journal
+/// carries, and no WAL write can hold its answer back:
+/// [`VmService`](crate::service::VmService) lends it without a commit
+/// wait.
+///
+/// ```
+/// use vnfguard_core::manager::{Handshake, HostRecord};
+///
+/// fn verdict(handshake: &Handshake<'_>, host_id: &str) -> Option<HostRecord> {
+///     handshake.host_record(host_id).cloned()
+/// }
+/// ```
+///
+/// A handshake step cannot reach an enrollment:
+///
+/// ```compile_fail
+/// use vnfguard_core::manager::Handshake;
+///
+/// fn enrolled(handshake: &Handshake<'_>) -> usize {
+///     handshake.enrollments().count()
+/// }
+/// ```
+pub struct Handshake<'a> {
+    part: &'a mut HandshakeState,
+    rng: &'a mut HmacDrbg,
+    clock: &'a SimClock,
+    config: &'a ManagerConfig,
+    metrics: &'a ManagerMetrics,
+    telemetry: &'a Telemetry,
+    liveness: &'a Liveness,
+}
+
+impl Handshake<'_> {
+    fn span(&self, name: &str, now: u64) -> SpanGuard {
+        self.telemetry.span("vm", name, now)
+    }
+
+    fn event(&self, time: u64, kind: &str, detail: &str) {
+        self.telemetry.event(time, kind, detail);
+    }
+
+    /// Draw a challenge, dropping every one whose lifetime ran out: an
+    /// abandoned handshake's challenge outlives it by at most that long.
+    fn new_challenge(&mut self, subject: ChallengeSubject, now: u64) -> Challenge {
+        self.part
+            .challenges
+            .retain(|_, c| now <= c.issued_at.saturating_add(CHALLENGE_LIFETIME_SECS));
+        let id = self.part.next_challenge;
+        self.part.next_challenge += 1;
+        let challenge = Challenge {
+            id,
+            nonce: self.rng.gen_array::<32>(),
+            issued_at: now,
+            subject,
+        };
+        self.part.challenges.insert(id, challenge.clone());
+        self.metrics.challenges.inc();
+        challenge
+    }
+
+    /// Drop challenge `id` unanswered, if it is still outstanding: the
+    /// orchestration calls this when a handshake fails after its challenge
+    /// was issued.
+    pub(crate) fn withdraw_challenge(&mut self, id: u64) {
+        self.part.challenges.remove(&id);
+    }
+
+    /// Challenges issued and neither answered, withdrawn nor expired.
+    #[cfg(test)]
+    pub(crate) fn outstanding_challenges(&self) -> usize {
+        self.part.challenges.len()
+    }
+
+    /// Register a host's TPM AIK (the §4 extension).
+    pub fn register_host_tpm(
+        &mut self,
+        host_id: &str,
+        aik: vnfguard_crypto::ed25519::VerifyingKey,
+    ) -> Result<(), CoreError> {
+        self.liveness.check()?;
+        let now = self.clock.now();
+        let record = self
+            .part
+            .hosts
+            .entry(host_id.to_string())
+            .or_insert(HostRecord {
+                host_id: host_id.to_string(),
+                verdict: Verdict::UnknownComponents,
+                attested_at: 0,
+                iml_entries: 0,
+                // Placeholder until the host actually attests; the record is
+                // untrusted (UnknownComponents) so the value never gates anything.
+                backend: BackendKind::SgxEpid,
+                tpm_aik: None,
+            });
+        record.tpm_aik = Some(aik);
+        self.event(now, "tpm_registered", host_id);
+        Ok(())
+    }
+
+    pub fn host_record(&self, host_id: &str) -> Option<&HostRecord> {
+        self.part.hosts.get(host_id)
+    }
+
+    /// Every host trust record this manager holds (the service layer
+    /// propagates these to non-authority shards after attestations, so
+    /// shard-local enrollment checks see the authority's verdicts).
+    pub fn host_records(&self) -> Vec<HostRecord> {
+        self.part.hosts.values().cloned().collect()
+    }
+
+    /// Adopt a host trust record decided by the authority shard (which
+    /// runs all host attestation). Verdicts are volatile evidence — like
+    /// the authority's own host table they are not journaled and do not
+    /// survive recovery.
+    pub fn adopt_host_record(&mut self, record: HostRecord) {
+        self.part.hosts.insert(record.host_id.clone(), record);
+    }
+
+    // ---- Steps 1–2: host attestation -------------------------------------
+
+    /// Step 1: initiate remote attestation of a container host.
+    pub fn begin_host_attestation(&mut self, host_id: &str) -> Result<Challenge, CoreError> {
+        self.liveness.check()?;
+        let now = self.clock.now();
+        self.event(now, "host_attestation_started", host_id);
+        Ok(self.new_challenge(
+            ChallengeSubject::Host {
+                host_id: host_id.to_string(),
+            },
+            now,
+        ))
+    }
+
+    /// Step 2: verify the evidence with the backend's verifier (IAS for
+    /// SGX, the offline VCEK chain for SNP), check its integrity
+    /// measurement against `trust` and appraise the measurement list
+    /// against `trust`'s reference database.
+    pub fn complete_host_attestation(
+        &mut self,
+        trust: &Trust,
+        backend: &mut dyn AttestationBackend,
+        challenge_id: u64,
+        evidence: &HostEvidence,
+    ) -> Result<Verdict, CoreError> {
+        let now = self.clock.now();
+        let result = {
+            let _span = self
+                .span("host_attestation", now)
+                .with_histogram(self.metrics.host_attestation_micros.clone());
+            self.host_attestation_inner(trust, backend, challenge_id, evidence, now)
+        };
+        match &result {
+            Ok(_) => self.metrics.host_attestations.inc(),
+            Err(_) => self.metrics.host_attestation_failures.inc(),
+        }
+        result
+    }
+
+    fn host_attestation_inner(
+        &mut self,
+        trust: &Trust,
+        backend: &mut dyn AttestationBackend,
+        challenge_id: u64,
+        evidence: &HostEvidence,
+        now: u64,
+    ) -> Result<Verdict, CoreError> {
+        self.liveness.check()?;
+        let challenge = self.part.take_challenge(challenge_id, now)?;
+        let ChallengeSubject::Host { host_id } = challenge.subject.clone() else {
+            return Err(CoreError::BadChallenge(
+                "challenge is not a host challenge".into(),
+            ));
+        };
+
+        // Backend verification of the evidence: signature chains,
+        // revocation collateral, TCB status. (The span keeps the name
+        // "ias_verify" from the single-TEE days — renaming would orphan
+        // every stored trace comparison.)
+        // A remote backend's round-trips run under this step's span, so
+        // its retry attempts and server spans chain under it.
+        let verify_span = self.span("ias_verify", now);
+        let appraised = backend
+            .appraise(&evidence.quote, &challenge.nonce)
+            .map_err(|e| CoreError::AttestationFailed(e.to_string()));
+        drop(verify_span);
+        let appraisal = match appraised {
+            Ok(appraisal) => appraisal,
+            Err(e) => {
+                self.event(now, "host_attestation_rejected", &format!("{host_id}: {e}"));
+                return Err(e);
+            }
+        };
+        if let Err(reason) = self.config.tcb_policy.backend_policy().check(&appraisal) {
+            self.event(
+                now,
+                "host_attestation_rejected",
+                &format!("{host_id}: {reason}"),
+            );
+            return Err(CoreError::AttestationFailed(reason));
+        }
+        let measurement = Measurement(appraisal.measurement);
+        let key = (appraisal.backend, measurement);
+        if !trust.read().integrity_enclaves.contains_key(&key) {
+            self.event(
+                now,
+                "host_attestation_rejected",
+                &format!("{host_id}: unknown enclave"),
+            );
+            return Err(CoreError::AttestationFailed(format!(
+                "integrity measurement {measurement} not whitelisted for backend {}",
+                appraisal.backend
+            )));
+        }
+
+        // The evidence must bind exactly the measurement list we received.
+        let expected = host_report_data(&evidence.iml, &challenge.nonce);
+        if appraisal.report_data != expected {
+            return Err(CoreError::AttestationFailed(
+                "quote does not bind the transmitted measurement list".into(),
+            ));
+        }
+
+        // Appraise the list.
+        let appraise_span = self.span("appraise", now);
+        let list = evidence.measurement_list()?;
+        let result = trust.read().reference_db.appraise(&list, &HOST_APPRAISAL);
+        drop(appraise_span);
+
+        // §4 extension: check the TPM anchor if required/available.
+        if self.config.require_tpm || evidence.tpm_quote.is_some() {
+            let _tpm_span = self.span("tpm_check", now);
+            let aik = self
+                .part
+                .hosts
+                .get(&host_id)
+                .and_then(|h| h.tpm_aik)
+                .ok_or_else(|| {
+                    CoreError::AttestationFailed(format!("no TPM AIK registered for {host_id}"))
+                })?;
+            let quote = evidence.parsed_tpm_quote()?.ok_or_else(|| {
+                CoreError::AttestationFailed("TPM quote required but absent".into())
+            })?;
+            quote
+                .verify(&aik, &challenge.nonce)
+                .map_err(|e| CoreError::AttestationFailed(e.to_string()))?;
+            if quote.pcr_index != IMA_PCR {
+                return Err(CoreError::AttestationFailed("wrong PCR index".into()));
+            }
+            if quote.pcr_value != list.aggregate() {
+                self.event(
+                    now,
+                    "host_attestation_rejected",
+                    &format!("{host_id}: TPM/IML divergence"),
+                );
+                return Err(CoreError::AttestationFailed(
+                    "measurement list does not match the TPM-anchored aggregate".into(),
+                ));
+            }
+        }
+
+        let verdict = result.verdict;
+        let previous_aik = self.part.hosts.get(&host_id).and_then(|h| h.tpm_aik);
+        self.part.hosts.insert(
+            host_id.clone(),
+            HostRecord {
+                host_id: host_id.clone(),
+                verdict,
+                attested_at: now,
+                iml_entries: result.entries,
+                backend: appraisal.backend,
+                tpm_aik: previous_aik,
+            },
+        );
+        self.metrics.host_attestations_by_backend[appraisal.backend.as_u8() as usize].inc();
+        self.event(
+            now,
+            if verdict.is_trusted() {
+                "host_attested"
+            } else {
+                "host_untrusted"
+            },
+            &format!("{host_id}: {verdict:?}"),
+        );
+        Ok(verdict)
+    }
+
+    // ---- Step 3: the VNF challenge ----------------------------------------
+
+    /// Step 3: initiate attestation of a VNF credential enclave. Fails
+    /// unless the hosting platform has a fresh, trusted attestation — the
+    /// paper's "the protocol continues only if the host is considered
+    /// trustworthy following the appraisal".
+    pub fn begin_vnf_attestation(
+        &mut self,
+        host_id: &str,
+        vnf_name: &str,
+    ) -> Result<Challenge, CoreError> {
+        self.liveness.check()?;
+        let now = self.clock.now();
+        if !self.part.host_is_trusted(host_id, now) {
+            self.event(
+                now,
+                "vnf_attestation_refused",
+                &format!("{vnf_name}: host {host_id} untrusted"),
+            );
+            return Err(CoreError::WorkflowViolation(format!(
+                "host {host_id} has no fresh trusted attestation"
+            )));
+        }
+        self.event(now, "vnf_attestation_started", vnf_name);
+        Ok(self.new_challenge(
+            ChallengeSubject::Vnf {
+                host_id: host_id.to_string(),
+                vnf_name: vnf_name.to_string(),
+            },
+            now,
+        ))
+    }
+}
+
 impl std::fmt::Debug for VerificationManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerificationManager")
-            .field("hosts", &self.hosts.len())
+            .field("hosts", &self.handshake.hosts.len())
             .field("enrollments", &self.state().enrollments.len())
             .finish_non_exhaustive()
     }
@@ -2509,16 +2636,39 @@ mod tests {
             clock.clone(),
             Telemetry::new(),
         );
-        let challenge = vm.begin_host_attestation("host-1").unwrap();
+        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_000);
         clock.advance(100);
-        let challenge = vm.begin_host_attestation("host-1").unwrap();
+        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_100);
         // Rewinding the shared clock is the only way to move time: there
         // is no explicit-time entry point to bypass the injected clock.
         clock.set(42);
-        let challenge = vm.begin_host_attestation("host-1").unwrap();
+        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 42);
+    }
+
+    #[test]
+    fn issuing_a_challenge_drops_the_expired_ones() {
+        let clock = SimClock::at(1_000);
+        let mut vm = VerificationManager::with_runtime(
+            ManagerConfig::default(),
+            b"challenge expiry",
+            clock.clone(),
+            Telemetry::new(),
+        );
+        let mut handshake = vm.handshake();
+        for _ in 0..3 {
+            handshake.begin_host_attestation("host-1").unwrap();
+        }
+        clock.advance(CHALLENGE_LIFETIME_SECS);
+        let live = handshake.begin_host_attestation("host-1").unwrap();
+        assert_eq!(handshake.outstanding_challenges(), 4);
+        clock.advance(1);
+        handshake.begin_host_attestation("host-1").unwrap();
+        assert_eq!(handshake.outstanding_challenges(), 2);
+        handshake.withdraw_challenge(live.id);
+        assert_eq!(handshake.outstanding_challenges(), 1);
     }
 
     #[test]
@@ -2530,7 +2680,7 @@ mod tests {
             SimClock::at(1_000),
             telemetry.clone(),
         );
-        vm.begin_host_attestation("host-1").unwrap();
+        vm.handshake().begin_host_attestation("host-1").unwrap();
         let events = vm.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "host_attestation_started");

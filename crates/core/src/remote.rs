@@ -826,28 +826,42 @@ pub fn remote_attest_host(
     // Each `vm.*` call locks its shard only for the duration of the
     // manager work; the agent hop below runs with no shard lock held.
     let challenge = vm.begin_host_attestation(host_id)?;
-    let mut client = connect_agent(network, host_id)?;
-    let response = {
-        let _span = telemetry.span("vm", "agent_attest", vm.clock().now());
-        client
-            .request(
-                &Request::post("/agent/attest")
-                    .with_json(&Json::object().with("nonce", base64::encode(&challenge.nonce))),
-            )
-            .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
-    };
-    if !response.status.is_success() {
-        return Err(CoreError::AttestationFailed(format!(
-            "agent returned {}",
-            response.status.code()
-        )));
-    }
-    let body = response
-        .parse_json()
-        .map_err(|e| CoreError::Encoding(e.to_string()))?;
-    let evidence_bytes = b64_field(&body, "evidence").map_err(CoreError::Encoding)?;
-    let evidence = HostEvidence::decode(&evidence_bytes)?;
-    vm.complete_host_attestation(backend, challenge.id, &evidence)
+    answering(vm, challenge.id, || {
+        let mut client = connect_agent(network, host_id)?;
+        let response = {
+            let _span = telemetry.span("vm", "agent_attest", vm.clock().now());
+            client
+                .request(
+                    &Request::post("/agent/attest")
+                        .with_json(&Json::object().with("nonce", base64::encode(&challenge.nonce))),
+                )
+                .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
+        };
+        if !response.status.is_success() {
+            return Err(CoreError::AttestationFailed(format!(
+                "agent returned {}",
+                response.status.code()
+            )));
+        }
+        let body = response
+            .parse_json()
+            .map_err(|e| CoreError::Encoding(e.to_string()))?;
+        let evidence_bytes = b64_field(&body, "evidence").map_err(CoreError::Encoding)?;
+        let evidence = HostEvidence::decode(&evidence_bytes)?;
+        vm.complete_host_attestation(backend, challenge.id, &evidence)
+    })
+}
+
+/// The rest of a handshake that issued challenge `challenge_id`, up to the
+/// step that answers it. On any failure the challenge is withdrawn (a
+/// no-op once the answering step consumed it), so an agent error, a bad
+/// reply or a shed request leaves no challenge outstanding.
+fn answering<T>(
+    vm: &VmService,
+    challenge_id: u64,
+    rest: impl FnOnce() -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    rest().inspect_err(|_| vm.withdraw_challenge(challenge_id))
 }
 
 /// Drive VNF enrollment (steps 3–5) against a remote agent through any
@@ -876,42 +890,46 @@ pub fn remote_enroll_vnf(
     // Shard locks are scoped inside each `vm.*` call: both agent hops in
     // this flow run with no shard lock held.
     let challenge = vm.begin_vnf_attestation(host_id, vnf_name)?;
-    let mut client = connect_agent(network, host_id)?;
+    let (mut client, (serial, wrapped, certificate)) = answering(vm, challenge.id, || {
+        let mut client = connect_agent(network, host_id)?;
 
-    // Step 3: challenge the enclave through the agent.
-    let response = {
-        let _span = telemetry.span("vm", "agent_vnf_attest", vm.clock().now());
-        client
-            .request(
-                &Request::post(&format!("/agent/vnf/{vnf_name}/attest")).with_json(
-                    &Json::object()
-                        .with("nonce", base64::encode(&challenge.nonce))
-                        .with("basename", base64::encode(&challenge.nonce)),
-                ),
-            )
-            .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
-    };
-    if !response.status.is_success() {
-        return Err(CoreError::AttestationFailed(format!(
-            "agent returned {}",
-            response.status.code()
-        )));
-    }
-    let body = response
-        .parse_json()
-        .map_err(|e| CoreError::Encoding(e.to_string()))?;
-    let quote = b64_field(&body, "quote").map_err(CoreError::Encoding)?;
-    let provisioning_key = b64_array32(&body, "provisioning_key").map_err(CoreError::Encoding)?;
+        // Step 3: challenge the enclave through the agent.
+        let response = {
+            let _span = telemetry.span("vm", "agent_vnf_attest", vm.clock().now());
+            client
+                .request(
+                    &Request::post(&format!("/agent/vnf/{vnf_name}/attest")).with_json(
+                        &Json::object()
+                            .with("nonce", base64::encode(&challenge.nonce))
+                            .with("basename", base64::encode(&challenge.nonce)),
+                    ),
+                )
+                .map_err(|e| CoreError::HostUnreachable(format!("agent:{host_id}: {e}")))?
+        };
+        if !response.status.is_success() {
+            return Err(CoreError::AttestationFailed(format!(
+                "agent returned {}",
+                response.status.code()
+            )));
+        }
+        let body = response
+            .parse_json()
+            .map_err(|e| CoreError::Encoding(e.to_string()))?;
+        let quote = b64_field(&body, "quote").map_err(CoreError::Encoding)?;
+        let provisioning_key =
+            b64_array32(&body, "provisioning_key").map_err(CoreError::Encoding)?;
 
-    // Steps 4-5: verify + generate + wrap (prepare), deliver through the
-    // agent, and only then commit the enrollment.
-    let (serial, wrapped, certificate) = vm.prepare_vnf_enrollment(
-        backend,
-        challenge.id,
-        &quote,
-        &provisioning_key,
-        controller_cn,
-    )?;
+        // Steps 4-5: verify + generate + wrap (prepare), deliver through
+        // the agent, and only then commit the enrollment.
+        let prepared = vm.prepare_vnf_enrollment(
+            backend,
+            challenge.id,
+            &quote,
+            &provisioning_key,
+            controller_cn,
+        )?;
+        Ok((client, prepared))
+    })?;
     let delivery = {
         let _span = telemetry.span("vm", "agent_provision", vm.clock().now());
         client
@@ -1388,4 +1406,38 @@ pub fn serve_vm_api(
         .listen(address)
         .map_err(|e| CoreError::WorkflowViolation(e.to_string()))?;
     Ok(serve(listener, PlainUpgrade, router))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deployment::TestbedBuilder;
+
+    /// A handshake that fails after its challenge was issued withdraws the
+    /// challenge: enrollments of VNFs the agent does not run and
+    /// attestations of a host no agent serves leave none outstanding.
+    #[test]
+    fn failed_handshakes_leave_no_challenge_outstanding() {
+        let mut tb = TestbedBuilder::new(b"abandoned challenges").build();
+        tb.attest_host(0).unwrap();
+        let state = tb.take_agent_state(HashMap::new(), None);
+        let _agent = HostAgent::serve(&tb.network, state).unwrap();
+        let vm = tb.vm_service();
+        for i in 0..50 {
+            let unknown = format!("vnf-unknown-{i}");
+            let refused =
+                remote_enroll_vnf(&vm, &mut tb.ias, &tb.network, "host-0", &unknown, "ctl");
+            assert!(
+                matches!(refused, Err(CoreError::AttestationFailed(_))),
+                "{refused:?}"
+            );
+        }
+        let unreachable = remote_attest_host(&vm, &mut tb.ias, &tb.network, "host-9");
+        assert!(
+            matches!(unreachable, Err(CoreError::HostUnreachable(_))),
+            "{unreachable:?}"
+        );
+        let outstanding = vm.handshake(0, |handshake| handshake.outstanding_challenges());
+        assert_eq!(outstanding, 0, "failed handshakes left challenges behind");
+    }
 }

@@ -43,27 +43,35 @@
 //! trust write takes no shard lock, and a recovered or promoted
 //! incarnation sees every entry made before it.
 //!
-//! Every method takes `&self` and reaches a shard only through one private
-//! accessor, which locks it for only as long as the manager call runs —
-//! never across an agent hop (the `remote` module's hops all happen
-//! between `VmService` calls), a WAL flush, a compaction, replication
-//! streaming or credential minting. One network call still runs under the
-//! lock: evidence appraisal, which is an IAS round trip over the fabric
-//! in a distributed deployment, inside `prepare_vnf_enrollment` and
-//! `complete_host_attestation`. The manager only *enqueues* its journal
-//! records. After unlocking, the accessor issues the call's WAL write,
-//! runs the call's [`Mint`] (client keygen, certificate signing and the
-//! bundle wrap) while that write is in flight, and then waits for
-//! durability. So one shard's concurrent callers share flushes (see
-//! `vnfguard_store`'s commit path), while no response leaves before its
-//! records — or any record it could have observed — are on the medium.
+//! Every method takes `&self` and reaches a shard only through one of two
+//! private accessors, each of which locks it for only as long as the
+//! manager call runs — never across an agent hop (the `remote` module's
+//! hops all happen between `VmService` calls), a WAL flush, a compaction,
+//! replication streaming or credential minting. One network call still
+//! runs under the lock: evidence appraisal, which is an IAS round trip
+//! over the fabric in a distributed deployment, inside
+//! `prepare_vnf_enrollment` and `complete_host_attestation`.
+//!
+//! - The shard accessor serves every call that journals or reads
+//!   journaled state. The manager only *enqueues* its journal records.
+//!   After unlocking, the accessor issues the call's WAL write, runs the
+//!   call's [`Mint`] (client keygen, certificate signing and the bundle
+//!   wrap) while that write is in flight, and then waits for durability.
+//!   So one shard's concurrent callers share flushes (see
+//!   `vnfguard_store`'s commit path), while no response leaves before its
+//!   records — or any record it could have observed — are on the medium.
+//! - The handshake accessor lends a [`Handshake`]: the host challenge and
+//!   appraisal, the VNF challenge, TPM registration, the host records and
+//!   their fan-out. The view reaches only challenges and host verdicts,
+//!   which no journal carries, so these steps take no commit wait and
+//!   never sit out another caller's device write.
 
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::manager::{
-    shard_of_challenge, shard_of_serial, Challenge, CommitTicket, HostRecord, ManagerConfig, Mint,
-    PendingCommit, RecoveryReport, VerificationManager, VmEvent,
+    shard_of_challenge, shard_of_serial, Challenge, CommitTicket, Handshake, HostRecord,
+    ManagerConfig, Mint, PendingCommit, RecoveryReport, VerificationManager, VmEvent,
 };
-use crate::overload::{AdmissionController, Permit, Workclass};
+use crate::overload::{AdmissionController, Workclass};
 use crate::replication::ReplicationStatus;
 use crate::revocation::RevocationNotifier;
 use crate::trust::Trust;
@@ -281,36 +289,48 @@ impl VmService {
         }
     }
 
-    /// The depth gate, a no-op when admission control is off.
-    fn gate(&self, class: Workclass) -> Result<Option<Permit<'_>>, CoreError> {
-        match &self.admission {
-            Some(admission) => admission.admit(class).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// The sojourn/deadline gate; call with the shard lock held, before
-    /// touching any state, so a shed leaves nothing behind.
-    fn pass_dequeue(&self, permit: &Option<Permit<'_>>) -> Result<(), CoreError> {
-        if let (Some(admission), Some(permit)) = (self.admission.as_deref(), permit.as_ref()) {
-            admission.dequeued(permit)?;
-        }
-        Ok(())
+    /// Run `f` behind both admission gates (no-ops when admission control
+    /// is off) and report its outcome to the SLO trackers. The depth gate
+    /// sheds before `f` runs when the class is full. `f` gets the
+    /// sojourn/deadline gate to pass with the shard lock held, before it
+    /// touches any state, so a shed leaves nothing behind. The SLO latency
+    /// includes any WAL wait.
+    fn admitted<R>(
+        &self,
+        class: Workclass,
+        f: impl FnOnce(&dyn Fn() -> Result<(), CoreError>) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError> {
+        let begun = std::time::Instant::now();
+        let result = (|| {
+            let permit = match &self.admission {
+                Some(admission) => Some(admission.admit(class)?),
+                None => None,
+            };
+            let dequeued = || match (self.admission.as_deref(), permit.as_ref()) {
+                (Some(admission), Some(permit)) => admission.dequeued(permit),
+                _ => Ok(()),
+            };
+            f(&dequeued)
+        })();
+        self.note_health(class, begun, result.is_ok());
+        result
     }
 
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// The one way to a shard's manager. Runs `f` under the shard lock and
-    /// takes the call's commit ticket (the store's appended LSN) before
-    /// unlocking. Once the lock is released it issues the ticket's write
-    /// if this caller may lead it ([`StateStore::begin`]), runs `unlocked`
-    /// on `f`'s value while that write is in flight — a minting workflow's
-    /// [`Mint`] runs there — and then waits for durability. So no shard
-    /// lock is ever held across a device flush, a compaction, replication
-    /// streaming or a mint, and no caller answers before every record it
-    /// could have observed is durable — reads included. Returns the value
+    /// The way to a shard's manager for every call but a handshake step.
+    /// Runs `f` under the shard lock and takes the call's commit ticket
+    /// (the store's appended LSN) before unlocking. Once the lock is
+    /// released it issues the ticket's write if this caller may lead it
+    /// ([`StateStore::begin`]), runs `unlocked` on `f`'s value while that
+    /// write is in flight — a minting workflow's [`Mint`] runs there — and
+    /// then waits for durability. So no shard lock is ever held across a
+    /// device flush, a compaction, replication streaming or a mint, and no
+    /// caller answers before every record it could have observed is
+    /// durable: every read of journaled state waits, and a read that waits
+    /// for others' records only is a read barrier. Returns the value
     /// `unlocked` made and the commit outcome.
     ///
     /// Crash rule: when the call leaves the manager crashed, it waits
@@ -360,6 +380,14 @@ impl VmService {
         self.on_shard(index, f, identity).0
     }
 
+    /// The way to a shard's [`Handshake`]: runs `f` under the shard lock
+    /// and takes no commit ticket. The view reaches only the challenges and
+    /// host records, which no journal carries, so a handshake step observes
+    /// no record that could still be in flight and answers once it is done.
+    pub(crate) fn handshake<T>(&self, index: usize, f: impl FnOnce(&mut Handshake<'_>) -> T) -> T {
+        f(&mut self.shards[index].lock().handshake())
+    }
+
     fn shard_for_vnf(&self, vnf_name: &str) -> usize {
         shard_of_vnf(vnf_name, self.shards.len())
     }
@@ -374,13 +402,10 @@ impl VmService {
         (shard_of_challenge(challenge_id) as usize).min(self.shards.len() - 1)
     }
 
-    /// Run `f` on shard `index` behind both admission gates: shed before
-    /// queueing when the class is full, shed after acquiring the lock when
-    /// sojourn shows a standing queue or the request's deadline died while
-    /// it waited. Either shed happens before `f` runs, so refused requests
-    /// touch no manager state. A successful value goes through `unlocked`
-    /// after the lock drops (see [`on_shard`](Self::on_shard)). The SLO
-    /// latency includes the WAL wait.
+    /// Run `f` on shard `index` behind both admission gates (see
+    /// [`admitted`](Self::admitted)); a refused request touches no manager
+    /// state. A successful value goes through `unlocked` after the lock
+    /// drops (see [`on_shard`](Self::on_shard)).
     fn with_shard_gated<T, R>(
         &self,
         index: usize,
@@ -388,36 +413,32 @@ impl VmService {
         f: impl FnOnce(&mut VerificationManager) -> Result<T, CoreError>,
         unlocked: impl FnOnce(T) -> R,
     ) -> Result<R, CoreError> {
-        let begun = std::time::Instant::now();
-        let result = (|| {
-            let permit = self.gate(class)?;
+        self.admitted(class, |dequeued| {
             let (result, committed) = self.on_shard(
                 index,
                 |vm| {
-                    self.pass_dequeue(&permit)?;
+                    dequeued()?;
                     f(vm)
                 },
                 |result| result.map(unlocked),
             );
             result.and_then(|value| committed.map(|()| value))
-        })();
-        self.note_health(class, begun, result.is_ok());
-        result
+        })
     }
 
     /// Copy the authority's host trust records to every other shard.
-    /// Shard-local enrollment and renewal checks (`host_is_trusted`) read
-    /// the local copy; verdicts are volatile by design, so propagation is
-    /// not journaled and does not survive recovery — hosts re-attest.
+    /// Shard-local enrollment and renewal checks read the local copy;
+    /// verdicts are volatile by design, so propagation is not journaled
+    /// and does not survive recovery — hosts re-attest.
     fn sync_host_records(&self) {
         if self.shards.len() == 1 {
             return;
         }
-        let records = self.run(0, |vm| vm.host_records());
+        let records = self.handshake(0, |handshake| handshake.host_records());
         for index in 1..self.shards.len() {
-            self.run(index, |vm| {
+            self.handshake(index, |handshake| {
                 for record in &records {
-                    vm.adopt_host_record(record.clone());
+                    handshake.adopt_host_record(record.clone());
                 }
             });
         }
@@ -459,6 +480,9 @@ impl VmService {
     }
 
     // ---- Host attestation (authority shard) -------------------------------
+    //
+    // Every step here but the degraded verdict and the host revocation is
+    // a handshake step: it takes no commit wait.
 
     /// Register a host TPM AIK ahead of attestation.
     pub fn register_host_tpm(
@@ -466,14 +490,14 @@ impl VmService {
         host_id: &str,
         aik: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Result<(), CoreError> {
-        self.call(0, |vm| vm.register_host_tpm(host_id, aik))?;
+        self.handshake(0, |handshake| handshake.register_host_tpm(host_id, aik))?;
         self.sync_host_records();
         Ok(())
     }
 
     /// Step 1: challenge a container host.
     pub fn begin_host_attestation(&self, host_id: &str) -> Result<Challenge, CoreError> {
-        self.call(0, |vm| vm.begin_host_attestation(host_id))
+        self.handshake(0, |handshake| handshake.begin_host_attestation(host_id))
     }
 
     /// Step 2: verify and appraise host evidence through any attestation
@@ -485,8 +509,8 @@ impl VmService {
         challenge_id: u64,
         evidence: &crate::attestation::HostEvidence,
     ) -> Result<Verdict, CoreError> {
-        let verdict = self.call(0, |vm| {
-            vm.complete_host_attestation(&self.trust, backend, challenge_id, evidence)
+        let verdict = self.handshake(0, |handshake| {
+            handshake.complete_host_attestation(&self.trust, backend, challenge_id, evidence)
         })?;
         self.sync_host_records();
         Ok(verdict)
@@ -511,25 +535,36 @@ impl VmService {
     }
 
     pub fn host_record(&self, host_id: &str) -> Option<HostRecord> {
-        self.run(0, |vm| vm.host_record(host_id).cloned())
+        self.handshake(0, |handshake| handshake.host_record(host_id).cloned())
+    }
+
+    /// Drop an unanswered challenge: a handshake that fails after its
+    /// challenge was issued withdraws it, so a failed or shed handshake
+    /// leaves nothing outstanding.
+    pub(crate) fn withdraw_challenge(&self, challenge_id: u64) {
+        let shard = self.shard_for_challenge(challenge_id);
+        self.handshake(shard, |handshake| {
+            handshake.withdraw_challenge(challenge_id)
+        });
     }
 
     // ---- VNF enrollment (routed shards) -----------------------------------
 
     /// Step 3: initiate VNF attestation on the shard that owns this VNF's
-    /// identity. The returned challenge id self-routes the later steps.
+    /// identity. The returned challenge id self-routes the later steps. A
+    /// handshake step behind the enrollment class's admission gates.
     pub fn begin_vnf_attestation(
         &self,
         host_id: &str,
         vnf_name: &str,
     ) -> Result<Challenge, CoreError> {
         let shard = self.shard_for_vnf(vnf_name);
-        self.with_shard_gated(
-            shard,
-            Workclass::Enrollment,
-            |vm| vm.begin_vnf_attestation(host_id, vnf_name),
-            identity,
-        )
+        self.admitted(Workclass::Enrollment, |dequeued| {
+            self.handshake(shard, |handshake| {
+                dequeued()?;
+                handshake.begin_vnf_attestation(host_id, vnf_name)
+            })
+        })
     }
 
     /// Steps 4–5 in one shot (prepare + commit), through any attestation
@@ -757,12 +792,10 @@ impl VmService {
     /// [`issue_crl`](Self::issue_crl) when `fresh`, else
     /// [`latest_crl`](Self::latest_crl).
     fn fleet_crl(&self, fresh: bool) -> Result<Crl, CoreError> {
-        let begun = std::time::Instant::now();
-        let result = (|| {
-            let permit = self.gate(Workclass::Revocation)?;
+        self.admitted(Workclass::Revocation, |dequeued| {
             let (extras, any_dirty, revisions) = self.gather_remote_revocations();
             let crl = self.call(0, |authority| {
-                self.pass_dequeue(&permit)?;
+                dequeued()?;
                 if fresh || any_dirty {
                     authority.issue_crl(&extras)
                 } else {
@@ -771,9 +804,7 @@ impl VmService {
             })?;
             self.clear_remote_dirty(&revisions);
             Ok(crl)
-        })();
-        self.note_health(Workclass::Revocation, begun, result.is_ok());
-        result
+        })
     }
 
     /// Read-only preview of the fleet CRL (no journaling, no number bump).
@@ -913,17 +944,13 @@ impl VmService {
     /// credentials. Serving-path callers use this; harness code that must
     /// never be refused keeps the ungated form.
     pub fn lifecycle_status_admitted(&self) -> Result<LifecycleStatus, CoreError> {
-        let begun = std::time::Instant::now();
-        let result = (|| {
-            let permit = self.gate(Workclass::Introspection)?;
+        self.admitted(Workclass::Introspection, |dequeued| {
             let status = self.call(0, |authority| {
-                self.pass_dequeue(&permit)?;
+                dequeued()?;
                 Ok(authority.lifecycle_status())
             })?;
             Ok(self.add_shard_lifecycle(status))
-        })();
-        self.note_health(Workclass::Introspection, begun, result.is_ok());
-        result
+        })
     }
 
     /// Node-loss injection: halt every shard in place.
@@ -1135,6 +1162,7 @@ mod tests {
     use super::*;
     use crate::deployment::{Testbed, TestbedBuilder};
     use std::time::Duration;
+    use vnfguard_store::Media;
 
     /// A durable, host-attested testbed with `count` enrolled credentials
     /// whose VNF names route to `shard` of `shards`: (serial, key) each.
@@ -1206,26 +1234,55 @@ mod tests {
         );
     }
 
-    /// Revoke `serial` on a slow medium while `read` polls the same shard:
-    /// the first answer that reflects the revocation may only leave once
-    /// the revocation replays from a fork of the medium.
-    fn reader_waits_for(tb: &Testbed, serial: u64, read: impl Fn(&VmService) -> bool) {
+    /// A journaled write that a reader may observe while it is in flight.
+    trait InFlight: Copy + Send {
+        fn write(self, vm: &VmService);
+        /// Whether `twin`, replayed from the medium, holds the write.
+        fn landed(self, twin: &VmService) -> bool;
+    }
+
+    /// A serial stands for its revocation.
+    impl InFlight for u64 {
+        fn write(self, vm: &VmService) {
+            vm.revoke_credential(self, RevocationReason::KeyCompromise)
+                .unwrap()
+        }
+
+        fn landed(self, twin: &VmService) -> bool {
+            twin.credential_is_revoked(self)
+        }
+    }
+
+    /// The first CA rotation.
+    #[derive(Clone, Copy)]
+    struct FirstRotation;
+
+    impl InFlight for FirstRotation {
+        fn write(self, vm: &VmService) {
+            vm.rotate_ca().unwrap();
+        }
+
+        fn landed(self, twin: &VmService) -> bool {
+            twin.ca_epoch() == 1
+        }
+    }
+
+    /// Make `write` on a slow medium while `read` polls the same shard:
+    /// the first answer that reflects the write may only leave once the
+    /// write replays from a fork of the medium.
+    fn reader_waits_for(tb: &Testbed, write: impl InFlight, read: impl Fn(&VmService) -> bool) {
         let vm = tb.vm_service();
         tb.store_media()
             .unwrap()
             .set_write_latency(Duration::from_millis(150));
         std::thread::scope(|scope| {
             let writer = vm.clone();
-            scope.spawn(move || {
-                writer
-                    .revoke_credential(serial, RevocationReason::KeyCompromise)
-                    .unwrap()
-            });
+            scope.spawn(move || write.write(&writer));
             while !read(&vm) {}
             let twin = tb.oracle_twin().unwrap();
             assert!(
-                twin.credential_is_revoked(serial),
-                "an answer showing revocation {serial} left before it was durable"
+                write.landed(&twin),
+                "an answer showing an in-flight write left before it was durable"
             );
         });
     }
@@ -1237,6 +1294,139 @@ mod tests {
         reader_waits_for(&tb, polled, |vm| vm.credential_is_revoked(polled));
         reader_waits_for(&tb, listed, |vm| {
             vm.latest_crl().unwrap().lookup(listed).is_some()
+        });
+    }
+
+    #[test]
+    fn a_ca_root_reader_waits_for_an_in_flight_rotation() {
+        let (tb, _) = enrolled_on(b"svc root reader waits", 1, 0, 1);
+        let root = tb.vm_service().ca_certificate().serial();
+        reader_waits_for(&tb, FirstRotation, |vm| {
+            vm.ca_certificate().serial() != root
+        });
+    }
+
+    /// A `wal_commit` span names the records its own caller journaled: a
+    /// revocation's one, and none for a read held behind it (a read
+    /// barrier).
+    #[test]
+    fn wal_commit_spans_tell_a_read_barrier_from_a_write() {
+        let telemetry = Telemetry::new();
+        let mut tb = TestbedBuilder::new(b"svc own records")
+            .telemetry(telemetry.clone())
+            .tracing(1.0)
+            .durable()
+            .build();
+        tb.attest_host(0).unwrap();
+        let guard = tb.deploy_guard(0, "vnf-own-records", 1).unwrap();
+        let serial = tb.enroll(0, &guard).unwrap().serial();
+        let vm = tb.vm_service();
+        let media = tb.store_media().unwrap().clone();
+        media.set_write_latency(Duration::from_millis(150));
+        std::thread::scope(|scope| {
+            let (writer, traces) = (vm.clone(), telemetry.clone());
+            scope.spawn(move || {
+                let _root = traces.trace_root("test", "revoke", 0);
+                writer
+                    .revoke_credential(serial, RevocationReason::KeyCompromise)
+                    .unwrap()
+            });
+            while media.writes_in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let _root = telemetry.trace_root("test", "read", 0);
+            assert!(vm.credential_is_revoked(serial));
+        });
+        let own_records = |root: &str| -> Vec<String> {
+            let traces = telemetry.traces();
+            let summary = traces.summaries().into_iter().find(|s| s.root_name == root);
+            traces
+                .trace(summary.expect("the call was traced").trace_id)
+                .into_iter()
+                .filter(|span| span.name == "wal_commit")
+                .flat_map(|span| span.annotations)
+                .filter(|annotation| annotation.kind == "own_records")
+                .map(|annotation| annotation.detail)
+                .collect()
+        };
+        assert_eq!(own_records("revoke"), ["1"]);
+        assert_eq!(own_records("read"), ["0"]);
+    }
+
+    /// Run `step` while `write`'s WAL write is in flight on `media`, a
+    /// 300 ms medium: the step must answer before that write lands.
+    fn answers_while_in_flight<T>(
+        media: &Media,
+        write: impl FnOnce() + Send,
+        step: &str,
+        run: impl FnOnce() -> T,
+    ) -> T {
+        media.set_write_latency(Duration::from_millis(300));
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(write);
+            while media.writes_in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let frames = media.frame_count();
+            let value = run();
+            assert_eq!(
+                (media.writes_in_flight(), media.frame_count()),
+                (1, frames),
+                "{step} waited for another caller's WAL write"
+            );
+            writer.join().unwrap();
+            value
+        })
+    }
+
+    /// Every handshake step answers while another caller's WAL write is in
+    /// flight on its shard: it observes nothing journaled, so it has
+    /// nothing to wait for. The host attestation covers its challenge, its
+    /// appraisal and the fan-out of the verdict to the other shard.
+    #[test]
+    fn handshake_steps_answer_while_another_callers_write_is_in_flight() {
+        let (mut tb, credentials) = enrolled_on(b"svc handshake in flight", 2, 1, 2);
+        let vm = tb.vm_service();
+        let (authority, shard) = (
+            tb.shard_store_media(0).unwrap().clone(),
+            tb.shard_store_media(1).unwrap().clone(),
+        );
+        let vnf = (0..)
+            .map(|i| format!("vnf-handshake-{i}"))
+            .find(|name| shard_of_vnf(name, 2) == 1)
+            .unwrap();
+        let aik = vnfguard_crypto::ed25519::SigningKey::from_seed(&[9; 32]).public_key();
+        let issue_crl = || {
+            let vm = vm.clone();
+            move || drop(vm.issue_crl().unwrap())
+        };
+        let revoke = |serial: u64| {
+            let vm = vm.clone();
+            move || {
+                vm.revoke_credential(serial, RevocationReason::KeyCompromise)
+                    .unwrap()
+            }
+        };
+        answers_while_in_flight(&authority, issue_crl(), "a host challenge", || {
+            vm.begin_host_attestation("host-0").unwrap()
+        });
+        answers_while_in_flight(&authority, issue_crl(), "a host attestation", || {
+            tb.attest_host(0).unwrap()
+        });
+        answers_while_in_flight(&authority, issue_crl(), "a host record read", || {
+            vm.host_record("host-0").unwrap()
+        });
+        answers_while_in_flight(&authority, issue_crl(), "a TPM registration", || {
+            vm.register_host_tpm("host-tpm", aik).unwrap()
+        });
+        answers_while_in_flight(
+            &shard,
+            revoke(credentials[0].0),
+            "a verdict fan-out",
+            || tb.attest_host(0).unwrap(),
+        );
+        answers_while_in_flight(&shard, revoke(credentials[1].0), "a VNF challenge", || {
+            vm.begin_vnf_attestation("host-0", &vnf).unwrap()
         });
     }
 

@@ -20,9 +20,10 @@ pub(crate) struct JournaledState {
     /// The sealed write-ahead log; `None` runs the manager volatile (the
     /// paper's original posture).
     store: Option<StateStore>,
-    /// When the current call first journaled: the start of the caller's
-    /// WAL wait, taken with its commit ticket.
-    journaled_at: Option<Instant>,
+    /// When the current call first journaled, and how many records it
+    /// journaled: the start of the caller's WAL wait and its own share of
+    /// the batch, taken with its commit ticket.
+    journaled: Option<(Instant, usize)>,
 }
 
 impl JournaledState {
@@ -32,7 +33,7 @@ impl JournaledState {
         JournaledState {
             state,
             store,
-            journaled_at: None,
+            journaled: None,
         }
     }
 
@@ -50,8 +51,9 @@ impl JournaledState {
     /// A failed enqueue changes nothing.
     pub(crate) fn record(&mut self, records: &[WalRecord]) -> Result<(), StoreError> {
         if let Some(store) = &self.store {
-            self.journaled_at.get_or_insert_with(Instant::now);
+            let (_, count) = self.journaled.get_or_insert_with(|| (Instant::now(), 0));
             store.enqueue(records)?;
+            *count += records.len();
         }
         for record in records {
             self.state.apply(record);
@@ -59,9 +61,9 @@ impl JournaledState {
         Ok(())
     }
 
-    /// When the current call first journaled, if it did; resets for the
-    /// next call.
-    pub(crate) fn take_journaled_at(&mut self) -> Option<Instant> {
-        self.journaled_at.take()
+    /// When the current call first journaled and how many records it
+    /// journaled, if it did; resets for the next call.
+    pub(crate) fn take_journaled(&mut self) -> Option<(Instant, usize)> {
+        self.journaled.take()
     }
 }
