@@ -116,32 +116,28 @@ pub struct Burst {
 }
 
 /// A fleet's CA root and each shard's journaled state, but for its
-/// recovery generation and notices, and its host records, which no journal
-/// holds: a recovered fleet agrees with its oracle twins on the first two,
-/// a halted fleet keeps all three.
+/// recovery generation and notices, and its host table (verdicts and
+/// AIKs), which no journal holds: a recovered fleet agrees with its oracle
+/// twins on the first two, a halted fleet keeps all three.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FleetView {
     root: Vec<u8>,
     states: Vec<ManagerState>,
-    hosts: Vec<String>,
+    hosts: String,
 }
 
 impl FleetView {
     fn of(vm: &VmService) -> FleetView {
-        let (states, hosts) = (0..vm.shard_count())
+        let states = (0..vm.shard_count())
             .map(|shard| {
-                vm.run(shard, |m| {
-                    let mut hosts = m.handshake().host_records();
-                    hosts.sort_by(|a, b| a.host_id.cmp(&b.host_id));
-                    let state = ManagerState {
-                        generation: 0,
-                        notices: Vec::new(),
-                        ..m.state().clone()
-                    };
-                    (state, format!("{hosts:?}"))
+                vm.run(shard, |m| ManagerState {
+                    generation: 0,
+                    notices: Vec::new(),
+                    ..m.state().clone()
                 })
             })
-            .unzip();
+            .collect();
+        let hosts = format!("{:?}", *vm.trust().hosts());
         let root = vm.ca_certificate().encode();
         FleetView {
             root,

@@ -1120,42 +1120,40 @@ impl Testbed {
     /// the new incarnations on its next call. Returns the authority
     /// shard's recovery report.
     ///
-    /// The service's trust inputs (whitelists, reference files) are not
-    /// the incarnation's, so they carry over untouched; the hosts' TPM
-    /// AIKs, which live in host records, are registered again. Host
-    /// attestations are *not* carried over: every host must re-attest to
-    /// the new incarnation before further enrollments. Follower shards
-    /// re-adopt the authority's rotation chain after replay, because
-    /// adoption is un-journaled by design (the rotated certificates
-    /// re-derive bit-identically from the shared seed).
+    /// The service's trust inputs (whitelists, reference files) and the
+    /// hosts' TPM AIKs are not the incarnation's, so they carry over
+    /// untouched. Host verdicts are forgotten as the new authority goes
+    /// live: every host must re-attest to it before further enrollments.
+    /// A follower adopts the recovered authority's rotation chain before it
+    /// goes live, because adoption is un-journaled by design (the rotated
+    /// certificates re-derive bit-identically from the shared seed) and the
+    /// CRL revision it serves must never fall back.
     pub fn recover_vm(&mut self) -> Result<RecoveryReport, CoreError> {
-        let shard_count = self.vm.shard_count();
         let mut authority_report = None;
-        for s in 0..shard_count {
+        let mut chain = Vec::new();
+        let now = self.clock.now();
+        for s in 0..self.vm.shard_count() {
             // One hold of the shard lock from quiesce to swap: once the old
             // incarnation's store is idle, nothing it journaled can still
             // land (or truncate the log) behind the replay, and no request
             // reaches it before the new incarnation is in place.
             let (notifier, report) = self.vm.call(s, |slot| {
                 slot.quiesce_store();
-                let (vm, notifier, report) = self.recover_shard_incarnation(s)?;
+                let (mut vm, notifier, report) = self.recover_shard_incarnation(s)?;
+                if s == 0 {
+                    self.vm.trust().forget_verdicts();
+                    chain = vm.ca_rotation_chain();
+                } else {
+                    for (epoch, root, cross) in &chain {
+                        let _ = vm.adopt_rotation(*epoch, root.serial(), cross.serial(), now);
+                    }
+                }
                 *slot = vm;
                 Ok((notifier, report))
             })?;
             if s == 0 {
                 self.notifier = notifier.expect("authority shard recovery rebuilds the notifier");
                 authority_report = Some(report);
-            }
-        }
-        if shard_count > 1 {
-            let chain = self.vm.ca_rotation_chain();
-            let now = self.clock.now();
-            for s in 1..shard_count {
-                self.vm.run(s, |shard| {
-                    for (epoch, root, cross) in &chain {
-                        let _ = shard.adopt_rotation(*epoch, root.serial(), cross.serial(), now);
-                    }
-                });
             }
         }
         Ok(authority_report.expect("testbed has at least one shard"))
@@ -1213,10 +1211,8 @@ impl Testbed {
 
     /// Recover shard `shard`'s manager from `store` (the one path for crash
     /// recovery, promotion and oracle twins), then place it at its shard.
-    /// A live incarnation registers the hosts' TPM AIKs again (they live
-    /// in host records, which are not journaled), shares the deployment's
-    /// telemetry and takes its crash plan. A twin gets its own telemetry
-    /// and none of these.
+    /// A live incarnation shares the deployment's telemetry and takes its
+    /// crash plan; a twin gets its own telemetry and no crash plan.
     fn recover_incarnation(
         &self,
         shard: usize,
@@ -1236,16 +1232,8 @@ impl Testbed {
             store,
             notifier,
         )?;
-        if role == Incarnation::Live {
-            for host in &self.hosts {
-                if let Some(tpm) = &host.tpm {
-                    vm.handshake()
-                        .register_host_tpm(&host.id, tpm.aik_public())?;
-                }
-            }
-            if let Some(plan) = &self.crash_plan {
-                vm = vm.with_crash_plan(plan.clone());
-            }
+        if let (Incarnation::Live, Some(plan)) = (role, &self.crash_plan) {
+            vm = vm.with_crash_plan(plan.clone());
         }
         // Replay restored the journaled allocator high-water marks; the
         // shard floors are max-semantics, so re-applying them is safe.
@@ -1259,7 +1247,7 @@ impl Testbed {
     /// handle so the testbed's own methods keep working. The detached
     /// incarnation comes back in a service handle of its own, whose shard
     /// accessor still waits for (and fails on) its WAL commits and which
-    /// reads the deployment's trust inputs.
+    /// reads the deployment's trust inputs and host table.
     pub fn detach_primary(&mut self) -> VmService {
         let placeholder = VerificationManager::with_runtime(
             self.vm_config.clone(),
@@ -1385,7 +1373,8 @@ impl Testbed {
     /// move to `epoch + 1`, fencing the old primary: its next append is
     /// rejected and the operation fails instead of committing into a dead
     /// timeline. The recovered incarnation is swapped into the service
-    /// handle in place, so API servers keep routing to the same handle.
+    /// handle in place, so API servers keep routing to the same handle,
+    /// and host verdicts are forgotten as it goes live: hosts re-attest.
     pub fn promote(&mut self) -> Result<PromotionReport, CoreError> {
         if self.standbys.is_empty() {
             return Err(CoreError::ServiceUnavailable(
@@ -1444,7 +1433,10 @@ impl Testbed {
             "failover_promoted",
             &format!("{promoted_addr} promoted to primary at epoch {new_epoch} (high-water {high_water})"),
         );
-        self.vm.run(0, |slot| *slot = vm);
+        self.vm.run(0, |slot| {
+            self.vm.trust().forget_verdicts();
+            *slot = vm;
+        });
         self.notifier = notifier;
         self.shard_media[0] = Some(media);
         self.shard_platforms[0] = platform;

@@ -28,7 +28,7 @@
 //! | Step | API |
 //! |---|---|
 //! | 1–2 host attestation via IAS | [`manager::Handshake::begin_host_attestation`] → [`attestation::host_evidence`] → [`manager::Handshake::complete_host_attestation`] |
-//! | 3–4 VNF enclave attestation via IAS | [`manager::Handshake::begin_vnf_attestation`] → [`manager::VerificationManager::complete_vnf_enrollment`] |
+//! | 3–4 VNF enclave attestation via IAS | [`manager::Handshake::begin_vnf_attestation`] → [`manager::VerificationManager::prepare_vnf_enrollment`] → [`manager::VerificationManager::commit_vnf_enrollment`] |
 //! | 5 credential provisioning | returned wrapped bundle → `VnfGuard::provision` |
 //! | 6 VNF ↔ controller TLS | `VnfGuard::open_session` / `request` |
 
@@ -61,7 +61,7 @@ pub use manager::{ManagerConfig, ManagerConfigBuilder, RecoveryReport, Verificat
 pub use overload::{current_deadline, AdmissionConfig, AdmissionController, Deadline, Workclass};
 pub use remote::{HostAgent, RemoteIas};
 pub use resilience::{BreakerState, CircuitBreaker, RetryPolicy};
-pub use revocation::{DeliveredNotice, RevocationNotifier};
+pub use revocation::RevocationNotifier;
 pub use service::VmService;
 
 /// Errors from the Verification Manager and workflow orchestration.

@@ -12,11 +12,13 @@
 //!
 //! What the log does not carry stays outside it: the CA's keys, epoch,
 //! serial allocator and CRL number, the DRBG, and the handshake part (the
-//! outstanding challenges, the challenge counter and the host verdicts).
-//! That is why a shard can adopt the authority's rotation and host records
-//! without journaling anything. The handshake steps, Figure 1's steps 1–3,
-//! run on a [`Handshake`], a borrowed view of that part with no way to the
-//! journaled state, so the service lends it without a commit wait.
+//! outstanding challenges and the challenge counter). That is why a shard
+//! can adopt the authority's rotation without journaling anything. Host
+//! verdicts are no manager's: they sit in the deployment's [`Trust`],
+//! which every shard reads. The handshake steps, Figure 1's steps 1–3, run
+//! on a [`Handshake`], a borrowed view of that part and of the host table
+//! with no way to the journaled state, so the service lends it without a
+//! commit wait.
 
 use crate::attestation::{host_report_data, HostEvidence};
 use crate::crash::CrashPlan;
@@ -270,8 +272,15 @@ pub struct HostRecord {
     /// Which TEE technology vouched for the last appraisal. Renewal and
     /// re-attestation re-bind to the same backend.
     pub backend: BackendKind,
-    /// TPM AIK public key registered for this host (§4 extension).
-    pub tpm_aik: Option<vnfguard_crypto::ed25519::VerifyingKey>,
+}
+
+/// The backend that vouched for `host_id`'s last appraisal in `trust`, if
+/// that appraisal is trusted and still fresh at `now`.
+fn trusted_backend(trust: &Trust, host_id: &str, now: u64) -> Option<BackendKind> {
+    let hosts = trust.hosts();
+    let record = hosts.verdicts.get(host_id)?;
+    let fresh = now <= record.attested_at + HOST_FRESHNESS_SECS;
+    (record.verdict.is_trusted() && fresh).then_some(record.backend)
 }
 
 /// The backend a journaled backend code names. Unknown codes (from a
@@ -554,10 +563,10 @@ pub const DEFAULT_ORPHAN_GRACE_SECS: u64 = 300;
 ///
 /// Time comes from the [`SimClock`] injected at construction: workflow
 /// methods read it implicitly, and no workflow takes an explicit instant.
-/// The whitelists and the host reference database are not the manager's:
-/// the evidence workflows read the deployment's [`Trust`], which the
-/// service lends them. The host handshake and the VNF challenge are
-/// [`Handshake`] methods (see [`handshake`](Self::handshake)).
+/// The whitelists, the host reference database and the host verdicts are
+/// not the manager's: the workflows read the deployment's [`Trust`],
+/// which the service lends them. The host handshake and the VNF challenge
+/// are [`Handshake`] methods (see [`handshake`](Self::handshake)).
 pub struct VerificationManager {
     config: ManagerConfig,
     ca: CertificateAuthority,
@@ -565,7 +574,7 @@ pub struct VerificationManager {
     /// Enrollments, pending enrollments and revocations: the fold of every
     /// record this manager journaled, and of the log it recovered from.
     journaled: JournaledState,
-    /// Challenges and host verdicts, which no journal carries.
+    /// Challenges and their counter, which no journal carries.
     handshake: HandshakeState,
     clock: SimClock,
     telemetry: Telemetry,
@@ -582,10 +591,12 @@ pub struct VerificationManager {
     /// The most recently issued numbered CRL, re-served to read-only
     /// distribution requests so polling does not grow the WAL.
     last_crl: Option<Crl>,
-    /// The [`crl_revision`](Self::crl_revision) last folded into a signed
-    /// CRL; the cache is dirty while the revision is past it, and the next
-    /// [`latest_crl`](Self::latest_crl) mints a fresh one.
-    crl_folded: u64,
+    /// The [`crl_revision`](Self::crl_revision)s signed into `last_crl`:
+    /// this manager's first, then each other shard's, every one the
+    /// highest any signing saw. A revision past its entry obsoletes the
+    /// cached CRL, and the next [`latest_crl`](Self::latest_crl) mints a
+    /// fresh one.
+    crl_signed: Vec<u64>,
     /// End of the dual-trust window opened by the last rotation.
     rotation_drain_deadline: Option<u64>,
     /// Crash-point injection schedule (tests only in practice).
@@ -612,14 +623,13 @@ struct RenewalBackoff {
     next_attempt_at: u64,
 }
 
-/// A manager's handshake part: the outstanding challenges, the challenge
-/// counter and the host trust records. No journal carries any of it (a new
-/// incarnation starts with none, and hosts re-attest), so the steps that
-/// touch only this part never wait for a WAL write.
+/// A manager's handshake part: the outstanding challenges and the
+/// challenge counter. No journal carries either (a new incarnation starts
+/// with none), so the steps that touch only this part and the host table
+/// never wait for a WAL write.
 struct HandshakeState {
     challenges: HashMap<u64, Challenge>,
     next_challenge: u64,
-    hosts: HashMap<String, HostRecord>,
 }
 
 impl HandshakeState {
@@ -627,7 +637,6 @@ impl HandshakeState {
         HandshakeState {
             challenges: HashMap::new(),
             next_challenge: 1,
-            hosts: HashMap::new(),
         }
     }
 
@@ -642,12 +651,6 @@ impl HandshakeState {
             return Err(CoreError::BadChallenge(format!("challenge {id} expired")));
         }
         Ok(challenge)
-    }
-
-    fn host_is_trusted(&self, host_id: &str, now: u64) -> bool {
-        self.hosts.get(host_id).is_some_and(|record| {
-            record.verdict.is_trusted() && now <= record.attested_at + HOST_FRESHNESS_SECS
-        })
     }
 }
 
@@ -734,7 +737,7 @@ impl VerificationManager {
             rotation_seed,
             last_crl_issued_at: None,
             last_crl: None,
-            crl_folded: 0,
+            crl_signed: Vec::new(),
             rotation_drain_deadline: None,
             crash_plan: None,
             liveness: Liveness::default(),
@@ -843,12 +846,13 @@ impl VerificationManager {
         self.hmac_key
     }
 
-    /// The handshake steps: a view of the challenges and host records that
-    /// borrows the DRBG, clock, configuration, metrics, telemetry and
-    /// liveness check with them, and nothing journaled.
-    pub fn handshake(&mut self) -> Handshake<'_> {
+    /// The handshake steps: a view of the challenges and `trust`'s host
+    /// table that borrows the DRBG, clock, configuration, metrics,
+    /// telemetry and liveness check with them, and nothing journaled.
+    pub fn handshake<'a>(&'a mut self, trust: &'a Trust) -> Handshake<'a> {
         Handshake {
             part: &mut self.handshake,
+            trust,
             rng: &mut self.rng,
             clock: &self.clock,
             config: &self.config,
@@ -1012,7 +1016,11 @@ impl VerificationManager {
     /// degraded answer is audit-logged as a `DegradedVerdict` event so
     /// operators can see exactly which trust decisions lacked fresh
     /// evidence.
-    pub fn degraded_host_verdict(&mut self, host_id: &str) -> Result<Verdict, CoreError> {
+    pub fn degraded_host_verdict(
+        &mut self,
+        trust: &Trust,
+        host_id: &str,
+    ) -> Result<Verdict, CoreError> {
         let now = self.clock.now();
         self.liveness.check()?;
         if !self.config.degraded_verdicts {
@@ -1021,7 +1029,8 @@ impl VerificationManager {
                  (host {host_id})"
             )));
         }
-        let record = self.handshake.hosts.get(host_id).ok_or_else(|| {
+        let record = trust.hosts().verdicts.get(host_id).cloned();
+        let record = record.ok_or_else(|| {
             CoreError::ServiceUnavailable(format!(
                 "attestation service unreachable and host {host_id} has no cached verdict"
             ))
@@ -1052,38 +1061,6 @@ impl VerificationManager {
     }
 
     // ---- Steps 4–5: VNF enrollment ----------------------------------------
-
-    /// Steps 4–5: verify the enclave quote via IAS, then issue credentials
-    /// for the attested enclave's provisioning key.
-    ///
-    /// Returns the [`Mint`] whose [`run`](Mint::run) yields the wrapped
-    /// bundle (deliver to the enclave) and the issued certificate (for
-    /// records; it is public anyway).
-    ///
-    /// Equivalent to [`prepare_vnf_enrollment`](Self::prepare_vnf_enrollment)
-    /// immediately followed by [`commit_vnf_enrollment`](Self::commit_vnf_enrollment)
-    /// — use the two-phase form when the bundle crosses a network that can
-    /// fail mid-delivery.
-    pub fn complete_vnf_enrollment(
-        &mut self,
-        trust: &Trust,
-        backend: &mut dyn AttestationBackend,
-        challenge_id: u64,
-        quote_bytes: &[u8],
-        provisioning_key: &[u8; 32],
-        controller_cn: &str,
-    ) -> Result<Mint, CoreError> {
-        let mint = self.prepare_vnf_enrollment(
-            trust,
-            backend,
-            challenge_id,
-            quote_bytes,
-            provisioning_key,
-            controller_cn,
-        )?;
-        self.commit_vnf_enrollment(mint.serial())?;
-        Ok(mint)
-    }
 
     /// Phase one of enrollment: run every check of steps 4–5 and issue the
     /// credentials — but record the enrollment as *pending* rather than
@@ -1137,7 +1114,7 @@ impl VerificationManager {
             ));
         };
         // Host trust may have been revoked between steps.
-        if !self.handshake.host_is_trusted(&host_id, now) {
+        if trusted_backend(trust, &host_id, now).is_none() {
             return Err(CoreError::WorkflowViolation(format!(
                 "host {host_id} lost trust during enrollment"
             )));
@@ -1473,7 +1450,6 @@ impl VerificationManager {
                         host_id: notice.host_id,
                         serial: notice.serial,
                         tag: notice.tag,
-                        queued_at: notice.queued_at,
                         attempts: 0,
                     }),
             );
@@ -1537,11 +1513,13 @@ impl VerificationManager {
         Ok(())
     }
 
-    /// Revoke every credential issued to VNFs on a host (platform
-    /// compromise response); returns how many this call revoked. The first
-    /// revocation that fails fails the call, and a retry after recovery
-    /// skips the serials already revoked. The host loses its trusted status
-    /// only once every revocation is journaled.
+    /// Revoke every credential this manager issued to VNFs on a host
+    /// (platform compromise response); returns how many this call revoked.
+    /// The first revocation that fails fails the call, and a retry after
+    /// recovery skips the serials already revoked. The host's verdict is
+    /// not the manager's: [`VmService::revoke_host`] flips it first.
+    ///
+    /// [`VmService::revoke_host`]: crate::service::VmService::revoke_host
     pub fn revoke_host(&mut self, host_id: &str) -> Result<usize, CoreError> {
         self.liveness.check()?;
         let now = self.clock.now();
@@ -1552,9 +1530,6 @@ impl VerificationManager {
             .collect();
         for serial in &serials {
             self.revoke_credential(*serial, RevocationReason::PlatformCompromise)?;
-        }
-        if let Some(record) = self.handshake.hosts.get_mut(host_id) {
-            record.verdict = Verdict::Mismatch;
         }
         self.event(
             now,
@@ -1568,8 +1543,9 @@ impl VerificationManager {
     //
     // Every CRL carries the state's revocations plus `extra`: in a sharded
     // deployment the authority shard signs the fleet CRL and the service
-    // passes the other shards' entries, and `&[]` otherwise. The CA's own
-    // revocation registry stays empty: revocations are journaled state.
+    // passes the other shards' entries, with their CRL revisions as
+    // `remote`, and `&[]` for both otherwise. The CA's own revocation
+    // registry stays empty: revocations are journaled state.
 
     /// This manager's revocations as CRL entries (for folding into the
     /// authority-signed fleet CRL).
@@ -1604,7 +1580,7 @@ impl VerificationManager {
     /// the monotonic CRL number and journals the issuance first, so the
     /// number never regresses across a crash — relying parties use it to
     /// reject replayed revocation data.
-    pub fn issue_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
+    pub fn issue_crl(&mut self, extra: &[CrlEntry], remote: &[u64]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
         self.liveness.check()?;
         self.journal(&[WalRecord::CrlIssued {
@@ -1612,18 +1588,22 @@ impl VerificationManager {
             at: now,
         }])?;
         self.crash_point("crl.issue")?;
-        let revision = self.crl_revision();
-        // Keep every entry of the CRL this one replaces: a revocation is
-        // never undone, and a caller whose gather of `extra` predates
-        // another's may sign after it.
+        // Keep every entry of the CRL this one replaces, and every revision
+        // it was signed at: a revocation is never undone, and a caller
+        // whose gather of `extra` predates another's may sign after it.
         let mut entries = self.crl_entries(extra);
         entries.extend(self.last_crl.iter().flat_map(Crl::entries));
         let crl = self
             .ca
             .issue_crl_with(&entries, now, self.config.crl_lifetime_secs);
+        for (index, revision) in self.crl_revisions(remote).enumerate() {
+            match self.crl_signed.get_mut(index) {
+                Some(signed) => *signed = (*signed).max(revision),
+                None => self.crl_signed.push(revision),
+            }
+        }
         self.last_crl_issued_at = Some(now);
         self.last_crl = Some(crl.clone());
-        self.crl_folded = revision;
         self.metrics.crls_issued.inc();
         self.metrics.crl_age_seconds.set(0);
         self.event(
@@ -1639,48 +1619,44 @@ impl VerificationManager {
     /// (`GET /vm/crl`) neither journal WAL records nor burn CRL numbers. A
     /// fresh CRL carrying `extra` is minted through
     /// [`issue_crl`](Self::issue_crl) only when none has been issued yet,
-    /// when a revocation or key rotation obsoleted the cached one, or when
-    /// the cached one passed its `next_update`. The caller decides whether
-    /// the *extras* changed (another shard's revocation does not move this
-    /// manager's revision) and then issues instead.
-    pub fn latest_crl(&mut self, extra: &[CrlEntry]) -> Result<Crl, CoreError> {
+    /// when the cached one passed its `next_update`, or when a revision
+    /// passed the one the cached CRL was signed at: this manager's own (a
+    /// revocation or a key rotation), or one of `remote`, the other shards'
+    /// revisions read with `extra`.
+    pub fn latest_crl(&mut self, extra: &[CrlEntry], remote: &[u64]) -> Result<Crl, CoreError> {
         let now = self.clock.now();
         self.liveness.check()?;
+        let signed = |index| self.crl_signed.get(index).copied().unwrap_or(0);
+        let obsolete = self
+            .crl_revisions(remote)
+            .enumerate()
+            .any(|(index, revision)| revision > signed(index));
         match &self.last_crl {
-            Some(crl) if !self.crl_dirty() && !crl.is_stale(now) => Ok(crl.clone()),
-            _ => self.issue_crl(extra),
+            Some(crl) if !obsolete && !crl.is_stale(now) => Ok(crl.clone()),
+            _ => self.issue_crl(extra, remote),
         }
     }
 
     /// A revision that every change obsoleting a signed CRL moves forward:
     /// a revocation (the state's revocations only grow) or a CA rotation,
-    /// authored or adopted. A caller folding this manager's entries into a
-    /// CRL reads it alongside them and hands it back to
-    /// [`clear_crl_dirty`](Self::clear_crl_dirty).
+    /// authored or adopted. The service reads each other shard's with its
+    /// entries and hands both to the authority's
+    /// [`latest_crl`](Self::latest_crl).
     pub fn crl_revision(&self) -> u64 {
         self.state().revoked.len() as u64 + u64::from(self.ca.epoch())
     }
 
-    /// Whether revocations or a rotation have obsoleted the cached CRL.
-    pub fn crl_dirty(&self) -> bool {
-        self.crl_revision() > self.crl_folded
-    }
-
-    /// Mark this manager's revocations up to `revision` (read together
-    /// with the entries) as folded into a distributed CRL.
-    /// Compare-and-clear: a revocation that landed after that read keeps
-    /// the manager dirty. A revision read from an incarnation that
-    /// recovery has since replaced is clamped to this one's.
-    pub fn clear_crl_dirty(&mut self, revision: u64) {
-        self.crl_folded = self.crl_folded.max(revision.min(self.crl_revision()));
+    /// This manager's CRL revision, then `remote`: the revisions a CRL
+    /// signed now covers, in `crl_signed`'s order.
+    fn crl_revisions<'a>(&self, remote: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        std::iter::once(self.crl_revision()).chain(remote.iter().copied())
     }
 
     // ---- Shard fleet coordination ------------------------------------------
     //
     // In a sharded deployment the CA key, the CRL number and the rotation
     // epoch are owned by the authority shard (shard 0); non-authority
-    // shards adopt its rotations through the method below, and its host
-    // records through [`Handshake::adopt_host_record`]. Adoption writes
+    // shards adopt its rotations through the method below. Adoption writes
     // no journaled state: authority decisions appear only in the
     // authority's WAL, and recovery re-adopts from the authority's
     // replayed state.
@@ -1818,6 +1794,7 @@ impl VerificationManager {
     /// returned [`Mint`] produces the wrapped bundle and the certificate.
     pub fn renew_vnf_credential(
         &mut self,
+        trust: &Trust,
         serial: u64,
         provisioning_key: &[u8; 32],
         controller_cn: &str,
@@ -1827,7 +1804,7 @@ impl VerificationManager {
             let _span = self
                 .span("credential_renewal", now)
                 .with_histogram(self.metrics.renewal_micros.clone());
-            self.renew_inner(serial, provisioning_key, controller_cn, now)
+            self.renew_inner(trust, serial, provisioning_key, controller_cn, now)
         };
         match &result {
             Ok(_) => self.metrics.renewals.inc(),
@@ -1838,6 +1815,7 @@ impl VerificationManager {
 
     fn renew_inner(
         &mut self,
+        trust: &Trust,
         serial: u64,
         provisioning_key: &[u8; 32],
         controller_cn: &str,
@@ -1876,7 +1854,7 @@ impl VerificationManager {
                  of serial {serial}; full re-attestation required"
             )));
         }
-        if !self.handshake.host_is_trusted(&old.host_id, now) {
+        let Some(host_backend) = trusted_backend(trust, &old.host_id, now) else {
             self.event(
                 now,
                 "renewal_refused",
@@ -1889,14 +1867,13 @@ impl VerificationManager {
                 "host {} has no fresh trusted attestation; full re-attestation required",
                 old.host_id
             )));
-        }
+        };
         // The cached verdict must come from the same TEE backend the
         // enrollment was established under: a host that re-attested as a
         // different technology is a different trust story, so the renewal
         // falls back to the full protocol.
         let backend = backend_of(old.backend);
-        let host_backend = self.handshake.hosts.get(&old.host_id).map(|h| h.backend);
-        if host_backend != Some(backend) {
+        if host_backend != backend {
             self.event(
                 now,
                 "renewal_refused",
@@ -1909,7 +1886,7 @@ impl VerificationManager {
                 "host {} last attested under backend {}, but serial {serial} was \
                  enrolled under {}; full re-attestation required",
                 old.host_id,
-                host_backend.map(|b| b.label()).unwrap_or("none"),
+                host_backend.label(),
                 backend
             )));
         }
@@ -2170,10 +2147,11 @@ impl VerificationManager {
 
 /// A borrowed view of a manager's handshake part: Figure 1's steps 1–3
 /// (challenge a host, appraise its evidence, challenge a VNF's enclave),
-/// TPM registration and the host records. From
+/// TPM registration and the host-revocation flip. From
 /// [`VerificationManager::handshake`].
 ///
-/// The view borrows the part with the DRBG that draws challenge nonces,
+/// The view borrows the part with the deployment's [`Trust`], whose host
+/// table the steps read and write, the DRBG that draws challenge nonces,
 /// the clock, the configuration, the metrics, the telemetry and the
 /// liveness check. It has no way to the journaled state, the CA or the CRL
 /// cache, so a handshake step neither journals nor reads what a journal
@@ -2182,10 +2160,11 @@ impl VerificationManager {
 /// wait.
 ///
 /// ```
-/// use vnfguard_core::manager::{Handshake, HostRecord};
+/// use vnfguard_core::manager::{Challenge, Handshake};
+/// use vnfguard_core::CoreError;
 ///
-/// fn verdict(handshake: &Handshake<'_>, host_id: &str) -> Option<HostRecord> {
-///     handshake.host_record(host_id).cloned()
+/// fn challenge(handshake: &mut Handshake<'_>, host_id: &str) -> Result<Challenge, CoreError> {
+///     handshake.begin_host_attestation(host_id)
 /// }
 /// ```
 ///
@@ -2200,6 +2179,7 @@ impl VerificationManager {
 /// ```
 pub struct Handshake<'a> {
     part: &'a mut HandshakeState,
+    trust: &'a Trust,
     rng: &'a mut HmacDrbg,
     clock: &'a SimClock,
     config: &'a ManagerConfig,
@@ -2257,42 +2237,20 @@ impl Handshake<'_> {
     ) -> Result<(), CoreError> {
         self.liveness.check()?;
         let now = self.clock.now();
-        let record = self
-            .part
-            .hosts
-            .entry(host_id.to_string())
-            .or_insert(HostRecord {
-                host_id: host_id.to_string(),
-                verdict: Verdict::UnknownComponents,
-                attested_at: 0,
-                iml_entries: 0,
-                // Placeholder until the host actually attests; the record is
-                // untrusted (UnknownComponents) so the value never gates anything.
-                backend: BackendKind::SgxEpid,
-                tpm_aik: None,
-            });
-        record.tpm_aik = Some(aik);
+        self.trust.hosts_mut().aiks.insert(host_id.to_string(), aik);
         self.event(now, "tpm_registered", host_id);
         Ok(())
     }
 
-    pub fn host_record(&self, host_id: &str) -> Option<&HostRecord> {
-        self.part.hosts.get(host_id)
-    }
-
-    /// Every host trust record this manager holds (the service layer
-    /// propagates these to non-authority shards after attestations, so
-    /// shard-local enrollment checks see the authority's verdicts).
-    pub fn host_records(&self) -> Vec<HostRecord> {
-        self.part.hosts.values().cloned().collect()
-    }
-
-    /// Adopt a host trust record decided by the authority shard (which
-    /// runs all host attestation). Verdicts are volatile evidence — like
-    /// the authority's own host table they are not journaled and do not
-    /// survive recovery.
-    pub fn adopt_host_record(&mut self, record: HostRecord) {
-        self.part.hosts.insert(record.host_id.clone(), record);
+    /// The platform-compromise flip: the host's verdict turns untrusted,
+    /// so no VNF challenge, enrollment or renewal passes for it until it
+    /// re-attests.
+    pub(crate) fn distrust_host(&mut self, host_id: &str) -> Result<(), CoreError> {
+        self.liveness.check()?;
+        if let Some(record) = self.trust.hosts_mut().verdicts.get_mut(host_id) {
+            record.verdict = Verdict::Mismatch;
+        }
+        Ok(())
     }
 
     // ---- Steps 1–2: host attestation -------------------------------------
@@ -2312,11 +2270,11 @@ impl Handshake<'_> {
 
     /// Step 2: verify the evidence with the backend's verifier (IAS for
     /// SGX, the offline VCEK chain for SNP), check its integrity
-    /// measurement against `trust` and appraise the measurement list
-    /// against `trust`'s reference database.
+    /// measurement against the whitelist and appraise the measurement list
+    /// against the reference database. The verdict replaces the host's in
+    /// the host table.
     pub fn complete_host_attestation(
         &mut self,
-        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         evidence: &HostEvidence,
@@ -2326,7 +2284,7 @@ impl Handshake<'_> {
             let _span = self
                 .span("host_attestation", now)
                 .with_histogram(self.metrics.host_attestation_micros.clone());
-            self.host_attestation_inner(trust, backend, challenge_id, evidence, now)
+            self.host_attestation_inner(backend, challenge_id, evidence, now)
         };
         match &result {
             Ok(_) => self.metrics.host_attestations.inc(),
@@ -2337,7 +2295,6 @@ impl Handshake<'_> {
 
     fn host_attestation_inner(
         &mut self,
-        trust: &Trust,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         evidence: &HostEvidence,
@@ -2379,7 +2336,7 @@ impl Handshake<'_> {
         }
         let measurement = Measurement(appraisal.measurement);
         let key = (appraisal.backend, measurement);
-        if !trust.read().integrity_enclaves.contains_key(&key) {
+        if !self.trust.read().integrity_enclaves.contains_key(&key) {
             self.event(
                 now,
                 "host_attestation_rejected",
@@ -2402,20 +2359,20 @@ impl Handshake<'_> {
         // Appraise the list.
         let appraise_span = self.span("appraise", now);
         let list = evidence.measurement_list()?;
-        let result = trust.read().reference_db.appraise(&list, &HOST_APPRAISAL);
+        let result = self
+            .trust
+            .read()
+            .reference_db
+            .appraise(&list, &HOST_APPRAISAL);
         drop(appraise_span);
 
         // §4 extension: check the TPM anchor if required/available.
         if self.config.require_tpm || evidence.tpm_quote.is_some() {
             let _tpm_span = self.span("tpm_check", now);
-            let aik = self
-                .part
-                .hosts
-                .get(&host_id)
-                .and_then(|h| h.tpm_aik)
-                .ok_or_else(|| {
-                    CoreError::AttestationFailed(format!("no TPM AIK registered for {host_id}"))
-                })?;
+            let aik = self.trust.hosts().aiks.get(&host_id).copied();
+            let aik = aik.ok_or_else(|| {
+                CoreError::AttestationFailed(format!("no TPM AIK registered for {host_id}"))
+            })?;
             let quote = evidence.parsed_tpm_quote()?.ok_or_else(|| {
                 CoreError::AttestationFailed("TPM quote required but absent".into())
             })?;
@@ -2438,8 +2395,7 @@ impl Handshake<'_> {
         }
 
         let verdict = result.verdict;
-        let previous_aik = self.part.hosts.get(&host_id).and_then(|h| h.tpm_aik);
-        self.part.hosts.insert(
+        self.trust.hosts_mut().verdicts.insert(
             host_id.clone(),
             HostRecord {
                 host_id: host_id.clone(),
@@ -2447,7 +2403,6 @@ impl Handshake<'_> {
                 attested_at: now,
                 iml_entries: result.entries,
                 backend: appraisal.backend,
-                tpm_aik: previous_aik,
             },
         );
         self.metrics.host_attestations_by_backend[appraisal.backend.as_u8() as usize].inc();
@@ -2476,7 +2431,7 @@ impl Handshake<'_> {
     ) -> Result<Challenge, CoreError> {
         self.liveness.check()?;
         let now = self.clock.now();
-        if !self.part.host_is_trusted(host_id, now) {
+        if trusted_backend(self.trust, host_id, now).is_none() {
             self.event(
                 now,
                 "vnf_attestation_refused",
@@ -2500,7 +2455,6 @@ impl Handshake<'_> {
 impl std::fmt::Debug for VerificationManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerificationManager")
-            .field("hosts", &self.handshake.hosts.len())
             .field("enrollments", &self.state().enrollments.len())
             .finish_non_exhaustive()
     }
@@ -2636,15 +2590,17 @@ mod tests {
             clock.clone(),
             Telemetry::new(),
         );
-        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
+        let trust = Trust::default();
+        let mut handshake = vm.handshake(&trust);
+        let challenge = handshake.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_000);
         clock.advance(100);
-        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
+        let challenge = handshake.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 5_100);
         // Rewinding the shared clock is the only way to move time: there
         // is no explicit-time entry point to bypass the injected clock.
         clock.set(42);
-        let challenge = vm.handshake().begin_host_attestation("host-1").unwrap();
+        let challenge = handshake.begin_host_attestation("host-1").unwrap();
         assert_eq!(challenge.issued_at, 42);
     }
 
@@ -2657,7 +2613,8 @@ mod tests {
             clock.clone(),
             Telemetry::new(),
         );
-        let mut handshake = vm.handshake();
+        let trust = Trust::default();
+        let mut handshake = vm.handshake(&trust);
         for _ in 0..3 {
             handshake.begin_host_attestation("host-1").unwrap();
         }
@@ -2680,7 +2637,9 @@ mod tests {
             SimClock::at(1_000),
             telemetry.clone(),
         );
-        vm.handshake().begin_host_attestation("host-1").unwrap();
+        vm.handshake(&Trust::default())
+            .begin_host_attestation("host-1")
+            .unwrap();
         let events = vm.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "host_attestation_started");

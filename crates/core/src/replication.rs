@@ -70,22 +70,25 @@ const STATUS_OK: u8 = 0;
 const STATUS_GAP: u8 = 1;
 const STATUS_FENCED: u8 = 2;
 
+/// The most frames a batch may carry: a standby refuses a header that
+/// claims more before it reads any frame, and the primary's window is
+/// clamped to it.
+const MAX_BATCH_FRAMES: usize = 1024;
+/// The longest frame a standby reads: far above any record, and over ten
+/// times the largest snapshot the tests and benches build (about 1.4 MB,
+/// the state of E16's 10,000-credential storm fleet).
+const MAX_FRAME_BYTES: usize = 16 << 20;
+
 /// Tuning for the streaming side.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Maximum records in flight per batch before an ack is required.
+    /// Maximum records in flight per batch before an ack is required,
+    /// clamped to the 1,024 frames a standby accepts in one batch.
     pub window: usize,
     /// Records retained in the primary's resend buffer beyond the slowest
     /// ack. A standby that falls further behind than this is caught up
     /// with a snapshot instead of a replay.
     pub retain: usize,
-    /// Connection/IO retry attempts per pump pass (full-jitter backoff on
-    /// the shared [`SimClock`]).
-    pub retry_attempts: u32,
-    /// Base backoff delay (seconds) for link retries.
-    pub retry_base_secs: u64,
-    /// Cap on a single backoff delay (seconds).
-    pub retry_max_secs: u64,
 }
 
 impl Default for ReplicationConfig {
@@ -93,9 +96,6 @@ impl Default for ReplicationConfig {
         ReplicationConfig {
             window: 32,
             retain: 1024,
-            retry_attempts: 2,
-            retry_base_secs: 1,
-            retry_max_secs: 8,
         }
     }
 }
@@ -114,7 +114,7 @@ struct Batch {
 }
 
 impl Batch {
-    fn write_to(&self, stream: &mut Duplex) -> std::io::Result<()> {
+    fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         let mut out = Vec::with_capacity(30 + self.frames.iter().map(Vec::len).sum::<usize>());
         out.push(BATCH_MAGIC);
         out.extend_from_slice(&self.epoch.to_be_bytes());
@@ -130,34 +130,38 @@ impl Batch {
         stream.write_all(&out)
     }
 
-    fn read_from(stream: &mut Duplex) -> std::io::Result<Batch> {
+    /// Read one batch. A header claiming more than [`MAX_BATCH_FRAMES`]
+    /// frames, or a length word over [`MAX_FRAME_BYTES`], is refused before
+    /// anything is sized from it or read past it.
+    fn read_from(stream: &mut impl Read) -> std::io::Result<Batch> {
+        let invalid = |what| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
         let mut header = [0u8; 30];
         stream.read_exact(&mut header)?;
         if header[0] != BATCH_MAGIC {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad batch magic",
-            ));
+            return Err(invalid("bad batch magic"));
         }
         let epoch = u64::from_be_bytes(header[1..9].try_into().expect("8 bytes"));
         let kind = header[9];
         let first_seq = u64::from_be_bytes(header[10..18].try_into().expect("8 bytes"));
         let count = u32::from_be_bytes(header[18..22].try_into().expect("4 bytes")) as usize;
         let sent_at = u64::from_be_bytes(header[22..30].try_into().expect("8 bytes"));
+        if count > MAX_BATCH_FRAMES {
+            return Err(invalid("batch claims too many frames"));
+        }
         let mut frames = Vec::with_capacity(count);
         for _ in 0..count {
             let mut len_buf = [0u8; 4];
             stream.read_exact(&mut len_buf)?;
             let len = u32::from_be_bytes(len_buf) as usize;
+            if len > MAX_FRAME_BYTES {
+                return Err(invalid("frame too long"));
+            }
             let mut payload = vec![0u8; len];
             stream.read_exact(&mut payload)?;
             let mut crc_buf = [0u8; 4];
             stream.read_exact(&mut crc_buf)?;
             if crc32(&payload) != u32::from_be_bytes(crc_buf) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "frame checksum mismatch",
-                ));
+                return Err(invalid("frame checksum mismatch"));
             }
             frames.push(payload);
         }
@@ -729,6 +733,12 @@ impl ReplicaSet {
         let _ = self.pump_inner(true);
     }
 
+    /// Link retries per pump pass, then the full-jitter backoff's base and
+    /// cap in seconds, on the shared [`SimClock`].
+    const RETRY_ATTEMPTS: u32 = 2;
+    const RETRY_BASE_SECS: u64 = 1;
+    const RETRY_MAX_SECS: u64 = 8;
+
     fn pump_inner(&self, send_heartbeat: bool) -> Result<(), String> {
         let shared = &self.shared;
         let now = shared.clock.now();
@@ -740,9 +750,9 @@ impl ReplicaSet {
             ));
         }
         let retry = RetryPolicy::new(
-            shared.config.retry_attempts,
-            shared.config.retry_base_secs,
-            shared.config.retry_max_secs,
+            Self::RETRY_ATTEMPTS,
+            Self::RETRY_BASE_SECS,
+            Self::RETRY_MAX_SECS,
         )
         .with_seed(inner.next_seq ^ (inner.epoch << 32));
         let mut fenced = false;
@@ -810,7 +820,7 @@ impl ReplicaSet {
             conn.set_read_timeout(Some(std::time::Duration::from_secs(5)));
             inner.links[idx].conn = Some(conn);
         }
-        let window = shared.config.window.max(1);
+        let window = shared.config.window.clamp(1, MAX_BATCH_FRAMES);
         loop {
             let from = inner.links[idx].acked_seq + 1;
             if from > head {
@@ -1022,5 +1032,72 @@ impl std::fmt::Debug for ReplicaSet {
             .field("standbys", &inner.links.len())
             .field("fenced", &self.is_fenced())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader over `bytes` that counts the bytes it hands out.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        read: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.bytes.len() - self.read);
+            buf[..n].copy_from_slice(&self.bytes[self.read..self.read + n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// `wire` read as one batch, and how many bytes that read took.
+    fn read(wire: &[u8]) -> (std::io::Result<Batch>, usize) {
+        let mut reader = Counting {
+            bytes: wire,
+            read: 0,
+        };
+        (Batch::read_from(&mut reader), reader.read)
+    }
+
+    /// A records batch of `frames`, encoded.
+    fn encoded(frames: Vec<Vec<u8>>) -> Vec<u8> {
+        let batch = Batch {
+            epoch: 7,
+            kind: KIND_RECORDS,
+            first_seq: 1,
+            sent_at: 0,
+            frames,
+        };
+        let mut wire = Vec::new();
+        batch.write_to(&mut wire).unwrap();
+        wire
+    }
+
+    #[test]
+    fn a_standby_refuses_an_oversized_claim_before_reading_past_it() {
+        const HEADER: usize = 30;
+        // Frame count just above the bound: nothing past the header.
+        let mut wire = encoded(vec![Vec::new(); MAX_BATCH_FRAMES + 1]);
+        wire.truncate(HEADER + 64);
+        let (batch, taken) = read(&wire);
+        assert!(batch.is_err());
+        assert_eq!(taken, HEADER, "read past a header claiming too many frames");
+        // Frame length just above the bound: nothing past the length word.
+        let mut wire = encoded(vec![Vec::new()]);
+        wire.truncate(HEADER);
+        wire.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
+        wire.extend_from_slice(&[0; 64]);
+        let (batch, taken) = read(&wire);
+        assert!(batch.is_err());
+        assert_eq!(taken, HEADER + 4, "read past an oversized length word");
+        // A batch at the frame bound still reads whole.
+        let wire = encoded(vec![vec![0xAB]; MAX_BATCH_FRAMES]);
+        let (batch, taken) = read(&wire);
+        assert_eq!(batch.unwrap().frames.len(), MAX_BATCH_FRAMES);
+        assert_eq!(taken, wire.len());
     }
 }

@@ -29,23 +29,6 @@ pub struct PendingNotice {
     pub host_id: String,
     pub serial: u64,
     pub tag: [u8; 32],
-    pub queued_at: u64,
-    pub attempts: u32,
-}
-
-/// A revocation notice that reached its agent, with the delivery time the
-/// drain pass actually recorded (previously the drain timestamp was
-/// accepted and ignored, leaving the audit trail without delivery times).
-#[derive(Debug, Clone)]
-pub struct DeliveredNotice {
-    pub host_id: String,
-    pub serial: u64,
-    /// When the notice was first queued (equals `delivered_at` for
-    /// immediate deliveries).
-    pub queued_at: u64,
-    /// When delivery actually succeeded.
-    pub delivered_at: u64,
-    /// Delivery attempts including the successful one.
     pub attempts: u32,
 }
 
@@ -54,7 +37,6 @@ pub struct RevocationNotifier {
     network: Network,
     origin: String,
     queue: Vec<PendingNotice>,
-    delivered: Vec<DeliveredNotice>,
     /// Journal queue/delivery transitions so recovery can resume
     /// store-and-forward where the dead incarnation left it.
     store: Option<StateStore>,
@@ -67,7 +49,6 @@ impl RevocationNotifier {
             network: network.clone(),
             origin: "vm".to_string(),
             queue: Vec::new(),
-            delivered: Vec::new(),
             store: None,
             telemetry: Telemetry::disabled(),
         }
@@ -131,13 +112,6 @@ impl RevocationNotifier {
                     "revocation_delivered",
                     &format!("{host_id} serial {serial} (immediate)"),
                 );
-                self.delivered.push(DeliveredNotice {
-                    host_id: host_id.to_string(),
-                    serial,
-                    queued_at: at,
-                    delivered_at: at,
-                    attempts: 1,
-                });
                 true
             }
             Err(_) => {
@@ -156,7 +130,6 @@ impl RevocationNotifier {
                     host_id: host_id.to_string(),
                     serial,
                     tag,
-                    queued_at: at,
                     attempts: 1,
                 });
                 false
@@ -165,9 +138,9 @@ impl RevocationNotifier {
     }
 
     /// Retry every queued notice at time `at`; delivered ones leave the
-    /// queue with their delivery time recorded in the
-    /// [`delivery_log`](Self::delivery_log). Returns the number delivered
-    /// in this pass.
+    /// queue, their delivery journaled and logged as a
+    /// `revocation_delivered` event. Returns the number delivered in this
+    /// pass.
     pub fn drain(&mut self, at: u64) -> usize {
         let mut remaining = Vec::new();
         let mut delivered = 0;
@@ -189,13 +162,6 @@ impl RevocationNotifier {
                             notice.attempts + 1
                         ),
                     );
-                    self.delivered.push(DeliveredNotice {
-                        host_id: notice.host_id,
-                        serial: notice.serial,
-                        queued_at: notice.queued_at,
-                        delivered_at: at,
-                        attempts: notice.attempts + 1,
-                    });
                     delivered += 1;
                 }
                 Err(_) => {
@@ -225,11 +191,6 @@ impl RevocationNotifier {
     /// Notices still awaiting delivery.
     pub fn pending(&self) -> &[PendingNotice] {
         &self.queue
-    }
-
-    /// Every successful delivery, in order, with recorded delivery times.
-    pub fn delivery_log(&self) -> &[DeliveredNotice] {
-        &self.delivered
     }
 }
 

@@ -19,29 +19,27 @@
 //! - **host attestation, CA, CRL, rotation and operator certificates**
 //!   always go to the authority shard.
 //!
-//! Cross-shard coordination is explicit and small: host trust records
-//! established on the authority are propagated to the other shards (they
-//! gate shard-local enrollments and renewals), CA rotations committed on
-//! the authority are *adopted* (never independently performed) by the
+//! Cross-shard coordination is explicit and small: CA rotations committed
+//! on the authority are *adopted* (never independently performed) by the
 //! others, and the fleet CRL folds every shard's revocations into one
-//! authority-signed artifact. None of the adoption traffic is journaled:
-//! it touches no shard's journaled state (the CA's keys and epoch, host
-//! verdicts), authority decisions appear only in the authority's WAL, and
-//! recovery re-adopts from the authority's replayed state (see
-//! `Testbed::recover_vm`). A fleet CRL poll gathers each other shard's
-//! revocations with its CRL revision, which the shard derives from its
-//! journaled revocations and CA epoch, has the authority sign them with
-//! its own, and clears each shard only up to the revision it gathered.
+//! authority-signed artifact. Adoption is not journaled: it touches no
+//! shard's journaled state (the CA's keys and epoch), authority decisions
+//! appear only in the authority's WAL, and recovery re-adopts from the
+//! authority's replayed state (see `Testbed::recover_vm`). A fleet CRL
+//! poll visits each other shard once, for its revocations and its CRL
+//! revision (derived from its journaled revocations and CA epoch); the
+//! authority alone keeps the CRL cache and signs afresh only when a
+//! revision passed the one its cached CRL was signed at.
 //!
-//! The evidence-carrying workflows (`complete_host_attestation`,
+//! What the deployment trusts — the whitelists, the host reference
+//! database, the host verdicts and the TPM AIKs — is the service's one
+//! [`Trust`], not a shard's: a host attestation writes one verdict, which
+//! every shard reads, and a trust write takes no shard lock. The
+//! evidence-carrying workflows (`complete_host_attestation`,
 //! `prepare_vnf_enrollment`, `complete_vnf_enrollment`) take one
 //! `&mut dyn AttestationBackend`. An IAS handle is one (every
 //! `QuoteVerifier` is the SGX backend), and so are an SNP verifier and a
-//! `MultiBackend`; each enters the workflow the same way. They read the
-//! deployment's trust inputs, the whitelists and the host reference
-//! database, from the service's one [`Trust`], which no shard holds: a
-//! trust write takes no shard lock, and a recovered or promoted
-//! incarnation sees every entry made before it.
+//! `MultiBackend`; each enters the workflow the same way.
 //!
 //! Every method takes `&self` and reaches a shard only through one of two
 //! private accessors, each of which locks it for only as long as the
@@ -61,10 +59,10 @@
 //!   `vnfguard_store`'s commit path), while no response leaves before its
 //!   records — or any record it could have observed — are on the medium.
 //! - The handshake accessor lends a [`Handshake`]: the host challenge and
-//!   appraisal, the VNF challenge, TPM registration, the host records and
-//!   their fan-out. The view reaches only challenges and host verdicts,
-//!   which no journal carries, so these steps take no commit wait and
-//!   never sit out another caller's device write.
+//!   appraisal, the VNF challenge, TPM registration and the host
+//!   revocation's flip. The view reaches only challenges and the host
+//!   table, which no journal carries, so these steps take no commit wait
+//!   and never sit out another caller's device write.
 
 use crate::lifecycle::{CaRotation, LifecycleStatus, RenewalDue};
 use crate::manager::{
@@ -382,10 +380,16 @@ impl VmService {
 
     /// The way to a shard's [`Handshake`]: runs `f` under the shard lock
     /// and takes no commit ticket. The view reaches only the challenges and
-    /// host records, which no journal carries, so a handshake step observes
-    /// no record that could still be in flight and answers once it is done.
+    /// the host table, which no journal carries, so a handshake step
+    /// observes no record that could still be in flight and answers once it
+    /// is done.
     pub(crate) fn handshake<T>(&self, index: usize, f: impl FnOnce(&mut Handshake<'_>) -> T) -> T {
-        f(&mut self.shards[index].lock().handshake())
+        f(&mut self.shards[index].lock().handshake(&self.trust))
+    }
+
+    /// The deployment's trust inputs and host table.
+    pub(crate) fn trust(&self) -> &Trust {
+        &self.trust
     }
 
     fn shard_for_vnf(&self, vnf_name: &str) -> usize {
@@ -426,50 +430,19 @@ impl VmService {
         })
     }
 
-    /// Copy the authority's host trust records to every other shard.
-    /// Shard-local enrollment and renewal checks read the local copy;
-    /// verdicts are volatile by design, so propagation is not journaled
-    /// and does not survive recovery — hosts re-attest.
-    fn sync_host_records(&self) {
-        if self.shards.len() == 1 {
-            return;
-        }
-        let records = self.handshake(0, |handshake| handshake.host_records());
-        for index in 1..self.shards.len() {
-            self.handshake(index, |handshake| {
-                for record in &records {
-                    handshake.adopt_host_record(record.clone());
-                }
-            });
-        }
-    }
-
-    /// Collect the non-authority shards' revocation entries, whether any
-    /// of them has revocations not yet folded into a distributed CRL, and
-    /// each shard's CRL revision as of that read (for
-    /// [`clear_remote_dirty`](Self::clear_remote_dirty)).
-    fn gather_remote_revocations(&self) -> (Vec<CrlEntry>, bool, Vec<u64>) {
+    /// The non-authority shards' revocation entries, and each one's CRL
+    /// revision as of that read, in shard order: one visit per shard.
+    fn gather_remote_revocations(&self) -> (Vec<CrlEntry>, Vec<u64>) {
         let mut extras = Vec::new();
-        let mut any_dirty = false;
-        let mut revisions = Vec::with_capacity(self.shards.len() - 1);
-        for index in 1..self.shards.len() {
-            self.run(index, |vm| {
-                any_dirty |= vm.crl_dirty();
-                revisions.push(vm.crl_revision());
-                extras.extend(vm.revoked_entries());
-            });
-        }
-        (extras, any_dirty, revisions)
-    }
-
-    /// Mark the gathered revocations as folded into the CRL just signed.
-    /// Compare-and-clear: a shard that revoked since the gather stays
-    /// dirty, so the next poll re-issues instead of serving a CRL without
-    /// an acknowledged revocation.
-    fn clear_remote_dirty(&self, revisions: &[u64]) {
-        for (offset, &revision) in revisions.iter().enumerate() {
-            self.run(offset + 1, |vm| vm.clear_crl_dirty(revision));
-        }
+        let revisions: Vec<u64> = (1..self.shards.len())
+            .map(|index| {
+                self.run(index, |vm| {
+                    extras.extend(vm.revoked_entries());
+                    vm.crl_revision()
+                })
+            })
+            .collect();
+        (extras, revisions)
     }
 
     /// Every shard's `f`, in shard order.
@@ -490,9 +463,7 @@ impl VmService {
         host_id: &str,
         aik: vnfguard_crypto::ed25519::VerifyingKey,
     ) -> Result<(), CoreError> {
-        self.handshake(0, |handshake| handshake.register_host_tpm(host_id, aik))?;
-        self.sync_host_records();
-        Ok(())
+        self.handshake(0, |handshake| handshake.register_host_tpm(host_id, aik))
     }
 
     /// Step 1: challenge a container host.
@@ -501,32 +472,33 @@ impl VmService {
     }
 
     /// Step 2: verify and appraise host evidence through any attestation
-    /// backend (an IAS handle is one). The resulting trust record is
-    /// propagated to every shard.
+    /// backend (an IAS handle is one). The verdict replaces the host's one
+    /// entry, which every shard reads.
     pub fn complete_host_attestation(
         &self,
         backend: &mut dyn AttestationBackend,
         challenge_id: u64,
         evidence: &crate::attestation::HostEvidence,
     ) -> Result<Verdict, CoreError> {
-        let verdict = self.handshake(0, |handshake| {
-            handshake.complete_host_attestation(&self.trust, backend, challenge_id, evidence)
-        })?;
-        self.sync_host_records();
-        Ok(verdict)
+        self.handshake(0, |handshake| {
+            handshake.complete_host_attestation(backend, challenge_id, evidence)
+        })
     }
 
     /// Policy-gated reuse of a cached host verdict when the attestation
     /// service is unreachable.
     pub fn degraded_host_verdict(&self, host_id: &str) -> Result<Verdict, CoreError> {
-        self.call(0, |vm| vm.degraded_host_verdict(host_id))
+        self.call(0, |vm| vm.degraded_host_verdict(&self.trust, host_id))
     }
 
-    /// Platform-compromise response: every shard revokes its own
-    /// credentials for the host and flips its local trust record. Returns
-    /// how many credentials the call revoked fleet-wide; a shard whose
-    /// revocation or commit fails fails the call.
+    /// Platform-compromise response. First the host's one verdict turns
+    /// untrusted, behind the authority's liveness check, so no shard
+    /// challenges, enrolls or renews for it from then on; then every shard
+    /// revokes its own credentials for the host. Returns how many the call
+    /// revoked fleet-wide; a shard whose revocation or commit fails fails
+    /// the call.
     pub fn revoke_host(&self, host_id: &str) -> Result<usize, CoreError> {
+        self.handshake(0, |handshake| handshake.distrust_host(host_id))?;
         let mut revoked = 0;
         for index in 0..self.shards.len() {
             revoked += self.call(index, |vm| vm.revoke_host(host_id))?;
@@ -534,8 +506,9 @@ impl VmService {
         Ok(revoked)
     }
 
+    /// The host's last appraisal, read without a shard lock.
     pub fn host_record(&self, host_id: &str) -> Option<HostRecord> {
-        self.handshake(0, |handshake| handshake.host_record(host_id).cloned())
+        self.trust.hosts().verdicts.get(host_id).cloned()
     }
 
     /// Drop an unanswered challenge: a handshake that fails after its
@@ -567,8 +540,9 @@ impl VmService {
         })
     }
 
-    /// Steps 4–5 in one shot (prepare + commit), through any attestation
-    /// backend.
+    /// Steps 4–5 in one shot through any attestation backend: prepare then
+    /// commit under one shard-lock hold. Use the two-phase form when the
+    /// bundle crosses a network that can fail mid-delivery.
     pub fn complete_vnf_enrollment(
         &self,
         backend: &mut dyn AttestationBackend,
@@ -583,14 +557,16 @@ impl VmService {
             shard,
             Workclass::Enrollment,
             |vm| {
-                vm.complete_vnf_enrollment(
+                let mint = vm.prepare_vnf_enrollment(
                     &self.trust,
                     &mut *backend,
                     challenge_id,
                     quote_bytes,
                     provisioning_key,
                     controller_cn,
-                )
+                )?;
+                vm.commit_vnf_enrollment(mint.serial())?;
+                Ok(mint)
             },
             Mint::run,
         );
@@ -681,7 +657,7 @@ impl VmService {
         self.with_shard_gated(
             shard,
             Workclass::Renewal,
-            |vm| vm.renew_vnf_credential(serial, provisioning_key, controller_cn),
+            |vm| vm.renew_vnf_credential(&self.trust, serial, provisioning_key, controller_cn),
             Mint::run,
         )
     }
@@ -783,8 +759,9 @@ impl VmService {
         self.fleet_crl(true)
     }
 
-    /// The fleet CRL to serve to polling relying parties: the cached copy
-    /// unless any shard has revocations (or a rotation) not yet covered.
+    /// The fleet CRL to serve to polling relying parties: the authority's
+    /// cached copy unless a shard's revocations (or a rotation) moved its
+    /// revision past the one that copy was signed at.
     pub fn latest_crl(&self) -> Result<Crl, CoreError> {
         self.fleet_crl(false)
     }
@@ -793,23 +770,21 @@ impl VmService {
     /// [`latest_crl`](Self::latest_crl).
     fn fleet_crl(&self, fresh: bool) -> Result<Crl, CoreError> {
         self.admitted(Workclass::Revocation, |dequeued| {
-            let (extras, any_dirty, revisions) = self.gather_remote_revocations();
-            let crl = self.call(0, |authority| {
+            let (extras, revisions) = self.gather_remote_revocations();
+            self.call(0, |authority| {
                 dequeued()?;
-                if fresh || any_dirty {
-                    authority.issue_crl(&extras)
+                if fresh {
+                    authority.issue_crl(&extras, &revisions)
                 } else {
-                    authority.latest_crl(&extras)
+                    authority.latest_crl(&extras, &revisions)
                 }
-            })?;
-            self.clear_remote_dirty(&revisions);
-            Ok(crl)
+            })
         })
     }
 
     /// Read-only preview of the fleet CRL (no journaling, no number bump).
     pub fn current_crl(&self, lifetime_secs: u64) -> Crl {
-        let (extras, _, _) = self.gather_remote_revocations();
+        let (extras, _) = self.gather_remote_revocations();
         self.run(0, |vm| vm.current_crl(&extras, lifetime_secs))
     }
 
@@ -884,8 +859,7 @@ impl VmService {
     }
 
     /// Swap `placeholder` in for shard `index`'s incarnation and serve the
-    /// one it replaces as a single-shard service over the same trust
-    /// inputs.
+    /// one it replaces as a single-shard service over the same trust.
     pub(crate) fn detach(&self, index: usize, placeholder: VerificationManager) -> VmService {
         let detached = self.run(index, |slot| std::mem::replace(slot, placeholder));
         VmService {
@@ -1160,7 +1134,10 @@ impl std::fmt::Debug for VmService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{Testbed, TestbedBuilder};
+    use crate::attestation::host_tee_evidence;
+    use crate::deployment::{Testbed, TestbedBuilder, TestbedHost};
+    use crate::remote::RemoteIas;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
     use vnfguard_store::Media;
 
@@ -1190,21 +1167,142 @@ mod tests {
         (tb, credentials)
     }
 
+    /// One host attestation through `ias`, answered as the host's agent
+    /// would answer it.
+    fn attest(vm: &VmService, ias: &mut RemoteIas, host: &TestbedHost) -> Verdict {
+        let challenge = vm.begin_host_attestation(&host.id).unwrap();
+        let iml = host.container_host.measurement_list().encode();
+        let evidence = host_tee_evidence(
+            &host.platform,
+            None,
+            &host.integrity_enclave,
+            iml,
+            &challenge.nonce,
+            None,
+        )
+        .unwrap();
+        vm.complete_host_attestation(ias, challenge.id, &evidence)
+            .unwrap()
+    }
+
+    /// A VNF name that routes to each of `shards` shards, in shard order.
+    fn vnf_per_shard(shards: usize) -> Vec<String> {
+        (0..shards)
+            .map(|shard| {
+                (0..)
+                    .map(|i| format!("vnf-per-shard-{i}"))
+                    .find(|name| shard_of_vnf(name, shards) == shard)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Raises its flag when dropped, by a panic too.
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Host 1 re-attests in a loop while host 0 is revoked and re-attests,
+    /// round after round: once `revoke_host` returns, no shard challenges
+    /// a VNF on host 0, neither at once nor after host 1's attestation in
+    /// flight at the revocation has finished.
+    #[test]
+    fn a_revoked_host_is_refused_on_every_shard_while_another_host_attests() {
+        let mut tb = TestbedBuilder::new(b"svc revoke race")
+            .hosts(2)
+            .shards(2)
+            .build();
+        let report_key = tb.ias.report_signing_key();
+        let (_server, mut ias) = tb.serve_ias("ias:443").unwrap();
+        let mut other_ias = RemoteIas::new(&tb.network, "ias:443", report_key);
+        let (vm, other) = (tb.vm_service(), tb.hosts.remove(1));
+        let vnfs = vnf_per_shard(2);
+        let (stop, attested) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let accepted = std::thread::scope(|scope| {
+            let (vm, stop, attested) = (&vm, &stop, &attested);
+            let other_host = scope.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    attest(vm, &mut other_ias, &other);
+                    attested.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let accepted = || {
+                vnfs.iter()
+                    .filter(|vnf| vm.begin_vnf_attestation("host-0", vnf).is_ok())
+                    .count()
+            };
+            // A failed round stops the other host's loop, so the scope joins.
+            let _stop = RaiseOnDrop(stop);
+            let mut total = 0;
+            for _ in 0..100 {
+                attest(vm, &mut ias, &tb.hosts[0]);
+                vm.revoke_host("host-0").unwrap();
+                let revoked_at = attested.load(Ordering::SeqCst);
+                total += accepted();
+                while attested.load(Ordering::SeqCst) == revoked_at {
+                    assert!(!other_host.is_finished(), "host-1 stopped attesting");
+                    std::thread::yield_now();
+                }
+                total += accepted();
+            }
+            total
+        });
+        assert_eq!(
+            accepted, 0,
+            "VNF challenges for host-0 granted after its revocation"
+        );
+    }
+
+    /// After a recovery every shard refuses the host until it re-attests,
+    /// and it re-attests with its TPM quote: its AIK outlives the
+    /// incarnation, registered once at build.
+    #[test]
+    fn a_recovered_fleet_refuses_the_host_until_it_re_attests_with_its_tpm() {
+        let mut tb = TestbedBuilder::new(b"svc recovered tpm host")
+            .with_tpm()
+            .durable()
+            .shards(2)
+            .build();
+        let vm = tb.vm_service();
+        let registrations = || {
+            vm.events()
+                .iter()
+                .filter(|event| event.kind == "tpm_registered")
+                .count()
+        };
+        let registered = registrations();
+        tb.attest_host(0).unwrap();
+        tb.recover_vm().unwrap();
+        let vnfs = vnf_per_shard(2);
+        for vnf in &vnfs {
+            let refused = vm.begin_vnf_attestation("host-0", vnf);
+            assert!(refused.is_err(), "{vnf}'s shard kept the host's verdict");
+        }
+        assert!(tb.attest_host(0).unwrap().is_trusted());
+        for vnf in &vnfs {
+            vm.begin_vnf_attestation("host-0", vnf).unwrap();
+        }
+        assert_eq!(registrations(), registered, "an AIK was registered again");
+    }
+
     #[test]
     fn crl_clear_keeps_a_revocation_that_landed_after_the_gather() {
         let (tb, credentials) = enrolled_on(b"svc crl race", 2, 1, 1);
         let serial = credentials[0].0;
         let vm = tb.vm_service();
         assert_eq!(shard_of_serial(serial), 1);
-        // A CRL poll gathers the remote shards' entries ...
-        let (extras, _, revisions) = vm.gather_remote_revocations();
+        // A CRL poll gathers the remote shards' entries and revisions ...
+        let (extras, revisions) = vm.gather_remote_revocations();
         // ... a revocation is acknowledged on shard 1 meanwhile ...
         vm.revoke_credential(serial, RevocationReason::KeyCompromise)
             .unwrap();
-        // ... the authority signs what the gather saw, and the poll clears.
-        vm.call(0, |authority| authority.latest_crl(&extras))
+        // ... and the authority signs what the gather saw.
+        vm.call(0, |authority| authority.latest_crl(&extras, &revisions))
             .unwrap();
-        vm.clear_remote_dirty(&revisions);
         // The next poll must not re-serve a CRL without the revocation.
         let crl = vm.latest_crl().unwrap();
         assert!(
@@ -1219,14 +1317,14 @@ mod tests {
         let serial = credentials[0].0;
         let vm = tb.vm_service();
         // An operator's CRL push gathers the remote shards' entries ...
-        let (stale, _, revisions) = vm.gather_remote_revocations();
-        // ... a revocation lands and a poll gathers, signs and clears it ...
+        let (stale, revisions) = vm.gather_remote_revocations();
+        // ... a revocation lands and a poll gathers and signs it ...
         vm.revoke_credential(serial, RevocationReason::KeyCompromise)
             .unwrap();
         assert!(vm.latest_crl().unwrap().lookup(serial).is_some());
-        // ... and the push signs its older entries last.
-        vm.call(0, |authority| authority.issue_crl(&stale)).unwrap();
-        vm.clear_remote_dirty(&revisions);
+        // ... and the push signs its older entries and revisions last.
+        vm.call(0, |authority| authority.issue_crl(&stale, &revisions))
+            .unwrap();
         let crl = vm.latest_crl().unwrap();
         assert!(
             crl.lookup(serial).is_some(),
@@ -1381,8 +1479,8 @@ mod tests {
 
     /// Every handshake step answers while another caller's WAL write is in
     /// flight on its shard: it observes nothing journaled, so it has
-    /// nothing to wait for. The host attestation covers its challenge, its
-    /// appraisal and the fan-out of the verdict to the other shard.
+    /// nothing to wait for. The host attestation covers its challenge and
+    /// its appraisal, and it answers beside a follower's write too.
     #[test]
     fn handshake_steps_answer_while_another_callers_write_is_in_flight() {
         let (mut tb, credentials) = enrolled_on(b"svc handshake in flight", 2, 1, 2);
@@ -1422,7 +1520,7 @@ mod tests {
         answers_while_in_flight(
             &shard,
             revoke(credentials[0].0),
-            "a verdict fan-out",
+            "a host attestation beside a follower's write",
             || tb.attest_host(0).unwrap(),
         );
         answers_while_in_flight(&shard, revoke(credentials[1].0), "a VNF challenge", || {
@@ -1451,7 +1549,7 @@ mod tests {
         std::thread::scope(|scope| {
             let (minted, committed) = vm.on_shard(
                 0,
-                |manager| manager.renew_vnf_credential(serial, &key, "controller"),
+                |manager| manager.renew_vnf_credential(&vm.trust, serial, &key, "controller"),
                 |mint| {
                     let own_write = (media.writes_in_flight(), media.frame_count());
                     let unlocked = vm.shards[0].try_lock().is_some();

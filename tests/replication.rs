@@ -95,7 +95,6 @@ fn severed_standby_catches_up_with_a_snapshot() {
         .replication_config(ReplicationConfig {
             window: 2,
             retain: 2,
-            ..ReplicationConfig::default()
         })
         .faults(plan.clone())
         .build();
