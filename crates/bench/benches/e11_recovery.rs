@@ -1,22 +1,30 @@
 //! E11 — recovery latency vs log length: cold-start Verification Manager
 //! recovery from a sealed WAL holding 10 / 100 / 1000 committed
 //! enrollments, comparing full-log replay against snapshot-seeded replay,
-//! plus the raw store-layer replay cost underneath both.
+//! plus the raw store-layer replay cost underneath both. Then what a
+//! threshold compaction costs at 1k / 4k / 10k enrollments: the whole
+//! `StateStore::compact`, and its two parts (encoding the state, sealing
+//! the snapshot) per MB of snapshot.
 //!
 //! Each sample forks the pre-built medium ([`Media::fork`]) so repeated
 //! cold starts never observe each other's `RecoveryCompleted` appends.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 use vnfguard_controller::SimClock;
 use vnfguard_core::manager::ManagerConfig;
 use vnfguard_core::service::VmService;
 use vnfguard_sgx::platform::SgxPlatform;
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
-use vnfguard_store::{Media, StateStore, StateVault, WalRecord};
+use vnfguard_store::{Media, PayloadKind, StateStore, StateVault, WalRecord};
 use vnfguard_telemetry::Telemetry;
 
 const LOG_LENGTHS: [u64; 3] = [10, 100, 1000];
+/// Enrollments in the state a compaction seals.
+const COMPACTED: [u64; 3] = [1_000, 4_000, 10_000];
+/// Timed runs of each compaction part; the median is printed.
+const PART_RUNS: usize = 15;
 
 struct Fixture {
     platform: SgxPlatform,
@@ -128,5 +136,49 @@ fn bench_e11(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_e11);
+/// Median wall time of `PART_RUNS` runs of `f`, in milliseconds.
+fn median_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut runs: Vec<f64> = (0..PART_RUNS)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(f());
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[PART_RUNS / 2]
+}
+
+fn bench_compaction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e11_compaction");
+    group.sample_size(10);
+    for n in COMPACTED {
+        let fixture = logged_media(n, false);
+        let store = reopen(&fixture);
+        let state = store.replay().unwrap().state;
+        assert_eq!(state.enrollments.len() as u64, n);
+        let snapshot = state.encode();
+        let vault = StateVault::load(&fixture.platform, &fixture.author).unwrap();
+        let encode_ms = median_ms(|| state.encode().len());
+        let seal = || vault.seal(PayloadKind::Snapshot, &snapshot).unwrap().len();
+        let seal_ms = median_ms(seal);
+        let mb = snapshot.len() as f64 / 1e6;
+        println!(
+            "compaction at {n} enrollments: snapshot {:.0} KB, encode {encode_ms:.2} ms \
+             ({:.2} ms/MB), seal {seal_ms:.2} ms ({:.2} ms/MB)",
+            snapshot.len() as f64 / 1e3,
+            encode_ms / mb,
+            seal_ms / mb,
+        );
+        // The first compaction builds the replay mirror; the timed ones
+        // seal it, as a threshold compaction does.
+        store.compact().unwrap();
+        group.bench_with_input(BenchmarkId::new("store_compact", n), &n, |b, _| {
+            b.iter(|| black_box(store.compact().unwrap()));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_e11, bench_compaction);
 criterion_main!(benches);

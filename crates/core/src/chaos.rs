@@ -60,7 +60,8 @@ pub enum Step {
     /// Renew or revoke a live credential (enroll when none is left).
     Renew,
     Revoke,
-    /// Revoke every credential on the host, which then re-attests.
+    /// Revoke every credential on the host, prepared ones included; the
+    /// host then re-attests.
     RevokeHost,
     /// Take a degraded verdict (the testbed must allow them).
     Degraded,
@@ -332,7 +333,12 @@ impl Chaos {
             }
             Step::RevokeHost => {
                 self.retry("host revocation", None, |c| c.tb.vm.revoke_host(HOST));
-                self.revoked.extend(self.live.drain(..).map(|c| c.serial));
+                // Every credential is on the host: the live ones are
+                // revoked, and every prepare, the orphans too, is revoked
+                // and aborted.
+                let ended = self.live.drain(..).chain(self.pending.drain(..));
+                self.revoked.extend(ended.map(|c| c.serial));
+                self.revoked.append(&mut self.orphans);
                 self.tb.attest_host(0).expect("the host re-attests");
             }
             Step::Degraded => {

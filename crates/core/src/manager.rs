@@ -427,10 +427,12 @@ impl PendingCommit {
     /// Wait until the ticket's LSN is durable, inside a `wal_commit` span
     /// annotated with the batch's record count, the records this caller
     /// journaled itself (0 for a read barrier, a call that only waits for
-    /// others' records), this caller's role (leader or follower) and the
+    /// others' records), this caller's role (leader or follower), the
     /// device writes already in flight when the batch was issued (0, or 1
-    /// when it overlapped the previous batch's write). A call that
-    /// journaled charges its journal-to-durable time to
+    /// when it overlapped the previous batch's write) and, when this
+    /// caller led a batch that crossed the compaction threshold, the
+    /// compaction's `compaction_us`, which the span's time includes. A
+    /// call that journaled charges its journal-to-durable time to
     /// `vnfguard_core_wal_append_micros`. A failed commit is audited, so
     /// an operator sees the durability gap even when the caller's
     /// signature cannot surface it.
@@ -453,6 +455,10 @@ impl PendingCommit {
                 telemetry.annotate(now, "own_records", &own.to_string());
                 telemetry.annotate(now, "role", role);
                 telemetry.annotate(now, "in_flight", &commit.in_flight.to_string());
+                if commit.compaction_us > 0 {
+                    let compaction_us = commit.compaction_us.to_string();
+                    telemetry.annotate(now, "compaction_us", &compaction_us);
+                }
             }
             Ok(_) => {}
             Err(e) => {
@@ -1515,14 +1521,47 @@ impl VerificationManager {
 
     /// Revoke every credential this manager issued to VNFs on a host
     /// (platform compromise response); returns how many this call revoked.
-    /// The first revocation that fails fails the call, and a retry after
-    /// recovery skips the serials already revoked. The host's verdict is
-    /// not the manager's: [`VmService::revoke_host`] flips it first.
+    /// That includes every prepared enrollment on the host: its serial is
+    /// revoked for platform compromise and the prepare aborted, all of
+    /// them in one journal group, so a later commit of it fails and the
+    /// serial is on the next CRL. The first revocation that fails fails the
+    /// call, and a retry after recovery skips the serials already revoked.
+    /// The host's verdict is not the manager's: [`VmService::revoke_host`]
+    /// flips it first.
     ///
     /// [`VmService::revoke_host`]: crate::service::VmService::revoke_host
     pub fn revoke_host(&mut self, host_id: &str) -> Result<usize, CoreError> {
         self.liveness.check()?;
         let now = self.clock.now();
+        let prepared: Vec<u64> = self
+            .pending_enrollments()
+            .filter(|p| p.host_id == host_id)
+            .map(|p| p.serial)
+            .collect();
+        if !prepared.is_empty() {
+            let reason_code = RevocationReason::PlatformCompromise.to_u8();
+            let records: Vec<WalRecord> = prepared
+                .iter()
+                .flat_map(|&serial| {
+                    [
+                        WalRecord::CredentialRevoked {
+                            serial,
+                            reason_code,
+                            at: now,
+                        },
+                        WalRecord::EnrollmentAborted {
+                            serial,
+                            reason: "host revoked".into(),
+                            at: now,
+                        },
+                    ]
+                })
+                .collect();
+            self.journal(&records)?;
+            self.crash_point("revocation.revoke")?;
+            self.metrics.revocations.add(prepared.len() as u64);
+            self.metrics.enrollment_aborts.add(prepared.len() as u64);
+        }
         let serials: Vec<u64> = self
             .enrollments()
             .filter(|e| e.host_id == host_id && !e.revoked)
@@ -1531,12 +1570,16 @@ impl VerificationManager {
         for serial in &serials {
             self.revoke_credential(*serial, RevocationReason::PlatformCompromise)?;
         }
+        let revoked = prepared.len() + serials.len();
         self.event(
             now,
             "host_revoked",
-            &format!("{host_id}: {} credentials", serials.len()),
+            &format!(
+                "{host_id}: {revoked} credentials ({} prepared)",
+                prepared.len()
+            ),
         );
-        Ok(serials.len())
+        Ok(revoked)
     }
 
     // ---- Certificate revocation lists -------------------------------------

@@ -1404,6 +1404,76 @@ mod tests {
         });
     }
 
+    /// A prepared enrollment on a revoked host ends with it: `revoke_host`
+    /// counts it, its commit fails, and its serial is revoked.
+    #[test]
+    fn revoke_host_ends_a_prepared_enrollment_on_the_host() {
+        let mut tb = TestbedBuilder::new(b"svc revoke prepared")
+            .durable()
+            .build();
+        tb.attest_host(0).unwrap();
+        let guard = tb.deploy_guard(0, "vnf-prepared", 1).unwrap();
+        let vm = tb.vm_service();
+        let challenge = vm.begin_vnf_attestation("host-0", &guard.name).unwrap();
+        let nonce = challenge.nonce;
+        let quote = guard.quote(&tb.hosts[0].platform, &nonce, nonce).unwrap();
+        let key = guard.provisioning_key().unwrap();
+        let (serial, _, _) = vm
+            .prepare_vnf_enrollment(
+                &mut tb.ias,
+                challenge.id,
+                &quote.encode(),
+                &key,
+                "controller",
+            )
+            .unwrap();
+        assert_eq!(vm.revoke_host("host-0").unwrap(), 1);
+        assert!(vm.commit_vnf_enrollment(serial).is_err());
+        assert!(vm.credential_is_revoked(serial));
+        let crl = vm.latest_crl().unwrap();
+        let entry = crl.lookup(serial).expect("the serial is on the CRL");
+        assert_eq!(entry.reason, RevocationReason::PlatformCompromise);
+    }
+
+    /// A renewal whose commit ran a threshold compaction says so on its
+    /// `wal_commit` span.
+    #[test]
+    fn a_renewal_that_compacts_shows_it_on_its_wal_commit_span() {
+        let telemetry = Telemetry::new();
+        let mut tb = TestbedBuilder::new(b"svc compaction span")
+            .telemetry(telemetry.clone())
+            .tracing(1.0)
+            .durable()
+            .wal_compaction(1)
+            .build();
+        tb.attest_host(0).unwrap();
+        let guard = tb.deploy_guard(0, "vnf-compaction-span", 1).unwrap();
+        let key = guard.provisioning_key().unwrap();
+        let serial = tb.enroll(0, &guard).unwrap().serial();
+        let vm = tb.vm_service();
+        {
+            let _root = telemetry.trace_root("test", "renew", 0);
+            vm.renew_vnf_credential(serial, &key, "controller").unwrap();
+        }
+        let traces = telemetry.traces();
+        let summary = traces
+            .summaries()
+            .into_iter()
+            .find(|s| s.root_name == "renew");
+        let compaction_us: Vec<u64> = traces
+            .trace(summary.expect("the renewal was traced").trace_id)
+            .into_iter()
+            .filter(|span| span.name == "wal_commit")
+            .flat_map(|span| span.annotations)
+            .filter(|annotation| annotation.kind == "compaction_us")
+            .map(|annotation| annotation.detail.parse().unwrap())
+            .collect();
+        assert!(
+            matches!(compaction_us[..], [us] if us > 0),
+            "{compaction_us:?}"
+        );
+    }
+
     /// A `wal_commit` span names the records its own caller journaled: a
     /// revocation's one, and none for a read held behind it (a read
     /// barrier).

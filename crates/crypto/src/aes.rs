@@ -13,9 +13,15 @@
 //! a byte-oriented key schedule and round (SubBytes, ShiftRows,
 //! MixColumns as separate steps) as a differential oracle.
 //!
-//! This is a table-based implementation; it is not hardened against cache
-//! timing side channels (out of scope for the simulation — see crate docs).
+//! On an x86-64 CPU whose CPUID reports AES-NI, PCLMULQDQ and SSSE3,
+//! every block instead runs on AES-NI over the same key schedule, eight
+//! CTR blocks in flight (module `hw`); the choice is made once per key,
+//! at run time, with no switch. That path is constant-time. The T-table
+//! path is the only one on other CPUs and the reference the tests compare
+//! the hardware against; it indexes tables by secret bytes, so it is not
+//! hardened against cache-timing side channels (see the crate docs).
 
+use crate::hw::Hardware;
 use std::sync::OnceLock;
 
 /// AES block size in bytes.
@@ -99,6 +105,8 @@ pub struct Aes {
     /// Big-endian key-schedule words; the first 4·(rounds + 1) are used.
     round_keys: [u32; 60],
     rounds: usize,
+    /// `Some` when the CPU runs AES-NI: every block then goes through it.
+    hardware: Option<Hardware>,
 }
 
 impl Aes {
@@ -143,11 +151,34 @@ impl Aes {
         Aes {
             round_keys: w,
             rounds: nr,
+            hardware: Hardware::detect(),
         }
+    }
+
+    /// The key on the T-table path whatever the CPU: the tests' handle on
+    /// the path other CPUs run.
+    #[cfg(test)]
+    pub(crate) fn table_only(key: &[u8]) -> Aes {
+        Aes {
+            hardware: None,
+            ..Aes::new(key)
+        }
+    }
+
+    /// The hardware this key runs on, if any.
+    pub(crate) fn hardware(&self) -> Option<Hardware> {
+        self.hardware
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK]) {
+        match self.hardware {
+            Some(hw) => hw.encrypt_block(&self.round_keys, self.rounds, block),
+            None => self.encrypt_block_table(block),
+        }
+    }
+
+    fn encrypt_block_table(&self, block: &mut [u8; BLOCK]) {
         let (t, s) = (t_table(), sbox());
         let rk = &self.round_keys;
         let byte = |word: u32, row: usize| ((word >> (24 - 8 * row)) & 0xff) as usize;
@@ -185,6 +216,9 @@ impl Aes {
 /// The 16-byte initial counter block is split as 12-byte nonce + 4-byte
 /// big-endian counter, matching the GCM convention.
 pub fn ctr_apply(aes: &Aes, nonce: &[u8; 12], initial_counter: u32, data: &mut [u8]) {
+    if let Some(hw) = aes.hardware {
+        return hw.ctr_apply(&aes.round_keys, aes.rounds, nonce, initial_counter, data);
+    }
     let mut counter_block = [0u8; BLOCK];
     counter_block[..12].copy_from_slice(nonce);
     let mut counter = initial_counter;
@@ -272,6 +306,25 @@ pub(crate) mod oracle {
         block
     }
 
+    /// CTR one block at a time: the keystream block for counter c is the
+    /// byte-oriented encryption of `nonce || c`.
+    pub fn ctr(key: &[u8], nonce: &[u8; 12], initial_counter: u32, data: &[u8]) -> Vec<u8> {
+        data.chunks(BLOCK)
+            .zip(0u32..)
+            .flat_map(|(chunk, i)| {
+                let mut counter_block = [0u8; BLOCK];
+                counter_block[..12].copy_from_slice(nonce);
+                counter_block[12..].copy_from_slice(&initial_counter.wrapping_add(i).to_be_bytes());
+                let keystream = encrypt(key, &counter_block);
+                chunk
+                    .iter()
+                    .zip(keystream)
+                    .map(|(b, k)| b ^ k)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     fn xor_block(block: &mut [u8; BLOCK], key: &[u8; BLOCK]) {
         for i in 0..BLOCK {
             block[i] ^= key[i];
@@ -315,17 +368,48 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The key on the table path, then as dispatched (AES-NI where the
+    /// CPU has it): every test runs both.
+    fn both(key: &[u8]) -> [Aes; 2] {
+        [Aes::table_only(key), Aes::new(key)]
+    }
+
+    /// Lengths around the block and the eight-block group, up to 4 KiB.
+    const LENGTHS: [usize; 13] = [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 4096];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn prop_aes128_matches_bytewise_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-            prop_assert_eq!(Aes::new_128(&key).encrypt(&block), oracle::encrypt(&key, &block));
+            for aes in both(&key) {
+                prop_assert_eq!(aes.encrypt(&block), oracle::encrypt(&key, &block));
+            }
         }
 
         #[test]
         fn prop_aes256_matches_bytewise_oracle(key in any::<[u8; 32]>(), block in any::<[u8; 16]>()) {
-            prop_assert_eq!(Aes::new_256(&key).encrypt(&block), oracle::encrypt(&key, &block));
+            for aes in both(&key) {
+                prop_assert_eq!(aes.encrypt(&block), oracle::encrypt(&key, &block));
+            }
+        }
+
+        #[test]
+        fn prop_ctr_matches_blockwise_oracle(
+            key in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 16..17),
+                proptest::collection::vec(any::<u8>(), 32..33),
+            ],
+            nonce in any::<[u8; 12]>(),
+            counter in any::<u32>(),
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let expected = oracle::ctr(&key, &nonce, counter, &data);
+            for aes in both(&key) {
+                let mut out = data.clone();
+                ctr_apply(&aes, &nonce, counter, &mut out);
+                prop_assert_eq!(&out, &expected);
+            }
         }
     }
 
@@ -333,13 +417,48 @@ mod tests {
     fn t_table_matches_bytewise_round_on_every_byte() {
         // Each byte value in each position, through both key sizes.
         for key in [&[0x5au8; 16][..], &[0xa5u8; 32][..]] {
-            let aes = Aes::new(key);
-            for v in 0..=255u8 {
-                for pos in 0..BLOCK {
-                    let mut block = [0u8; BLOCK];
-                    block[pos] = v;
-                    assert_eq!(aes.encrypt(&block), oracle::encrypt(key, &block));
+            for aes in both(key) {
+                for v in 0..=255u8 {
+                    for pos in 0..BLOCK {
+                        let mut block = [0u8; BLOCK];
+                        block[pos] = v;
+                        assert_eq!(aes.encrypt(&block), oracle::encrypt(key, &block));
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ctr_matches_the_oracle_at_every_edge_length() {
+        for key in [&[0x3cu8; 16][..], &[0xc3u8; 32][..]] {
+            for len in LENGTHS {
+                let data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+                let expected = oracle::ctr(key, &[4u8; 12], 2, &data);
+                for aes in both(key) {
+                    let mut out = data.clone();
+                    ctr_apply(&aes, &[4u8; 12], 2, &mut out);
+                    assert_eq!(out, expected, "{}-byte key, {len} bytes", key.len());
+                }
+            }
+        }
+    }
+
+    /// From 0xFFFF_FFFE the counter wraps to 0 and 1 inside the first
+    /// eight-block group, and the nonce part stays as it is.
+    #[test]
+    fn ctr_counter_wraps_inside_one_group() {
+        let nonce = [0xeeu8; 12];
+        for key in [&[0x11u8; 16][..], &[0x22u8; 32][..]] {
+            let data: Vec<u8> = (0..8 * BLOCK + 5).map(|i| i as u8).collect();
+            let expected = oracle::ctr(key, &nonce, 0xFFFF_FFFE, &data);
+            for aes in both(key) {
+                let mut out = data.clone();
+                ctr_apply(&aes, &nonce, 0xFFFF_FFFE, &mut out);
+                assert_eq!(out, expected);
+                let mut third = data[2 * BLOCK..3 * BLOCK].to_vec();
+                ctr_apply(&aes, &nonce, 0, &mut third);
+                assert_eq!(third, out[2 * BLOCK..3 * BLOCK], "block 2 is counter 0");
             }
         }
     }
@@ -371,8 +490,9 @@ mod tests {
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ];
-        let aes = Aes::new_128(&key);
-        assert_eq!(hex(&aes.encrypt(&pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
+        for aes in both(&key) {
+            assert_eq!(hex(&aes.encrypt(&pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
+        }
     }
 
     // FIPS 197 Appendix C.3.
@@ -383,40 +503,43 @@ mod tests {
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ];
-        let aes = Aes::new_256(&key);
-        assert_eq!(hex(&aes.encrypt(&pt)), "8ea2b7ca516745bfeafc49904b496089");
+        for aes in both(&key) {
+            assert_eq!(hex(&aes.encrypt(&pt)), "8ea2b7ca516745bfeafc49904b496089");
+        }
     }
 
     #[test]
     fn ctr_roundtrip_and_offsets() {
-        let aes = Aes::new_128(&[7u8; 16]);
         let nonce = [9u8; 12];
         let original: Vec<u8> = (0..100u8).collect();
-        let mut data = original.clone();
-        ctr_apply(&aes, &nonce, 1, &mut data);
-        assert_ne!(data, original);
-        ctr_apply(&aes, &nonce, 1, &mut data);
-        assert_eq!(data, original);
+        for aes in both(&[7u8; 16]) {
+            let mut data = original.clone();
+            ctr_apply(&aes, &nonce, 1, &mut data);
+            assert_ne!(data, original);
+            ctr_apply(&aes, &nonce, 1, &mut data);
+            assert_eq!(data, original);
+        }
     }
 
     #[test]
     fn ctr_counter_independence() {
         // Encrypting block N alone must match block N of a longer stream.
-        let aes = Aes::new_128(&[1u8; 16]);
         let nonce = [2u8; 12];
-        let mut long = vec![0u8; 48];
-        ctr_apply(&aes, &nonce, 1, &mut long);
-        let mut third = vec![0u8; 16];
-        ctr_apply(&aes, &nonce, 3, &mut third);
-        assert_eq!(&long[32..48], &third[..]);
+        for aes in both(&[1u8; 16]) {
+            let mut long = vec![0u8; 48];
+            ctr_apply(&aes, &nonce, 1, &mut long);
+            let mut third = vec![0u8; 16];
+            ctr_apply(&aes, &nonce, 3, &mut third);
+            assert_eq!(&long[32..48], &third[..]);
+        }
     }
 
     #[test]
     fn distinct_keys_distinct_ciphertexts() {
         let pt = [0u8; 16];
-        let a = Aes::new_128(&[1u8; 16]).encrypt(&pt);
-        let b = Aes::new_128(&[2u8; 16]).encrypt(&pt);
-        assert_ne!(a, b);
+        for (a, b) in both(&[1u8; 16]).into_iter().zip(both(&[2u8; 16])) {
+            assert_ne!(a.encrypt(&pt), b.encrypt(&pt));
+        }
     }
 
     #[test]

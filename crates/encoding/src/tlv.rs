@@ -49,12 +49,19 @@ impl TlvWriter {
         self.bytes(tag, &[value])
     }
 
-    /// Append a nested structure built by `f`.
+    /// Append a nested structure built by `f`, in one pass: the tag and a
+    /// length placeholder go into this writer's buffer, `f` appends the
+    /// value right behind them, and the length is patched in afterwards.
+    /// The bytes are those of encoding the value on its own and appending
+    /// it with [`bytes`](Self::bytes), with no buffer of its own.
     pub fn nested(&mut self, tag: u8, f: impl FnOnce(&mut TlvWriter)) -> &mut Self {
-        let mut inner = TlvWriter::new();
-        f(&mut inner);
-        let bytes = inner.finish();
-        self.bytes(tag, &bytes)
+        self.buf.push(tag);
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        f(self);
+        let len = u32::try_from(self.buf.len() - at - 4).expect("a TLV value fits in 4 GiB");
+        self.buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        self
     }
 
     /// Consume the writer and return the encoded bytes.
@@ -181,6 +188,70 @@ impl<'a> TlvReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A TLV tree: a record, or a nested structure of trees.
+    #[derive(Debug, Clone)]
+    enum Node {
+        Leaf(u8, Vec<u8>),
+        Nest(u8, Vec<Node>),
+    }
+
+    fn tree() -> impl Strategy<Value = Node> {
+        let leaf = (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..40))
+            .prop_map(|(tag, value)| Node::Leaf(tag, value));
+        leaf.prop_recursive(6, 64, 5, |inner| {
+            (any::<u8>(), proptest::collection::vec(inner, 0..5))
+                .prop_map(|(tag, children)| Node::Nest(tag, children))
+        })
+    }
+
+    /// One-pass: every level writes into the parent's buffer.
+    fn one_pass(w: &mut TlvWriter, node: &Node) {
+        match node {
+            Node::Leaf(tag, value) => {
+                w.bytes(*tag, value);
+            }
+            Node::Nest(tag, children) => {
+                w.nested(*tag, |inner| {
+                    children.iter().for_each(|c| one_pass(inner, c))
+                });
+            }
+        }
+    }
+
+    /// The reference: each level encoded in a writer of its own and
+    /// appended with `bytes`.
+    fn separately(w: &mut TlvWriter, node: &Node) {
+        match node {
+            Node::Leaf(tag, value) => {
+                w.bytes(*tag, value);
+            }
+            Node::Nest(tag, children) => {
+                let mut inner = TlvWriter::new();
+                children.iter().for_each(|c| separately(&mut inner, c));
+                w.bytes(*tag, &inner.finish());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_one_pass_nesting_matches_separate_encoding(
+            prefix in proptest::collection::vec(any::<u8>(), 0..8),
+            trees in proptest::collection::vec(tree(), 0..4),
+        ) {
+            let (mut fast, mut reference) = (TlvWriter::new(), TlvWriter::new());
+            for w in [&mut fast, &mut reference] {
+                w.bytes(0xff, &prefix);
+            }
+            for node in &trees {
+                one_pass(&mut fast, node);
+                separately(&mut reference, node);
+            }
+            prop_assert_eq!(fast.finish(), reference.finish());
+        }
+    }
 
     #[test]
     fn roundtrip_flat_records() {

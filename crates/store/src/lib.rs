@@ -79,6 +79,7 @@ pub use wal::Media;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Errors from the durability layer.
 #[derive(Debug)]
@@ -176,6 +177,10 @@ pub struct Commit {
     /// Device writes already in flight when the batch was issued: 0, or 1
     /// when its write overlapped the previous batch's.
     pub in_flight: usize,
+    /// Microseconds of the threshold compaction this caller ran as leader
+    /// after landing its batch (at least 1 when one ran), 0 when it ran
+    /// none. Its followers were released before it started.
+    pub compaction_us: u64,
 }
 
 /// Sees every record the moment it lands on the medium — before the
@@ -222,6 +227,7 @@ impl Batch {
             batch_records: (self.last - self.first + 1) as usize,
             leader,
             in_flight: self.in_flight,
+            compaction_us: 0,
         }
     }
 }
@@ -514,7 +520,8 @@ impl StateStore {
     }
 
     /// Land a led batch once its predecessor is published, then compact if
-    /// the batch brought the log over the threshold.
+    /// the batch brought the log over the threshold, and say how long that
+    /// took.
     fn land_in_order(&self, lead: Lead) -> Result<Commit, StoreError> {
         let mut commit = self.shared.commit();
         while commit.durable + 1 < lead.batch.first {
@@ -522,10 +529,16 @@ impl StateStore {
         }
         drop(commit);
         let (outcome, compact) = self.land(lead.batch, &lead.queue, lead.write);
-        if let Some(role) = compact {
-            self.compact_holding(&role)?;
-        }
-        outcome
+        let Some(role) = compact else {
+            return outcome;
+        };
+        let started = Instant::now();
+        self.compact_holding(&role)?;
+        let compaction_us = (started.elapsed().as_micros() as u64).max(1);
+        outcome.map(|commit| Commit {
+            compaction_us,
+            ..commit
+        })
     }
 
     /// Wait until this store is idle: everything enqueued durable, no
@@ -919,6 +932,20 @@ mod tests {
         assert_eq!(replay.state.enrollments.len(), 2);
     }
 
+    /// The leader whose batch crosses the threshold reports the time of
+    /// the compaction it ran; a commit that ran none reports 0.
+    #[test]
+    fn a_leader_reports_the_compaction_it_ran() {
+        let platform = SgxPlatform::new(b"vm");
+        let store = store_on(&platform, Media::new()).with_compaction(2);
+        let first = store.enqueue(&[cert_issued(2)]).unwrap();
+        assert_eq!(store.sync(first).unwrap().compaction_us, 0);
+        let second = store.enqueue(&[cert_issued(3)]).unwrap();
+        let commit = store.sync(second).unwrap();
+        assert_eq!(store.stats().compactions, 1);
+        assert!(commit.leader && commit.compaction_us > 0, "{commit:?}");
+    }
+
     #[test]
     fn torn_tail_is_survivable_corrupt_body_is_not_lost() {
         let platform = SgxPlatform::new(b"vm");
@@ -1056,7 +1083,8 @@ mod tests {
             Commit {
                 batch_records: 3,
                 leader: true,
-                in_flight: 0
+                in_flight: 0,
+                compaction_us: 0,
             }
         );
         assert!(store.is_durable(second));
@@ -1143,6 +1171,7 @@ mod tests {
             batch_records,
             leader: true,
             in_flight,
+            compaction_us: 0,
         };
         assert_eq!((led, pipelined), (commit(2, 0), commit(1, 1)));
         assert_eq!(media.flushes(), 2);
@@ -1173,6 +1202,7 @@ mod tests {
                 batch_records: 2,
                 leader,
                 in_flight,
+                compaction_us: 0,
             };
             assert_eq!(commits, vec![commit(true), commit(false)]);
         }
@@ -1222,7 +1252,8 @@ mod tests {
             Commit {
                 batch_records: 2,
                 leader: true,
-                in_flight: 0
+                in_flight: 0,
+                compaction_us: 0,
             }
         );
         assert_eq!(store.media().writes_in_flight(), 0);
@@ -1253,6 +1284,7 @@ mod tests {
             batch_records: 1,
             leader,
             in_flight,
+            compaction_us: 0,
         };
         assert_eq!(
             outcomes,
@@ -1300,7 +1332,8 @@ mod tests {
             Commit {
                 batch_records: 2,
                 leader: false,
-                in_flight: 0
+                in_flight: 0,
+                compaction_us: 0,
             }
         );
         assert!(store.is_durable(last));
@@ -1334,7 +1367,7 @@ mod tests {
             let first = old.enqueue(&[cert_issued(3)]).unwrap();
             let second = std::thread::scope(|scope| {
                 scope.spawn(|| old.sync(first).unwrap());
-                while media.writes_in_flight() == 0 {
+                while media.writes_in_flight() == 0 && !old.is_durable(first) {
                     std::hint::spin_loop();
                 }
                 let lsn = old.enqueue(&[cert_issued(4)]).unwrap();
