@@ -47,9 +47,9 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use vnfguard_controller::SimClock;
-use vnfguard_net::fabric::{ListenerWaker, Network};
+use vnfguard_net::fabric::Network;
+use vnfguard_net::server::{serve_connections, ServerHandle};
 use vnfguard_net::stream::Duplex;
 use vnfguard_store::wal::crc32;
 use vnfguard_store::{AppendObserver, ManagerState, StateStore, WalRecord};
@@ -237,7 +237,6 @@ struct StandbyInner {
     snapshots_installed: u64,
     fenced_rejections: u64,
     last_heartbeat_at: Option<u64>,
-    stop: bool,
 }
 
 struct StandbyShared {
@@ -292,18 +291,18 @@ impl StandbyProbe {
 /// A standby manager's replication endpoint: listens on the fabric,
 /// applies streamed records into its own sealed store, and answers acks.
 /// The applied log is what [`Testbed::promote`](crate::deployment::Testbed)
-/// recovers the next primary from. Stops, unbinds its address and joins
-/// its accept thread on [`stop`](Self::stop) or drop.
+/// recovers the next primary from. On [`stop`](Self::stop) or drop it
+/// severs and joins every primary link's session and unbinds its address,
+/// so nothing applies into its store afterwards.
 pub struct StandbyNode {
     shared: Arc<StandbyShared>,
-    waker: ListenerWaker,
-    accept: Option<JoinHandle<()>>,
+    server: ServerHandle,
 }
 
 impl StandbyNode {
-    /// Bind `addr` and start the apply loop on a background thread. The
-    /// standby starts at `epoch` expecting sequence `next_seq` (1 for a
-    /// fresh deployment).
+    /// Bind `addr` and serve primary links on a handler pool. The standby
+    /// starts at `epoch` expecting sequence `next_seq` (1 for a fresh
+    /// deployment).
     pub fn spawn(
         network: &Network,
         addr: &str,
@@ -327,46 +326,24 @@ impl StandbyNode {
                 snapshots_installed: 0,
                 fenced_rejections: 0,
                 last_heartbeat_at: None,
-                stop: false,
             }),
         });
-        let waker = listener.waker();
-        let thread_shared = shared.clone();
-        let accept = std::thread::spawn(move || {
-            // One handler per connection: a half-dead primary's stalled
-            // link must not block a reconnect, the promoted primary's new
-            // link, or a zombie's doomed one. `handle` serializes all
-            // sessions on the standby's state lock, so interleaved streams
-            // are still applied in sequence order (duplicates skipped,
-            // stale epochs fenced).
-            while let Ok(stream) = listener.accept() {
-                if thread_shared.inner.lock().stop {
+        let session = shared.clone();
+        // One session per link: a half-dead primary's stalled link must not
+        // block a reconnect, the promoted primary's new link, or a zombie's
+        // doomed one. `handle` serializes all sessions on the standby's
+        // state lock, so interleaved streams are still applied in sequence
+        // order (duplicates skipped, stale epochs fenced).
+        let server = serve_connections(listener, move |mut stream, _| {
+            // Reads end on sever, EOF, or garbage.
+            while let Ok(batch) = Batch::read_from(&mut stream) {
+                let ack = session.handle(batch);
+                if ack.write_to(&mut stream).is_err() {
                     break;
                 }
-                let session = thread_shared.clone();
-                std::thread::spawn(move || {
-                    let mut stream = stream;
-                    // Reads end on sever, EOF, or garbage.
-                    while let Ok(batch) = Batch::read_from(&mut stream) {
-                        // A stopped standby was promoted: its store now
-                        // belongs to the new primary, so lingering
-                        // sessions must not keep applying into it.
-                        if session.inner.lock().stop {
-                            break;
-                        }
-                        let ack = session.handle(batch);
-                        if ack.write_to(&mut stream).is_err() {
-                            break;
-                        }
-                    }
-                });
             }
         });
-        Ok(StandbyNode {
-            shared,
-            waker,
-            accept: Some(accept),
-        })
+        Ok(StandbyNode { shared, server })
     }
 
     /// This standby's fabric address.
@@ -418,27 +395,11 @@ impl StandbyNode {
         matches!(self.heartbeat_age(), Some(age) if age > timeout_secs)
     }
 
-    /// Stop the apply loop and release the address. Called on the chosen
+    /// Stop applying and release the address. Called on the chosen
     /// standby at promotion — the node stops being a replication sink and
     /// its store becomes the new primary's.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.inner.lock().stop = true;
-        self.waker.wake();
-        // The accept thread owns the listener, so joining it also unbinds
-        // the address.
-        if let Some(thread) = self.accept.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for StandbyNode {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.server.stop();
     }
 }
 
@@ -1075,6 +1036,47 @@ mod tests {
         let mut wire = Vec::new();
         batch.write_to(&mut wire).unwrap();
         wire
+    }
+
+    #[test]
+    fn a_dropped_standby_severs_the_links_it_holds() {
+        use vnfguard_sgx::platform::SgxPlatform;
+        use vnfguard_sgx::sigstruct::EnclaveAuthor;
+        use vnfguard_store::{Media, StateVault};
+
+        let network = Network::new();
+        let platform = SgxPlatform::new(b"standby drop");
+        let vault = StateVault::load(&platform, &EnclaveAuthor::from_seed(&[5; 32])).unwrap();
+        let standby = StandbyNode::spawn(
+            &network,
+            "standby:7600",
+            StateStore::new(Media::new(), vault),
+            SimClock::at(1_000),
+            Telemetry::new(),
+            0,
+        )
+        .unwrap();
+        // A primary link with its session running: one heartbeat answered.
+        let mut link = network.connect("standby:7600").unwrap();
+        let heartbeat = Batch {
+            epoch: 0,
+            kind: KIND_HEARTBEAT,
+            first_seq: 1,
+            sent_at: 1_000,
+            frames: Vec::new(),
+        };
+        heartbeat.write_to(&mut link).unwrap();
+        assert_eq!(Ack::read_from(&mut link).unwrap().status, STATUS_OK);
+
+        drop(standby);
+        // The session ended with the standby: the held link reads EOF or a
+        // reset, not silence.
+        link.set_read_timeout(Some(std::time::Duration::from_millis(500)));
+        match link.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("the link outlived its standby's session: {other:?}"),
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the CRL number and the rotation epoch live on a single serialized
 //! *authority* shard (shard 0). `VmService` is the only surface callers
 //! see: it owns the routing table and one fine-grained lock per shard, so
-//! the per-connection handler threads of `serve_vm_api` execute manager
-//! work concurrently instead of convoying on one global mutex.
+//! the handler threads of `serve_vm_api`, one per open connection, execute
+//! manager work concurrently instead of convoying on one global mutex.
 //!
 //! Routing rules:
 //! - **VNF identity** picks the shard for `begin_vnf_attestation` (a

@@ -20,12 +20,29 @@ impl TlvWriter {
         TlvWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, for an encoding
+    /// whose size is known up front.
+    pub fn with_capacity(capacity: usize) -> TlvWriter {
+        TlvWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Append a record with raw bytes as the value.
     pub fn bytes(&mut self, tag: u8, value: &[u8]) -> &mut Self {
+        self.joined(tag, &[value])
+    }
+
+    /// Append a record whose value is `parts` one after another, with no
+    /// buffer of its own for the join.
+    pub fn joined(&mut self, tag: u8, parts: &[&[u8]]) -> &mut Self {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        let len = u32::try_from(len).expect("a TLV value fits in 4 GiB");
         self.buf.push(tag);
-        self.buf
-            .extend_from_slice(&(value.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(value);
+        self.buf.extend_from_slice(&len.to_be_bytes());
+        for part in parts {
+            self.buf.extend_from_slice(part);
+        }
         self
     }
 

@@ -13,7 +13,8 @@
 //!   seeded [`FaultPlan`] so failure sequences replay;
 //! - [`http`] — HTTP/1.1 requests/responses with Content-Length framing;
 //! - [`rest`] — a path-pattern router (`/wm/device/:id`) with JSON helpers;
-//! - [`server`] — thread-per-connection serving with graceful shutdown.
+//! - [`server`] — serving on a pool of reusable handler threads, with
+//!   graceful shutdown.
 //!
 //! The fabric deliberately models the *layering* rather than TCP dynamics:
 //! streams are reliable and ordered, which is what the REST-over-TLS

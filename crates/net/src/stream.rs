@@ -4,7 +4,6 @@
 use crate::fault::{injected_io, LinkControl};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,7 +95,11 @@ struct Frame {
 pub struct Duplex {
     tx: Sender<Frame>,
     rx: Receiver<Frame>,
-    read_buffer: VecDeque<u8>,
+    /// The last frame delivered, read up to `read_pos`. A frame is pulled
+    /// only once the previous one is read to its end, so no byte is ever
+    /// copied into a buffer of the reader's own.
+    read_buffer: Vec<u8>,
+    read_pos: usize,
     latency: Duration,
     tap: Option<(Arc<TapState>, Direction)>,
     control: Arc<LinkControl>,
@@ -126,7 +129,8 @@ impl Duplex {
         let client = Duplex {
             tx: tx_a,
             rx: rx_a,
-            read_buffer: VecDeque::new(),
+            read_buffer: Vec::new(),
+            read_pos: 0,
             latency,
             tap: tap.map(|t| (t.state(), Direction::ToServer)),
             control: control.clone(),
@@ -138,7 +142,8 @@ impl Duplex {
         let server = Duplex {
             tx: tx_b,
             rx: rx_b,
-            read_buffer: VecDeque::new(),
+            read_buffer: Vec::new(),
+            read_pos: 0,
             latency,
             tap: tap.map(|t| (t.state(), Direction::ToClient)),
             control,
@@ -191,7 +196,8 @@ impl Duplex {
             std::thread::sleep(frame.deliver_at - now);
         }
         self.bytes_received += frame.bytes.len() as u64;
-        self.read_buffer.extend(frame.bytes);
+        self.read_buffer = frame.bytes;
+        self.read_pos = 0;
     }
 
     fn deadline_elapsed(deadline: Option<Instant>) -> Option<io::Error> {
@@ -251,15 +257,15 @@ impl Read for Duplex {
         if buf.is_empty() {
             return Ok(0);
         }
-        while self.read_buffer.is_empty() {
+        while self.read_pos == self.read_buffer.len() {
             if !self.pull_frame()? {
                 return Ok(0); // EOF
             }
         }
-        let n = buf.len().min(self.read_buffer.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = self.read_buffer.pop_front().expect("checked non-empty");
-        }
+        let unread = &self.read_buffer[self.read_pos..];
+        let n = buf.len().min(unread.len());
+        buf[..n].copy_from_slice(&unread[..n]);
+        self.read_pos += n;
         Ok(n)
     }
 }
@@ -473,6 +479,53 @@ mod tests {
         assert_eq!(&buf, b"1234");
         assert!(b.read(&mut buf).is_err(), "drop surfaces as reset");
         assert!(a.write_all(b"x").is_err(), "link is severed for writes");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Writes and reads of random sizes reassemble the stream that was
+        /// written, cut at a drop-after-N-bytes budget when the link has one.
+        #[test]
+        fn random_write_and_read_sizes_reassemble_the_stream(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            writes in proptest::collection::vec(1usize..300, 1..16),
+            reads in proptest::collection::vec(1usize..300, 1..16),
+            budget in proptest::option::of(0u64..2500)
+        ) {
+            let control = Arc::new(crate::fault::LinkControl::with_faults(false, budget));
+            let (mut a, mut b) = Duplex::pair_with_control(Duration::ZERO, None, control);
+            let mut rest = &data[..];
+            for &size in writes.iter().cycle() {
+                if rest.is_empty() || a.write_all(&rest[..size.min(rest.len())]).is_err() {
+                    break;
+                }
+                rest = &rest[size.min(rest.len())..];
+            }
+            drop(a);
+            let mut received = Vec::new();
+            let end = reads.iter().cycle().find_map(|&size| {
+                let mut buf = vec![0u8; size];
+                match b.read(&mut buf) {
+                    Ok(0) => Some(Ok(())),
+                    Ok(n) => {
+                        received.extend_from_slice(&buf[..n]);
+                        None
+                    }
+                    Err(e) => Some(Err(e.kind())),
+                }
+            });
+            let delivered = budget.map_or(data.len(), |b| data.len().min(b as usize));
+            proptest::prop_assert_eq!(&received[..], &data[..delivered]);
+            // A budget that cut the stream short ends it with a reset; the
+            // writer's drop ends a whole one with EOF.
+            let expected_end = if delivered < data.len() {
+                Err(io::ErrorKind::ConnectionReset)
+            } else {
+                Ok(())
+            };
+            proptest::prop_assert_eq!(end, Some(expected_end));
+        }
     }
 
     #[test]

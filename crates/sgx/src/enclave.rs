@@ -132,19 +132,20 @@ impl<'a> EnclaveContext<'a> {
         }
     }
 
-    /// Seal `plaintext` under this enclave's identity with `policy`.
+    /// Seal `plaintext` under this enclave's identity with `policy`, and
+    /// return the encoded blob.
     pub fn seal(
         &mut self,
         policy: SealPolicy,
         aad: &[u8],
         plaintext: &[u8],
-    ) -> Result<SealedBlob, SgxError> {
+    ) -> Result<Vec<u8>, SgxError> {
         let mut key_id = [0u8; 16];
         self.handle.inner.random_bytes(&mut key_id);
         let mut nonce = [0u8; 12];
         self.handle.inner.random_bytes(&mut nonce);
         let key = self.get_seal_key(policy, self.identity.isv_svn, &key_id)?;
-        SealedBlob::seal(
+        Ok(SealedBlob::seal(
             &key,
             policy,
             self.identity.isv_svn,
@@ -153,12 +154,14 @@ impl<'a> EnclaveContext<'a> {
             nonce,
             aad,
             plaintext,
-        )
+        ))
     }
 
-    /// Unseal a blob previously sealed by this enclave identity (or, for
-    /// MRSIGNER policy, by any enclave from the same author at SVN ≤ ours).
-    pub fn unseal(&self, blob: &SealedBlob, aad: &[u8]) -> Result<Vec<u8>, SgxError> {
+    /// Unseal an encoded blob previously sealed by this enclave identity
+    /// (or, for MRSIGNER policy, by any enclave from the same author at
+    /// SVN ≤ ours).
+    pub fn unseal(&self, blob: &[u8], aad: &[u8]) -> Result<Vec<u8>, SgxError> {
+        let blob = SealedBlob::decode(blob)?;
         let key = self.get_seal_key(blob.policy, blob.svn, &blob.key_id)?;
         blob.unseal(&key, aad)
     }
@@ -335,13 +338,9 @@ mod tests {
                     Ok(Vec::new())
                 }
                 Self::OP_GET => Ok(self.value.to_be_bytes().to_vec()),
-                Self::OP_SEAL_SECRET => {
-                    let blob = ctx.seal(SealPolicy::MrEnclave, b"counter", &self.secret)?;
-                    Ok(blob.encode())
-                }
+                Self::OP_SEAL_SECRET => ctx.seal(SealPolicy::MrEnclave, b"counter", &self.secret),
                 Self::OP_UNSEAL_SECRET => {
-                    let blob = SealedBlob::decode(input)?;
-                    let secret = ctx.unseal(&blob, b"counter")?;
+                    let secret = ctx.unseal(input, b"counter")?;
                     // Restore, returning only a success marker.
                     self.secret = secret
                         .try_into()

@@ -50,7 +50,7 @@ pub use measurement::Measurement;
 pub use platform::{PlatformConfig, SgxPlatform};
 pub use quote::{Quote, QuotingEnclave};
 pub use report::{Report, TargetInfo};
-pub use seal::{SealPolicy, SealedBlob};
+pub use seal::SealPolicy;
 pub use sigstruct::{EnclaveAuthor, SignedEnclave};
 
 /// Errors from the SGX model.

@@ -6,7 +6,7 @@
 //! sealing time (rollback protection) and the platform fuse key.
 
 use crate::SgxError;
-use vnfguard_crypto::gcm::AesGcm;
+use vnfguard_crypto::gcm::{AesGcm, TAG_LEN};
 use vnfguard_encoding::{TlvReader, TlvWriter};
 
 const TAG_POLICY: u8 = 0x60;
@@ -45,9 +45,14 @@ impl SealPolicy {
     }
 }
 
-/// An encrypted, integrity-protected blob sealed to an enclave identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedBlob {
+/// Bytes an encoded blob holds beside its plaintext: six record headers,
+/// the policy, SVN, product id, key id and nonce values, and the tag.
+const ENCODING_OVERHEAD: usize = 6 * 5 + 1 + 4 + 4 + 16 + 12 + TAG_LEN;
+
+/// An encoded sealed blob's fields: its ciphertext stays in the encoding,
+/// borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SealedBlob<'a> {
     pub policy: SealPolicy,
     /// ISV SVN at sealing time (the unsealing enclave must be ≥ this).
     pub svn: u16,
@@ -55,11 +60,24 @@ pub struct SealedBlob {
     /// Key-derivation diversifier.
     pub key_id: [u8; 16],
     nonce: [u8; 12],
-    ciphertext: Vec<u8>,
+    /// `ciphertext || tag`.
+    sealed: &'a [u8],
 }
 
-impl SealedBlob {
-    /// Seal plaintext under a derived key. Internal: use
+/// The AAD a blob's tag covers: the caller's, then the blob's policy, SVN
+/// and product id, so none of them can be altered.
+fn bound_aad(aad: &[u8], policy: SealPolicy, svn: u16, isv_prod_id: u16) -> Vec<u8> {
+    let mut bound = aad.to_vec();
+    bound.push(policy.to_u8());
+    bound.extend_from_slice(&svn.to_be_bytes());
+    bound.extend_from_slice(&isv_prod_id.to_be_bytes());
+    bound
+}
+
+impl<'a> SealedBlob<'a> {
+    /// Seal plaintext under a derived key and return the blob's encoding.
+    /// The plaintext is copied once, into the ciphertext record that ends
+    /// the encoding, and encrypted there in place. Internal: use
     /// [`crate::enclave::EnclaveContext::seal`] from enclave code.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn seal(
@@ -71,53 +89,39 @@ impl SealedBlob {
         nonce: [u8; 12],
         aad: &[u8],
         plaintext: &[u8],
-    ) -> Result<SealedBlob, SgxError> {
-        let gcm = AesGcm::new(key);
-        let mut bound_aad = aad.to_vec();
-        bound_aad.push(policy.to_u8());
-        bound_aad.extend_from_slice(&svn.to_be_bytes());
-        bound_aad.extend_from_slice(&isv_prod_id.to_be_bytes());
-        let ciphertext = gcm.seal(&nonce, &bound_aad, plaintext);
-        Ok(SealedBlob {
-            policy,
-            svn,
-            isv_prod_id,
-            key_id,
-            nonce,
-            ciphertext,
-        })
+    ) -> Vec<u8> {
+        let mut w = TlvWriter::with_capacity(ENCODING_OVERHEAD + plaintext.len());
+        w.u8(TAG_POLICY, policy.to_u8())
+            .u32(TAG_SVN, svn as u32)
+            .u32(TAG_PROD_ID, isv_prod_id as u32)
+            .bytes(TAG_KEY_ID, &key_id)
+            .bytes(TAG_NONCE, &nonce)
+            .joined(TAG_CIPHERTEXT, &[plaintext, &[0; TAG_LEN]]);
+        let mut out = w.finish();
+        debug_assert_eq!(out.len(), ENCODING_OVERHEAD + plaintext.len());
+        let value = out.len() - plaintext.len() - TAG_LEN;
+        let (data, tag) = out[value..].split_at_mut(plaintext.len());
+        let aad = bound_aad(aad, policy, svn, isv_prod_id);
+        tag.copy_from_slice(&AesGcm::new(key).seal_in_place(&nonce, &aad, data));
+        out
     }
 
     /// Decrypt with the given (re-derived) key.
     pub(crate) fn unseal(&self, key: &[u8; 32], aad: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let gcm = AesGcm::new(key);
-        let mut bound_aad = aad.to_vec();
-        bound_aad.push(self.policy.to_u8());
-        bound_aad.extend_from_slice(&self.svn.to_be_bytes());
-        bound_aad.extend_from_slice(&self.isv_prod_id.to_be_bytes());
-        gcm.open(&self.nonce, &bound_aad, &self.ciphertext)
+        let aad = bound_aad(aad, self.policy, self.svn, self.isv_prod_id);
+        AesGcm::new(key)
+            .open(&self.nonce, &aad, self.sealed)
             .map_err(|_| SgxError::UnsealFailed("authentication failed".into()))
     }
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = TlvWriter::new();
-        w.u8(TAG_POLICY, self.policy.to_u8())
-            .u32(TAG_SVN, self.svn as u32)
-            .u32(TAG_PROD_ID, self.isv_prod_id as u32)
-            .bytes(TAG_KEY_ID, &self.key_id)
-            .bytes(TAG_NONCE, &self.nonce)
-            .bytes(TAG_CIPHERTEXT, &self.ciphertext);
-        w.finish()
-    }
-
-    pub fn decode(bytes: &[u8]) -> Result<SealedBlob, SgxError> {
+    pub(crate) fn decode(bytes: &'a [u8]) -> Result<SealedBlob<'a>, SgxError> {
         let mut r = TlvReader::new(bytes);
         let policy = SealPolicy::from_u8(r.expect_u8(TAG_POLICY)?)?;
         let svn = r.expect_u32(TAG_SVN)? as u16;
         let isv_prod_id = r.expect_u32(TAG_PROD_ID)? as u16;
         let key_id = r.expect_array::<16>(TAG_KEY_ID)?;
         let nonce = r.expect_array::<12>(TAG_NONCE)?;
-        let ciphertext = r.expect(TAG_CIPHERTEXT)?.to_vec();
+        let sealed = r.expect(TAG_CIPHERTEXT)?;
         r.finish()?;
         Ok(SealedBlob {
             policy,
@@ -125,7 +129,7 @@ impl SealedBlob {
             isv_prod_id,
             key_id,
             nonce,
-            ciphertext,
+            sealed,
         })
     }
 }
@@ -134,58 +138,82 @@ impl SealedBlob {
 mod tests {
     use super::*;
 
-    fn blob(aad: &[u8], pt: &[u8]) -> ([u8; 32], SealedBlob) {
-        let key = [0x11; 32];
-        let blob =
-            SealedBlob::seal(&key, SealPolicy::MrEnclave, 3, 7, [1; 16], [2; 12], aad, pt).unwrap();
-        (key, blob)
+    const KEY: [u8; 32] = [0x11; 32];
+
+    /// `pt` sealed under `KEY` with fixed metadata, encoded.
+    fn sealed(aad: &[u8], pt: &[u8]) -> Vec<u8> {
+        SealedBlob::seal(&KEY, SealPolicy::MrEnclave, 3, 7, [1; 16], [2; 12], aad, pt)
+    }
+
+    fn unseal(bytes: &[u8], key: &[u8; 32], aad: &[u8]) -> Result<Vec<u8>, SgxError> {
+        SealedBlob::decode(bytes)?.unseal(key, aad)
     }
 
     #[test]
     fn seal_unseal_roundtrip() {
-        let (key, blob) = blob(b"aad", b"credential bytes");
-        assert_eq!(blob.unseal(&key, b"aad").unwrap(), b"credential bytes");
+        let bytes = sealed(b"aad", b"credential bytes");
+        assert_eq!(unseal(&bytes, &KEY, b"aad").unwrap(), b"credential bytes");
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let (_, blob) = blob(b"aad", b"pt");
-        assert!(blob.unseal(&[0x22; 32], b"aad").is_err());
+        assert!(unseal(&sealed(b"aad", b"pt"), &[0x22; 32], b"aad").is_err());
     }
 
     #[test]
     fn wrong_aad_rejected() {
-        let (key, blob) = blob(b"aad", b"pt");
-        assert!(blob.unseal(&key, b"other").is_err());
+        assert!(unseal(&sealed(b"aad", b"pt"), &KEY, b"other").is_err());
     }
 
     #[test]
     fn metadata_is_authenticated() {
-        let (key, blob) = blob(b"aad", b"pt");
+        let bytes = sealed(b"aad", b"pt");
+        let blob = SealedBlob::decode(&bytes).unwrap();
         // Tampering the SVN breaks the bound AAD even with the right key.
-        let mut forged = blob.clone();
+        let mut forged = blob;
         forged.svn = 1;
-        assert!(forged.unseal(&key, b"aad").is_err());
-        let mut forged = blob.clone();
+        assert!(forged.unseal(&KEY, b"aad").is_err());
+        let mut forged = blob;
         forged.policy = SealPolicy::MrSigner;
-        assert!(forged.unseal(&key, b"aad").is_err());
+        assert!(forged.unseal(&KEY, b"aad").is_err());
         let mut forged = blob;
         forged.isv_prod_id = 9;
-        assert!(forged.unseal(&key, b"aad").is_err());
+        assert!(forged.unseal(&KEY, b"aad").is_err());
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let (key, blob) = blob(b"a", b"secret");
-        let decoded = SealedBlob::decode(&blob.encode()).unwrap();
-        assert_eq!(decoded, blob);
-        assert_eq!(decoded.unseal(&key, b"a").unwrap(), b"secret");
+        let bytes = sealed(b"a", b"secret");
+        let decoded = SealedBlob::decode(&bytes).unwrap();
+        assert_eq!(
+            (decoded.policy, decoded.svn, decoded.isv_prod_id),
+            (SealPolicy::MrEnclave, 3, 7)
+        );
+        assert_eq!((decoded.key_id, decoded.nonce), ([1; 16], [2; 12]));
+        assert_eq!(decoded.unseal(&KEY, b"a").unwrap(), b"secret");
+    }
+
+    /// Sealing in place writes the bytes that sealing into a copy and
+    /// encoding the ciphertext wrote, so media sealed either way replays.
+    #[test]
+    fn sealing_in_place_encodes_what_sealing_a_copy_did() {
+        for len in [0, 1, 15, 16, 17, 100, 4096] {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let aad = bound_aad(b"aad", SealPolicy::MrEnclave, 3, 7);
+            let mut w = TlvWriter::new();
+            w.u8(TAG_POLICY, SealPolicy::MrEnclave.to_u8())
+                .u32(TAG_SVN, 3)
+                .u32(TAG_PROD_ID, 7)
+                .bytes(TAG_KEY_ID, &[1; 16])
+                .bytes(TAG_NONCE, &[2; 12])
+                .bytes(TAG_CIPHERTEXT, &AesGcm::new(&KEY).seal(&[2; 12], &aad, &pt));
+            assert_eq!(sealed(b"aad", &pt), w.finish(), "{len} bytes");
+        }
     }
 
     #[test]
     fn decode_rejects_bad_policy() {
-        let (_, blob) = blob(b"a", b"s");
-        let mut bytes = blob.encode();
+        let mut bytes = sealed(b"a", b"s");
         // First record is the policy byte: set to an invalid value.
         bytes[5] = 99;
         assert!(SealedBlob::decode(&bytes).is_err());
@@ -193,11 +221,10 @@ mod tests {
 
     #[test]
     fn ciphertext_tamper_rejected() {
-        let (key, blob) = blob(b"a", b"s");
-        let mut bytes = blob.encode();
+        let mut bytes = sealed(b"a", b"s");
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
-        let forged = SealedBlob::decode(&bytes).unwrap();
-        assert!(forged.unseal(&key, b"a").is_err());
+        assert!(SealedBlob::decode(&bytes).is_ok());
+        assert!(unseal(&bytes, &KEY, b"a").is_err());
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use vnfguard_sgx::enclave::{EnclaveCode, EnclaveContext};
 use vnfguard_sgx::measurement::{MeasurementBuilder, PagePerm};
 use vnfguard_sgx::platform::SgxPlatform;
-use vnfguard_sgx::seal::{SealPolicy, SealedBlob};
+use vnfguard_sgx::seal::SealPolicy;
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_sgx::SgxError;
 
@@ -22,12 +22,9 @@ impl EnclaveCode for SealEcho {
         input: &[u8],
     ) -> Result<Vec<u8>, SgxError> {
         match opcode {
-            1 => Ok(ctx.seal(SealPolicy::MrEnclave, b"prop", input)?.encode()),
-            2 => {
-                let blob = SealedBlob::decode(input)?;
-                ctx.unseal(&blob, b"prop")
-            }
-            3 => Ok(ctx.seal(SealPolicy::MrSigner, b"prop", input)?.encode()),
+            1 => ctx.seal(SealPolicy::MrEnclave, b"prop", input),
+            2 => ctx.unseal(input, b"prop"),
+            3 => ctx.seal(SealPolicy::MrSigner, b"prop", input),
             other => Err(SgxError::BadCall(other)),
         }
     }

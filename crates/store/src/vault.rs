@@ -14,7 +14,7 @@ use crate::StoreError;
 use vnfguard_sgx::enclave::{Enclave, EnclaveCode, EnclaveContext};
 use vnfguard_sgx::measurement::Measurement;
 use vnfguard_sgx::platform::SgxPlatform;
-use vnfguard_sgx::seal::{SealPolicy, SealedBlob};
+use vnfguard_sgx::seal::SealPolicy;
 use vnfguard_sgx::sigstruct::EnclaveAuthor;
 use vnfguard_sgx::SgxError;
 
@@ -25,8 +25,8 @@ const VAULT_SIZE: usize = 16 * 1024;
 const VAULT_PROD_ID: u16 = 7;
 const VAULT_SVN: u16 = 1;
 
-const OP_SEAL: u16 = 1;
-const OP_UNSEAL: u16 = 2;
+const OP_SEAL: u8 = 1;
+const OP_UNSEAL: u8 = 2;
 
 /// Payload-kind discriminator, bound into the AAD so a record blob can
 /// never be replayed as a snapshot or vice versa.
@@ -60,8 +60,10 @@ impl PayloadKind {
     }
 }
 
-/// The enclave code: two ecalls, seal and unseal, both taking a one-byte
-/// kind prefix followed by the payload.
+/// The enclave code: two ecalls, seal and unseal. The opcode carries the
+/// payload kind in its high byte and the operation in its low byte, so the
+/// payload crosses as the caller's own slice, with no prefix to copy it
+/// behind.
 struct VaultCode;
 
 impl EnclaveCode for VaultCode {
@@ -75,20 +77,12 @@ impl EnclaveCode for VaultCode {
         opcode: u16,
         input: &[u8],
     ) -> Result<Vec<u8>, SgxError> {
-        let (&kind_byte, payload) = input
-            .split_first()
-            .ok_or_else(|| SgxError::App("empty vault call".into()))?;
-        let kind = PayloadKind::from_code(kind_byte)?;
-        match opcode {
-            OP_SEAL => {
-                let blob = ctx.seal(SealPolicy::MrEnclave, kind.aad(), payload)?;
-                Ok(blob.encode())
-            }
-            OP_UNSEAL => {
-                let blob = SealedBlob::decode(payload)?;
-                ctx.unseal(&blob, kind.aad())
-            }
-            other => Err(SgxError::BadCall(other)),
+        let [kind, op] = opcode.to_be_bytes();
+        let kind = PayloadKind::from_code(kind)?;
+        match op {
+            OP_SEAL => ctx.seal(SealPolicy::MrEnclave, kind.aad(), input),
+            OP_UNSEAL => ctx.unseal(input, kind.aad()),
+            _ => Err(SgxError::BadCall(opcode)),
         }
     }
 }
@@ -118,11 +112,11 @@ impl StateVault {
         SgxPlatform::measure_image(VAULT_IMAGE, VAULT_SIZE)
     }
 
-    fn call(&self, opcode: u16, kind: PayloadKind, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-        let mut input = Vec::with_capacity(payload.len() + 1);
-        input.push(kind.code());
-        input.extend_from_slice(payload);
-        self.enclave.ecall(opcode, &input).map_err(StoreError::from)
+    fn call(&self, op: u8, kind: PayloadKind, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+        let opcode = u16::from_be_bytes([kind.code(), op]);
+        self.enclave
+            .ecall(opcode, payload)
+            .map_err(StoreError::from)
     }
 
     /// Seal `plaintext` as `kind`; returns the encoded blob for the media.

@@ -16,7 +16,7 @@ use vnfguard_pki::{Certificate, TrustStore};
 use vnfguard_sgx::enclave::{EnclaveCode, EnclaveContext};
 use vnfguard_sgx::measurement::Measurement;
 use vnfguard_sgx::report::TargetInfo;
-use vnfguard_sgx::seal::{SealPolicy, SealedBlob};
+use vnfguard_sgx::seal::SealPolicy;
 use vnfguard_sgx::SgxError;
 use vnfguard_tls::handshake::{client_handshake, ClientConfig};
 use vnfguard_tls::record::SealState;
@@ -430,8 +430,7 @@ impl CredentialEnclave {
             server_cn: credentials.server_cn.clone(),
             ca_previous: credentials.ca_previous.clone(),
         };
-        let blob = ctx.seal(SealPolicy::MrEnclave, b"vnf-credentials", &bundle.encode())?;
-        Ok(blob.encode())
+        ctx.seal(SealPolicy::MrEnclave, b"vnf-credentials", &bundle.encode())
     }
 
     fn handle_import_sealed(
@@ -439,8 +438,7 @@ impl CredentialEnclave {
         ctx: &mut EnclaveContext,
         input: &[u8],
     ) -> Result<Vec<u8>, SgxError> {
-        let blob = SealedBlob::decode(input)?;
-        let plaintext = ctx.unseal(&blob, b"vnf-credentials")?;
+        let plaintext = ctx.unseal(input, b"vnf-credentials")?;
         let bundle = ProvisionBundle::decode(&plaintext)?;
         self.credentials = Some(Credentials {
             key: SigningKey::from_seed(&bundle.key_seed),

@@ -36,7 +36,8 @@ fn main() {
     println!("[svc] host agent serving at {}", agent.address);
 
     // The VM's operator API: the service handle clones into the server,
-    // so per-connection threads route to the shards concurrently.
+    // so its handler threads, one per open connection, route to the shards
+    // concurrently.
     let remote_ias: Arc<Mutex<dyn QuoteVerifier + Send>> = Arc::new(Mutex::new(remote_ias));
     let _vm_api = serve_vm_api(
         &network,
