@@ -18,7 +18,7 @@ echo "== test (tier-1: the whole workspace) =="
 # The root manifest's default-members make this cover every crate, not just
 # the root package. The passed count may not silently shrink below the
 # floor; raise the floor when tests are added.
-TIER1_FLOOR=877
+TIER1_FLOOR=887
 test_log=$(mktemp)
 cargo test -q 2>&1 | tee "$test_log"
 passed=$(awk '/^test result:/ { sum += $4 } END { print sum + 0 }' "$test_log")

@@ -26,7 +26,9 @@ pub fn ct_select_u64(choice: bool, a: u64, b: u64) -> u64 {
 }
 
 /// Zero a buffer. Uses a volatile write loop so the compiler cannot elide
-/// the wipe of credential material going out of scope.
+/// the wipe of credential material going out of scope. With `hw`, the one
+/// place the crate allows `unsafe`.
+#[allow(unsafe_code)]
 pub fn wipe(buf: &mut [u8]) {
     for b in buf.iter_mut() {
         // SAFETY: `b` is a valid, aligned, exclusive reference.

@@ -5,7 +5,7 @@
 //! a seed; production-path callers use [`SystemEntropy`], which draws from
 //! the OS via the `rand` crate.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 use rand::RngCore;
 
 /// A source of cryptographically secure random bytes.
@@ -58,19 +58,20 @@ impl HmacDrbg {
         self.update(Some(entropy));
     }
 
+    /// SP 800-90A's HMAC_DRBG_Update: K = HMAC(K, V ‖ 0x00 ‖ provided) and
+    /// V = HMAC(K, V), then again with 0x01 when input was provided.
     fn update(&mut self, provided: Option<&[u8]>) {
-        let mut data = self.value.to_vec();
-        data.push(0x00);
-        if let Some(p) = provided {
-            data.extend_from_slice(p);
-        }
-        self.key = hmac_sha256(&self.key, &data);
-        self.value = hmac_sha256(&self.key, &self.value);
-        if let Some(p) = provided {
-            let mut data = self.value.to_vec();
-            data.push(0x01);
-            data.extend_from_slice(p);
-            self.key = hmac_sha256(&self.key, &data);
+        let separators: &[u8] = if provided.is_some() {
+            &[0x00, 0x01]
+        } else {
+            &[0x00]
+        };
+        for &separator in separators {
+            let mut mac = HmacSha256::new(&self.key);
+            mac.update(&self.value)
+                .update(&[separator])
+                .update(provided.unwrap_or_default());
+            self.key = mac.finalize();
             self.value = hmac_sha256(&self.key, &self.value);
         }
     }

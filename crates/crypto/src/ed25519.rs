@@ -7,20 +7,33 @@
 //! Points use extended twisted-Edwards coordinates. Addition is the unified
 //! law (complete for a = −1), taken against a cached form of its second
 //! operand; doubling has its own formula (4 squarings, 4 multiplications).
-//! Multiples of the base point B — key generation, signing, the `[S]B`
-//! half of verification and X25519 public keys — read a signed radix-16
-//! table of j·16²ⁱ·B (j = 1..8, i = 0..31) derived at first use, so each
-//! costs 64 additions and 4 doublings. Any other point is multiplied with a width-5 sliding
-//! window over its odd multiples P, 3P, …, 15P. Scalars modulo the group
-//! order L are four 64-bit limbs with Barrett reduction.
+//! Both stop at a `Completed` point four products short of the result,
+//! and a doubling that another doubling follows takes only the three that
+//! give (X : Y : Z). The formulas run on the field's lazy `add` and `sub`
+//! (see [`crate::field25519`]'s limb bounds): every coordinate is a
+//! product or a negation, so it can be subtracted, and no multiplication
+//! operand counts more than 5 against the field's bound of 7.
+//!
+//! Multiples of the base point B — key generation, signing and X25519
+//! public keys — read a signed radix-16 table of j·16²ⁱ·B (j = 1..8,
+//! i = 0..31) derived at first use, so each costs 64 additions and 4
+//! doublings. Any other point is multiplied with a width-5 sliding window
+//! over its odd multiples P, 3P, …, 15P. Verification computes
+//! `[S]B` − `[k]A` in one pass: both scalars' windows share one chain of
+//! doublings (Straus), B's odd multiples derived once like the fixed-base
+//! table.
+//! Scalars modulo the group order L are four 64-bit limbs with Barrett
+//! reduction.
 //!
 //! Verification rejects S ≥ L, encodings with y ≥ p, and an A or R of small
 //! order (`[8]P` = identity): under the identity key, R = `[r]B` with S = r
-//! would verify over every message without any secret.
+//! would verify over every message without any secret. It then checks the
+//! cofactorless equation `[S]B` − `[k]A` = R.
 //!
 //! The test module keeps bit-serial double-and-add over the unified law and
 //! bignum scalars as a differential oracle: keys and signatures must match
-//! it bit for bit.
+//! it bit for bit. It keeps the two-multiplication verification, `[S]B` and
+//! a separate `[k]A`, as the one-pass verification's oracle.
 
 use crate::field25519::Fe;
 use crate::scalar25519;
@@ -76,6 +89,89 @@ impl Cached {
     }
 }
 
+/// `[digit]·P` for a nonzero digit, where `multiples` caches P,
+/// (1 + step)·P, (1 + 2·step)·P, … (step 1 for the fixed-base rows, 2 for
+/// the odd multiples of the sliding window). Callers test the digit for
+/// zero themselves: a zero digit adds nothing, and skipping the addition
+/// in place keeps the accumulator out of a copy.
+fn select(multiples: &[Cached; 8], digit: i8, step: usize) -> Cached {
+    let entry = &multiples[(digit.unsigned_abs() as usize - 1) / step];
+    if digit > 0 {
+        *entry
+    } else {
+        entry.neg()
+    }
+}
+
+/// A point in projective coordinates (X : Y : Z), x = X/Z, y = Y/Z: all a
+/// doubling reads.
+#[derive(Clone, Copy)]
+struct Projective {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// A sum or a doubling four products short of its result, the point
+/// (E·F : G·H : F·G : E·H) in extended coordinates.
+#[derive(Clone, Copy)]
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+impl Completed {
+    /// The neutral element: (0 : 1 : 1 : 0).
+    const IDENTITY: Completed = Completed {
+        e: Fe::ZERO,
+        f: Fe::ONE,
+        g: Fe::ONE,
+        h: Fe::ONE,
+    };
+
+    /// All four products, for a point that is added to.
+    fn extended(&self) -> Point {
+        Point {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
+
+    /// Three products, for a point that is only doubled or compared.
+    fn projective(&self) -> Projective {
+        Projective {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+        }
+    }
+}
+
+impl Projective {
+    /// Point doubling (a = −1: 4 squarings here, 3 or 4 multiplications
+    /// in [`Completed`]), complete for every point on the curve.
+    fn double(&self) -> Completed {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        Completed {
+            e: self.x.add(&self.y).square().sub(&xx).sub(&yy), // 2XY
+            f: zz.add(&zz).add(&xx).sub(&yy),                  // 2Z² − Y² + X²
+            g: yy.sub(&xx),                                    // Y² − X²
+            h: yy.add(&xx),                                    // Y² + X²
+        }
+    }
+
+    /// Equality in the projective sense (X₁Z₂ = X₂Z₁ and Y₁Z₂ = Y₂Z₁).
+    fn equals(&self, other: &Projective) -> bool {
+        self.x.mul(&other.z) == other.x.mul(&self.z) && self.y.mul(&other.z) == other.y.mul(&self.z)
+    }
+}
+
 struct Curve {
     d: Fe,
     d2: Fe,
@@ -110,7 +206,7 @@ fn base_table() -> &'static [[Cached; 8]] {
                 let mut multiple = row_base;
                 let row = std::array::from_fn(|_| {
                     let entry = multiple.cached();
-                    multiple = multiple.add_cached(&row_cached);
+                    multiple = multiple.add_cached(&row_cached).extended();
                     entry
                 });
                 for _ in 0..8 {
@@ -120,6 +216,13 @@ fn base_table() -> &'static [[Cached; 8]] {
             })
             .collect()
     })
+}
+
+/// B, 3B, 5B, …, 15B, the sliding window's odd multiples of the base
+/// point, derived on first use.
+fn base_odd_multiples() -> &'static [Cached; 8] {
+    static ODD: OnceLock<[Cached; 8]> = OnceLock::new();
+    ODD.get_or_init(|| Point::base().odd_multiples())
 }
 
 /// Signed radix-16 digits of a scalar below 2²⁵⁵: a = Σ eᵢ·16ⁱ with
@@ -204,81 +307,55 @@ impl Point {
         }
     }
 
+    fn projective(&self) -> Projective {
+        Projective {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
     /// The unified addition law (complete for a = −1 twisted Edwards
     /// curves) against a cached second operand.
-    fn add_cached(&self, other: &Cached) -> Point {
+    fn add_cached(&self, other: &Cached) -> Completed {
         let a = self.y.sub(&self.x).mul(&other.y_minus_x);
         let b = self.y.add(&self.x).mul(&other.y_plus_x);
         let c = self.t.mul(&other.t2d);
         let d = self.z.mul(&other.z2);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
-    }
-
-    /// `self + [digit]·P`, where `multiples` caches P, (1 + step)·P,
-    /// (1 + 2·step)·P, … (step 1 for the fixed-base rows, 2 for the odd
-    /// multiples of the sliding window).
-    fn add_digit(&self, multiples: &[Cached; 8], digit: i8, step: usize) -> Point {
-        if digit == 0 {
-            return *self;
-        }
-        let entry = &multiples[(digit.unsigned_abs() as usize - 1) / step];
-        if digit > 0 {
-            self.add_cached(entry)
-        } else {
-            self.add_cached(&entry.neg())
+        Completed {
+            e: b.sub(&a),
+            f: d.sub(&c),
+            g: d.add(&c),
+            h: b.add(&a),
         }
     }
 
     /// Unified point addition (complete for a = −1 twisted Edwards curves,
     /// so it also serves as doubling).
     pub fn add(&self, other: &Point) -> Point {
-        self.add_cached(&other.cached())
+        self.add_cached(&other.cached()).extended()
     }
 
-    /// Point doubling (a = −1 extended coordinates: 4 squarings, 4
-    /// multiplications), complete for every point on the curve.
+    /// Point doubling (4 squarings, 4 multiplications).
     fn double(&self) -> Point {
-        let xx = self.x.square();
-        let yy = self.y.square();
-        let zz = self.z.square();
-        let e = self.x.add(&self.y).square().sub(&xx).sub(&yy); // 2XY
-        let g = yy.sub(&xx); // Y² − X²
-        let h = yy.add(&xx); // Y² + X²
-        let f = zz.add(&zz).sub(&g); // 2Z² − Y² + X²
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        self.projective().double().extended()
+    }
+
+    /// P, 3P, 5P, …, 15P, cached for the sliding window.
+    fn odd_multiples(&self) -> [Cached; 8] {
+        let p2 = self.double().cached();
+        let mut odd = *self;
+        std::array::from_fn(|_| {
+            let entry = odd.cached();
+            odd = odd.add_cached(&p2).extended();
+            entry
+        })
     }
 
     /// Scalar multiplication by a 32-byte little-endian scalar (width-5
     /// sliding window; not constant-time, see crate docs).
     pub fn scalar_mul(&self, scalar_le: &[u8; 32]) -> Point {
-        let p2 = self.double().cached();
-        let mut odd = *self;
-        let odd_multiples: [Cached; 8] = std::array::from_fn(|_| {
-            let entry = odd.cached();
-            odd = odd.add_cached(&p2);
-            entry
-        });
-        let digits = slide(scalar_le);
-        let mut acc = Point::identity();
-        for &digit in digits.iter().rev().skip_while(|&&d| d == 0) {
-            acc = acc.double();
-            acc = acc.add_digit(&odd_multiples, digit, 2);
-        }
-        acc
+        sum_of_multiples(&[(&slide(scalar_le), &self.odd_multiples())]).extended()
     }
 
     /// `[a]B` for a scalar below 2²⁵⁵, from the fixed-base table: with
@@ -287,20 +364,28 @@ impl Point {
     pub(crate) fn mul_base(scalar_le: &[u8; 32]) -> Point {
         let digits = radix16(scalar_le);
         let table = base_table();
-        let mut acc = Point::identity();
-        for i in (1..64).step_by(2) {
-            acc = acc.add_digit(&table[i / 2], digits[i], 1);
+        let add_digit = |acc: Completed, i: usize| {
+            if digits[i] == 0 {
+                acc
+            } else {
+                acc.extended()
+                    .add_cached(&select(&table[i / 2], digits[i], 1))
+            }
+        };
+        let mut acc = (1..64).step_by(2).fold(Completed::IDENTITY, add_digit);
+        for _ in 0..4 {
+            acc = acc.projective().double();
         }
-        acc = acc.double().double().double().double();
-        for i in (0..64).step_by(2) {
-            acc = acc.add_digit(&table[i / 2], digits[i], 1);
-        }
-        acc
+        (0..64).step_by(2).fold(acc, add_digit).extended()
     }
 
     /// Whether `[8]P` is the identity, i.e. P lies in the 8-torsion subgroup.
     fn is_small_order(&self) -> bool {
-        self.double().double().double().equals(&Point::identity())
+        let mut acc = self.projective();
+        for _ in 0..3 {
+            acc = acc.double().projective();
+        }
+        acc.equals(&Point::identity().projective())
     }
 
     /// Compress to the 32-byte encoding: y with the sign of x in bit 255.
@@ -332,8 +417,37 @@ impl Point {
 
     /// Point equality in the projective sense (x1 z2 == x2 z1 etc.).
     pub fn equals(&self, other: &Point) -> bool {
-        self.x.mul(&other.z) == other.x.mul(&self.z) && self.y.mul(&other.z) == other.y.mul(&self.z)
+        self.projective().equals(&other.projective())
     }
+}
+
+/// Σ [aᵢ]Pᵢ for sliding-window digits aᵢ (see [`slide`]) over the odd
+/// multiples of each Pᵢ, on one shared chain of doublings (Straus): each
+/// position doubles once and adds each nonzero digit's multiple. A
+/// doubling with no addition after it stays projective.
+fn sum_of_multiples(terms: &[(&[i8; 257], &[Cached; 8])]) -> Completed {
+    let top = (0..257)
+        .rev()
+        .find(|&i| terms.iter().any(|(digits, _)| digits[i] != 0));
+    let mut acc = Completed::IDENTITY;
+    for i in (0..top.map_or(0, |top| top + 1)).rev() {
+        acc = acc.projective().double();
+        for (digits, multiples) in terms {
+            if digits[i] != 0 {
+                acc = acc.extended().add_cached(&select(multiples, digits[i], 2));
+            }
+        }
+    }
+    acc
+}
+
+/// `[s]B` − `[k]A` in one pass of [`sum_of_multiples`], for verification.
+fn base_mul_minus(s: &[u8; 32], k: &[u8; 32], a: &Point) -> Completed {
+    let minus_k = slide(k).map(|digit| -digit);
+    sum_of_multiples(&[
+        (&slide(s), base_odd_multiples()),
+        (&minus_k, &a.odd_multiples()),
+    ])
 }
 
 fn decompress_with_d(bytes: &[u8; 32], d: &Fe) -> Option<Point> {
@@ -472,10 +586,11 @@ impl VerifyingKey {
         h.update(&r_bytes).update(&self.bytes).update(message);
         let k = scalar25519::reduce_wide(&h.finalize());
 
-        // Check [S]B == R + [k]A.
-        let lhs = Point::mul_base(&s_bytes);
-        let rhs = r.add(&a.scalar_mul(&k));
-        if lhs.equals(&rhs) {
+        // Check [S]B − [k]A == R, the cofactorless [S]B == R + [k]A.
+        if base_mul_minus(&s_bytes, &k, &a)
+            .projective()
+            .equals(&r.projective())
+        {
             Ok(())
         } else {
             Err(SignatureError)
@@ -485,7 +600,8 @@ impl VerifyingKey {
 
 /// Bit-serial double-and-add over the unified law and `MpInt` scalars: the
 /// differential oracle of the table and window paths. Its `verify` has no
-/// small-order check, so it shows which forgeries that check stops.
+/// small-order check, so it shows which forgeries that check stops; its
+/// `two_multiplication_verify` is the one-pass verification's oracle.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -527,6 +643,30 @@ mod oracle {
         sig[..32].copy_from_slice(&r_point);
         sig[32..].copy_from_slice(&mul_add(&k, &scalar, &r_scalar));
         sig
+    }
+
+    /// The verification that the one-pass one replaced: the same checks,
+    /// then `[S]B` from the fixed-base table and a separate `[k]A`.
+    pub fn two_multiplication_verify(
+        public: &[u8; 32],
+        message: &[u8],
+        signature: &[u8; 64],
+    ) -> bool {
+        let r_bytes: [u8; 32] = signature[..32].try_into().unwrap();
+        let s_bytes: [u8; 32] = signature[32..].try_into().unwrap();
+        if !scalar25519::is_canonical(&s_bytes) {
+            return false;
+        }
+        let (Some(a), Some(r)) = (Point::decompress(public), Point::decompress(&r_bytes)) else {
+            return false;
+        };
+        if a.is_small_order() || r.is_small_order() {
+            return false;
+        }
+        let mut h = Sha512::new();
+        h.update(&r_bytes).update(public).update(message);
+        let k = scalar25519::reduce_wide(&h.finalize());
+        Point::mul_base(&s_bytes).equals(&r.add(&a.scalar_mul(&k)))
     }
 
     pub fn verify(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
@@ -889,7 +1029,29 @@ mod tests {
             }
             let fast = VerifyingKey::from_bytes(&public).verify(&message, &sig).is_ok();
             prop_assert_eq!(fast, oracle::verify(&public, &message, &sig));
+            prop_assert_eq!(fast, oracle::two_multiplication_verify(&public, &message, &sig));
             prop_assert_eq!(fast, flip == 8 * (SIG_LEN + KEY_LEN));
+        }
+
+        #[test]
+        fn prop_one_pass_matches_two_multiplications(
+            s in any::<[u8; 32]>(),
+            k in any::<[u8; 32]>(),
+            base_scalar in any::<[u8; 32]>(),
+            torsion in 0usize..8,
+        ) {
+            // Full 256-bit scalars (the windows' carry into a 257th digit),
+            // and points inside and outside the prime-order subgroup:
+            // [s]B − [k]A, plus [k]A, is [s]B.
+            let mut base_scalar = base_scalar;
+            base_scalar[31] &= 0x7f;
+            let t = Point::decompress(&small_order_encodings()[torsion]).unwrap();
+            let a = Point::mul_base(&base_scalar).add(&t);
+            let one_pass = base_mul_minus(&s, &k, &a).extended();
+            prop_assert_eq!(
+                one_pass.add(&a.scalar_mul(&k)).compress(),
+                Point::base().scalar_mul(&s).compress()
+            );
         }
 
         #[test]

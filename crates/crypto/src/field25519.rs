@@ -9,6 +9,29 @@
 //! `square`/`invert`/`pow_p58` against `mul` and the generic [`Fe::pow`],
 //! with property tests, so the limb tricks cannot silently diverge from the
 //! mathematics.
+//!
+//! ## Limb bounds
+//!
+//! Addition and subtraction are lazy: they add or subtract limb by limb
+//! and leave the carries to the next multiplication, which absorbs them in
+//! its 128-bit accumulators. So an element's limbs are not always below
+//! 2⁵¹, and each operation states what it takes and gives:
+//!
+//! - A *reduced* element has every limb below 2⁵¹ + 2¹⁶ (limb 1 takes the
+//!   last carry; the others are below 2⁵¹). [`Fe::from_bytes`],
+//!   [`Fe::from_u64`], [`Fe::mul`], [`Fe::square`], [`Fe::mul_small`] and
+//!   everything built on them return reduced elements.
+//! - [`Fe::add`] returns limbs below the sum of its operands' bounds: below
+//!   2⁵² + 2¹⁷ for two reduced operands.
+//! - [`Fe::sub`] computes a + 2p − b limb by limb. It needs b's limbs no
+//!   larger than 2p's (2⁵² − 38 in limb 0, 2⁵² − 2 in the others), which
+//!   every reduced element and every [`Fe::neg`] meets, and returns limbs
+//!   below a's bound plus 2⁵².
+//! - [`Fe::mul`], [`Fe::square`] and [`Fe::mul_small`] take operands with
+//!   limbs below 2⁵⁴. An expression in reduced elements fits if its added
+//!   terms plus twice its subtracted ones number at most 7; the curve
+//!   formulas' longest, 2Z² + X² − Y² in a doubling, counts 5.
+//! - [`Fe::to_bytes`], equality and the predicates accept the same 2⁵⁴.
 
 use crate::mpint::MpInt;
 use std::sync::OnceLock;
@@ -88,23 +111,17 @@ impl Fe {
         t.0[3] &= MASK;
         t.0[4] &= MASK;
 
+        // Pack the five 51-bit limbs into four little-endian words.
+        let [l0, l1, l2, l3, l4] = t.0;
+        let words = [
+            l0 | l1 << 51,
+            l1 >> 13 | l2 << 38,
+            l2 >> 26 | l3 << 25,
+            l3 >> 39 | l4 << 12,
+        ];
         let mut out = [0u8; 32];
-        let limbs = t.0;
-        let mut acc: u128 = 0;
-        let mut acc_bits = 0u32;
-        let mut idx = 0;
-        for &limb in &limbs {
-            acc |= (limb as u128) << acc_bits;
-            acc_bits += 51;
-            while acc_bits >= 8 {
-                out[idx] = acc as u8;
-                acc >>= 8;
-                acc_bits -= 8;
-                idx += 1;
-            }
-        }
-        if idx < 32 {
-            out[idx] = acc as u8;
+        for (bytes, word) in out.chunks_exact_mut(8).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
@@ -124,74 +141,67 @@ impl Fe {
         f[1] += c;
     }
 
+    /// `self + other` with no carry (see the module docs' bounds).
     pub fn add(&self, other: &Fe) -> Fe {
-        let mut r = Fe([
-            self.0[0] + other.0[0],
-            self.0[1] + other.0[1],
-            self.0[2] + other.0[2],
-            self.0[3] + other.0[3],
-            self.0[4] + other.0[4],
-        ]);
-        r.carry();
-        r
+        Fe(std::array::from_fn(|i| self.0[i] + other.0[i]))
     }
 
+    /// `self − other`, as `self + 2p − other` with no carry: `other`'s limbs
+    /// must be no larger than 2p's (see the module docs' bounds).
     pub fn sub(&self, other: &Fe) -> Fe {
-        let mut r = Fe([
-            self.0[0] + TWO_P[0] - other.0[0],
-            self.0[1] + TWO_P[1] - other.0[1],
-            self.0[2] + TWO_P[2] - other.0[2],
-            self.0[3] + TWO_P[3] - other.0[3],
-            self.0[4] + TWO_P[4] - other.0[4],
-        ]);
-        r.carry();
-        r
+        Fe(std::array::from_fn(|i| self.0[i] + TWO_P[i] - other.0[i]))
     }
 
+    /// `−self`, as `2p − self`: its limbs are no larger than 2p's, so it may
+    /// itself be subtracted.
     pub fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
+    // Inlined into the curve formulas: in a call, the operands and the
+    // result go through memory.
+    #[inline(always)]
     pub fn mul(&self, other: &Fe) -> Fe {
         let a = &self.0;
         let b = &other.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
-        let r0 =
-            m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        let r1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        let r2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        let r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
+        // Limbs below 2⁵⁴ keep 19·b below 2⁵⁹.
+        let [b1_19, b2_19, b3_19, b4_19] = [b[1], b[2], b[3], b[4]].map(|limb| 19 * limb);
+        let r0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
+        let r1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let r2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
         let r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
         Fe::carry_wide([r0, r1, r2, r3, r4])
     }
 
-    /// Carry 128-bit limb accumulators down to 51-bit limbs.
-    fn carry_wide([r0, r1, r2, r3, r4]: [u128; 5]) -> Fe {
-        let mut out = [0u64; 5];
-        let mut c: u128;
-        c = r0 >> 51;
-        out[0] = (r0 as u64) & MASK;
-        let r1 = r1 + c;
-        c = r1 >> 51;
-        out[1] = (r1 as u64) & MASK;
-        let r2 = r2 + c;
-        c = r2 >> 51;
-        out[2] = (r2 as u64) & MASK;
-        let r3 = r3 + c;
-        c = r3 >> 51;
-        out[3] = (r3 as u64) & MASK;
-        let r4 = r4 + c;
-        c = r4 >> 51;
-        out[4] = (r4 as u64) & MASK;
-        out[0] += 19 * c as u64;
-        let c2 = out[0] >> 51;
-        out[0] &= MASK;
-        out[1] += c2;
-        Fe(out)
+    /// `self · k` for a small constant, such as the ladder's a24 = 121665:
+    /// five limb products instead of a full multiplication.
+    pub fn mul_small(&self, k: u32) -> Fe {
+        Fe::carry_wide(self.0.map(|limb| limb as u128 * k as u128))
     }
 
+    /// Carry 128-bit limb accumulators down to 51-bit limbs. From operands
+    /// below the 2⁵⁴ bound every accumulator is below 2¹¹⁵, so each carry
+    /// fits a `u64`. The top one can exceed 2⁵⁹, which puts 19·c within a
+    /// factor of 1.4 of 2⁶⁴, so it is folded back in 128 bits.
+    #[inline(always)]
+    fn carry_wide([r0, r1, r2, r3, r4]: [u128; 5]) -> Fe {
+        let r1 = r1 + (r0 >> 51) as u64 as u128;
+        let r2 = r2 + (r1 >> 51) as u64 as u128;
+        let r3 = r3 + (r2 >> 51) as u64 as u128;
+        let r4 = r4 + (r3 >> 51) as u64 as u128;
+        let f0 = (r0 as u64 & MASK) as u128 + 19 * ((r4 >> 51) as u64 as u128);
+        Fe([
+            f0 as u64 & MASK,
+            (r1 as u64 & MASK) + (f0 >> 51) as u64,
+            r2 as u64 & MASK,
+            r3 as u64 & MASK,
+            r4 as u64 & MASK,
+        ])
+    }
+
+    #[inline(always)]
     pub fn square(&self) -> Fe {
         let a = &self.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
@@ -294,7 +304,7 @@ impl Fe {
         let check = v.mul(&r.square());
         let r = if check == *u {
             r
-        } else if check == u.neg() {
+        } else if check.neg() == *u {
             r.mul(&Fe::sqrt_m1())
         } else {
             return None;
@@ -318,10 +328,122 @@ pub fn prime() -> MpInt {
     MpInt::from_u64(1).shl(255).sub(&MpInt::from_u64(19))
 }
 
+/// The carried addition and subtraction that the lazy ones replaced: every
+/// result carried back to 51-bit limbs. The carried X25519 ladder in
+/// [`crate::x25519`]'s tests runs on them.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub fn add(a: &Fe, b: &Fe) -> Fe {
+        let mut r = Fe(std::array::from_fn(|i| a.0[i] + b.0[i]));
+        r.carry();
+        r
+    }
+
+    pub fn sub(a: &Fe, b: &Fe) -> Fe {
+        let mut r = Fe(std::array::from_fn(|i| a.0[i] + TWO_P[i] - b.0[i]));
+        r.carry();
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The value of an element read straight from its limbs, whatever their
+    /// size, reduced mod p.
+    fn limb_value(fe: &Fe) -> MpInt {
+        fe.0.iter()
+            .enumerate()
+            .fold(MpInt::from_u64(0), |acc, (i, &limb)| {
+                acc.add(&MpInt::from_u64(limb).shl(51 * i))
+            })
+            .rem(&prime())
+    }
+
+    /// A reduced element's limb bound (see the module docs).
+    const REDUCED: u64 = (1 << 51) + (1 << 16);
+
+    /// The largest limbs that each documented case can hold: a reduced
+    /// element; `add` of two; `sub` of two; the doubling's 2Z² + X² − Y²;
+    /// and the multiplication's own bound, just below 2⁵⁴.
+    fn limb_maxima() -> [[u64; 5]; 5] {
+        let reduced = [REDUCED - 1; 5];
+        let two_p_minus = |bound: u64| TWO_P.map(|limb| limb + bound - 1);
+        [
+            reduced,
+            [2 * (REDUCED - 1); 5],
+            two_p_minus(REDUCED),
+            two_p_minus(3 * REDUCED),
+            [(1 << 54) - 1; 5],
+        ]
+    }
+
+    /// `mul`, `square` and `mul_small` on `a` and `b` agree with `mpint`,
+    /// and their results are reduced.
+    fn check_products(a: &Fe, b: &Fe) {
+        let p = prime();
+        let products = [
+            (a.mul(b), limb_value(a).mul(&limb_value(b)).rem(&p)),
+            (a.square(), limb_value(a).mul(&limb_value(a)).rem(&p)),
+            (
+                a.mul_small(121_665),
+                limb_value(a).mul(&MpInt::from_u64(121_665)).rem(&p),
+            ),
+        ];
+        for (product, expected) in products {
+            assert_eq!(limb_value(&product), expected, "{a:?} {b:?}");
+            assert_eq!(product.to_mpint(), expected, "{a:?} {b:?}");
+            assert!(product.0.iter().all(|&limb| limb < REDUCED), "{product:?}");
+        }
+        assert_eq!(a.to_mpint(), limb_value(a), "{a:?}");
+    }
+
+    #[test]
+    fn products_at_every_limb_maximum_match_mpint() {
+        for a in limb_maxima() {
+            for b in limb_maxima() {
+                check_products(&Fe(a), &Fe(b));
+                // One limb at its maximum, the others zero.
+                for i in 0..5 {
+                    let (mut one_a, mut one_b) = ([0; 5], [0; 5]);
+                    one_a[i] = a[i];
+                    one_b[4 - i] = b[4 - i];
+                    check_products(&Fe(one_a), &Fe(one_b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_sums_of_reduced_maxima_stay_in_bounds() {
+        let reduced = Fe([REDUCED - 1; 5]);
+        let two_p = Fe(TWO_P);
+        let sum = reduced.add(&reduced);
+        assert!(sum.0.iter().all(|&limb| limb < 2 * REDUCED));
+        // `sub` of the largest subtrahends it allows, 2p and a reduced
+        // element, from the largest reduced element.
+        for b in [two_p, reduced, Fe::ZERO] {
+            let difference = reduced.sub(&b);
+            assert!(difference.0.iter().all(|&limb| limb < REDUCED + (1 << 52)));
+            assert_eq!(
+                limb_value(&difference),
+                limb_value(&reduced)
+                    .add(&prime())
+                    .sub(&limb_value(&b))
+                    .rem(&prime())
+            );
+        }
+        assert!(reduced
+            .neg()
+            .0
+            .iter()
+            .zip(TWO_P)
+            .all(|(&limb, bound)| limb <= bound));
+    }
 
     fn fe_from_mpint(n: &MpInt) -> Fe {
         let reduced = n.rem(&prime());
@@ -513,6 +635,31 @@ mod tests {
             let sq = fa.square();
             let r = Fe::sqrt_ratio(&sq, &Fe::ONE).expect("square must have a root");
             prop_assert_eq!(r.square(), sq);
+        }
+
+        #[test]
+        fn prop_products_below_the_limb_maxima_match_mpint(
+            which in (0usize..5, 0usize..5),
+            a in any::<[u64; 5]>(),
+            b in any::<[u64; 5]>(),
+        ) {
+            // Random limbs below each documented maximum.
+            let maxima = limb_maxima();
+            let below = |limbs: [u64; 5], max: [u64; 5]| {
+                Fe(std::array::from_fn(|i| limbs[i] % (max[i] + 1)))
+            };
+            check_products(&below(a, maxima[which.0]), &below(b, maxima[which.1]));
+        }
+
+        #[test]
+        fn prop_lazy_add_and_sub_match_the_carried_oracle(
+            a in random_fe_strategy(),
+            b in random_fe_strategy(),
+        ) {
+            let (fa, fb) = (Fe::from_bytes(&a), Fe::from_bytes(&b).square());
+            prop_assert_eq!(fa.add(&fb).to_bytes(), oracle::add(&fa, &fb).to_bytes());
+            prop_assert_eq!(fa.sub(&fb).to_bytes(), oracle::sub(&fa, &fb).to_bytes());
+            prop_assert_eq!(fa.neg().to_bytes(), oracle::sub(&Fe::ZERO, &fa).to_bytes());
         }
 
         #[test]

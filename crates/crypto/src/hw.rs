@@ -1,16 +1,20 @@
-//! The x86-64 hardware path of [`crate::aes`] and [`crate::gcm`]: AES-NI
-//! rounds over the table path's key schedule, eight counter blocks in
-//! flight, and GHASH on PCLMULQDQ, four blocks to one reduction.
+//! The x86-64 hardware paths of [`crate::aes`], [`crate::gcm`] and
+//! [`crate::sha2`]: AES-NI rounds over the table path's key schedule,
+//! eight counter blocks in flight; GHASH on PCLMULQDQ, four blocks to one
+//! reduction; and SHA-256's compression on the SHA extensions.
 //!
 //! A [`Hardware`] value is the proof that CPUID reported AES-NI,
-//! PCLMULQDQ and SSSE3: only [`Hardware::detect`] makes one, and every
-//! method that runs the instructions takes one. `Aes` and `AesGcm` hold
-//! one when the CPU has them and run the table paths otherwise; there is
-//! no switch. The crate's intrinsics, and all their `unsafe`, sit in this
-//! module, next to that check.
+//! PCLMULQDQ and SSSE3, and a [`ShaExtensions`] value the proof that it
+//! reported SHA, SSSE3 and SSE4.1: only their `detect` makes one, and
+//! every method that runs the instructions takes one. `Aes`, `AesGcm` and
+//! `Sha256` hold one when the CPU has the instructions and run the
+//! portable paths otherwise; there is no switch. The crate's intrinsics,
+//! and all their `unsafe`, sit in this module, next to those checks; the
+//! crate denies `unsafe_code` everywhere else but the volatile wipe in
+//! [`crate::ct`].
 //!
-//! Unlike the table paths, this one is constant-time: AESENC and PCLMULQDQ
-//! take no secret-dependent memory index or branch.
+//! Unlike the table paths, these are constant-time: AESENC, PCLMULQDQ and
+//! SHA256RNDS2 take no secret-dependent memory index or branch.
 
 use crate::aes::BLOCK;
 
@@ -100,6 +104,42 @@ impl Hardware {
             // SAFETY: `self` exists only because `detect` saw `pclmulqdq` and
             // `ssse3` in CPUID, the features `clmul::update` enables.
             unsafe { clmul::update(powers, y, data) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            unreachable!("{self:?} is only ever made on x86-64")
+        }
+    }
+}
+
+/// CPUID reported the SHA extensions, SSSE3 and SSE4.1 (see the module
+/// docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ShaExtensions(());
+
+impl ShaExtensions {
+    /// `Some` exactly when CPUID reports `sha`, `ssse3` and `sse4.1`.
+    pub(crate) fn detect() -> Option<ShaExtensions> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            return Some(ShaExtensions(()));
+        }
+        None
+    }
+
+    /// Run SHA-256's compression function on `state` over each 64-byte
+    /// block of `blocks` in turn, with the round constants `k`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    pub(crate) fn sha256_compress(self, state: &mut [u32; 8], k: &[u32; 64], blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(64), "whole blocks only");
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: `self` exists only because `detect` saw `sha`, `ssse3`
+            // and `sse4.1` in CPUID, the features `sha_ni::compress` enables.
+            unsafe { sha_ni::compress(state, k, blocks) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -329,5 +369,69 @@ mod clmul {
             y = mul(_mm_xor_si128(y, reflect(&block)), h[0]);
         }
         to_u128(y)
+    }
+}
+
+/// SHA-256 on the SHA extensions (Gulley et al., *Intel SHA Extensions*,
+/// 2013). The state sits in two registers as ABEF and CDGH; SHA256RNDS2
+/// runs two rounds on the low two words of message plus constant, and
+/// SHA256MSG1 and SHA256MSG2 extend the message schedule four words at a
+/// time: with Mⱼ = W[4j..4j+4],
+/// Mⱼ = MSG2(MSG1(Mⱼ₋₄, Mⱼ₋₃) + (Mⱼ₋₂[1..4], Mⱼ₋₁[0]), Mⱼ₋₁).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::sse2::{load, store};
+    use std::arch::x86_64::*;
+
+    /// Four words, the first in the lowest lane.
+    #[target_feature(enable = "sse2")]
+    fn words(w: &[u32]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], k: &[u32; 64], blocks: &[u8]) {
+        // DCBA and HGFE (A in the lowest lane) into ABEF and CDGH.
+        let cdab = _mm_shuffle_epi32(words(&state[..4]), 0xb1);
+        let efgh = _mm_shuffle_epi32(words(&state[4..]), 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        // Message words are big-endian.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // m[j % 4] holds Mⱼ for the latest j.
+            let mut m = [_mm_setzero_si128(); 4];
+            for j in 0..16 {
+                m[j % 4] = if j < 4 {
+                    let bytes = block[16 * j..16 * j + 16].try_into().expect("16 bytes");
+                    _mm_shuffle_epi8(load(bytes), byte_swap)
+                } else {
+                    let [m4, m3, m2, m1] = [0, 1, 2, 3].map(|i| m[(j + i) % 4]);
+                    let sum =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(m4, m3), _mm_alignr_epi8(m1, m2, 4));
+                    _mm_sha256msg2_epu32(sum, m1)
+                };
+                let wk = _mm_add_epi32(m[j % 4], words(&k[4 * j..]));
+                // Two rounds make the new ABEF; the old ABEF becomes CDGH.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        // ABEF and CDGH back into DCBA and HGFE.
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        for (half, register) in [
+            (0, _mm_blend_epi16(feba, dchg, 0xf0)),
+            (4, _mm_alignr_epi8(dchg, feba, 8)),
+        ] {
+            let mut bytes = [0u8; 16];
+            store(&mut bytes, register);
+            for (word, le) in state[half..half + 4].iter_mut().zip(bytes.chunks_exact(4)) {
+                *word = u32::from_le_bytes(le.try_into().expect("4 bytes"));
+            }
+        }
     }
 }

@@ -28,13 +28,14 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     clamp(&mut k);
     let x1 = Fe::from_bytes(u);
 
-    // Montgomery ladder.
+    // Montgomery ladder, on the field's lazy `add` and `sub`: every `sub`
+    // subtracts a product (a reduced element), and no multiplication
+    // operand counts more than 3 against the field's bound of 7.
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
     let mut swap = false;
-    let a24 = Fe::from_u64(121_665);
 
     for t in (0..255).rev() {
         let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
@@ -56,7 +57,7 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
         x3 = da.add(&cb).square();
         z3 = x1.mul(&da.sub(&cb).square());
         x2 = aa.mul(&bb);
-        z2 = e.mul(&aa.add(&a24.mul(&e)));
+        z2 = e.mul(&aa.add(&e.mul_small(A24)));
     }
     if swap {
         std::mem::swap(&mut x2, &mut x3);
@@ -64,6 +65,9 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     }
     x2.mul(&z2.invert()).to_bytes()
 }
+
+/// (A − 2)/4 for Curve25519's A = 486662.
+const A24: u32 = 121_665;
 
 /// The canonical base point (u = 9).
 pub fn base_point() -> [u8; KEY_LEN] {
@@ -106,10 +110,56 @@ impl EphemeralKeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field25519::oracle::{add, sub};
     use proptest::prelude::*;
+
+    /// The ladder on carried field operations, with a24 as a full
+    /// multiplication: the lazy ladder's oracle.
+    fn carried_x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+        let mut k = *scalar;
+        clamp(&mut k);
+        let x1 = Fe::from_bytes(u);
+        let (mut x2, mut z2, mut x3, mut z3) = (Fe::ONE, Fe::ZERO, x1, Fe::ONE);
+        let mut swap = false;
+        let a24 = Fe::from_u64(A24 as u64);
+        for t in (0..255).rev() {
+            let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
+            if swap != k_t {
+                std::mem::swap(&mut x2, &mut x3);
+                std::mem::swap(&mut z2, &mut z3);
+            }
+            swap = k_t;
+            let a = add(&x2, &z2);
+            let aa = a.square();
+            let b = sub(&x2, &z2);
+            let bb = b.square();
+            let e = sub(&aa, &bb);
+            let da = sub(&x3, &z3).mul(&a);
+            let cb = add(&x3, &z3).mul(&b);
+            x3 = add(&da, &cb).square();
+            z3 = x1.mul(&sub(&da, &cb).square());
+            x2 = aa.mul(&bb);
+            z2 = e.mul(&add(&aa, &a24.mul(&e)));
+        }
+        if swap {
+            std::mem::swap(&mut x2, &mut x3);
+            std::mem::swap(&mut z2, &mut z3);
+        }
+        x2.mul(&z2.invert()).to_bytes()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ladder equals the carried ladder on any scalar and any u,
+        /// canonical or not, on the curve or its twist.
+        #[test]
+        fn prop_ladder_matches_the_carried_ladder(
+            scalar in proptest::array::uniform32(any::<u8>()),
+            u in proptest::array::uniform32(any::<u8>()),
+        ) {
+            prop_assert_eq!(x25519(&scalar, &u), carried_x25519(&scalar, &u));
+        }
 
         /// The fixed-base public key equals the ladder on u = 9, for any
         /// seed, clamped or not.
