@@ -11,7 +11,7 @@
 //! that does not match the challenge are all rejections.
 
 use crate::{AttestError, AttestationBackend, BackendKind, EvidenceAppraisal, TcbStatus};
-use vnfguard_ias::{Availability, QuoteStatus, QuoteVerifier};
+use vnfguard_ias::{Availability, IasError, QuoteStatus, QuoteVerifier};
 
 fn tcb_from_status(status: QuoteStatus) -> TcbStatus {
     match status {
@@ -38,8 +38,9 @@ impl<V: QuoteVerifier + ?Sized> AttestationBackend for V {
         nonce: &[u8],
     ) -> Result<EvidenceAppraisal, AttestError> {
         let report = self.verify_quote(evidence, nonce);
-        report
-            .verify(&self.report_signing_key())
+        self.report_key()
+            .ok_or(IasError::BadReportSignature)
+            .and_then(|key| report.verify(key))
             .map_err(|e| AttestError::Rejected(e.to_string()))?;
         if report.nonce != nonce {
             return Err(AttestError::Rejected("IAS report nonce mismatch".into()));

@@ -15,7 +15,10 @@
 //! - offline appraisal: [`SnpVerifier`] walks the chain against a pinned
 //!   ARK public key and the deployment [`SimClock`] — **no attestation
 //!   service round-trip at all**, which is the operational contrast with
-//!   the SGX/IAS path the e18 bench measures.
+//!   the SGX/IAS path the e18 bench measures. The ARK, and the ASK that
+//!   last verified under it, are held as prepared keys, so a repeat ASK
+//!   is a byte comparison and a VCEK certificate verifies from the ASK's
+//!   table; the per-chip VCEK verifies one-shot.
 //!
 //! Every signature uses a distinct domain-separation prefix, so no
 //! certificate can be replayed as a report (or vice versa), and the
@@ -29,8 +32,9 @@
 //! never touches any relying-party DRBG.
 
 use crate::{AttestError, AttestationBackend, BackendKind, EvidenceAppraisal, TcbStatus};
+use std::sync::{Arc, Mutex, PoisonError};
 use vnfguard_controller::clock::SimClock;
-use vnfguard_crypto::ed25519::{SigningKey, VerifyingKey};
+use vnfguard_crypto::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
 use vnfguard_crypto::sha2::sha256;
 use vnfguard_encoding::{EncodingError, TlvReader, TlvWriter};
 
@@ -150,7 +154,7 @@ impl VcekCert {
     }
 
     /// Check the ASK signature over this certificate.
-    pub fn verify(&self, ask_key: &VerifyingKey) -> bool {
+    pub fn verify(&self, ask_key: &PreparedVerifyingKey) -> bool {
         ask_key
             .verify(
                 &Self::signed_bytes(&self.public_key, self.tcb_version, self.not_after),
@@ -191,7 +195,7 @@ impl AskCert {
     }
 
     /// Check the ARK signature over this certificate.
-    pub fn verify(&self, ark_key: &VerifyingKey) -> bool {
+    pub fn verify(&self, ark_key: &PreparedVerifyingKey) -> bool {
         ark_key
             .verify(&Self::signed_bytes(&self.public_key), &self.signature)
             .is_ok()
@@ -427,9 +431,17 @@ impl SnpPlatform {
 /// ARK → ASK → VCEK → report chain, checks VCEK freshness against the
 /// deployment clock, and distills the normalized appraisal. No service
 /// round-trip; [`crate::Availability::Available`] always.
+///
+/// The ARK is prepared once. The ASK certificate that last verified under
+/// it is kept with its key prepared, in a slot every clone shares, so a
+/// repeat ASK costs a byte comparison and the VCEK certificate verifies
+/// from the ASK's table. The VCEK is per chip and verifies one-shot; its
+/// expiry and TCB checks run on every appraisal.
 #[derive(Clone)]
 pub struct SnpVerifier {
-    ark: VerifyingKey,
+    /// `None` when the pinned key is one no signature verifies under.
+    ark: Option<PreparedVerifyingKey>,
+    validated_ask: Arc<Mutex<Option<(AskCert, PreparedVerifyingKey)>>>,
     clock: SimClock,
     min_tcb: u64,
 }
@@ -437,7 +449,8 @@ pub struct SnpVerifier {
 impl SnpVerifier {
     pub fn new(ark: VerifyingKey, clock: SimClock) -> SnpVerifier {
         SnpVerifier {
-            ark,
+            ark: PreparedVerifyingKey::new(ark).ok(),
+            validated_ask: Arc::default(),
             clock,
             min_tcb: 0,
         }
@@ -449,6 +462,36 @@ impl SnpVerifier {
         self.min_tcb = min_tcb;
         self
     }
+
+    /// The prepared key of an ASK certificate that verifies under the
+    /// pinned ARK: the kept one when `cert` is byte for byte the last that
+    /// did, else `cert` is checked and, if it passes, kept in its place.
+    fn ask_key(&self, cert: &AskCert) -> Result<PreparedVerifyingKey, AttestError> {
+        let slot = || {
+            self.validated_ask
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some((known, key)) = slot().as_ref() {
+            if known == cert {
+                return Ok(key.clone());
+            }
+        }
+        if !self.ark.as_ref().is_some_and(|ark| cert.verify(ark)) {
+            return Err(AttestError::Rejected(
+                "SNP ASK certificate not signed by the pinned ARK".into(),
+            ));
+        }
+        // An ARK-signed key no signature verifies under fails the VCEK check.
+        let key = PreparedVerifyingKey::new(VerifyingKey::from_bytes(&cert.public_key))
+            .map_err(|_| vcek_not_signed())?;
+        *slot() = Some((cert.clone(), key.clone()));
+        Ok(key)
+    }
+}
+
+fn vcek_not_signed() -> AttestError {
+    AttestError::Rejected("SNP VCEK certificate not signed by the ASK".into())
 }
 
 impl AttestationBackend for SnpVerifier {
@@ -463,16 +506,8 @@ impl AttestationBackend for SnpVerifier {
     ) -> Result<EvidenceAppraisal, AttestError> {
         let evidence =
             SnpEvidence::decode(evidence).map_err(|e| AttestError::Encoding(e.to_string()))?;
-        if !evidence.ask.verify(&self.ark) {
-            return Err(AttestError::Rejected(
-                "SNP ASK certificate not signed by the pinned ARK".into(),
-            ));
-        }
-        let ask_key = VerifyingKey::from_bytes(&evidence.ask.public_key);
-        if !evidence.vcek.verify(&ask_key) {
-            return Err(AttestError::Rejected(
-                "SNP VCEK certificate not signed by the ASK".into(),
-            ));
+        if !evidence.vcek.verify(&self.ask_key(&evidence.ask)?) {
+            return Err(vcek_not_signed());
         }
         if evidence.vcek.not_after < self.clock.now() {
             return Err(AttestError::Rejected(format!(
@@ -624,6 +659,43 @@ mod tests {
         evidence.report.measurement[0] ^= 0xff;
         let err = verifier.appraise(&evidence.encode(), b"").unwrap_err();
         assert!(matches!(err, AttestError::Rejected(_)), "{err:?}");
+    }
+
+    #[test]
+    fn clones_share_the_validated_ask_and_a_changed_one_is_checked_again() {
+        let (_root, platform, verifier) = fixture();
+        // A clone made before any appraisal (as the VM API clones its
+        // verifier per request) sees the ASK the original validates.
+        let mut clone = verifier.clone();
+        let mut verifier = verifier;
+        let evidence = platform.attest_self([1; 64]);
+        verifier.appraise(&evidence, b"").unwrap();
+        let kept = clone
+            .validated_ask
+            .lock()
+            .unwrap()
+            .clone()
+            .map(|(cert, _)| cert);
+        assert_eq!(kept, Some(SnpEvidence::decode(&evidence).unwrap().ask));
+        clone.appraise(&evidence, b"").unwrap();
+        // The same ASK key under a signature the ARK never made is refused,
+        // and the kept ASK stays the validated one.
+        let mut forged = SnpEvidence::decode(&evidence).unwrap();
+        forged.ask.signature[0] ^= 1;
+        match clone.appraise(&forged.encode(), b"") {
+            Err(AttestError::Rejected(msg)) => assert!(msg.contains("ARK"), "{msg}"),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        assert_eq!(
+            kept,
+            verifier
+                .validated_ask
+                .lock()
+                .unwrap()
+                .clone()
+                .map(|(cert, _)| cert)
+        );
+        verifier.appraise(&evidence, b"").unwrap();
     }
 
     #[test]

@@ -264,6 +264,7 @@ pub fn vnf_tee_evidence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnfguard_crypto::ed25519::PreparedVerifyingKey;
 
     fn iml_bytes() -> Vec<u8> {
         let mut list = MeasurementList::new(b"boot");
@@ -311,7 +312,9 @@ mod tests {
             host_report_data(&iml, &nonce).to_vec()
         );
         quote
-            .verify_with_member_key(&platform.attestation_public_key())
+            .verify_with_member_key(
+                &PreparedVerifyingKey::new(platform.attestation_public_key()).unwrap(),
+            )
             .unwrap();
     }
 

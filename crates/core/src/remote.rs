@@ -38,6 +38,7 @@ use vnfguard_attest::snp::SnpPlatform;
 use vnfguard_attest::{AttestationBackend, Availability, BackendKind};
 use vnfguard_container::host::ContainerHost;
 use vnfguard_controller::SimClock;
+use vnfguard_crypto::ed25519::PreparedVerifyingKey;
 use vnfguard_crypto::hmac::hmac_sha256;
 use vnfguard_encoding::{base64, Json};
 // backend-opt-out: this module hosts the IAS transport itself (serve_ias,
@@ -340,7 +341,8 @@ const AGENT_READ_TIMEOUT: Duration = Duration::from_millis(750);
 pub struct RemoteIas {
     network: Network,
     address: String,
-    report_key: vnfguard_crypto::ed25519::VerifyingKey,
+    /// Prepared once here; `None` for a key no report verifies under.
+    report_key: Option<PreparedVerifyingKey>,
     clock: SimClock,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
@@ -354,7 +356,8 @@ pub struct RemoteIas {
 
 impl RemoteIas {
     /// Connect parameters plus the out-of-band-distributed report signing
-    /// key (Intel publishes this as a certificate). Uses a default retry
+    /// key (Intel publishes this as a certificate), prepared here for every
+    /// report the handle will check. Uses a default retry
     /// policy and breaker against a private clock; deployments that want
     /// the breaker's cooldown tied to simulation time should follow up
     /// with [`with_resilience`](Self::with_resilience).
@@ -366,7 +369,7 @@ impl RemoteIas {
         RemoteIas {
             network: network.clone(),
             address: address.to_string(),
-            report_key,
+            report_key: PreparedVerifyingKey::new(report_key).ok(),
             clock: SimClock::at(0),
             retry: RetryPolicy::default(),
             breaker: CircuitBreaker::new(3, 60),
@@ -544,8 +547,8 @@ impl QuoteVerifier for RemoteIas {
         report
     }
 
-    fn report_signing_key(&self) -> vnfguard_crypto::ed25519::VerifyingKey {
-        self.report_key
+    fn report_key(&self) -> Option<&PreparedVerifyingKey> {
+        self.report_key.as_ref()
     }
 
     fn availability(&self) -> Availability {

@@ -109,7 +109,7 @@ fn unreachable_ias_fails_closed() {
     let mut dead_ias = RemoteIas::new(
         &world.testbed.network,
         "ias:9999",
-        world.remote_ias.report_signing_key(),
+        *world.remote_ias.report_key().unwrap().key(),
     );
     let err = remote_attest_host(
         &world.testbed.vm,

@@ -17,28 +17,44 @@
 //! Multiples of the base point B — key generation, signing and X25519
 //! public keys — read a signed radix-16 table of j·16²ⁱ·B (j = 1..8,
 //! i = 0..31) derived at first use, so each costs 64 additions and 4
-//! doublings. Any other point is multiplied with a width-5 sliding window
-//! over its odd multiples P, 3P, …, 15P. Verification computes
-//! `[S]B` − `[k]A` in one pass: both scalars' windows share one chain of
-//! doublings (Straus), B's odd multiples derived once like the fixed-base
-//! table.
+//! doublings. A table's entries are held with Z = 1, normalized with one
+//! inversion shared by all 256, so an addition against one takes 7
+//! products instead of 8. Any other point is multiplied with a width-5
+//! sliding window over its odd multiples P, 3P, …, 15P.
 //! Scalars modulo the group order L are four 64-bit limbs with Barrett
 //! reduction.
 //!
 //! Verification rejects S ≥ L, encodings with y ≥ p, and an A or R of small
 //! order (`[8]P` = identity): under the identity key, R = `[r]B` with S = r
 //! would verify over every message without any secret. It then checks the
-//! cofactorless equation `[S]B` − `[k]A` = R.
+//! cofactorless equation `[S]B` − `[k]A` = R. A key verifies on one of two
+//! paths:
+//!
+//! - [`VerifyingKey::verify`], for a key seen once (a TLS peer, a CRL or
+//!   SIGSTRUCT author, an SNP VCEK): it decompresses and checks A, then
+//!   computes `[S]B` − `[k]A` in one pass, both scalars' sliding windows
+//!   sharing one chain of ~250 doublings (Straus), B's odd multiples
+//!   derived once like the fixed-base table.
+//! - [`PreparedVerifyingKey::verify`], for a key that verifies for the life
+//!   of a service (the IAS's member keys and report key, the SNP ARK and
+//!   the last ASK it validated): A is checked once, when the key is
+//!   prepared, and a radix-16 table of j·16²ⁱ·(−A) is built beside B's
+//!   (~0.1 ms, about four verifications' savings). Both multiples are then
+//!   read from the two tables on one chain, the odd digits, 4 doublings,
+//!   then the even digits: at most 128 additions and 4 doublings.
+//!
+//! Both paths are variable-time: every input to a verification is public.
 //!
 //! The test module keeps bit-serial double-and-add over the unified law and
 //! bignum scalars as a differential oracle: keys and signatures must match
 //! it bit for bit. It keeps the two-multiplication verification, `[S]B` and
-//! a separate `[k]A`, as the one-pass verification's oracle.
+//! a separate `[k]A`, as the oracle of both verification paths, and the
+//! one-shot path is the prepared one's oracle too.
 
 use crate::field25519::Fe;
 use crate::scalar25519;
 use crate::sha2::{sha512, Sha512};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Length of public keys and seeds.
 pub const KEY_LEN: usize = 32;
@@ -77,8 +93,22 @@ struct Cached {
     t2d: Fe,
 }
 
-impl Cached {
-    /// −P = (−X : Y : Z : −T): swap Y ± X and negate T.
+/// A point with Z = 1 prepared as the second operand of an addition:
+/// (y + x, y − x, 2d·xy). The fixed-base tables hold their entries so,
+/// and an addition against one takes 7 products instead of 8.
+#[derive(Clone, Copy)]
+struct AffineCached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    t2d: Fe,
+}
+
+/// −P = (−X : Y : Z : −T): swap Y ± X and negate T.
+trait Negate: Copy {
+    fn neg(&self) -> Self;
+}
+
+impl Negate for Cached {
     fn neg(&self) -> Cached {
         Cached {
             y_plus_x: self.y_minus_x,
@@ -89,12 +119,22 @@ impl Cached {
     }
 }
 
+impl Negate for AffineCached {
+    fn neg(&self) -> AffineCached {
+        AffineCached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
 /// `[digit]·P` for a nonzero digit, where `multiples` caches P,
 /// (1 + step)·P, (1 + 2·step)·P, … (step 1 for the fixed-base rows, 2 for
 /// the odd multiples of the sliding window). Callers test the digit for
 /// zero themselves: a zero digit adds nothing, and skipping the addition
 /// in place keeps the accumulator out of a copy.
-fn select(multiples: &[Cached; 8], digit: i8, step: usize) -> Cached {
+fn select<T: Negate>(multiples: &[T; 8], digit: i8, step: usize) -> T {
     let entry = &multiples[(digit.unsigned_abs() as usize - 1) / step];
     if digit > 0 {
         *entry
@@ -195,27 +235,53 @@ fn curve() -> &'static Curve {
     })
 }
 
-/// Row i holds `[j·16²ⁱ]B` for j = 1..8, derived on first use.
-fn base_table() -> &'static [[Cached; 8]] {
-    static TABLE: OnceLock<Vec<[Cached; 8]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut row_base = Point::base();
-        (0..32)
-            .map(|_| {
-                let row_cached = row_base.cached();
-                let mut multiple = row_base;
-                let row = std::array::from_fn(|_| {
-                    let entry = multiple.cached();
-                    multiple = multiple.add_cached(&row_cached).extended();
-                    entry
-                });
-                for _ in 0..8 {
-                    row_base = row_base.double();
-                }
-                row
-            })
-            .collect()
-    })
+/// A signed radix-16 table of P: row i holds `[j·16²ⁱ]P` for j = 1..8,
+/// each entry with Z = 1 after one inversion shared by all 256
+/// (Montgomery's trick).
+fn fixed_base_table(p: Point) -> Vec<[AffineCached; 8]> {
+    let mut entries = Vec::with_capacity(256);
+    let mut row_base = p;
+    for _ in 0..32 {
+        let row_cached = row_base.cached();
+        let mut multiple = row_base;
+        for _ in 0..8 {
+            entries.push(multiple);
+            multiple = multiple.add_cached(&row_cached).extended();
+        }
+        for _ in 0..8 {
+            row_base = row_base.double();
+        }
+    }
+    // Prefix products of the Zs, one inversion, and back down: each
+    // entry's 1/Z for three products.
+    let mut prefix = Vec::with_capacity(entries.len());
+    let mut product = Fe::ONE;
+    for entry in &entries {
+        prefix.push(product);
+        product = product.mul(&entry.z);
+    }
+    let mut inverse = product.invert();
+    let mut affine: Vec<AffineCached> = entries
+        .iter()
+        .zip(prefix)
+        .rev()
+        .map(|(entry, below)| {
+            let z_inv = inverse.mul(&below);
+            inverse = inverse.mul(&entry.z);
+            entry.affine_cached(&z_inv)
+        })
+        .collect();
+    affine.reverse();
+    affine
+        .chunks_exact(8)
+        .map(|row| row.try_into().expect("8 entries a row"))
+        .collect()
+}
+
+/// B's radix-16 table, derived on first use.
+fn base_table() -> &'static [[AffineCached; 8]] {
+    static TABLE: OnceLock<Vec<[AffineCached; 8]>> = OnceLock::new();
+    TABLE.get_or_init(|| fixed_base_table(Point::base()))
 }
 
 /// B, 3B, 5B, …, 15B, the sliding window's odd multiples of the base
@@ -307,6 +373,17 @@ impl Point {
         }
     }
 
+    /// The Z = 1 form of this point, given 1/Z.
+    fn affine_cached(&self, z_inv: &Fe) -> AffineCached {
+        let x = self.x.mul(z_inv);
+        let y = self.y.mul(z_inv);
+        AffineCached {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            t2d: x.mul(&y).mul(&curve().d2),
+        }
+    }
+
     fn projective(&self) -> Projective {
         Projective {
             x: self.x,
@@ -322,6 +399,21 @@ impl Point {
         let b = self.y.add(&self.x).mul(&other.y_plus_x);
         let c = self.t.mul(&other.t2d);
         let d = self.z.mul(&other.z2);
+        Completed {
+            e: b.sub(&a),
+            f: d.sub(&c),
+            g: d.add(&c),
+            h: b.add(&a),
+        }
+    }
+
+    /// [`add_cached`](Self::add_cached) against a Z = 1 operand, whose
+    /// 2Z·Z₂ is 2Z.
+    fn add_affine(&self, other: &AffineCached) -> Completed {
+        let a = self.y.sub(&self.x).mul(&other.y_minus_x);
+        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let c = self.t.mul(&other.t2d);
+        let d = self.z.add(&self.z);
         Completed {
             e: b.sub(&a),
             f: d.sub(&c),
@@ -358,25 +450,9 @@ impl Point {
         sum_of_multiples(&[(&slide(scalar_le), &self.odd_multiples())]).extended()
     }
 
-    /// `[a]B` for a scalar below 2²⁵⁵, from the fixed-base table: with
-    /// a = Σ eᵢ·16ⁱ, the odd-indexed digits are summed, multiplied by 16,
-    /// and the even-indexed ones added.
+    /// `[a]B` for a scalar below 2²⁵⁵, from the fixed-base table.
     pub(crate) fn mul_base(scalar_le: &[u8; 32]) -> Point {
-        let digits = radix16(scalar_le);
-        let table = base_table();
-        let add_digit = |acc: Completed, i: usize| {
-            if digits[i] == 0 {
-                acc
-            } else {
-                acc.extended()
-                    .add_cached(&select(&table[i / 2], digits[i], 1))
-            }
-        };
-        let mut acc = (1..64).step_by(2).fold(Completed::IDENTITY, add_digit);
-        for _ in 0..4 {
-            acc = acc.projective().double();
-        }
-        (0..64).step_by(2).fold(acc, add_digit).extended()
+        sum_of_table_multiples(&[(&radix16(scalar_le), base_table())]).extended()
     }
 
     /// Whether `[8]P` is the identity, i.e. P lies in the 8-torsion subgroup.
@@ -439,6 +515,28 @@ fn sum_of_multiples(terms: &[(&[i8; 257], &[Cached; 8])]) -> Completed {
         }
     }
     acc
+}
+
+/// Σ [aᵢ]Pᵢ for radix-16 digits aᵢ (see [`radix16`]) over each Pᵢ's
+/// fixed-base table (see [`fixed_base_table`]), on one chain: with
+/// aᵢ = Σ eⱼ·16ʲ, the odd-indexed digits of every term are summed,
+/// multiplied by 16, and the even-indexed ones added.
+fn sum_of_table_multiples(terms: &[(&[i8; 64], &[[AffineCached; 8]])]) -> Completed {
+    let add_digits = |acc: Completed, j: usize| {
+        terms.iter().fold(acc, |acc, (digits, table)| {
+            if digits[j] == 0 {
+                acc
+            } else {
+                acc.extended()
+                    .add_affine(&select(&table[j / 2], digits[j], 1))
+            }
+        })
+    };
+    let mut acc = (1..64).step_by(2).fold(Completed::IDENTITY, add_digits);
+    for _ in 0..4 {
+        acc = acc.projective().double();
+    }
+    (0..64).step_by(2).fold(acc, add_digits)
 }
 
 /// `[s]B` − `[k]A` in one pass of [`sum_of_multiples`], for verification.
@@ -563,38 +661,104 @@ impl VerifyingKey {
         &self.bytes
     }
 
-    /// Verify a signature over `message`.
+    /// A as a point, refused if the encoding is not canonical, is not a
+    /// curve point, or is of small order: under a small-order A, R = `[r]B`
+    /// with S = r satisfies the verification equation for every message.
+    fn point(&self) -> Result<Point, SignatureError> {
+        Point::decompress(&self.bytes)
+            .filter(|a| !a.is_small_order())
+            .ok_or(SignatureError)
+    }
+
+    /// Verify a signature over `message`, decompressing and checking A on
+    /// the way (see [`PreparedVerifyingKey`] for a key that verifies often).
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> Result<(), SignatureError> {
-        if signature.len() != SIG_LEN {
-            return Err(SignatureError);
-        }
-        let r_bytes: [u8; 32] = signature[..32].try_into().expect("32");
-        let s_bytes: [u8; 32] = signature[32..].try_into().expect("32");
-        // Reject S >= L (signature malleability).
-        if !scalar25519::is_canonical(&s_bytes) {
-            return Err(SignatureError);
-        }
-        let a = Point::decompress(&self.bytes).ok_or(SignatureError)?;
-        let r = Point::decompress(&r_bytes).ok_or(SignatureError)?;
-        // Reject small-order A and R: under the identity key, R = [r]B with
-        // S = r satisfies the equation below for every message.
-        if a.is_small_order() || r.is_small_order() {
-            return Err(SignatureError);
-        }
+        let a = self.point()?;
+        let (r, s, k) = signature_parts(&self.bytes, message, signature)?;
+        equation_holds(base_mul_minus(&s, &k, &a), &r)
+    }
+}
 
-        let mut h = Sha512::new();
-        h.update(&r_bytes).update(&self.bytes).update(message);
-        let k = scalar25519::reduce_wide(&h.finalize());
+/// The checks of a signature that do not involve A, and its challenge:
+/// the length, S < L (no malleability) and R a canonical encoding of a
+/// point not of small order. Returns R, S and k = H(R ‖ A ‖ M) mod L.
+fn signature_parts(
+    public: &[u8; KEY_LEN],
+    message: &[u8],
+    signature: &[u8],
+) -> Result<(Point, [u8; 32], [u8; 32]), SignatureError> {
+    if signature.len() != SIG_LEN {
+        return Err(SignatureError);
+    }
+    let r_bytes: [u8; 32] = signature[..32].try_into().expect("32");
+    let s_bytes: [u8; 32] = signature[32..].try_into().expect("32");
+    if !scalar25519::is_canonical(&s_bytes) {
+        return Err(SignatureError);
+    }
+    // A small-order R lets a signer who knows a solve for S when R is the
+    // identity (S = k·a), so every one is refused.
+    let r = Point::decompress(&r_bytes)
+        .filter(|r| !r.is_small_order())
+        .ok_or(SignatureError)?;
+    let mut h = Sha512::new();
+    h.update(&r_bytes).update(public).update(message);
+    Ok((r, s_bytes, scalar25519::reduce_wide(&h.finalize())))
+}
 
-        // Check [S]B − [k]A == R, the cofactorless [S]B == R + [k]A.
-        if base_mul_minus(&s_bytes, &k, &a)
-            .projective()
-            .equals(&r.projective())
-        {
-            Ok(())
-        } else {
-            Err(SignatureError)
-        }
+/// The cofactorless check `[S]B` − `[k]A` = R, that is `[S]B` = R + `[k]A`.
+fn equation_holds(s_b_minus_k_a: Completed, r: &Point) -> Result<(), SignatureError> {
+    if s_b_minus_k_a.projective().equals(&r.projective()) {
+        Ok(())
+    } else {
+        Err(SignatureError)
+    }
+}
+
+/// A verifying key prepared once for the many verifications of a key that
+/// lives as long as a service: A is checked when it is prepared, and a
+/// radix-16 table of −A stands beside B's, so [`verify`](Self::verify)
+/// reads `[S]B` − `[k]A` from two tables on one chain of 4 doublings
+/// instead of ~250. Preparing costs about four verifications' savings;
+/// the table sits behind an `Arc`, so a clone is cheap.
+#[derive(Clone)]
+pub struct PreparedVerifyingKey {
+    key: VerifyingKey,
+    /// Row i holds `[j·16²ⁱ](−A)` for j = 1..8.
+    minus_a: Arc<[[AffineCached; 8]]>,
+}
+
+impl PreparedVerifyingKey {
+    /// Prepare `key`. Refused where [`VerifyingKey::verify`] refuses every
+    /// signature: a non-canonical encoding, a point off the curve, a point
+    /// of small order.
+    pub fn new(key: VerifyingKey) -> Result<PreparedVerifyingKey, SignatureError> {
+        let minus_a = fixed_base_table(key.point()?)
+            .iter()
+            .map(|row| row.map(|entry| entry.neg()))
+            .collect();
+        Ok(PreparedVerifyingKey { key, minus_a })
+    }
+
+    /// The key this was prepared from.
+    pub fn key(&self) -> &VerifyingKey {
+        &self.key
+    }
+
+    /// Verify a signature over `message`. Accepts and refuses exactly what
+    /// [`VerifyingKey::verify`] does under the same key.
+    pub fn verify(&self, message: &[u8], signature: &[u8]) -> Result<(), SignatureError> {
+        let (r, s, k) = signature_parts(&self.key.bytes, message, signature)?;
+        let sum =
+            sum_of_table_multiples(&[(&radix16(&s), base_table()), (&radix16(&k), &self.minus_a)]);
+        equation_holds(sum, &r)
+    }
+}
+
+impl std::fmt::Debug for PreparedVerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PreparedVerifyingKey")
+            .field(&self.key)
+            .finish()
     }
 }
 
@@ -719,6 +883,9 @@ mod tests {
         key.verify(b"", &sig).unwrap();
         // Same signature over a different message must fail.
         assert!(key.verify(b"x", &sig).is_err());
+        let prepared = PreparedVerifyingKey::new(key).unwrap();
+        prepared.verify(b"", &sig).unwrap();
+        assert!(prepared.verify(b"x", &sig).is_err());
     }
 
     // RFC 8032 §7.1 TEST 2 (one-byte message 0x72).
@@ -736,6 +903,10 @@ mod tests {
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
         );
         key.public_key().verify(&[0x72], &sig).unwrap();
+        PreparedVerifyingKey::new(key.public_key())
+            .unwrap()
+            .verify(&[0x72], &sig)
+            .unwrap();
     }
 
     #[test]
@@ -825,6 +996,7 @@ mod tests {
         assert!(VerifyingKey::from_bytes(&twin)
             .verify(b"msg", &sig)
             .is_err());
+        assert!(PreparedVerifyingKey::new(VerifyingKey::from_bytes(&twin)).is_err());
         // As R.
         let mut bad = sig;
         bad[..32].copy_from_slice(&twin);
@@ -899,7 +1071,62 @@ mod tests {
             assert!(oracle::verify(&a_bytes, b"any message", &forged));
             let key = VerifyingKey::from_bytes(&a_bytes);
             assert!(key.verify(b"any message", &forged).is_err());
+            assert!(PreparedVerifyingKey::new(key).is_err());
         }
+    }
+
+    #[test]
+    fn preparation_refuses_the_keys_that_verify_nothing() {
+        // Every small y: off the curve, small order, or a key that verifies.
+        // Plus the non-canonical twin of a curve point and the encoding of
+        // −0 (x = 0 with the sign bit set).
+        let mut encodings: Vec<[u8; 32]> = (0u8..32)
+            .map(|y| {
+                let mut enc = [0u8; 32];
+                enc[0] = y;
+                enc
+            })
+            .collect();
+        encodings.push(point_with_non_canonical_twin().1);
+        let mut minus_zero = [0u8; 32];
+        minus_zero[0] = 1;
+        minus_zero[31] = 0x80;
+        encodings.push(minus_zero);
+        encodings.extend(small_order_encodings());
+        let mut refused = 0;
+        for enc in &encodings {
+            let usable = Point::decompress(enc).is_some_and(|a| !a.is_small_order());
+            let key = VerifyingKey::from_bytes(enc);
+            assert_eq!(PreparedVerifyingKey::new(key).is_ok(), usable, "{enc:02x?}");
+            assert_eq!(key.point().is_ok(), usable, "{enc:02x?}");
+            refused += usize::from(!usable);
+        }
+        assert!(refused > small_order_encodings().len());
+    }
+
+    /// A key A = `[a]`B + T, with T of order dividing 8 (`torsion` indexes
+    /// [`small_order_encodings`]), and a signature made with a: its
+    /// cofactorless equation holds exactly when `[k]`T is the identity.
+    fn signed_under_torsion_key(
+        a: &[u8; 32],
+        torsion: usize,
+        nonce: &[u8; 32],
+        message: &[u8],
+    ) -> ([u8; 32], [u8; 64], bool) {
+        let mut a = *a;
+        a[31] &= 0x7f;
+        let t = Point::decompress(&small_order_encodings()[torsion]).unwrap();
+        let public = Point::mul_base(&a).add(&t).compress();
+        let r = scalar25519::reduce_wide(&sha512(nonce));
+        let r_point = Point::mul_base(&r).compress();
+        let mut h = Sha512::new();
+        h.update(&r_point).update(&public).update(message);
+        let k = scalar25519::reduce_wide(&h.finalize());
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_point);
+        sig[32..].copy_from_slice(&scalar25519::mul_add(&k, &a, &r));
+        let holds = t.scalar_mul(&k).equals(&Point::identity());
+        (public, sig, holds)
     }
 
     #[test]
@@ -1031,6 +1258,67 @@ mod tests {
             prop_assert_eq!(fast, oracle::verify(&public, &message, &sig));
             prop_assert_eq!(fast, oracle::two_multiplication_verify(&public, &message, &sig));
             prop_assert_eq!(fast, flip == 8 * (SIG_LEN + KEY_LEN));
+        }
+
+        #[test]
+        fn prop_prepared_matches_one_shot_and_two_multiplications(
+            a in any::<[u8; 32]>(),
+            torsion in 0usize..8,
+            nonce in any::<[u8; 32]>(),
+            message in proptest::collection::vec(any::<u8>(), 0..256),
+            mutation in 0usize..7,
+            bit in 0usize..256,
+        ) {
+            // Keys inside and outside the prime-order subgroup, honest
+            // signatures (whose equation holds iff [k]T is the identity) and
+            // five ways to break one: a bit of the message, of R or of S;
+            // S + L; a small-order R with the S that balances it when R is
+            // the identity; a non-canonical R.
+            let (public, mut sig, holds) = signed_under_torsion_key(&a, torsion, &nonce, &message);
+            let mut message = message;
+            match mutation {
+                0 => {}
+                1 => match message.get_mut(bit / 8) {
+                    Some(byte) => *byte ^= 1 << (bit % 8),
+                    None => message.push(bit as u8),
+                },
+                2 => sig[bit / 8] ^= 1 << (bit % 8),
+                3 => sig[32 + bit / 8] ^= 1 << (bit % 8),
+                4 => {
+                    let high_s = MpInt::from_le_bytes(&sig[32..]).add(&order());
+                    sig[32..].copy_from_slice(&high_s.to_le_bytes(32));
+                }
+                5 => {
+                    let r_bytes = small_order_encodings()[bit % 8];
+                    let mut h = Sha512::new();
+                    h.update(&r_bytes).update(&public).update(&message);
+                    let k = scalar25519::reduce_wide(&h.finalize());
+                    let mut a = a;
+                    a[31] &= 0x7f;
+                    sig[..32].copy_from_slice(&r_bytes);
+                    sig[32..].copy_from_slice(&scalar25519::mul_add(&k, &a, &[0; 32]));
+                }
+                _ => sig[..32].copy_from_slice(&point_with_non_canonical_twin().1),
+            }
+            let key = VerifyingKey::from_bytes(&public);
+            let one_shot = key.verify(&message, &sig).is_ok();
+            prop_assert_eq!(one_shot, oracle::two_multiplication_verify(&public, &message, &sig));
+            match PreparedVerifyingKey::new(key) {
+                Ok(prepared) => prop_assert_eq!(prepared.verify(&message, &sig).is_ok(), one_shot),
+                Err(_) => prop_assert!(!one_shot),
+            }
+            if mutation == 0 {
+                prop_assert_eq!(one_shot, holds);
+            } else if mutation >= 4 {
+                prop_assert!(!one_shot);
+            }
+        }
+
+        #[test]
+        fn prop_preparation_refuses_exactly_the_unusable_encodings(enc in any::<[u8; 32]>()) {
+            // Random encodings: about half are off the curve or non-canonical.
+            let usable = Point::decompress(&enc).is_some_and(|a| !a.is_small_order());
+            prop_assert_eq!(PreparedVerifyingKey::new(VerifyingKey::from_bytes(&enc)).is_ok(), usable);
         }
 
         #[test]

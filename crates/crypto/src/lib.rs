@@ -12,7 +12,8 @@
 //! - [`field25519`] — GF(2²⁵⁵ − 19) with lazy addition and subtraction
 //! - [`x25519`] — Diffie–Hellman key agreement
 //! - [`ed25519`] — signatures (fixed-base table for B, sliding window for
-//!   other points, one-pass verification, fixed-width scalars mod L)
+//!   other points, one-pass verification, prepared keys that verify from a
+//!   table of their own, fixed-width scalars mod L)
 //! - [`drbg`] — HMAC-DRBG and OS entropy
 //! - [`ct`] — constant-time comparison and wiping
 //! - [`mpint`] — the bignum helper that derives the SHA-2 constants and
@@ -27,7 +28,8 @@
 //! oracles (bit-serial double-and-add, bignum scalars, the byte-oriented
 //! AES round, bit-serial GHASH, the portable SHA-256 compression, the
 //! carried field operations and X25519 ladder, the two-multiplication
-//! verification, generic-exponent inversion). The AES, GCM and SHA-256
+//! verification and the one-shot one for prepared keys, generic-exponent
+//! inversion). The AES, GCM and SHA-256
 //! tests run the portable path explicitly as well as the one the CPU
 //! dispatches to.
 //!

@@ -23,6 +23,8 @@ pub mod service;
 pub use report::{AttestationReport, QuoteStatus};
 pub use service::{AttestationService, GroupStatus};
 
+use vnfguard_crypto::ed25519::PreparedVerifyingKey;
+
 /// Reachability of a quote-verification backend, as judged by the handle
 /// itself (an in-process service is always available; a remote client may
 /// report `Unavailable` while its circuit breaker is open).
@@ -40,8 +42,11 @@ pub trait QuoteVerifier {
     /// Submit an encoded quote with a nonce; always returns a signed report.
     fn verify_quote(&mut self, quote_bytes: &[u8], nonce: &[u8]) -> AttestationReport;
 
-    /// The report-signing public key relying parties check reports against.
-    fn report_signing_key(&self) -> vnfguard_crypto::ed25519::VerifyingKey;
+    /// The report-signing public key relying parties check reports
+    /// against, prepared once for the life of the handle. `None` when the
+    /// configured key is one under which no signature verifies, so every
+    /// report is refused.
+    fn report_key(&self) -> Option<&PreparedVerifyingKey>;
 
     /// Whether the backend is currently worth calling. Callers may use an
     /// `Unavailable` answer to fall back to a degraded-verdict policy
@@ -56,8 +61,8 @@ impl<T: QuoteVerifier + ?Sized> QuoteVerifier for &mut T {
         (**self).verify_quote(quote_bytes, nonce)
     }
 
-    fn report_signing_key(&self) -> vnfguard_crypto::ed25519::VerifyingKey {
-        (**self).report_signing_key()
+    fn report_key(&self) -> Option<&PreparedVerifyingKey> {
+        (**self).report_key()
     }
 
     fn availability(&self) -> Availability {
@@ -70,8 +75,8 @@ impl QuoteVerifier for AttestationService {
         AttestationService::verify_quote(self, quote_bytes, nonce)
     }
 
-    fn report_signing_key(&self) -> vnfguard_crypto::ed25519::VerifyingKey {
-        AttestationService::report_signing_key(self)
+    fn report_key(&self) -> Option<&PreparedVerifyingKey> {
+        Some(self.report_verifier())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Attestation verification reports (AVRs).
 
 use crate::IasError;
-use vnfguard_crypto::ed25519::{SigningKey, VerifyingKey};
+use vnfguard_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
 use vnfguard_encoding::{TlvReader, TlvWriter};
 use vnfguard_sgx::report::ReportBody;
 
@@ -163,8 +163,9 @@ impl AttestationReport {
         }
     }
 
-    /// Verify the service signature over this report.
-    pub fn verify(&self, ias_key: &VerifyingKey) -> Result<(), IasError> {
+    /// Verify the service signature over this report under the service's
+    /// prepared report key.
+    pub fn verify(&self, ias_key: &PreparedVerifyingKey) -> Result<(), IasError> {
         let body = Self::body_bytes(
             self.id,
             self.timestamp,
@@ -240,6 +241,10 @@ mod tests {
     use super::*;
     use vnfguard_sgx::measurement::Measurement;
 
+    fn prepared(key: &SigningKey) -> PreparedVerifyingKey {
+        PreparedVerifyingKey::new(key.public_key()).unwrap()
+    }
+
     fn sample_body() -> ReportBody {
         ReportBody {
             cpu_svn: [1; 16],
@@ -264,10 +269,10 @@ mod tests {
             vec!["INTEL-SA-00123".into()],
             &key,
         );
-        report.verify(&key.public_key()).unwrap();
+        report.verify(&prepared(&key)).unwrap();
         let decoded = AttestationReport::decode(&report.encode()).unwrap();
         assert_eq!(decoded, report);
-        decoded.verify(&key.public_key()).unwrap();
+        decoded.verify(&prepared(&key)).unwrap();
     }
 
     #[test]
@@ -284,7 +289,7 @@ mod tests {
         );
         let decoded = AttestationReport::decode(&report.encode()).unwrap();
         assert_eq!(decoded.quote_body, None);
-        decoded.verify(&key.public_key()).unwrap();
+        decoded.verify(&prepared(&key)).unwrap();
     }
 
     #[test]
@@ -301,13 +306,13 @@ mod tests {
         );
         let mut bad = report.clone();
         bad.status = QuoteStatus::GroupRevoked;
-        assert!(bad.verify(&key.public_key()).is_err());
+        assert!(bad.verify(&prepared(&key)).is_err());
         let mut bad = report.clone();
         bad.nonce = b"other".to_vec();
-        assert!(bad.verify(&key.public_key()).is_err());
+        assert!(bad.verify(&prepared(&key)).is_err());
         let mut bad = report;
         bad.advisories.push("FAKE".into());
-        assert!(bad.verify(&key.public_key()).is_err());
+        assert!(bad.verify(&prepared(&key)).is_err());
     }
 
     #[test]
@@ -316,7 +321,7 @@ mod tests {
         let other = SigningKey::from_seed(&[2; 32]);
         let report = AttestationReport::create(1, 0, QuoteStatus::Ok, b"", None, vec![], &key);
         assert_eq!(
-            report.verify(&other.public_key()),
+            report.verify(&prepared(&other)),
             Err(IasError::BadReportSignature)
         );
     }

@@ -3,7 +3,7 @@
 
 use crate::report::{AttestationReport, QuoteStatus};
 use std::collections::{BTreeMap, BTreeSet};
-use vnfguard_crypto::ed25519::{SigningKey, VerifyingKey};
+use vnfguard_crypto::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
 use vnfguard_crypto::hkdf;
 use vnfguard_sgx::quote::{Quote, QUOTE_VERSION};
 use vnfguard_telemetry::{Counter, Telemetry};
@@ -23,8 +23,10 @@ pub enum GroupStatus {
 #[derive(Debug)]
 struct Group {
     status: GroupStatus,
-    /// Registered attestation member keys, by pseudonymous member id.
-    members: BTreeMap<[u8; 32], VerifyingKey>,
+    /// Registered attestation member keys, by pseudonymous member id,
+    /// prepared at registration; `None` for a key no signature verifies
+    /// under (every quote under it reads `SignatureInvalid`).
+    members: BTreeMap<[u8; 32], Option<PreparedVerifyingKey>>,
     /// Signature revocation list: revoked member ids.
     sigrl: BTreeSet<[u8; 32]>,
     /// Minimum quoting-enclave SVN considered current.
@@ -38,6 +40,9 @@ struct Group {
 /// submitted quotes and returns signed [`AttestationReport`]s.
 pub struct AttestationService {
     report_key: SigningKey,
+    /// The report key's public half, prepared for relying parties that
+    /// verify through this service (see [`crate::QuoteVerifier`]).
+    report_verifier: PreparedVerifyingKey,
     groups: BTreeMap<u32, Group>,
     next_report_id: u64,
     clock: u64,
@@ -53,8 +58,11 @@ impl AttestationService {
         let key_seed: [u8; 32] = hkdf::derive(b"ias", seed, b"report signing key", 32)
             .try_into()
             .expect("32");
+        let report_key = SigningKey::from_seed(&key_seed);
         AttestationService {
-            report_key: SigningKey::from_seed(&key_seed),
+            report_verifier: PreparedVerifyingKey::new(report_key.public_key())
+                .expect("a signing key's public key is a point of large order"),
+            report_key,
             groups: BTreeMap::new(),
             next_report_id: 1,
             clock: 1_500_000_000,
@@ -86,6 +94,11 @@ impl AttestationService {
         self.report_key.public_key()
     }
 
+    /// [`report_signing_key`](Self::report_signing_key), prepared.
+    pub(crate) fn report_verifier(&self) -> &PreparedVerifyingKey {
+        &self.report_verifier
+    }
+
     /// The service clock's current position (unix seconds).
     pub fn now(&self) -> u64 {
         self.clock
@@ -103,7 +116,8 @@ impl AttestationService {
     }
 
     /// Register a platform's attestation key as a member of `group_id`
-    /// (the provisioning step real platforms perform against Intel).
+    /// (the provisioning step real platforms perform against Intel). The
+    /// key is prepared here, once, for every quote it will sign.
     pub fn register_member(&mut self, group_id: u32, member_key: VerifyingKey) {
         self.register_group(group_id, 0);
         let member_id = vnfguard_crypto::sha2::sha256(member_key.as_bytes());
@@ -111,7 +125,7 @@ impl AttestationService {
             .get_mut(&group_id)
             .expect("registered above")
             .members
-            .insert(member_id, member_key);
+            .insert(member_id, PreparedVerifyingKey::new(member_key).ok());
     }
 
     /// Put a member on the group's signature revocation list.
@@ -217,7 +231,10 @@ impl AttestationService {
         let Some(member_key) = group.members.get(&quote.member_id) else {
             return (QuoteStatus::KeyRevoked, Some(quote.report_body), Vec::new());
         };
-        if quote.verify_with_member_key(member_key).is_err() {
+        if member_key
+            .as_ref()
+            .is_none_or(|key| quote.verify_with_member_key(key).is_err())
+        {
             return (
                 QuoteStatus::SignatureInvalid,
                 Some(quote.report_body),
@@ -303,7 +320,7 @@ mod tests {
         let report = ias.verify_quote(&quote, b"nonce-1");
         assert_eq!(report.status, QuoteStatus::Ok);
         assert_eq!(report.nonce, b"nonce-1");
-        report.verify(&ias.report_signing_key()).unwrap();
+        report.verify(&ias.report_verifier).unwrap();
         let body = report.quote_body.unwrap();
         assert_eq!(body.report_data, [7; 64]);
         assert_eq!(ias.requests_served(), 1);
@@ -381,7 +398,7 @@ mod tests {
         assert_eq!(report.status, QuoteStatus::SignatureInvalid);
         assert_eq!(report.quote_body, None);
         // Even failure reports are signed.
-        report.verify(&ias.report_signing_key()).unwrap();
+        report.verify(&ias.report_verifier).unwrap();
     }
 
     #[test]

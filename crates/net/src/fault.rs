@@ -42,24 +42,27 @@ pub(crate) fn injected_io(kind: io::ErrorKind, message: &str) -> io::Error {
     io::Error::new(kind, InjectedFault(message.to_string()))
 }
 
+/// What a sever rings to wake a read parked on one half of a link.
+pub(crate) trait Wake: Send + Sync {
+    fn wake(&self);
+}
+
 /// Per-link fault switches, shared by both [`Duplex`](crate::Duplex) halves
 /// of a connection. Also used (without a plan) by the server to wake and
 /// join blocked connection handlers on shutdown.
-#[derive(Debug)]
 pub struct LinkControl {
     severed: AtomicBool,
     stalled: AtomicBool,
     /// Remaining bytes before the link severs; `i64::MAX` means unlimited.
     write_budget: AtomicI64,
+    /// The halves' wake-ups, held weakly: what a half holds alone must
+    /// drop with it, or its peer would never read EOF.
+    wakers: Mutex<Vec<Weak<dyn Wake>>>,
 }
 
 impl Default for LinkControl {
     fn default() -> LinkControl {
-        LinkControl {
-            severed: AtomicBool::new(false),
-            stalled: AtomicBool::new(false),
-            write_budget: AtomicI64::new(i64::MAX),
-        }
+        LinkControl::with_faults(false, None)
     }
 }
 
@@ -71,13 +74,29 @@ impl LinkControl {
             write_budget: AtomicI64::new(
                 drop_after.map_or(i64::MAX, |n| n.min(i64::MAX as u64) as i64),
             ),
+            wakers: Mutex::new(Vec::new()),
         }
     }
 
+    /// Ring `waker` when the link severs, while anything else holds it.
+    pub(crate) fn wake_on_sever(&self, waker: Weak<dyn Wake>) {
+        self.wakers.lock().push(waker);
+    }
+
     /// Tear the connection down: writes fail, reads error once buffered
-    /// data is consumed, queued-but-undelivered frames are discarded.
+    /// data is consumed, queued-but-undelivered frames are discarded. A
+    /// read parked on either half wakes at once.
     pub fn sever(&self) {
-        self.severed.store(true, Ordering::SeqCst);
+        if !self.severed.swap(true, Ordering::SeqCst) {
+            self.wake_parked_reads();
+        }
+    }
+
+    /// Wake a read parked on either half, to look at the flags again.
+    pub(crate) fn wake_parked_reads(&self) {
+        for waker in self.wakers.lock().iter().filter_map(Weak::upgrade) {
+            waker.wake();
+        }
     }
 
     pub fn is_severed(&self) -> bool {
@@ -94,15 +113,27 @@ impl LinkControl {
 
     /// Consume up to `wanted` bytes of the write budget, severing the link
     /// when the budget runs out. Returns how many bytes may still be sent.
+    /// This sever wakes no one: the writer puts those bytes on the wire
+    /// first and then wakes the reads, so the wake-up queues behind them.
     pub(crate) fn take_write_budget(&self, wanted: usize) -> usize {
         let wanted_i = wanted.min(i64::MAX as usize) as i64;
         let before = self.write_budget.fetch_sub(wanted_i, Ordering::SeqCst);
         if before >= wanted_i {
             wanted
         } else {
-            self.sever();
+            self.severed.store(true, Ordering::SeqCst);
             before.max(0) as usize
         }
+    }
+}
+
+impl std::fmt::Debug for LinkControl {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LinkControl")
+            .field("severed", &self.severed)
+            .field("stalled", &self.stalled)
+            .field("write_budget", &self.write_budget)
+            .finish_non_exhaustive()
     }
 }
 

@@ -1,18 +1,17 @@
 //! In-memory byte streams with latency modeling, passive taps, fault
 //! switches and read deadlines.
 
-use crate::fault::{injected_io, LinkControl};
+use crate::fault::{injected_io, LinkControl, Wake};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use vnfguard_telemetry::Counter;
 
-/// How long a blocked read sleeps between checks of the sever/stall flags
-/// and the deadline. Data arrival wakes the reader immediately (channel
-/// condvar); this only bounds how stale a *control* change can go
-/// unnoticed.
+/// How long a blocked read sleeps between checks of the stall flag and the
+/// deadline. Data arrival and a sever wake the reader immediately (channel
+/// condvar); this only bounds how stale a stall change can go unnoticed.
 const READ_POLL_SLICE: Duration = Duration::from_millis(2);
 
 /// Direction of a tapped frame, relative to the connection initiator.
@@ -91,9 +90,23 @@ struct Frame {
     bytes: Vec<u8>,
 }
 
+/// A sever wakes the peer's parked read with an empty frame, delivered
+/// at once behind any frame already on the wire; a read that takes it
+/// finds nothing to return and looks at the flags again.
+impl Wake for Sender<Frame> {
+    fn wake(&self) {
+        let _ = self.send(Frame {
+            deliver_at: Instant::now(),
+            bytes: Vec::new(),
+        });
+    }
+}
+
 /// One endpoint of an in-memory reliable byte stream.
 pub struct Duplex {
-    tx: Sender<Frame>,
+    /// Held only here: the link's control rings it weakly, so dropping
+    /// this half still disconnects the peer's channel (its EOF).
+    tx: Arc<Sender<Frame>>,
     rx: Receiver<Frame>,
     /// The last frame delivered, read up to `read_pos`. A frame is pulled
     /// only once the previous one is read to its end, so no byte is ever
@@ -126,6 +139,10 @@ impl Duplex {
     ) -> (Duplex, Duplex) {
         let (tx_a, rx_b) = unbounded();
         let (tx_b, rx_a) = unbounded();
+        let (tx_a, tx_b) = (Arc::new(tx_a), Arc::new(tx_b));
+        for tx in [&tx_a, &tx_b] {
+            control.wake_on_sever(Arc::downgrade(tx) as Weak<dyn Wake>);
+        }
         let client = Duplex {
             tx: tx_a,
             rx: rx_a,
@@ -282,10 +299,11 @@ impl Write for Duplex {
             ));
         }
         // A drop-after-N-bytes fault lets the first `allowed` bytes cross
-        // the wire, then severs. The truncated write still reports success
-        // (the bytes vanished from a "kernel buffer"); the failure surfaces
-        // on the peer's read and on the next local operation — like a TCP
-        // reset racing buffered data.
+        // the wire, then severs; the sever's wake-up queues behind them.
+        // The truncated write still reports success (the bytes vanished
+        // from a "kernel buffer"); the failure surfaces on the peer's read
+        // and on the next local operation — like a TCP reset racing
+        // buffered data.
         let allowed = self.control.take_write_budget(buf.len());
         let deliver = &buf[..allowed];
         if !deliver.is_empty() {
@@ -303,6 +321,9 @@ impl Write for Duplex {
             if let Some(counter) = &self.fabric_bytes {
                 counter.add(deliver.len() as u64);
             }
+        }
+        if allowed < buf.len() {
+            self.control.wake_parked_reads();
         }
         Ok(buf.len())
     }
@@ -449,6 +470,48 @@ mod tests {
         // errors, not EOF.
         assert!(b.read(&mut buf).is_err());
         assert!(a.write_all(b"more").is_err());
+    }
+
+    #[test]
+    fn a_sever_wakes_a_parked_read_at_once() {
+        // A read with no timeout, parked on an empty link, returns a reset
+        // as soon as the link severs, not at its next poll of the flags.
+        let mut latencies: Vec<Duration> = (0..9)
+            .map(|_| {
+                let (_a, mut b) = Duplex::pipe();
+                let control = b.control();
+                let reader = std::thread::spawn(move || {
+                    let mut buf = [0u8; 1];
+                    let err = b.read(&mut buf).unwrap_err();
+                    (err.kind(), Instant::now())
+                });
+                std::thread::sleep(5 * READ_POLL_SLICE / 2);
+                let severed_at = Instant::now();
+                control.sever();
+                let (kind, returned_at) = reader.join().unwrap();
+                assert_eq!(kind, io::ErrorKind::ConnectionReset);
+                returned_at.saturating_duration_since(severed_at)
+            })
+            .collect();
+        latencies.sort();
+        assert!(
+            latencies[4] < READ_POLL_SLICE / 4,
+            "median wake {:?} of {latencies:?}",
+            latencies[4]
+        );
+    }
+
+    #[test]
+    fn dropping_a_half_still_ends_its_peer_with_eof() {
+        // The control outlives both halves (a server keeps it to sever),
+        // and must not keep the dropped half's channel connected.
+        let (a, mut b) = Duplex::pipe();
+        let control = a.control();
+        drop(a);
+        let mut buf = [0u8; 1];
+        assert_eq!(b.read(&mut buf).unwrap(), 0);
+        control.sever();
+        assert!(b.read(&mut buf).is_err());
     }
 
     #[test]

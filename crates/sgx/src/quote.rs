@@ -67,11 +67,12 @@ impl Quote {
         w.finish()
     }
 
-    /// Verify the quote signature against a candidate member public key.
-    /// (Only the attestation service holds the member key registry.)
+    /// Verify the quote signature against a candidate member public key,
+    /// prepared once per registration. (Only the attestation service holds
+    /// the member key registry.)
     pub fn verify_with_member_key(
         &self,
-        member_key: &vnfguard_crypto::ed25519::VerifyingKey,
+        member_key: &vnfguard_crypto::ed25519::PreparedVerifyingKey,
     ) -> Result<(), SgxError> {
         let bytes = Self::signed_bytes(
             self.version,
@@ -189,6 +190,11 @@ mod tests {
     use crate::enclave::{EnclaveCode, EnclaveContext};
     use crate::platform::SgxPlatform;
     use crate::sigstruct::EnclaveAuthor;
+    use vnfguard_crypto::ed25519::{PreparedVerifyingKey, VerifyingKey};
+
+    fn prepared(key: VerifyingKey) -> PreparedVerifyingKey {
+        PreparedVerifyingKey::new(key).unwrap()
+    }
 
     struct Null(Vec<u8>);
     impl EnclaveCode for Null {
@@ -226,7 +232,7 @@ mod tests {
         assert_eq!(quote.report_body.mrenclave, enclave.mrenclave());
         assert_eq!(quote.report_body.report_data, [3; 64]);
         quote
-            .verify_with_member_key(&platform.attestation_public_key())
+            .verify_with_member_key(&prepared(platform.attestation_public_key()))
             .unwrap();
     }
 
@@ -254,7 +260,7 @@ mod tests {
         let qe = platform.quoting_enclave();
         let report = enclave.create_report(&qe.target_info(), [3; 64]);
         let quote = qe.quote(&report, [9; 32]).unwrap();
-        let key = platform.attestation_public_key();
+        let key = prepared(platform.attestation_public_key());
 
         let mut bad = quote.clone();
         bad.report_body.mrenclave = crate::measurement::Measurement([0xee; 32]);
@@ -278,7 +284,7 @@ mod tests {
         let decoded = Quote::decode(&quote.encode()).unwrap();
         assert_eq!(decoded, quote);
         decoded
-            .verify_with_member_key(&platform.attestation_public_key())
+            .verify_with_member_key(&prepared(platform.attestation_public_key()))
             .unwrap();
     }
 
@@ -290,7 +296,7 @@ mod tests {
         let quote = qe.quote(&report, [2; 32]).unwrap();
         let other = SgxPlatform::new(b"other");
         assert!(quote
-            .verify_with_member_key(&other.attestation_public_key())
+            .verify_with_member_key(&prepared(other.attestation_public_key()))
             .is_err());
     }
 }

@@ -26,7 +26,7 @@
 //! writes can hide behind the unparseable bytes.
 
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Frame marker byte; a cheap misalignment detector.
@@ -52,17 +52,47 @@ pub(crate) fn group_frame(payloads: &[Vec<u8>]) -> Vec<u8> {
     frame
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), eight bytes a
+/// step (slicing-by-8) with a byte-at-a-time tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let tables = crc_tables();
+    let mut blocks = data.chunks_exact(8);
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    for block in &mut blocks {
+        let word = u64::from_le_bytes(block.try_into().expect("8")) ^ crc as u64;
+        crc = word
+            .to_le_bytes()
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &byte)| acc ^ tables[7 - i][byte as usize]);
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ tables[0][((crc ^ byte as u32) & 0xff) as usize];
     }
     !crc
+}
+
+/// Slicing-by-8 tables, derived on first use: `tables[0][n]` is byte n
+/// run through eight shift-and-mask steps of the polynomial, and
+/// `tables[k][n]` is `tables[k - 1][n]` carried one byte further, the
+/// contribution of a byte k positions before the end of an 8-byte block.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (n, entry) in tables[0].iter_mut().enumerate() {
+            *entry = (0..8).fold(n as u32, |crc, _| {
+                (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg())
+            });
+        }
+        for k in 1..8 {
+            for n in 0..256 {
+                let previous = tables[k - 1][n];
+                tables[k][n] = (previous >> 8) ^ tables[0][(previous & 0xff) as usize];
+            }
+        }
+        tables
+    })
 }
 
 #[derive(Default)]
@@ -346,11 +376,42 @@ mod tests {
         media.append_group_frame(&[payload.to_vec()])
     }
 
+    /// The bitwise CRC-32 the table-driven one replaced: the oracle.
+    fn bitwise_crc32(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(bitwise_crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random buffers at every length and alignment below 2 KiB: whole
+        /// 8-byte blocks, a tail of 0–7 bytes, or only a tail.
+        #[test]
+        fn prop_crc32_matches_the_bitwise_oracle(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            start in 0usize..8,
+            cut in 0usize..2048,
+        ) {
+            let data = &data[start.min(data.len())..];
+            let data = &data[..cut.min(data.len())];
+            proptest::prop_assert_eq!(crc32(data), bitwise_crc32(data));
+        }
     }
 
     #[test]

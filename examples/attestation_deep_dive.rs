@@ -10,6 +10,7 @@
 use vnfguard::core::attestation::{host_evidence, host_report_data};
 use vnfguard::core::deployment::TestbedBuilder;
 use vnfguard::crypto::util::to_hex;
+use vnfguard::ias::QuoteVerifier;
 use vnfguard::sgx::quote::Quote;
 
 fn main() {
@@ -78,7 +79,10 @@ fn main() {
     println!("  nonce ok:  {}", report.nonce == challenge.nonce);
     println!(
         "  signature: verifies under the IAS report key: {}",
-        report.verify(&testbed.ias.report_signing_key()).is_ok()
+        testbed
+            .ias
+            .report_key()
+            .is_some_and(|key| report.verify(key).is_ok())
     );
 
     // --- Appraisal ----------------------------------------------------------

@@ -16,9 +16,12 @@ use vnfguard::attest::snp::{
 };
 use vnfguard::attest::{AppraisalPolicy, AttestError, AttestationBackend, BackendKind, TcbStatus};
 use vnfguard::controller::clock::SimClock;
-use vnfguard::ias::AttestationService;
+use vnfguard::crypto::ed25519::{Point, VerifyingKey};
+use vnfguard::crypto::sha256;
+use vnfguard::ias::{AttestationReport, AttestationService, QuoteStatus, QuoteVerifier};
 use vnfguard::sgx::enclave::{EnclaveCode, EnclaveContext};
 use vnfguard::sgx::platform::{PlatformConfig, SgxPlatform};
+use vnfguard::sgx::quote::Quote;
 use vnfguard::sgx::sigstruct::EnclaveAuthor;
 use vnfguard::sgx::transition::TransitionModel;
 use vnfguard::sgx::SgxError;
@@ -158,6 +161,42 @@ proptest! {
         prop_assert!(matches!(err, Err(AttestError::Encoding(_))), "{err:?}");
     }
 
+    /// Flipping any single bit of a genuine SGX quote never yields an
+    /// appraisal a policy accepts: the flip lands in structure (refused as
+    /// `SIGNATURE_INVALID`), in the group or member id (unknown group,
+    /// unregistered key), or in a field the member key signed, whose
+    /// signature no longer verifies under the IAS's prepared member key.
+    #[test]
+    fn bitflipped_sgx_quote_never_appraises(seed in any::<u64>(), pos in any::<u64>(), bit in 0u8..8) {
+        let (mut quote, mut ias) = sgx_quote(&seed.to_be_bytes());
+        prop_assert!(ias.appraise(&quote, b"n").is_ok());
+        let i = (pos as usize) % quote.len();
+        quote[i] ^= 1 << bit;
+        match ias.appraise(&quote, b"n") {
+            Err(_) => {}
+            Ok(appraisal) => prop_assert!(
+                AppraisalPolicy::lenient().check(&appraisal).is_err(),
+                "flipped bit {i}.{bit} appraised as {appraisal:?}"
+            ),
+        }
+    }
+
+    /// Flipping any single bit of a genuine IAS report's encoding never
+    /// yields a report that verifies under the prepared report key the
+    /// relying party holds.
+    #[test]
+    fn bitflipped_ias_report_never_verifies(seed in any::<u64>(), pos in any::<u64>(), bit in 0u8..8) {
+        let (quote, mut ias) = sgx_quote(&seed.to_be_bytes());
+        let mut encoded = ias.verify_quote(&quote, &seed.to_be_bytes()).encode();
+        let key = ias.report_key().expect("the service's own key").clone();
+        prop_assert!(AttestationReport::decode(&encoded).unwrap().verify(&key).is_ok());
+        let i = (pos as usize) % encoded.len();
+        encoded[i] ^= 1 << bit;
+        if let Ok(report) = AttestationReport::decode(&encoded) {
+            prop_assert!(report.verify(&key).is_err(), "flipped bit {i}.{bit} verified");
+        }
+    }
+
     /// Debug-policy evidence appraises (the fact is surfaced) but both the
     /// strict and lenient policies refuse it — the debug bit is never
     /// waivable by TCB leniency.
@@ -170,6 +209,44 @@ proptest! {
         prop_assert_eq!(appraisal.tcb, TcbStatus::UpToDate);
         prop_assert!(AppraisalPolicy::strict().check(&appraisal).is_err());
         prop_assert!(AppraisalPolicy::lenient().check(&appraisal).is_err());
+    }
+}
+
+/// Under a small-order member key the cofactorless equation admits a
+/// forgery anyone can make: under the identity, R = [r]B with S = r
+/// verifies over every message. The IAS cannot prepare such a key, and
+/// reads every quote under it `SIGNATURE_INVALID`, this forgery included.
+#[test]
+fn quotes_under_a_small_order_member_key_are_signature_invalid() {
+    let mut r = [0u8; 32];
+    r[0] = 5;
+    let forged_signature = [Point::base().scalar_mul(&r).compress(), r].concat();
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+    let minus_one: [u8; 32] = std::array::from_fn(|i| match i {
+        0 => 0xec,
+        31 => 0x7f,
+        _ => 0xff,
+    });
+    let (zero_y, mut zero_y_negative) = ([0u8; 32], [0u8; 32]);
+    zero_y_negative[31] = 0x80;
+    let mut eight = [0u8; 32];
+    eight[0] = 8;
+    for small in [identity, minus_one, zero_y, zero_y_negative] {
+        let point = Point::decompress(&small).unwrap();
+        assert!(point.scalar_mul(&eight).equals(&Point::identity()));
+        let (genuine, mut ias) = sgx_quote(&small);
+        let mut quote = Quote::decode(&genuine).unwrap();
+        quote.member_id = sha256(&small);
+        ias.register_member(quote.epid_group_id, VerifyingKey::from_bytes(&small));
+        let mut forged = quote.encode();
+        let signature_at = forged.len() - forged_signature.len();
+        forged[signature_at..].copy_from_slice(&forged_signature);
+        for evidence in [&forged, &quote.encode()] {
+            let report = ias.verify_quote(evidence, b"n");
+            assert_eq!(report.status, QuoteStatus::SignatureInvalid);
+            assert!(ias.appraise(evidence, b"n").is_err());
+        }
     }
 }
 
